@@ -20,7 +20,8 @@ frame-shift covector.  Homogeneous dynamics is checked pointwise
 from __future__ import annotations
 
 import logging
-from collections.abc import Callable
+import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -52,58 +53,56 @@ class NonFiniteState(GalimechError):
     """An integration step produced an overflow, inf, or nan."""
 
 
-def _fd_steps(values: np.ndarray) -> np.ndarray:
-    return FD_STEP * (1.0 + np.abs(values))
-
-
 @dataclass(frozen=True)
 class Potential:
-    """Scalar potential on space-time with optional analytic derivatives.
+    """Scalar potential on space-time with an optional analytic gradient.
 
-    ``value`` maps an Event to a real.  When the gradient callables are
-    omitted they are replaced by central finite differences with step
-    1e-6 * (1 + |coordinate|); when present they must agree with those
-    differences to about 1e-6 relative (the test suite enforces this for
-    the built-in constructors).
+    ``value`` maps an Event to a real.  ``spatial_gradient``, when given,
+    maps a time t and positions q of shape (..., 3) to the spatial gradient
+    at every position, as one array of the same shape; when omitted it is
+    replaced by central finite differences with step 1e-6 * (1 + |q_i|).
+    ``time_independent`` declares that the value does not depend on t, so
+    the time derivative is exactly 0; otherwise it is a central difference
+    as well.  Analytic gradients must agree with the differences to about
+    1e-6 relative (the test suite enforces this for the built-in
+    constructors).
     """
 
     value: Callable[[Event], float]
-    spatial_gradient: Callable[[Event], np.ndarray] | None = None
-    gradient: Callable[[Event], Covector4] | None = None
+    spatial_gradient: Callable[[float, np.ndarray], np.ndarray] | None = None
+    time_independent: bool = False
 
     def at(self, x: Event) -> float:
         return float(self.value(x))
 
+    def grad_s(self, t: float, q: np.ndarray) -> np.ndarray:
+        """Spatial gradient at time t for positions q of shape (..., 3)."""
+        if self.spatial_gradient is not None:
+            return self.spatial_gradient(t, q)
+        at = self.at
+        out = np.empty(np.shape(q))
+        for row, coords in zip(out.reshape(-1, 3),
+                               np.reshape(q, (-1, 3)).tolist()):
+            for i, c in enumerate(coords):
+                step = FD_STEP * (1.0 + abs(c))
+                plus, minus = coords.copy(), coords.copy()
+                plus[i] = c + step
+                minus[i] = c - step
+                row[i] = (at(Event(t, *plus)) - at(Event(t, *minus))) \
+                    / (2.0 * step)
+        return out
+
     def d_s(self, x: Event) -> np.ndarray:
         """Derivative along the three spatial coordinates."""
-        if self.spatial_gradient is not None:
-            return np.asarray(self.spatial_gradient(x), dtype=float)
-        if self.gradient is not None:
-            return self.gradient(x).spatial
-        coords = x.as_array()
-        steps = _fd_steps(coords)
-        out = np.empty(3)
-        for i in range(3):
-            plus = coords.copy()
-            minus = coords.copy()
-            plus[1 + i] += steps[1 + i]
-            minus[1 + i] -= steps[1 + i]
-            out[i] = (self.at(Event.from_array(plus)) -
-                      self.at(Event.from_array(minus))) / (2.0 * steps[1 + i])
-        return out
+        return self.grad_s(x.t, x.spatial)
 
     def d(self, x: Event) -> Covector4:
         """Full differential, time component included."""
-        if self.gradient is not None:
-            return self.gradient(x)
-        coords = x.as_array()
-        step_t = _fd_steps(coords)[0]
-        plus = coords.copy()
-        minus = coords.copy()
-        plus[0] += step_t
-        minus[0] -= step_t
-        dt = (self.at(Event.from_array(plus)) -
-              self.at(Event.from_array(minus))) / (2.0 * step_t)
+        dt = 0.0
+        if not self.time_independent:
+            step = FD_STEP * (1.0 + abs(x.t))
+            dt = (self.at(Event(x.t + step, x.q1, x.q2, x.q3)) -
+                  self.at(Event(x.t - step, x.q1, x.q2, x.q3))) / (2.0 * step)
         ds = self.d_s(x)
         return Covector4(float(dt), float(ds[0]), float(ds[1]), float(ds[2]))
 
@@ -111,8 +110,8 @@ class Potential:
 def free_potential() -> Potential:
     """Identically zero potential."""
     return Potential(value=lambda x: 0.0,
-                     spatial_gradient=lambda x: np.zeros(3),
-                     gradient=lambda x: Covector4(0.0, 0.0, 0.0, 0.0))
+                     spatial_gradient=lambda t, q: np.zeros(np.shape(q)),
+                     time_independent=True)
 
 
 def uniform_potential(force) -> Potential:
@@ -123,8 +122,8 @@ def uniform_potential(force) -> Potential:
 
     return Potential(
         value=lambda x: -float(f @ x.spatial),
-        spatial_gradient=lambda x: -f.copy(),
-        gradient=lambda x: Covector4(0.0, -f[0], -f[1], -f[2]),
+        spatial_gradient=lambda t, q: -np.broadcast_to(f, np.shape(q)),
+        time_independent=True,
     )
 
 
@@ -135,73 +134,64 @@ def harmonic_potential(k: float, center=(0.0, 0.0, 0.0)) -> Potential:
         raise ValueError(f"center needs 3 components, got shape {c.shape}")
     k = float(k)
 
-    def grad(x: Event) -> Covector4:
-        ds = k * (x.spatial - c)
-        return Covector4(0.0, float(ds[0]), float(ds[1]), float(ds[2]))
-
     return Potential(
         value=lambda x: 0.5 * k * float((x.spatial - c) @ (x.spatial - c)),
-        spatial_gradient=lambda x: k * (x.spatial - c),
-        gradient=grad,
+        spatial_gradient=lambda t, q: k * (q - c),
+        time_independent=True,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class PhasePoint:
-    """State of the particle in one of the two pictures.
-
-    Exactly one of ``p`` (spatial momentum, inhomogeneous picture) and
-    ``p4`` (full covector momentum, homogeneous picture) should be set.
-    """
+    """State of the particle in the inhomogeneous picture: an event and a
+    spatial momentum."""
 
     x: Event
-    p: np.ndarray | None = None
-    p4: Covector4 | None = None
+    p: np.ndarray
 
     def __post_init__(self):
-        if self.p is not None:
-            arr = np.array(self.p, dtype=float)
-            if arr.shape != (3,):
-                raise ValueError(f"spatial momentum needs 3 components, got {arr.shape}")
-            arr.setflags(write=False)
-            object.__setattr__(self, "p", arr)
+        arr = np.array(self.p, dtype=float)
+        if arr.shape != (3,):
+            raise ValueError(f"spatial momentum needs 3 components, got {arr.shape}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "p", arr)
 
     @classmethod
     def spatial(cls, x: Event, p) -> "PhasePoint":
-        return cls(x=x, p=np.asarray(p, dtype=float))
-
-    @classmethod
-    def full(cls, x: Event, p4: Covector4) -> "PhasePoint":
-        return cls(x=x, p4=p4)
+        return cls(x=x, p=p)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Trajectory:
-    """Fixed-step discrete trajectory in the inhomogeneous picture.
+    """Fixed-step discrete trajectories of F frames in the inhomogeneous
+    picture, integrated together.
 
-    Point k sits at time x0.t + k*h; the integrator guarantees the time
-    coordinate advances by exactly the float h each step (up to the rounding
-    of the final addition).
+    ``t`` has shape (n+1,); ``q`` and ``p`` have shape (n+1, F, 3), with
+    ``q[k, f]`` and ``p[k, f]`` the position and momentum in ``frames[f]``
+    at time ``t[k]``.  Step k sits at time t[0] + k*h; the integrator
+    guarantees the time coordinate advances by exactly the float h each
+    step (up to the rounding of the final addition).
     """
 
-    points: tuple[PhasePoint, ...]
+    t: np.ndarray
+    q: np.ndarray
+    p: np.ndarray
     h: float
-    frame: Frame
+    frames: tuple[Frame, ...]
     mass: float
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.t)
 
-    def __iter__(self):
-        return iter(self.points)
-
-    def events(self) -> np.ndarray:
-        """All events as an (n+1, 4) array."""
-        return np.array([pt.x.as_array() for pt in self.points])
-
-    def momenta(self) -> np.ndarray:
-        """All spatial momenta as an (n+1, 3) array."""
-        return np.array([pt.p for pt in self.points])
+    def energies(self, g: SpatialMetric, potential: Potential) -> list[float]:
+        """hamiltonian_inhom at every step of a single-frame trajectory."""
+        if len(self.frames) != 1:
+            raise ValueError(
+                f"needs a single-frame trajectory, got {len(self.frames)} frames")
+        u = self.frames[0]
+        return [hamiltonian_inhom(u, self.mass, g, potential, Event(t, *q), p)
+                for t, q, p in zip(self.t.tolist(), self.q[:, 0].tolist(),
+                                   self.p[:, 0])]
 
 
 def lagrangian_inhom(u: Frame, m: float, g: SpatialMetric,
@@ -236,8 +226,6 @@ def vector_field_inhom(u: Frame, m: float, g: SpatialMetric,
     Returns (xdot, pdot) with xdot = raised p/m + u (time component 1) and
     pdot = minus the spatial gradient of the potential.
     """
-    if state.p is None:
-        raise ValueError("vector_field_inhom needs a spatial-momentum state")
     vel = g.apply_inverse(state.p) / m + u.spatial
     xdot = Vector4(1.0, float(vel[0]), float(vel[1]), float(vel[2]))
     pdot = -potential.d_s(state.x)
@@ -338,73 +326,102 @@ def boost(u_prime: Frame, u: Frame, m: float, g: SpatialMetric,
     return x, p + m * sigma(g, u_prime, u)
 
 
-def integrate(u: Frame, m: float, g: SpatialMetric, potential: Potential,
-              initial: PhasePoint, h: float, n: int) -> Trajectory:
-    """Classical RK4 integration of the frame-u equations of motion.
+def integrate(u: Frame | Sequence[Frame], m: float, g: SpatialMetric,
+              potential: Potential,
+              initial: PhasePoint | Sequence[PhasePoint],
+              h: float, n: int) -> Trajectory:
+    """Classical RK4 integration of the equations of motion in one or more
+    frames.
 
-    Produces n+1 points including the initial one.  Raises ValueError for a
-    non-positive step or n < 1 and NonFiniteState as soon as any state
-    component stops being finite.
+    ``u`` is one Frame or a sequence of F frames, and ``initial`` the
+    matching PhasePoint or sequence of F PhasePoints, all at one start
+    time.  Every frame advances in the same loop as a row of (F, 3) arrays,
+    with the same floating-point operations as when integrated alone.
+    Produces n+1 steps including the initial one.  Raises ValueError for a
+    non-positive mass or step, n < 1, or initial states that do not match
+    the frames one to one at one start time, and NonFiniteState as soon as
+    any state component stops being finite or the potential raises an
+    ArithmeticError.
     """
+    frames = (u,) if isinstance(u, Frame) else tuple(u)
+    starts = (initial,) if isinstance(initial, PhasePoint) else tuple(initial)
     if m <= 0.0:
         raise ValueError(f"mass must be positive, got {m!r}")
     if not (h > 0.0):
         raise ValueError(f"step must be positive, got {h!r}")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"step count must be an integer >= 1, got {n!r}")
-    if initial.p is None:
-        raise ValueError("integrate needs a spatial-momentum initial state")
+    if not frames or len(starts) != len(frames):
+        raise ValueError(f"need one initial state per frame, got "
+                         f"{len(starts)} for {len(frames)} frames")
+    t = float(starts[0].x.t)
+    if any(s.x.t != t for s in starts):
+        raise ValueError("initial states must share one start time")
 
     g_inv = g.inverse
-    u_s = u.spatial
+    u_s = np.array([f.spatial for f in frames])
+    ts = np.empty(n + 1)
+    qs = np.empty((n + 1, len(frames), 3))
+    ps = np.empty((n + 1, len(frames), 3))
+    ts[0] = t
+    qs[0] = [s.x.spatial for s in starts]
+    ps[0] = [s.p for s in starts]
+    q, p = qs[0], ps[0]
 
     def q_rate(p: np.ndarray) -> np.ndarray:
-        return g_inv @ p / m + u_s
+        # A stacked matvec rounds each frame's row exactly as g_inv @ p does.
+        return (g_inv @ p[..., None])[..., 0] / m + u_s
 
     def p_rate(t: float, q: np.ndarray) -> np.ndarray:
-        return -potential.d_s(Event(t, q[0], q[1], q[2]))
+        return -potential.grad_s(t, q)
 
-    t = float(initial.x.t)
-    q = initial.x.spatial
-    p = np.array(initial.p, dtype=float)
-    points = [initial]
+    step = 0
+    try:
+        # Overflow is handled by the isfinite check below, not by numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(n):
+                k1q = q_rate(p)
+                k1p = p_rate(t, q)
+                k2q = q_rate(p + 0.5 * h * k1p)
+                k2p = p_rate(t + 0.5 * h, q + 0.5 * h * k1q)
+                k3q = q_rate(p + 0.5 * h * k2p)
+                k3p = p_rate(t + 0.5 * h, q + 0.5 * h * k2q)
+                k4q = q_rate(p + h * k3p)
+                k4p = p_rate(t + h, q + h * k3q)
+                q = q + h * ((k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0)
+                p = p + h * ((k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0)
+                # The four stage time-rates are all exactly 1, so the
+                # combination below is h * 1.0 and the time coordinate
+                # advances by exactly h.
+                t = t + h * 1.0
+                if not (math.isfinite(t) and np.all(np.isfinite(q))
+                        and np.all(np.isfinite(p))):
+                    raise NonFiniteState(
+                        f"state became non-finite at step {step + 1}")
+                ts[step + 1] = t
+                qs[step + 1] = q
+                ps[step + 1] = p
+    except ArithmeticError as exc:
+        raise NonFiniteState(
+            f"potential raised {type(exc).__name__} at step {step + 1}: "
+            f"{exc}") from exc
 
-    # Overflow is handled by the isfinite check below, not by numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _rk4_loop(q_rate, p_rate, t, q, p, points, h, n, u, m)
-
-
-def _rk4_loop(q_rate, p_rate, t, q, p, points, h, n, u, m) -> Trajectory:
-    for step in range(n):
-        k1q = q_rate(p)
-        k1p = p_rate(t, q)
-        k2q = q_rate(p + 0.5 * h * k1p)
-        k2p = p_rate(t + 0.5 * h, q + 0.5 * h * k1q)
-        k3q = q_rate(p + 0.5 * h * k2p)
-        k3p = p_rate(t + 0.5 * h, q + 0.5 * h * k2q)
-        k4q = q_rate(p + h * k3p)
-        k4p = p_rate(t + h, q + h * k3q)
-        q = q + h * ((k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0)
-        p = p + h * ((k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0)
-        # The four stage time-rates are all exactly 1, so the combination
-        # below is h * 1.0 and the time coordinate advances by exactly h.
-        t = t + h * 1.0
-        if not (np.isfinite(t) and np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-            raise NonFiniteState(f"state became non-finite at step {step + 1}")
-        points.append(PhasePoint.spatial(Event(t, q[0], q[1], q[2]), p))
-
-    return Trajectory(points=tuple(points), h=h, frame=u, mass=m)
+    for arr in (ts, qs, ps):
+        arr.setflags(write=False)
+    return Trajectory(t=ts, q=qs, p=ps, h=h, frames=frames, mass=m)
 
 
 def write_trajectory_csv(traj: Trajectory, g: SpatialMetric,
                          potential: Potential, stream: TextIO) -> None:
-    """Write a trajectory as CSV rows step,t,q1,q2,q3,p1,p2,p3,H.
+    """Write a single-frame trajectory as CSV rows
+    step,t,q1,q2,q3,p1,p2,p3,H.
 
     Floats carry 17 significant digits so values round-trip bit for bit.
     """
+    energies = traj.energies(g, potential)
     stream.write("step,t,q1,q2,q3,p1,p2,p3,H\n")
-    for k, pt in enumerate(traj.points):
-        energy = hamiltonian_inhom(traj.frame, traj.mass, g, potential, pt.x, pt.p)
-        fields = [pt.x.t, pt.x.q1, pt.x.q2, pt.x.q3,
-                  pt.p[0], pt.p[1], pt.p[2], energy]
+    for k, (t, q, p, energy) in enumerate(zip(
+            traj.t.tolist(), traj.q[:, 0].tolist(), traj.p[:, 0].tolist(),
+            energies)):
+        fields = [t, *q, *p, energy]
         stream.write(str(k) + "," + ",".join(f"{v:.17g}" for v in fields) + "\n")

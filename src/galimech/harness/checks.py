@@ -27,7 +27,7 @@ from ..galilean_core import (
     sigma,
 )
 from ..frame_dynamics import (
-    hamiltonian_inhom,
+    Trajectory,
     integrate,
     lagrangian_hom,
     lagrangian_inhom,
@@ -71,6 +71,7 @@ __all__ = [
     "affine_suite",
     "suite_checks",
     "boost_checks",
+    "frame_trajectories",
     "morse_checks",
     "MORSE_FAMILIES",
     "corrupted_sigma",
@@ -277,8 +278,7 @@ def check_energy_drift(cfg: ScenarioConfig) -> CheckResult:
     phi = cfg.build_potential()
     u = Frame.from_spatial(cfg.frames[0])
     traj = integrate(u, cfg.mass, g, phi, cfg.initial_state(u), cfg.h, cfg.n)
-    energies = [hamiltonian_inhom(u, cfg.mass, g, phi, pt.x, pt.p)
-                for pt in traj.points]
+    energies = traj.energies(g, phi)
     first = energies[0]
     worst = max(_rel(abs(e - first), first) for e in energies)
     return CheckResult(name, worst, cfg.tolerances.energy_drift, cfg.n + 1)
@@ -286,53 +286,51 @@ def check_energy_drift(cfg: ScenarioConfig) -> CheckResult:
 
 # --- boost-check: end-to-end frame independence ----------------------------
 
-def check_world_lines(cfg: ScenarioConfig) -> CheckResult:
-    """The same initial world state integrated in every configured frame
-    traces the same events."""
-    name = "world_line.agreement"
-    g = cfg.build_metric()
-    phi = cfg.build_potential()
+def frame_trajectories(cfg: ScenarioConfig) -> Trajectory:
+    """The configured initial world state integrated in every configured
+    frame, all frames in one pass."""
     frames = cfg.build_frames()
+    return integrate(frames, cfg.mass, cfg.build_metric(),
+                     cfg.build_potential(),
+                     [cfg.initial_state(u) for u in frames], cfg.h, cfg.n)
+
+
+def check_world_lines(cfg: ScenarioConfig, traj: Trajectory) -> CheckResult:
+    """The same initial world state integrated in every frame of traj traces
+    the same events.  The frames share the time column, so the events
+    differ only in position."""
+    name = "world_line.agreement"
     tol = cfg.tolerances.world_line_free if cfg.potential.kind == "free" \
         else cfg.tolerances.world_line_bound
-    reference = integrate(frames[0], cfg.mass, g, phi,
-                          cfg.initial_state(frames[0]), cfg.h, cfg.n).events()
-    scale = float(np.max(np.abs(reference)))
-    worst = 0.0
-    for u in frames[1:]:
-        events = integrate(u, cfg.mass, g, phi, cfg.initial_state(u),
-                           cfg.h, cfg.n).events()
-        worst = max(worst, _rel(float(np.max(np.abs(events - reference))),
-                                scale))
-    return CheckResult(name, worst, tol, (len(frames) - 1) * (cfg.n + 1))
+    scale = max(float(np.max(np.abs(traj.t))),
+                float(np.max(np.abs(traj.q[:, 0]))))
+    err = float(np.max(np.abs(traj.q[:, 1:] - traj.q[:, :1]), initial=0.0))
+    return CheckResult(name, _rel(err, scale), tol,
+                       (len(traj.frames) - 1) * len(traj))
 
 
-def check_momentum_offset(cfg: ScenarioConfig) -> CheckResult:
-    """Between two frames the spatial momenta differ by the constant
-    m g(u' - u) along the entire trajectory."""
+def check_momentum_offset(cfg: ScenarioConfig, traj: Trajectory) -> CheckResult:
+    """Between two frames of traj the spatial momenta differ by the
+    constant m g(u' - u) along the entire trajectory."""
     name = "momentum.offset_constant"
     g = cfg.build_metric()
-    phi = cfg.build_potential()
-    frames = cfg.build_frames()
-    u0 = frames[0]
-    reference = integrate(u0, cfg.mass, g, phi, cfg.initial_state(u0),
-                          cfg.h, cfg.n).momenta()
-    worst = 0.0
-    for u in frames[1:]:
-        momenta = integrate(u, cfg.mass, g, phi, cfg.initial_state(u),
-                            cfg.h, cfg.n).momenta()
-        expected = cfg.mass * g.apply(u.spatial - u0.spatial)
-        err = float(np.max(np.abs((reference - momenta) - expected)))
-        worst = max(worst, _rel(err, float(np.max(np.abs(expected)))))
+    u0, *others = traj.frames
+    expected = np.array([cfg.mass * g.apply(u.spatial - u0.spatial)
+                         for u in others]).reshape(-1, 3)
+    errs = np.max(np.abs((traj.p[:, :1] - traj.p[:, 1:]) - expected),
+                  axis=(0, 2))
+    worst = max((_rel(float(err), float(np.max(np.abs(ref))))
+                 for err, ref in zip(errs, expected)), default=0.0)
     return CheckResult(name, worst, cfg.tolerances.momentum_offset,
-                       (len(frames) - 1) * (cfg.n + 1))
+                       len(others) * len(traj))
 
 
 def boost_checks(cfg: ScenarioConfig,
                  sigma_fn: SigmaFn = sigma) -> list[CheckResult]:
+    traj = frame_trajectories(cfg)
     return [
-        check_world_lines(cfg),
-        check_momentum_offset(cfg),
+        check_world_lines(cfg, traj),
+        check_momentum_offset(cfg, traj),
         check_residual_preservation(cfg, sigma_fn),
     ]
 

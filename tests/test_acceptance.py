@@ -63,6 +63,7 @@ from galimech.harness.checks import (
     check_unit_element,
     check_w_axioms,
     check_world_lines,
+    frame_trajectories,
 )
 from galimech.harness.config import PotentialSpec, default_config
 
@@ -231,8 +232,10 @@ def test_criterion_05_boost_theorem(announce):
                + float(ps @ u_prime.spatial) + phi.at(x))
         return Covector4(a0, *ps)
 
-    carried = [(pt.x, shell_lift(pt.x, pt.p) + m * sigma(g, u_prime, u))
-               for pt in traj.points]
+    events = [Event(t, *q) for t, q in zip(traj.t.tolist(),
+                                           traj.q[:, 0].tolist())]
+    carried = [(x, shell_lift(x, ps) + m * sigma(g, u_prime, u))
+               for x, ps in zip(events, traj.p[:, 0])]
     xs = np.array([x.as_array() for x, _ in carried])
     ps = np.array([p.as_array() for _, p in carried])
     tol_c = 10.0 * h ** 4
@@ -256,12 +259,13 @@ def test_criterion_05_boost_theorem(announce):
 
 def test_criterion_06_world_lines(announce):
     base = dataclasses.replace(default_config(), n=10000)
-    free = check_world_lines(base)
+    free = check_world_lines(base, frame_trajectories(base))
     bound_cfg = dataclasses.replace(
         base, potential=PotentialSpec("harmonic", k=1.0, center=(0.0, 0.0, 0.0)),
         initial_event=(0.0, 1.0, 0.0, 0.0))
-    bound = check_world_lines(bound_cfg)
-    offset = check_momentum_offset(bound_cfg)
+    bound_traj = frame_trajectories(bound_cfg)
+    bound = check_world_lines(bound_cfg, bound_traj)
+    offset = check_momentum_offset(bound_cfg, bound_traj)
     worst = max(free.max_err / free.tol, bound.max_err / bound.tol,
                 offset.max_err / offset.tol)
     # The harmonic tolerance is the looser 1e-7: the integrations in two

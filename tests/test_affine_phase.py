@@ -79,8 +79,8 @@ def free_model(m: float = 1.0, g: SpatialMetric | None = None) -> NewtonModel:
 
 def constant_potential(c: float) -> Potential:
     return Potential(value=lambda x: c,
-                     spatial_gradient=lambda x: np.zeros(3),
-                     gradient=lambda x: Covector4(0.0, 0.0, 0.0, 0.0))
+                     spatial_gradient=lambda t, q: np.zeros(np.shape(q)),
+                     time_independent=True)
 
 
 class TestChartChange:
@@ -521,7 +521,7 @@ class TestInhomogeneousMembership:
                                      [0.0, 1.0, 0.0])
         traj = integrate(REFERENCE_FRAME, model.mass, model.metric,
                          model.potential, initial, h=1e-3, n=100)
-        pt = traj.points[-1]
+        pt = PhasePoint(Event(traj.t[-1], *traj.q[-1, 0]), traj.p[-1, 0])
         xdot, pdot = vector_field_inhom(REFERENCE_FRAME, model.mass,
                                         model.metric, model.potential, pt)
         element = (pt.x, pt.p, xdot, pdot)

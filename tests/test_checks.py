@@ -8,7 +8,9 @@ from galimech.galilean_core import SpatialMetric
 from galimech.harness.checks import (
     boost_checks,
     check_residual_preservation,
+    check_world_lines,
     corrupted_sigma,
+    frame_trajectories,
     morse_checks,
     suite_checks,
 )
@@ -41,6 +43,13 @@ def test_corrupted_sigma_breaks_exactly_one_boost_check():
     # the other two checks never touch the shift covector
     assert results["world_line.agreement"] is True
     assert results["momentum.offset_constant"] is True
+
+
+def test_free_world_lines_agree_exactly():
+    # A free world line is the same float accumulation in every frame, so
+    # integrating the frames together must keep the error at exactly zero.
+    cfg = default_config()
+    assert check_world_lines(cfg, frame_trajectories(cfg)).max_err == 0.0
 
 
 def test_residual_preservation_margin_is_wide():

@@ -99,6 +99,22 @@ class TestSimulate:
         assert not out.exists()
 
 
+class TestPotentialArithmeticErrors:
+    @pytest.mark.parametrize("command", ["simulate", "boost-check"])
+    @pytest.mark.parametrize("expr, error", [("1/q1", "ZeroDivisionError"),
+                                             ("10^400*q1", "OverflowError")])
+    def test_exits_3_with_one_line(self, tmp_path, command, expr, error):
+        cfg = write_config(tmp_path,
+                           potential={"kind": "custom", "expr": expr},
+                           initial_event=[0, 0, 0, 0],
+                           initial_velocity=[0, 0, 0])
+        proc = run(command, "--config", cfg)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1  # no traceback
+        assert f"{error} at step 1" in lines[0]
+
+
 class TestConfigErrors:
     def test_bad_mass_names_field(self, tmp_path):
         proc = run("simulate", "--config", write_config(tmp_path, mass=0))

@@ -377,23 +377,22 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(E0, 0.0, ID3, free_potential(), init, 0.1, 10)
         with pytest.raises(ValueError):
-            integrate(E0, 1.0, ID3, free_potential(),
-                      PhasePoint.full(ORIGIN, Covector4(0, 0, 0, 0)), 0.1, 10)
+            integrate([E0, E0], 1.0, ID3, free_potential(), [init], 0.1, 10)
 
     def test_free_particle_linear_motion(self):
         init = PhasePoint.spatial(ORIGIN, [1.0, 0.0, 0.0])
         traj = integrate(E0, 1.0, ID3, free_potential(), init, 0.1, 10)
         assert len(traj) == 11
-        for pt in traj:
-            assert pt.x.q1 == pt.x.t  # identical accumulation, bit for bit
-            assert np.array_equal(pt.p, [1.0, 0.0, 0.0])
+        # identical accumulation, bit for bit
+        assert np.array_equal(traj.q[:, 0, 0], traj.t)
+        assert np.all(traj.p[:, 0] == [1.0, 0.0, 0.0])
 
     def test_time_advances_by_h(self):
         phi = harmonic_potential(1.0)
         init = PhasePoint.spatial(Event(0.3, 1.0, 0.0, 0.0), [0.0, 0.2, 0.0])
         h = 0.001
         traj = integrate(E0, 1.0, ID3, phi, init, h, 500)
-        ts = traj.events()[:, 0]
+        ts = traj.t
         dt = np.diff(ts)
         assert np.max(np.abs(dt - h)) <= 4e-16 * (1.0 + np.max(np.abs(ts)))
 
@@ -404,16 +403,16 @@ class TestIntegrate:
         n = 500
         h = (np.pi / 2.0) / n
         traj = integrate(E0, 1.0, ID3, phi, init, h, n)
-        last = traj.points[-1]
-        assert abs(last.x.q1 - 0.0) <= 1e-9
-        assert abs(last.p[0] - (-1.0)) <= 1e-9
+        assert abs(traj.q[-1, 0, 0] - 0.0) <= 1e-9
+        assert abs(traj.p[-1, 0, 0] - (-1.0)) <= 1e-9
 
     def test_harmonic_oscillator_energy_drift(self):
         phi = harmonic_potential(1.0)
         init = PhasePoint.spatial(Event(0.0, 1.0, 0.0, 0.0), [0.0, 0.3, 0.0])
         traj = integrate(E0, 1.0, ID3, phi, init, 1e-3, 2000)
-        energies = [hamiltonian_inhom(E0, 1.0, ID3, phi, pt.x, pt.p)
-                    for pt in traj]
+        energies = [hamiltonian_inhom(E0, 1.0, ID3, phi, Event(t, *q), p)
+                    for t, q, p in zip(traj.t.tolist(), traj.q[:, 0].tolist(),
+                                       traj.p[:, 0])]
         assert np.max(np.abs(np.array(energies) - energies[0])) <= 1e-10
 
     def test_blowup_raises_non_finite(self):
@@ -422,6 +421,32 @@ class TestIntegrate:
         init = PhasePoint.spatial(Event(0.0, 1.0, 0.0, 0.0), [0.0, 0.0, 0.0])
         with pytest.raises(NonFiniteState):
             integrate(E0, 1.0, ID3, phi, init, 0.01, 500)
+
+    @pytest.mark.parametrize("metric", ["identity", "random"])
+    @pytest.mark.parametrize("kind", ["harmonic", "custom"])
+    def test_batched_equals_single_frame_calls(self, rng, metric, kind):
+        g = ID3 if metric == "identity" else random_metric(rng)
+        if kind == "harmonic":
+            phi = harmonic_potential(1.3, (0.1, -0.2, 0.0))
+        else:  # value only: the finite-difference gradient
+            phi = Potential(value=lambda x: 0.5 * x.q1 ** 2
+                            + 0.25 * x.q2 ** 4 + 0.1 * x.q1 * x.q3)
+        frames = [random_frame(rng, scale=1.5) for _ in range(4)]
+        x0 = Event(0.3, 0.8, -0.4, 0.2)
+        inits = [PhasePoint.spatial(x0, rng.normal(size=3)) for _ in frames]
+        batched = integrate(frames, 1.2, g, phi, inits, 0.01, 50)
+        assert batched.q.shape == batched.p.shape == (51, 4, 3)
+        for f, (u, init) in enumerate(zip(frames, inits)):
+            single = integrate(u, 1.2, g, phi, init, 0.01, 50)
+            assert np.array_equal(batched.t, single.t)
+            assert np.array_equal(batched.q[:, f], single.q[:, 0])
+            assert np.array_equal(batched.p[:, f], single.p[:, 0])
+
+    def test_batched_start_times_must_match(self):
+        inits = [PhasePoint.spatial(ORIGIN, [1.0, 0.0, 0.0]),
+                 PhasePoint.spatial(Event(0.1, 0.0, 0.0, 0.0), [1.0, 0.0, 0.0])]
+        with pytest.raises(ValueError, match="start time"):
+            integrate([E0, E0], 1.0, ID3, free_potential(), inits, 0.1, 10)
 
     def test_csv_export_shape_and_precision(self):
         init = PhasePoint.spatial(ORIGIN, [1.0, 0.0, 0.0])
