@@ -53,24 +53,36 @@ class NonFiniteState(GalimechError):
     """An integration step produced an overflow, inf, or nan."""
 
 
+# Central-difference offsets: the three coordinates stepped up, then down.
+_FD_DIRECTIONS = np.concatenate([np.eye(3), -np.eye(3)])
+
+
 @dataclass(frozen=True)
 class Potential:
-    """Scalar potential on space-time with an optional analytic gradient.
+    """Scalar potential on space-time with an analytic or a
+    finite-difference spatial gradient.
 
-    ``value`` maps an Event to a real.  ``spatial_gradient``, when given,
-    maps a time t and positions q of shape (..., 3) to the spatial gradient
-    at every position, as one array of the same shape; when omitted it is
-    replaced by central finite differences with step 1e-6 * (1 + |q_i|).
+    ``value`` maps an Event to a real; it serves every point evaluation.
+    ``spatial_gradient``, when given, maps a time t and positions q of
+    shape (..., 3) to the analytic gradient at every position, as one array
+    of the same shape.  Otherwise ``values`` maps t and positions of shape
+    (..., 3) to the values there, shape (...), and the gradient is formed
+    by central differences with step 1e-6 * (1 + |q_i|), every position and
+    offset evaluated in one ``values`` call.  A ``custom`` scenario
+    potential gets both evaluators from its one expression: ``value`` on
+    the scalar ``math`` table, ``values`` on the ``numpy`` one.
+
     ``time_independent`` declares that the value does not depend on t, so
     the time derivative is exactly 0; otherwise it is a central difference
-    as well.  Analytic gradients must agree with the differences to about
-    1e-6 relative (the test suite enforces this for the built-in
-    constructors).
+    of ``value`` as well.  Analytic gradients must agree with the
+    differences to about 1e-6 relative (the test suite enforces this for
+    the built-in constructors).
     """
 
     value: Callable[[Event], float]
     spatial_gradient: Callable[[float, np.ndarray], np.ndarray] | None = None
     time_independent: bool = False
+    values: Callable[[float, np.ndarray], np.ndarray] | None = None
 
     def at(self, x: Event) -> float:
         return float(self.value(x))
@@ -79,18 +91,13 @@ class Potential:
         """Spatial gradient at time t for positions q of shape (..., 3)."""
         if self.spatial_gradient is not None:
             return self.spatial_gradient(t, q)
-        at = self.at
-        out = np.empty(np.shape(q))
-        for row, coords in zip(out.reshape(-1, 3),
-                               np.reshape(q, (-1, 3)).tolist()):
-            for i, c in enumerate(coords):
-                step = FD_STEP * (1.0 + abs(c))
-                plus, minus = coords.copy(), coords.copy()
-                plus[i] = c + step
-                minus[i] = c - step
-                row[i] = (at(Event(t, *plus)) - at(Event(t, *minus))) \
-                    / (2.0 * step)
-        return out
+        step = FD_STEP * (1.0 + np.abs(q))
+        # Fortran order keeps each coordinate of the points contiguous, the
+        # layout on which numpy's small-array operations are fastest.
+        points = np.add(q[..., None, :], _FD_DIRECTIONS * step[..., None, :],
+                        order="F")
+        v = self.values(t, points)
+        return (v[..., :3] - v[..., 3:]) / (2.0 * step)
 
     def d_s(self, x: Event) -> np.ndarray:
         """Derivative along the three spatial coordinates."""
@@ -184,14 +191,27 @@ class Trajectory:
         return len(self.t)
 
     def energies(self, g: SpatialMetric, potential: Potential) -> list[float]:
-        """hamiltonian_inhom at every step of a single-frame trajectory."""
+        """hamiltonian_inhom at every step of a single-frame trajectory.
+
+        Raises NonFiniteState, naming the step, when the potential raises
+        an ArithmeticError at an integrated point: the gradient's central
+        differences never evaluate the potential exactly there.
+        """
         if len(self.frames) != 1:
             raise ValueError(
                 f"needs a single-frame trajectory, got {len(self.frames)} frames")
         u = self.frames[0]
-        return [hamiltonian_inhom(u, self.mass, g, potential, Event(t, *q), p)
-                for t, q, p in zip(self.t.tolist(), self.q[:, 0].tolist(),
-                                   self.p[:, 0])]
+        out = []
+        for step, (t, q, p) in enumerate(zip(
+                self.t.tolist(), self.q[:, 0].tolist(), self.p[:, 0])):
+            try:
+                out.append(hamiltonian_inhom(u, self.mass, g, potential,
+                                             Event(t, *q), p))
+            except ArithmeticError as exc:
+                raise NonFiniteState(
+                    f"potential raised {type(exc).__name__} in the energy "
+                    f"at step {step}: {exc}") from exc
+        return out
 
 
 def lagrangian_inhom(u: Frame, m: float, g: SpatialMetric,

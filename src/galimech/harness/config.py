@@ -24,9 +24,14 @@ from ..frame_dynamics import (
     legendre_inhom,
     uniform_potential,
 )
-from .expressions import ExpressionError, compile_expression
+from .expressions import (
+    ExpressionError,
+    compile_array_expression,
+    compile_expression,
+)
 
 __all__ = [
+    "MAX_FRAME_STEPS",
     "ConfigError",
     "Tolerances",
     "PotentialSpec",
@@ -35,6 +40,11 @@ __all__ = [
     "parse_config",
     "load_config",
 ]
+
+
+# Upper bound on (n + 1) * frames: the integrator stores positions and
+# momenta for every step of every frame, 48 bytes each, so about 0.5 GB.
+MAX_FRAME_STEPS = 10**7
 
 
 class ConfigError(GalimechError):
@@ -85,7 +95,8 @@ class PotentialSpec:
             return harmonic_potential(self.k, self.center)
         # kind == "custom", already validated
         fn = compile_expression(self.expr)
-        return Potential(value=lambda x: fn(x.t, x.q1, x.q2, x.q3))
+        return Potential(value=lambda x: fn(x.t, x.q1, x.q2, x.q3),
+                         values=compile_array_expression(self.expr))
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -263,6 +274,10 @@ def parse_config(data) -> ScenarioConfig:
     n = data.get("n", defaults.n)
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ConfigError("n", f"expected an integer >= 1, got {n!r}")
+    if (n + 1) * len(frames) > MAX_FRAME_STEPS:
+        raise ConfigError(
+            "n", f"(n + 1) * {len(frames)} frames exceeds {MAX_FRAME_STEPS} "
+                 f"stored steps, got n = {n}")
 
     seed = data.get("seed", defaults.seed)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:

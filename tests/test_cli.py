@@ -114,6 +114,21 @@ class TestPotentialArithmeticErrors:
         assert len(lines) == 1  # no traceback
         assert f"{error} at step 1" in lines[0]
 
+    def test_energy_column_error_exits_3_without_output(self, tmp_path):
+        # The gradient's differences never touch the origin; the H column does.
+        cfg = write_config(tmp_path,
+                           potential={"kind": "custom",
+                                      "expr": "1/(q1^2+q2^2+q3^2)"},
+                           initial_event=[0, 0, 0, 0],
+                           initial_velocity=[0, 0, 0])
+        out = tmp_path / "never.csv"
+        proc = run("simulate", "--config", cfg, "--out", str(out))
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1  # no traceback
+        assert "ZeroDivisionError in the energy at step 0" in lines[0]
+        assert not out.exists()
+
 
 class TestConfigErrors:
     def test_bad_mass_names_field(self, tmp_path):
@@ -127,6 +142,12 @@ class TestConfigErrors:
         proc = run("simulate", "--config", cfg)
         assert proc.returncode == 2
         assert "potential.expr" in proc.stderr
+
+    def test_unbounded_step_count_exits_2(self, tmp_path):
+        proc = run("simulate", "--config", write_config(tmp_path, n=10**12))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith("config error: n:")
 
     def test_missing_file(self, tmp_path):
         proc = run("simulate", "--config", str(tmp_path / "absent.json"))

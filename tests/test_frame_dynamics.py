@@ -34,6 +34,7 @@ from galimech.frame_dynamics import (
     vector_field_inhom,
     write_trajectory_csv,
 )
+from galimech.harness.config import PotentialSpec
 
 from conftest import random_frame, random_metric
 
@@ -86,8 +87,26 @@ class TestPotentials:
                 assert np.allclose(analytic, numeric,
                                    atol=1e-6 * (1.0 + np.max(np.abs(numeric))))
 
+    @pytest.mark.parametrize("expr", [
+        "0.5*q1^2 + 0.25*q2^4 + 0.1*q1*q3",
+        "q1*q2*sin(t) + exp(q3)/(1 + q1^2)",
+        "0.5*1.3*((q1-0.2)^2 + (q2+0.4)^2 + (q3-0.7)^2) + 0.1*(q1-0.2)^4"
+        " + 0.3*sin(q2)*cos(q3) + 0.4*exp(-0.5*(q1^2 + q3^2))",
+    ])
+    def test_array_gradient_matches_scalar_differences(self, rng, expr):
+        phi = PotentialSpec("custom", expr=expr).build()
+        t = 0.4
+        q = rng.normal(scale=1.5, size=(8, 3))
+        got = phi.grad_s(t, q)
+        assert got.shape == (8, 3)
+        for row, coords in zip(got, q):
+            ref = fd_gradient(lambda c: phi.at(Event(t, *c)), coords)
+            assert np.all(np.abs(row - ref) <= 1e-8 * (1.0 + np.abs(ref)))
+        assert np.array_equal(phi.grad_s(t, q[3]), got[3])
+
     def test_fd_fallback_when_no_gradient(self):
-        phi = Potential(value=lambda x: x.q1 ** 2 + 0.5 * x.t)
+        phi = Potential(value=lambda x: x.q1 ** 2 + 0.5 * x.t,
+                        values=lambda t, q: q[..., 0] ** 2 + 0.5 * t)
         x = Event(1.0, 3.0, 0.0, 0.0)
         assert np.allclose(phi.d_s(x), [6.0, 0.0, 0.0], atol=1e-8)
         assert phi.d(x).a0 == pytest.approx(0.5, abs=1e-9)
@@ -428,9 +447,9 @@ class TestIntegrate:
         g = ID3 if metric == "identity" else random_metric(rng)
         if kind == "harmonic":
             phi = harmonic_potential(1.3, (0.1, -0.2, 0.0))
-        else:  # value only: the finite-difference gradient
-            phi = Potential(value=lambda x: 0.5 * x.q1 ** 2
-                            + 0.25 * x.q2 ** 4 + 0.1 * x.q1 * x.q3)
+        else:  # the array evaluator's finite-difference gradient
+            phi = PotentialSpec(
+                "custom", expr="0.5*q1^2 + 0.25*q2^4 + 0.1*q1*q3").build()
         frames = [random_frame(rng, scale=1.5) for _ in range(4)]
         x0 = Event(0.3, 0.8, -0.4, 0.2)
         inits = [PhasePoint.spatial(x0, rng.normal(size=3)) for _ in frames]

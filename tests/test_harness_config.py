@@ -7,6 +7,7 @@ import pytest
 
 from galimech.galilean_core import Event
 from galimech.harness.config import (
+    MAX_FRAME_STEPS,
     ConfigError,
     PotentialSpec,
     Tolerances,
@@ -125,6 +126,13 @@ class TestRejection:
     @pytest.mark.parametrize("bad", [0, -3, 2.5, True])
     def test_bad_step_count(self, bad):
         assert self.field_of(minimal(n=bad)) == "n"
+
+    def test_step_count_bounded_by_stored_steps(self):
+        # Two frames: (n + 1) * 2 may reach the bound but not pass it.
+        largest = MAX_FRAME_STEPS // 2 - 1
+        assert parse_config(minimal(n=largest)).n == largest
+        assert self.field_of(minimal(n=largest + 1)) == "n"
+        assert self.field_of(minimal(n=10**12)) == "n"
 
     @pytest.mark.parametrize("bad", [-1, 1.5, "42"])
     def test_bad_seed(self, bad):
