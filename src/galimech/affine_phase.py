@@ -21,6 +21,12 @@ quotient: the universal mass-shell function, the affine lagrangian, the
 hamiltonian as a fiber difference, the three tuple maps relating the tangent
 and cotangent pictures, the spatial momentum quotient, and the affine-metric
 section construction.
+
+The quotient operations are written once, as array kernels (``*_array``)
+over stacks of components: momentum representatives as covector components
+(..., 4), W representatives packed as (v0, v1, v2, v3, r) in (..., 5),
+frames as spatial velocities (..., 3), and the potential as its values.
+The functions over WElement and PElement objects wrap them.
 """
 
 from __future__ import annotations
@@ -38,12 +44,16 @@ from .galilean_core import (
     SpatialMetric,
     TAU,
     Vector4,
-    sigma,
+    pair,
+    pair_frame,
+    sigma_array,
 )
 from .frame_dynamics import (
     Potential,
+    homogeneous_dynamics_violation_array,
     in_homogeneous_dynamics,
     lagrangian_hom,
+    lagrangian_hom_array,
 )
 from .generating_objects import FunctionFamily, family_fam1, family_fam2
 
@@ -55,21 +65,32 @@ __all__ = [
     "PElement",
     "W_ZERO",
     "W_UNIT",
+    "w_pack",
     "w_change_chart",
+    "w_change_chart_array",
     "p_change_chart",
+    "p_change_chart_array",
     "w_add",
+    "w_add_array",
     "w_scale",
+    "w_scale_array",
     "eval_affine",
+    "eval_affine_array",
     "pairing",
+    "pairing_array",
     "psi_m",
+    "psi_m_array",
     "universal_hamiltonian_residual",
     "affine_lagrangian",
+    "affine_lagrangian_array",
     "hamiltonian_fun",
+    "hamiltonian_fun_array",
     "alpha",
     "beta",
     "beta_inv",
     "gamma",
     "dynamics_membership_universal",
+    "dynamics_membership_universal_array",
     "project_P0",
     "lift_P0",
     "inhomogeneous_dynamics_membership",
@@ -111,22 +132,44 @@ class NewtonModel:
             raise ValueError(f"mass must be positive, got {self.mass!r}")
 
 
-def w_change_chart(model: NewtonModel, v: Vector4, r: float,
-                   from_frame: Frame, to_frame: Frame) -> tuple[Vector4, float]:
-    """Re-express a lagrangian-value representative in another frame.
+def w_pack(v, r) -> np.ndarray:
+    """Pack velocity parts (..., 4) and real parts (...) as (..., 5)."""
+    out = np.empty(np.broadcast_shapes(np.shape(v)[:-1], np.shape(r)) + (5,))
+    out[..., :4] = v
+    out[..., 4] = r
+    return out
+
+
+def w_change_chart_array(model: NewtonModel, w, from_u, to_u) -> np.ndarray:
+    """Re-express lagrangian-value representatives (..., 5) in other frames.
 
     The velocity part is chart-independent; the real part picks up the
     sigma pairing:  r' = r - m <sigma(to, from), v>.
     """
-    shift = sigma(model.metric, to_frame, from_frame)
-    return v, float(r - model.mass * shift.pair(v))
+    v = w[..., :4]
+    shift = sigma_array(model.metric, to_u, from_u)
+    return w_pack(v, w[..., 4] - model.mass * pair(shift, v))
+
+
+def w_change_chart(model: NewtonModel, v: Vector4, r: float,
+                   from_frame: Frame, to_frame: Frame) -> tuple[Vector4, float]:
+    """w_change_chart_array for one representative (v, r)."""
+    w = w_change_chart_array(model, WElement(v, r).as_array(),
+                             from_frame.spatial, to_frame.spatial)
+    return v, float(w[4])
+
+
+def p_change_chart_array(model: NewtonModel, p, from_u, to_u) -> np.ndarray:
+    """Re-express momentum representatives (..., 4) in other frames:
+    p' = p - m sigma(to, from)."""
+    return p - model.mass * sigma_array(model.metric, to_u, from_u)
 
 
 def p_change_chart(model: NewtonModel, p: Covector4,
                    from_frame: Frame, to_frame: Frame) -> Covector4:
-    """Re-express a momentum representative in another frame:
-    p' = p - m sigma(to, from)."""
-    return p - model.mass * sigma(model.metric, to_frame, from_frame)
+    """p_change_chart_array for one representative."""
+    return Covector4(*p_change_chart_array(
+        model, p.as_array(), from_frame.spatial, to_frame.spatial).tolist())
 
 
 @dataclass(frozen=True)
@@ -139,6 +182,16 @@ class WElement:
 
     v: Vector4
     r: float
+
+    @classmethod
+    def from_array(cls, w) -> "WElement":
+        """Unpack (v0, v1, v2, v3, r)."""
+        c0, c1, c2, c3, r = np.asarray(w, dtype=float).tolist()
+        return cls(Vector4(c0, c1, c2, c3), r)
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.v.c0, self.v.c1, self.v.c2, self.v.c3, self.r],
+                        dtype=float)
 
     @classmethod
     def from_chart(cls, model: NewtonModel, v: Vector4, r: float,
@@ -196,54 +249,81 @@ W_ZERO = WElement(Vector4(0.0, 0.0, 0.0, 0.0), 0.0)
 W_UNIT = WElement(Vector4(0.0, 0.0, 0.0, 0.0), -1.0)
 
 
-def w_add(model: NewtonModel, a: WElement, b: WElement) -> WElement:
-    """Sum of lagrangian-value classes.
+def w_add_array(a, b) -> np.ndarray:
+    """Sum of lagrangian-value classes (..., 5).
 
     Componentwise on representatives: both live in the reference chart, so
     no sigma correction enters, and linearity of the chart rule makes the
     result chart-independent.
     """
-    return WElement(a.v + b.v, a.r + b.r)
+    return np.add(a, b)
+
+
+def w_add(model: NewtonModel, a: WElement, b: WElement) -> WElement:
+    """w_add_array for one pair of classes."""
+    return WElement.from_array(w_add_array(a.as_array(), b.as_array()))
+
+
+def w_scale_array(scalar, w) -> np.ndarray:
+    """Scalar multiples (...) of lagrangian-value classes (..., 5),
+    componentwise."""
+    return np.asarray(scalar, dtype=float)[..., None] * w
 
 
 def w_scale(model: NewtonModel, scalar: float, w: WElement) -> WElement:
-    """Scalar multiple of a lagrangian-value class, componentwise."""
-    return WElement(float(scalar) * w.v, float(scalar) * w.r)
+    """w_scale_array for one class."""
+    return WElement.from_array(w_scale_array(scalar, w.as_array()))
 
 
-def eval_affine(model: NewtonModel, w: WElement, pp: PElement) -> float:
-    """The affine function a W element defines on momentum classes:
+def eval_affine_array(w, p) -> np.ndarray:
+    """The affine function a W element (..., 5) defines on momentum classes
+    (..., 4):
 
         f_w(p) = <p, v> - r
 
     computed on shared-chart representatives, hence independent of the
     charts the inputs were built through.
     """
-    return pp.p.pair(w.v) - w.r
+    return pair(p, w[..., :4]) - w[..., 4]
 
 
-def pairing(model: NewtonModel, pp: PElement, v: Vector4) -> WElement:
+def eval_affine(model: NewtonModel, w: WElement, pp: PElement) -> float:
+    """eval_affine_array for one pair of classes."""
+    return float(eval_affine_array(w.as_array(), pp.p.as_array()))
+
+
+def pairing_array(p, v) -> np.ndarray:
     """W element with velocity part v and real part <p, v>.
 
     Evaluating it on another momentum class q gives <q - p, v>, a plain
     covector-vector pairing, which is what makes the construction
     chart-independent.
     """
-    return WElement(v, pp.p.pair(v))
+    return w_pack(v, pair(p, v))
 
 
-def psi_m(model: NewtonModel, x: Event, pp: PElement) -> float:
+def pairing(model: NewtonModel, pp: PElement, v: Vector4) -> WElement:
+    """pairing_array for one class and velocity."""
+    return WElement.from_array(pairing_array(pp.p.as_array(), v.as_array()))
+
+
+def psi_m_array(model: NewtonModel, p) -> np.ndarray:
     """Kinetic-plus-transport part of the mass-shell function,
 
         (1/2m) <p, g'(p)> + <p, u>
 
-    evaluated on the canonical representative.  Constant on classes: the
-    sigma shift changes both terms by opposite amounts.  The event argument
-    is accepted for signature parity with the full residual and ignored.
+    evaluated on canonical representatives (..., 4).  Constant on classes:
+    the sigma shift changes both terms by opposite amounts.
     """
-    ps = pp.p.spatial
-    return 0.5 / model.mass * float(ps @ model.metric.apply_inverse(ps)) \
-        + pp.p.pair(model.reference)
+    ps = p[..., 1:]
+    return 0.5 / model.mass * np.vecdot(ps, model.metric.apply_inverse(ps)) \
+        + pair_frame(p, model.reference.spatial)
+
+
+def psi_m(model: NewtonModel, x: Event, pp: PElement) -> float:
+    """psi_m_array of the class; the event argument is accepted for
+    signature parity with the full residual and ignored."""
+    return float(psi_m_array(model, pp.p.as_array()))
 
 
 def universal_hamiltonian_residual(model: NewtonModel, x: Event,
@@ -256,14 +336,21 @@ def universal_hamiltonian_residual(model: NewtonModel, x: Event,
     return psi_m(model, x, pp) + model.potential.at(x)
 
 
-def affine_lagrangian(model: NewtonModel, x: Event, v: Vector4) -> WElement:
-    """The lagrangian as a W-valued map: class of (u, v, l_u(x, v)).
+def affine_lagrangian_array(model: NewtonModel, phi, v) -> np.ndarray:
+    """The lagrangian as a W-valued map: class of (u, v, l_u(x, v)), for
+    velocities (..., 4) at events with potential values phi.
 
     Constructing through any frame yields the same class because the
     per-frame lagrangians differ by exactly the sigma pairing the chart
-    rule removes.  Raises NotFutureDirected for non-positive time
-    components.
+    rule removes.  The velocities must be future-directed.
     """
+    return w_pack(v, lagrangian_hom_array(model.reference.spatial, model.mass,
+                                          model.metric, phi, v))
+
+
+def affine_lagrangian(model: NewtonModel, x: Event, v: Vector4) -> WElement:
+    """affine_lagrangian_array at one state.  Raises NotFutureDirected for
+    a non-positive time component."""
     return WElement(v, lagrangian_hom(model.reference, model.mass,
                                       model.metric, model.potential, x, v))
 
@@ -279,6 +366,14 @@ def _fiber_difference(a: WElement, b: WElement) -> float:
             f"cannot subtract W elements over different velocities: "
             f"{a.v} vs {b.v}")
     return a.r - b.r
+
+
+def hamiltonian_fun_array(model: NewtonModel, phi, v, p) -> np.ndarray:
+    """hamiltonian_fun for velocities (..., 4), momentum representatives
+    (..., 4) and potential values phi: the same fiber difference, whose
+    two W elements share the velocity part by construction."""
+    return pairing_array(p, v)[..., 4] \
+        - affine_lagrangian_array(model, phi, v)[..., 4]
 
 
 def hamiltonian_fun(model: NewtonModel, x: Event, v: Vector4,
@@ -329,6 +424,16 @@ def dynamics_membership_universal(model: NewtonModel, element: tuple,
     x, pp, xdot, pdot = element
     return in_homogeneous_dynamics(model.reference, model.mass, model.metric,
                                    model.potential, (x, pp.p, xdot, pdot), tol)
+
+
+def dynamics_membership_universal_array(model: NewtonModel, phi, dphi, p,
+                                        xdot, pdot, tol: float) -> np.ndarray:
+    """dynamics_membership_universal for stacks: momentum representatives
+    p, velocities xdot and momentum rates pdot (..., 4) at events with
+    potential values phi and differentials dphi (..., 4)."""
+    return homogeneous_dynamics_violation_array(
+        model.reference.spatial, model.mass, model.metric, phi, dphi, p,
+        xdot, pdot) <= tol
 
 
 def project_P0(model: NewtonModel, pp: PElement) -> np.ndarray:

@@ -15,6 +15,13 @@ fiber derivative lands on the zero set of the mass-shell residual, and a
 change of frame acts on momenta by adding a fixed multiple of the
 frame-shift covector.  Homogeneous dynamics is checked pointwise
 (membership of a state-with-derivatives tuple) rather than integrated.
+
+Each formula is written once, as an array kernel (``*_array``) over stacks
+of components: frames as spatial velocities (..., 3), velocities and
+momenta as components (..., 4), and the potential as its values (...) at
+the events in question.  The functions over Frame, Event, Vector4 and
+Covector4 objects are thin wrappers that evaluate the potential and call
+the kernel on one entry.
 """
 
 from __future__ import annotations
@@ -35,7 +42,8 @@ from .galilean_core import (
     GalimechError,
     SpatialMetric,
     Vector4,
-    iota_u,
+    iota_u_array,
+    pair_frame,
     sigma,
 )
 
@@ -214,21 +222,32 @@ class Trajectory:
         return out
 
 
-def lagrangian_inhom(u: Frame, m: float, g: SpatialMetric,
-                     potential: Potential, x: Event, w: Frame) -> float:
-    """Kinetic energy of w relative to u, minus the potential.
+def lagrangian_inhom_array(u, m: float, g: SpatialMetric, phi, w) -> np.ndarray:
+    """Kinetic energy of w relative to u, minus the potential value phi.
 
     The velocity w lives on the unit-time-component slice, so w - u is
-    spatial and the value is m/2 <g(w - u), w - u> - phi(x).
+    spatial and the value is m/2 <g(w - u), w - u> - phi.  u and w are
+    spatial velocities (..., 3).
     """
-    rel = w.spatial - u.spatial
-    return 0.5 * m * g.quadratic(rel) - potential.at(x)
+    return 0.5 * m * g.quadratic(np.subtract(w, u)) - phi
+
+
+def lagrangian_inhom(u: Frame, m: float, g: SpatialMetric,
+                     potential: Potential, x: Event, w: Frame) -> float:
+    """lagrangian_inhom_array at one state."""
+    return float(lagrangian_inhom_array(u.spatial, m, g, potential.at(x),
+                                        w.spatial))
+
+
+def legendre_inhom_array(u, m: float, g: SpatialMetric, w) -> np.ndarray:
+    """Spatial momentum conjugate to w in frame u: m times the lowered
+    relative velocity."""
+    return m * g.apply(np.subtract(w, u))
 
 
 def legendre_inhom(u: Frame, m: float, g: SpatialMetric, w: Frame) -> np.ndarray:
-    """Spatial momentum conjugate to w in frame u: m times the lowered
-    relative velocity."""
-    return m * g.apply(w.spatial - u.spatial)
+    """legendre_inhom_array for one pair of frames."""
+    return legendre_inhom_array(u.spatial, m, g, w.spatial)
 
 
 def hamiltonian_inhom(u: Frame, m: float, g: SpatialMetric,
@@ -252,76 +271,104 @@ def vector_field_inhom(u: Frame, m: float, g: SpatialMetric,
     return xdot, pdot
 
 
-def _require_future(v: Vector4) -> float:
+def _require_future(v: Vector4) -> None:
     tv = TAU.pair(v)
     if tv <= 0.0:
         raise NotFutureDirected(
             f"velocity must have positive time component, got {tv!r}")
-    return tv
 
 
-def lagrangian_hom(u: Frame, m: float, g: SpatialMetric,
-                   potential: Potential, x: Event, v: Vector4) -> float:
+def lagrangian_hom_array(u, m: float, g: SpatialMetric, phi, v) -> np.ndarray:
     """Degree-one homogeneous extension of the frame-u lagrangian.
 
-    For a future-directed v with time component tv,
+    For a future-directed v (not checked here) with time component tv,
 
-        m / (2 tv) <g(iota_u v), iota_u v>  -  tv * phi(x).
+        m / (2 tv) <g(iota_u v), iota_u v>  -  tv * phi.
 
     Restricting to tv = 1 recovers lagrangian_inhom, and rescaling v by
     c > 0 rescales the value by c.
     """
-    tv = _require_future(v)
-    s = iota_u(u, v).spatial
-    return 0.5 * m / tv * g.quadratic(s) - tv * potential.at(x)
+    tv = v[..., 0][()]
+    return 0.5 * m / tv * g.quadratic(iota_u_array(u, v)) - tv * phi
 
 
-def legendre_hom(u: Frame, m: float, g: SpatialMetric,
-                 potential: Potential, x: Event, v: Vector4) -> Covector4:
+def lagrangian_hom(u: Frame, m: float, g: SpatialMetric,
+                   potential: Potential, x: Event, v: Vector4) -> float:
+    """lagrangian_hom_array at one state; raises NotFutureDirected for a
+    non-positive time component."""
+    _require_future(v)
+    return float(lagrangian_hom_array(u.spatial, m, g, potential.at(x),
+                                      v.as_array()))
+
+
+def legendre_hom_array(u, m: float, g: SpatialMetric, phi, v) -> np.ndarray:
     """Fiber derivative of the homogeneous lagrangian in the velocity.
 
     Spatial components lower the projected velocity, the time component
     balances them so the output lands on the zero set of
-    mass_shell_residual.  Invariant under positive rescaling of v.
+    mass_shell_residual.  Invariant under positive rescaling of v, which
+    must be future-directed (not checked here).
     """
-    tv = _require_future(v)
-    s = iota_u(u, v).spatial
-    f = (m / tv) * g.apply(s)
-    a0 = -float(f @ u.spatial) - 0.5 * m / (tv * tv) * g.quadratic(s) \
-        - potential.at(x)
-    return Covector4(a0, float(f[0]), float(f[1]), float(f[2]))
+    tv = v[..., 0][()]
+    s = iota_u_array(u, v)
+    f = m / v[..., :1] * g.apply(s)
+    out = np.empty(f.shape[:-1] + (4,))
+    out[..., 0] = -np.vecdot(f, u) - 0.5 * m / (tv * tv) * g.quadratic(s) - phi
+    out[..., 1:] = f
+    return out
+
+
+def legendre_hom(u: Frame, m: float, g: SpatialMetric,
+                 potential: Potential, x: Event, v: Vector4) -> Covector4:
+    """legendre_hom_array at one state; raises NotFutureDirected for a
+    non-positive time component."""
+    _require_future(v)
+    return Covector4(*legendre_hom_array(u.spatial, m, g, potential.at(x),
+                                         v.as_array()).tolist())
+
+
+def mass_shell_residual_array(u, m: float, g: SpatialMetric, phi, p) -> np.ndarray:
+    """Defect of the frame-u energy constraint for covector momenta:
+
+        <p, g'(p)> / 2m + <p, u> + phi.
+
+    Zero exactly on momenta produced by legendre_hom.
+    """
+    ps = p[..., 1:]
+    return 0.5 / m * np.vecdot(ps, g.apply_inverse(ps)) + pair_frame(p, u) + phi
 
 
 def mass_shell_residual(u: Frame, m: float, g: SpatialMetric,
                         potential: Potential, x: Event, p: Covector4) -> float:
-    """Defect of the frame-u energy constraint for a covector momentum:
+    """mass_shell_residual_array at one state."""
+    return float(mass_shell_residual_array(u.spatial, m, g, potential.at(x),
+                                           p.as_array()))
 
-        <p, g'(p)> / 2m + <p, u> + phi(x).
 
-    Zero exactly on momenta produced by legendre_hom.
+def homogeneous_dynamics_violation_array(u, m: float, g: SpatialMetric, phi,
+                                         dphi, p, xdot, pdot) -> np.ndarray:
+    """Largest defect of the homogeneous equations of motion at each state.
+
+    Checks that p is the fiber derivative of the lagrangian at xdot and that
+    pdot is minus the time-component-scaled differential dphi (..., 4) of
+    the potential.  +inf where xdot is not future-directed; NaN where any
+    defect is NaN.
     """
-    ps = p.spatial
-    return 0.5 / m * float(ps @ g.apply_inverse(ps)) + p.pair(u) + potential.at(x)
+    with np.errstate(all="ignore"):  # rows with tv <= 0 are replaced below
+        err_p = np.max(np.abs(p - legendre_hom_array(u, m, g, phi, xdot)),
+                       axis=-1)
+    err_pdot = np.max(np.abs(pdot - (-xdot[..., :1]) * dphi), axis=-1)
+    return np.where(xdot[..., 0] <= 0.0, np.inf, np.maximum(err_p, err_pdot))
 
 
 def homogeneous_dynamics_violation(u: Frame, m: float, g: SpatialMetric,
                                    potential: Potential, x: Event,
                                    p: Covector4, xdot: Vector4,
                                    pdot: Covector4) -> float:
-    """Largest defect of the homogeneous equations of motion at one state.
-
-    Checks that p is the fiber derivative of the lagrangian at xdot and that
-    pdot is minus the time-component-scaled differential of the potential.
-    Returns +inf when xdot is not future-directed.
-    """
-    tv = TAU.pair(xdot)
-    if tv <= 0.0:
-        return float("inf")
-    p_expected = legendre_hom(u, m, g, potential, x, xdot)
-    pdot_expected = (-tv) * potential.d(x)
-    err_p = float(np.max(np.abs((p - p_expected).as_array())))
-    err_pdot = float(np.max(np.abs((pdot - pdot_expected).as_array())))
-    return max(err_p, err_pdot)
+    """homogeneous_dynamics_violation_array at one state."""
+    return float(homogeneous_dynamics_violation_array(
+        u.spatial, m, g, potential.at(x), potential.d(x).as_array(),
+        p.as_array(), xdot.as_array(), pdot.as_array()))
 
 
 def in_homogeneous_dynamics(u: Frame, m: float, g: SpatialMetric,

@@ -12,7 +12,11 @@ Conventions used by every module in this package:
   constant velocity of the corresponding family of inertial observers.
 
 Everything here is a pure function of immutable values.  No state, no
-globals beyond TAU.
+globals beyond TAU.  The array kernels (``pair``, ``pair_frame``,
+``iota_u_array``, ``sigma_array`` and the ``SpatialMetric`` methods) take arrays of
+components of shape (..., 3) or (..., 4) and evaluate every entry in one
+numpy pass, with the floating-point operations, in the order, of the
+object-level functions, which are thin wrappers over them.
 """
 
 from __future__ import annotations
@@ -176,6 +180,9 @@ class Frame:
         if self.velocity.c0 != 1.0:
             raise ValueError(
                 f"frame velocity must have time component 1, got {self.velocity.c0}")
+        spatial = self.velocity.spatial
+        spatial.setflags(write=False)
+        object.__setattr__(self, "_spatial", spatial)
 
     @classmethod
     def from_spatial(cls, s) -> "Frame":
@@ -186,10 +193,8 @@ class Frame:
 
     @property
     def spatial(self) -> np.ndarray:
-        return self.velocity.spatial
-
-    def midpoint(self, other: "Frame") -> "Frame":
-        return Frame.from_spatial((self.spatial + other.spatial) / 2.0)
+        """The spatial velocity, built once per frame (read-only)."""
+        return self._spatial
 
 
 class SpatialMetric:
@@ -238,22 +243,49 @@ class SpatialMetric:
     def inverse(self) -> np.ndarray:
         return self._inverse
 
+    # np.matvec, np.vecmat and np.vecdot round each entry of a stack exactly
+    # as the 1-D `m @ x`, `x @ m` and `a @ b` do; an elementwise sum of
+    # products would not.
+
     def apply(self, s) -> np.ndarray:
-        """Lower an index: spatial vector components -> functional components."""
-        return self._matrix @ np.asarray(s, dtype=float)
+        """Lower an index: spatial vector components -> functional
+        components, for one vector or a stack of shape (..., 3)."""
+        return np.matvec(self._matrix, s)
 
     def apply_inverse(self, f) -> np.ndarray:
-        """Raise an index: functional components -> spatial vector components."""
-        return self._inverse @ np.asarray(f, dtype=float)
+        """Raise an index: functional components -> spatial vector
+        components, for one functional or a stack of shape (..., 3)."""
+        return np.matvec(self._inverse, f)
 
-    def quadratic(self, s, s2=None) -> float:
-        """Inner product of two spatial vectors (of s with itself if s2 is None)."""
-        s = np.asarray(s, dtype=float)
-        s2 = s if s2 is None else np.asarray(s2, dtype=float)
-        return float(s @ self._matrix @ s2)
+    def quadratic(self, s, s2=None) -> np.ndarray:
+        """Inner product of two spatial vectors (of s with itself if s2 is
+        None), entry by entry for stacks of shape (..., 3)."""
+        return np.vecdot(np.vecmat(s, self._matrix), s if s2 is None else s2)
 
     def __repr__(self):
         return f"SpatialMetric({self._matrix.tolist()})"
+
+
+def _components(a: np.ndarray) -> list:
+    """The components of a along its last axis: floats for a single vector,
+    arrays of shape a.shape[:-1] for a stack."""
+    return a.tolist() if a.ndim == 1 else [a[..., i] for i in range(a.shape[-1])]
+
+
+def pair(p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<p, v> for stacks of covectors and vectors of shape (..., 4), summed
+    in component order as Covector4.pair does."""
+    p0, p1, p2, p3 = _components(p)
+    v0, v1, v2, v3 = _components(v)
+    return p0 * v0 + p1 * v1 + p2 * v2 + p3 * v3
+
+
+def pair_frame(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """<p, u> for covectors (..., 4) and frames given by their spatial
+    velocities (..., 3); the time component of a frame is exactly 1."""
+    p0, p1, p2, p3 = _components(p)
+    u1, u2, u3 = _components(u)
+    return p0 + p1 * u1 + p2 * u2 + p3 * u3
 
 
 def time_between(x: Event, xp: Event) -> float:
@@ -275,18 +307,22 @@ def spatial_distance(x: Event, xp: Event, g: SpatialMetric) -> float:
     return float(np.sqrt(g.quadratic((x - xp).spatial)))
 
 
-def iota_u(u: Frame, v) -> Vector4:
-    """Project a vector onto the simultaneity directions along the frame u.
-
-    Subtracts the frame velocity scaled by the time component, so the result
-    has time component exactly 0.  Spatial vectors pass through unchanged,
-    and the frame's own velocity maps to zero.
+def iota_u_array(u, v) -> np.ndarray:
+    """Project vectors v (..., 4) onto the simultaneity directions along
+    frames with spatial velocities u (..., 3): the spatial components
+    (..., 3) of v minus the frame velocity scaled by the time component.
+    Spatial vectors pass through unchanged, and the frame's own velocity
+    maps to zero.
     """
+    return v[..., 1:] - v[..., :1] * u
+
+
+def iota_u(u: Frame, v) -> Vector4:
+    """iota_u_array for one Vector4 (or Frame); the result has time
+    component exactly 0."""
     if isinstance(v, Frame):
         v = v.velocity
-    tv = v.c0
-    us = u.spatial
-    return Vector4(0.0, v.c1 - tv * us[0], v.c2 - tv * us[1], v.c3 - tv * us[2])
+    return Vector4(0.0, *iota_u_array(u.spatial, v.as_array()).tolist())
 
 
 def split(u: Frame, v) -> tuple[np.ndarray, float]:
@@ -327,7 +363,7 @@ def g_prime(g: SpatialMetric, p: Covector4) -> Vector4:
     return Vector4(0.0, float(raised[0]), float(raised[1]), float(raised[2]))
 
 
-def sigma(g: SpatialMetric, u_prime: Frame, u: Frame) -> Covector4:
+def sigma_array(g: SpatialMetric, u_prime, u) -> np.ndarray:
     """Momentum shift covector attached to a change of frame u -> u_prime.
 
     Lowers the relative velocity u_prime - u with the metric and extends the
@@ -336,9 +372,19 @@ def sigma(g: SpatialMetric, u_prime: Frame, u: Frame) -> Covector4:
 
         <g(u' - u), v - <TAU, v> (u + u')/2>.
 
-    Antisymmetric in its frame arguments and additive along chains of
-    frames; both properties are exercised by the test suite.
+    Frames are given by their spatial velocities, arrays of shape (..., 3);
+    the covectors come back as components (..., 4).  Antisymmetric in its frame
+    arguments and additive along chains of frames; both properties are
+    exercised by the test suite.
     """
-    f = g.apply(u_prime.spatial - u.spatial)
-    mid = (u_prime.spatial + u.spatial) / 2.0
-    return Covector4(-float(f @ mid), float(f[0]), float(f[1]), float(f[2]))
+    f = g.apply(u_prime - u)
+    mid = (u_prime + u) / 2.0
+    out = np.empty(f.shape[:-1] + (4,))
+    out[..., 0] = -np.vecdot(f, mid)
+    out[..., 1:] = f
+    return out
+
+
+def sigma(g: SpatialMetric, u_prime: Frame, u: Frame) -> Covector4:
+    """sigma_array for one pair of Frames."""
+    return Covector4(*sigma_array(g, u_prime.spatial, u.spatial).tolist())

@@ -5,6 +5,12 @@ seed together with a CRC of the check's own name, so adding, removing, or
 reordering checks never changes another check's samples, and two runs with
 the same config are bit-identical.
 
+A sampled check draws all of its samples into arrays first, in the order
+a per-sample loop would draw them, and then evaluates its identity once
+over the whole sample axis through the array kernels.  One driver,
+``_sampled``, turns the per-sample errors into the verdict: the largest
+error, NaN included, so a single non-finite sample fails the check.
+
 Relative errors throughout are measured against max(1, |reference|): the
 quantities involved are order one in the stock scenarios, and the floor
 keeps near-zero references from inflating rounding noise into failures.
@@ -12,6 +18,7 @@ keeps near-zero references from inflating rounding noise into failures.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from typing import Callable, Sequence
 
@@ -22,18 +29,20 @@ from ..galilean_core import (
     Event,
     Frame,
     SpatialMetric,
-    TAU,
     Vector4,
-    sigma,
+    pair,
+    sigma_array,
 )
 from ..frame_dynamics import (
+    Potential,
     Trajectory,
     integrate,
-    lagrangian_hom,
-    lagrangian_inhom,
+    lagrangian_hom_array,
+    lagrangian_inhom_array,
     legendre_hom,
-    legendre_inhom,
-    mass_shell_residual,
+    legendre_hom_array,
+    legendre_inhom_array,
+    mass_shell_residual_array,
 )
 from ..generating_objects import (
     CriticalPoint,
@@ -48,19 +57,23 @@ from ..affine_phase import (
     PElement,
     W_UNIT,
     WElement,
-    affine_lagrangian,
+    affine_lagrangian_array,
     alpha,
     beta_inv,
-    dynamics_membership_universal,
+    dynamics_membership_universal_array,
     eval_affine,
+    eval_affine_array,
     family_fam3,
     family_fam4,
     gamma,
-    hamiltonian_fun,
-    pairing,
-    psi_m,
-    w_add,
-    w_scale,
+    hamiltonian_fun_array,
+    p_change_chart_array,
+    pairing_array,
+    psi_m_array,
+    w_add_array,
+    w_change_chart_array,
+    w_pack,
+    w_scale_array,
 )
 from .config import ScenarioConfig
 from .report import CheckResult
@@ -77,15 +90,20 @@ __all__ = [
     "corrupted_sigma",
 ]
 
-SigmaFn = Callable[[SpatialMetric, Frame, Frame], Covector4]
+# Frames as spatial velocities (..., 3) in, covector components (..., 4) out.
+SigmaFn = Callable[[SpatialMetric, np.ndarray, np.ndarray], np.ndarray]
 
 
 def _rng(cfg: ScenarioConfig, name: str) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, zlib.crc32(name.encode())])
 
 
-def _rel(err: float, ref: float) -> float:
-    return err / max(1.0, abs(ref))
+def _rel(err, ref):
+    return err / np.maximum(1.0, np.abs(ref))
+
+
+def _maxabs(a: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(a), axis=-1)
 
 
 def _random_frame(rng: np.random.Generator) -> Frame:
@@ -104,167 +122,190 @@ def _model(cfg: ScenarioConfig) -> NewtonModel:
     return NewtonModel(cfg.mass, cfg.build_metric(), cfg.build_potential())
 
 
-def corrupted_sigma(g: SpatialMetric, u_prime: Frame, u: Frame) -> Covector4:
+# What one sample draws, as blocks: (low, high, width) stands for
+# rng.uniform(low, high, size=width), a bare width for rng.normal(size=width).
+_FRAME = ((-1.5, 1.5, 3),)  # spatial velocity, as _random_frame
+_FUTURE = ((0.2, 2.0, 1), 3)  # future-directed vector, as _random_future
+_NORMAL4 = (4,)  # event, vector or covector, as _random_event
+
+
+def _draws(rng: np.random.Generator, n: int, *draws) -> list[np.ndarray]:
+    """n samples of each draw, one (n, width) array per draw, holding
+    exactly the values a loop over the samples takes from rng.
+
+    rng.uniform(low, high) is low + (high - low) * rng.random() and
+    rng.normal() is rng.standard_normal(), so the raw values are filled
+    first, one call per run of columns of one kind per sample (one call
+    in all when every column is of one kind), and mapped afterwards.
+    """
+    blocks = [b for draw in draws for b in draw]
+    widths = [b if isinstance(b, int) else b[2] for b in blocks]
+    edges = np.cumsum([0, *widths]).tolist()
+    normal = np.repeat([isinstance(b, int) for b in blocks], widths)
+    cuts = [0, *(np.flatnonzero(np.diff(normal)) + 1).tolist(), len(normal)]
+    runs = [(rng.standard_normal if normal[lo] else rng.random, lo, hi)
+            for lo, hi in zip(cuts, cuts[1:])]
+    out = np.empty((n, len(normal)))
+    for row in [out] if len(runs) == 1 else out:
+        for fill, lo, hi in runs:
+            fill(out=row[..., lo:hi])
+    for b, lo, hi in zip(blocks, edges, edges[1:]):
+        if not isinstance(b, int):
+            out[:, lo:hi] = b[0] + (b[1] - b[0]) * out[:, lo:hi]
+    ends = np.cumsum([len(draw) for draw in draws])[:-1]
+    return np.split(out, [edges[i] for i in ends], axis=1)
+
+
+def _potential_at(phi: Potential, x: np.ndarray) -> np.ndarray:
+    """phi at each event of x (n, 4), one scalar evaluation per event.
+
+    NaN where the evaluation raises an ArithmeticError, so that sample
+    fails its check instead of ending the run.
+    """
+    out = np.empty(len(x))
+    for i, event in enumerate(x.tolist()):
+        try:
+            out[i] = phi.at(Event(*event))
+        except ArithmeticError:
+            out[i] = np.nan
+    return out
+
+
+def _verdict(name: str, errs: np.ndarray, tol: float,
+             count: bool = False) -> CheckResult:
+    """The largest error (with count, the number of mismatches) against
+    tol.  NaN propagates, so a non-finite error fails the check."""
+    worst = np.sum(errs) if count else np.max(errs, initial=0.0)
+    return CheckResult(name, worst, tol, errs.size)
+
+
+def _sampled(name: str, tol: str | float, count: bool = False):
+    """The driver of the sampled checks.
+
+    Decorates errors(cfg, rng, *args), which draws the check's samples from
+    the check's own rng stream and returns one error per sample (with
+    count, one mismatch flag).  tol names a Tolerances field or is the
+    tolerance itself.  numpy warnings are silenced inside: a non-finite
+    error is reported by the verdict, not by a warning.
+    """
+    def decorate(errors):
+        @functools.wraps(errors)
+        def check(cfg: ScenarioConfig, *args, **kwargs) -> CheckResult:
+            with np.errstate(all="ignore"):
+                errs = np.asarray(errors(cfg, _rng(cfg, name), *args, **kwargs),
+                                  dtype=float)
+            limit = getattr(cfg.tolerances, tol) if isinstance(tol, str) else tol
+            return _verdict(name, errs, limit, count)
+        return check
+    return decorate
+
+
+def corrupted_sigma(g: SpatialMetric, u_prime, u) -> np.ndarray:
     """Deliberately wrong frame-shift covector for negative-control runs:
     the time component is scaled, which breaks residual preservation at a
     level far above every tolerance."""
-    s = sigma(g, u_prime, u)
-    return Covector4(1.001 * s.a0 + 1e-3, s.a1, s.a2, s.a3)
+    s = sigma_array(g, u_prime, u)
+    return np.concatenate([1.001 * s[..., :1] + 1e-3, s[..., 1:]], axis=-1)
 
 
 # --- core: structure of the frame-shift covector ---------------------------
 
-def check_sigma_antisymmetry(cfg: ScenarioConfig) -> CheckResult:
-    name = "sigma.antisymmetry"
-    rng = _rng(cfg, name)
+@_sampled("sigma.antisymmetry", "cocycle")
+def check_sigma_antisymmetry(cfg: ScenarioConfig, rng) -> np.ndarray:
     g = cfg.build_metric()
-    n = 1000
-    worst = 0.0
-    for _ in range(n):
-        a, b = _random_frame(rng), _random_frame(rng)
-        forward = sigma(g, a, b).as_array()
-        backward = sigma(g, b, a).as_array()
-        worst = max(worst, float(np.max(np.abs(forward + backward))))
-    return CheckResult(name, worst, cfg.tolerances.cocycle, n)
+    a, b = _draws(rng, 1000, _FRAME, _FRAME)
+    return _maxabs(sigma_array(g, a, b) + sigma_array(g, b, a))
 
 
-def check_sigma_cocycle(cfg: ScenarioConfig) -> CheckResult:
-    name = "sigma.cocycle"
-    rng = _rng(cfg, name)
+@_sampled("sigma.cocycle", "cocycle")
+def check_sigma_cocycle(cfg: ScenarioConfig, rng) -> np.ndarray:
     g = cfg.build_metric()
-    n = 1000
-    worst = 0.0
-    for _ in range(n):
-        u1, u2, u3 = (_random_frame(rng) for _ in range(3))
-        direct = sigma(g, u3, u1).as_array()
-        chained = sigma(g, u3, u2).as_array() + sigma(g, u2, u1).as_array()
-        err = float(np.max(np.abs(direct - chained)))
-        worst = max(worst, _rel(err, float(np.max(np.abs(direct)))))
-    return CheckResult(name, worst, cfg.tolerances.cocycle, n)
+    u1, u2, u3 = _draws(rng, 1000, _FRAME, _FRAME, _FRAME)
+    direct = sigma_array(g, u3, u1)
+    chained = sigma_array(g, u3, u2) + sigma_array(g, u2, u1)
+    return _rel(_maxabs(direct - chained), _maxabs(direct))
 
 
-def check_sigma_pairing_formula(cfg: ScenarioConfig) -> CheckResult:
+@_sampled("sigma.pairing_formula", "cocycle")
+def check_sigma_pairing_formula(cfg: ScenarioConfig, rng) -> np.ndarray:
     """Dual route for <sigma(u',u), v>: lowered difference paired with the
     mid-frame-corrected vector."""
-    name = "sigma.pairing_formula"
-    rng = _rng(cfg, name)
     g = cfg.build_metric()
-    n = 1000
-    worst = 0.0
-    for _ in range(n):
-        u_prime, u = _random_frame(rng), _random_frame(rng)
-        v = Vector4(*rng.normal(size=4))
-        via_sigma = sigma(g, u_prime, u).pair(v)
-        diff = g.apply(u_prime.spatial - u.spatial)
-        tv = TAU.pair(v)
-        corrected = v.spatial - 0.5 * tv * (u.spatial + u_prime.spatial)
-        direct = float(diff @ corrected)
-        worst = max(worst, _rel(abs(via_sigma - direct), direct))
-    return CheckResult(name, worst, cfg.tolerances.cocycle, n)
+    u_prime, u, v = _draws(rng, 1000, _FRAME, _FRAME, _NORMAL4)
+    via_sigma = pair(sigma_array(g, u_prime, u), v)
+    corrected = v[:, 1:] - 0.5 * v[:, :1] * (u + u_prime)
+    direct = np.vecdot(g.apply(u_prime - u), corrected)
+    return _rel(np.abs(via_sigma - direct), direct)
 
 
 # --- dynamics: frame mechanics --------------------------------------------
 
-def check_lagrangian_shift(cfg: ScenarioConfig) -> CheckResult:
+@_sampled("lagrangian.shift_identity", "lagrangian_shift")
+def check_lagrangian_shift(cfg: ScenarioConfig, rng) -> np.ndarray:
     """Frame difference of lagrangian values equals the sigma pairing."""
-    name = "lagrangian.shift_identity"
-    rng = _rng(cfg, name)
-    g = cfg.build_metric()
-    phi = cfg.build_potential()
-    n = 1000
-    worst = 0.0
-    for _ in range(n):
-        u, u_prime = _random_frame(rng), _random_frame(rng)
-        v = _random_future(rng)
-        x = _random_event(rng)
-        lhs = lagrangian_hom(u, cfg.mass, g, phi, x, v) \
-            - lagrangian_hom(u_prime, cfg.mass, g, phi, x, v)
-        rhs = cfg.mass * sigma(g, u_prime, u).pair(v)
-        worst = max(worst, _rel(abs(lhs - rhs), rhs))
-    return CheckResult(name, worst, cfg.tolerances.lagrangian_shift, n)
+    g, m = cfg.build_metric(), cfg.mass
+    u, u_prime, v, x = _draws(rng, 1000, _FRAME, _FRAME, _FUTURE, _NORMAL4)
+    phi = _potential_at(cfg.build_potential(), x)
+    lhs = lagrangian_hom_array(u, m, g, phi, v) \
+        - lagrangian_hom_array(u_prime, m, g, phi, v)
+    rhs = m * pair(sigma_array(g, u_prime, u), v)
+    return _rel(np.abs(lhs - rhs), rhs)
 
 
-def check_legendre_fd(cfg: ScenarioConfig) -> CheckResult:
-    """Momentum maps against central differences of their lagrangians."""
-    name = "legendre.fd_consistency"
-    rng = _rng(cfg, name)
-    g = cfg.build_metric()
-    phi = cfg.build_potential()
-    m = cfg.mass
-    worst = 0.0
-    n = 500
-    for i in range(n):
-        u = _random_frame(rng)
-        x = _random_event(rng)
-        if i % 2 == 0:
-            w = Frame.from_spatial(rng.normal(size=3))
-            analytic = legendre_inhom(u, m, g, w)
-            fd = np.empty(3)
-            for j in range(3):
-                step = 1e-6 * (1.0 + abs(w.spatial[j]))
-                plus, minus = w.spatial.copy(), w.spatial.copy()
-                plus[j] += step
-                minus[j] -= step
-                fd[j] = (lagrangian_inhom(u, m, g, phi, x,
-                                          Frame.from_spatial(plus)) -
-                         lagrangian_inhom(u, m, g, phi, x,
-                                          Frame.from_spatial(minus))) \
-                    / (2.0 * step)
-        else:
-            v = _random_future(rng)
-            analytic = legendre_hom(u, m, g, phi, x, v).as_array()
-            coords = v.as_array()
-            fd = np.empty(4)
-            for j in range(4):
-                step = 1e-6 * (1.0 + abs(coords[j]))
-                plus, minus = coords.copy(), coords.copy()
-                plus[j] += step
-                minus[j] -= step
-                fd[j] = (lagrangian_hom(u, m, g, phi, x,
-                                        Vector4.from_array(plus)) -
-                         lagrangian_hom(u, m, g, phi, x,
-                                        Vector4.from_array(minus))) \
-                    / (2.0 * step)
-        err = float(np.max(np.abs(np.asarray(analytic) - fd)))
-        worst = max(worst, _rel(err, float(np.max(np.abs(fd)))))
-    return CheckResult(name, worst, cfg.tolerances.legendre_fd, n)
+def _central_differences(f, c: np.ndarray) -> np.ndarray:
+    """Central differences of f at each row of c (n, d), coordinate j
+    stepped by 1e-6 * (1 + |c_j|); f maps points (n, d, d) to (n, d)."""
+    step = 1e-6 * (1.0 + np.abs(c))
+    plus = np.repeat(c[:, None, :], c.shape[1], axis=1)
+    minus = plus.copy()
+    j = np.arange(c.shape[1])
+    plus[:, j, j] += step
+    minus[:, j, j] -= step
+    return (f(plus) - f(minus)) / (2.0 * step)
 
 
-def check_mass_shell(cfg: ScenarioConfig) -> CheckResult:
+@_sampled("legendre.fd_consistency", "legendre_fd")
+def check_legendre_fd(cfg: ScenarioConfig, rng) -> np.ndarray:
+    """Momentum maps against central differences of their lagrangians.
+
+    Samples alternate between the inhomogeneous map (at a unit-time
+    velocity w) and the homogeneous one (at a future vector v).
+    """
+    g, m, potential = cfg.build_metric(), cfg.mass, cfg.build_potential()
+    u0, x0, w, u1, x1, v = _draws(rng, 250, _FRAME, _NORMAL4, (3,),
+                                  _FRAME, _NORMAL4, _FUTURE)
+    phi0, phi1 = _potential_at(potential, x0), _potential_at(potential, x1)
+    fd_inhom = _central_differences(
+        lambda w: lagrangian_inhom_array(u0[:, None], m, g, phi0[:, None], w), w)
+    fd_hom = _central_differences(
+        lambda v: lagrangian_hom_array(u1[:, None], m, g, phi1[:, None], v), v)
+    errs = [_rel(_maxabs(analytic - fd), _maxabs(fd)) for analytic, fd in (
+        (legendre_inhom_array(u0, m, g, w), fd_inhom),
+        (legendre_hom_array(u1, m, g, phi1, v), fd_hom))]
+    return np.concatenate(errs)
+
+
+@_sampled("mass_shell.on_shell_residual", "mass_shell")
+def check_mass_shell(cfg: ScenarioConfig, rng) -> np.ndarray:
     """Fiber-derivative momenta land on the energy constraint."""
-    name = "mass_shell.on_shell_residual"
-    rng = _rng(cfg, name)
-    g = cfg.build_metric()
-    phi = cfg.build_potential()
-    n = 500
-    worst = 0.0
-    for _ in range(n):
-        u = _random_frame(rng)
-        x = _random_event(rng)
-        v = _random_future(rng)
-        p = legendre_hom(u, cfg.mass, g, phi, x, v)
-        worst = max(worst, abs(mass_shell_residual(u, cfg.mass, g, phi, x, p)))
-    return CheckResult(name, worst, cfg.tolerances.mass_shell, n)
+    g, m = cfg.build_metric(), cfg.mass
+    u, x, v = _draws(rng, 500, _FRAME, _NORMAL4, _FUTURE)
+    phi = _potential_at(cfg.build_potential(), x)
+    p = legendre_hom_array(u, m, g, phi, v)
+    return np.abs(mass_shell_residual_array(u, m, g, phi, p))
 
 
-def check_residual_preservation(cfg: ScenarioConfig,
-                                sigma_fn: SigmaFn = sigma) -> CheckResult:
+@_sampled("boost.residual_preservation", "residual_preservation")
+def check_residual_preservation(cfg: ScenarioConfig, rng,
+                                sigma_fn: SigmaFn = sigma_array) -> np.ndarray:
     """Momentum carried between frames keeps its mass-shell residual."""
-    name = "boost.residual_preservation"
-    rng = _rng(cfg, name)
-    g = cfg.build_metric()
-    phi = cfg.build_potential()
-    n = 500
-    worst = 0.0
-    for _ in range(n):
-        u_prime, u = _random_frame(rng), _random_frame(rng)
-        x = _random_event(rng)
-        p = Covector4(*rng.normal(size=4))
-        before = mass_shell_residual(u_prime, cfg.mass, g, phi, x, p)
-        carried = p + cfg.mass * sigma_fn(g, u_prime, u)
-        after = mass_shell_residual(u, cfg.mass, g, phi, x, carried)
-        worst = max(worst, _rel(abs(after - before), before))
-    return CheckResult(name, worst, cfg.tolerances.residual_preservation, n)
+    g, m = cfg.build_metric(), cfg.mass
+    u_prime, u, x, p = _draws(rng, 500, _FRAME, _FRAME, _NORMAL4, _NORMAL4)
+    phi = _potential_at(cfg.build_potential(), x)
+    before = mass_shell_residual_array(u_prime, m, g, phi, p)
+    carried = p + m * sigma_fn(g, u_prime, u)
+    after = mass_shell_residual_array(u, m, g, phi, carried)
+    return _rel(np.abs(after - before), before)
 
 
 def check_energy_drift(cfg: ScenarioConfig) -> CheckResult:
@@ -273,15 +314,14 @@ def check_energy_drift(cfg: ScenarioConfig) -> CheckResult:
     Meaningful for time-independent potentials; a custom expression using t
     will fail this check by physics, not by bug.
     """
-    name = "energy.drift"
     g = cfg.build_metric()
     phi = cfg.build_potential()
     u = Frame.from_spatial(cfg.frames[0])
     traj = integrate(u, cfg.mass, g, phi, cfg.initial_state(u), cfg.h, cfg.n)
-    energies = traj.energies(g, phi)
-    first = energies[0]
-    worst = max(_rel(abs(e - first), first) for e in energies)
-    return CheckResult(name, worst, cfg.tolerances.energy_drift, cfg.n + 1)
+    energies = np.array(traj.energies(g, phi))
+    with np.errstate(all="ignore"):
+        errs = _rel(np.abs(energies - energies[0]), energies[0])
+    return _verdict("energy.drift", errs, cfg.tolerances.energy_drift)
 
 
 # --- boost-check: end-to-end frame independence ----------------------------
@@ -326,7 +366,7 @@ def check_momentum_offset(cfg: ScenarioConfig, traj: Trajectory) -> CheckResult:
 
 
 def boost_checks(cfg: ScenarioConfig,
-                 sigma_fn: SigmaFn = sigma) -> list[CheckResult]:
+                 sigma_fn: SigmaFn = sigma_array) -> list[CheckResult]:
     traj = frame_trajectories(cfg)
     return [
         check_world_lines(cfg, traj),
@@ -343,129 +383,121 @@ def _charted_class(model: NewtonModel, pp: PElement, u: Frame) -> PElement:
     return PElement.from_chart(model, pp.in_chart(model, u), u)
 
 
+def _charted(model: NewtonModel, p, u: np.ndarray) -> np.ndarray:
+    """_charted_class for momentum representatives p (..., 4) and frames
+    given by their spatial velocities u (..., 3)."""
+    ref = model.reference.spatial
+    return p_change_chart_array(model, p_change_chart_array(model, p, ref, u),
+                                u, ref)
+
+
+def _chart_samples(cfg: ScenarioConfig, rng):
+    """The model, the configured initial event with the potential value
+    there, and 1000 random frames."""
+    model = _model(cfg)
+    x = Event(*cfg.initial_event)
+    (u,) = _draws(rng, 1000, _FRAME)
+    return model, x, model.potential.at(x), u
+
+
+@_sampled("affine.chart.eval_affine", "chart_battery")
+def _chart_eval_affine(cfg: ScenarioConfig, rng) -> np.ndarray:
+    model, _, _, u = _chart_samples(cfg, rng)
+    ref_u = model.reference.spatial
+    w = np.array([1.0, 0.5, -0.3, 0.2, 0.4])
+    p = np.array([-0.2, 0.7, 0.1, -0.5])
+    ref = eval_affine_array(w, p)
+    w_u = w_change_chart_array(model, w, ref_u, u)
+    val = eval_affine_array(w_change_chart_array(model, w_u, u, ref_u),
+                            _charted(model, p, u))
+    return _rel(np.abs(val - ref), ref)
+
+
+@_sampled("affine.chart.pairing", "chart_battery")
+def _chart_pairing(cfg: ScenarioConfig, rng) -> np.ndarray:
+    model, _, _, u = _chart_samples(cfg, rng)
+    ref_u = model.reference.spatial
+    p = np.array([0.3, -0.4, 0.8, 0.1])
+    v = np.array([1.0, 0.2, -0.6, 0.9])
+    ref = pairing_array(p, v)[4]
+    p_u = p_change_chart_array(model, p, ref_u, u)
+    rebuilt = w_change_chart_array(model, pairing_array(p_u, v), u, ref_u)
+    return _rel(np.abs(rebuilt[:, 4] - ref), ref)
+
+
+@_sampled("affine.chart.psi_m", "chart_battery")
+def _chart_psi_m(cfg: ScenarioConfig, rng) -> np.ndarray:
+    model, _, _, u = _chart_samples(cfg, rng)
+    p = np.array([0.4, -0.3, 0.8, 0.2])
+    ref = psi_m_array(model, p)
+    val = psi_m_array(model, _charted(model, p, u))
+    return _rel(np.abs(val - ref), ref)
+
+
+@_sampled("affine.chart.affine_lagrangian", "chart_battery")
+def _chart_affine_lagrangian(cfg: ScenarioConfig, rng) -> np.ndarray:
+    model, _, phi, u = _chart_samples(cfg, rng)
+    v = np.array([0.8, 0.4, -0.2, 0.6])
+    ref = affine_lagrangian_array(model, phi, v)[4]
+    l_u = lagrangian_hom_array(u, model.mass, model.metric, phi, v)
+    rebuilt = w_change_chart_array(model, w_pack(v, l_u), u,
+                                   model.reference.spatial)
+    return _rel(np.abs(rebuilt[:, 4] - ref), ref)
+
+
+@_sampled("affine.chart.hamiltonian_fun", "chart_battery")
+def _chart_hamiltonian_fun(cfg: ScenarioConfig, rng) -> np.ndarray:
+    model, _, phi, u = _chart_samples(cfg, rng)
+    v = np.array([1.0, 0.3, -0.5, 0.2])
+    p = np.array([0.6, -0.1, 0.4, -0.7])
+    ref = hamiltonian_fun_array(model, phi, v, p)
+    val = hamiltonian_fun_array(model, phi, v, _charted(model, p, u))
+    return _rel(np.abs(val - ref), ref)
+
+
+# Membership is boolean, so agreement is counted, not measured.
+@_sampled("affine.chart.membership", 0.0, count=True)
+def _chart_membership(cfg: ScenarioConfig, rng) -> np.ndarray:
+    model, x, phi, u = _chart_samples(cfg, rng)
+    v = Vector4(1.0, 0.4, -0.1, 0.3)
+    p_on = legendre_hom(model.reference, model.mass, model.metric,
+                        model.potential, x, v).as_array()
+    p_off = p_on.copy()
+    p_off[0] += 1.0
+    dphi = model.potential.d(x).as_array()
+    got = dynamics_membership_universal_array(
+        model, phi, dphi, _charted(model, np.stack([p_on, p_off]), u[:, None]),
+        v.as_array(), -dphi, 1e-9)
+    return got != [True, False]
+
+
 def check_chart_battery(cfg: ScenarioConfig) -> list[CheckResult]:
     """Re-run each quotient operation with all inputs presented through a
     random chart; values must agree with the canonical-chart evaluation."""
-    model = _model(cfg)
-    x = Event(*cfg.initial_event)
-    results = []
-    n = 1000
-
-    specs: list[tuple[str, Callable[[np.random.Generator], float]]] = []
-
-    def eval_case(rng):
-        w = WElement(Vector4(1.0, 0.5, -0.3, 0.2), 0.4)
-        pp = PElement(Covector4(-0.2, 0.7, 0.1, -0.5))
-        ref = eval_affine(model, w, pp)
-        u = _random_frame(rng)
-        v_u, r_u = w.in_chart(model, u)
-        val = eval_affine(model, WElement.from_chart(model, v_u, r_u, u),
-                          _charted_class(model, pp, u))
-        return _rel(abs(val - ref), ref)
-    specs.append(("affine.chart.eval_affine", eval_case))
-
-    def pairing_case(rng):
-        pp = PElement(Covector4(0.3, -0.4, 0.8, 0.1))
-        v = Vector4(1.0, 0.2, -0.6, 0.9)
-        ref = pairing(model, pp, v)
-        u = _random_frame(rng)
-        p_u = pp.in_chart(model, u)
-        rebuilt = WElement.from_chart(model, v, p_u.pair(v), u)
-        return _rel(abs(rebuilt.r - ref.r), ref.r)
-    specs.append(("affine.chart.pairing", pairing_case))
-
-    def psi_case(rng):
-        pp = PElement(Covector4(0.4, -0.3, 0.8, 0.2))
-        ref = psi_m(model, x, pp)
-        u = _random_frame(rng)
-        val = psi_m(model, x, _charted_class(model, pp, u))
-        return _rel(abs(val - ref), ref)
-    specs.append(("affine.chart.psi_m", psi_case))
-
-    def lagrangian_case(rng):
-        v = Vector4(0.8, 0.4, -0.2, 0.6)
-        ref = affine_lagrangian(model, x, v)
-        u = _random_frame(rng)
-        l_u = lagrangian_hom(u, model.mass, model.metric, model.potential,
-                             x, v)
-        rebuilt = WElement.from_chart(model, v, l_u, u)
-        return _rel(abs(rebuilt.r - ref.r), ref.r)
-    specs.append(("affine.chart.affine_lagrangian", lagrangian_case))
-
-    def hamiltonian_case(rng):
-        v = Vector4(1.0, 0.3, -0.5, 0.2)
-        pp = PElement(Covector4(0.6, -0.1, 0.4, -0.7))
-        ref = hamiltonian_fun(model, x, v, pp)
-        u = _random_frame(rng)
-        val = hamiltonian_fun(model, x, v, _charted_class(model, pp, u))
-        return _rel(abs(val - ref), ref)
-    specs.append(("affine.chart.hamiltonian_fun", hamiltonian_case))
-
-    for name, case in specs:
-        rng = _rng(cfg, name)
-        worst = max(case(rng) for _ in range(n))
-        results.append(CheckResult(name, worst, cfg.tolerances.chart_battery, n))
-
-    # Membership is boolean, so agreement is counted, not measured.
-    name = "affine.chart.membership"
-    rng = _rng(cfg, name)
-    v = Vector4(1.0, 0.4, -0.1, 0.3)
-    p_on = legendre_hom(model.reference, model.mass, model.metric,
-                        model.potential, x, v)
-    pdot = -model.potential.d(x)
-    p_off = Covector4(p_on.a0 + 1.0, p_on.a1, p_on.a2, p_on.a3)
-    mismatches = 0
-    for _ in range(n):
-        u = _random_frame(rng)
-        for pp, expected in ((PElement(p_on), True), (PElement(p_off), False)):
-            got = dynamics_membership_universal(
-                model, (x, _charted_class(model, pp, u), v, pdot), 1e-9)
-            mismatches += int(got != expected)
-    results.append(CheckResult(name, float(mismatches), 0.0, 2 * n))
-    return results
+    return [check(cfg) for check in (
+        _chart_eval_affine, _chart_pairing, _chart_psi_m,
+        _chart_affine_lagrangian, _chart_hamiltonian_fun, _chart_membership)]
 
 
-def check_w_axioms(cfg: ScenarioConfig) -> CheckResult:
+@_sampled("affine.w_axioms", "chart_battery")
+def check_w_axioms(cfg: ScenarioConfig, rng) -> np.ndarray:
     """Vector-space laws for the lagrangian-value space on random triples."""
-    name = "affine.w_axioms"
-    rng = _rng(cfg, name)
-    model = _model(cfg)
-    n = 1000
-    worst = 0.0
-
-    def rand_w():
-        return WElement(Vector4(*rng.normal(size=4)), float(rng.normal()))
-
-    for _ in range(n):
-        a, b, c = rand_w(), rand_w(), rand_w()
-        s, t = float(rng.normal()), float(rng.normal())
-        comm_l, comm_r = w_add(model, a, b), w_add(model, b, a)
-        assoc_l = w_add(model, w_add(model, a, b), c)
-        assoc_r = w_add(model, a, w_add(model, b, c))
-        dist_l = w_scale(model, s, w_add(model, a, b))
-        dist_r = w_add(model, w_scale(model, s, a), w_scale(model, s, b))
-        nest_l = w_scale(model, s, w_scale(model, t, a))
-        nest_r = w_scale(model, s * t, a)
-        for lhs, rhs in ((comm_l, comm_r), (assoc_l, assoc_r),
-                         (dist_l, dist_r), (nest_l, nest_r)):
-            err = max(float(np.max(np.abs(lhs.v.as_array() - rhs.v.as_array()))),
-                      abs(lhs.r - rhs.r))
-            scale = max(float(np.max(np.abs(rhs.v.as_array()))), abs(rhs.r))
-            worst = max(worst, _rel(err, scale))
-    return CheckResult(name, worst, cfg.tolerances.chart_battery, n)
+    a, b, c, st = _draws(rng, 1000, (5,), (5,), (5,), (2,))
+    s, t = st[:, 0], st[:, 1]
+    add, scale = w_add_array, w_scale_array
+    laws = [(add(a, b), add(b, a)),
+            (add(add(a, b), c), add(a, add(b, c))),
+            (scale(s, add(a, b)), add(scale(s, a), scale(s, b))),
+            (scale(s, scale(t, a)), scale(s * t, a))]
+    return np.max([_rel(_maxabs(lhs - rhs), _maxabs(rhs))
+                   for lhs, rhs in laws], axis=0)
 
 
-def check_unit_element(cfg: ScenarioConfig) -> CheckResult:
+@_sampled("affine.unit_evaluates_one", 0.0)
+def check_unit_element(cfg: ScenarioConfig, rng) -> np.ndarray:
     """The distinguished unit evaluates to exactly 1 on every momentum."""
-    name = "affine.unit_evaluates_one"
-    rng = _rng(cfg, name)
-    model = _model(cfg)
-    n = 200
-    worst = 0.0
-    for _ in range(n):
-        pp = PElement(Covector4(*rng.normal(size=4)))
-        worst = max(worst, abs(eval_affine(model, W_UNIT, pp) - 1.0))
-    return CheckResult(name, worst, 0.0, n)
+    (p,) = _draws(rng, 200, _NORMAL4)
+    return np.abs(eval_affine_array(W_UNIT.as_array(), p) - 1.0)
 
 
 def check_duality_rank(cfg: ScenarioConfig) -> CheckResult:
@@ -484,19 +516,12 @@ def check_duality_rank(cfg: ScenarioConfig) -> CheckResult:
     return CheckResult(name, float(abs(5 - rank)), 0.0, 25)
 
 
-def check_gamma_composite(cfg: ScenarioConfig) -> CheckResult:
+@_sampled("affine.gamma_composite", 0.0, count=True)
+def check_gamma_composite(cfg: ScenarioConfig, rng) -> np.ndarray:
     """The momentum-side map factors exactly through the other two."""
-    name = "affine.gamma_composite"
-    rng = _rng(cfg, name)
-    n = 100
-    mismatches = 0
-    for _ in range(n):
-        element = (Event(*rng.normal(size=4)),
-                   PElement(Covector4(*rng.normal(size=4))),
-                   Covector4(*rng.normal(size=4)),
-                   Vector4(*rng.normal(size=4)))
-        mismatches += int(gamma(element) != alpha(beta_inv(element)))
-    return CheckResult(name, float(mismatches), 0.0, n)
+    element = tuple(_draws(rng, 100, *[_NORMAL4] * 4))
+    return np.any([np.any(a != b, axis=-1) for a, b in
+                   zip(gamma(element), alpha(beta_inv(element)))], axis=0)
 
 
 # --- morse-check: generating families --------------------------------------

@@ -25,7 +25,7 @@ import sys
 import tempfile
 
 from ..frame_dynamics import NonFiniteState, integrate, write_trajectory_csv
-from ..galilean_core import sigma
+from ..galilean_core import sigma_array
 from .checks import (
     MORSE_FAMILIES,
     boost_checks,
@@ -120,7 +120,7 @@ def _cmd_boost_check(args: argparse.Namespace) -> int:
     cfg = _load(args)
     if len(cfg.frames) < 2:
         raise ConfigError("frames", "boost-check needs at least two frames")
-    sigma_fn = corrupted_sigma if args.corrupt_sigma else sigma
+    sigma_fn = corrupted_sigma if args.corrupt_sigma else sigma_array
     if args.corrupt_sigma:
         log.warning("running with a corrupted frame-shift covector")
     return _finish(Report(tuple(boost_checks(cfg, sigma_fn))), args.out)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -78,7 +79,12 @@ _TOLERANCE_NAMES = tuple(f.name for f in fields(Tolerances))
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Declarative potential description from the config file."""
+    """Declarative potential description from the config file.
+
+    The Potential is built once per spec, on the first ``build`` call, and
+    kept outside the fields, so equality, ``dataclasses.replace`` and the
+    JSON form see only the description.
+    """
 
     kind: str
     force: tuple[float, float, float] | None = None
@@ -87,13 +93,17 @@ class PotentialSpec:
     expr: str | None = None
 
     def build(self) -> Potential:
+        return self._potential
+
+    @cached_property
+    def _potential(self) -> Potential:
         if self.kind == "free":
             return free_potential()
         if self.kind == "uniform":
             return uniform_potential(self.force)
         if self.kind == "harmonic":
             return harmonic_potential(self.k, self.center)
-        # kind == "custom", already validated
+        # kind == "custom"; raises ExpressionError for a malformed expr
         fn = compile_expression(self.expr)
         return Potential(value=lambda x: fn(x.t, x.q1, x.q2, x.q3),
                          values=compile_array_expression(self.expr))
@@ -115,7 +125,8 @@ class ScenarioConfig:
     """One fully validated scenario.
 
     Pure data: the domain objects (metric, potential, frames) are built on
-    demand so the config itself stays comparable and serializable.
+    demand so the config itself stays comparable and serializable.  The
+    metric and the potential are built once per config and then shared.
     """
 
     mass: float
@@ -130,6 +141,10 @@ class ScenarioConfig:
     tolerances: Tolerances
 
     def build_metric(self) -> SpatialMetric:
+        return self._metric
+
+    @cached_property
+    def _metric(self) -> SpatialMetric:
         return SpatialMetric(np.array(self.metric, dtype=float))
 
     def build_potential(self) -> Potential:
@@ -206,12 +221,12 @@ def _parse_potential(value) -> PotentialSpec:
         extra = set(value) - {"kind", "expr"}
         if extra:
             raise ConfigError("potential", f"unknown keys {sorted(extra)}")
-        expr = value.get("expr")
+        spec = PotentialSpec("custom", expr=value.get("expr"))
         try:
-            compile_expression(expr)
+            spec.build()
         except ExpressionError as err:
             raise ConfigError("potential.expr", str(err)) from err
-        return PotentialSpec("custom", expr=expr)
+        return spec
     raise ConfigError(
         "potential.kind",
         f"expected one of free|uniform|harmonic|custom, got {kind!r}")

@@ -15,6 +15,7 @@ cannot execute anything.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from typing import Callable, NamedTuple
 
@@ -31,16 +32,30 @@ _TOKEN = re.compile(r"""
 
 
 class _Table(NamedTuple):
-    """How the parser stores literals, and what sin, cos and exp call."""
+    """How the parser stores literals, and what ^, sin, cos and exp call."""
 
     constant: Callable
+    power: Callable
     functions: dict[str, Callable]
 
 
-_SCALAR = _Table(float, {"sin": math.sin, "cos": math.cos, "exp": math.exp})
+def _real_power(a: float, b: float) -> float:
+    """a ** b, or NaN where the power is complex, as numpy gives."""
+    out = a ** b
+    return math.nan if isinstance(out, complex) else out
+
+
+def _real_periodic(fn: Callable[[float], float]) -> Callable[[float], float]:
+    """fn, or NaN at an infinite argument, as numpy gives."""
+    return lambda a: math.nan if math.isinf(a) else fn(a)
+
+
+_SCALAR = _Table(float, _real_power,
+                 {"sin": _real_periodic(math.sin),
+                  "cos": _real_periodic(math.cos), "exp": math.exp})
 # Literals are 0-d arrays: numpy combines an array with a 0-d array faster
 # than with a Python float.
-_ARRAY = _Table(lambda value: np.array(value, dtype=float),
+_ARRAY = _Table(lambda value: np.array(value, dtype=float), operator.pow,
                 {"sin": np.sin, "cos": np.cos, "exp": np.exp})
 _VARIABLES = ("t", "q1", "q2", "q3")
 
@@ -147,8 +162,10 @@ class _Parser:
         if self.peek() == "^":
             self.take()
             exponent = self.unary()
-            return self.fold(lambda env, a=base, b=exponent: a(env) ** b(env),
-                             base, exponent)
+            power = self.table.power
+            return self.fold(
+                lambda env, f=power, a=base, b=exponent: f(a(env), b(env)),
+                base, exponent)
         return base
 
     def atom(self) -> Callable:
@@ -189,7 +206,10 @@ def compile_expression(text: str) -> Callable[[float, float, float, float], floa
     """Compile an expression string to a function of (t, q1, q2, q3).
 
     Raises ExpressionError on any syntax problem, including trailing
-    tokens, so a config typo fails at load time rather than mid-run.
+    tokens, so a config typo fails at load time rather than mid-run.  A
+    complex power, or sin or cos of an infinity, evaluates to NaN, as in
+    the array evaluator; division by zero and overflow raise their
+    ArithmeticError.
     """
     node, _ = _parse(text, _SCALAR)
 
@@ -214,18 +234,17 @@ def compile_array_expression(text: str) -> Callable[[float, np.ndarray], np.ndar
     if not spatial:  # one value for every position
         node = lambda env, f=node: np.full(np.shape(env["q1"]), f(env))
 
+    scalar = None  # the scalar evaluator, compiled on first need
+
     def values(t: float, q: np.ndarray) -> np.ndarray:
+        nonlocal scalar
         with np.errstate(all="ignore"):
             out = node({"t": t, "q1": q[..., 0], "q2": q[..., 1],
                         "q3": q[..., 2]})
         if not np.isfinite(out).all():
-            scalar = compile_expression(text)
+            scalar = scalar or compile_expression(text)
             for q1, q2, q3 in q[~np.isfinite(out)].tolist():
-                try:
-                    scalar(t, q1, q2, q3)
-                except (TypeError, ValueError):
-                    # A complex power or a math domain error: the NaN stands.
-                    pass
+                scalar(t, q1, q2, q3)
         return out
 
     return values

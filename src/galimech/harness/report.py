@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 __all__ = ["CheckResult", "Report"]
 
@@ -52,10 +51,6 @@ class Report:
     """All checks from one command invocation."""
 
     checks: tuple[CheckResult, ...]
-
-    @classmethod
-    def collect(cls, checks: Sequence[CheckResult]) -> "Report":
-        return cls(tuple(checks))
 
     @property
     def verdict(self) -> str:

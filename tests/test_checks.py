@@ -1,12 +1,26 @@
 """Direct tests of the check layer, mostly the parts the CLI cannot reach."""
 
 import dataclasses
+import math
+import warnings
 
+import numpy as np
 import pytest
 
-from galimech.galilean_core import SpatialMetric
+from galimech.frame_dynamics import (
+    lagrangian_hom,
+    lagrangian_inhom,
+    legendre_hom,
+    legendre_inhom,
+)
+from galimech.galilean_core import Event, Frame, SpatialMetric, Vector4, sigma
 from galimech.harness.checks import (
+    _rng,
+    _verdict,
     boost_checks,
+    check_lagrangian_shift,
+    check_legendre_fd,
+    check_mass_shell,
     check_residual_preservation,
     check_world_lines,
     corrupted_sigma,
@@ -88,3 +102,103 @@ def test_morse_handles_anisotropic_metric():
     for family in ("fam1", "fam2", "fam3", "fam4", "example31"):
         for result in morse_checks(cfg, family):
             assert result.passed, result.name
+
+
+# A potential that is NaN everywhere: exp(700)^2 overflows to inf, and
+# inf * 0 is NaN.
+NAN_POTENTIAL = PotentialSpec("custom", expr="exp(700)*exp(700)*(q1-q1)")
+# NaN where q1 < 0 (a complex power), about half the samples.
+HALF_NAN_POTENTIAL = PotentialSpec("custom", expr="q1^0.5")
+
+
+@pytest.mark.parametrize("potential", [NAN_POTENTIAL, HALF_NAN_POTENTIAL])
+@pytest.mark.parametrize("check", [check_lagrangian_shift, check_legendre_fd,
+                                   check_mass_shell,
+                                   check_residual_preservation])
+def test_non_finite_samples_fail_the_check(potential, check):
+    cfg = dataclasses.replace(default_config(), potential=potential)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning may escape either
+        result = check(cfg)
+    assert math.isnan(result.max_err)
+    assert not result.passed and result.to_json()["status"] == "fail"
+
+
+def test_potential_arithmetic_error_is_a_non_finite_sample():
+    # 1/(q1-q1) raises ZeroDivisionError at every point: each sample fails
+    # its check instead of ending the run in a traceback.
+    cfg = dataclasses.replace(
+        default_config(), potential=PotentialSpec("custom", expr="1/(q1-q1)"))
+    result = check_mass_shell(cfg)
+    assert math.isnan(result.max_err) and not result.passed
+
+
+def test_one_nan_among_finite_errors_fails():
+    errs = np.array([0.0, 1e-20, np.nan, 1e-30])
+    assert math.isnan(_verdict("x", errs, 1.0).max_err)
+    assert not _verdict("x", errs, 1.0).passed
+    assert _verdict("x", errs[[0, 1, 3]], 1.0).max_err == 1e-20
+    assert _verdict("x", np.array([True, False, True]), 0.0,
+                    count=True).max_err == 2.0
+
+
+# --- the array checks against per-sample loops over the object API --------
+
+def _loop_lagrangian_shift(cfg, rng, phi, g):
+    worst = 0.0
+    for _ in range(1000):
+        u = Frame.from_spatial(rng.uniform(-1.5, 1.5, size=3))
+        u_prime = Frame.from_spatial(rng.uniform(-1.5, 1.5, size=3))
+        v = Vector4(float(rng.uniform(0.2, 2.0)), *rng.normal(size=3).tolist())
+        x = Event(*rng.normal(size=4).tolist())
+        lhs = lagrangian_hom(u, cfg.mass, g, phi, x, v) \
+            - lagrangian_hom(u_prime, cfg.mass, g, phi, x, v)
+        rhs = cfg.mass * sigma(g, u_prime, u).pair(v)
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    return worst
+
+
+def _loop_legendre_fd(cfg, rng, phi, g):
+    m, worst = cfg.mass, 0.0
+    for i in range(500):
+        u = Frame.from_spatial(rng.uniform(-1.5, 1.5, size=3))
+        x = Event(*rng.normal(size=4).tolist())
+        if i % 2 == 0:
+            w = rng.normal(size=3)
+            analytic = legendre_inhom(u, m, g, Frame.from_spatial(w))
+            lagrangian = lambda c: lagrangian_inhom(u, m, g, phi, x,
+                                                    Frame.from_spatial(c))
+            coords = w
+        else:
+            v = Vector4(float(rng.uniform(0.2, 2.0)), *rng.normal(size=3))
+            analytic = legendre_hom(u, m, g, phi, x, v).as_array()
+            lagrangian = lambda c: lagrangian_hom(u, m, g, phi, x,
+                                                  Vector4.from_array(c))
+            coords = v.as_array()
+        fd = np.empty(len(coords))
+        for j in range(len(coords)):
+            step = 1e-6 * (1.0 + abs(coords[j]))
+            plus, minus = coords.copy(), coords.copy()
+            plus[j] += step
+            minus[j] -= step
+            fd[j] = (lagrangian(plus) - lagrangian(minus)) / (2.0 * step)
+        err = float(np.max(np.abs(analytic - fd)))
+        worst = max(worst, err / max(1.0, float(np.max(np.abs(fd)))))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 5, 90])
+@pytest.mark.parametrize("check, name, loop", [
+    (check_lagrangian_shift, "lagrangian.shift_identity",
+     _loop_lagrangian_shift),
+    (check_legendre_fd, "legendre.fd_consistency", _loop_legendre_fd),
+])
+def test_array_check_equals_its_per_sample_loop(seed, check, name, loop):
+    # Same draws from the same stream, same arithmetic: the same float.
+    cfg = dataclasses.replace(
+        default_config(), seed=seed, mass=1.7,
+        metric=((2.0, 0.3, 0.1), (0.3, 1.0, -0.2), (0.1, -0.2, 0.7)),
+        potential=PotentialSpec("custom", expr="sin(q1)*q2 + 0.2*q3^2 - t*q1"))
+    expected = loop(cfg, _rng(cfg, name), cfg.build_potential(),
+                    cfg.build_metric())
+    assert check(cfg).max_err == expected

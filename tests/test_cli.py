@@ -130,6 +130,19 @@ class TestPotentialArithmeticErrors:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("expr", ["(-1)^0.5*q1", "sin(q1*1e308*10)"])
+    def test_nan_potential_in_the_checks_exits_3(self, tmp_path, expr):
+        # NaN in the scalar evaluator (a complex power, sin of infinity):
+        # the sampled checks fail, then energy.drift diverges.
+        cfg = write_config(tmp_path,
+                           potential={"kind": "custom", "expr": expr})
+        proc = run("invariants", "--suite", "dynamics", "--config", cfg)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1  # no traceback
+        assert "non-finite at step 1" in lines[0]
+
+
 class TestConfigErrors:
     def test_bad_mass_names_field(self, tmp_path):
         proc = run("simulate", "--config", write_config(tmp_path, mass=0))

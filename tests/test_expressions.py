@@ -174,8 +174,8 @@ class TestArrayEvaluator:
                 compile_array_expression(text)(0.0, q)
 
     @pytest.mark.parametrize("text, point", [
-        ("q1^0.5", (-1.0, 0.0, 0.0)),            # complex in the scalar path
-        ("sin(exp(q1)*exp(q1))", (400.0, 0.0, 0.0)),  # math domain error
+        ("q1^0.5", (-1.0, 0.0, 0.0)),            # complex power: NaN
+        ("sin(exp(q1)*exp(q1))", (400.0, 0.0, 0.0)),  # sin of infinity: NaN
         ("exp(q1)*exp(q1)", (400.0, 0.0, 0.0)),       # inf without an error
     ])
     def test_other_non_finite_values_stand(self, text, point):
@@ -184,6 +184,20 @@ class TestArrayEvaluator:
             warnings.simplefilter("error")
             got = compile_array_expression(text)(0.0, q)
         assert np.isfinite(got[0]) and not np.isfinite(got[1])
+
+    @pytest.mark.parametrize("text, point", [
+        ("q1^0.5", (-1.0, 0.0, 0.0)),        # complex power
+        ("(-8)^(1/3) + q1", (1.0, 0.0, 0.0)),  # complex constant
+        ("q1^q1", (-0.5, 0.0, 0.0)),
+        ("sin(q1*1e308*10)", (1.0, 0.0, 0.0)),  # sin of infinity
+        ("cos(q1*1e308*10)", (-1.0, 0.0, 0.0)),
+    ])
+    def test_scalar_gives_nan_where_the_array_does(self, text, point):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = compile_expression(text)(0.0, *point)
+            array = compile_array_expression(text)(0.0, np.array([point]))
+        assert math.isnan(scalar) and math.isnan(array[0])
 
     def test_syntax_errors_match(self):
         for bad in ("", "2+", "q4", "sin 3"):

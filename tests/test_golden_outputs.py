@@ -1,9 +1,12 @@
 """Golden-output regression: the CLI outputs of three scenarios, hashed.
 
 The hashes were recorded from the per-frame integrator that stored one
-object per step.  Any change to the integrator, the trajectory storage, the
-CSV writer, or the checks that alters a single bit of these outputs fails
-here, so refactors of those layers have to keep every float the same.
+object per step, and those of the full ``invariants`` and ``morse-check``
+reports and of the ``--corrupt-sigma`` negative control from the sampled
+checks that looped over one sample at a time.  Any change to the
+integrator, the trajectory storage, the CSV writer, the kernels or the
+checks that alters a single bit of these outputs fails here, so refactors
+of those layers have to keep every float the same.
 
 The one exception is the custom-potential ``simulate`` CSV, re-recorded
 when the finite-difference gradient moved to the numpy evaluator, whose
@@ -40,6 +43,9 @@ COMMANDS = {
     "simulate": ["simulate"],
     "boost-check": ["boost-check"],
     "invariants": ["invariants", "--suite", "dynamics"],
+    "invariants-all": ["invariants", "--suite", "all"],
+    "morse-check": ["morse-check", "--family", "all"],
+    "boost-check-corrupt": ["boost-check", "--corrupt-sigma"],
 }
 
 GOLDEN = {
@@ -61,6 +67,24 @@ GOLDEN = {
         (0, "43c8fe7949d65bbdce3e46a984d217cbe5008d767448f48ffd61a35ae77ef3c8"),
     ("harmonic_metric", "simulate"):
         (0, "562a4e49d1773acc4369c17dd068c500877223d7dd4d846ef80de30a13eeddba"),
+    ("custom_anharmonic", "invariants-all"):
+        (0, "94f6527d3d72aca16bb156f937e94b0813997fb9eec74dfe00680547881c1f30"),
+    ("custom_anharmonic", "morse-check"):
+        (0, "25ca87d09e843953ad84fefd2273f3d9f374dc4e7b01362e8d15d89bace86deb"),
+    ("custom_anharmonic", "boost-check-corrupt"):
+        (1, "cad8171808b0299221b15d3e0bbc5de0a941acb4bacb6b1b1506c82b42314629"),
+    ("default", "invariants-all"):
+        (0, "a3ef06c05f5cac0810ab98fc3b02926118bacf707d2a331e6e89629498ab85f4"),
+    ("default", "morse-check"):
+        (0, "bd811e8bcc32bdc7ccf5c3cc3bdda7cb98613c771f928c796f0984e9d5eae33e"),
+    ("default", "boost-check-corrupt"):
+        (1, "4f36989cad39ae2f1ba097f49668acdf0b33dd1172e634f95ea4aa8970bcf65d"),
+    ("harmonic_metric", "invariants-all"):
+        (0, "fd546e6d38dd2f1e9d6a1ee7f0ca38c0a30f3ddf8a8787f269869b7d493d1d29"),
+    ("harmonic_metric", "morse-check"):
+        (0, "8452433f42fff1d7c5587a12097861919ec60c9442e7fdd9f32c54acd5a4baaa"),
+    ("harmonic_metric", "boost-check-corrupt"):
+        (1, "a5f25a8c46a1f09282656de6e5c731fc881262a23a8096787522dfffbc488711"),
 }
 
 

@@ -1,11 +1,14 @@
 """Scenario config validation, serialization, and the report model."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from galimech.galilean_core import Event
+from galimech.galilean_core import Event, SpatialMetric
+from galimech.harness import expressions
+from galimech.harness.cli import main
 from galimech.harness.config import (
     MAX_FRAME_STEPS,
     ConfigError,
@@ -172,6 +175,47 @@ class TestPotentialBuild:
         assert custom.at(self.x) == pytest.approx(builtin.at(self.x), rel=1e-15)
         # gradient falls back to finite differences
         assert np.allclose(custom.d_s(self.x), builtin.d_s(self.x), atol=1e-7)
+
+
+class TestBuildOnce:
+    def test_config_objects_are_shared_and_fields_unchanged(self):
+        cfg = parse_config(minimal(potential={"kind": "custom",
+                                              "expr": "q1^2 + q2"}))
+        assert cfg.build_metric() is cfg.build_metric()
+        assert cfg.build_potential() is cfg.build_potential()
+        other = dataclasses.replace(cfg, seed=8)
+        assert other.build_potential() is cfg.build_potential()
+        assert dataclasses.replace(cfg) == cfg
+        assert parse_config(cfg.to_json()) == cfg
+        assert json.dumps(cfg.to_json()) == json.dumps(
+            parse_config(minimal(potential={"kind": "custom",
+                                            "expr": "q1^2 + q2"})).to_json())
+
+    def test_one_invariants_run_compiles_each_evaluator_once(
+            self, tmp_path, monkeypatch):
+        parses, metrics = [], []
+        parse, init = expressions._parse, SpatialMetric.__init__
+
+        def counted_parse(text, table):
+            parses.append(table)
+            return parse(text, table)
+
+        def counted_init(self, matrix):
+            metrics.append(matrix)
+            init(self, matrix)
+
+        monkeypatch.setattr(expressions, "_parse", counted_parse)
+        monkeypatch.setattr(SpatialMetric, "__init__", counted_init)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(minimal(potential={
+            "kind": "custom", "expr": "0.5*q1^2 + 0.25*q2^4 + 0.1*q1*q3"})))
+        assert main(["invariants", "--suite", "all", "--config", str(path),
+                     "--seed", "3", "--out", str(tmp_path / "report.json")]) == 0
+        # the scalar and the array evaluator, once each
+        assert sorted(map(id, parses)) == sorted(
+            [id(expressions._SCALAR), id(expressions._ARRAY)])
+        # once to validate the config, once for the checks
+        assert len(metrics) == 2
 
 
 class TestLoad:
