@@ -95,8 +95,9 @@ class Potential:
     def at(self, x: Event) -> float:
         return float(self.value(x))
 
-    def grad_s(self, t: float, q: np.ndarray) -> np.ndarray:
-        """Spatial gradient at time t for positions q of shape (..., 3)."""
+    def grad_s(self, t, q: np.ndarray) -> np.ndarray:
+        """Spatial gradient for positions q of shape (..., 3) at time t:
+        one time, or an array of times of shape (...), one per position."""
         if self.spatial_gradient is not None:
             return self.spatial_gradient(t, q)
         step = FD_STEP * (1.0 + np.abs(q))
@@ -104,22 +105,34 @@ class Potential:
         # layout on which numpy's small-array operations are fastest.
         points = np.add(q[..., None, :], _FD_DIRECTIONS * step[..., None, :],
                         order="F")
-        v = self.values(t, points)
+        v = self.values(t[..., None] if isinstance(t, np.ndarray) else t, points)
         return (v[..., :3] - v[..., 3:]) / (2.0 * step)
 
     def d_s(self, x: Event) -> np.ndarray:
         """Derivative along the three spatial coordinates."""
         return self.grad_s(x.t, x.spatial)
 
+    def differential(self, x: np.ndarray) -> np.ndarray:
+        """Full differentials (dt, dq1, dq2, dq3) at the events x (..., 4).
+
+        The spatial part is one grad_s call over every event.  The time
+        derivative is 0 for a time-independent potential and otherwise a
+        central difference of ``at``, event by event.
+        """
+        flat = np.asarray(x, dtype=float).reshape(-1, 4)
+        out = np.empty(flat.shape)
+        out[:, 1:] = self.grad_s(flat[:, 0], flat[:, 1:])
+        out[:, 0] = 0.0
+        if not self.time_independent:
+            for i, (t, q1, q2, q3) in enumerate(flat.tolist()):
+                step = FD_STEP * (1.0 + abs(t))
+                out[i, 0] = (self.at(Event(t + step, q1, q2, q3)) -
+                             self.at(Event(t - step, q1, q2, q3))) / (2.0 * step)
+        return out.reshape(np.shape(x))
+
     def d(self, x: Event) -> Covector4:
         """Full differential, time component included."""
-        dt = 0.0
-        if not self.time_independent:
-            step = FD_STEP * (1.0 + abs(x.t))
-            dt = (self.at(Event(x.t + step, x.q1, x.q2, x.q3)) -
-                  self.at(Event(x.t - step, x.q1, x.q2, x.q3))) / (2.0 * step)
-        ds = self.d_s(x)
-        return Covector4(float(dt), float(ds[0]), float(ds[1]), float(ds[2]))
+        return Covector4(*self.differential(x.as_array()).tolist())
 
 
 def free_potential() -> Potential:
@@ -149,8 +162,12 @@ def harmonic_potential(k: float, center=(0.0, 0.0, 0.0)) -> Potential:
         raise ValueError(f"center needs 3 components, got shape {c.shape}")
     k = float(k)
 
+    def value(x: Event) -> float:
+        d = x.spatial - c
+        return 0.5 * k * float(d @ d)
+
     return Potential(
-        value=lambda x: 0.5 * k * float((x.spatial - c) @ (x.spatial - c)),
+        value=value,
         spatial_gradient=lambda t, q: k * (q - c),
         time_independent=True,
     )

@@ -30,6 +30,11 @@ class GalimechError(Exception):
     """Base class for every error raised by this package."""
 
 
+class DomainError(GalimechError):
+    """A computation needs a value where it is undefined: an evaluation
+    raised an ArithmeticError there, or the value is not finite."""
+
+
 class NotSimultaneous(GalimechError):
     """Spatial distance requested between events at different times."""
 

@@ -8,13 +8,17 @@ set the family generates.  A family is Morse when the mixed second
 derivative matrix (fiber rows, base-plus-fiber columns) has full row rank
 along the critical set; ranks are certified through singular values.
 
-The engine is generic.  Families for the particle system live at the bottom
+The engine is generic and works on stacks: a family gradient takes base
+and fiber points of shape (..., b) and (..., f) and evaluates every row in
+one call, so a certification differentiates the gradient at every
+critical point in one call and takes the singular values of every mixed
+Hessian in one more.  Families for the particle system live at the bottom
 of the module: the velocity-fibered family whose critical covectors are the
 equations of motion in a fixed frame, its one-variable reduction to a
 scaled energy constraint, and a cotangent-bundle textbook family used as a
 rank reference.
 
-Solvers here are deliberately plain: damped Newton iteration on the fiber
+The solver is deliberately plain: one damped Newton iteration on the fiber
 gradient with a finite-difference Jacobian, least-squares steps so rank
 deficient Jacobians (which occur by construction for degree-one homogeneous
 fibers) still make progress.
@@ -23,14 +27,15 @@ fibers) still make progress.
 from __future__ import annotations
 
 import logging
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .galilean_core import (
-    TAU,
     Covector4,
+    DomainError,
     Event,
     Frame,
     GalimechError,
@@ -40,8 +45,9 @@ from .galilean_core import (
 from .frame_dynamics import (
     Potential,
     lagrangian_hom,
-    legendre_hom,
+    legendre_hom_array,
     mass_shell_residual,
+    mass_shell_residual_array,
 )
 
 log = logging.getLogger(__name__)
@@ -53,6 +59,11 @@ _HESS_VALUE_STEP = 2e-4 # direct mixed second differences of the value
 
 # Dedup radius for critical points, in units of the solver tolerance.
 _MERGE_FACTOR = 10.0
+
+# Newton least-squares cutoff, well above finite-difference noise: a
+# Jacobian direction whose singular value is pure differencing error must
+# not steer the step.
+_NEWTON_RCOND = 1e-8
 
 
 class NoConvergence(GalimechError):
@@ -71,9 +82,12 @@ class SectionNotUnique(GalimechError):
 class FunctionFamily:
     """Real function on R^base_dim x R^fiber_dim with an optional gradient.
 
-    ``value(base, fiber)`` returns a float.  ``gradient(base, fiber)``, when
-    provided, returns the pair (d/d base, d/d fiber) as arrays; otherwise
-    central differences with step 1e-6 * (1 + |coordinate|) stand in.
+    ``value(base, fiber)`` returns a float at one point.  ``gradient(base,
+    fiber)``, when provided, takes stacks of shape (..., base_dim) and
+    (..., fiber_dim) with one leading shape and returns the pair
+    (d/d base, d/d fiber) as stacks of that leading shape, each row
+    computed as it would be alone.  Otherwise central differences of the
+    value with step 1e-6 * (1 + |coordinate|) stand in, point by point.
     """
 
     base_dim: int
@@ -102,74 +116,88 @@ class GeneratedCovector:
     source: CriticalPoint
 
 
-def _gradient_split(fam: FunctionFamily, base: np.ndarray,
-                    fiber: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gradient_split(fam: FunctionFamily, base, fiber) -> tuple[np.ndarray, np.ndarray]:
+    """(d/d base, d/d fiber) at every row of base (..., b) and fiber
+    (..., f), which share one leading shape.  numpy warnings are silenced:
+    a non-finite row is the caller's to judge."""
+    base = np.asarray(base, dtype=float)
+    fiber = np.asarray(fiber, dtype=float)
     if fam.gradient is not None:
-        gb, gf = fam.gradient(base, fiber)
+        with np.errstate(all="ignore"):
+            gb, gf = fam.gradient(base, fiber)
         return np.asarray(gb, dtype=float), np.asarray(gf, dtype=float)
-    joint = np.concatenate([base, fiber])
+    joint = np.concatenate([base, fiber], axis=-1)
 
     def value_at(z: np.ndarray) -> float:
         return float(fam.value(z[:fam.base_dim], z[fam.base_dim:]))
 
-    grad = np.empty(len(joint))
-    for i in range(len(joint)):
-        h = _GRAD_STEP * (1.0 + abs(joint[i]))
-        plus, minus = joint.copy(), joint.copy()
-        plus[i] += h
-        minus[i] -= h
-        grad[i] = (value_at(plus) - value_at(minus)) / (2.0 * h)
-    return grad[:fam.base_dim], grad[fam.base_dim:]
+    grad = np.empty(joint.shape)
+    for r, z in zip(grad.reshape(-1, joint.shape[-1]),
+                    joint.reshape(-1, joint.shape[-1])):
+        for i in range(len(z)):
+            h = _GRAD_STEP * (1.0 + abs(z[i]))
+            plus, minus = z.copy(), z.copy()
+            plus[i] += h
+            minus[i] -= h
+            r[i] = (value_at(plus) - value_at(minus)) / (2.0 * h)
+    return grad[..., :fam.base_dim], grad[..., fam.base_dim:]
 
 
 def fiber_gradient(fam: FunctionFamily, base, fiber) -> np.ndarray:
-    """Gradient of the family value along the fiber directions."""
-    base = np.asarray(base, dtype=float)
-    fiber = np.asarray(fiber, dtype=float)
+    """Gradient of the family value along the fiber directions, at one
+    point or at every row of a stack."""
     return _gradient_split(fam, base, fiber)[1]
 
 
 def base_gradient(fam: FunctionFamily, base, fiber) -> np.ndarray:
     """Gradient of the family value along the base directions of the
     product chart.  Lift independent only where the fiber gradient is zero."""
-    base = np.asarray(base, dtype=float)
-    fiber = np.asarray(fiber, dtype=float)
     return _gradient_split(fam, base, fiber)[0]
 
 
-def _fiber_jacobian(fam: FunctionFamily, base: np.ndarray,
-                    fiber: np.ndarray) -> np.ndarray:
-    f = fam.fiber_dim
-    jac = np.empty((f, f))
-    for j in range(f):
-        h = _GRAD_STEP * (1.0 + abs(fiber[j]))
-        plus, minus = fiber.copy(), fiber.copy()
-        plus[j] += h
-        minus[j] -= h
-        jac[:, j] = (fiber_gradient(fam, base, plus) -
-                     fiber_gradient(fam, base, minus)) / (2.0 * h)
-    return jac
+def _newton(fam: FunctionFamily, base: np.ndarray, fiber: np.ndarray,
+            head: int, tol: float, max_iter: int) -> tuple[np.ndarray, float]:
+    """Damped Newton on the first ``head`` fiber components, the others
+    held fixed; head = fiber_dim solves for the whole fiber.
 
-
-def _newton_fiber(fam: FunctionFamily, base: np.ndarray, seed: np.ndarray,
-                  tol: float, max_iter: int) -> tuple[np.ndarray, float]:
-    fiber = np.array(seed, dtype=float)
-    grad = fiber_gradient(fam, base, fiber)
+    Each iteration takes the Jacobian of the head gradient from one
+    gradient call over its 2 * head shifted fibers.  A trial step that
+    leaves the family's domain (its gradient raises a GalimechError or is
+    not finite) is shortened.  Raises NoConvergence when the line search
+    stalls or max_iter runs out, and DomainError when the gradient at the
+    start, or the Jacobian, is not finite.
+    """
+    fiber = np.array(fiber, dtype=float)
+    grad = fiber_gradient(fam, base, fiber)[:head]
     norm = float(np.max(np.abs(grad)))
+    if not math.isfinite(norm):
+        raise DomainError(
+            f"{fam.name}: fiber gradient not finite at the start "
+            f"{fiber.tolist()} over base {base.tolist()}")
+    cols = np.arange(head)
+    bases = np.broadcast_to(base, (2 * head,) + base.shape)
     for _ in range(max_iter):
         if norm <= tol:
             return fiber, norm
-        jac = _fiber_jacobian(fam, base, fiber)
-        # rcond well above FD noise: a Jacobian direction whose singular
-        # value is pure differencing error must not steer the step.
-        step, *_ = np.linalg.lstsq(jac, -grad, rcond=1e-8)
+        h = _GRAD_STEP * (1.0 + np.abs(fiber[:head]))
+        shifted = np.repeat(fiber[None], 2 * head, axis=0)
+        shifted[cols, cols] += h
+        shifted[head + cols, cols] -= h
+        g = fiber_gradient(fam, bases, shifted)[:, :head]
+        with np.errstate(all="ignore"):
+            jac = ((g[:head] - g[head:]) / (2.0 * h)[:, None]).T
+        if not np.isfinite(jac).all():
+            raise DomainError(
+                f"{fam.name}: fiber Jacobian not finite at {fiber.tolist()} "
+                f"over base {base.tolist()}")
+        step, *_ = np.linalg.lstsq(jac, -grad, rcond=_NEWTON_RCOND)
         scale = 1.0
         for _ in range(25):
-            trial = fiber + scale * step
+            trial = fiber.copy()
+            trial[:head] += scale * step
             try:
-                trial_grad = fiber_gradient(fam, base, trial)
+                trial_grad = fiber_gradient(fam, base, trial)[:head]
             except (GalimechError, FloatingPointError):
-                # Trial left the family's domain; shorten the step.
                 scale *= 0.5
                 continue
             trial_norm = float(np.max(np.abs(trial_grad)))
@@ -185,7 +213,7 @@ def _newton_fiber(fam: FunctionFamily, base: np.ndarray, seed: np.ndarray,
         return fiber, norm
     raise NoConvergence(
         f"{fam.name}: no critical point within {max_iter} iterations "
-        f"from seed {np.asarray(seed).tolist()} (|grad|={norm:.3e})")
+        f"over base {base.tolist()} (|grad|={norm:.3e})")
 
 
 def solve_critical(fam: FunctionFamily, base, seeds: Sequence,
@@ -195,14 +223,14 @@ def solve_critical(fam: FunctionFamily, base, seeds: Sequence,
     Runs damped Newton from every seed.  Seeds that fail to converge are
     logged and skipped; solutions closer than 10 * tol to an already found
     one are merged (the representative with the smaller gradient norm is
-    kept).  The returned list can be empty.
+    kept).  The returned list can be empty.  Raises DomainError when the
+    gradient is not finite at a seed.
     """
     base = np.asarray(base, dtype=float)
     found: list[CriticalPoint] = []
     for seed in seeds:
-        seed = np.asarray(seed, dtype=float)
         try:
-            fiber, norm = _newton_fiber(fam, base, seed, tol, max_iter)
+            fiber, norm = _newton(fam, base, seed, fam.fiber_dim, tol, max_iter)
         except NoConvergence as err:
             log.debug("seed rejected: %s", err)
             continue
@@ -216,28 +244,10 @@ def solve_critical(fam: FunctionFamily, base, seeds: Sequence,
     return found
 
 
-def hessian(fam: FunctionFamily, point: CriticalPoint) -> np.ndarray:
-    """Mixed second derivatives at a critical point.
-
-    Rows run over the fiber directions, columns over base directions then
-    fiber directions, giving a fiber_dim x (base_dim + fiber_dim) matrix.
-    When the family has an analytic gradient the matrix is obtained by
-    central-differencing it; otherwise by four-point second differences of
-    the value.
-    """
+def _value_hessian(fam: FunctionFamily, joint: np.ndarray) -> np.ndarray:
+    """Four-point second differences of the value at one point."""
     b, f = fam.base_dim, fam.fiber_dim
-    joint = np.concatenate([point.base, point.fiber])
     out = np.empty((f, b + f))
-    if fam.gradient is not None:
-        for j in range(b + f):
-            h = _HESS_GRAD_STEP * (1.0 + abs(joint[j]))
-            plus, minus = joint.copy(), joint.copy()
-            plus[j] += h
-            minus[j] -= h
-            gp = fiber_gradient(fam, plus[:b], plus[b:])
-            gm = fiber_gradient(fam, minus[:b], minus[b:])
-            out[:, j] = (gp - gm) / (2.0 * h)
-        return out
 
     def value_at(z: np.ndarray) -> float:
         return float(fam.value(z[:b], z[b:]))
@@ -260,32 +270,90 @@ def hessian(fam: FunctionFamily, point: CriticalPoint) -> np.ndarray:
     return out
 
 
+def hessians(fam: FunctionFamily, points: Sequence[CriticalPoint]) -> np.ndarray:
+    """Mixed second derivatives at every point, shape (N, f, b + f).
+
+    Rows run over the fiber directions, columns over base directions then
+    fiber directions.  When the family has an analytic gradient the
+    matrices are central differences of it, taken at all N * 2(b + f)
+    shifted points in one gradient call; otherwise four-point second
+    differences of the value, point by point.
+    """
+    b, f = fam.base_dim, fam.fiber_dim
+    joint = np.array([np.concatenate([pt.base, pt.fiber]) for pt in points],
+                     dtype=float).reshape(len(points), b + f)
+    if fam.gradient is None:
+        return np.array([_value_hessian(fam, z) for z in joint]).reshape(
+            len(points), f, b + f)
+    h = _HESS_GRAD_STEP * (1.0 + np.abs(joint))
+    shifted = np.repeat(joint[:, None, None, :], 2 * (b + f), axis=1).reshape(
+        len(points), 2, b + f, b + f)
+    cols = np.arange(b + f)
+    shifted[:, 0, cols, cols] += h
+    shifted[:, 1, cols, cols] -= h
+    g = fiber_gradient(fam, shifted[..., :b], shifted[..., b:])
+    with np.errstate(all="ignore"):  # a non-finite matrix gets rank NaN
+        return np.swapaxes((g[:, 0] - g[:, 1]) / (2.0 * h)[..., None], -1, -2)
+
+
+def hessian(fam: FunctionFamily, point: CriticalPoint) -> np.ndarray:
+    """hessians at one point: a fiber_dim x (base_dim + fiber_dim) matrix."""
+    return hessians(fam, [point])[0]
+
+
 @dataclass(frozen=True)
 class MorseReport:
-    """Outcome of a full-rank certification over sampled critical points."""
+    """Outcome of a full-rank certification over sampled critical points.
+    A rank is NaN where the Hessian is not finite."""
 
     ok: bool
-    ranks: tuple[int, ...]
+    ranks: tuple[int | float, ...]
     required_rank: int
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def numerical_rank(matrix: np.ndarray, rel_tol: float = 1e-8) -> int:
-    """Number of singular values above rel_tol times the largest one."""
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
+def _ranks(matrices: np.ndarray, rel_tol: float) -> list[int | float]:
+    """Numerical rank of each matrix of a stack (N, r, c): the number of
+    singular values above rel_tol times the largest one, from one SVD of
+    the whole stack; NaN for a matrix with a non-finite entry."""
+    finite = np.isfinite(matrices).all(axis=(-2, -1))
+    sv = np.linalg.svd(np.where(finite[:, None, None], matrices, 0.0),
+                       compute_uv=False)
+    counts = np.sum(sv > rel_tol * sv[:, :1], axis=-1)
+    return [int(c) if ok else math.nan for c, ok in zip(counts, finite)]
+
+
+def numerical_rank(matrix: np.ndarray, rel_tol: float = 1e-8) -> int | float:
+    """Number of singular values above rel_tol times the largest one (NaN
+    for a matrix with a non-finite entry)."""
+    return _ranks(np.asarray(matrix, dtype=float)[None], rel_tol)[0]
 
 
 def is_morse(fam: FunctionFamily, points: Sequence[CriticalPoint],
              rank_tol: float = 1e-8) -> MorseReport:
-    """Certify that the mixed Hessian has full row rank at every point."""
-    ranks = tuple(numerical_rank(hessian(fam, pt), rank_tol) for pt in points)
+    """Certify that the mixed Hessian has full row rank at every point:
+    one stacked Hessian and one stacked SVD for all of them."""
+    ranks = tuple(_ranks(hessians(fam, points), rank_tol)) if points else ()
     ok = all(r == fam.fiber_dim for r in ranks)
     return MorseReport(ok=ok, ranks=ranks, required_rank=fam.fiber_dim)
+
+
+def kappas(fam: FunctionFamily, points: Sequence[CriticalPoint],
+           tol: float = 1e-8) -> list[GeneratedCovector]:
+    """kappa at every point, from one gradient call over all of them."""
+    if not points:
+        return []
+    gb, gf = _gradient_split(fam, np.array([pt.base for pt in points], dtype=float),
+                             np.array([pt.fiber for pt in points], dtype=float))
+    grad_norms = np.max(np.abs(gf), axis=-1, initial=0.0)
+    for norm in grad_norms.tolist():
+        if norm > tol:
+            raise NotCritical(
+                f"{fam.name}: fiber gradient norm {norm:.3e} exceeds {tol:.1e}")
+    return [GeneratedCovector(base=pt.base, covector=cov, source=pt)
+            for pt, cov in zip(points, gb)]
 
 
 def kappa(fam: FunctionFamily, point: CriticalPoint,
@@ -296,13 +364,7 @@ def kappa(fam: FunctionFamily, point: CriticalPoint,
     vector, on which the gradient vanishes at criticality.  Raises
     NotCritical when the fiber gradient exceeds tol.
     """
-    grad_norm = float(np.max(np.abs(fiber_gradient(fam, point.base, point.fiber))))
-    if grad_norm > tol:
-        raise NotCritical(
-            f"{fam.name}: fiber gradient norm {grad_norm:.3e} exceeds {tol:.1e}")
-    return GeneratedCovector(base=point.base,
-                             covector=base_gradient(fam, point.base, point.fiber),
-                             source=point)
+    return kappas(fam, [point], tol)[0]
 
 
 def generate(fam: FunctionFamily, bases: Sequence, seeds: Sequence,
@@ -310,25 +372,22 @@ def generate(fam: FunctionFamily, bases: Sequence, seeds: Sequence,
              rank_tol: float = 1e-8) -> list[GeneratedCovector]:
     """Sample the generated covector set over a collection of base points.
 
-    For each base point, finds critical fiber points from the given seeds
-    and maps them through kappa.  With check_morse (the default) a rank
-    defect at any discovered point raises ValueError; base points where no
-    seed converges contribute nothing.
+    For each base point, finds critical fiber points from the given seeds;
+    then maps all of them through kappa at once.  With check_morse (the
+    default) they are certified in one is_morse call first, and a rank
+    defect at any point raises ValueError; base points where no seed
+    converges contribute nothing.
     """
-    out: list[GeneratedCovector] = []
-    for base in bases:
-        points = solve_critical(fam, base, seeds, tol=tol)
-        if not points:
-            continue
-        if check_morse:
-            report = is_morse(fam, points, rank_tol)
-            if not report:
+    points = [pt for base in bases for pt in solve_critical(fam, base, seeds, tol=tol)]
+    if check_morse and points:
+        report = is_morse(fam, points, rank_tol)
+        for pt, rank in zip(points, report.ranks):
+            if rank != report.required_rank:
                 raise ValueError(
                     f"{fam.name} is not a Morse family over base "
-                    f"{np.asarray(base).tolist()}: ranks {report.ranks} "
+                    f"{pt.base.tolist()}: rank {rank} "
                     f"(need {report.required_rank})")
-        out.extend(kappa(fam, pt, tol=max(10.0 * tol, 1e-12)) for pt in points)
-    return out
+    return kappas(fam, points, tol=max(10.0 * tol, 1e-12))
 
 
 def reduce_family(fam: FunctionFamily, eliminate: int, seeds: Sequence,
@@ -340,7 +399,8 @@ def reduce_family(fam: FunctionFamily, eliminate: int, seeds: Sequence,
     the eliminated block by Newton iteration from each seed and substitutes
     the solution.  The reduced gradient uses the stationarity of the
     eliminated block, so it is the restriction of the parent gradient to
-    the section.
+    the section; over a stack it solves the section row by row and then
+    evaluates the parent gradient once.
 
     Raises NoConvergence at evaluation when no seed converges and
     SectionNotUnique when distinct seeds land on distinct stationary
@@ -363,8 +423,7 @@ def reduce_family(fam: FunctionFamily, eliminate: int, seeds: Sequence,
         for seed in seed_list:
             fiber0 = np.concatenate([seed, tail])
             try:
-                fiber, _ = _newton_fiber_block(fam, base, fiber0, eliminate,
-                                               tol, max_iter)
+                fiber, _ = _newton(fam, base, fiber0, eliminate, tol, max_iter)
             except NoConvergence:
                 failures += 1
                 continue
@@ -391,52 +450,15 @@ def reduce_family(fam: FunctionFamily, eliminate: int, seeds: Sequence,
     def gradient(base: np.ndarray, tail: np.ndarray):
         base = np.asarray(base, dtype=float)
         tail = np.asarray(tail, dtype=float)
-        head = section(base, tail)
-        gb, gf = _gradient_split(fam, base, np.concatenate([head, tail]))
-        return gb, gf[eliminate:]
+        rows = zip(base.reshape(-1, fam.base_dim), tail.reshape(-1, kept))
+        heads = np.array([section(b, t) for b, t in rows]).reshape(
+            tail.shape[:-1] + (eliminate,))
+        gb, gf = _gradient_split(fam, base, np.concatenate([heads, tail], axis=-1))
+        return gb, gf[..., eliminate:]
 
     return FunctionFamily(base_dim=fam.base_dim, fiber_dim=kept,
                           value=value, gradient=gradient,
                           name=f"{fam.name}/reduced")
-
-
-def _newton_fiber_block(fam: FunctionFamily, base: np.ndarray,
-                        fiber: np.ndarray, head: int, tol: float,
-                        max_iter: int) -> tuple[np.ndarray, float]:
-    """Newton iteration on the first ``head`` fiber components only."""
-    fiber = np.array(fiber, dtype=float)
-
-    def head_grad(fb: np.ndarray) -> np.ndarray:
-        return fiber_gradient(fam, base, fb)[:head]
-
-    grad = head_grad(fiber)
-    norm = float(np.max(np.abs(grad)))
-    for _ in range(max_iter):
-        if norm <= tol:
-            return fiber, norm
-        jac = np.empty((head, head))
-        for j in range(head):
-            h = _GRAD_STEP * (1.0 + abs(fiber[j]))
-            plus, minus = fiber.copy(), fiber.copy()
-            plus[j] += h
-            minus[j] -= h
-            jac[:, j] = (head_grad(plus) - head_grad(minus)) / (2.0 * h)
-        step, *_ = np.linalg.lstsq(jac, -grad, rcond=None)
-        scale = 1.0
-        for _ in range(25):
-            trial = fiber.copy()
-            trial[:head] += scale * step
-            trial_grad = head_grad(trial)
-            trial_norm = float(np.max(np.abs(trial_grad)))
-            if trial_norm < norm or trial_norm <= tol:
-                fiber, grad, norm = trial, trial_grad, trial_norm
-                break
-            scale *= 0.5
-        else:
-            raise NoConvergence(f"{fam.name}: block Newton stalled")
-    if norm <= tol:
-        return fiber, norm
-    raise NoConvergence(f"{fam.name}: block Newton did not converge")
 
 
 def write_covectors_csv(covectors: Sequence[GeneratedCovector], stream) -> None:
@@ -472,8 +494,9 @@ def family_example31(mass: float = 1.0, stiffness: float = 1.0) -> FunctionFamil
         return 0.5 * m * float(v @ v) - 0.5 * k * float(q @ q) - float(p @ v)
 
     def gradient(base: np.ndarray, fiber: np.ndarray):
-        q, p, v = base[:3], base[3:], fiber
-        return np.concatenate([-k * q, -v]), m * v - p
+        base, v = np.asarray(base, dtype=float), np.asarray(fiber, dtype=float)
+        q, p = base[..., :3], base[..., 3:]
+        return np.concatenate([-k * q, -v], axis=-1), m * v - p
 
     return FunctionFamily(base_dim=6, fiber_dim=3, value=value,
                           gradient=gradient, name="example31")
@@ -482,12 +505,12 @@ def family_example31(mass: float = 1.0, stiffness: float = 1.0) -> FunctionFamil
 # Fiber ordering for the velocity-fibered families: the three spatial
 # components come first and the time component last, so that eliminating
 # the leading block removes exactly the spatial directions.
-_V_NATURAL_TO_FIBER = (1, 2, 3, 0)
+_V_NATURAL_TO_FIBER = np.array([1, 2, 3, 0])
+_V_FIBER_TO_NATURAL = np.array([3, 0, 1, 2])
 
 
 def _fiber_to_vector(fiber: np.ndarray) -> Vector4:
-    return Vector4(float(fiber[3]), float(fiber[0]), float(fiber[1]),
-                   float(fiber[2]))
+    return Vector4(*np.asarray(fiber, dtype=float)[_V_FIBER_TO_NATURAL].tolist())
 
 
 def _base_to_state(base: np.ndarray) -> tuple[Event, Covector4]:
@@ -500,9 +523,29 @@ def state_to_base(x: Event, p: Covector4) -> np.ndarray:
     return np.concatenate([x.as_array(), p.as_array()])
 
 
-def vector_to_fiber(v: Vector4) -> np.ndarray:
-    """Pack a four-velocity into fiber coordinates (spatial block, time)."""
-    return v.as_array()[list(_V_NATURAL_TO_FIBER)]
+def vector_to_fiber(v) -> np.ndarray:
+    """Pack four-velocities, a Vector4 or components (..., 4), into fiber
+    coordinates (spatial block, time)."""
+    a = v.as_array() if isinstance(v, Vector4) else np.asarray(v, dtype=float)
+    return a[..., _V_NATURAL_TO_FIBER]
+
+
+def _potential_jet(potential: Potential,
+                   x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The potential (...) and its differential (..., 4) at the events x
+    (..., 4), each distinct event evaluated once: the values through the
+    scalar ``at``, as the object-level functions take them."""
+    flat = np.ascontiguousarray(x).reshape(-1, 4)
+    # Rows come in runs over one event (the fiber shifts of one point), so
+    # each run of bitwise equal events is evaluated once.
+    bits = flat.view(np.int64)
+    new = np.ones(len(flat), dtype=bool)
+    np.any(bits[1:] != bits[:-1], axis=1, out=new[1:])
+    events = flat[new]
+    run = np.cumsum(new) - 1
+    phi = np.array([potential.at(Event(*e)) for e in events.tolist()])
+    dphi = potential.differential(events)
+    return phi[run].reshape(x.shape[:-1]), dphi[run].reshape(x.shape)
 
 
 def family_fam1(u: Frame, m: float, g: SpatialMetric,
@@ -514,8 +557,10 @@ def family_fam1(u: Frame, m: float, g: SpatialMetric,
     the mixed Hessian is a permuted identity, so the family is Morse with
     rank 4.  Fiber coordinates are ordered (v1, v2, v3, v0) so that
     reduce_family with eliminate=3 removes the spatial directions and
-    leaves the time component.
+    leaves the time component.  The gradient is NaN at a velocity that is
+    not future-directed, where the lagrangian is undefined.
     """
+    u_s = u.spatial
 
     def value(base: np.ndarray, fiber: np.ndarray) -> float:
         x, p = _base_to_state(base)
@@ -523,13 +568,17 @@ def family_fam1(u: Frame, m: float, g: SpatialMetric,
         return p.pair(v) - lagrangian_hom(u, m, g, potential, x, v)
 
     def gradient(base: np.ndarray, fiber: np.ndarray):
-        x, p = _base_to_state(base)
-        v = _fiber_to_vector(fiber)
-        tv = TAU.pair(v)
-        gx = tv * potential.d(x).as_array()
-        gp = v.as_array()
-        gv = (p - legendre_hom(u, m, g, potential, x, v)).as_array()
-        return np.concatenate([gx, gp]), gv[list(_V_NATURAL_TO_FIBER)]
+        base, fiber = np.asarray(base, dtype=float), np.asarray(fiber, dtype=float)
+        x, p = base[..., :4], base[..., 4:]
+        v = fiber[..., _V_FIBER_TO_NATURAL]
+        phi, dphi = _potential_jet(potential, x)
+        tv = v[..., :1]
+        gb = np.concatenate([tv * dphi, v], axis=-1)
+        gf = (p - legendre_hom_array(u_s, m, g, phi, v))[..., _V_NATURAL_TO_FIBER]
+        past = tv <= 0.0
+        if np.any(past):
+            gb, gf = np.where(past, np.nan, gb), np.where(past, np.nan, gf)
+        return gb, gf
 
     return FunctionFamily(base_dim=8, fiber_dim=4, value=value,
                           gradient=gradient, name="fam1")
@@ -543,18 +592,21 @@ def family_fam2(u: Frame, m: float, g: SpatialMetric,
     exactly over on-shell base points, where every r is stationary; the
     generated covector scales the residual differentials by r.
     """
+    u_s = u.spatial
 
     def value(base: np.ndarray, fiber: np.ndarray) -> float:
         x, p = _base_to_state(base)
         return float(fiber[0]) * mass_shell_residual(u, m, g, potential, x, p)
 
     def gradient(base: np.ndarray, fiber: np.ndarray):
-        x, p = _base_to_state(base)
-        r = float(fiber[0])
-        res = mass_shell_residual(u, m, g, potential, x, p)
-        dres_dx = potential.d(x).as_array()
-        dres_dp = np.concatenate([[1.0], g.apply_inverse(p.spatial) / m + u.spatial])
-        return r * np.concatenate([dres_dx, dres_dp]), np.array([res])
+        base, fiber = np.asarray(base, dtype=float), np.asarray(fiber, dtype=float)
+        x, p = base[..., :4], base[..., 4:]
+        r = fiber[..., :1]
+        phi, dphi = _potential_jet(potential, x)
+        res = mass_shell_residual_array(u_s, m, g, phi, p)
+        dres_dp = g.apply_inverse(p[..., 1:]) / m + u_s
+        dres = np.concatenate([dphi, np.ones_like(r), dres_dp], axis=-1)
+        return r * dres, res[..., None]
 
     return FunctionFamily(base_dim=8, fiber_dim=1, value=value,
                           gradient=gradient, name="fam2")

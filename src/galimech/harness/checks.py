@@ -26,6 +26,7 @@ import numpy as np
 
 from ..galilean_core import (
     Covector4,
+    DomainError,
     Event,
     Frame,
     SpatialMetric,
@@ -46,10 +47,12 @@ from ..frame_dynamics import (
 )
 from ..generating_objects import (
     CriticalPoint,
-    generate,
+    family_example31,
+    family_fam1,
+    family_fam2,
     is_morse,
+    kappas,
     solve_critical,
-    state_to_base,
     vector_to_fiber,
 )
 from ..affine_phase import (
@@ -106,27 +109,15 @@ def _maxabs(a: np.ndarray) -> np.ndarray:
     return np.max(np.abs(a), axis=-1)
 
 
-def _random_frame(rng: np.random.Generator) -> Frame:
-    return Frame.from_spatial(rng.uniform(-1.5, 1.5, size=3))
-
-
-def _random_future(rng: np.random.Generator) -> Vector4:
-    return Vector4(float(rng.uniform(0.2, 2.0)), *rng.normal(size=3))
-
-
-def _random_event(rng: np.random.Generator) -> Event:
-    return Event(*rng.normal(size=4))
-
-
 def _model(cfg: ScenarioConfig) -> NewtonModel:
     return NewtonModel(cfg.mass, cfg.build_metric(), cfg.build_potential())
 
 
 # What one sample draws, as blocks: (low, high, width) stands for
 # rng.uniform(low, high, size=width), a bare width for rng.normal(size=width).
-_FRAME = ((-1.5, 1.5, 3),)  # spatial velocity, as _random_frame
-_FUTURE = ((0.2, 2.0, 1), 3)  # future-directed vector, as _random_future
-_NORMAL4 = (4,)  # event, vector or covector, as _random_event
+_FRAME = ((-1.5, 1.5, 3),)  # spatial velocity of a frame
+_FUTURE = ((0.2, 2.0, 1), 3)  # future-directed vector
+_NORMAL4 = (4,)  # event, vector or covector
 
 
 def _draws(rng: np.random.Generator, n: int, *draws) -> list[np.ndarray]:
@@ -171,12 +162,13 @@ def _potential_at(phi: Potential, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _verdict(name: str, errs: np.ndarray, tol: float,
-             count: bool = False) -> CheckResult:
+def _verdict(name: str, errs: np.ndarray, tol: float, count: bool = False,
+             n: int | None = None) -> CheckResult:
     """The largest error (with count, the number of mismatches) against
-    tol.  NaN propagates, so a non-finite error fails the check."""
+    tol, over n samples (by default one per error).  NaN propagates, so a
+    non-finite error fails the check."""
     worst = np.sum(errs) if count else np.max(errs, initial=0.0)
-    return CheckResult(name, worst, tol, errs.size)
+    return CheckResult(name, worst, tol, errs.size if n is None else n)
 
 
 def _sampled(name: str, tol: str | float, count: bool = False):
@@ -359,10 +351,8 @@ def check_momentum_offset(cfg: ScenarioConfig, traj: Trajectory) -> CheckResult:
                          for u in others]).reshape(-1, 3)
     errs = np.max(np.abs((traj.p[:, :1] - traj.p[:, 1:]) - expected),
                   axis=(0, 2))
-    worst = max((_rel(float(err), float(np.max(np.abs(ref))))
-                 for err, ref in zip(errs, expected)), default=0.0)
-    return CheckResult(name, worst, cfg.tolerances.momentum_offset,
-                       len(others) * len(traj))
+    return _verdict(name, _rel(errs, np.max(np.abs(expected), axis=1)),
+                    cfg.tolerances.momentum_offset, n=len(others) * len(traj))
 
 
 def boost_checks(cfg: ScenarioConfig,
@@ -377,15 +367,10 @@ def boost_checks(cfg: ScenarioConfig,
 
 # --- affine: chart independence of the quotient constructions --------------
 
-def _charted_class(model: NewtonModel, pp: PElement, u: Frame) -> PElement:
-    """Round the class through the chart of u and back, exercising the
-    relation the quotient is built on."""
-    return PElement.from_chart(model, pp.in_chart(model, u), u)
-
-
 def _charted(model: NewtonModel, p, u: np.ndarray) -> np.ndarray:
-    """_charted_class for momentum representatives p (..., 4) and frames
-    given by their spatial velocities u (..., 3)."""
+    """Momentum classes, given by representatives p (..., 4), presented
+    through the chart of the frames with spatial velocities u (..., 3) and
+    back, which exercises the relation the quotient is built on."""
     ref = model.reference.spatial
     return p_change_chart_array(model, p_change_chart_array(model, p, ref, u),
                                 u, ref)
@@ -529,35 +514,39 @@ def check_gamma_composite(cfg: ScenarioConfig, rng) -> np.ndarray:
 MORSE_FAMILIES = ("fam1", "fam2", "fam3", "fam4", "example31")
 
 
+def _domain_errors(run):
+    """run(cfg, which), with an ArithmeticError that the potential raises
+    at a point the checks cannot do without (a configured event, a base
+    point of a family) turned into a DomainError that names the run."""
+    @functools.wraps(run)
+    def checked(cfg: ScenarioConfig, which: str) -> list[CheckResult]:
+        try:
+            return run(cfg, which)
+        except ArithmeticError as exc:
+            raise DomainError(
+                f"potential raised {type(exc).__name__} in {run.__name__}"
+                f"({which!r}): {exc}") from exc
+    return checked
+
+
 def _on_shell_samples(cfg: ScenarioConfig, u: Frame, rng, count: int):
-    """Bases on the constraint set, paired with the velocity that puts
-    them there."""
-    g = cfg.build_metric()
-    phi = cfg.build_potential()
-    samples = []
-    for _ in range(count):
-        x = _random_event(rng)
-        v = _random_future(rng)
-        p = legendre_hom(u, cfg.mass, g, phi, x, v)
-        samples.append((state_to_base(x, p), v))
-    return samples
+    """Bases (count, 8) on the constraint set, with the fibers (count, 4)
+    of the velocities that put them there."""
+    x, v = _draws(rng, count, _NORMAL4, _FUTURE)
+    phi = _potential_at(cfg.build_potential(), x)
+    p = legendre_hom_array(u.spatial, cfg.mass, cfg.build_metric(), phi, v)
+    return np.concatenate([x, p], axis=1), vector_to_fiber(v)
 
 
 def _rank_check(name: str, fam, points: Sequence[CriticalPoint],
                 required: int) -> CheckResult:
-    report = is_morse(fam, points)
-    worst = max((abs(r - required) for r in report.ranks), default=0)
-    return CheckResult(name, float(worst), 0.0, len(points))
+    ranks = np.array(is_morse(fam, points).ranks, dtype=float)
+    return _verdict(name, np.abs(ranks - required), 0.0)
 
 
+@_domain_errors
 def morse_checks(cfg: ScenarioConfig, family: str) -> list[CheckResult]:
     """Rank and cross-equivalence checks for one named family."""
-    from ..generating_objects import (
-        family_example31,
-        family_fam1,
-        family_fam2,
-    )
-
     g = cfg.build_metric()
     phi = cfg.build_potential()
     model = _model(cfg)
@@ -580,12 +569,10 @@ def morse_checks(cfg: ScenarioConfig, family: str) -> list[CheckResult]:
         fam = family_fam1(u, cfg.mass, g, phi) if family == "fam1" \
             else family_fam4(model)
         anchor = model.reference if family == "fam4" else u
-        samples = _on_shell_samples(cfg, anchor, rng, 25)
+        bases, fibers = _on_shell_samples(cfg, anchor, rng, 25)
         points = []
-        for base, v in samples:
-            points.extend(solve_critical(fam, base,
-                                         seeds=[vector_to_fiber(v)],
-                                         tol=1e-10))
+        for base, fiber in zip(bases, fibers):
+            points.extend(solve_critical(fam, base, seeds=[fiber], tol=1e-10))
         results.append(_rank_check(f"morse.{family}.rank", fam, points, 4))
         if family == "fam1":
             results.append(_fam1_vs_fam2(cfg, u))
@@ -595,8 +582,8 @@ def morse_checks(cfg: ScenarioConfig, family: str) -> list[CheckResult]:
         fam = family_fam2(u, cfg.mass, g, phi) if family == "fam2" \
             else family_fam3(model)
         anchor = model.reference if family == "fam3" else u
-        samples = _on_shell_samples(cfg, anchor, rng, 25)
-        points = [CriticalPoint(base, np.array([1.0])) for base, _ in samples]
+        bases, _ = _on_shell_samples(cfg, anchor, rng, 25)
+        points = [CriticalPoint(base, np.array([1.0])) for base in bases]
         results.append(_rank_check(f"morse.{family}.rank", fam, points, 1))
         if family == "fam3":
             results.append(_fam3_chart_residuals(cfg))
@@ -607,54 +594,67 @@ def morse_checks(cfg: ScenarioConfig, family: str) -> list[CheckResult]:
 
 def _fam1_vs_fam2(cfg: ScenarioConfig, u: Frame) -> CheckResult:
     """The velocity-fiber and multiplier-fiber families generate the same
-    covectors over a shared on-shell grid."""
-    from ..generating_objects import family_fam1, family_fam2
+    covectors over a shared on-shell grid.
 
+    Each family solves every grid base from its own seed; the points it
+    finds are certified in one is_morse call and mapped through kappa in
+    one stacked call.  A grid base where a family finds no single Morse
+    point has an infinite error and is not counted.
+    """
     name = "morse.fam1.vs_fam2"
     g = cfg.build_metric()
     phi = cfg.build_potential()
     fam1 = family_fam1(u, cfg.mass, g, phi)
     fam2 = family_fam2(u, cfg.mass, g, phi)
-    x = Event(*cfg.initial_event)
-    worst = 0.0
-    count = 0
-    for v1 in np.linspace(-1.0, 1.0, 5):
-        for v2 in np.linspace(-0.5, 0.5, 5):
-            v = Vector4(1.0, float(v1), float(v2), 0.2)
-            base = state_to_base(x, legendre_hom(u, cfg.mass, g, phi, x, v))
-            out1 = generate(fam1, [base], seeds=[vector_to_fiber(v)],
-                            tol=1e-11)
-            out2 = generate(fam2, [base], seeds=[[1.0]], tol=1e-11)
-            if len(out1) != 1 or len(out2) != 1:
-                worst = max(worst, float("inf"))
-                continue
-            err = float(np.max(np.abs(out1[0].covector - out2[0].covector)))
-            scale = float(np.max(np.abs(out2[0].covector)))
-            worst = max(worst, _rel(err, scale))
-            count += 1
-    return CheckResult(name, worst, cfg.tolerances.covector_match, count)
+    x = np.array(cfg.initial_event, dtype=float)
+    v1, v2 = np.meshgrid(np.linspace(-1.0, 1.0, 5), np.linspace(-0.5, 0.5, 5),
+                         indexing="ij")
+    v = np.stack([np.ones(25), v1.ravel(), v2.ravel(), np.full(25, 0.2)], axis=1)
+    p = legendre_hom_array(u.spatial, cfg.mass, g,
+                           phi.at(Event(*cfg.initial_event)), v)
+    bases = np.concatenate([np.broadcast_to(x, p.shape), p], axis=1)
+    found = [(solve_critical(fam1, base, seeds=[fiber], tol=1e-11),
+              solve_critical(fam2, base, seeds=[[1.0]], tol=1e-11))
+             for base, fiber in zip(bases, vector_to_fiber(v))]
+    pairs = [(a[0], b[0]) for a, b in found if len(a) == 1 and len(b) == 1]
+    errs, compared = np.full(len(found) - len(pairs), np.inf), 0
+    if pairs:
+        (morse1, cov1), (morse2, cov2) = (
+            _certified_covectors(fam, points)
+            for fam, points in zip((fam1, fam2), zip(*pairs)))
+        with np.errstate(all="ignore"):
+            rel = _rel(np.max(np.abs(cov1 - cov2), axis=1),
+                       np.max(np.abs(cov2), axis=1))
+        morse = morse1 & morse2
+        errs = np.concatenate([errs, np.where(morse, rel, np.inf)])
+        compared = int(np.sum(morse))
+    return _verdict(name, errs, cfg.tolerances.covector_match, n=compared)
 
 
-def _fam3_chart_residuals(cfg: ScenarioConfig) -> CheckResult:
+def _certified_covectors(fam, points: Sequence[CriticalPoint]):
+    """Which points have a full-rank mixed Hessian, and the covectors kappa
+    generates at every point: one is_morse and one kappas call."""
+    morse = np.array(is_morse(fam, points).ranks) == fam.fiber_dim
+    return morse, np.array([gc.covector for gc in kappas(fam, points, tol=1e-10)])
+
+
+@_sampled("morse.fam3.chart_residuals", "chart_battery")
+def _fam3_chart_residuals(cfg: ScenarioConfig, rng) -> np.ndarray:
     """The multiplier family's values do not depend on which chart a
-    momentum class was presented through."""
-    name = "morse.fam3.chart_residuals"
-    rng = _rng(cfg, name)
+    momentum class was presented through: 5 classes, each re-presented
+    through 20 random frames."""
     model = _model(cfg)
     fam3 = family_fam3(model)
-    x = Event(*cfg.initial_event)
-    worst = 0.0
-    n = 0
-    for _ in range(5):
-        pp = PElement(Covector4(*rng.normal(size=4)))
-        ref = fam3.value(state_to_base(x, pp.p), [1.0])
-        for _ in range(20):
-            u = _random_frame(rng)
-            rebuilt = _charted_class(model, pp, u)
-            val = fam3.value(state_to_base(x, rebuilt.p), [1.0])
-            worst = max(worst, _rel(abs(val - ref), ref))
-            n += 1
-    return CheckResult(name, worst, cfg.tolerances.chart_battery, n)
+    x = np.array(cfg.initial_event, dtype=float)
+    p, *frames = _draws(rng, 5, _NORMAL4, *[_FRAME] * 20)
+    charted = _charted(model, p[:, None], np.stack(frames, axis=1))
+
+    def value(q: np.ndarray) -> float:
+        return fam3.value(np.concatenate([x, q]), [1.0])
+
+    ref = np.array([value(q) for q in p])[:, None]
+    val = np.array([[value(q) for q in row] for row in charted])
+    return _rel(np.abs(val - ref), ref).ravel()
 
 
 # --- suite assembly --------------------------------------------------------
@@ -686,6 +686,7 @@ def affine_suite(cfg: ScenarioConfig) -> list[CheckResult]:
     return results
 
 
+@_domain_errors
 def suite_checks(cfg: ScenarioConfig, suite: str) -> list[CheckResult]:
     if suite == "core":
         return core_suite(cfg)

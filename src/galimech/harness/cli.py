@@ -9,9 +9,11 @@ invariants   randomized identity checks, grouped into suites
 
 Exit status: 0 all checks passed (or simulation written), 1 at least one
 check failed, 2 configuration problem, 3 the integrator hit a non-finite
-state.  Reports go to --out or stdout as JSON; a human-readable summary
-always goes to stderr.  Output files are written atomically: full content
-to a temp file in the target directory, then renamed over the path.
+state, a check needed the potential where it raised an arithmetic error,
+or a Newton solve started from a non-finite gradient.  Reports go to
+--out or stdout as JSON; a human-readable summary always goes to stderr.
+Output files are written atomically: full content to a temp file in the
+target directory, then renamed over the path.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import sys
 import tempfile
 
 from ..frame_dynamics import NonFiniteState, integrate, write_trajectory_csv
-from ..galilean_core import sigma_array
+from ..galilean_core import DomainError, sigma_array
 from .checks import (
     MORSE_FAMILIES,
     boost_checks,
@@ -194,6 +196,9 @@ def main(argv=None) -> int:
         return 2
     except NonFiniteState as exc:
         print(f"integration diverged: {exc}", file=sys.stderr)
+        return 3
+    except DomainError as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
         return 3
 
 

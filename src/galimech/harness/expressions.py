@@ -222,7 +222,8 @@ def compile_expression(text: str) -> Callable[[float, float, float, float], floa
 def compile_array_expression(text: str) -> Callable[[float, np.ndarray], np.ndarray]:
     """Compile an expression string to a function of (t, q) that evaluates
     it at every position of q, shape (..., 3), giving an array of shape
-    (...).
+    (...).  t is one time or an array of times that broadcasts against
+    q[..., 0].
 
     Raises ExpressionError as compile_expression does.  Evaluation keeps
     the scalar evaluator's error contract: numpy warnings are silenced,
@@ -236,15 +237,17 @@ def compile_array_expression(text: str) -> Callable[[float, np.ndarray], np.ndar
 
     scalar = None  # the scalar evaluator, compiled on first need
 
-    def values(t: float, q: np.ndarray) -> np.ndarray:
+    def values(t, q: np.ndarray) -> np.ndarray:
         nonlocal scalar
         with np.errstate(all="ignore"):
             out = node({"t": t, "q1": q[..., 0], "q2": q[..., 1],
                         "q3": q[..., 2]})
         if not np.isfinite(out).all():
             scalar = scalar or compile_expression(text)
-            for q1, q2, q3 in q[~np.isfinite(out)].tolist():
-                scalar(t, q1, q2, q3)
+            bad = ~np.isfinite(out)
+            times = np.broadcast_to(t, out.shape)[bad].tolist()
+            for t_i, (q1, q2, q3) in zip(times, q[bad].tolist()):
+                scalar(t_i, q1, q2, q3)
         return out
 
     return values

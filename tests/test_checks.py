@@ -14,10 +14,16 @@ from galimech.frame_dynamics import (
     legendre_inhom,
 )
 from galimech.galilean_core import Event, Frame, SpatialMetric, Vector4, sigma
+from galimech.generating_objects import CriticalPoint, FunctionFamily, is_morse
+from galimech.harness import checks
 from galimech.harness.checks import (
+    _fam1_vs_fam2,
+    _fam3_chart_residuals,
+    _rank_check,
     _rng,
     _verdict,
     boost_checks,
+    check_momentum_offset,
     check_lagrangian_shift,
     check_legendre_fd,
     check_mass_shell,
@@ -202,3 +208,66 @@ def test_array_check_equals_its_per_sample_loop(seed, check, name, loop):
     expected = loop(cfg, _rng(cfg, name), cfg.build_potential(),
                     cfg.build_metric())
     assert check(cfg).max_err == expected
+
+
+# --- NaN-honest Morse and offset verdicts ---------------------------------
+# Each reduction sees a NaN that is not the first error: Python's max
+# would keep the finite value in front of it.
+
+def _nan_after_first(monkeypatch, name, index=1):
+    """Wrap checks.<name> so that entry index of its first output is NaN."""
+    real = getattr(checks, name)
+
+    def patched(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if name == "kappas":
+            out[index].covector[:] = np.nan
+        else:
+            out = out.copy()
+            out.reshape(-1, out.shape[-1])[index] = np.nan
+        return out
+
+    monkeypatch.setattr(checks, name, patched)
+
+
+def test_rank_check_nan_rank_fails():
+    # The mixed Hessian of the second point is not finite.
+    fam = FunctionFamily(
+        1, 1, lambda b, f: 0.0,
+        lambda b, f: (np.zeros_like(b),
+                      np.where(b > 0.5, np.nan, 4 * f ** 3 - b)),
+        name="nan-at-second")
+    points = [CriticalPoint(np.array([x]), np.array([0.0])) for x in (0.0, 1.0, 0.0)]
+    assert is_morse(fam, points).ranks[0] == 1
+    result = _rank_check("morse.nan.rank", fam, points, 1)
+    assert math.isnan(result.max_err) and not result.passed
+    assert result.n == 3
+
+
+def test_fam1_vs_fam2_nan_covector_fails(monkeypatch):
+    cfg = default_config()
+    assert _fam1_vs_fam2(cfg, Frame.from_spatial(cfg.frames[0])).passed
+    _nan_after_first(monkeypatch, "kappas", index=3)
+    result = _fam1_vs_fam2(cfg, Frame.from_spatial(cfg.frames[0]))
+    assert math.isnan(result.max_err) and not result.passed
+    assert result.n == 25
+
+
+def test_fam3_chart_residuals_nan_value_fails(monkeypatch):
+    cfg = default_config()
+    assert _fam3_chart_residuals(cfg).passed
+    _nan_after_first(monkeypatch, "_charted", index=7)
+    result = _fam3_chart_residuals(cfg)
+    assert math.isnan(result.max_err) and not result.passed
+    assert result.n == 100
+
+
+def test_momentum_offset_nan_frame_fails():
+    cfg = default_config()
+    traj = frame_trajectories(cfg)
+    assert check_momentum_offset(cfg, traj).passed
+    p = traj.p.copy()
+    p[-1, 2] = np.nan  # the third frame, after two finite ones
+    result = check_momentum_offset(cfg, dataclasses.replace(traj, p=p))
+    assert math.isnan(result.max_err) and not result.passed
+    assert result.n == (len(traj.frames) - 1) * len(traj)

@@ -143,6 +143,36 @@ class TestPotentialArithmeticErrors:
         assert "non-finite at step 1" in lines[0]
 
 
+class TestPotentialDomainErrors:
+    """A potential that fails where a check cannot do without it ends the
+    run with exit 3 and one stderr line."""
+
+    @pytest.mark.parametrize("args", [("morse-check", "--family", "all"),
+                                      ("invariants", "--suite", "affine")])
+    def test_arithmetic_error_at_the_initial_event(self, tmp_path, args):
+        # The default initial event is the origin, where 1/q1 divides by 0.
+        cfg = write_config(tmp_path, potential={"kind": "custom", "expr": "1/q1"})
+        out = tmp_path / "never.json"
+        proc = run(*args, "--config", cfg, "--out", str(out))
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1  # no traceback
+        assert lines[0].startswith("domain error: potential raised "
+                                   "ZeroDivisionError")
+        assert not out.exists()
+
+    def test_nan_potential_stops_the_newton_solve(self, tmp_path):
+        # NaN everywhere: the first Newton solve starts from a NaN
+        # gradient, which is a domain error, not a rejected seed.
+        cfg = write_config(tmp_path,
+                           potential={"kind": "custom", "expr": "(-1)^0.5*q1"})
+        proc = run("morse-check", "--config", cfg)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1  # no traceback
+        assert lines[0].startswith("domain error: fam1: fiber gradient not finite")
+
+
 class TestConfigErrors:
     def test_bad_mass_names_field(self, tmp_path):
         proc = run("simulate", "--config", write_config(tmp_path, mass=0))

@@ -150,6 +150,27 @@ class TestArrayEvaluator:
         for index in np.ndindex(4, 12):
             assert values(0.3, grid[index]) == batched[index]
 
+    @pytest.mark.parametrize("text", CASES + ["pi*t"])
+    def test_one_time_per_point_equals_single_points(self, points, text):
+        # The Morse families evaluate the potential at events with different
+        # times in one call: t broadcasts against q[..., 0].
+        values = compile_array_expression(text)
+        grid = points[:24].reshape(4, 6, 3)
+        times = np.linspace(-1.0, 2.0, 4)[:, None]
+        got = values(times, grid)
+        assert got.shape == (4, 6)
+        for index in np.ndindex(4, 6):
+            assert values(float(times[index[0], 0]), grid[index]) == got[index]
+
+    def test_one_time_per_point_keeps_the_arithmetic_error(self):
+        q = np.array([[0.5, 0.5, 0.5], [1.0, 1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(compile_array_expression("1/t + q1")(
+                np.array([1.0, 2.0]), q)).all()
+            with pytest.raises(ZeroDivisionError):
+                compile_array_expression("1/t + q1")(np.array([1.0, 0.0]), q)
+
     @pytest.mark.parametrize("text", ["3", "pi*t", "sin(2)^2"])
     def test_constant_in_space_has_the_points_shape(self, points, text):
         got = compile_array_expression(text)(0.5, points[:6].reshape(2, 3, 3))

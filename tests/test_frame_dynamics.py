@@ -104,6 +104,29 @@ class TestPotentials:
             assert np.all(np.abs(row - ref) <= 1e-8 * (1.0 + np.abs(ref)))
         assert np.array_equal(phi.grad_s(t, q[3]), got[3])
 
+    @pytest.mark.parametrize("potential", [
+        harmonic_potential(1.3, center=[0.2, -0.1, 0.4]),
+        uniform_potential([0.3, -1.0, 0.5]),
+        PotentialSpec("custom", expr="0.5*q1^2 + 0.25*q2^4 + sin(q3)").build(),
+        PotentialSpec("custom", expr="(q1^2 + q2*q3)*(1 + 0.1*t) + cos(t)*q1").build(),
+    ])
+    def test_differential_rows_equal_single_events(self, rng, potential):
+        # One grad_s call over a stack of events at different times gives,
+        # row by row, exactly the differential taken at each event alone.
+        x = rng.normal(size=(3, 5, 4))
+        got = potential.differential(x)
+        assert got.shape == x.shape
+        for index in np.ndindex(3, 5):
+            t, q1, q2, q3 = x[index].tolist()
+            step = 1e-6 * (1.0 + abs(t))
+            dt = 0.0 if potential.time_independent else (
+                potential.at(Event(t + step, q1, q2, q3)) -
+                potential.at(Event(t - step, q1, q2, q3))) / (2.0 * step)
+            ds = potential.grad_s(t, np.array([q1, q2, q3]))
+            assert got[index].tolist() == [dt, *ds.tolist()]
+            assert potential.d(Event(t, q1, q2, q3)).as_array().tolist() == \
+                got[index].tolist()
+
     def test_fd_fallback_when_no_gradient(self):
         phi = Potential(value=lambda x: x.q1 ** 2 + 0.5 * x.t,
                         values=lambda t, q: q[..., 0] ** 2 + 0.5 * t)

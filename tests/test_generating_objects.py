@@ -1,7 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
-from galimech.galilean_core import Covector4, Event, Frame, SpatialMetric, Vector4, iota_u
+from galimech.galilean_core import (
+    Covector4,
+    DomainError,
+    Event,
+    Frame,
+    SpatialMetric,
+    Vector4,
+    iota_u,
+)
 from galimech.frame_dynamics import (
     free_potential,
     harmonic_potential,
@@ -47,7 +57,7 @@ def saddle_family(with_gradient: bool) -> FunctionFamily:
     grad = None
     if with_gradient:
         def grad(base, fiber):
-            return np.array([fiber[0]]), np.array([base[0] - fiber[0]])
+            return fiber[..., :1], base[..., :1] - fiber[..., :1]
 
     return FunctionFamily(1, 1, value, grad, name="saddle")
 
@@ -83,7 +93,7 @@ class TestSolveCritical:
 
     def test_no_critical_point_gives_empty_list(self):
         fam = FunctionFamily(1, 1, lambda b, f: float(f[0]),
-                             lambda b, f: (np.zeros(1), np.ones(1)),
+                             lambda b, f: (np.zeros_like(b), np.ones_like(f)),
                              name="slope")
         assert solve_critical(fam, [0.0], seeds=[[0.0], [5.0]]) == []
 
@@ -92,7 +102,7 @@ class TestSolveCritical:
         fam = FunctionFamily(
             1, 1,
             lambda b, f: 0.25 * float((f[0] ** 2 - 1.0) ** 2),
-            lambda b, f: (np.zeros(1), np.array([f[0] ** 3 - f[0]])),
+            lambda b, f: (np.zeros_like(b), f ** 3 - f),
             name="quartic")
         pts = solve_critical(fam, [0.0], seeds=[[-1.1], [-0.9], [1.2]],
                              tol=1e-12)
@@ -100,6 +110,35 @@ class TestSolveCritical:
         assert len(pts) == 2
         assert values[0] == pytest.approx(-1.0, abs=1e-10)
         assert values[1] == pytest.approx(1.0, abs=1e-10)
+
+
+class TestDomain:
+    def test_non_finite_start_is_a_domain_error(self):
+        # Not a rejected seed: an empty result would let a rank check pass
+        # over no points.
+        fam = FunctionFamily(1, 1, lambda b, f: math.nan,
+                             lambda b, f: (np.zeros_like(b), np.full_like(f, np.nan)),
+                             name="nowhere")
+        with pytest.raises(DomainError, match="nowhere"):
+            solve_critical(fam, [0.0], seeds=[[0.0]])
+
+    def test_non_finite_hessian_has_nan_rank(self):
+        fam = FunctionFamily(1, 1, lambda b, f: 0.0,
+                             lambda b, f: (np.zeros_like(b), np.where(b > 0.5, np.inf, f)),
+                             name="edge")
+        points = [CriticalPoint(np.array([x]), np.array([0.0])) for x in (0.0, 1.0)]
+        report = is_morse(fam, points)
+        assert report.ranks[0] == 1 and math.isnan(report.ranks[1])
+        assert not report.ok
+        assert math.isnan(numerical_rank(np.array([[1.0, np.nan]])))
+
+    def test_past_directed_velocity_leaves_the_domain(self):
+        fam = family_fam1(E0, 1.0, ID3, free_potential())
+        base = np.zeros(8)
+        gb, gf = fam.gradient(np.stack([base, base]),
+                              np.array([[0.1, 0.0, 0.0, 1.0], [0.1, 0.0, 0.0, -1.0]]))
+        assert np.isfinite(gb[0]).all() and np.isfinite(gf[0]).all()
+        assert np.isnan(gb[1]).all() and np.isnan(gf[1]).all()
 
 
 class TestHessian:
@@ -130,7 +169,7 @@ class TestMorse:
     def test_degenerate_fiber_saved_by_base_coupling(self):
         fam = FunctionFamily(
             1, 1, lambda b, f: float(f[0] ** 4 - b[0] * f[0]),
-            lambda b, f: (np.array([-f[0]]), np.array([4 * f[0] ** 3 - b[0]])),
+            lambda b, f: (-f, 4 * f ** 3 - b),
             name="quartic-coupled")
         pt = CriticalPoint(np.array([0.0]), np.array([0.0]))
         report = is_morse(fam, [pt])
@@ -139,7 +178,7 @@ class TestMorse:
     def test_cubic_fails(self):
         fam = FunctionFamily(
             1, 1, lambda b, f: float(f[0] ** 3),
-            lambda b, f: (np.zeros(1), np.array([3 * f[0] ** 2])),
+            lambda b, f: (np.zeros_like(b), 3 * f ** 2),
             name="cubic")
         pt = CriticalPoint(np.array([0.0]), np.array([0.0]))
         report = is_morse(fam, [pt])
@@ -209,14 +248,14 @@ class TestGenerate:
 
     def test_no_critical_points_contribute_nothing(self):
         fam = FunctionFamily(1, 1, lambda b, f: float(f[0]),
-                             lambda b, f: (np.zeros(1), np.ones(1)),
+                             lambda b, f: (np.zeros_like(b), np.ones_like(f)),
                              name="slope")
         assert generate(fam, [[0.0], [1.0]], seeds=[[0.0]]) == []
 
     def test_non_morse_family_is_rejected(self):
         fam = FunctionFamily(
             1, 1, lambda b, f: float(f[0] ** 3),
-            lambda b, f: (np.zeros(1), np.array([3 * f[0] ** 2])),
+            lambda b, f: (np.zeros_like(b), 3 * f ** 2),
             name="cubic")
         with pytest.raises(ValueError):
             generate(fam, [[0.0]], seeds=[[0.0]], tol=1e-8)
@@ -240,8 +279,7 @@ class TestReduce:
                          b[0] * f[1] - 0.5 * f[1] ** 2)
 
         def grad(b, f):
-            return (np.array([f[0] + f[1]]),
-                    np.array([b[0] - f[0], b[0] - f[1]]))
+            return f[..., :1] + f[..., 1:], b - f
 
         fam = FunctionFamily(1, 2, value, grad, name="pair")
         red = reduce_family(fam, 1, seeds=[[0.0]], tol=1e-13)
@@ -279,8 +317,8 @@ class TestReduce:
                          b[0] * f[1] - 0.5 * f[1] ** 2)
 
         def grad(b, f):
-            return (np.array([f[1]]),
-                    np.array([f[0] ** 3 - f[0], b[0] - f[1]]))
+            s1, s2 = f[..., :1], f[..., 1:]
+            return s2, np.concatenate([s1 ** 3 - s1, b - s2], axis=-1)
 
         fam = FunctionFamily(1, 2, value, grad, name="bistable")
         red = reduce_family(fam, 1, seeds=[[-1.2], [1.2]], tol=1e-12)

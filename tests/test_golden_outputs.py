@@ -1,9 +1,11 @@
 """Golden-output regression: the CLI outputs of three scenarios, hashed.
 
 The hashes were recorded from the per-frame integrator that stored one
-object per step, and those of the full ``invariants`` and ``morse-check``
+object per step, those of the full ``invariants`` and ``morse-check``
 reports and of the ``--corrupt-sigma`` negative control from the sampled
-checks that looped over one sample at a time.  Any change to the
+checks that looped over one sample at a time, and the ``morse-check``
+report of a time-dependent potential under a non-diagonal metric from the
+Morse engine that differentiated one critical point at a time.  Any change to the
 integrator, the trajectory storage, the CSV writer, the kernels or the
 checks that alters a single bit of these outputs fails here, so refactors
 of those layers have to keep every float the same.
@@ -37,6 +39,14 @@ SCENARIOS = {
         "initial_event": [0.0, 0.8, 0.5, 0.1],
         "n": 50,
     },
+}
+
+# A time-dependent custom potential under a non-diagonal metric: the Morse
+# families then take the time derivative of the potential and every
+# off-diagonal metric entry.  Only its morse-check report is pinned.
+TIME_METRIC = {
+    "metric": [[1.0, 0.3, 0.0], [0.3, 2.0, 0.1], [0.0, 0.1, 0.5]],
+    "potential": {"kind": "custom", "expr": "0.5*(q1^2+q2^2+q3^2)*(1+0.1*t)"},
 }
 
 COMMANDS = {
@@ -88,11 +98,12 @@ GOLDEN = {
 }
 
 
-def _run(tmp_path, scenario: str, command: str) -> tuple[int, str]:
+def _run(tmp_path, scenario: str | dict, command: str) -> tuple[int, str]:
     argv = list(COMMANDS[command])
-    if SCENARIOS[scenario] is not None:
+    config = SCENARIOS[scenario] if isinstance(scenario, str) else scenario
+    if config is not None:
         cfg = tmp_path / "scenario.json"
-        cfg.write_text(json.dumps(SCENARIOS[scenario]))
+        cfg.write_text(json.dumps(config))
         argv += ["--config", str(cfg)]
     out = tmp_path / "out"
     argv += ["--out", str(out)]
@@ -104,6 +115,11 @@ def _run(tmp_path, scenario: str, command: str) -> tuple[int, str]:
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_output_matches_golden_hash(tmp_path, scenario, command):
     assert _run(tmp_path, scenario, command) == GOLDEN[(scenario, command)]
+
+
+def test_time_dependent_metric_morse_check_matches_golden_hash(tmp_path):
+    assert _run(tmp_path, TIME_METRIC, "morse-check") == (
+        0, "a33be2fe3b2ac1961d56192c07e69b9abc06b07dafa9b5510e99958594d33e68")
 
 
 def _scalar_reference_rows(scenario: dict) -> np.ndarray:
