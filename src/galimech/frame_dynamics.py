@@ -70,30 +70,49 @@ class Potential:
     """Scalar potential on space-time with an analytic or a
     finite-difference spatial gradient.
 
-    ``value`` maps an Event to a real; it serves every point evaluation.
-    ``spatial_gradient``, when given, maps a time t and positions q of
-    shape (..., 3) to the analytic gradient at every position, as one array
-    of the same shape.  Otherwise ``values`` maps t and positions of shape
-    (..., 3) to the values there, shape (...), and the gradient is formed
-    by central differences with step 1e-6 * (1 + |q_i|), every position and
-    offset evaluated in one ``values`` call.  A ``custom`` scenario
-    potential gets both evaluators from its one expression: ``value`` on
-    the scalar ``math`` table, ``values`` on the ``numpy`` one.
-
+    ``values`` maps a time t (one, or an array broadcasting against
+    q[..., 0]) and positions q (..., 3) to the values there, shape (...);
+    the built-in constructors give it alone, its rows rounding exactly as
+    one event does.  ``value``, given for a ``custom`` potential on the
+    scalar ``math`` table, maps an Event to a real and owns the rounding
+    and ArithmeticError contract of every point value: such a potential is
+    ``pointwise``.  ``spatial_gradient``, when given, maps t and q to the
+    analytic gradient (..., 3); otherwise it is central differences of
+    ``values`` with step 1e-6 * (1 + |q_i|), in one call.
     ``time_independent`` declares that the value does not depend on t, so
     the time derivative is exactly 0; otherwise it is a central difference
-    of ``value`` as well.  Analytic gradients must agree with the
-    differences to about 1e-6 relative (the test suite enforces this for
-    the built-in constructors).
+    of ``at``.  Analytic gradients must agree with the differences to about
+    1e-6 relative (the test suite enforces this for the built-in ones).
     """
 
-    value: Callable[[Event], float]
+    value: Callable[[Event], float] | None = None
     spatial_gradient: Callable[[float, np.ndarray], np.ndarray] | None = None
     time_independent: bool = False
     values: Callable[[float, np.ndarray], np.ndarray] | None = None
 
+    @property
+    def pointwise(self) -> bool:
+        return self.value is not None
+
     def at(self, x: Event) -> float:
-        return float(self.value(x))
+        return float(self.value(x) if self.pointwise else
+                     self.values(x.t, x.spatial))
+
+    def at_events(self, x: np.ndarray, on_error=None) -> np.ndarray:
+        """Values at the events x (n, 4): one ``values`` call or, when
+        pointwise, one ``at`` per event, where an ArithmeticError propagates
+        or gives the value on_error(index, error)."""
+        if not self.pointwise:
+            return self.values(x[:, 0], x[:, 1:])
+        out = np.empty(len(x))
+        for i, event in enumerate(x.tolist()):
+            try:
+                out[i] = self.at(Event(*event))
+            except ArithmeticError as exc:
+                if on_error is None:
+                    raise
+                out[i] = on_error(i, exc)
+        return out
 
     def grad_s(self, t, q: np.ndarray) -> np.ndarray:
         """Spatial gradient for positions q of shape (..., 3) at time t:
@@ -137,7 +156,7 @@ class Potential:
 
 def free_potential() -> Potential:
     """Identically zero potential."""
-    return Potential(value=lambda x: 0.0,
+    return Potential(values=lambda t, q: np.zeros(np.shape(q)[:-1]),
                      spatial_gradient=lambda t, q: np.zeros(np.shape(q)),
                      time_independent=True)
 
@@ -149,7 +168,7 @@ def uniform_potential(force) -> Potential:
         raise ValueError(f"force needs 3 components, got shape {f.shape}")
 
     return Potential(
-        value=lambda x: -float(f @ x.spatial),
+        values=lambda t, q: -np.vecdot(q, f),
         spatial_gradient=lambda t, q: -np.broadcast_to(f, np.shape(q)),
         time_independent=True,
     )
@@ -162,12 +181,8 @@ def harmonic_potential(k: float, center=(0.0, 0.0, 0.0)) -> Potential:
         raise ValueError(f"center needs 3 components, got shape {c.shape}")
     k = float(k)
 
-    def value(x: Event) -> float:
-        d = x.spatial - c
-        return 0.5 * k * float(d @ d)
-
     return Potential(
-        value=value,
+        values=lambda t, q: 0.5 * k * np.vecdot(q - c, q - c),
         spatial_gradient=lambda t, q: k * (q - c),
         time_independent=True,
     )
@@ -200,9 +215,10 @@ class Trajectory:
 
     ``t`` has shape (n+1,); ``q`` and ``p`` have shape (n+1, F, 3), with
     ``q[k, f]`` and ``p[k, f]`` the position and momentum in ``frames[f]``
-    at time ``t[k]``.  Step k sits at time t[0] + k*h; the integrator
-    guarantees the time coordinate advances by exactly the float h each
-    step (up to the rounding of the final addition).
+    at time ``t[k]``, views of one read-only (n+1, 2, F, 3) array.  Step k
+    sits at time t[0] + k*h; the integrator guarantees the time coordinate
+    advances by exactly the float h each step (up to the rounding of the
+    final addition).
     """
 
     t: np.ndarray
@@ -215,7 +231,7 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t)
 
-    def energies(self, g: SpatialMetric, potential: Potential) -> list[float]:
+    def energies(self, g: SpatialMetric, potential: Potential) -> np.ndarray:
         """hamiltonian_inhom at every step of a single-frame trajectory.
 
         Raises NonFiniteState, naming the step, when the potential raises
@@ -225,18 +241,15 @@ class Trajectory:
         if len(self.frames) != 1:
             raise ValueError(
                 f"needs a single-frame trajectory, got {len(self.frames)} frames")
-        u = self.frames[0]
-        out = []
-        for step, (t, q, p) in enumerate(zip(
-                self.t.tolist(), self.q[:, 0].tolist(), self.p[:, 0])):
-            try:
-                out.append(hamiltonian_inhom(u, self.mass, g, potential,
-                                             Event(t, *q), p))
-            except ArithmeticError as exc:
-                raise NonFiniteState(
-                    f"potential raised {type(exc).__name__} in the energy "
-                    f"at step {step}: {exc}") from exc
-        return out
+
+        def stop(step: int, exc: ArithmeticError):
+            raise NonFiniteState(
+                f"potential raised {type(exc).__name__} in the energy "
+                f"at step {step}: {exc}") from exc
+
+        q, p = self.q[:, 0], self.p[:, 0]
+        phi = potential.at_events(np.column_stack([self.t, q]), stop)
+        return 0.5 / self.mass * np.vecdot(p, g.apply_inverse(p)) + phi
 
 
 def lagrangian_inhom_array(u, m: float, g: SpatialMetric, phi, w) -> np.ndarray:
@@ -419,13 +432,15 @@ def integrate(u: Frame | Sequence[Frame], m: float, g: SpatialMetric,
 
     ``u`` is one Frame or a sequence of F frames, and ``initial`` the
     matching PhasePoint or sequence of F PhasePoints, all at one start
-    time.  Every frame advances in the same loop as a row of (F, 3) arrays,
-    with the same floating-point operations as when integrated alone.
-    Produces n+1 steps including the initial one.  Raises ValueError for a
+    time.  All frames advance as one stacked state y (2, F, 3), positions
+    then momenta, so each stage's rates, its input, the RK4 combination and
+    the finiteness test are one array operation each, with the same
+    floating-point operations per frame as when integrated alone.  Produces
+    n+1 steps including the initial one.  Raises ValueError for a
     non-positive mass or step, n < 1, or initial states that do not match
-    the frames one to one at one start time, and NonFiniteState as soon as
-    any state component stops being finite or the potential raises an
-    ArithmeticError.
+    the frames one to one at one start time, and NonFiniteState, naming
+    the step, as soon as any state component stops being finite or the
+    potential raises an ArithmeticError.
     """
     frames = (u,) if isinstance(u, Frame) else tuple(u)
     starts = (initial,) if isinstance(initial, PhasePoint) else tuple(initial)
@@ -442,57 +457,46 @@ def integrate(u: Frame | Sequence[Frame], m: float, g: SpatialMetric,
     if any(s.x.t != t for s in starts):
         raise ValueError("initial states must share one start time")
 
-    g_inv = g.inverse
     u_s = np.array([f.spatial for f in frames])
     ts = np.empty(n + 1)
-    qs = np.empty((n + 1, len(frames), 3))
-    ps = np.empty((n + 1, len(frames), 3))
+    ys = np.empty((n + 1, 2, len(frames), 3))
     ts[0] = t
-    qs[0] = [s.x.spatial for s in starts]
-    ps[0] = [s.p for s in starts]
-    q, p = qs[0], ps[0]
+    ys[0, 0] = [s.x.spatial for s in starts]
+    ys[0, 1] = [s.p for s in starts]
+    y = ys[0]
+    k1, k2, k3, k4, stage = (np.empty(y.shape) for _ in range(5))
 
-    def q_rate(p: np.ndarray) -> np.ndarray:
-        # A stacked matvec rounds each frame's row exactly as g_inv @ p does.
-        return (g_inv @ p[..., None])[..., 0] / m + u_s
-
-    def p_rate(t: float, q: np.ndarray) -> np.ndarray:
-        return -potential.grad_s(t, q)
+    def rates(t: float, y: np.ndarray, k: np.ndarray) -> None:
+        np.add(g.apply_inverse(y[1]) / m, u_s, out=k[0])
+        np.negative(potential.grad_s(t, y[0]), out=k[1])
 
     step = 0
     try:
         # Overflow is handled by the isfinite check below, not by numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(n):
-                k1q = q_rate(p)
-                k1p = p_rate(t, q)
-                k2q = q_rate(p + 0.5 * h * k1p)
-                k2p = p_rate(t + 0.5 * h, q + 0.5 * h * k1q)
-                k3q = q_rate(p + 0.5 * h * k2p)
-                k3p = p_rate(t + 0.5 * h, q + 0.5 * h * k2q)
-                k4q = q_rate(p + h * k3p)
-                k4p = p_rate(t + h, q + h * k3q)
-                q = q + h * ((k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0)
-                p = p + h * ((k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0)
+                rates(t, y, k1)
+                rates(t + 0.5 * h, np.add(y, 0.5 * h * k1, out=stage), k2)
+                rates(t + 0.5 * h, np.add(y, 0.5 * h * k2, out=stage), k3)
+                rates(t + h, np.add(y, h * k3, out=stage), k4)
+                y = np.add(y, h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0),
+                           out=ys[step + 1])
                 # The four stage time-rates are all exactly 1, so the
                 # combination below is h * 1.0 and the time coordinate
                 # advances by exactly h.
                 t = t + h * 1.0
-                if not (math.isfinite(t) and np.all(np.isfinite(q))
-                        and np.all(np.isfinite(p))):
+                if not (math.isfinite(t) and np.isfinite(y).all()):
                     raise NonFiniteState(
                         f"state became non-finite at step {step + 1}")
                 ts[step + 1] = t
-                qs[step + 1] = q
-                ps[step + 1] = p
     except ArithmeticError as exc:
         raise NonFiniteState(
             f"potential raised {type(exc).__name__} at step {step + 1}: "
             f"{exc}") from exc
 
-    for arr in (ts, qs, ps):
+    for arr in (ts, ys):  # views taken after this are read-only as well
         arr.setflags(write=False)
-    return Trajectory(t=ts, q=qs, p=ps, h=h, frames=frames, mass=m)
+    return Trajectory(t=ts, q=ys[:, 0], p=ys[:, 1], h=h, frames=frames, mass=m)
 
 
 def write_trajectory_csv(traj: Trajectory, g: SpatialMetric,
@@ -502,10 +506,8 @@ def write_trajectory_csv(traj: Trajectory, g: SpatialMetric,
 
     Floats carry 17 significant digits so values round-trip bit for bit.
     """
-    energies = traj.energies(g, potential)
+    rows = np.column_stack([traj.t, traj.q[:, 0], traj.p[:, 0],
+                            traj.energies(g, potential)])
     stream.write("step,t,q1,q2,q3,p1,p2,p3,H\n")
-    for k, (t, q, p, energy) in enumerate(zip(
-            traj.t.tolist(), traj.q[:, 0].tolist(), traj.p[:, 0].tolist(),
-            energies)):
-        fields = [t, *q, *p, energy]
+    for k, fields in enumerate(rows.tolist()):
         stream.write(str(k) + "," + ",".join(f"{v:.17g}" for v in fields) + "\n")

@@ -143,21 +143,26 @@ class Covector4:
 TAU = Covector4(1.0, 0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Event:
-    """Point of space-time in the global chart (t, q1, q2, q3)."""
+    """Point of space-time in the global chart (t, q1, q2, q3), held as
+    Python floats: scalar arithmetic on them raises ArithmeticError where
+    numpy scalars would give inf or NaN."""
 
     t: float
     q1: float
     q2: float
     q3: float
 
+    def __init__(self, t, q1, q2, q3):  # frozen, so set through __dict__
+        self.__dict__.update(t=float(t), q1=float(q1), q2=float(q2), q3=float(q3))
+
     @classmethod
     def from_array(cls, a) -> "Event":
         a = np.asarray(a, dtype=float)
         if a.shape != (4,):
             raise ValueError(f"Event needs 4 coordinates, got shape {a.shape}")
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
+        return cls(*a)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.t, self.q1, self.q2, self.q3], dtype=float)

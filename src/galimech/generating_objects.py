@@ -533,8 +533,7 @@ def vector_to_fiber(v) -> np.ndarray:
 def _potential_jet(potential: Potential,
                    x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The potential (...) and its differential (..., 4) at the events x
-    (..., 4), each distinct event evaluated once: the values through the
-    scalar ``at``, as the object-level functions take them."""
+    (..., 4), each distinct event evaluated once."""
     flat = np.ascontiguousarray(x).reshape(-1, 4)
     # Rows come in runs over one event (the fiber shifts of one point), so
     # each run of bitwise equal events is evaluated once.
@@ -543,7 +542,7 @@ def _potential_jet(potential: Potential,
     np.any(bits[1:] != bits[:-1], axis=1, out=new[1:])
     events = flat[new]
     run = np.cumsum(new) - 1
-    phi = np.array([potential.at(Event(*e)) for e in events.tolist()])
+    phi = potential.at_events(events)
     dphi = potential.differential(events)
     return phi[run].reshape(x.shape[:-1]), dphi[run].reshape(x.shape)
 

@@ -148,18 +148,10 @@ def _draws(rng: np.random.Generator, n: int, *draws) -> list[np.ndarray]:
 
 
 def _potential_at(phi: Potential, x: np.ndarray) -> np.ndarray:
-    """phi at each event of x (n, 4), one scalar evaluation per event.
-
-    NaN where the evaluation raises an ArithmeticError, so that sample
-    fails its check instead of ending the run.
-    """
-    out = np.empty(len(x))
-    for i, event in enumerate(x.tolist()):
-        try:
-            out[i] = phi.at(Event(*event))
-        except ArithmeticError:
-            out[i] = np.nan
-    return out
+    """phi at each event of x (n, 4), NaN where a pointwise evaluation
+    raises an ArithmeticError, so that sample fails its check instead of
+    ending the run."""
+    return phi.at_events(x, lambda i, exc: np.nan)
 
 
 def _verdict(name: str, errs: np.ndarray, tol: float, count: bool = False,
@@ -310,7 +302,7 @@ def check_energy_drift(cfg: ScenarioConfig) -> CheckResult:
     phi = cfg.build_potential()
     u = Frame.from_spatial(cfg.frames[0])
     traj = integrate(u, cfg.mass, g, phi, cfg.initial_state(u), cfg.h, cfg.n)
-    energies = np.array(traj.energies(g, phi))
+    energies = traj.energies(g, phi)
     with np.errstate(all="ignore"):
         errs = _rel(np.abs(energies - energies[0]), energies[0])
     return _verdict("energy.drift", errs, cfg.tolerances.energy_drift)
@@ -579,6 +571,8 @@ def morse_checks(cfg: ScenarioConfig, family: str) -> list[CheckResult]:
         return results
 
     if family in ("fam2", "fam3"):
+        if not np.isfinite(phi.at(Event(*cfg.initial_event))):
+            raise DomainError(f"{family}: potential not finite at the initial event")
         fam = family_fam2(u, cfg.mass, g, phi) if family == "fam2" \
             else family_fam3(model)
         anchor = model.reference if family == "fam3" else u

@@ -172,6 +172,21 @@ class TestPotentialDomainErrors:
         assert len(lines) == 1  # no traceback
         assert lines[0].startswith("domain error: fam1: fiber gradient not finite")
 
+    @pytest.mark.parametrize("family", ["fam2", "fam3"])
+    def test_nan_potential_ends_families_without_a_solve(self, tmp_path,
+                                                         family):
+        # These families certify given points without a Newton solve; a
+        # potential that is not finite at the initial event is the same
+        # domain error as in fam1, not a failed check.
+        cfg = write_config(tmp_path,
+                           potential={"kind": "custom", "expr": "(-1)^0.5*q1"})
+        proc = run("morse-check", "--family", family, "--config", cfg)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1  # no traceback
+        assert lines[0].startswith(f"domain error: {family}: potential not "
+                                   "finite at the initial event")
+
 
 class TestConfigErrors:
     def test_bad_mass_names_field(self, tmp_path):

@@ -74,6 +74,28 @@ class TestPotentials:
         assert phi.at(x) == pytest.approx(4.0)
         assert np.allclose(phi.d_s(x), [4.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_builtin_values_equal_point_values(self, rng, scale):
+        # One values call over a stack of events gives, row by row, the
+        # point value at each event alone and the 1-D dot formula, bit for
+        # bit; rows sliced from (..., 4) events are strided.
+        f = np.array([0.3, -1.2, 0.7])
+        c = np.array([0.2, -0.4, 1.0]) * scale
+        refs = [
+            (free_potential(), lambda q: 0.0),
+            (uniform_potential(f), lambda q: -float(f @ q)),
+            (harmonic_potential(1.7, c),
+             lambda q: 0.5 * 1.7 * float((q - c) @ (q - c))),
+        ]
+        x = rng.normal(scale=scale, size=(4, 25, 4))
+        for phi, ref in refs:
+            assert not phi.pointwise
+            got = phi.values(x[..., 0], x[..., 1:])
+            assert got.shape == (4, 25)
+            for index in np.ndindex(4, 25):
+                event = Event(*x[index])
+                assert got[index] == phi.at(event) == ref(event.spatial)
+
     def test_analytic_gradients_match_differences(self, rng):
         pots = [uniform_potential([0.3, -1.2, 0.7]),
                 harmonic_potential(1.7, center=[0.2, -0.4, 1.0])]
@@ -126,6 +148,14 @@ class TestPotentials:
             assert got[index].tolist() == [dt, *ds.tolist()]
             assert potential.d(Event(t, q1, q2, q3)).as_array().tolist() == \
                 got[index].tolist()
+
+    def test_numpy_event_keeps_the_scalar_error_contract(self):
+        # Event coerces numpy scalars to float, so the scalar evaluator
+        # divides Python floats and raises instead of returning inf.
+        x = Event(*np.zeros(4))
+        assert all(type(c) is float for c in (x.t, x.q1, x.q2, x.q3))
+        with pytest.raises(ZeroDivisionError):
+            PotentialSpec("custom", expr="1/q1").build().at(x)
 
     def test_fd_fallback_when_no_gradient(self):
         phi = Potential(value=lambda x: x.q1 ** 2 + 0.5 * x.t,
@@ -461,8 +491,39 @@ class TestIntegrate:
         # Inverted quadratic potential: exponential runaway then overflow.
         phi = harmonic_potential(-1e6)
         init = PhasePoint.spatial(Event(0.0, 1.0, 0.0, 0.0), [0.0, 0.0, 0.0])
-        with pytest.raises(NonFiniteState):
+        with pytest.raises(NonFiniteState) as info:
             integrate(E0, 1.0, ID3, phi, init, 0.01, 500)
+        # The error names the first step whose state is not finite: every
+        # step before it integrates to a finite state.
+        step = int(str(info.value).rsplit(" ", 1)[1])
+        assert step > 1
+        traj = integrate(E0, 1.0, ID3, phi, init, 0.01, step - 1)
+        assert np.isfinite(traj.q).all() and np.isfinite(traj.p).all()
+
+    def test_trajectory_is_read_only(self):
+        init = PhasePoint.spatial(ORIGIN, [1.0, 0.0, 0.0])
+        traj = integrate([E0, E0], 1.0, ID3, free_potential(), [init, init],
+                         0.1, 3)
+        for arr in (traj.t, traj.q, traj.p):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    @pytest.mark.parametrize("kind", ["harmonic", "custom"])
+    def test_energies_equal_per_step_hamiltonian(self, rng, kind):
+        g = SpatialMetric(np.array([[2.0, 0.3, -0.4],
+                                    [0.3, 1.5, 0.2],
+                                    [-0.4, 0.2, 1.8]]))
+        if kind == "harmonic":
+            phi = harmonic_potential(1.3, (0.1, -0.2, 0.0))
+        else:
+            phi = PotentialSpec("custom", expr="0.5*q1^2 + 0.25*q2^4").build()
+        u = random_frame(rng)
+        init = PhasePoint.spatial(Event(0.3, 0.8, -0.4, 0.2), rng.normal(size=3))
+        traj = integrate(u, 0.7, g, phi, init, 0.01, 100)
+        ref = [hamiltonian_inhom(u, 0.7, g, phi, Event(t, *q), p)
+               for t, q, p in zip(traj.t.tolist(), traj.q[:, 0].tolist(),
+                                  traj.p[:, 0])]
+        assert traj.energies(g, phi).tolist() == ref
 
     @pytest.mark.parametrize("metric", ["identity", "random"])
     @pytest.mark.parametrize("kind", ["harmonic", "custom"])
