@@ -18,10 +18,10 @@ equations of motion in a fixed frame, its one-variable reduction to a
 scaled energy constraint, and a cotangent-bundle textbook family used as a
 rank reference.
 
-The solver is deliberately plain: one damped Newton iteration on the fiber
-gradient with a finite-difference Jacobian, least-squares steps so rank
-deficient Jacobians (which occur by construction for degree-one homogeneous
-fibers) still make progress.
+The solver is deliberately plain: one damped Newton over a stack of bases
+on the fiber gradient with a finite-difference Jacobian, least-squares
+steps so rank deficient Jacobians (which occur by construction for
+degree-one homogeneous fibers) still make progress.
 """
 
 from __future__ import annotations
@@ -155,93 +155,159 @@ def base_gradient(fam: FunctionFamily, base, fiber) -> np.ndarray:
     return _gradient_split(fam, base, fiber)[0]
 
 
-def _newton(fam: FunctionFamily, base: np.ndarray, fiber: np.ndarray,
-            head: int, tol: float, max_iter: int) -> tuple[np.ndarray, float]:
-    """Damped Newton on the first ``head`` fiber components, the others
-    held fixed; head = fiber_dim solves for the whole fiber.
+def _fiber_gradients(fam: FunctionFamily, bases: np.ndarray,
+                     fibers: np.ndarray, head: int):
+    """The first ``head`` fiber-gradient components at every row of a
+    stack, and the error each row raised, by row (its gradient reads NaN).
+    When the stacked call raises, every row is evaluated again alone, so
+    each row ends exactly as it would alone."""
+    try:
+        return fiber_gradient(fam, bases, fibers)[..., :head], {}
+    except (GalimechError, ArithmeticError):
+        grads, errors = np.full(fibers.shape[:-1] + (head,), np.nan), {}
+    for i, (base, fiber) in enumerate(zip(bases, fibers)):
+        try:
+            grads[i] = fiber_gradient(fam, base, fiber)[..., :head]
+        except (GalimechError, ArithmeticError) as exc:
+            errors[i] = exc
+    return grads, errors
 
-    Each iteration takes the Jacobian of the head gradient from one
-    gradient call over its 2 * head shifted fibers.  A trial step that
-    leaves the family's domain (its gradient raises a GalimechError or is
-    not finite) is shortened.  Raises NoConvergence when the line search
-    stalls or max_iter runs out, and DomainError when the gradient at the
-    start, or the Jacobian, is not finite.
+
+def _newton(fam: FunctionFamily, bases: np.ndarray, fibers: np.ndarray,
+            head: int, tol: float, max_iter: int) -> list:
+    """Damped Newton from every row of bases (B, b) and fibers (B, f) on
+    the first ``head`` fiber components, the others held fixed; each row
+    steps bit for bit as it would alone.
+
+    An iteration takes the Jacobians of all unconverged rows from one
+    gradient call over their 2 * head shifted fibers, then one lstsq per
+    row; a line-search round makes one gradient call over the rows still
+    searching, and shortens the step of a row whose trial leaves the
+    domain (its gradient raises a GalimechError or is not finite).
+    Returns one outcome per row: (fiber, |grad|), or the row's error:
+    NoConvergence (stalled, or max_iter ran out), DomainError (gradient at
+    the start or Jacobian not finite), or what its gradient raised.
     """
-    fiber = np.array(fiber, dtype=float)
-    grad = fiber_gradient(fam, base, fiber)[:head]
-    norm = float(np.max(np.abs(grad)))
-    if not math.isfinite(norm):
-        raise DomainError(
+    bases = np.asarray(bases, dtype=float)
+    fiber = np.array(fibers, dtype=float)
+    grad, errors = _fiber_gradients(fam, bases, fiber, head) if len(fiber) \
+        else (np.empty((0, head)), {})
+    grad = np.array(grad)  # rows are updated in place as they step
+    norm = np.max(np.abs(grad), axis=-1)  # NaN once a row has ended
+    for i in np.flatnonzero(~np.isfinite(norm)).tolist():
+        errors.setdefault(i, DomainError(
             f"{fam.name}: fiber gradient not finite at the start "
-            f"{fiber.tolist()} over base {base.tolist()}")
+            f"{fiber[i].tolist()} over base {bases[i].tolist()}"))
     cols = np.arange(head)
-    bases = np.broadcast_to(base, (2 * head,) + base.shape)
     for _ in range(max_iter):
-        if norm <= tol:
-            return fiber, norm
-        h = _GRAD_STEP * (1.0 + np.abs(fiber[:head]))
-        shifted = np.repeat(fiber[None], 2 * head, axis=0)
-        shifted[cols, cols] += h
-        shifted[head + cols, cols] -= h
-        g = fiber_gradient(fam, bases, shifted)[:, :head]
+        norm[list(errors)] = np.nan
+        act = np.flatnonzero(norm > tol)
+        if not act.size:
+            break
+        h = _GRAD_STEP * (1.0 + np.abs(fiber[act, :head]))
+        shifted = np.repeat(fiber[act, None], 2 * head, axis=1)
+        shifted[:, cols, cols] += h
+        shifted[:, head + cols, cols] -= h
+        g, failed = _fiber_gradients(fam, np.broadcast_to(
+            bases[act, None], shifted.shape[:2] + bases.shape[1:]), shifted, head)
         with np.errstate(all="ignore"):
-            jac = ((g[:head] - g[head:]) / (2.0 * h)[:, None]).T
-        if not np.isfinite(jac).all():
-            raise DomainError(
-                f"{fam.name}: fiber Jacobian not finite at {fiber.tolist()} "
-                f"over base {base.tolist()}")
-        step, *_ = np.linalg.lstsq(jac, -grad, rcond=_NEWTON_RCOND)
-        scale = 1.0
+            jac = np.swapaxes(
+                (g[:, :head] - g[:, head:]) / (2.0 * h)[..., None], -1, -2)
+        steps = np.zeros((len(act), head))
+        for k, i in enumerate(act.tolist()):
+            if k in failed:
+                errors[i] = failed[k]
+            elif not np.isfinite(jac[k]).all():
+                errors[i] = DomainError(
+                    f"{fam.name}: fiber Jacobian not finite at "
+                    f"{fiber[i].tolist()} over base {bases[i].tolist()}")
+            else:
+                steps[k], *_ = np.linalg.lstsq(jac[k], -grad[i],
+                                               rcond=_NEWTON_RCOND)
+        live = np.array([i not in errors for i in act.tolist()], dtype=bool)
+        search, steps, scale = act[live], steps[live], 1.0
         for _ in range(25):
-            trial = fiber.copy()
-            trial[:head] += scale * step
-            try:
-                trial_grad = fiber_gradient(fam, base, trial)[:head]
-            except (GalimechError, FloatingPointError):
-                scale *= 0.5
-                continue
-            trial_norm = float(np.max(np.abs(trial_grad)))
-            if trial_norm < norm or trial_norm <= tol:
-                fiber, grad, norm = trial, trial_grad, trial_norm
+            if not search.size:
                 break
-            scale *= 0.5
-        else:
-            raise NoConvergence(
-                f"{fam.name}: damped Newton stalled at |grad|={norm:.3e} "
-                f"over base {base.tolist()}")
-    if norm <= tol:
-        return fiber, norm
-    raise NoConvergence(
-        f"{fam.name}: no critical point within {max_iter} iterations "
-        f"over base {base.tolist()} (|grad|={norm:.3e})")
+            trial = fiber[search]
+            trial[:, :head] += scale * steps
+            trial_grad, failed = _fiber_gradients(fam, bases[search], trial, head)
+            trial_norm = np.max(np.abs(trial_grad), axis=-1)
+            accept = (trial_norm < norm[search]) | (trial_norm <= tol)
+            done = search[accept]
+            fiber[done], grad[done], norm[done] = (
+                trial[accept], trial_grad[accept], trial_norm[accept])
+            for k, exc in failed.items():  # a domain exit is shortened
+                if not isinstance(exc, (GalimechError, FloatingPointError)):
+                    errors[int(search[k])] = exc
+            stay = ~accept & np.array([i not in errors for i in search.tolist()],
+                                      dtype=bool)
+            search, steps, scale = search[stay], steps[stay], 0.5 * scale
+        for i in search.tolist():
+            errors[i] = NoConvergence(
+                f"{fam.name}: damped Newton stalled at |grad|={norm[i]:.3e} "
+                f"over base {bases[i].tolist()}")
+    return [errors[i] if i in errors else
+            (fiber[i].copy(), float(norm[i])) if norm[i] <= tol else
+            NoConvergence(
+                f"{fam.name}: no critical point within {max_iter} iterations "
+                f"over base {bases[i].tolist()} (|grad|={norm[i]:.3e})")
+            for i in range(len(fiber))]
+
+
+def _converged(outcomes: list, blocks: int, per_base: int):
+    """The outcomes of _newton in blocks of per_base rows, one block per
+    base: the (fiber, |grad|) of each converged row and the count of rows
+    rejected by NoConvergence.  Raises the first other error in row order."""
+    for i in range(blocks):
+        block = outcomes[i * per_base:(i + 1) * per_base]
+        for outcome in block:
+            if isinstance(outcome, NoConvergence):
+                log.debug("seed rejected: %s", outcome)
+            elif isinstance(outcome, Exception):
+                raise outcome
+        yield ([o for o in block if isinstance(o, tuple)],
+               sum(isinstance(o, NoConvergence) for o in block))
+
+
+def solve_critical_stack(fam: FunctionFamily, bases, seeds: Sequence,
+                         tol: float = 1e-10,
+                         max_iter: int = 60) -> list[list[CriticalPoint]]:
+    """Find critical fiber points over every base point of a stack (B, b).
+
+    Damped Newton runs from the seeds (S, f), or per base (B, S, f), over
+    all B * S rows at once; then the rows are walked in (base, seed)
+    order.  Seeds that fail to converge are skipped, and a solution closer
+    than 10 * tol to one already found over its base is merged (the
+    smaller gradient norm is kept).  Returns one list per base, possibly
+    empty.  Raises the first other error in that order: DomainError when
+    the gradient is not finite at a seed, or what the gradient raised.
+    """
+    bases = np.asarray(bases, dtype=float).reshape(-1, fam.base_dim)
+    seeds = np.asarray(seeds, dtype=float)
+    seeds = np.broadcast_to(seeds, (len(bases),) + seeds.shape[-2:])
+    outcomes = _newton(fam, np.repeat(bases, seeds.shape[1], axis=0),
+                       seeds.reshape(-1, fam.fiber_dim), fam.fiber_dim,
+                       tol, max_iter)
+    out: list[list[CriticalPoint]] = []
+    for base, (solved, _) in zip(bases, _converged(outcomes, *seeds.shape[:2])):
+        found: list[CriticalPoint] = []
+        for fiber, norm in solved:
+            for k, existing in enumerate(found):
+                if float(np.linalg.norm(existing.fiber - fiber)) < _MERGE_FACTOR * tol:
+                    if norm < existing.residual_norm:
+                        found[k] = CriticalPoint(base, fiber, norm)
+                    break
+            else:
+                found.append(CriticalPoint(base, fiber, norm))
+        out.append(found)
+    return out
 
 
 def solve_critical(fam: FunctionFamily, base, seeds: Sequence,
                    tol: float = 1e-10, max_iter: int = 60) -> list[CriticalPoint]:
-    """Find critical fiber points over one base point.
-
-    Runs damped Newton from every seed.  Seeds that fail to converge are
-    logged and skipped; solutions closer than 10 * tol to an already found
-    one are merged (the representative with the smaller gradient norm is
-    kept).  The returned list can be empty.  Raises DomainError when the
-    gradient is not finite at a seed.
-    """
-    base = np.asarray(base, dtype=float)
-    found: list[CriticalPoint] = []
-    for seed in seeds:
-        try:
-            fiber, norm = _newton(fam, base, seed, fam.fiber_dim, tol, max_iter)
-        except NoConvergence as err:
-            log.debug("seed rejected: %s", err)
-            continue
-        for k, existing in enumerate(found):
-            if float(np.linalg.norm(existing.fiber - fiber)) < _MERGE_FACTOR * tol:
-                if norm < existing.residual_norm:
-                    found[k] = CriticalPoint(base, fiber, norm)
-                break
-        else:
-            found.append(CriticalPoint(base, fiber, norm))
-    return found
+    """solve_critical_stack over one base point."""
+    return solve_critical_stack(fam, [base], seeds, tol, max_iter)[0]
 
 
 def _value_hessian(fam: FunctionFamily, joint: np.ndarray) -> np.ndarray:
@@ -378,7 +444,8 @@ def generate(fam: FunctionFamily, bases: Sequence, seeds: Sequence,
     defect at any point raises ValueError; base points where no seed
     converges contribute nothing.
     """
-    points = [pt for base in bases for pt in solve_critical(fam, base, seeds, tol=tol)]
+    points = [pt for found in solve_critical_stack(fam, bases, seeds, tol=tol)
+              for pt in found]
     if check_morse and points:
         report = is_morse(fam, points, rank_tol)
         for pt, rank in zip(points, report.ranks):
@@ -399,8 +466,8 @@ def reduce_family(fam: FunctionFamily, eliminate: int, seeds: Sequence,
     the eliminated block by Newton iteration from each seed and substitutes
     the solution.  The reduced gradient uses the stationarity of the
     eliminated block, so it is the restriction of the parent gradient to
-    the section; over a stack it solves the section row by row and then
-    evaluates the parent gradient once.
+    the section; over a stack it solves every row's section in one stacked
+    Newton and then evaluates the parent gradient once.
 
     Raises NoConvergence at evaluation when no seed converges and
     SectionNotUnique when distinct seeds land on distinct stationary
@@ -412,46 +479,51 @@ def reduce_family(fam: FunctionFamily, eliminate: int, seeds: Sequence,
     if not 0 < eliminate < fam.fiber_dim:
         raise ValueError(
             f"cannot eliminate {eliminate} of {fam.fiber_dim} fiber variables")
-    seed_list = [np.asarray(s, dtype=float) for s in seeds]
-    if not seed_list:
+    seeds = np.asarray(seeds, dtype=float).reshape(-1, eliminate)
+    if not len(seeds):
         raise ValueError("reduce_family needs at least one seed")
     kept = fam.fiber_dim - eliminate
 
-    def section(base: np.ndarray, tail: np.ndarray) -> np.ndarray:
-        solutions: list[np.ndarray] = []
-        failures = 0
-        for seed in seed_list:
-            fiber0 = np.concatenate([seed, tail])
-            try:
-                fiber, _ = _newton(fam, base, fiber0, eliminate, tol, max_iter)
-            except NoConvergence:
-                failures += 1
-                continue
-            head = fiber[:eliminate]
-            if not any(float(np.linalg.norm(head - s)) < _MERGE_FACTOR * tol
-                       for s in solutions):
-                solutions.append(head)
-        if not solutions:
-            raise NoConvergence(
-                f"{fam.name}: eliminated-block stationarity has no solution "
-                f"over base {base.tolist()} ({failures} seed(s) tried)")
-        if len(solutions) > 1:
-            raise SectionNotUnique(
-                f"{fam.name}: {len(solutions)} stationary points of the "
-                f"eliminated block over base {base.tolist()}")
-        return solutions[0]
+    def sections(bases: np.ndarray, tails: np.ndarray) -> np.ndarray:
+        """The eliminated block (N, eliminate) over bases (N, b) and kept
+        fibers (N, kept), from one stacked Newton over every row and seed;
+        the first row that fails raises."""
+        n, per_base = len(tails), len(seeds)
+        fibers = np.concatenate(
+            [np.broadcast_to(seeds, (n, per_base, eliminate)),
+             np.broadcast_to(tails[:, None], (n, per_base, kept))], axis=-1)
+        outcomes = _newton(fam, np.repeat(bases, per_base, axis=0),
+                           fibers.reshape(-1, fam.fiber_dim), eliminate,
+                           tol, max_iter)
+        heads = np.empty((n, eliminate))
+        for i, (solved, failures) in enumerate(_converged(outcomes, n, per_base)):
+            solutions: list[np.ndarray] = []
+            for fiber, _ in solved:
+                if not any(float(np.linalg.norm(fiber[:eliminate] - s))
+                           < _MERGE_FACTOR * tol for s in solutions):
+                    solutions.append(fiber[:eliminate])
+            if not solutions:
+                raise NoConvergence(
+                    f"{fam.name}: eliminated-block stationarity has no solution "
+                    f"over base {bases[i].tolist()} ({failures} seed(s) tried)")
+            if len(solutions) > 1:
+                raise SectionNotUnique(
+                    f"{fam.name}: {len(solutions)} stationary points of the "
+                    f"eliminated block over base {bases[i].tolist()}")
+            heads[i] = solutions[0]
+        return heads
 
     def value(base: np.ndarray, tail: np.ndarray) -> float:
         base = np.asarray(base, dtype=float)
         tail = np.asarray(tail, dtype=float)
-        head = section(base, tail)
+        head = sections(base[None], tail[None])[0]
         return float(fam.value(base, np.concatenate([head, tail])))
 
     def gradient(base: np.ndarray, tail: np.ndarray):
         base = np.asarray(base, dtype=float)
         tail = np.asarray(tail, dtype=float)
-        rows = zip(base.reshape(-1, fam.base_dim), tail.reshape(-1, kept))
-        heads = np.array([section(b, t) for b, t in rows]).reshape(
+        heads = sections(base.reshape(-1, fam.base_dim),
+                         tail.reshape(-1, kept)).reshape(
             tail.shape[:-1] + (eliminate,))
         gb, gf = _gradient_split(fam, base, np.concatenate([heads, tail], axis=-1))
         return gb, gf[..., eliminate:]

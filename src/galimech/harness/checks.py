@@ -52,7 +52,7 @@ from ..generating_objects import (
     family_fam2,
     is_morse,
     kappas,
-    solve_critical,
+    solve_critical_stack,
     vector_to_fiber,
 )
 from ..affine_phase import (
@@ -549,11 +549,9 @@ def morse_checks(cfg: ScenarioConfig, family: str) -> list[CheckResult]:
     if family == "example31":
         stiffness = cfg.potential.k if cfg.potential.kind == "harmonic" else 1.0
         fam = family_example31(cfg.mass, stiffness)
-        points = []
-        for _ in range(100):
-            base = rng.normal(size=6)
-            points.extend(solve_critical(fam, base, seeds=[np.zeros(3)],
-                                         tol=1e-11))
+        found = solve_critical_stack(fam, rng.normal(size=(100, 6)),
+                                     [np.zeros(3)], tol=1e-11)
+        points = [pt for pts in found for pt in pts]
         results.append(_rank_check("morse.example31.rank", fam, points, 3))
         return results
 
@@ -562,9 +560,8 @@ def morse_checks(cfg: ScenarioConfig, family: str) -> list[CheckResult]:
             else family_fam4(model)
         anchor = model.reference if family == "fam4" else u
         bases, fibers = _on_shell_samples(cfg, anchor, rng, 25)
-        points = []
-        for base, fiber in zip(bases, fibers):
-            points.extend(solve_critical(fam, base, seeds=[fiber], tol=1e-10))
+        found = solve_critical_stack(fam, bases, fibers[:, None], tol=1e-10)
+        points = [pt for pts in found for pt in pts]
         results.append(_rank_check(f"morse.{family}.rank", fam, points, 4))
         if family == "fam1":
             results.append(_fam1_vs_fam2(cfg, u))
@@ -590,10 +587,10 @@ def _fam1_vs_fam2(cfg: ScenarioConfig, u: Frame) -> CheckResult:
     """The velocity-fiber and multiplier-fiber families generate the same
     covectors over a shared on-shell grid.
 
-    Each family solves every grid base from its own seed; the points it
-    finds are certified in one is_morse call and mapped through kappa in
-    one stacked call.  A grid base where a family finds no single Morse
-    point has an infinite error and is not counted.
+    Each family solves every grid base from its own seed in one stacked
+    Newton; the points it finds are certified in one is_morse call and
+    mapped through kappa in one stacked call.  A grid base where a family
+    finds no single Morse point has an infinite error and is not counted.
     """
     name = "morse.fam1.vs_fam2"
     g = cfg.build_metric()
@@ -607,9 +604,9 @@ def _fam1_vs_fam2(cfg: ScenarioConfig, u: Frame) -> CheckResult:
     p = legendre_hom_array(u.spatial, cfg.mass, g,
                            phi.at(Event(*cfg.initial_event)), v)
     bases = np.concatenate([np.broadcast_to(x, p.shape), p], axis=1)
-    found = [(solve_critical(fam1, base, seeds=[fiber], tol=1e-11),
-              solve_critical(fam2, base, seeds=[[1.0]], tol=1e-11))
-             for base, fiber in zip(bases, vector_to_fiber(v))]
+    found = list(zip(
+        solve_critical_stack(fam1, bases, vector_to_fiber(v)[:, None], tol=1e-11),
+        solve_critical_stack(fam2, bases, [[1.0]], tol=1e-11)))
     pairs = [(a[0], b[0]) for a, b in found if len(a) == 1 and len(b) == 1]
     errs, compared = np.full(len(found) - len(pairs), np.inf), 0
     if pairs:
@@ -638,16 +635,13 @@ def _fam3_chart_residuals(cfg: ScenarioConfig, rng) -> np.ndarray:
     momentum class was presented through: 5 classes, each re-presented
     through 20 random frames."""
     model = _model(cfg)
-    fam3 = family_fam3(model)
-    x = np.array(cfg.initial_event, dtype=float)
+    phi = model.potential.at(Event(*cfg.initial_event))
     p, *frames = _draws(rng, 5, _NORMAL4, *[_FRAME] * 20)
     charted = _charted(model, p[:, None], np.stack(frames, axis=1))
-
-    def value(q: np.ndarray) -> float:
-        return fam3.value(np.concatenate([x, q]), [1.0])
-
-    ref = np.array([value(q) for q in p])[:, None]
-    val = np.array([[value(q) for q in row] for row in charted])
+    # fam3's value at multiplier 1: the reference-chart mass-shell residual
+    ref, val = (mass_shell_residual_array(model.reference.spatial, model.mass,
+                                          model.metric, phi, q)
+                for q in (p[:, None], charted))
     return _rel(np.abs(val - ref), ref).ravel()
 
 

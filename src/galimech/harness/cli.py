@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import logging
 import os
@@ -143,7 +144,10 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     return _finish(Report(tuple(suite_checks(cfg, args.suite))), args.out)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: a parser is a
+    web of reference cycles, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="galimech",
         description="Frame-independent particle mechanics toolkit")

@@ -9,7 +9,8 @@ over one of two function tables: ``math`` for the scalar evaluator
 (``compile_expression``, one point per call) and ``numpy`` for the array
 evaluator (``compile_array_expression``, every point of a (..., 3) array in
 one call).  There is no use of the Python evaluator, so a config file
-cannot execute anything.
+cannot execute anything, and the parser bounds how deeply an expression
+may nest, so none can exhaust the interpreter's stack.
 """
 
 from __future__ import annotations
@@ -59,6 +60,13 @@ _ARRAY = _Table(lambda value: np.array(value, dtype=float), operator.pow,
                 {"sin": np.sin, "cos": np.cos, "exp": np.exp})
 _VARIABLES = ("t", "q1", "q2", "q3")
 
+# Bounds that keep parsing and evaluation well inside Python's recursion
+# limit.  A level of nesting (a parenthesis, a unary minus, an exponent, a
+# function argument) costs the parser up to five frames; an operation costs
+# one frame at evaluation, where a flat sum of n terms is n - 1 deep.
+_MAX_NESTING = 100
+_MAX_DEPTH = 400
+
 
 class ExpressionError(ValueError):
     """Malformed or unsupported potential expression."""
@@ -87,6 +95,8 @@ class _Parser:
         self.table = table
         self.pos = 0
         self.constants: set[Callable] = set()  # closures of constants
+        self.depths: dict[Callable, int] = {}  # operations below a closure
+        self.nesting = 0
         self.spatial = False  # whether q1, q2 or q3 occurs
 
     def peek(self) -> str | None:
@@ -111,13 +121,20 @@ class _Parser:
         return node
 
     def fold(self, node: Callable, *operands: Callable) -> Callable:
-        """node, or its value as a constant when every operand is one."""
+        """node, or its value as a constant when every operand is one.
+        Raises ExpressionError when node is more than _MAX_DEPTH operations
+        deep."""
         if all(a in self.constants for a in operands):
             try:
                 with np.errstate(all="ignore"):
                     return self.constant(node(None))
             except (ArithmeticError, TypeError, ValueError):
                 pass  # raised at evaluation instead, where the step is known
+        depth = 1 + max(self.depths.get(a, 0) for a in operands)
+        if depth > _MAX_DEPTH:
+            raise ExpressionError(
+                f"expression deeper than {_MAX_DEPTH} operations")
+        self.depths[node] = depth
         return node
 
     # expr := term (('+'|'-') term)*
@@ -149,12 +166,20 @@ class _Parser:
         return node
 
     # unary := '-' unary | power     (so -x^2 parses as -(x^2))
+    # Every nested construct passes through here, so this counts nesting.
     def unary(self) -> Callable:
+        self.nesting += 1
+        if self.nesting > _MAX_NESTING:
+            raise ExpressionError(
+                f"expression nested deeper than {_MAX_NESTING} levels")
         if self.peek() == "-":
             self.take()
             inner = self.unary()
-            return self.fold(lambda env, a=inner: -a(env), inner)
-        return self.power()
+            node = self.fold(lambda env, a=inner: -a(env), inner)
+        else:
+            node = self.power()
+        self.nesting -= 1
+        return node
 
     # power := atom ('^' unary)?     (right-associative, 2^3^2 = 512)
     def power(self) -> Callable:
@@ -206,10 +231,11 @@ def compile_expression(text: str) -> Callable[[float, float, float, float], floa
     """Compile an expression string to a function of (t, q1, q2, q3).
 
     Raises ExpressionError on any syntax problem, including trailing
-    tokens, so a config typo fails at load time rather than mid-run.  A
-    complex power, or sin or cos of an infinity, evaluates to NaN, as in
-    the array evaluator; division by zero and overflow raise their
-    ArithmeticError.
+    tokens, and on an expression nested deeper than 100 levels or more
+    than 400 operations deep, so a config typo or a hostile expression
+    fails at load time rather than mid-run.  A complex power, or sin or
+    cos of an infinity, evaluates to NaN, as in the array evaluator;
+    division by zero and overflow raise their ArithmeticError.
     """
     node, _ = _parse(text, _SCALAR)
 

@@ -1,5 +1,6 @@
 """End-to-end command line tests, run through real subprocesses."""
 
+import gc
 import json
 import os
 import subprocess
@@ -201,6 +202,15 @@ class TestConfigErrors:
         assert proc.returncode == 2
         assert "potential.expr" in proc.stderr
 
+    @pytest.mark.parametrize("expr", ["(" * 2000 + "q1" + ")" * 2000,
+                                      "+".join(["q1"] * 5001)])
+    def test_over_deep_expression_exits_2(self, tmp_path, expr):
+        cfg = write_config(tmp_path, potential={"kind": "custom", "expr": expr})
+        proc = run("simulate", "--config", cfg)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]  # no traceback
+        assert proc.stderr.startswith("config error: potential.expr: expression")
+
     def test_unbounded_step_count_exits_2(self, tmp_path):
         proc = run("simulate", "--config", write_config(tmp_path, n=10**12))
         assert proc.returncode == 2
@@ -308,3 +318,27 @@ class TestLogging:
     def test_unrecognized_level_still_runs(self, tmp_path):
         proc = run("simulate", "--config", write_config(tmp_path), log="loud")
         assert proc.returncode == 0
+
+
+class TestInProcess:
+    def test_repeated_main_leaves_no_argparse_garbage(self, tmp_path, capsys):
+        # The parser is built once per process; a parser built per call
+        # leaves its reference cycles to the cyclic collector every time.
+        from galimech.harness.cli import main
+
+        argv = ["morse-check", "--family", "fam2",
+                "--out", str(tmp_path / "m.json")]
+        assert main(argv) == 0  # warm-up
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for _ in range(3):
+                assert main(argv) == 0
+            gc.collect()
+            leaked = [o for o in gc.garbage
+                      if "argparse" in (type(o).__module__,
+                                        getattr(o, "__module__", None))]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == []

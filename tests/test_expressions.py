@@ -108,6 +108,53 @@ class TestRejection:
             compile_expression("__import__('os')")
 
 
+class TestDepthBounds:
+    # The deepest expressions the parser accepts, and one level more.
+    NESTED = "(" * 99 + "q1" + ")" * 99
+    FLAT = "+".join(["q1"] * 401)  # 400 additions
+
+    def test_deepest_nesting_evaluates(self):
+        assert ev(self.NESTED, q1=0.5) == 0.5
+        assert ev("-" * 99 + "q1", q1=0.5) == -0.5
+        assert compile_array_expression(self.NESTED)(0.0, np.ones((2, 3))).tolist() \
+            == [1.0, 1.0]
+
+    def test_deepest_chain_evaluates(self):
+        assert ev(self.FLAT, q1=1.0) == 401.0
+        assert compile_array_expression(self.FLAT)(0.0, np.ones((2, 3))).tolist() \
+            == [401.0, 401.0]
+
+    @pytest.mark.parametrize("text, message", [
+        ("(" * 100 + "q1" + ")" * 100, "nested deeper than 100"),
+        ("-" * 100 + "q1", "nested deeper than 100"),
+        ("2^" * 100 + "q1", "nested deeper than 100"),
+        ("sin(" * 100 + "q1" + ")" * 100, "nested deeper than 100"),
+        ("+".join(["q1"] * 402), "deeper than 400 operations"),
+        ("(" * 2000 + "q1" + ")" * 2000, "nested deeper than 100"),
+        ("+".join(["q1"] * 5001), "deeper than 400 operations"),
+    ])
+    @pytest.mark.parametrize("compile_", [compile_expression,
+                                          compile_array_expression])
+    def test_deeper_is_rejected(self, text, message, compile_):
+        with pytest.raises(ExpressionError, match=message):
+            compile_(text)
+
+    def test_folded_constants_do_not_count(self):
+        assert ev("+".join(["1"] * 1000)) == 1000.0
+
+    @pytest.mark.parametrize("text", [
+        # the benchmark's anharmonic well, and the golden custom potentials
+        "0.5*0.9978*((q1-(0.2238))^2+(q2-(0.0153))^2+(q3-(-0.6874))^2)"
+        " + 0.1706*(q1-(0.2238))^4 + 0.1057*sin(q2)*cos(q3)"
+        " + 0.2307*exp(-0.5*(q1^2+q3^2))",
+        "0.5*q1^2 + 0.25*q2^4 + 0.1*q1*q3",
+        "0.5*(q1^2+q2^2+q3^2)*(1+0.1*t)",
+    ])
+    def test_stock_expressions_are_within_bounds(self, text):
+        compile_expression(text)
+        compile_array_expression(text)
+
+
 class TestArrayEvaluator:
     # Every operator and function, each next to the others it meets most.
     CASES = [
