@@ -27,7 +27,6 @@ the kernel on one entry.
 from __future__ import annotations
 
 import logging
-import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import TextIO
@@ -60,6 +59,9 @@ class NotFutureDirected(GalimechError):
 class NonFiniteState(GalimechError):
     """An integration step produced an overflow, inf, or nan."""
 
+
+# RK4 steps between two finiteness tests of the integrated states.
+_FINITE_BLOCK = 64
 
 # Central-difference offsets: the three coordinates stepped up, then down.
 _FD_DIRECTIONS = np.concatenate([np.eye(3), -np.eye(3)])
@@ -433,14 +435,14 @@ def integrate(u: Frame | Sequence[Frame], m: float, g: SpatialMetric,
     ``u`` is one Frame or a sequence of F frames, and ``initial`` the
     matching PhasePoint or sequence of F PhasePoints, all at one start
     time.  All frames advance as one stacked state y (2, F, 3), positions
-    then momenta, so each stage's rates, its input, the RK4 combination and
-    the finiteness test are one array operation each, with the same
-    floating-point operations per frame as when integrated alone.  Produces
-    n+1 steps including the initial one.  Raises ValueError for a
-    non-positive mass or step, n < 1, or initial states that do not match
-    the frames one to one at one start time, and NonFiniteState, naming
-    the step, as soon as any state component stops being finite or the
-    potential raises an ArithmeticError.
+    then momenta, each stage written into buffers allocated once per call,
+    with the same floating-point operations per frame as when integrated
+    alone.  Produces n+1 steps including the initial one.  Raises
+    ValueError for a non-positive mass or step, n < 1, or initial states
+    that do not match the frames one to one at one start time, and
+    NonFiniteState naming the first step whose time or state is not
+    finite, or at which the potential raised an ArithmeticError.
+    Finiteness is tested once per block of _FINITE_BLOCK steps.
     """
     frames = (u,) if isinstance(u, Frame) else tuple(u)
     starts = (initial,) if isinstance(initial, PhasePoint) else tuple(initial)
@@ -458,41 +460,66 @@ def integrate(u: Frame | Sequence[Frame], m: float, g: SpatialMetric,
         raise ValueError("initial states must share one start time")
 
     u_s = np.array([f.spatial for f in frames])
-    ts = np.empty(n + 1)
-    ys = np.empty((n + 1, 2, len(frames), 3))
+    # The four stage time-rates are all exactly 1, so each step advances
+    # the time by h * 1.0, exactly h; accumulate adds in sequence.
+    ts = np.full(n + 1, h * 1.0)
     ts[0] = t
+    with np.errstate(over="ignore"):
+        np.add.accumulate(ts, out=ts)
+    ys = np.empty((n + 1, 2, len(frames), 3))
     ys[0, 0] = [s.x.spatial for s in starts]
     ys[0, 1] = [s.p for s in starts]
-    y = ys[0]
-    k1, k2, k3, k4, stage = (np.empty(y.shape) for _ in range(5))
+    # Every stage temporary lives in one of these buffers, written in place.
+    k1, k2, k3, k4, stage = (np.empty(ys.shape[1:]) for _ in range(5))
+    (k1q, k1p), (k2q, k2p), (k3q, k3p), (k4q, k4p), (sq, sp) = \
+        k1, k2, k3, k4, stage
+    inverse, grad, half = g.apply_inverse, potential.grad_s, 0.5 * h
+    # numpy combines an array with a 0-d array faster than with a float.
+    m_, half_, h_, two, six = (np.array(c, dtype=float)
+                               for c in (m, half, h, 2.0, 6.0))
 
-    def rates(t: float, y: np.ndarray, k: np.ndarray) -> None:
-        np.add(g.apply_inverse(y[1]) / m, u_s, out=k[0])
-        np.negative(potential.grad_s(t, y[0]), out=k[1])
+    def rates(t: float, q, p, kq, kp) -> None:
+        np.add(np.divide(inverse(p, kq), m_, kq), u_s, kq)
+        np.negative(grad(t, q), kp)
 
-    step = 0
-    try:
-        # Overflow is handled by the isfinite check below, not by numpy warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for step in range(n):
-                rates(t, y, k1)
-                rates(t + 0.5 * h, np.add(y, 0.5 * h * k1, out=stage), k2)
-                rates(t + 0.5 * h, np.add(y, 0.5 * h * k2, out=stage), k3)
-                rates(t + h, np.add(y, h * k3, out=stage), k4)
-                y = np.add(y, h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0),
-                           out=ys[step + 1])
-                # The four stage time-rates are all exactly 1, so the
-                # combination below is h * 1.0 and the time coordinate
-                # advances by exactly h.
-                t = t + h * 1.0
-                if not (math.isfinite(t) and np.isfinite(y).all()):
-                    raise NonFiniteState(
-                        f"state became non-finite at step {step + 1}")
-                ts[step + 1] = t
-    except ArithmeticError as exc:
-        raise NonFiniteState(
-            f"potential raised {type(exc).__name__} at step {step + 1}: "
-            f"{exc}") from exc
+    def check(first: int, last: int) -> None:
+        """Raise NonFiniteState for the first of steps first..last whose
+        time or state is not finite."""
+        ok = np.isfinite(ts[first:last + 1]) & np.isfinite(
+            ys[first:last + 1]).all(axis=(1, 2, 3))
+        if not ok.all():
+            raise NonFiniteState(f"state became non-finite at step "
+                                 f"{first + int(np.argmin(ok))}")
+
+    for start in range(0, n, _FINITE_BLOCK):
+        stop = min(start + _FINITE_BLOCK, n)
+        try:
+            # Overflow is caught by check, not by numpy warnings.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for step, t in enumerate(ts[start:stop].tolist(), start):
+                    y = ys[step]
+                    rates(t, y[0], y[1], k1q, k1p)
+                    np.add(y, np.multiply(half_, k1, stage), stage)
+                    rates(t + half, sq, sp, k2q, k2p)
+                    np.add(y, np.multiply(half_, k2, stage), stage)
+                    rates(t + half, sq, sp, k3q, k3p)
+                    np.add(y, np.multiply(h_, k3, stage), stage)
+                    rates(t + h, sq, sp, k4q, k4p)
+                    # y + h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
+                    np.add(k1, np.multiply(two, k2, k2), k2)
+                    np.add(k2, np.multiply(two, k3, k3), k2)
+                    np.divide(np.add(k2, k4, k2), six, k2)
+                    np.add(y, np.multiply(h_, k2, k2), ys[step + 1])
+        except Exception as exc:
+            # A step that went non-finite before the failing one is
+            # reported first, as a test after every step would have.
+            check(start + 1, step)
+            if not isinstance(exc, ArithmeticError):
+                raise
+            raise NonFiniteState(
+                f"potential raised {type(exc).__name__} at step {step + 1}: "
+                f"{exc}") from exc
+        check(start + 1, stop)
 
     for arr in (ts, ys):  # views taken after this are read-only as well
         arr.setflags(write=False)
@@ -508,6 +535,7 @@ def write_trajectory_csv(traj: Trajectory, g: SpatialMetric,
     """
     rows = np.column_stack([traj.t, traj.q[:, 0], traj.p[:, 0],
                             traj.energies(g, potential)])
+    row = "%d," + ",".join(["%.17g"] * 8) + "\n"
     stream.write("step,t,q1,q2,q3,p1,p2,p3,H\n")
-    for k, fields in enumerate(rows.tolist()):
-        stream.write(str(k) + "," + ",".join(f"{v:.17g}" for v in fields) + "\n")
+    stream.writelines(row % (k, *fields)
+                      for k, fields in enumerate(rows.tolist()))

@@ -262,10 +262,11 @@ class SpatialMetric:
         components, for one vector or a stack of shape (..., 3)."""
         return np.matvec(self._matrix, s)
 
-    def apply_inverse(self, f) -> np.ndarray:
+    def apply_inverse(self, f, out=None) -> np.ndarray:
         """Raise an index: functional components -> spatial vector
-        components, for one functional or a stack of shape (..., 3)."""
-        return np.matvec(self._inverse, f)
+        components, for one functional or a stack of shape (..., 3),
+        written into out when it is given."""
+        return np.matvec(self._inverse, f, out=out)
 
     def quadratic(self, s, s2=None) -> np.ndarray:
         """Inner product of two spatial vectors (of s with itself if s2 is

@@ -78,7 +78,7 @@ from ..affine_phase import (
     w_pack,
     w_scale_array,
 )
-from .config import ScenarioConfig
+from .config import MORSE_FAMILIES, ScenarioConfig
 from .report import CheckResult
 
 __all__ = [
@@ -502,9 +502,6 @@ def check_gamma_composite(cfg: ScenarioConfig, rng) -> np.ndarray:
 
 
 # --- morse-check: generating families --------------------------------------
-
-MORSE_FAMILIES = ("fam1", "fam2", "fam3", "fam4", "example31")
-
 
 def _domain_errors(run):
     """run(cfg, which), with an ArithmeticError that the potential raises

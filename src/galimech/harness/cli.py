@@ -10,10 +10,12 @@ invariants   randomized identity checks, grouped into suites
 Exit status: 0 all checks passed (or simulation written), 1 at least one
 check failed, 2 configuration problem, 3 the integrator hit a non-finite
 state, a check needed the potential where it raised an arithmetic error,
-or a Newton solve started from a non-finite gradient.  Reports go to
---out or stdout as JSON; a human-readable summary always goes to stderr.
-Output files are written atomically: full content to a temp file in the
-target directory, then renamed over the path.
+or a Newton solve started from a non-finite gradient, 4 any other error
+(one line on stderr; the traceback too at GALIMECH_LOG=debug).  Reports
+go to --out or stdout as JSON; a human-readable summary always goes to
+stderr.  Output files are written atomically: full content to a temp file
+in the target directory, then renamed over the path.  The checks are
+imported by the commands that run them, so ``simulate`` never loads them.
 """
 
 from __future__ import annotations
@@ -29,14 +31,13 @@ import tempfile
 
 from ..frame_dynamics import NonFiniteState, integrate, write_trajectory_csv
 from ..galilean_core import DomainError, sigma_array
-from .checks import (
+from .config import (
     MORSE_FAMILIES,
-    boost_checks,
-    corrupted_sigma,
-    morse_checks,
-    suite_checks,
+    ConfigError,
+    ScenarioConfig,
+    default_config,
+    load_config,
 )
-from .config import ConfigError, ScenarioConfig, default_config, load_config
 from .report import Report
 
 log = logging.getLogger("galimech.cli")
@@ -120,6 +121,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_boost_check(args: argparse.Namespace) -> int:
+    from .checks import boost_checks, corrupted_sigma
     cfg = _load(args)
     if len(cfg.frames) < 2:
         raise ConfigError("frames", "boost-check needs at least two frames")
@@ -130,6 +132,7 @@ def _cmd_boost_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_morse_check(args: argparse.Namespace) -> int:
+    from .checks import morse_checks
     cfg = _load(args)
     families = MORSE_FAMILIES if args.family == "all" else (args.family,)
     results = []
@@ -140,6 +143,7 @@ def _cmd_morse_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
+    from .checks import suite_checks
     cfg = _load(args)
     return _finish(Report(tuple(suite_checks(cfg, args.suite))), args.out)
 
@@ -204,6 +208,10 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # noqa: BLE001 - every other failure
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        log.debug("traceback of the internal error", exc_info=exc)
+        return 4
 
 
 if __name__ == "__main__":

@@ -25,14 +25,10 @@ from ..frame_dynamics import (
     legendre_inhom,
     uniform_potential,
 )
-from .expressions import (
-    ExpressionError,
-    compile_array_expression,
-    compile_expression,
-)
 
 __all__ = [
     "MAX_FRAME_STEPS",
+    "MORSE_FAMILIES",
     "ConfigError",
     "Tolerances",
     "PotentialSpec",
@@ -46,6 +42,10 @@ __all__ = [
 # Upper bound on (n + 1) * frames: the integrator stores positions and
 # momenta for every step of every frame, 48 bytes each, so about 0.5 GB.
 MAX_FRAME_STEPS = 10**7
+
+# The generating families morse-check certifies, kept here so that the
+# command line can offer them without importing the checks.
+MORSE_FAMILIES = ("fam1", "fam2", "fam3", "fam4", "example31")
 
 
 class ConfigError(GalimechError):
@@ -103,7 +103,9 @@ class PotentialSpec:
             return uniform_potential(self.force)
         if self.kind == "harmonic":
             return harmonic_potential(self.k, self.center)
-        # kind == "custom"; raises ExpressionError for a malformed expr
+        # kind == "custom", the one that loads the expression compiler;
+        # raises ExpressionError for a malformed expr
+        from .expressions import compile_array_expression, compile_expression
         fn = compile_expression(self.expr)
         return Potential(value=lambda x: fn(x.t, x.q1, x.q2, x.q3),
                          values=compile_array_expression(self.expr))
@@ -218,6 +220,7 @@ def _parse_potential(value) -> PotentialSpec:
                                 value.get("center", [0.0, 0.0, 0.0]), 3)
         return PotentialSpec("harmonic", k=float(k), center=center)
     if kind == "custom":
+        from .expressions import ExpressionError
         extra = set(value) - {"kind", "expr"}
         if extra:
             raise ConfigError("potential", f"unknown keys {sorted(extra)}")

@@ -342,3 +342,105 @@ class TestInProcess:
             gc.set_debug(0)
             gc.garbage.clear()
         assert leaked == []
+
+
+class TestInternalError:
+    """Any other exception ends in exit 4 with one stderr line."""
+
+    def test_exits_4_with_one_line(self, monkeypatch, capsys):
+        from galimech.harness import cli
+
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_load", broken)
+        for argv in (["simulate"], ["boost-check"], ["morse-check"],
+                     ["invariants"]):
+            assert cli.main(argv) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "internal error: RuntimeError: boom\n"
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_and_exit_pass_through(self, monkeypatch, exc):
+        from galimech.harness import cli
+
+        def interrupted(args):
+            raise exc()
+
+        monkeypatch.setattr(cli, "_load", interrupted)
+        with pytest.raises(exc):
+            cli.main(["simulate"])
+
+    @pytest.mark.parametrize("log", ["error", "debug"])
+    def test_traceback_only_at_debug(self, log):
+        code = ("import galimech.harness.cli as cli\n"
+                "def broken(args):\n"
+                "    raise RuntimeError('boom')\n"
+                "cli._load = broken\n"
+                "raise SystemExit(cli.main(['simulate']))\n")
+        env = os.environ.copy()
+        env["GALIMECH_LOG"] = log
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert lines[0] == "internal error: RuntimeError: boom"
+        if log == "error":
+            assert lines == lines[:1]
+        else:
+            assert "Traceback (most recent call last):" in lines
+            assert lines[-1] == "RuntimeError: boom"
+
+
+# Modules that only some commands need.
+_LAZY = ("galimech.harness.checks", "galimech.generating_objects",
+         "galimech.affine_phase", "galimech.harness.expressions")
+
+
+def _loaded_after(code: str) -> list[str]:
+    """The galimech modules a fresh interpreter holds after running code."""
+    probe = code + ("\nimport sys\n"
+                    "print(' '.join(m for m in sys.modules "
+                    "if m.startswith('galimech')))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+class TestImports:
+    def test_simulate_loads_only_the_integrator(self, tmp_path):
+        out = tmp_path / "t.csv"
+        loaded = _loaded_after(
+            "import runpy, sys\n"
+            f"sys.argv = ['galimech', 'simulate', '--out', {str(out)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('galimech', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n")
+        assert out.read_text().startswith("step,t,")
+        assert "galimech.frame_dynamics" in loaded
+        assert not set(_LAZY) & set(loaded)
+
+    def test_harmonic_config_skips_the_expression_compiler(self, tmp_path):
+        cfg = write_config(tmp_path, potential={"kind": "harmonic", "k": 2.0})
+        loaded = _loaded_after(
+            "from galimech.harness.config import load_config\n"
+            f"assert load_config({cfg!r}).potential.kind == 'harmonic'\n")
+        assert not set(_LAZY) & set(loaded)
+
+    def test_custom_config_loads_the_expression_compiler(self, tmp_path):
+        cfg = write_config(tmp_path, potential={"kind": "custom",
+                                                "expr": "q1^2"})
+        loaded = _loaded_after(
+            "from galimech.harness.config import load_config\n"
+            f"load_config({cfg!r}).build_potential()\n")
+        assert "galimech.harness.expressions" in loaded
+
+    def test_malformed_expression_still_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path, potential={"kind": "custom", "expr": "q1+"})
+        proc = run("simulate", "--config", cfg)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: potential.expr: ")
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from galimech.galilean_core import (
     sigma,
 )
 from galimech.frame_dynamics import (
+    _FINITE_BLOCK,
     NonFiniteState,
     NotFutureDirected,
     PhasePoint,
@@ -565,3 +567,133 @@ class TestIntegrate:
         assert float(row[8]) == pytest.approx(0.5)
         # 17 significant digits round-trip exactly.
         assert float(row[1]) == 0.1
+
+
+def reference_integrate(frames, m, g, potential, starts, h, n):
+    """The RK4 loop one step at a time, each temporary a fresh array and
+    the finiteness tested after every step: (ts, ys) or NonFiniteState."""
+    u_s = np.array([f.spatial for f in frames])
+    t = float(starts[0].x.t)
+    ts = np.empty(n + 1)
+    ys = np.empty((n + 1, 2, len(frames), 3))
+    ts[0] = t
+    ys[0, 0] = [s.x.spatial for s in starts]
+    ys[0, 1] = [s.p for s in starts]
+    y = ys[0]
+    k1, k2, k3, k4, stage = (np.empty(y.shape) for _ in range(5))
+
+    def rates(t, y, k):
+        np.add(g.apply_inverse(y[1]) / m, u_s, out=k[0])
+        np.negative(potential.grad_s(t, y[0]), out=k[1])
+
+    step = 0
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(n):
+                rates(t, y, k1)
+                rates(t + 0.5 * h, np.add(y, 0.5 * h * k1, out=stage), k2)
+                rates(t + 0.5 * h, np.add(y, 0.5 * h * k2, out=stage), k3)
+                rates(t + h, np.add(y, h * k3, out=stage), k4)
+                y = np.add(y, h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0),
+                           out=ys[step + 1])
+                t = t + h * 1.0
+                if not (math.isfinite(t) and np.isfinite(y).all()):
+                    raise NonFiniteState(
+                        f"state became non-finite at step {step + 1}")
+                ts[step + 1] = t
+    except ArithmeticError as exc:
+        raise NonFiniteState(
+            f"potential raised {type(exc).__name__} at step {step + 1}: "
+            f"{exc}") from exc
+    return ts, ys
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _message(fn, *args):
+    """The NonFiniteState message of fn(*args), or None if it returns."""
+    try:
+        fn(*args)
+    except NonFiniteState as exc:
+        return str(exc)
+    return None
+
+
+def _step_gradient(schedule):
+    """A potential whose gradient is 0 up to the first time in schedule,
+    then what the last entry passed says: a float fills the gradient, an
+    exception class is raised."""
+    def gradient(t, q):
+        value = 0.0
+        for start, what in schedule:
+            if t > start:
+                value = what
+        if isinstance(value, type):
+            raise value(f"raised at t={t}")
+        return np.full(np.shape(q), value)
+
+    return Potential(values=lambda t, q: np.zeros(np.shape(q)[:-1]),
+                     spatial_gradient=gradient, time_independent=False)
+
+
+class TestIntegrateBits:
+    """integrate against reference_integrate, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2 * _FINITE_BLOCK + 22])
+    @pytest.mark.parametrize("frames", [1, 8])
+    @pytest.mark.parametrize("metric", ["identity", "spd"])
+    @pytest.mark.parametrize("kind", ["free", "uniform", "harmonic", "custom"])
+    def test_trajectory_bits(self, rng, kind, metric, frames, n):
+        phi = {"free": free_potential(),
+               "uniform": uniform_potential([0.3, -1.1, 0.6]),
+               "harmonic": harmonic_potential(1.3, (0.1, -0.2, 0.4)),
+               "custom": PotentialSpec("custom", expr=(
+                   "0.5*q1^2 + 0.25*q2^4 + sin(t)*q3 + 0.1*q1*q3")).build(),
+               }[kind]
+        g = ID3 if metric == "identity" else random_metric(rng)
+        us = [random_frame(rng, scale=1.5) for _ in range(frames)]
+        x0 = Event(0.37, 0.8, -0.4, 0.2)
+        inits = [PhasePoint.spatial(x0, rng.normal(size=3)) for _ in us]
+        args = (us, 0.7, g, phi, inits, 0.013, n)
+        ts, ys = reference_integrate(*args)
+        traj = integrate(*args)
+        assert np.array_equal(_bits(traj.t), _bits(ts))
+        assert np.array_equal(_bits(traj.q), _bits(ys[:, 0]))
+        assert np.array_equal(_bits(traj.p), _bits(ys[:, 1]))
+
+    @pytest.mark.parametrize("schedule", [
+        # blow-up in mid-block, and at the last step of a block
+        [(40.25, np.inf)],
+        [(2 * _FINITE_BLOCK - 0.75, np.inf)],
+        # at the first step of a block, and at the very first step
+        [(_FINITE_BLOCK + 0.25, np.nan)],
+        [(0.25, np.inf)],
+        # an ArithmeticError after the state went non-finite earlier in
+        # the same block: the earlier step wins
+        [(70.25, np.inf), (75.5, ZeroDivisionError)],
+        [(70.25, np.inf), (_FINITE_BLOCK * 2 - 0.5, OverflowError)],
+        # and another error after the state went non-finite
+        [(70.25, np.nan), (72.5, ValueError)],
+        # an ArithmeticError alone, mid-block and at a block's last step
+        [(90.5, ZeroDivisionError)],
+        [(_FINITE_BLOCK - 0.75, FloatingPointError)],
+    ])
+    @pytest.mark.parametrize("frames", [1, 8])
+    def test_names_the_same_step(self, schedule, frames):
+        # Step k runs its stages at times k, k + 1/2 and k + 1 (h = 1).
+        phi = _step_gradient(schedule)
+        us = [Frame.from_spatial([0.1 * f, 0.0, 0.0]) for f in range(frames)]
+        inits = [PhasePoint.spatial(ORIGIN, [1.0, 0.0, 0.0]) for _ in us]
+        args = (us, 0.7, ID3, phi, inits, 1.0, 3 * _FINITE_BLOCK + 5)
+        want = _message(reference_integrate, *args)
+        assert want is not None and _message(integrate, *args) == want
+
+    def test_time_column_overflow_is_named(self):
+        # t passes the largest float at step 10, long before q does.
+        init = PhasePoint.spatial(Event(1.7e308, 0.0, 0.0, 0.0), [1.0, 0.0, 0.0])
+        args = ([E0], 0.7, ID3, free_potential(), [init], 1e306, 200)
+        want = _message(reference_integrate, *args)
+        assert _message(integrate, *args) == want == \
+            "state became non-finite at step 10"
