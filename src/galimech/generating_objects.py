@@ -8,11 +8,11 @@ set the family generates.  A family is Morse when the mixed second
 derivative matrix (fiber rows, base-plus-fiber columns) has full row rank
 along the critical set; ranks are certified through singular values.
 
-The engine is generic and works on stacks: a family gradient takes base
-and fiber points of shape (..., b) and (..., f) and evaluates every row in
-one call, so a certification differentiates the gradient at every
-critical point in one call and takes the singular values of every mixed
-Hessian in one more.  Families for the particle system live at the bottom
+The engine is generic and works on stacks: every family supplies its
+gradient, which takes base and fiber points of shape (..., b) and (..., f)
+and evaluates every row in one call, so a certification differentiates
+the gradient at every critical point in one call and takes the singular
+values of every mixed Hessian in one more.  Families for the particle system live at the bottom
 of the module: the velocity-fibered family whose critical covectors are the
 equations of motion in a fixed frame, its one-variable reduction to a
 scaled energy constraint, and a cotangent-bundle textbook family used as a
@@ -53,10 +53,9 @@ from .frame_dynamics import (
 
 log = logging.getLogger(__name__)
 
-# Step scales for the finite-difference fallbacks.
-_GRAD_STEP = 1e-6       # first derivatives of the family value
-_HESS_GRAD_STEP = 1e-5  # differencing an analytic gradient
-_HESS_VALUE_STEP = 2e-4 # direct mixed second differences of the value
+# Step scales for differencing the family gradient.
+_GRAD_STEP = 1e-6       # the Newton Jacobian
+_HESS_GRAD_STEP = 1e-5  # the mixed Hessian
 
 # Dedup radius for critical points, in units of the solver tolerance.
 _MERGE_FACTOR = 10.0
@@ -81,21 +80,19 @@ class SectionNotUnique(GalimechError):
 
 @dataclass(frozen=True, eq=False)
 class FunctionFamily:
-    """Real function on R^base_dim x R^fiber_dim with an optional gradient.
+    """Real function on R^base_dim x R^fiber_dim with its gradient.
 
     ``value(base, fiber)`` returns a float at one point.  ``gradient(base,
-    fiber)``, when provided, takes stacks of shape (..., base_dim) and
-    (..., fiber_dim) with one leading shape and returns the pair
-    (d/d base, d/d fiber) as stacks of that leading shape, each row
-    computed as it would be alone.  Otherwise central differences of the
-    value with step 1e-6 * (1 + |coordinate|) stand in, point by point.
+    fiber)`` takes stacks of shape (..., base_dim) and (..., fiber_dim)
+    with one leading shape and returns the pair (d/d base, d/d fiber) as
+    stacks of that leading shape, each row computed as it would be alone.
+    The engine reads only the gradient.
     """
 
     base_dim: int
     fiber_dim: int
     value: Callable[[np.ndarray, np.ndarray], float]
-    gradient: Callable[[np.ndarray, np.ndarray],
-                       tuple[np.ndarray, np.ndarray]] | None = None
+    gradient: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     name: str = "family"
 
 
@@ -123,25 +120,9 @@ def _gradient_split(fam: FunctionFamily, base, fiber) -> tuple[np.ndarray, np.nd
     a non-finite row is the caller's to judge."""
     base = np.asarray(base, dtype=float)
     fiber = np.asarray(fiber, dtype=float)
-    if fam.gradient is not None:
-        with np.errstate(all="ignore"):
-            gb, gf = fam.gradient(base, fiber)
-        return np.asarray(gb, dtype=float), np.asarray(gf, dtype=float)
-    joint = np.concatenate([base, fiber], axis=-1)
-
-    def value_at(z: np.ndarray) -> float:
-        return float(fam.value(z[:fam.base_dim], z[fam.base_dim:]))
-
-    grad = np.empty(joint.shape)
-    for r, z in zip(grad.reshape(-1, joint.shape[-1]),
-                    joint.reshape(-1, joint.shape[-1])):
-        for i in range(len(z)):
-            h = _GRAD_STEP * (1.0 + abs(z[i]))
-            plus, minus = z.copy(), z.copy()
-            plus[i] += h
-            minus[i] -= h
-            r[i] = (value_at(plus) - value_at(minus)) / (2.0 * h)
-    return grad[..., :fam.base_dim], grad[..., fam.base_dim:]
+    with np.errstate(all="ignore"):
+        gb, gf = fam.gradient(base, fiber)
+    return np.asarray(gb, dtype=float), np.asarray(gf, dtype=float)
 
 
 def fiber_gradient(fam: FunctionFamily, base, fiber) -> np.ndarray:
@@ -323,47 +304,16 @@ def solve_critical(fam: FunctionFamily, base, seeds: Sequence,
     return solve_critical_stack(fam, [base], seeds, tol, max_iter)[0]
 
 
-def _value_hessian(fam: FunctionFamily, joint: np.ndarray) -> np.ndarray:
-    """Four-point second differences of the value at one point."""
-    b, f = fam.base_dim, fam.fiber_dim
-    out = np.empty((f, b + f))
-
-    def value_at(z: np.ndarray) -> float:
-        return float(fam.value(z[:b], z[b:]))
-
-    for i in range(f):
-        hi = _HESS_VALUE_STEP * (1.0 + abs(joint[b + i]))
-        for j in range(b + f):
-            hj = _HESS_VALUE_STEP * (1.0 + abs(joint[j]))
-            pp, pm, mp, mm = (joint.copy() for _ in range(4))
-            pp[b + i] += hi
-            pp[j] += hj
-            pm[b + i] += hi
-            pm[j] -= hj
-            mp[b + i] -= hi
-            mp[j] += hj
-            mm[b + i] -= hi
-            mm[j] -= hj
-            out[i, j] = (value_at(pp) - value_at(pm) - value_at(mp) +
-                         value_at(mm)) / (4.0 * hi * hj)
-    return out
-
-
 def hessians(fam: FunctionFamily, points: Sequence[CriticalPoint]) -> np.ndarray:
     """Mixed second derivatives at every point, shape (N, f, b + f).
 
     Rows run over the fiber directions, columns over base directions then
-    fiber directions.  When the family has an analytic gradient the
-    matrices are central differences of it, taken at all N * 2(b + f)
-    shifted points in one gradient call; otherwise four-point second
-    differences of the value, point by point.
+    fiber directions.  The matrices are central differences of the family
+    gradient, taken at all N * 2(b + f) shifted points in one gradient call.
     """
     b, f = fam.base_dim, fam.fiber_dim
     joint = np.array([np.concatenate([pt.base, pt.fiber]) for pt in points],
                      dtype=float).reshape(len(points), b + f)
-    if fam.gradient is None:
-        return np.array([_value_hessian(fam, z) for z in joint]).reshape(
-            len(points), f, b + f)
     h = _HESS_GRAD_STEP * (1.0 + np.abs(joint))
     shifted = np.repeat(joint[:, None, None, :], 2 * (b + f), axis=1).reshape(
         len(points), 2, b + f, b + f)

@@ -48,44 +48,57 @@ ID3 = SpatialMetric.identity()
 ORIGIN = Event(0.0, 0.0, 0.0, 0.0)
 
 
-def saddle_family(with_gradient: bool) -> FunctionFamily:
+def saddle_family() -> FunctionFamily:
     """F(x, s) = x s - s^2 / 2: critical set s = x, generated covector x."""
 
     def value(base, fiber):
         return float(base[0] * fiber[0] - 0.5 * fiber[0] ** 2)
 
-    grad = None
-    if with_gradient:
-        def grad(base, fiber):
-            return fiber[..., :1], base[..., :1] - fiber[..., :1]
+    def grad(base, fiber):
+        return fiber[..., :1], base[..., :1] - fiber[..., :1]
 
     return FunctionFamily(1, 1, value, grad, name="saddle")
 
 
+def value_differences(fam: FunctionFamily, base, fiber):
+    """Oracle for an analytic gradient: central differences of fam.value
+    at one point, step 1e-6 * (1 + |z|) in each coordinate z, returned
+    as (d/d base, d/d fiber)."""
+    b = fam.base_dim
+    z = np.concatenate([np.asarray(base, dtype=float),
+                        np.asarray(fiber, dtype=float)])
+    grad = np.empty(len(z))
+    for i in range(len(z)):
+        h = 1e-6 * (1.0 + abs(z[i]))
+        plus, minus = z.copy(), z.copy()
+        plus[i] += h
+        minus[i] -= h
+        grad[i] = (float(fam.value(plus[:b], plus[b:])) -
+                   float(fam.value(minus[:b], minus[b:]))) / (2.0 * h)
+    return grad[:b], grad[b:]
+
+
 class TestGradients:
-    @pytest.mark.parametrize("analytic", [True, False])
-    def test_fiber_gradient_example(self, analytic):
-        fam = saddle_family(analytic)
+    def test_fiber_gradient_example(self):
+        fam = saddle_family()
         g = fiber_gradient(fam, [1.0], [1.0])
         assert np.allclose(g, [0.0], atol=1e-9)
         g = fiber_gradient(fam, [2.0], [0.5])
         assert np.allclose(g, [1.5], atol=1e-9)
 
     def test_fd_matches_analytic(self, rng):
-        with_g = saddle_family(True)
-        without_g = saddle_family(False)
+        fam = saddle_family()
         for _ in range(20):
             b = rng.normal(size=1)
             f = rng.normal(size=1)
-            assert np.allclose(fiber_gradient(with_g, b, f),
-                               fiber_gradient(without_g, b, f), atol=1e-8)
-            assert np.allclose(base_gradient(with_g, b, f),
-                               base_gradient(without_g, b, f), atol=1e-8)
+            gb_fd, gf_fd = value_differences(fam, b, f)
+            assert np.allclose(fiber_gradient(fam, b, f), gf_fd, atol=1e-8)
+            assert np.allclose(base_gradient(fam, b, f), gb_fd, atol=1e-8)
 
 
 class TestSolveCritical:
     def test_saddle_solution(self):
-        fam = saddle_family(True)
+        fam = saddle_family()
         pts = solve_critical(fam, [2.0], seeds=[[0.0]], tol=1e-12)
         assert len(pts) == 1
         assert pts[0].fiber[0] == pytest.approx(2.0, abs=1e-10)
@@ -144,21 +157,25 @@ class TestDomain:
 class TestHessian:
     def test_parabola(self):
         fam = FunctionFamily(1, 1, lambda b, f: float(f[0] ** 2),
+                             lambda b, f: (np.zeros_like(b), 2.0 * f),
                              name="parabola")
         h = hessian(fam, CriticalPoint(np.array([0.0]), np.array([0.0])))
         assert np.allclose(h, [[0.0, 2.0]], atol=1e-7)
 
-    def test_saddle_both_paths(self):
-        for analytic in (True, False):
-            fam = saddle_family(analytic)
-            h = hessian(fam, CriticalPoint(np.array([1.0]), np.array([1.0])))
-            assert np.allclose(h, [[1.0, -1.0]], atol=1e-7)
+    def test_saddle(self):
+        fam = saddle_family()
+        h = hessian(fam, CriticalPoint(np.array([1.0]), np.array([1.0])))
+        assert np.allclose(h, [[1.0, -1.0]], atol=1e-7)
 
     def test_fiber_block_symmetry(self, rng):
         # Two-dimensional fiber with crossing terms.
         def value(b, f):
             return float(b[0] * f[0] + f[0] * f[1] + f[1] ** 3 / 3.0)
-        fam = FunctionFamily(1, 2, value, name="crossed")
+
+        def grad(b, f):
+            s1, s2 = f[..., :1], f[..., 1:]
+            return s1, np.concatenate([b + s2, s1 + s2 ** 2], axis=-1)
+        fam = FunctionFamily(1, 2, value, grad, name="crossed")
         pt = CriticalPoint(rng.normal(size=1), rng.normal(size=2))
         h = hessian(fam, pt)
         fiber_block = h[:, 1:]
@@ -195,20 +212,24 @@ class TestKappa:
         # covector is the plain differential of the base function.
         def value(b, f):
             return float(np.sin(b[0]) + b[1] ** 2)
-        fam = FunctionFamily(2, 1, value, name="pullback")
+
+        def grad(b, f):
+            return (np.concatenate([np.cos(b[..., :1]), 2.0 * b[..., 1:]], axis=-1),
+                    np.zeros_like(f))
+        fam = FunctionFamily(2, 1, value, grad, name="pullback")
         pt = CriticalPoint(np.array([0.3, -1.2]), np.array([7.0]))
         out = kappa(fam, pt)
         assert np.allclose(out.covector, [np.cos(0.3), -2.4], atol=1e-8)
 
     def test_rejects_non_critical(self):
-        fam = saddle_family(True)
+        fam = saddle_family()
         with pytest.raises(NotCritical):
             kappa(fam, CriticalPoint(np.array([2.0]), np.array([0.0])))
 
     def test_lift_independence(self, rng):
         # <dF, lift> must not depend on the vertical part of the lift at a
         # critical point: compare two lifts directly through the gradient.
-        fam = saddle_family(True)
+        fam = saddle_family()
         base = np.array([1.3])
         pt = solve_critical(fam, base, seeds=[[0.0]], tol=1e-13)[0]
         gb = base_gradient(fam, pt.base, pt.fiber)
@@ -224,14 +245,12 @@ class TestKappa:
     def test_scan_oracle(self):
         # Independent route: scan the fiber for the stationary point, then
         # difference the value in the base direction there.
-        fam = saddle_family(False)
+        fam = saddle_family()
         base = np.array([0.8])
         grid = np.linspace(-3.0, 3.0, 60001)
         vals = np.abs(grid * 0.0 + base[0] - grid)  # d/ds (xs - s^2/2) = x - s
         s_star = grid[np.argmin(vals)]
-        h = 1e-6
-        expected = (fam.value(base + h, [s_star]) -
-                    fam.value(base - h, [s_star])) / (2 * h)
+        expected = value_differences(fam, base, [s_star])[0][0]
         pts = solve_critical(fam, base, seeds=[[0.0]], tol=1e-10)
         out = kappa(fam, pts[0])
         assert out.covector[0] == pytest.approx(expected, abs=1e-4)
@@ -239,7 +258,7 @@ class TestKappa:
 
 class TestGenerate:
     def test_saddle_generates_identity_covector(self):
-        fam = saddle_family(True)
+        fam = saddle_family()
         bases = [[x] for x in np.linspace(-2.0, 2.0, 9)]
         out = generate(fam, bases, seeds=[[0.0]], tol=1e-12)
         assert len(out) == 9
@@ -261,7 +280,7 @@ class TestGenerate:
             generate(fam, [[0.0]], seeds=[[0.0]], tol=1e-8)
 
     def test_csv_export(self):
-        fam = saddle_family(True)
+        fam = saddle_family()
         out = generate(fam, [[1.0]], seeds=[[0.0]], tol=1e-12)
         import io
         buf = io.StringIO()
@@ -298,13 +317,17 @@ class TestReduce:
             assert b.covector[0] == pytest.approx(2.0 * a.base[0], abs=1e-8)
 
     def test_empty_block_returns_same_family(self):
-        fam = saddle_family(True)
+        fam = saddle_family()
         assert reduce_family(fam, 0, seeds=[[0.0]]) is fam
 
     def test_inner_no_solution_raises(self):
         def value(b, f):
             return float(f[0] + b[0] * f[1] - 0.5 * f[1] ** 2)
-        fam = FunctionFamily(1, 2, value, name="linear-head")
+
+        def grad(b, f):
+            s2 = f[..., 1:]
+            return s2, np.concatenate([np.ones_like(s2), b - s2], axis=-1)
+        fam = FunctionFamily(1, 2, value, grad, name="linear-head")
         red = reduce_family(fam, 1, seeds=[[0.0]], tol=1e-10)
         with pytest.raises(NoConvergence):
             red.value([1.0], [0.0])
@@ -459,9 +482,7 @@ class TestParticleFamilies:
             fiber = np.concatenate([rng.normal(size=3),
                                     [rng.uniform(0.5, 1.5)]])
             gb, gf = fam.gradient(base, fiber)
-            stripped = FunctionFamily(8, 4, fam.value, None)
-            gb_fd = base_gradient(stripped, base, fiber)
-            gf_fd = fiber_gradient(stripped, base, fiber)
+            gb_fd, gf_fd = value_differences(fam, base, fiber)
             assert np.allclose(gb, gb_fd, atol=2e-6 * (1 + np.max(np.abs(gb))))
             assert np.allclose(gf, gf_fd, atol=2e-6 * (1 + np.max(np.abs(gf))))
 
@@ -471,8 +492,6 @@ class TestParticleFamilies:
             base = np.concatenate([rng.normal(size=4), rng.normal(size=4)])
             fiber = np.array([rng.uniform(0.3, 2.0)])
             gb, gf = fam.gradient(base, fiber)
-            stripped = FunctionFamily(8, 1, fam.value, None)
-            gb_fd = base_gradient(stripped, base, fiber)
-            gf_fd = fiber_gradient(stripped, base, fiber)
+            gb_fd, gf_fd = value_differences(fam, base, fiber)
             assert np.allclose(gb, gb_fd, atol=2e-6 * (1 + np.max(np.abs(gb))))
             assert np.allclose(gf, gf_fd, atol=2e-6 * (1 + np.max(np.abs(gf))))

@@ -251,18 +251,11 @@ def test_example31_matches_reference(rng):
     assert_engine_matches(fam, ref, points)
 
 
-def test_value_only_family_keeps_point_path():
-    # F = x s - s^2 / 2 + s^3 / 3 without a gradient: four-point second
-    # differences, one point at a time.
-    fam = FunctionFamily(1, 1, lambda b, f: float(b[0] * f[0] - 0.5 * f[0] ** 2
-                                                  + f[0] ** 3 / 3.0))
-    points = [CriticalPoint(np.array([x]), np.array([s]))
-              for x, s in [(0.3, 0.5), (1.0, -0.2), (-0.4, 0.9)]]
-    stacked = hessians(fam, points)
-    assert bits(stacked) == bits(np.array([hessian(fam, pt) for pt in points]))
-    assert np.allclose(stacked[:, 0, 0], 1.0, atol=1e-6)
-    assert np.allclose(stacked[:, 0, 1], [-1.0 + 2 * s for s in (0.5, -0.2, 0.9)],
-                       atol=1e-6)
+def test_family_needs_a_gradient():
+    # The engine has one gradient path: a family given by its value alone
+    # cannot be built.
+    with pytest.raises(TypeError):
+        FunctionFamily(1, 1, lambda b, f: float(b[0] * f[0]))
 
 
 # --- the stacked least-squares solve against np.linalg.lstsq -------------
