@@ -71,7 +71,6 @@ class Tolerances:
     energy_drift: float = 1e-8
     chart_battery: float = 1e-10
     covector_match: float = 1e-8
-    section_fd: float = 1e-6
 
 
 _TOLERANCE_NAMES = tuple(f.name for f in fields(Tolerances))

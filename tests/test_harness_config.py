@@ -145,6 +145,19 @@ class TestRejection:
         assert self.field_of(minimal(tolerances={"cocyle": 1e-9})) \
             == "tolerances"
 
+    def test_section_fd_is_not_a_tolerance(self, tmp_path, capsys):
+        # No check reads a section finite-difference tolerance, so the key
+        # is rejected like any other unknown one.
+        data = minimal(tolerances={"section_fd": 1e-6})
+        assert self.field_of(data) == "tolerances"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        assert main(["invariants", "--config", str(path),
+                     "--out", str(tmp_path / "report.json")]) == 2
+        assert capsys.readouterr().err == \
+            "config error: tolerances: unknown keys ['section_fd']\n"
+        assert not (tmp_path / "report.json").exists()
+
     def test_nonpositive_tolerance(self):
         assert self.field_of(minimal(tolerances={"cocycle": 0.0})) \
             == "tolerances.cocycle"
