@@ -12,11 +12,11 @@ The engine is generic and works on stacks: every family supplies its
 gradient, which takes base and fiber points of shape (..., b) and (..., f)
 and evaluates every row in one call, so a certification differentiates
 the gradient at every critical point in one call and takes the singular
-values of every mixed Hessian in one more.  Families for the particle system live at the bottom
-of the module: the velocity-fibered family whose critical covectors are the
-equations of motion in a fixed frame, its one-variable reduction to a
-scaled energy constraint, and a cotangent-bundle textbook family used as a
-rank reference.
+values of every mixed Hessian in one more.  Families for the particle
+system live at the bottom of the module: the velocity-fibered family whose
+critical covectors are the equations of motion in a fixed frame, its
+one-variable reduction to a scaled energy constraint, and a
+cotangent-bundle textbook family used as a rank reference.
 
 The solver is deliberately plain: one damped Newton over a stack of bases
 on the fiber gradient with a finite-difference Jacobian, least-squares
@@ -494,19 +494,6 @@ def reduce_family(fam: FunctionFamily, eliminate: int, seeds: Sequence,
     return FunctionFamily(base_dim=fam.base_dim, fiber_dim=kept,
                           value=value, gradient=gradient,
                           name=f"{fam.name}/reduced")
-
-
-def write_covectors_csv(covectors: Sequence[GeneratedCovector], stream) -> None:
-    """Dump generated covectors as CSV rows base_0..,cov_0.. (17 digits)."""
-    if not covectors:
-        stream.write("\n")
-        return
-    b = len(covectors[0].base)
-    header = [f"base_{i}" for i in range(b)] + [f"cov_{i}" for i in range(b)]
-    stream.write(",".join(header) + "\n")
-    for gc in covectors:
-        vals = list(gc.base) + list(gc.covector)
-        stream.write(",".join(f"{v:.17g}" for v in vals) + "\n")
 
 
 # ---------------------------------------------------------------------------

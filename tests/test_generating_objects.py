@@ -40,7 +40,6 @@ from galimech.generating_objects import (
     solve_critical,
     state_to_base,
     vector_to_fiber,
-    write_covectors_csv,
 )
 
 E0 = Frame.from_spatial([0.0, 0.0, 0.0])
@@ -278,16 +277,6 @@ class TestGenerate:
             name="cubic")
         with pytest.raises(ValueError):
             generate(fam, [[0.0]], seeds=[[0.0]], tol=1e-8)
-
-    def test_csv_export(self):
-        fam = saddle_family()
-        out = generate(fam, [[1.0]], seeds=[[0.0]], tol=1e-12)
-        import io
-        buf = io.StringIO()
-        write_covectors_csv(out, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "base_0,cov_0"
-        assert len(lines) == 2
 
 
 class TestReduce:
