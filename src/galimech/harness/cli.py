@@ -100,6 +100,9 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
     else:
         cfg = load_config(args.config)
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            raise ConfigError(
+                "--seed", f"expected a non-negative integer, got {args.seed}")
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 

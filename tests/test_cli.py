@@ -394,6 +394,22 @@ class TestUnwritableOut:
         assert sorted(os.listdir(tmp_path)) == ["taken"]
 
 
+class TestNegativeSeed:
+    """--seed is checked as the config's seed is: a negative one exits 2."""
+
+    @pytest.mark.parametrize("argv", TestUnwritableOut.COMMANDS)
+    def test_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        from galimech.harness.cli import main
+
+        out = tmp_path / "x.out"
+        assert main([*argv, "--seed", "-1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "config error: --seed: expected a non-negative integer, got -1\n"
+        assert not out.exists()
+
+
 class TestInternalError:
     """Any other exception ends in exit 4 with one stderr line."""
 
