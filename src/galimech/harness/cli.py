@@ -15,7 +15,8 @@ or a Newton solve started from a non-finite gradient, 4 any other error
 go to --out or stdout as JSON; a human-readable summary always goes to
 stderr.  Output files are written atomically: full content to a temp file
 in the target directory, then renamed over the path; an --out that cannot
-be written is a configuration problem (exit 2).  The checks are
+be written, or that names an existing special file, is a configuration
+problem (exit 2).  The checks are
 imported by the commands that run them, so ``simulate`` never loads them.
 """
 
@@ -66,7 +67,12 @@ def _configure_logging() -> None:
 def _atomic_write(path: str, text: str) -> None:
     """Write text to path through a temp file in its directory, removed
     on failure; a path that cannot be written is the --out argument's
-    fault, a ConfigError naming the path as given."""
+    fault, a ConfigError naming the path as given.  An existing path that
+    is neither a regular file nor a directory (a device, a FIFO, a socket)
+    is refused before anything is written, so the rename cannot replace
+    it."""
+    if os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path)):
+        raise ConfigError("--out", f"cannot write {path}: not a regular file")
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(prefix=".galimech-", dir=directory)

@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -392,6 +393,14 @@ class TestUnwritableOut:
         self.assert_usage_error(argv, str(tmp_path / "taken"), capsys,
                                 "Is a directory")
         assert sorted(os.listdir(tmp_path)) == ["taken"]
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_special_file_is_refused_and_kept(self, tmp_path, capsys, argv):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        self.assert_usage_error(argv, str(fifo), capsys, "not a regular file")
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["fifo"]
 
 
 class TestNegativeSeed:
