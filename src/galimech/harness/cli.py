@@ -16,8 +16,8 @@ go to --out or stdout as JSON; a human-readable summary always goes to
 stderr.  Output files are written atomically: full content to a temp file
 in the target directory, then renamed over the path; an --out that cannot
 be written, or that names an existing special file, is a configuration
-problem (exit 2).  The checks are
-imported by the commands that run them, so ``simulate`` never loads them.
+problem (exit 2).  The checks are imported by the commands that run them,
+so ``simulate`` never loads them.
 """
 
 from __future__ import annotations
