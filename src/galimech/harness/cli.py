@@ -14,7 +14,8 @@ or a Newton solve started from a non-finite gradient, 4 any other error
 (one line on stderr; the traceback too at GALIMECH_LOG=debug).  Reports
 go to --out or stdout as JSON; a human-readable summary always goes to
 stderr.  Output files are written atomically: full content to a temp file
-in the target directory, then renamed over the path; an --out that cannot
+in the target directory, then renamed over the path (through a symlink to
+its target, keeping a replaced file's mode); an --out that cannot
 be written, or that names an existing special file, is a configuration
 problem (exit 2).  The checks are imported by the commands that run them,
 so ``simulate`` never loads them.
@@ -28,6 +29,7 @@ import functools
 import io
 import logging
 import os
+import stat
 import sys
 import tempfile
 
@@ -67,19 +69,30 @@ def _configure_logging() -> None:
 def _atomic_write(path: str, text: str) -> None:
     """Write text to path through a temp file in its directory, removed
     on failure; a path that cannot be written is the --out argument's
-    fault, a ConfigError naming the path as given.  An existing path that
-    is neither a regular file nor a directory (a device, a FIFO, a socket)
-    is refused before anything is written, so the rename cannot replace
-    it."""
-    if os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path)):
+    fault, a ConfigError naming the path as given.  A symlink is written
+    through: the temp file goes next to the file it resolves to.  A
+    replaced file keeps its mode, and a new one gets 0o666 less the
+    umask, as open() would give it.  An existing path that is neither a
+    regular file nor a directory (a device, a FIFO, a socket) is refused
+    before anything is written, so the rename cannot replace it."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not (os.path.isfile(target)
+                                       or os.path.isdir(target)):
         raise ConfigError("--out", f"cannot write {path}: not a regular file")
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    if os.path.isfile(target):
+        mode = stat.S_IMODE(os.stat(target).st_mode)
+    else:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     try:
-        fd, tmp = tempfile.mkstemp(prefix=".galimech-", dir=directory)
+        fd, tmp = tempfile.mkstemp(prefix=".galimech-",
+                                   dir=os.path.dirname(target))
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                os.fchmod(fd, mode)
                 fh.write(text)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             try:
                 os.unlink(tmp)

@@ -403,6 +403,65 @@ class TestUnwritableOut:
         assert os.listdir(tmp_path) == ["fifo"]
 
 
+class TestOutFileTarget:
+    """--out keeps the mode of a file it replaces, gives a new file the
+    mode open() would, and writes through a symlink to its target."""
+
+    @staticmethod
+    def write(out):
+        from galimech.harness.cli import main
+
+        assert main(["invariants", "--suite", "core", "--out", str(out)]) == 0
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_text("old")
+        out.chmod(0o640)
+        self.write(out)
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o640
+        assert json.loads(out.read_text())["verdict"] == "pass"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+    def test_new_file_gets_the_umask_mode(self, tmp_path, umask):
+        out = tmp_path / "report.json"
+        old = os.umask(umask)
+        try:
+            self.write(out)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o666 & ~umask
+
+    def test_symlink_is_written_through(self, tmp_path, monkeypatch):
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        target = elsewhere / "target.json"
+        target.write_text("old")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        made_in = []
+        real_mkstemp = tempfile.mkstemp
+
+        def recording(*args, dir=None, **kwargs):
+            made_in.append(dir)
+            return real_mkstemp(*args, dir=dir, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkstemp", recording)
+        self.write(link)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert json.loads(target.read_text())["verdict"] == "pass"
+        assert made_in == [str(elsewhere)]
+        assert sorted(os.listdir(tmp_path)) == ["elsewhere", "link.json"]
+        assert os.listdir(elsewhere) == ["target.json"]
+
+    def test_dangling_symlink_creates_its_target(self, tmp_path):
+        target = tmp_path / "new.json"
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        self.write(link)
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["verdict"] == "pass"
+
+
 class TestNegativeSeed:
     """--seed is checked as the config's seed is: a negative one exits 2."""
 
