@@ -60,19 +60,19 @@ COMMANDS = {
 
 GOLDEN = {
     ("custom_anharmonic", "boost-check"):
-        (0, "3f5ddf76f92a3c3bfc8778058b3eb568b4df3630146a73341e81fc4848f7e171"),
+        (0, "b2d90e6690f6571125dad535387e1cfa0697cfe5c5418a59676dac57adfc1c9a"),
     ("custom_anharmonic", "invariants"):
         (0, "31b3b4bc077ef0aa0b5e8793f3b3ff0bd23e37ffe49283ee4f18a91481eddf5e"),
     ("custom_anharmonic", "simulate"):
         (0, "38f8d03ee0379fb0ae77baca047b0ab4840bf860f1a47c22d3ab4e3d2436cc67"),
     ("default", "boost-check"):
-        (0, "1d5f501039864c0c9ae345245214dac6ff6b5665eb93f2f12122dfbb0f57435a"),
+        (0, "f446a455a986845406fc9af6ab300ca25276f14ea424c014c5926c2749d0f7d9"),
     ("default", "invariants"):
         (0, "396704d045e0de489d5e5b447a2871755a10d36cae6bb5b2962f7d21043df0d7"),
     ("default", "simulate"):
         (0, "83ca5c0bb33ea15f1b05a90e1b34e1fac660ba4f8323ffdf9e3f98205b02461d"),
     ("harmonic_metric", "boost-check"):
-        (0, "a00866d934563a470631a8d7f7fefcf1e74b161ab2fe6e3c2d8ac0dd142b0d82"),
+        (0, "c0db6f4f7a8af078c85e420fa817ffa315f3b5859bd64c04eefcb29f80f5b009"),
     ("harmonic_metric", "invariants"):
         (0, "43c8fe7949d65bbdce3e46a984d217cbe5008d767448f48ffd61a35ae77ef3c8"),
     ("harmonic_metric", "simulate"):
@@ -82,19 +82,19 @@ GOLDEN = {
     ("custom_anharmonic", "morse-check"):
         (0, "25ca87d09e843953ad84fefd2273f3d9f374dc4e7b01362e8d15d89bace86deb"),
     ("custom_anharmonic", "boost-check-corrupt"):
-        (1, "cad8171808b0299221b15d3e0bbc5de0a941acb4bacb6b1b1506c82b42314629"),
+        (1, "09ad43ea1d32e6346e5d9b1112767117f462a72682ed72bf3e7a1d4b46f8a236"),
     ("default", "invariants-all"):
         (0, "a3ef06c05f5cac0810ab98fc3b02926118bacf707d2a331e6e89629498ab85f4"),
     ("default", "morse-check"):
         (0, "bd811e8bcc32bdc7ccf5c3cc3bdda7cb98613c771f928c796f0984e9d5eae33e"),
     ("default", "boost-check-corrupt"):
-        (1, "4f36989cad39ae2f1ba097f49668acdf0b33dd1172e634f95ea4aa8970bcf65d"),
+        (1, "a2ccb7118961c541923b82ed426fa48ef6b4d09cfb17833ad806e51a4583f670"),
     ("harmonic_metric", "invariants-all"):
         (0, "fd546e6d38dd2f1e9d6a1ee7f0ca38c0a30f3ddf8a8787f269869b7d493d1d29"),
     ("harmonic_metric", "morse-check"):
         (0, "8452433f42fff1d7c5587a12097861919ec60c9442e7fdd9f32c54acd5a4baaa"),
     ("harmonic_metric", "boost-check-corrupt"):
-        (1, "a5f25a8c46a1f09282656de6e5c731fc881262a23a8096787522dfffbc488711"),
+        (1, "d6ec6c072c44892be07f26fce3058dd92db47bf2187144621b37217796a3df89"),
 }
 
 

@@ -162,3 +162,17 @@ def test_offset_error_fails_at_every_speed(tmp_path, monkeypatch, speed):
                   if c["name"] == "momentum.offset_constant")
     assert code == 1 and offset["status"] == "fail"
     assert offset["max_err"] >= 0.9 * REL
+
+
+@pytest.mark.parametrize("speed", [1.0, 1e4, 1e8])
+def test_unperturbed_boost_check_passes_at_every_speed(tmp_path, speed):
+    # Momenta of size 1e8 carry rounding far above the O(1) offset's
+    # tolerance; the offset check must not count it as an error.
+    config = {"initial_velocity": [speed, 0.0, 0.0]}
+    assert failing_checks(tmp_path, BOOST, config) == (0, set())
+
+
+def test_corrupt_sigma_fails_at_high_speed(tmp_path):
+    config = {"initial_velocity": [1e8, 0.0, 0.0]}
+    assert failing_checks(tmp_path, ("boost-check", "--corrupt-sigma"),
+                          config) == (1, {"boost.residual_preservation"})
