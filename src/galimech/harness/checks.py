@@ -164,9 +164,13 @@ def _verdict(name: str, errs: np.ndarray, tol: float, count: bool = False,
              n: int | None = None) -> CheckResult:
     """The largest error (with count, the number of mismatches) against
     tol, over n samples (by default one per error).  NaN propagates, so a
-    non-finite error fails the check."""
+    non-finite error fails the check.  The flat index of the largest error
+    or of the first NaN (with count, of the first mismatch) and the number
+    of non-finite errors go with it."""
     worst = np.sum(errs) if count else np.max(errs, initial=0.0)
-    return CheckResult(name, worst, tol, errs.size if n is None else n)
+    return CheckResult(name, worst, tol, errs.size if n is None else n,
+                       worst_index=np.argmax(errs) if errs.size else None,
+                       nonfinite=np.count_nonzero(~np.isfinite(errs)))
 
 
 def _sampled(name: str, tol: str | float, count: bool = False):
@@ -334,9 +338,8 @@ def check_world_lines(cfg: ScenarioConfig, traj: Trajectory) -> CheckResult:
         else cfg.tolerances.world_line_bound
     scale = max(float(np.max(np.abs(traj.t))),
                 float(np.max(np.abs(traj.q[:, 0]))))
-    err = float(np.max(np.abs(traj.q[:, 1:] - traj.q[:, :1]), initial=0.0))
-    return CheckResult(name, _rel(err, scale), tol,
-                       (len(traj.frames) - 1) * len(traj))
+    errs = _maxabs(traj.q[:, 1:] - traj.q[:, :1])
+    return _verdict(name, _rel(errs, scale).ravel(), tol)
 
 
 def check_momentum_offset(cfg: ScenarioConfig, traj: Trajectory) -> CheckResult:
@@ -617,17 +620,17 @@ def _fam1_vs_fam2(cfg: ScenarioConfig, u: Frame) -> CheckResult:
     found = list(zip(
         solve_critical_stack(fam1, bases, vector_to_fiber(v)[:, None], tol=1e-11),
         solve_critical_stack(fam2, bases, [[1.0]], tol=1e-11)))
-    pairs = [(a[0], b[0]) for a, b in found if len(a) == 1 and len(b) == 1]
-    errs, compared = np.full(len(found) - len(pairs), np.inf), 0
-    if pairs:
+    single = [i for i, (a, b) in enumerate(found) if len(a) == len(b) == 1]
+    errs, compared = np.full(len(found), np.inf), 0
+    if single:
         (morse1, cov1), (morse2, cov2) = (
-            _certified_covectors(fam, points)
-            for fam, points in zip((fam1, fam2), zip(*pairs)))
+            _certified_covectors(fam, [found[i][k][0] for i in single])
+            for k, fam in enumerate((fam1, fam2)))
         with np.errstate(all="ignore"):
             rel = _rel(np.max(np.abs(cov1 - cov2), axis=1),
                        np.max(np.abs(cov2), axis=1))
         morse = morse1 & morse2
-        errs = np.concatenate([errs, np.where(morse, rel, np.inf)])
+        errs[single] = np.where(morse, rel, np.inf)
         compared = int(np.sum(morse))
     return _verdict(name, errs, cfg.tolerances.covector_match, n=compared)
 

@@ -3,6 +3,12 @@
 A report is a flat list of named checks.  Serialization keeps keys sorted
 and floats at full repr precision: two runs over the same config and seed
 must produce byte-identical JSON.
+
+Each check names the sample behind its verdict: ``worst_index`` is the
+flat (C-order) index, into the check's array of per-sample errors, of the
+largest error or of the first NaN, which for a count check is the first
+mismatch, and ``null`` for a check without per-sample errors;
+``nonfinite`` counts the errors that are NaN or infinite.
 """
 
 from __future__ import annotations
@@ -21,12 +27,17 @@ class CheckResult:
     max_err: float
     tol: float
     n: int
+    worst_index: int | None = None
+    nonfinite: int = 0
 
     def __post_init__(self) -> None:
         # normalize numpy scalars so json and identity checks behave
         object.__setattr__(self, "max_err", float(self.max_err))
         object.__setattr__(self, "tol", float(self.tol))
         object.__setattr__(self, "n", int(self.n))
+        if self.worst_index is not None:
+            object.__setattr__(self, "worst_index", int(self.worst_index))
+        object.__setattr__(self, "nonfinite", int(self.nonfinite))
 
     @property
     def passed(self) -> bool:
@@ -43,6 +54,8 @@ class CheckResult:
             "max_err": self.max_err,
             "tol": self.tol,
             "n": self.n,
+            "worst_index": self.worst_index,
+            "nonfinite": self.nonfinite,
         }
 
 

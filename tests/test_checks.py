@@ -1,6 +1,7 @@
 """Direct tests of the check layer, mostly the parts the CLI cannot reach."""
 
 import dataclasses
+import json
 import math
 import warnings
 
@@ -34,6 +35,7 @@ from galimech.harness.checks import (
     morse_checks,
     suite_checks,
 )
+from galimech.harness.cli import main
 from galimech.harness.config import PotentialSpec, default_config
 
 
@@ -271,3 +273,79 @@ def test_momentum_offset_nan_frame_fails():
     result = check_momentum_offset(cfg, dataclasses.replace(traj, p=p))
     assert math.isnan(result.max_err) and not result.passed
     assert result.n == (len(traj.frames) - 1) * len(traj)
+
+
+# --- self-explaining verdicts ---------------------------------------------
+
+def test_verdict_names_the_worst_sample_and_counts_non_finite():
+    errs = np.array([0.0, 3.0, np.inf, 1.0, np.nan, np.nan])
+    result = _verdict("x", errs, 1.0)
+    assert (result.worst_index, result.nonfinite) == (4, 3)
+    result = _verdict("x", np.array([0.0, 2e-9, 5e-9, 5e-9]), 1.0)
+    assert (result.worst_index, result.nonfinite) == (2, 0)
+    result = _verdict("x", np.array([False, False, True, True]), 0.0, count=True)
+    assert (result.worst_index, result.max_err) == (2, 2.0)
+    assert _verdict("x", np.zeros(0), 0.0).worst_index is None
+
+
+def test_one_nan_sample_is_named_in_the_report(tmp_path, monkeypatch):
+    # Sample 123 of every potential evaluation is NaN: each check that
+    # reads the potential names sample 123 and counts it, twice for the
+    # Legendre check, whose errors are 250 inhomogeneous samples and then
+    # 250 homogeneous ones, each with its own potential values.
+    real = checks._potential_at
+
+    def one_nan(phi, x):
+        out = real(phi, x).copy()
+        out[123] = np.nan
+        return out
+
+    monkeypatch.setattr(checks, "_potential_at", one_nan)
+    out = tmp_path / "report.json"
+    assert main(["invariants", "--suite", "dynamics", "--out", str(out)]) == 1
+    report = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    for name, nonfinite in (("lagrangian.shift_identity", 1),
+                            ("legendre.fd_consistency", 2),
+                            ("mass_shell.on_shell_residual", 1),
+                            ("boost.residual_preservation", 1)):
+        assert report[name]["status"] == "fail"
+        assert (report[name]["worst_index"], report[name]["nonfinite"]) == \
+            (123, nonfinite)
+    assert report["energy.drift"]["nonfinite"] == 0
+
+
+def test_worst_index_replays_from_the_seed_and_the_check_name():
+    # The check's stream, drawn in the check's block layout, gives back the
+    # worst sample; one evaluation of it through the object API reproduces
+    # max_err.
+    cfg = dataclasses.replace(
+        default_config(), seed=7, mass=1.3,
+        potential=PotentialSpec("custom", expr="sin(q1)*q2 + 0.2*q3^2"))
+    result = check_lagrangian_shift(cfg)
+    u, u_prime, v, x = checks._draws(
+        _rng(cfg, result.name), result.n,
+        checks._FRAME, checks._FRAME, checks._FUTURE, checks._NORMAL4)
+    i, g, phi = result.worst_index, cfg.build_metric(), cfg.build_potential()
+    u, u_prime = Frame.from_spatial(u[i]), Frame.from_spatial(u_prime[i])
+    v, x = Vector4.from_array(v[i]), Event(*x[i].tolist())
+    lhs = lagrangian_hom(u, cfg.mass, g, phi, x, v) \
+        - lagrangian_hom(u_prime, cfg.mass, g, phi, x, v)
+    rhs = cfg.mass * sigma(g, u_prime, u).pair(v)
+    assert abs(lhs - rhs) / max(1.0, abs(rhs)) == result.max_err
+    assert result.nonfinite == 0
+
+
+def test_world_line_and_offset_name_a_step_and_frame():
+    cfg = default_config()
+    traj = frame_trajectories(cfg)
+    q = traj.q.copy()
+    q[17, 3, 1] += 1.0  # step 17, frame 3
+    p = traj.p.copy()
+    p[17, 3, 1] = np.nan
+    broken = dataclasses.replace(traj, q=q, p=p)
+    frames = len(traj.frames) - 1
+    for result in (check_world_lines(cfg, broken),
+                   check_momentum_offset(cfg, broken)):
+        assert not result.passed
+        assert divmod(result.worst_index, frames) == (17, 2)
+    assert check_momentum_offset(cfg, broken).nonfinite == 1

@@ -60,41 +60,41 @@ COMMANDS = {
 
 GOLDEN = {
     ("custom_anharmonic", "boost-check"):
-        (0, "b2d90e6690f6571125dad535387e1cfa0697cfe5c5418a59676dac57adfc1c9a"),
+        (0, "8ed3bac2aea7c7b87b8f99c46e24c9ea64367546357579fe445f2833bc315f8a"),
     ("custom_anharmonic", "invariants"):
-        (0, "31b3b4bc077ef0aa0b5e8793f3b3ff0bd23e37ffe49283ee4f18a91481eddf5e"),
+        (0, "113057fbf94c2f5caa37ef68440ee8a208d997efa39e6d2ee6acfce525ad6b1f"),
     ("custom_anharmonic", "simulate"):
         (0, "38f8d03ee0379fb0ae77baca047b0ab4840bf860f1a47c22d3ab4e3d2436cc67"),
     ("default", "boost-check"):
-        (0, "f446a455a986845406fc9af6ab300ca25276f14ea424c014c5926c2749d0f7d9"),
+        (0, "5a5c3e7466e956428c912a9a99b85215653d7d5852bae11f21eefdb1af0c46c9"),
     ("default", "invariants"):
-        (0, "396704d045e0de489d5e5b447a2871755a10d36cae6bb5b2962f7d21043df0d7"),
+        (0, "00c0cfaad10bd6339936efda69313c4135b1697d1ff6170ab540db6bcea972b2"),
     ("default", "simulate"):
         (0, "83ca5c0bb33ea15f1b05a90e1b34e1fac660ba4f8323ffdf9e3f98205b02461d"),
     ("harmonic_metric", "boost-check"):
-        (0, "c0db6f4f7a8af078c85e420fa817ffa315f3b5859bd64c04eefcb29f80f5b009"),
+        (0, "5bc2f2c4dbbeef763cc45fc18b5c71dc72bea2a448b6d7a2dc244958a439417d"),
     ("harmonic_metric", "invariants"):
-        (0, "43c8fe7949d65bbdce3e46a984d217cbe5008d767448f48ffd61a35ae77ef3c8"),
+        (0, "d5af1abe0666c45d29c1841430066a6ddbaf33418af75a3a8d9ca94a614ac263"),
     ("harmonic_metric", "simulate"):
         (0, "562a4e49d1773acc4369c17dd068c500877223d7dd4d846ef80de30a13eeddba"),
     ("custom_anharmonic", "invariants-all"):
-        (0, "94f6527d3d72aca16bb156f937e94b0813997fb9eec74dfe00680547881c1f30"),
+        (0, "0ad9fd3fcb9908fe614e9af8b07dd4ff674a9d74368d691cec863c7a5983c0f9"),
     ("custom_anharmonic", "morse-check"):
-        (0, "25ca87d09e843953ad84fefd2273f3d9f374dc4e7b01362e8d15d89bace86deb"),
+        (0, "ab1bd773b5821bf2e5197d28c9c7d97b33ffbbbc13090fda688e6d4191df2922"),
     ("custom_anharmonic", "boost-check-corrupt"):
-        (1, "09ad43ea1d32e6346e5d9b1112767117f462a72682ed72bf3e7a1d4b46f8a236"),
+        (1, "f73ab7148024b59cbc42d20c74af14ddcdf57ea1a93be3465bbbc534da5b83e4"),
     ("default", "invariants-all"):
-        (0, "a3ef06c05f5cac0810ab98fc3b02926118bacf707d2a331e6e89629498ab85f4"),
+        (0, "dd6011cc2538fce17d5e95c6d6af59506a4612bba8a1c91b8a76be1547cbe0d0"),
     ("default", "morse-check"):
-        (0, "bd811e8bcc32bdc7ccf5c3cc3bdda7cb98613c771f928c796f0984e9d5eae33e"),
+        (0, "3385446608768ba46c710661626751ac3589e92721e66a3c67b85bcfbc5a3d3e"),
     ("default", "boost-check-corrupt"):
-        (1, "a2ccb7118961c541923b82ed426fa48ef6b4d09cfb17833ad806e51a4583f670"),
+        (1, "eab1c5c333e69b95edfc43da657aca2b512f307f141fdf8ce0f42f73e331a0f8"),
     ("harmonic_metric", "invariants-all"):
-        (0, "fd546e6d38dd2f1e9d6a1ee7f0ca38c0a30f3ddf8a8787f269869b7d493d1d29"),
+        (0, "a11d7a6a3cfab8af33feef8f72b485a40d89d072e4b2d34422347d1af878c2c3"),
     ("harmonic_metric", "morse-check"):
-        (0, "8452433f42fff1d7c5587a12097861919ec60c9442e7fdd9f32c54acd5a4baaa"),
+        (0, "68d15daa5997ab51912ed7036ca0887e6c068a2299731f94bfa82fb7599c9dc9"),
     ("harmonic_metric", "boost-check-corrupt"):
-        (1, "d6ec6c072c44892be07f26fce3058dd92db47bf2187144621b37217796a3df89"),
+        (1, "5621d52f8cc2bd732f83da36ce30bcabb96f75fd502225820a6b092a1b7f6ef6"),
 }
 
 
@@ -119,7 +119,7 @@ def test_output_matches_golden_hash(tmp_path, scenario, command):
 
 def test_time_dependent_metric_morse_check_matches_golden_hash(tmp_path):
     assert _run(tmp_path, TIME_METRIC, "morse-check") == (
-        0, "a33be2fe3b2ac1961d56192c07e69b9abc06b07dafa9b5510e99958594d33e68")
+        0, "ceee72fd6a3eba6260fc7291d831b347712e75a6c82475c82187915b5b5c5386")
 
 
 @pytest.mark.parametrize("scenario", ["default", "harmonic_metric"])

@@ -267,6 +267,7 @@ class TestReport:
         assert data["verdict"] == "pass"
         assert data["checks"][0] == {
             "name": "a", "status": "pass", "max_err": 0.5, "tol": 1.0, "n": 3,
+            "worst_index": None, "nonfinite": 0,
         }
 
     def test_render_is_deterministic(self):
