@@ -127,30 +127,26 @@ _NORMAL4 = (4,)  # event, vector or covector
 
 
 def _draws(rng: np.random.Generator, n: int, *draws) -> list[np.ndarray]:
-    """n samples of each draw, one (n, width) array per draw, holding
-    exactly the values a loop over the samples takes from rng.
+    """n samples of each draw, one (n, width) array per draw.
 
-    rng.uniform(low, high) is low + (high - low) * rng.random() and
-    rng.normal() is rng.standard_normal(), so the raw values are filled
-    first, one call per run of columns of one kind per sample (one call
-    in all when every column is of one kind), and mapped afterwards.
+    Two generator calls at most: rng.random((n, U)) for the U uniform
+    columns of all the blocks, in layout order, then
+    rng.standard_normal((n, N)) for the N normal ones.  Uniform columns
+    are mapped to low + (high - low) * u, as rng.uniform maps them.
+    Sample i of a draw is row i of its array.
     """
     blocks = [b for draw in draws for b in draw]
-    widths = [b if isinstance(b, int) else b[2] for b in blocks]
-    edges = np.cumsum([0, *widths]).tolist()
-    normal = np.repeat([isinstance(b, int) for b in blocks], widths)
-    cuts = [0, *(np.flatnonzero(np.diff(normal)) + 1).tolist(), len(normal)]
-    runs = [(rng.standard_normal if normal[lo] else rng.random, lo, hi)
-            for lo, hi in zip(cuts, cuts[1:])]
-    out = np.empty((n, len(normal)))
-    for row in [out] if len(runs) == 1 else out:
-        for fill, lo, hi in runs:
-            fill(out=row[..., lo:hi])
-    for b, lo, hi in zip(blocks, edges, edges[1:]):
-        if not isinstance(b, int):
-            out[:, lo:hi] = b[0] + (b[1] - b[0]) * out[:, lo:hi]
-    ends = np.cumsum([len(draw) for draw in draws])[:-1]
-    return np.split(out, [edges[i] for i in ends], axis=1)
+    normal = np.concatenate([np.full(b, True) if isinstance(b, int)
+                             else np.full(b[2], False) for b in blocks])
+    low, high = np.array([b[:2] for b in blocks if not isinstance(b, int)
+                          for _ in range(b[2])]).reshape(-1, 2).T
+    out = np.empty((n, normal.size))
+    if low.size:
+        out[:, ~normal] = low + (high - low) * rng.random((n, low.size))
+    if normal.any():
+        out[:, normal] = rng.standard_normal((n, int(normal.sum())))
+    widths = [sum(b if isinstance(b, int) else b[2] for b in d) for d in draws]
+    return np.split(out, np.cumsum(widths)[:-1], axis=1)
 
 
 def _potential_at(phi: Potential, x: np.ndarray) -> np.ndarray:

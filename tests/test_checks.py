@@ -154,11 +154,11 @@ def test_one_nan_among_finite_errors_fails():
 
 def _loop_lagrangian_shift(cfg, rng, phi, g):
     worst = 0.0
-    for _ in range(1000):
-        u = Frame.from_spatial(rng.uniform(-1.5, 1.5, size=3))
-        u_prime = Frame.from_spatial(rng.uniform(-1.5, 1.5, size=3))
-        v = Vector4(float(rng.uniform(0.2, 2.0)), *rng.normal(size=3).tolist())
-        x = Event(*rng.normal(size=4).tolist())
+    rows = zip(*checks._draws(rng, 1000, checks._FRAME, checks._FRAME,
+                              checks._FUTURE, checks._NORMAL4))
+    for u, u_prime, v, x in rows:
+        u, u_prime = Frame.from_spatial(u), Frame.from_spatial(u_prime)
+        v, x = Vector4.from_array(v), Event(*x.tolist())
         lhs = lagrangian_hom(u, cfg.mass, g, phi, x, v) \
             - lagrangian_hom(u_prime, cfg.mass, g, phi, x, v)
         rhs = cfg.mass * sigma(g, u_prime, u).pair(v)
@@ -168,17 +168,21 @@ def _loop_lagrangian_shift(cfg, rng, phi, g):
 
 def _loop_legendre_fd(cfg, rng, phi, g):
     m, worst = cfg.mass, 0.0
+    u0, x0, w0, u1, x1, v1 = checks._draws(
+        rng, 250, checks._FRAME, checks._NORMAL4, (3,),
+        checks._FRAME, checks._NORMAL4, checks._FUTURE)
     for i in range(500):
-        u = Frame.from_spatial(rng.uniform(-1.5, 1.5, size=3))
-        x = Event(*rng.normal(size=4).tolist())
+        k = i // 2
+        u = Frame.from_spatial((u0, u1)[i % 2][k])
+        x = Event(*(x0, x1)[i % 2][k].tolist())
         if i % 2 == 0:
-            w = rng.normal(size=3)
+            w = w0[k]
             analytic = legendre_inhom(u, m, g, Frame.from_spatial(w))
             lagrangian = lambda c: lagrangian_inhom(u, m, g, phi, x,
                                                     Frame.from_spatial(c))
             coords = w
         else:
-            v = Vector4(float(rng.uniform(0.2, 2.0)), *rng.normal(size=3))
+            v = Vector4.from_array(v1[k])
             analytic = legendre_hom(u, m, g, phi, x, v).as_array()
             lagrangian = lambda c: lagrangian_hom(u, m, g, phi, x,
                                                   Vector4.from_array(c))

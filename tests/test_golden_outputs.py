@@ -60,41 +60,41 @@ COMMANDS = {
 
 GOLDEN = {
     ("custom_anharmonic", "boost-check"):
-        (0, "8ed3bac2aea7c7b87b8f99c46e24c9ea64367546357579fe445f2833bc315f8a"),
+        (0, "d0d4eaa97a9988a492dab8a153657b2ac225f5471a4fea55d9c1a64f4c488c0c"),
     ("custom_anharmonic", "invariants"):
-        (0, "113057fbf94c2f5caa37ef68440ee8a208d997efa39e6d2ee6acfce525ad6b1f"),
+        (0, "ef1604167fcf83ea28102581f769fec230d75e98a387fd338cd8780babff3210"),
     ("custom_anharmonic", "simulate"):
         (0, "38f8d03ee0379fb0ae77baca047b0ab4840bf860f1a47c22d3ab4e3d2436cc67"),
     ("default", "boost-check"):
-        (0, "5a5c3e7466e956428c912a9a99b85215653d7d5852bae11f21eefdb1af0c46c9"),
+        (0, "8781a3f909da51855fe3d2aa4cf7a6e9d03b0b2600f331095204c689182e7444"),
     ("default", "invariants"):
-        (0, "00c0cfaad10bd6339936efda69313c4135b1697d1ff6170ab540db6bcea972b2"),
+        (0, "0fe1af92147f75c7190d2cc1a22711231594931411c963c406791b1041305571"),
     ("default", "simulate"):
         (0, "83ca5c0bb33ea15f1b05a90e1b34e1fac660ba4f8323ffdf9e3f98205b02461d"),
     ("harmonic_metric", "boost-check"):
-        (0, "5bc2f2c4dbbeef763cc45fc18b5c71dc72bea2a448b6d7a2dc244958a439417d"),
+        (0, "8fd6f13cb7e480ce6b4203f233b460841cdc5f50425084fda50b7ac89c979448"),
     ("harmonic_metric", "invariants"):
-        (0, "d5af1abe0666c45d29c1841430066a6ddbaf33418af75a3a8d9ca94a614ac263"),
+        (0, "6d816d213521a62210b7c19ce9278736b8363cbaca76c12821771e7dec404b56"),
     ("harmonic_metric", "simulate"):
         (0, "562a4e49d1773acc4369c17dd068c500877223d7dd4d846ef80de30a13eeddba"),
     ("custom_anharmonic", "invariants-all"):
-        (0, "0ad9fd3fcb9908fe614e9af8b07dd4ff674a9d74368d691cec863c7a5983c0f9"),
+        (0, "b497fdb2a86d7aaa3202b6ead5c12d7adeb126de24c57d2b7a6d9787880cc136"),
     ("custom_anharmonic", "morse-check"):
-        (0, "ab1bd773b5821bf2e5197d28c9c7d97b33ffbbbc13090fda688e6d4191df2922"),
+        (0, "c417579cf26710f0173f1e9dc58c5c93af0f3b61bb606adbd29ffc13b5f29d3d"),
     ("custom_anharmonic", "boost-check-corrupt"):
-        (1, "f73ab7148024b59cbc42d20c74af14ddcdf57ea1a93be3465bbbc534da5b83e4"),
+        (1, "9661ed02e7976d6b1a300f45679f40a531a357d8bfd543424a6aac4318814346"),
     ("default", "invariants-all"):
-        (0, "dd6011cc2538fce17d5e95c6d6af59506a4612bba8a1c91b8a76be1547cbe0d0"),
+        (0, "d5f717af120348109450433a744e1a0def61347dce92d122bb5aec1cb85fd785"),
     ("default", "morse-check"):
-        (0, "3385446608768ba46c710661626751ac3589e92721e66a3c67b85bcfbc5a3d3e"),
+        (0, "06aabcf05d1751e8aeb00bc40722ccc1f7cc135f37b14dc0fa51302dc26fec47"),
     ("default", "boost-check-corrupt"):
-        (1, "eab1c5c333e69b95edfc43da657aca2b512f307f141fdf8ce0f42f73e331a0f8"),
+        (1, "81eaa1c74dc8af60cb9556e60722ced7ef1d52341ee86847f378d6af174e0f8c"),
     ("harmonic_metric", "invariants-all"):
-        (0, "a11d7a6a3cfab8af33feef8f72b485a40d89d072e4b2d34422347d1af878c2c3"),
+        (0, "33bcb2f7edc952bc978db2994dd5cb6c165c298c90159996fa09f70c067410ec"),
     ("harmonic_metric", "morse-check"):
-        (0, "68d15daa5997ab51912ed7036ca0887e6c068a2299731f94bfa82fb7599c9dc9"),
+        (0, "0a7991d2ea12663c84808b94184afff5bf17257b23e1428435de70b918a7278e"),
     ("harmonic_metric", "boost-check-corrupt"):
-        (1, "5621d52f8cc2bd732f83da36ce30bcabb96f75fd502225820a6b092a1b7f6ef6"),
+        (1, "ff79da492c24f125516a701dd589afe7eca153ee7d4313108635dcb7ae661158"),
 }
 
 
@@ -119,7 +119,7 @@ def test_output_matches_golden_hash(tmp_path, scenario, command):
 
 def test_time_dependent_metric_morse_check_matches_golden_hash(tmp_path):
     assert _run(tmp_path, TIME_METRIC, "morse-check") == (
-        0, "ceee72fd6a3eba6260fc7291d831b347712e75a6c82475c82187915b5b5c5386")
+        0, "aa76b534313564922c3a711bff652ce0ccdbee69e4bf75c33c797e9f0f473475")
 
 
 @pytest.mark.parametrize("scenario", ["default", "harmonic_metric"])
