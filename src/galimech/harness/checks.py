@@ -5,11 +5,17 @@ seed together with a CRC of the check's own name, so adding, removing, or
 reordering checks never changes another check's samples, and two runs with
 the same config are bit-identical.
 
-A sampled check draws all of its samples into arrays first, in the order
-a per-sample loop would draw them, and then evaluates its identity once
-over the whole sample axis through the array kernels.  One driver,
-``_sampled``, turns the per-sample errors into the verdict: the largest
-error, NaN included, so a single non-finite sample fails the check.
+A sampled check draws its samples block-wise: ``_draws`` lays the blocks
+of every draw side by side as columns and fills them with one
+``rng.random((n, U))`` call for the U uniform columns, then one
+``rng.standard_normal((n, N))`` call for the N normal ones; sample i is
+row i of each draw.  The identity is then evaluated once over the whole
+sample axis through the array kernels.  One driver, ``_sampled``, turns
+the per-sample errors into the verdict: the largest error, NaN included,
+so a single non-finite sample fails the check.  ``worst_index`` is the
+flat index of that error (of the first NaN; with a count, of the first
+mismatch), which ``_draws(_rng(cfg, name), n, *layout)`` replays, and
+``nonfinite`` counts the NaN or infinite errors.
 
 Relative errors throughout are measured against max(1, |reference|): the
 quantities involved are order one in the stock scenarios, and the floor
@@ -105,9 +111,8 @@ def _rel(err, ref):
     return err / np.maximum(1.0, np.abs(ref))
 
 
-# The rounding, in units of eps times the operands' size, that a difference
-# of computed momenta can carry (Higham, Accuracy and Stability of Numerical
-# Algorithms, ch. 2).
+# Rounding a difference of computed momenta can carry, in eps |p| (Higham,
+# Accuracy and Stability of Numerical Algorithms, ch. 2).
 _ROUNDING_ULPS = 4
 
 
@@ -127,14 +132,9 @@ _NORMAL4 = (4,)  # event, vector or covector
 
 
 def _draws(rng: np.random.Generator, n: int, *draws) -> list[np.ndarray]:
-    """n samples of each draw, one (n, width) array per draw.
-
-    Two generator calls at most: rng.random((n, U)) for the U uniform
-    columns of all the blocks, in layout order, then
-    rng.standard_normal((n, N)) for the N normal ones.  Uniform columns
-    are mapped to low + (high - low) * u, as rng.uniform maps them.
-    Sample i of a draw is row i of its array.
-    """
+    """n samples of each draw, one (n, width) array per draw, from one
+    rng.random call for all uniform columns, mapped to low + (high - low) * u,
+    then one rng.standard_normal call for all normal columns."""
     blocks = [b for draw in draws for b in draw]
     normal = np.concatenate([np.full(b, True) if isinstance(b, int)
                              else np.full(b[2], False) for b in blocks])
@@ -160,13 +160,12 @@ def _verdict(name: str, errs: np.ndarray, tol: float, count: bool = False,
              n: int | None = None) -> CheckResult:
     """The largest error (with count, the number of mismatches) against
     tol, over n samples (by default one per error).  NaN propagates, so a
-    non-finite error fails the check.  The flat index of the largest error
-    or of the first NaN (with count, of the first mismatch) and the number
-    of non-finite errors go with it."""
+    non-finite error fails the check.  np.argmax gives the first largest
+    error or NaN (with count, the first mismatch) as worst_index."""
     worst = np.sum(errs) if count else np.max(errs, initial=0.0)
     return CheckResult(name, worst, tol, errs.size if n is None else n,
-                       worst_index=np.argmax(errs) if errs.size else None,
-                       nonfinite=np.count_nonzero(~np.isfinite(errs)))
+                       int(np.argmax(errs)) if errs.size else None,
+                       int(np.count_nonzero(~np.isfinite(errs))))
 
 
 def _sampled(name: str, tol: str | float, count: bool = False):
@@ -340,12 +339,9 @@ def check_world_lines(cfg: ScenarioConfig, traj: Trajectory) -> CheckResult:
 
 def check_momentum_offset(cfg: ScenarioConfig, traj: Trajectory) -> CheckResult:
     """Between two frames of traj the spatial momenta differ by the
-    constant m g(u' - u) along the entire trajectory.
-
-    Momenta of size |p| carry rounding of order eps |p| however the offset
-    compares, so _ROUNDING_ULPS eps max|p| of each sample's error is
-    rounding, not a wrong offset, and is taken off before the error is
-    scaled by the offset."""
+    constant m g(u' - u) along the entire trajectory.  Each sample's error
+    first loses the _ROUNDING_ULPS eps max|p| that momenta of size |p|
+    carry however the offset compares, then is scaled by the offset."""
     name = "momentum.offset_constant"
     g = cfg.build_metric()
     u0, *others = traj.frames
@@ -494,11 +490,7 @@ def check_duality_rank(cfg: ScenarioConfig) -> CheckResult:
     name = "affine.duality_rank"
     rng = _rng(cfg, name)
     model = _model(cfg)
-    ws = [WElement(Vector4(1.0, 0.0, 0.0, 0.0), 0.0),
-          WElement(Vector4(0.0, 1.0, 0.0, 0.0), 0.0),
-          WElement(Vector4(0.0, 0.0, 1.0, 0.0), 0.0),
-          WElement(Vector4(0.0, 0.0, 0.0, 1.0), 0.0),
-          W_UNIT]
+    ws = [WElement(Vector4(*row.tolist()), 0.0) for row in np.eye(4)] + [W_UNIT]
     ps = [PElement(Covector4(*rng.normal(size=4))) for _ in range(5)]
     mat = np.array([[eval_affine(model, w, pp) for pp in ps] for w in ws])
     rank = int(np.linalg.matrix_rank(mat, tol=1e-10))
@@ -675,12 +667,9 @@ def dynamics_suite(cfg: ScenarioConfig) -> list[CheckResult]:
 
 
 def affine_suite(cfg: ScenarioConfig) -> list[CheckResult]:
-    results = check_chart_battery(cfg)
-    results.append(check_w_axioms(cfg))
-    results.append(check_unit_element(cfg))
-    results.append(check_duality_rank(cfg))
-    results.append(check_gamma_composite(cfg))
-    return results
+    return check_chart_battery(cfg) + [
+        check_w_axioms(cfg), check_unit_element(cfg), check_duality_rank(cfg),
+        check_gamma_composite(cfg)]
 
 
 @_domain_errors

@@ -14,11 +14,11 @@ or a Newton solve started from a non-finite gradient, 4 any other error
 (one line on stderr; the traceback too at GALIMECH_LOG=debug).  Reports
 go to --out or stdout as JSON; a human-readable summary always goes to
 stderr.  Output files are written atomically: full content to a temp file
-in the target directory, then renamed over the path (through a symlink to
-its target, keeping a replaced file's mode); an --out that cannot
-be written, or that names an existing special file, is a configuration
-problem (exit 2).  The checks are imported by the commands that run them,
-so ``simulate`` never loads them.
+in the target directory, then renamed over the path (through a symlink,
+keeping a replaced file's mode); an --out that cannot be written, or that
+names an existing special file, is a configuration problem (exit 2).  The
+checks are imported by the commands that run them, so ``simulate`` never
+loads them.
 """
 
 from __future__ import annotations
@@ -56,10 +56,7 @@ _LOG_LEVELS = {
 
 def _configure_logging() -> None:
     raw = os.environ.get("GALIMECH_LOG", "error").strip().lower()
-    level = _LOG_LEVELS.get(raw)
-    if level is None:
-        level = logging.ERROR
-    logging.basicConfig(level=level,
+    logging.basicConfig(level=_LOG_LEVELS.get(raw, logging.ERROR),
                         format="%(levelname)s %(name)s: %(message)s",
                         stream=sys.stderr)
     if raw and raw not in _LOG_LEVELS:
@@ -70,21 +67,17 @@ def _atomic_write(path: str, text: str) -> None:
     """Write text to path through a temp file in its directory, removed
     on failure; a path that cannot be written is the --out argument's
     fault, a ConfigError naming the path as given.  A symlink is written
-    through: the temp file goes next to the file it resolves to.  A
-    replaced file keeps its mode, and a new one gets 0o666 less the
-    umask, as open() would give it.  An existing path that is neither a
+    through to the file it resolves to, a replaced file keeps its mode, and
+    a new one gets 0o666 less the umask.  An existing path that is neither a
     regular file nor a directory (a device, a FIFO, a socket) is refused
     before anything is written, so the rename cannot replace it."""
     target = os.path.realpath(path)
-    if os.path.exists(target) and not (os.path.isfile(target)
-                                       or os.path.isdir(target)):
+    if os.path.exists(target) and not (os.path.isfile(target) or os.path.isdir(target)):
         raise ConfigError("--out", f"cannot write {path}: not a regular file")
-    if os.path.isfile(target):
-        mode = stat.S_IMODE(os.stat(target).st_mode)
-    else:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
+    umask = os.umask(0o022)
+    os.umask(umask)
+    mode = stat.S_IMODE(os.stat(target).st_mode) if os.path.isfile(target) \
+        else 0o666 & ~umask
     try:
         fd, tmp = tempfile.mkstemp(prefix=".galimech-",
                                    dir=os.path.dirname(target))

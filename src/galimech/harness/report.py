@@ -3,12 +3,8 @@
 A report is a flat list of named checks.  Serialization keeps keys sorted
 and floats at full repr precision: two runs over the same config and seed
 must produce byte-identical JSON.
-
-Each check names the sample behind its verdict: ``worst_index`` is the
-flat (C-order) index, into the check's array of per-sample errors, of the
-largest error or of the first NaN, which for a count check is the first
-mismatch, and ``null`` for a check without per-sample errors;
-``nonfinite`` counts the errors that are NaN or infinite.
+``worst_index`` is the flat index of a check's worst per-sample error
+(``null`` without per-sample errors); ``nonfinite`` counts NaN/inf errors.
 """
 
 from __future__ import annotations
@@ -35,9 +31,6 @@ class CheckResult:
         object.__setattr__(self, "max_err", float(self.max_err))
         object.__setattr__(self, "tol", float(self.tol))
         object.__setattr__(self, "n", int(self.n))
-        if self.worst_index is not None:
-            object.__setattr__(self, "worst_index", int(self.worst_index))
-        object.__setattr__(self, "nonfinite", int(self.nonfinite))
 
     @property
     def passed(self) -> bool:

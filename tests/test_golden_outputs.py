@@ -1,14 +1,28 @@
 """Golden-output regression: the CLI outputs of three scenarios, hashed.
 
-The hashes were recorded from the per-frame integrator that stored one
-object per step, those of the full ``invariants`` and ``morse-check``
-reports and of the ``--corrupt-sigma`` negative control from the sampled
-checks that looped over one sample at a time, and the ``morse-check``
-report of a time-dependent potential under a non-diagonal metric from the
-Morse engine that differentiated one critical point at a time.  Any change to the
-integrator, the trajectory storage, the CSV writer, the kernels or the
-checks that alters a single bit of these outputs fails here, so refactors
-of those layers have to keep every float the same.
+The three ``simulate`` CSV hashes were recorded from the per-frame
+integrator that stored one object per step.  The 16 JSON report hashes
+(``boost-check``, ``invariants``, ``morse-check`` and the
+``--corrupt-sigma`` negative control, plus the ``morse-check`` report of a
+time-dependent potential under a non-diagonal metric) were re-recorded
+once, for three report changes together:
+
+* each check carries ``worst_index``, the flat index of its worst
+  per-sample error, and ``nonfinite``, the count of NaN or infinite errors;
+* ``momentum.offset_constant`` takes the rounding of momenta of size |p|
+  off each error before scaling it by the offset;
+* sampled checks draw block-wise: ``checks._draws`` lays the blocks of
+  every draw side by side as columns and makes one ``rng.random((n, U))``
+  call for the U uniform columns, then one ``rng.standard_normal((n, N))``
+  call for the N normal ones.  Checks whose draws are all of one kind kept
+  every sample; the checks that mix the kinds got new ones.
+
+A sampled check's ``worst_index`` replays from the config seed and the
+check name: ``checks._draws(checks._rng(cfg, name), n, *layout)``, row
+``worst_index``.  Any change to the integrator, the trajectory storage,
+the CSV writer, the kernels or the checks that alters a single bit of
+these outputs fails here, so refactors of those layers have to keep every
+float the same.
 
 The one exception is the custom-potential ``simulate`` CSV, re-recorded
 when the finite-difference gradient moved to the numpy evaluator, whose
