@@ -26,13 +26,14 @@ The quotient operations are written once, as array kernels (``*_array``)
 over stacks of components: momentum representatives as covector components
 (..., 4), W representatives packed as (v0, v1, v2, v3, r) in (..., 5),
 frames as spatial velocities (..., 3), and the potential as its values.
-The functions over WElement and PElement objects wrap them.
+The WElement and PElement objects and their chart changes wrap the
+kernels for one element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .galilean_core import (
     Covector4,
     Event,
     Frame,
-    GalimechError,
     SpatialMetric,
     TAU,
     Vector4,
@@ -51,45 +51,33 @@ from .galilean_core import (
 from .frame_dynamics import (
     Potential,
     homogeneous_dynamics_violation_array,
-    in_homogeneous_dynamics,
-    lagrangian_hom,
     lagrangian_hom_array,
 )
 from .generating_objects import FunctionFamily, family_fam1, family_fam2
 
 __all__ = [
     "REFERENCE_FRAME",
-    "ProjectionMismatch",
     "NewtonModel",
     "WElement",
     "PElement",
-    "W_ZERO",
     "W_UNIT",
     "w_pack",
     "w_change_chart",
     "w_change_chart_array",
     "p_change_chart",
     "p_change_chart_array",
-    "w_add",
     "w_add_array",
-    "w_scale",
     "w_scale_array",
-    "eval_affine",
     "eval_affine_array",
-    "pairing",
     "pairing_array",
-    "psi_m",
     "psi_m_array",
     "universal_hamiltonian_residual",
-    "affine_lagrangian",
     "affine_lagrangian_array",
-    "hamiltonian_fun",
     "hamiltonian_fun_array",
     "alpha",
     "beta",
     "beta_inv",
     "gamma",
-    "dynamics_membership_universal",
     "dynamics_membership_universal_array",
     "project_P0",
     "lift_P0",
@@ -107,10 +95,6 @@ REFERENCE_FRAME = Frame.from_spatial([0.0, 0.0, 0.0])
 # Unit-time-slice gauge: tangents produced by differencing a trajectory's
 # events carry rounding of this order at most.
 _TIME_GAUGE_TOL = 1e-9
-
-
-class ProjectionMismatch(GalimechError):
-    """Fiber difference requested for W elements over different velocities."""
 
 
 @dataclass(frozen=True)
@@ -183,12 +167,6 @@ class WElement:
     v: Vector4
     r: float
 
-    @classmethod
-    def from_array(cls, w) -> "WElement":
-        """Unpack (v0, v1, v2, v3, r)."""
-        c0, c1, c2, c3, r = np.asarray(w, dtype=float).tolist()
-        return cls(Vector4(c0, c1, c2, c3), r)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.v.c0, self.v.c1, self.v.c2, self.v.c3, self.r],
                         dtype=float)
@@ -201,19 +179,6 @@ class WElement:
 
     def in_chart(self, model: NewtonModel, frame: Frame) -> tuple[Vector4, float]:
         return w_change_chart(model, self.v, self.r, model.reference, frame)
-
-    def to_json(self) -> dict:
-        return {"v": [self.v.c0, self.v.c1, self.v.c2, self.v.c3],
-                "r": self.r}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "WElement":
-        v = data.get("v")
-        if not isinstance(v, Sequence) or len(v) != 4:
-            raise ValueError("WElement JSON needs a 4-entry 'v' list")
-        if "r" not in data:
-            raise ValueError("WElement JSON needs an 'r' entry")
-        return cls(Vector4(*(float(c) for c in v)), float(data["r"]))
 
 
 @dataclass(frozen=True)
@@ -230,18 +195,6 @@ class PElement:
     def in_chart(self, model: NewtonModel, frame: Frame) -> Covector4:
         return p_change_chart(model, self.p, model.reference, frame)
 
-    def to_json(self) -> dict:
-        return {"p": [self.p.a0, self.p.a1, self.p.a2, self.p.a3]}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "PElement":
-        p = data.get("p")
-        if not isinstance(p, Sequence) or len(p) != 4:
-            raise ValueError("PElement JSON needs a 4-entry 'p' list")
-        return cls(Covector4(*(float(c) for c in p)))
-
-
-W_ZERO = WElement(Vector4(0.0, 0.0, 0.0, 0.0), 0.0)
 
 # The distinguished unit: evaluates to 1 on every momentum class, and its
 # representative is the same pair in every chart (the sigma pairing with a
@@ -259,20 +212,10 @@ def w_add_array(a, b) -> np.ndarray:
     return np.add(a, b)
 
 
-def w_add(model: NewtonModel, a: WElement, b: WElement) -> WElement:
-    """w_add_array for one pair of classes."""
-    return WElement.from_array(w_add_array(a.as_array(), b.as_array()))
-
-
 def w_scale_array(scalar, w) -> np.ndarray:
     """Scalar multiples (...) of lagrangian-value classes (..., 5),
     componentwise."""
     return np.asarray(scalar, dtype=float)[..., None] * w
-
-
-def w_scale(model: NewtonModel, scalar: float, w: WElement) -> WElement:
-    """w_scale_array for one class."""
-    return WElement.from_array(w_scale_array(scalar, w.as_array()))
 
 
 def eval_affine_array(w, p) -> np.ndarray:
@@ -287,11 +230,6 @@ def eval_affine_array(w, p) -> np.ndarray:
     return pair(p, w[..., :4]) - w[..., 4]
 
 
-def eval_affine(model: NewtonModel, w: WElement, pp: PElement) -> float:
-    """eval_affine_array for one pair of classes."""
-    return float(eval_affine_array(w.as_array(), pp.p.as_array()))
-
-
 def pairing_array(p, v) -> np.ndarray:
     """W element with velocity part v and real part <p, v>.
 
@@ -300,11 +238,6 @@ def pairing_array(p, v) -> np.ndarray:
     chart-independent.
     """
     return w_pack(v, pair(p, v))
-
-
-def pairing(model: NewtonModel, pp: PElement, v: Vector4) -> WElement:
-    """pairing_array for one class and velocity."""
-    return WElement.from_array(pairing_array(pp.p.as_array(), v.as_array()))
 
 
 def psi_m_array(model: NewtonModel, p) -> np.ndarray:
@@ -320,12 +253,6 @@ def psi_m_array(model: NewtonModel, p) -> np.ndarray:
         + pair_frame(p, model.reference.spatial)
 
 
-def psi_m(model: NewtonModel, x: Event, pp: PElement) -> float:
-    """psi_m_array of the class; the event argument is accepted for
-    signature parity with the full residual and ignored."""
-    return float(psi_m_array(model, pp.p.as_array()))
-
-
 def universal_hamiltonian_residual(model: NewtonModel, x: Event,
                                    pp: PElement) -> float:
     """Mass-shell defect on the quotient: psi_m plus the potential.
@@ -333,7 +260,7 @@ def universal_hamiltonian_residual(model: NewtonModel, x: Event,
     Vanishes exactly on classes of fiber-derivative momenta; agrees with
     the per-frame residual evaluated on any representative.
     """
-    return psi_m(model, x, pp) + model.potential.at(x)
+    return float(psi_m_array(model, pp.p.as_array())) + model.potential.at(x)
 
 
 def affine_lagrangian_array(model: NewtonModel, phi, v) -> np.ndarray:
@@ -348,43 +275,17 @@ def affine_lagrangian_array(model: NewtonModel, phi, v) -> np.ndarray:
                                           model.metric, phi, v))
 
 
-def affine_lagrangian(model: NewtonModel, x: Event, v: Vector4) -> WElement:
-    """affine_lagrangian_array at one state.  Raises NotFutureDirected for
-    a non-positive time component."""
-    return WElement(v, lagrangian_hom(model.reference, model.mass,
-                                      model.metric, model.potential, x, v))
-
-
-def _fiber_difference(a: WElement, b: WElement) -> float:
-    """Difference of two W elements over the same velocity, as a real.
-
-    Well defined only when the velocity parts agree; the sigma corrections
-    then cancel and a.r - b.r is chart-independent.
-    """
-    if a.v != b.v:
-        raise ProjectionMismatch(
-            f"cannot subtract W elements over different velocities: "
-            f"{a.v} vs {b.v}")
-    return a.r - b.r
-
-
 def hamiltonian_fun_array(model: NewtonModel, phi, v, p) -> np.ndarray:
-    """hamiltonian_fun for velocities (..., 4), momentum representatives
-    (..., 4) and potential values phi: the same fiber difference, whose
-    two W elements share the velocity part by construction."""
+    """<p, v> minus the lagrangian value, as a chart-independent real, for
+    velocities (..., 4), momentum representatives (..., 4) and potential
+    values phi.
+
+    Both terms are W elements over the same v, so their fiber difference
+    (the difference of the real parts) is well defined, and it reproduces
+    the single-chart formula <p, v> - l_u(x, v) in every chart.
+    """
     return pairing_array(p, v)[..., 4] \
         - affine_lagrangian_array(model, phi, v)[..., 4]
-
-
-def hamiltonian_fun(model: NewtonModel, x: Event, v: Vector4,
-                    pp: PElement) -> float:
-    """<p, v> minus the lagrangian value, as a chart-independent real.
-
-    Both terms are W elements over the same v; their fiber difference
-    reproduces the single-chart formula <p, v> - l_u(x, v) in every chart.
-    """
-    return _fiber_difference(pairing(model, pp, v),
-                             affine_lagrangian(model, x, v))
 
 
 def alpha(element: tuple) -> tuple:
@@ -413,24 +314,16 @@ def gamma(element: tuple) -> tuple:
     return (x, -v, a, pp)
 
 
-def dynamics_membership_universal(model: NewtonModel, element: tuple,
-                                  tol: float) -> bool:
-    """Test (x, momentum class, xdot, pdot) against the quotient dynamics.
-
-    Delegates to the per-frame membership test in the reference chart; the
-    rate of a momentum class needs no re-charting because chart offsets are
-    constant covectors.
-    """
-    x, pp, xdot, pdot = element
-    return in_homogeneous_dynamics(model.reference, model.mass, model.metric,
-                                   model.potential, (x, pp.p, xdot, pdot), tol)
-
-
 def dynamics_membership_universal_array(model: NewtonModel, phi, dphi, p,
                                         xdot, pdot, tol: float) -> np.ndarray:
-    """dynamics_membership_universal for stacks: momentum representatives
-    p, velocities xdot and momentum rates pdot (..., 4) at events with
-    potential values phi and differentials dphi (..., 4)."""
+    """Test momentum representatives p, velocities xdot and momentum rates
+    pdot (..., 4), at events with potential values phi and differentials
+    dphi (..., 4), against the quotient dynamics.
+
+    The per-frame membership test in the reference chart; the rate of a
+    momentum class needs no re-charting because chart offsets are constant
+    covectors.
+    """
     return homogeneous_dynamics_violation_array(
         model.reference.spatial, model.mass, model.metric, phi, dphi, p,
         xdot, pdot) <= tol

@@ -19,9 +19,9 @@ frame-shift covector.  Homogeneous dynamics is checked pointwise
 Each formula is written once, as an array kernel (``*_array``) over stacks
 of components: frames as spatial velocities (..., 3), velocities and
 momenta as components (..., 4), and the potential as its values (...) at
-the events in question.  The functions over Frame, Event, Vector4 and
-Covector4 objects are thin wrappers that evaluate the potential and call
-the kernel on one entry.
+the events in question.  Some kernels also have a thin wrapper over Frame,
+Event, Vector4 and Covector4 objects that evaluates the potential and
+calls the kernel on one entry.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .galilean_core import (
     Vector4,
     iota_u_array,
     pair_frame,
-    sigma,
 )
 
 log = logging.getLogger(__name__)
@@ -234,7 +233,8 @@ class Trajectory:
         return len(self.t)
 
     def energies(self, g: SpatialMetric, potential: Potential) -> np.ndarray:
-        """hamiltonian_inhom at every step of a single-frame trajectory.
+        """Energy |p|^2 / 2m + phi(x) at every step of a single-frame
+        trajectory.
 
         Raises NonFiniteState, naming the step, when the potential raises
         an ArithmeticError at an integrated point: the gradient's central
@@ -280,13 +280,6 @@ def legendre_inhom_array(u, m: float, g: SpatialMetric, w) -> np.ndarray:
 def legendre_inhom(u: Frame, m: float, g: SpatialMetric, w: Frame) -> np.ndarray:
     """legendre_inhom_array for one pair of frames."""
     return legendre_inhom_array(u.spatial, m, g, w.spatial)
-
-
-def hamiltonian_inhom(u: Frame, m: float, g: SpatialMetric,
-                      potential: Potential, x: Event, p) -> float:
-    """Energy as a function of spatial momentum: |p|^2 / 2m + phi(x)."""
-    p = np.asarray(p, dtype=float)
-    return 0.5 / m * float(p @ g.apply_inverse(p)) + potential.at(x)
 
 
 def vector_field_inhom(u: Frame, m: float, g: SpatialMetric,
@@ -393,36 +386,17 @@ def homogeneous_dynamics_violation_array(u, m: float, g: SpatialMetric, phi,
     return np.where(xdot[..., 0] <= 0.0, np.inf, np.maximum(err_p, err_pdot))
 
 
-def homogeneous_dynamics_violation(u: Frame, m: float, g: SpatialMetric,
-                                   potential: Potential, x: Event,
-                                   p: Covector4, xdot: Vector4,
-                                   pdot: Covector4) -> float:
-    """homogeneous_dynamics_violation_array at one state."""
-    return float(homogeneous_dynamics_violation_array(
-        u.spatial, m, g, potential.at(x), potential.d(x).as_array(),
-        p.as_array(), xdot.as_array(), pdot.as_array()))
-
-
 def in_homogeneous_dynamics(u: Frame, m: float, g: SpatialMetric,
                             potential: Potential,
                             element: tuple[Event, Covector4, Vector4, Covector4],
                             tol: float) -> bool:
     """Membership test for a (state, derivative) tuple in the frame-u
-    homogeneous dynamics.  element = (x, p, xdot, pdot)."""
+    homogeneous dynamics.  element = (x, p, xdot, pdot); the largest
+    defect is homogeneous_dynamics_violation_array at that one state."""
     x, p, xdot, pdot = element
-    return homogeneous_dynamics_violation(u, m, g, potential, x, p, xdot, pdot) <= tol
-
-
-def boost(u_prime: Frame, u: Frame, m: float, g: SpatialMetric,
-          state: tuple[Event, Covector4]) -> tuple[Event, Covector4]:
-    """Carry a homogeneous state from frame u_prime bookkeeping to frame u.
-
-    Adds m * sigma(u_prime, u) to the momentum and leaves the event alone.
-    A momentum satisfying the u_prime mass-shell constraint is mapped onto
-    the u constraint set with the residual value preserved exactly.
-    """
-    x, p = state
-    return x, p + m * sigma(g, u_prime, u)
+    return float(homogeneous_dynamics_violation_array(
+        u.spatial, m, g, potential.at(x), potential.d(x).as_array(),
+        p.as_array(), xdot.as_array(), pdot.as_array())) <= tol
 
 
 def integrate(u: Frame | Sequence[Frame], m: float, g: SpatialMetric,

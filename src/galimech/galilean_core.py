@@ -35,19 +35,12 @@ class DomainError(GalimechError):
     raised an ArithmeticError there, or the value is not finite."""
 
 
-class NotSimultaneous(GalimechError):
-    """Spatial distance requested between events at different times."""
-
-
 class SingularMetric(GalimechError):
     """A candidate metric matrix is not positive definite at tolerance."""
 
 
 # Eigenvalues of a spatial metric must clear this floor.
 _SPD_EIGENVALUE_FLOOR = 1e-12
-
-# |t(x) - t(x')| below this (scaled) threshold counts as simultaneous.
-_SIMULTANEITY_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -73,23 +66,6 @@ class Vector4:
     def spatial(self) -> np.ndarray:
         """Components along the three simultaneity directions."""
         return np.array([self.c1, self.c2, self.c3], dtype=float)
-
-    def __add__(self, other: "Vector4") -> "Vector4":
-        return Vector4(self.c0 + other.c0, self.c1 + other.c1,
-                       self.c2 + other.c2, self.c3 + other.c3)
-
-    def __sub__(self, other: "Vector4") -> "Vector4":
-        return Vector4(self.c0 - other.c0, self.c1 - other.c1,
-                       self.c2 - other.c2, self.c3 - other.c3)
-
-    def __neg__(self) -> "Vector4":
-        return Vector4(-self.c0, -self.c1, -self.c2, -self.c3)
-
-    def __mul__(self, scalar: float) -> "Vector4":
-        return Vector4(scalar * self.c0, scalar * self.c1,
-                       scalar * self.c2, scalar * self.c3)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -122,23 +98,6 @@ class Covector4:
             v = v.velocity
         return self.a0 * v.c0 + self.a1 * v.c1 + self.a2 * v.c2 + self.a3 * v.c3
 
-    def __add__(self, other: "Covector4") -> "Covector4":
-        return Covector4(self.a0 + other.a0, self.a1 + other.a1,
-                         self.a2 + other.a2, self.a3 + other.a3)
-
-    def __sub__(self, other: "Covector4") -> "Covector4":
-        return Covector4(self.a0 - other.a0, self.a1 - other.a1,
-                         self.a2 - other.a2, self.a3 - other.a3)
-
-    def __neg__(self) -> "Covector4":
-        return Covector4(-self.a0, -self.a1, -self.a2, -self.a3)
-
-    def __mul__(self, scalar: float) -> "Covector4":
-        return Covector4(scalar * self.a0, scalar * self.a1,
-                         scalar * self.a2, scalar * self.a3)
-
-    __rmul__ = __mul__
-
 
 TAU = Covector4(1.0, 0.0, 0.0, 0.0)
 
@@ -170,14 +129,6 @@ class Event:
     @property
     def spatial(self) -> np.ndarray:
         return np.array([self.q1, self.q2, self.q3], dtype=float)
-
-    def __sub__(self, other: "Event") -> Vector4:
-        return Vector4(self.t - other.t, self.q1 - other.q1,
-                       self.q2 - other.q2, self.q3 - other.q3)
-
-    def __add__(self, v: Vector4) -> "Event":
-        return Event(self.t + v.c0, self.q1 + v.c1,
-                     self.q2 + v.c2, self.q3 + v.c3)
 
 
 @dataclass(frozen=True)
@@ -245,14 +196,6 @@ class SpatialMetric:
     def diagonal(cls, d1: float, d2: float, d3: float) -> "SpatialMetric":
         return cls(np.diag([d1, d2, d3]))
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    @property
-    def inverse(self) -> np.ndarray:
-        return self._inverse
-
     # np.matvec, np.vecmat and np.vecdot round each entry of a stack exactly
     # as the 1-D `m @ x`, `x @ m` and `a @ b` do; an elementwise sum of
     # products would not.
@@ -272,9 +215,6 @@ class SpatialMetric:
         """Inner product of two spatial vectors (of s with itself if s2 is
         None), entry by entry for stacks of shape (..., 3)."""
         return np.vecdot(np.vecmat(s, self._matrix), s if s2 is None else s2)
-
-    def __repr__(self):
-        return f"SpatialMetric({self._matrix.tolist()})"
 
 
 def _components(a: np.ndarray) -> list:
@@ -297,25 +237,6 @@ def pair_frame(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     p0, p1, p2, p3 = _components(p)
     u1, u2, u3 = _components(u)
     return p0 + p1 * u1 + p2 * u2 + p3 * u3
-
-
-def time_between(x: Event, xp: Event) -> float:
-    """Time elapsed from xp to x: the time covector applied to x - xp."""
-    return TAU.pair(x - xp)
-
-
-def spatial_distance(x: Event, xp: Event, g: SpatialMetric) -> float:
-    """Metric distance between two simultaneous events.
-
-    Raises NotSimultaneous unless the time coordinates agree to rounding
-    (relative threshold 1e-12, scaled by the magnitude of t).
-    """
-    dt = x.t - xp.t
-    if abs(dt) >= _SIMULTANEITY_REL * (1.0 + max(abs(x.t), abs(xp.t))):
-        raise NotSimultaneous(
-            f"events are separated by dt={dt!r}; spatial distance is only "
-            "defined between simultaneous events")
-    return float(np.sqrt(g.quadratic((x - xp).spatial)))
 
 
 def iota_u_array(u, v) -> np.ndarray:

@@ -131,12 +131,6 @@ def fiber_gradient(fam: FunctionFamily, base, fiber) -> np.ndarray:
     return _gradient_split(fam, base, fiber)[1]
 
 
-def base_gradient(fam: FunctionFamily, base, fiber) -> np.ndarray:
-    """Gradient of the family value along the base directions of the
-    product chart.  Lift independent only where the fiber gradient is zero."""
-    return _gradient_split(fam, base, fiber)[0]
-
-
 def _fiber_gradients(fam: FunctionFamily, bases: np.ndarray,
                      fibers: np.ndarray, head: int):
     """The first ``head`` fiber-gradient components at every row of a
@@ -338,9 +332,6 @@ class MorseReport:
     ok: bool
     ranks: tuple[int | float, ...]
     required_rank: int
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _ranks(matrices: np.ndarray, rel_tol: float) -> list[int | float]:

@@ -186,8 +186,9 @@ def test_criterion_05_boost_theorem(announce):
         x = Event(*rng.normal(size=4))
         p = Covector4(*rng.normal(size=4))
         before = mass_shell_residual(u_prime, m, g, phi, x, p)
+        carried = p.as_array() + m * sigma(g, u_prime, u).as_array()
         after = mass_shell_residual(u, m, g, phi, x,
-                                    p + m * sigma(g, u_prime, u))
+                                    Covector4.from_array(carried))
         res_err = max(res_err, abs(after - before))
 
     # (b) the boost map preserves the canonical two-form: push 100 random
@@ -234,7 +235,8 @@ def test_criterion_05_boost_theorem(announce):
 
     events = [Event(t, *q) for t, q in zip(traj.t.tolist(),
                                            traj.q[:, 0].tolist())]
-    carried = [(x, shell_lift(x, ps) + m * sigma(g, u_prime, u))
+    offset = m * sigma(g, u_prime, u).as_array()
+    carried = [(x, Covector4.from_array(shell_lift(x, ps).as_array() + offset))
                for x, ps in zip(events, traj.p[:, 0])]
     xs = np.array([x.as_array() for x, _ in carried])
     ps = np.array([p.as_array() for _, p in carried])

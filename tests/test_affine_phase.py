@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -10,13 +8,13 @@ from galimech.galilean_core import (
     SpatialMetric,
     TAU,
     Vector4,
+    pair,
     sigma,
 )
 from galimech.frame_dynamics import (
     NotFutureDirected,
     PhasePoint,
     Potential,
-    boost,
     free_potential,
     harmonic_potential,
     integrate,
@@ -30,34 +28,32 @@ from galimech.affine_phase import (
     AffineMetric,
     NewtonModel,
     PElement,
-    ProjectionMismatch,
     REFERENCE_FRAME,
     WElement,
     W_UNIT,
-    W_ZERO,
-    affine_lagrangian,
+    affine_lagrangian_array,
     affine_metric_apply,
     alpha,
     beta,
     beta_inv,
-    dynamics_membership_universal,
-    eval_affine,
+    dynamics_membership_universal_array,
+    eval_affine_array,
     family_fam3,
     family_fam4,
     gamma,
-    hamiltonian_fun,
+    hamiltonian_fun_array,
     inhomogeneous_dynamics_membership,
     legendre_affine_metric,
     lift_P0,
     p_change_chart,
-    pairing,
+    pairing_array,
     project_P0,
-    psi_m,
+    psi_m_array,
     section_from_affine_metric,
     universal_hamiltonian_residual,
-    w_add,
+    w_add_array,
     w_change_chart,
-    w_scale,
+    w_scale_array,
 )
 from galimech.generating_objects import (
     family_fam1,
@@ -128,8 +124,8 @@ class TestChartChange:
 class TestWSpace:
     def test_zero_and_unit(self):
         model = free_model()
-        w = WElement(Vector4(1.0, 2.0, 3.0, 4.0), -0.5)
-        assert w_add(model, w, W_ZERO) == w
+        w = WElement(Vector4(1.0, 2.0, 3.0, 4.0), -0.5).as_array()
+        assert np.array_equal(w_add_array(w, np.zeros(5)), w)
         # The unit element is literally the same pair in every chart.
         for spatial in ([0.4, 0.0, 0.0], [-1.0, 2.0, 0.3]):
             u = Frame.from_spatial(spatial)
@@ -138,26 +134,25 @@ class TestWSpace:
             assert r == -1.0
 
     def test_vector_space_axioms(self, rng):
-        model = free_model(1.3)
+        add, scale = w_add_array, w_scale_array
         def rand_w():
-            return WElement(Vector4(*rng.normal(size=4)), float(rng.normal()))
+            return WElement(Vector4(*rng.normal(size=4)),
+                            float(rng.normal())).as_array()
         for _ in range(50):
             a, b, c = rand_w(), rand_w(), rand_w()
             s, t = float(rng.normal()), float(rng.normal())
-            lhs = w_add(model, a, b)
-            rhs = w_add(model, b, a)
-            assert lhs == rhs
-            assoc1 = w_add(model, w_add(model, a, b), c)
-            assoc2 = w_add(model, a, w_add(model, b, c))
-            assert np.allclose(assoc1.v.as_array(), assoc2.v.as_array())
-            assert assoc1.r == pytest.approx(assoc2.r, rel=1e-12, abs=1e-12)
-            dist = w_scale(model, s, w_add(model, a, b))
-            dist2 = w_add(model, w_scale(model, s, a), w_scale(model, s, b))
-            assert np.allclose(dist.v.as_array(), dist2.v.as_array(), atol=1e-12)
-            assert dist.r == pytest.approx(dist2.r, rel=1e-12, abs=1e-12)
-            again = w_scale(model, s, w_scale(model, t, a))
-            once = w_scale(model, s * t, a)
-            assert np.allclose(again.v.as_array(), once.v.as_array(), atol=1e-12)
+            assert np.array_equal(add(a, b), add(b, a))
+            assoc1 = add(add(a, b), c)
+            assoc2 = add(a, add(b, c))
+            assert np.allclose(assoc1[:4], assoc2[:4])
+            assert assoc1[4] == pytest.approx(assoc2[4], rel=1e-12, abs=1e-12)
+            dist = scale(s, add(a, b))
+            dist2 = add(scale(s, a), scale(s, b))
+            assert np.allclose(dist[:4], dist2[:4], atol=1e-12)
+            assert dist[4] == pytest.approx(dist2[4], rel=1e-12, abs=1e-12)
+            again = scale(s, scale(t, a))
+            once = scale(s * t, a)
+            assert np.allclose(again[:4], once[:4], atol=1e-12)
 
     def test_addition_commutes_with_chart_change(self, rng):
         # Adding representatives in a random chart, then canonicalizing,
@@ -169,115 +164,104 @@ class TestWSpace:
             b = WElement(Vector4(*rng.normal(size=4)), float(rng.normal()))
             va, ra = a.in_chart(model, u)
             vb, rb = b.in_chart(model, u)
-            mixed = WElement.from_chart(model, va + vb, ra + rb, u)
-            direct = w_add(model, a, b)
-            assert np.allclose(mixed.v.as_array(), direct.v.as_array())
-            assert mixed.r == pytest.approx(direct.r, abs=1e-12)
+            mixed = WElement.from_chart(
+                model, Vector4.from_array(va.as_array() + vb.as_array()),
+                ra + rb, u)
+            direct = w_add_array(a.as_array(), b.as_array())
+            assert np.allclose(mixed.v.as_array(), direct[:4])
+            assert mixed.r == pytest.approx(direct[4], abs=1e-12)
 
 
 class TestEvalAndPairing:
     def test_unit_evaluates_to_one(self, rng):
-        model = free_model()
         for _ in range(10):
-            pp = PElement(Covector4(*rng.normal(size=4)))
-            assert eval_affine(model, W_UNIT, pp) == 1.0
+            p = rng.normal(size=4)
+            assert eval_affine_array(W_UNIT.as_array(), p) == 1.0
 
     def test_worked_example(self):
-        model = free_model()
-        w = WElement(Vector4(1.0, 1.0, 0.0, 0.0), 0.0)
-        pp = PElement(Covector4(0.0, 1.0, 0.0, 0.0))
-        assert eval_affine(model, w, pp) == pytest.approx(1.0)
+        w = WElement(Vector4(1.0, 1.0, 0.0, 0.0), 0.0).as_array()
+        p = np.array([0.0, 1.0, 0.0, 0.0])
+        assert eval_affine_array(w, p) == pytest.approx(1.0)
 
     def test_chart_independence(self, rng):
         model = free_model(1.4, SpatialMetric.diagonal(0.5, 1.0, 2.0))
         w = WElement(Vector4(1.0, 0.5, -0.3, 0.2), 0.4)
         pp = PElement(Covector4(-0.2, 0.7, 0.1, -0.5))
-        ref = eval_affine(model, w, pp)
+        ref = eval_affine_array(w.as_array(), pp.p.as_array())
         for _ in range(100):
             u = random_frame(rng)
             v_u, r_u = w.in_chart(model, u)
             p_u = pp.in_chart(model, u)
-            again = eval_affine(model,
-                                WElement.from_chart(model, v_u, r_u, u),
-                                PElement.from_chart(model, p_u, u))
+            again = eval_affine_array(
+                WElement.from_chart(model, v_u, r_u, u).as_array(),
+                PElement.from_chart(model, p_u, u).p.as_array())
             assert again == pytest.approx(ref, abs=1e-12 * (1 + abs(ref)))
 
     def test_pairing_zero_velocity(self):
-        model = free_model()
-        pp = PElement(Covector4(3.0, -1.0, 2.0, 0.5))
-        assert pairing(model, pp, Vector4(0.0, 0.0, 0.0, 0.0)) == W_ZERO
+        p = np.array([3.0, -1.0, 2.0, 0.5])
+        assert np.array_equal(pairing_array(p, np.zeros(4)), np.zeros(5))
 
     def test_pairing_worked_example(self):
-        model = free_model()
-        pp = PElement(Covector4(0.0, 1.0, 0.0, 0.0))
-        v = Vector4(1.0, 1.0, 0.0, 0.0)
-        w = pairing(model, pp, v)
-        assert w.v == v and w.r == pytest.approx(1.0)
+        p = np.array([0.0, 1.0, 0.0, 0.0])
+        v = np.array([1.0, 1.0, 0.0, 0.0])
+        w = pairing_array(p, v)
+        assert np.array_equal(w[:4], v) and w[4] == pytest.approx(1.0)
 
     def test_pairing_chart_independent(self, rng):
         model = free_model(2.0, SpatialMetric.diagonal(1.0, 0.5, 3.0))
         pp = PElement(Covector4(0.3, -0.4, 0.8, 0.1))
         v = Vector4(1.0, 0.2, -0.6, 0.9)
-        direct = pairing(model, pp, v)
+        direct = pairing_array(pp.p.as_array(), v.as_array())
         for _ in range(50):
             u = random_frame(rng)
             p_u = pp.in_chart(model, u)
             rebuilt = WElement.from_chart(model, v, p_u.pair(v), u)
-            assert rebuilt.v == direct.v
-            assert rebuilt.r == pytest.approx(direct.r, abs=1e-12)
+            assert np.array_equal(rebuilt.v.as_array(), direct[:4])
+            assert rebuilt.r == pytest.approx(direct[4], abs=1e-12)
 
     def test_pairing_difference_identity(self, rng):
         # f_{pairing(p, v)}(q) = <q - p, v> whenever q and p are read in
         # one shared chart.
-        model = free_model()
         for _ in range(20):
-            p = Covector4(*rng.normal(size=4))
-            q = Covector4(*rng.normal(size=4))
-            v = Vector4(*rng.normal(size=4))
-            w = pairing(model, PElement(p), v)
-            val = eval_affine(model, w, PElement(q))
-            assert val == pytest.approx((q - p).pair(v), abs=1e-12)
+            p, q, v = rng.normal(size=4), rng.normal(size=4), rng.normal(size=4)
+            val = eval_affine_array(pairing_array(p, v), q)
+            assert val == pytest.approx(pair(q - p, v), abs=1e-12)
 
     def test_duality_rank(self):
         # Five independent W elements evaluated at five generic momenta:
         # the evaluation matrix must have full rank, so w -> f_w is
         # injective on a spanning set.
-        model = free_model()
-        ws = [WElement(Vector4(1.0, 0.0, 0.0, 0.0), 0.0),
-              WElement(Vector4(0.0, 1.0, 0.0, 0.0), 0.0),
-              WElement(Vector4(0.0, 0.0, 1.0, 0.0), 0.0),
-              WElement(Vector4(0.0, 0.0, 0.0, 1.0), 0.0),
-              W_UNIT]
-        rng = np.random.default_rng(7)
-        ps = [PElement(Covector4(*rng.normal(size=4))) for _ in range(5)]
-        mat = np.array([[eval_affine(model, w, pp) for pp in ps] for w in ws])
+        ws = np.concatenate([np.eye(4, 5), W_UNIT.as_array()[None]])
+        ps = np.random.default_rng(7).normal(size=(5, 4))
+        mat = eval_affine_array(ws[:, None], ps)
         assert np.linalg.matrix_rank(mat, tol=1e-10) == 5
 
     def test_linearity_of_evaluation(self, rng):
-        model = free_model()
         for _ in range(20):
-            a = WElement(Vector4(*rng.normal(size=4)), float(rng.normal()))
-            b = WElement(Vector4(*rng.normal(size=4)), float(rng.normal()))
-            pp = PElement(Covector4(*rng.normal(size=4)))
+            a = WElement(Vector4(*rng.normal(size=4)),
+                         float(rng.normal())).as_array()
+            b = WElement(Vector4(*rng.normal(size=4)),
+                         float(rng.normal())).as_array()
+            p = rng.normal(size=4)
             s = float(rng.normal())
-            lhs = eval_affine(model, w_add(model, a, b), pp)
-            rhs = eval_affine(model, a, pp) + eval_affine(model, b, pp)
+            lhs = eval_affine_array(w_add_array(a, b), p)
+            rhs = eval_affine_array(a, p) + eval_affine_array(b, p)
             assert lhs == pytest.approx(rhs, abs=1e-12)
-            lhs = eval_affine(model, w_scale(model, s, a), pp)
+            lhs = eval_affine_array(w_scale_array(s, a), p)
             # Scaling rescales the whole affine function, unit part included.
-            rhs = s * eval_affine(model, a, pp)
+            rhs = s * eval_affine_array(a, p)
             assert lhs == pytest.approx(rhs, abs=1e-11)
 
 
 class TestMassShellFunctions:
     def test_psi_zero_momentum(self):
         model = free_model()
-        assert psi_m(model, X0, PElement(Covector4(0, 0, 0, 0))) == 0.0
+        assert psi_m_array(model, np.zeros(4)) == 0.0
 
     def test_psi_worked_example(self):
         model = free_model()
-        pp = PElement(Covector4(0.0, 1.0, 0.0, 0.0))
-        assert psi_m(model, X0, pp) == pytest.approx(0.5)
+        p = np.array([0.0, 1.0, 0.0, 0.0])
+        assert psi_m_array(model, p) == pytest.approx(0.5)
 
     def test_psi_hand_computed_other_chart(self):
         # Same class carried to the chart of u' = (1,1,0,0) has the
@@ -289,16 +273,16 @@ class TestMassShellFunctions:
         assert np.allclose(p_u.as_array(), [0.5, 0.0, 0.0, 0.0])
         ps = p_u.spatial
         by_hand = 0.5 * float(ps @ ps) + p_u.pair(U1)
-        assert by_hand == pytest.approx(psi_m(model, X0, pp))
+        assert by_hand == pytest.approx(psi_m_array(model, pp.p.as_array()))
 
     def test_psi_chart_battery(self, rng):
         model = free_model(1.2, SpatialMetric.diagonal(2.0, 1.0, 0.5))
         pp = PElement(Covector4(0.4, -0.3, 0.8, 0.2))
-        ref = psi_m(model, X0, pp)
+        ref = psi_m_array(model, pp.p.as_array())
         for _ in range(100):
             u = random_frame(rng)
             rebuilt = PElement.from_chart(model, pp.in_chart(model, u), u)
-            assert psi_m(model, X0, rebuilt) == pytest.approx(
+            assert psi_m_array(model, rebuilt.p.as_array()) == pytest.approx(
                 ref, abs=1e-12 * (1 + abs(ref)))
 
     def test_universal_residual_worked_example(self):
@@ -339,9 +323,9 @@ class TestAffineLagrangian:
     def test_reference_chart_value(self):
         model = free_model()
         v = Vector4(1.0, 1.0, 0.0, 0.0)
-        w = affine_lagrangian(model, X0, v)
-        assert w.v == v
-        assert w.r == pytest.approx(0.5)
+        w = affine_lagrangian_array(model, 0.0, v.as_array())
+        assert np.array_equal(w[:4], v.as_array())
+        assert w[4] == pytest.approx(0.5)
 
     def test_other_chart_construction_agrees(self):
         # In the comoving chart the lagrangian value is zero; re-charting
@@ -351,45 +335,50 @@ class TestAffineLagrangian:
         l_u1 = lagrangian_hom(U1, 1.0, model.metric, model.potential, X0, v)
         assert l_u1 == pytest.approx(0.0, abs=1e-15)
         rebuilt = WElement.from_chart(model, v, l_u1, U1)
-        direct = affine_lagrangian(model, X0, v)
-        assert rebuilt.v == direct.v
-        assert rebuilt.r == pytest.approx(direct.r, abs=1e-13)
+        direct = affine_lagrangian_array(model, 0.0, v.as_array())
+        assert np.array_equal(rebuilt.v.as_array(), direct[:4])
+        assert rebuilt.r == pytest.approx(direct[4], abs=1e-13)
 
     def test_chart_battery(self, rng):
         model = NewtonModel(1.5, SpatialMetric.diagonal(1.0, 0.5, 2.0),
                             harmonic_potential(0.9))
         x = Event(0.2, -0.3, 0.5, 0.1)
         v = Vector4(0.8, 0.4, -0.2, 0.6)
-        direct = affine_lagrangian(model, x, v)
+        direct = affine_lagrangian_array(model, model.potential.at(x),
+                                         v.as_array())
         for _ in range(100):
             u = random_frame(rng)
             l_u = lagrangian_hom(u, model.mass, model.metric, model.potential,
                                  x, v)
             rebuilt = WElement.from_chart(model, v, l_u, u)
-            assert rebuilt.r == pytest.approx(direct.r,
-                                              abs=1e-11 * (1 + abs(direct.r)))
+            assert rebuilt.r == pytest.approx(direct[4],
+                                              abs=1e-11 * (1 + abs(direct[4])))
 
     def test_positive_homogeneity(self, rng):
         model = free_model(1.1, SpatialMetric.diagonal(1.0, 2.0, 3.0))
         v = Vector4(1.0, 0.3, -0.5, 0.2)
         for lam in (0.5, 2.0, 7.3):
-            scaled = affine_lagrangian(model, X0, lam * v)
-            via_w = w_scale(model, lam, affine_lagrangian(model, X0, v))
-            assert np.allclose(scaled.v.as_array(), via_w.v.as_array())
-            assert scaled.r == pytest.approx(via_w.r, rel=1e-12)
+            scaled = affine_lagrangian_array(model, 0.0, lam * v.as_array())
+            via_w = w_scale_array(
+                lam, affine_lagrangian_array(model, 0.0, v.as_array()))
+            assert np.allclose(scaled[:4], via_w[:4])
+            assert scaled[4] == pytest.approx(via_w[4], rel=1e-12)
 
     def test_rejects_past_directed(self):
+        # The class is built from the reference-chart lagrangian value,
+        # which exists only for future-directed velocities.
         model = free_model()
         with pytest.raises(NotFutureDirected):
-            affine_lagrangian(model, X0, Vector4(-1.0, 0.0, 0.0, 0.0))
+            lagrangian_hom(model.reference, model.mass, model.metric,
+                           model.potential, X0, Vector4(-1.0, 0.0, 0.0, 0.0))
 
 
 class TestHamiltonianFun:
     def test_worked_example(self):
         model = free_model()
-        pp = PElement(Covector4(0.0, 0.0, 0.0, 0.0))
-        v = Vector4(1.0, 1.0, 0.0, 0.0)
-        assert hamiltonian_fun(model, X0, v, pp) == pytest.approx(-0.5)
+        v = np.array([1.0, 1.0, 0.0, 0.0])
+        assert hamiltonian_fun_array(model, 0.0, v, np.zeros(4)) == \
+            pytest.approx(-0.5)
 
     def test_single_chart_formula(self, rng):
         model = NewtonModel(1.3, SpatialMetric.diagonal(0.5, 1.0, 2.0),
@@ -402,44 +391,39 @@ class TestHamiltonianFun:
             pp = PElement.from_chart(model, p_u, u)
             in_chart = p_u.pair(v) - lagrangian_hom(
                 u, model.mass, model.metric, model.potential, x, v)
-            assert hamiltonian_fun(model, x, v, pp) == pytest.approx(
-                in_chart, abs=1e-11 * (1 + abs(in_chart)))
-
-    def test_mismatched_velocities_rejected(self):
-        from galimech.affine_phase import _fiber_difference
-        a = WElement(Vector4(1.0, 0.0, 0.0, 0.0), 0.3)
-        b = WElement(Vector4(1.0, 1.0, 0.0, 0.0), 0.3)
-        with pytest.raises(ProjectionMismatch):
-            _fiber_difference(a, b)
+            h = hamiltonian_fun_array(model, model.potential.at(x),
+                                      v.as_array(), pp.p.as_array())
+            assert h == pytest.approx(in_chart, abs=1e-11 * (1 + abs(in_chart)))
 
 
 class TestTripleMaps:
+    """The tuple maps on (event, momentum, velocity, rate) components."""
+
     def rand_tuple(self, rng):
-        return (Event(*rng.normal(size=4)),
-                PElement(Covector4(*rng.normal(size=4))),
-                Vector4(*rng.normal(size=4)),
-                Covector4(*rng.normal(size=4)))
+        return tuple(rng.normal(size=4) for _ in range(4))
+
+    @staticmethod
+    def same(s, t):
+        return len(s) == len(t) and all(np.array_equal(a, b)
+                                        for a, b in zip(s, t))
 
     def test_alpha_shape(self, rng):
-        x, pp, v, a = self.rand_tuple(rng)
-        assert alpha((x, pp, v, a)) == (x, v, a, pp)
+        x, p, v, a = self.rand_tuple(rng)
+        assert self.same(alpha((x, p, v, a)), (x, v, a, p))
 
     def test_beta_round_trip(self, rng):
         for _ in range(20):
             t = self.rand_tuple(rng)
-            assert beta_inv(beta(t)) == t
+            assert self.same(beta_inv(beta(t)), t)
 
     def test_beta_squared_flips_fiber(self, rng):
-        x, pp, v, a = self.rand_tuple(rng)
-        assert beta(beta((x, pp, v, a))) == (x, pp, -v, -a)
+        x, p, v, a = self.rand_tuple(rng)
+        assert self.same(beta(beta((x, p, v, a))), (x, p, -v, -a))
 
     def test_gamma_is_alpha_after_beta_inv(self, rng):
         for _ in range(100):
-            x, pp, a, v = (Event(*rng.normal(size=4)),
-                           PElement(Covector4(*rng.normal(size=4))),
-                           Covector4(*rng.normal(size=4)),
-                           Vector4(*rng.normal(size=4)))
-            assert gamma((x, pp, a, v)) == alpha(beta_inv((x, pp, a, v)))
+            t = self.rand_tuple(rng)
+            assert self.same(gamma(t), alpha(beta_inv(t)))
 
 
 class TestUniversalMembership:
@@ -453,23 +437,24 @@ class TestUniversalMembership:
             p_u = legendre_hom(u, model.mass, model.metric, model.potential,
                                x, v)
             pp = PElement.from_chart(model, p_u, u)
-            pdot = -TAU.pair(v) * model.potential.d(x)
-            assert dynamics_membership_universal(model, (x, pp, v, pdot),
-                                                 1e-9)
+            dphi = model.potential.d(x).as_array()
+            pdot = -TAU.pair(v) * dphi
+            assert dynamics_membership_universal_array(
+                model, model.potential.at(x), dphi, pp.p.as_array(),
+                v.as_array(), pdot, 1e-9)
 
     def test_past_directed_is_rejected(self):
         model = free_model()
-        pp = PElement(Covector4(0.0, 0.0, 0.0, 0.0))
-        bad = Vector4(-1.0, 0.0, 0.0, 0.0)
-        assert not dynamics_membership_universal(
-            model, (X0, pp, bad, Covector4(0, 0, 0, 0)), 1e-9)
+        bad = np.array([-1.0, 0.0, 0.0, 0.0])
+        assert not dynamics_membership_universal_array(
+            model, 0.0, np.zeros(4), np.zeros(4), bad, np.zeros(4), 1e-9)
 
     def test_off_shell_momentum_is_rejected(self):
         model = free_model()
-        v = Vector4(1.0, 1.0, 0.0, 0.0)
-        pp = PElement(Covector4(7.0, 1.0, 0.0, 0.0))  # wrong time component
-        assert not dynamics_membership_universal(
-            model, (X0, pp, v, Covector4(0, 0, 0, 0)), 1e-9)
+        v = np.array([1.0, 1.0, 0.0, 0.0])
+        p = np.array([7.0, 1.0, 0.0, 0.0])  # wrong time component
+        assert not dynamics_membership_universal_array(
+            model, 0.0, np.zeros(4), p, v, np.zeros(4), 1e-9)
 
 
 class TestP0:
@@ -481,7 +466,7 @@ class TestP0:
     def test_time_translates_project_equally(self):
         model = free_model()
         p = Covector4(0.3, 1.0, -2.0, 0.5)
-        shifted = p + 7.0 * TAU
+        shifted = Covector4.from_array(p.as_array() + 7.0 * TAU.as_array())
         assert np.array_equal(project_P0(model, PElement(p)),
                               project_P0(model, PElement(shifted)))
 
@@ -497,9 +482,9 @@ class TestP0:
         pp = PElement(Covector4(0.2, 0.6, -0.3, 0.9))
         for _ in range(20):
             u = random_frame(rng)
-            shift = model.mass * sigma(model.metric, u, model.reference)
+            shift = model.mass * sigma(model.metric, u, model.reference).spatial
             assert np.allclose(pp.in_chart(model, u).spatial,
-                               project_P0(model, pp) - shift.spatial,
+                               project_P0(model, pp) - shift,
                                atol=1e-12)
 
     def test_lift_validates_shape(self):
@@ -650,7 +635,8 @@ class TestQuotientFamilies:
         for _ in range(10):
             pp = PElement(Covector4(*rng.normal(size=4)))
             v = Vector4(float(rng.uniform(0.4, 1.6)), *rng.normal(size=3))
-            direct = hamiltonian_fun(model, x, v, pp)
+            direct = hamiltonian_fun_array(model, model.potential.at(x),
+                                           v.as_array(), pp.p.as_array())
             via_family = fam4.value(state_to_base(x, pp.p), vector_to_fiber(v))
             assert via_family == pytest.approx(direct, abs=1e-12 * (1 + abs(direct)))
 
@@ -679,37 +665,15 @@ class TestQuotientFamilies:
                               tol=1e-10) == []
 
     def test_boost_commutes_with_class_formation(self, rng):
-        # Bookkeeping carried u' -> reference by the frame-level boost and
-        # then canonicalized must agree bit for bit with canonicalizing the
-        # u' representative directly.
+        # Bookkeeping carried u' -> reference by the frame-level boost,
+        # p + m sigma(u', reference), must agree bit for bit with
+        # canonicalizing the u' representative directly.
         model = self.setup_model()
-        x = Event(0.0, 0.1, 0.2, 0.3)
         for _ in range(25):
             u_prime = random_frame(rng)
             p_u = Covector4(*rng.normal(size=4))
-            _, p_ref = boost(u_prime, model.reference, model.mass,
-                             model.metric, (x, p_u))
-            via_boost = PElement(p_ref)
+            via_boost = p_u.as_array() + model.mass * sigma(
+                model.metric, u_prime, model.reference).as_array()
             direct = PElement.from_chart(model, p_u, u_prime)
-            assert np.array_equal(via_boost.p.as_array(),
-                                  direct.p.as_array())
+            assert np.array_equal(via_boost, direct.p.as_array())
 
-
-class TestSerialization:
-    def test_w_round_trip(self):
-        w = WElement(Vector4(1.0, 0.25, -0.5, 0.125), -2.0)
-        data = json.loads(json.dumps(w.to_json()))
-        assert WElement.from_json(data) == w
-
-    def test_p_round_trip(self):
-        pp = PElement(Covector4(-0.5, 1.0, 2.0, 3.0))
-        data = json.loads(json.dumps(pp.to_json()))
-        assert PElement.from_json(data) == pp
-
-    def test_malformed_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            WElement.from_json({"v": [1.0, 2.0], "r": 0.0})
-        with pytest.raises(ValueError):
-            WElement.from_json({"v": [1.0, 2.0, 3.0, 4.0]})
-        with pytest.raises(ValueError):
-            PElement.from_json({"p": "nope"})

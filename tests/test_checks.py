@@ -14,7 +14,8 @@ from galimech.frame_dynamics import (
     legendre_hom,
     legendre_inhom,
 )
-from galimech.galilean_core import Event, Frame, SpatialMetric, Vector4, sigma
+from galimech.galilean_core import (
+    Event, Frame, SpatialMetric, Vector4, sigma, sigma_array)
 from galimech.generating_objects import CriticalPoint, FunctionFamily, is_morse
 from galimech.harness import checks
 from galimech.harness.checks import (
@@ -75,7 +76,7 @@ def test_free_world_lines_agree_exactly():
 
 
 def test_residual_preservation_margin_is_wide():
-    clean = check_residual_preservation(default_config())
+    clean = check_residual_preservation(default_config(), sigma_array)
     dirty = check_residual_preservation(default_config(), corrupted_sigma)
     assert clean.passed
     assert dirty.max_err > 1e6 * clean.max_err
@@ -85,7 +86,7 @@ def test_checks_are_order_independent():
     # Same named check, same config: identical numbers no matter what ran
     # before it, because each check derives its own rng stream.
     cfg = default_config()
-    alone = check_residual_preservation(cfg)
+    alone = check_residual_preservation(cfg, sigma_array)
     after_suite = [c for c in suite_checks(cfg, "dynamics")
                    if c.name == "boost.residual_preservation"]
     assert after_suite == [alone]
@@ -94,8 +95,8 @@ def test_checks_are_order_independent():
 def test_seed_changes_samples_but_not_verdict():
     cfg = default_config()
     other = dataclasses.replace(cfg, seed=1234)
-    a = check_residual_preservation(cfg)
-    b = check_residual_preservation(other)
+    a = check_residual_preservation(cfg, sigma_array)
+    b = check_residual_preservation(other, sigma_array)
     assert a.passed and b.passed
     assert a.max_err != b.max_err
 
@@ -125,9 +126,10 @@ HALF_NAN_POTENTIAL = PotentialSpec("custom", expr="q1^0.5")
                                    check_residual_preservation])
 def test_non_finite_samples_fail_the_check(potential, check):
     cfg = dataclasses.replace(default_config(), potential=potential)
+    args = (sigma_array,) if check is check_residual_preservation else ()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy warning may escape either
-        result = check(cfg)
+        result = check(cfg, *args)
     assert math.isnan(result.max_err)
     assert not result.passed and result.to_json()["status"] == "fail"
 

@@ -20,11 +20,10 @@ from galimech.frame_dynamics import (
     NotFutureDirected,
     PhasePoint,
     Potential,
-    boost,
+    Trajectory,
     free_potential,
     harmonic_potential,
-    hamiltonian_inhom,
-    homogeneous_dynamics_violation,
+    homogeneous_dynamics_violation_array,
     in_homogeneous_dynamics,
     integrate,
     lagrangian_hom,
@@ -36,6 +35,7 @@ from galimech.frame_dynamics import (
     vector_field_inhom,
     write_trajectory_csv,
 )
+from galimech.affine_phase import NewtonModel, p_change_chart_array
 from galimech.harness.config import PotentialSpec
 
 from conftest import random_frame, random_metric
@@ -43,6 +43,27 @@ from conftest import random_frame, random_metric
 E0 = Frame.from_spatial([0.0, 0.0, 0.0])
 ORIGIN = Event(0.0, 0.0, 0.0, 0.0)
 ID3 = SpatialMetric.identity()
+
+
+def energy(m: float, g: SpatialMetric, phi: Potential, x: Event, p) -> float:
+    """Trajectory.energies at the single state (x, p)."""
+    traj = Trajectory(t=np.array([x.t]), q=x.spatial[None, None],
+                      p=np.asarray(p, dtype=float)[None, None], h=1.0,
+                      frames=(E0,), mass=m)
+    return float(traj.energies(g, phi)[0])
+
+
+def scaled(c: float, v: Vector4) -> Vector4:
+    return Vector4.from_array(c * v.as_array())
+
+
+def carried(up: Frame, u: Frame, m: float, g: SpatialMetric,
+            p: Covector4) -> Covector4:
+    """Momentum p carried from frame up's bookkeeping to frame u: the chart
+    change p + m sigma(up, u) of its class."""
+    model = NewtonModel(m, g, free_potential())
+    return Covector4.from_array(p_change_chart_array(
+        model, p.as_array(), up.spatial, u.spatial))
 
 
 def fd_gradient(f, x: np.ndarray) -> np.ndarray:
@@ -218,7 +239,7 @@ class TestInhomogeneous:
 
     def test_hamiltonian_example(self):
         g = SpatialMetric.diagonal(2.0, 2.0, 2.0)
-        val = hamiltonian_inhom(E0, 2.0, g, free_potential(), ORIGIN, [2.0, 0.0, 0.0])
+        val = energy(2.0, g, free_potential(), ORIGIN, [2.0, 0.0, 0.0])
         assert val == pytest.approx(0.5)
 
     def test_hamiltonian_legendre_inversion(self, rng):
@@ -231,7 +252,7 @@ class TestInhomogeneous:
             x = Event.from_array(rng.normal(size=4))
             w = random_frame(rng, scale=2.0)
             p = legendre_inhom(u, m, g, w)
-            lhs = hamiltonian_inhom(u, m, g, phi, x, p) + \
+            lhs = energy(m, g, phi, x, p) + \
                 lagrangian_inhom(u, m, g, phi, x, w)
             rhs = float(p @ (w.spatial - u.spatial))
             assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -277,7 +298,7 @@ class TestHomogeneous:
             x = Event.from_array(rng.normal(size=4))
             v = Vector4(float(rng.uniform(0.4, 2.0)), *rng.normal(size=3))
             c = float(rng.uniform(0.1, 5.0))
-            assert lagrangian_hom(u, m, g, phi, x, c * v) == pytest.approx(
+            assert lagrangian_hom(u, m, g, phi, x, scaled(c, v)) == pytest.approx(
                 c * lagrangian_hom(u, m, g, phi, x, v), rel=1e-12)
 
     def test_rejects_past_directed(self):
@@ -303,7 +324,7 @@ class TestHomogeneous:
             v = Vector4(float(rng.uniform(0.4, 2.0)), *rng.normal(size=3))
             c = float(rng.uniform(0.2, 4.0))
             a = legendre_hom(u, m, g, phi, x, v).as_array()
-            b = legendre_hom(u, m, g, phi, x, c * v).as_array()
+            b = legendre_hom(u, m, g, phi, x, scaled(c, v)).as_array()
             assert np.allclose(a, b, atol=1e-10 * (1.0 + np.max(np.abs(a))))
 
     def test_legendre_hom_matches_velocity_derivative(self, rng):
@@ -385,14 +406,14 @@ class TestMembershipAndBoost:
         v = Vector4(1.0, 1.0, 0.0, 0.0)
         p = Covector4(-0.5, 1.0 + 1e-4, 0.0, 0.0)
         zero = Covector4(0.0, 0.0, 0.0, 0.0)
-        viol = homogeneous_dynamics_violation(E0, 1.0, ID3, free_potential(),
-                                              ORIGIN, p, v, zero)
+        viol = homogeneous_dynamics_violation_array(
+            E0.spatial, 1.0, ID3, 0.0, np.zeros(4), p.as_array(),
+            v.as_array(), zero.as_array())
         assert viol == pytest.approx(1e-4, rel=1e-6)
 
     def test_boost_worked_example(self):
         up = Frame.from_spatial([1.0, 0.0, 0.0])
-        x, p = boost(up, E0, 1.0, ID3, (ORIGIN, Covector4(0.0, 0.0, 0.0, 0.0)))
-        assert x == ORIGIN
+        p = carried(up, E0, 1.0, ID3, Covector4(0.0, 0.0, 0.0, 0.0))
         assert p.as_array().tolist() == [-0.5, 1.0, 0.0, 0.0]
 
     def test_boost_preserves_shell_residual(self, rng):
@@ -404,7 +425,7 @@ class TestMembershipAndBoost:
             m = float(rng.uniform(0.5, 3.0))
             x = Event.from_array(rng.normal(size=4))
             p = Covector4.from_array(rng.normal(size=4))
-            _, q = boost(up, u, m, g, (x, p))
+            q = carried(up, u, m, g, p)
             before = mass_shell_residual(up, m, g, phi, x, p)
             after = mass_shell_residual(u, m, g, phi, x, q)
             assert after == pytest.approx(before, abs=1e-12 * (1.0 + abs(before)))
@@ -421,7 +442,7 @@ class TestMembershipAndBoost:
             x = Event.from_array(rng.normal(size=4))
             v = Vector4(float(rng.uniform(0.3, 2.0)), *rng.normal(size=3))
             p_up = legendre_hom(up, m, g, phi, x, v)
-            _, boosted = boost(up, u, m, g, (x, p_up))
+            boosted = carried(up, u, m, g, p_up)
             p_u = legendre_hom(u, m, g, phi, x, v)
             assert np.allclose(boosted.as_array(), p_u.as_array(), atol=1e-12)
 
@@ -435,9 +456,9 @@ class TestMembershipAndBoost:
             x = Event.from_array(rng.normal(size=4))
             v = Vector4(float(rng.uniform(0.4, 2.0)), *rng.normal(size=3))
             p = legendre_hom(up, m, g, phi, x, v)
-            pdot = -TAU.pair(v) * phi.d(x)
+            pdot = Covector4.from_array(-TAU.pair(v) * phi.d(x).as_array())
             assert in_homogeneous_dynamics(up, m, g, phi, (x, p, v, pdot), 1e-10)
-            _, q = boost(up, u, m, g, (x, p))
+            q = carried(up, u, m, g, p)
             assert in_homogeneous_dynamics(u, m, g, phi, (x, q, v, pdot), 1e-10)
 
 
@@ -484,10 +505,8 @@ class TestIntegrate:
         phi = harmonic_potential(1.0)
         init = PhasePoint.spatial(Event(0.0, 1.0, 0.0, 0.0), [0.0, 0.3, 0.0])
         traj = integrate(E0, 1.0, ID3, phi, init, 1e-3, 2000)
-        energies = [hamiltonian_inhom(E0, 1.0, ID3, phi, Event(t, *q), p)
-                    for t, q, p in zip(traj.t.tolist(), traj.q[:, 0].tolist(),
-                                       traj.p[:, 0])]
-        assert np.max(np.abs(np.array(energies) - energies[0])) <= 1e-10
+        energies = traj.energies(ID3, phi)
+        assert np.max(np.abs(energies - energies[0])) <= 1e-10
 
     def test_blowup_raises_non_finite(self):
         # Inverted quadratic potential: exponential runaway then overflow.
@@ -522,7 +541,8 @@ class TestIntegrate:
         u = random_frame(rng)
         init = PhasePoint.spatial(Event(0.3, 0.8, -0.4, 0.2), rng.normal(size=3))
         traj = integrate(u, 0.7, g, phi, init, 0.01, 100)
-        ref = [hamiltonian_inhom(u, 0.7, g, phi, Event(t, *q), p)
+        # |p|^2 / 2m + phi(x), one step at a time
+        ref = [0.5 / 0.7 * float(p @ g.apply_inverse(p)) + phi.at(Event(t, *q))
                for t, q, p in zip(traj.t.tolist(), traj.q[:, 0].tolist(),
                                   traj.p[:, 0])]
         assert traj.energies(g, phi).tolist() == ref

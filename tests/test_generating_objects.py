@@ -26,7 +26,6 @@ from galimech.generating_objects import (
     NoConvergence,
     NotCritical,
     SectionNotUnique,
-    base_gradient,
     family_example31,
     family_fam1,
     family_fam2,
@@ -92,7 +91,7 @@ class TestGradients:
             f = rng.normal(size=1)
             gb_fd, gf_fd = value_differences(fam, b, f)
             assert np.allclose(fiber_gradient(fam, b, f), gf_fd, atol=1e-8)
-            assert np.allclose(base_gradient(fam, b, f), gb_fd, atol=1e-8)
+            assert np.allclose(fam.gradient(b, f)[0], gb_fd, atol=1e-8)
 
 
 class TestSolveCritical:
@@ -231,7 +230,7 @@ class TestKappa:
         fam = saddle_family()
         base = np.array([1.3])
         pt = solve_critical(fam, base, seeds=[[0.0]], tol=1e-13)[0]
-        gb = base_gradient(fam, pt.base, pt.fiber)
+        gb = fam.gradient(pt.base, pt.fiber)[0]
         gf = fiber_gradient(fam, pt.base, pt.fiber)
         for _ in range(10):
             direction = rng.normal(size=1)
@@ -366,6 +365,15 @@ class TestExample31:
         report = is_morse(fam, pts)
         assert report.ok
         assert set(report.ranks) == {3}
+
+    def test_gradient_matches_differences(self, rng):
+        fam = family_example31(mass=1.3, stiffness=0.6)
+        for _ in range(10):
+            base, fiber = rng.normal(size=6), rng.normal(size=3)
+            gb, gf = fam.gradient(base, fiber)
+            gb_fd, gf_fd = value_differences(fam, base, fiber)
+            assert np.allclose(gb, gb_fd, atol=2e-6 * (1 + np.max(np.abs(gb))))
+            assert np.allclose(gf, gf_fd, atol=2e-6 * (1 + np.max(np.abs(gf))))
 
     def test_generated_covectors_are_oscillator_equations(self, rng):
         fam = family_example31(mass=1.0, stiffness=1.0)

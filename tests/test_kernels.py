@@ -1,10 +1,14 @@
-"""The array kernels against their object-level wrappers, bit for bit.
+"""The array kernels over stacks against single entries, bit for bit.
 
 Each kernel evaluated once over a stack of seeded random inputs must give,
-entry for entry, exactly the float the object-level function gives for
-that entry alone: the sampled checks evaluate the stacks, the Morse
-families and the tests call the objects, and both must see one formula
-with one rounding.  Inputs are strided views, as the checks pass them.
+entry for entry, exactly the float that the same computation gives for
+that entry alone.  Where an object-level wrapper remains, the entry is
+computed through it, so that the sampled checks (which evaluate stacks)
+and the Morse families and library callers (which call the objects) see
+one formula with one rounding.  Where no wrapper remains, the kernel is
+called on each row alone: a sampled check must not depend on how many
+samples share its stack.  Inputs are strided views, as the checks pass
+them.
 """
 
 import numpy as np
@@ -12,32 +16,21 @@ import pytest
 
 from galimech.affine_phase import (
     NewtonModel,
-    PElement,
-    WElement,
-    affine_lagrangian,
     affine_lagrangian_array,
-    dynamics_membership_universal,
     dynamics_membership_universal_array,
-    eval_affine,
     eval_affine_array,
-    hamiltonian_fun,
     hamiltonian_fun_array,
     p_change_chart,
     p_change_chart_array,
-    pairing,
     pairing_array,
-    psi_m,
     psi_m_array,
-    w_add,
     w_add_array,
     w_change_chart,
     w_change_chart_array,
-    w_scale,
     w_scale_array,
 )
 from galimech.frame_dynamics import (
     harmonic_potential,
-    homogeneous_dynamics_violation,
     homogeneous_dynamics_violation_array,
     lagrangian_hom,
     lagrangian_hom_array,
@@ -144,10 +137,8 @@ def test_dynamics_violation(case):
     pdot = np.roll(case["p"], 1, axis=0)
     values = potential_values(case)
     dphi = np.array([phi.d(Event(*x)).as_array() for x in case["x"].tolist()])
-    expected = [homogeneous_dynamics_violation(
-        frame(a), m, g, phi, Event(*x), Covector4.from_array(b),
-        Vector4.from_array(c), Covector4.from_array(d))
-        for a, x, b, c, d in zip(u, case["x"], p, xdot, pdot)]
+    expected = [homogeneous_dynamics_violation_array(a, m, g, y, dy, b, c, d)
+                for a, y, dy, b, c, d in zip(u, values, dphi, p, xdot, pdot)]
     got = homogeneous_dynamics_violation_array(u, m, g, values, dphi, p,
                                                xdot, pdot)
     assert same(got, expected)
@@ -169,38 +160,27 @@ def test_chart_changes(case):
 
 
 def test_w_operations(case):
-    model, w5, s, p, v = (case[k] for k in ("model", "w5", "s", "p", "v"))
+    w5, s, p, v = (case[k] for k in ("w5", "s", "p", "v"))
     a, b = w5, np.roll(w5, 1, axis=0)
-    objs = [(WElement.from_array(x), WElement.from_array(y))
-            for x, y in zip(a, b)]
-    assert same(w_add_array(a, b),
-                [w_add(model, x, y).as_array() for x, y in objs])
+    assert same(w_add_array(a, b), [w_add_array(x, y) for x, y in zip(a, b)])
     assert same(w_scale_array(s, a),
-                [w_scale(model, k, x).as_array()
-                 for k, (x, _) in zip(s, objs)])
+                [w_scale_array(k, x) for k, x in zip(s, a)])
     assert same(eval_affine_array(a, p),
-                [eval_affine(model, x, PElement(Covector4.from_array(c)))
-                 for (x, _), c in zip(objs, p)])
+                [eval_affine_array(x, c) for x, c in zip(a, p)])
     assert same(pairing_array(p, v),
-                [pairing(model, PElement(Covector4.from_array(c)),
-                         Vector4.from_array(d)).as_array()
-                 for c, d in zip(p, v)])
+                [pairing_array(c, d) for c, d in zip(p, v)])
 
 
 def test_quotient_functions(case):
-    model, phi, p, v = (case[k] for k in ("model", "phi", "p", "v"))
+    model, p, v = (case[k] for k in ("model", "p", "v"))
     values = potential_values(case)
-    events = [Event(*x) for x in case["x"].tolist()]
-    classes = [PElement(Covector4.from_array(c)) for c in p]
-    vectors = [Vector4.from_array(d) for d in v]
-    assert same(psi_m_array(model, p),
-                [psi_m(model, x, c) for x, c in zip(events, classes)])
+    assert same(psi_m_array(model, p), [psi_m_array(model, c) for c in p])
     assert same(affine_lagrangian_array(model, values, v),
-                [affine_lagrangian(model, x, d).as_array()
-                 for x, d in zip(events, vectors)])
+                [affine_lagrangian_array(model, y, d)
+                 for y, d in zip(values, v)])
     assert same(hamiltonian_fun_array(model, values, v, p),
-                [hamiltonian_fun(model, x, d, c)
-                 for x, d, c in zip(events, vectors, classes)])
+                [hamiltonian_fun_array(model, y, d, c)
+                 for y, d, c in zip(values, v, p)])
 
 
 def test_membership(case):
@@ -211,9 +191,8 @@ def test_membership(case):
                               model.metric, phi.at(x), v)
     pdot = -v[:, :1] * dphi
     p = np.where(np.arange(N)[:, None] % 2 == 0, p_on, case["p"])
-    expected = [dynamics_membership_universal(
-        model, (x, PElement(Covector4.from_array(a)), Vector4.from_array(b),
-                Covector4.from_array(c)), 1e-9) for a, b, c in zip(p, v, pdot)]
+    expected = [dynamics_membership_universal_array(
+        model, phi.at(x), dphi, a, b, c, 1e-9) for a, b, c in zip(p, v, pdot)]
     got = dynamics_membership_universal_array(model, phi.at(x), dphi, p, v,
                                               pdot, 1e-9)
     assert same(got, expected)

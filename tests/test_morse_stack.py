@@ -95,7 +95,7 @@ def ref_fam1(u: Frame, m, g, potential):
         v = Vector4(float(fiber[3]), float(fiber[0]), float(fiber[1]),
                     float(fiber[2]))
         gx = TAU.pair(v) * ref_differential(potential, x)
-        gv = (p - legendre_hom(u, m, g, potential, x, v)).as_array()
+        gv = p.as_array() - legendre_hom(u, m, g, potential, x, v).as_array()
         return np.concatenate([gx, v.as_array()]), gv[[1, 2, 3, 0]]
     return gradient
 

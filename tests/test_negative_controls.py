@@ -77,7 +77,7 @@ ROWS = {
     "sigma_time_component": (
         "galilean_core", "sigma_array", scaled_output(0), INVARIANTS,
         {"sigma.pairing_formula", "lagrangian.shift_identity",
-         "affine.chart.affine_lagrangian"}),
+         "boost.residual_preservation", "affine.chart.affine_lagrangian"}),
     "sigma_in_boost_check": (
         "galilean_core", "sigma_array", scaled_output(1), BOOST,
         {"boost.residual_preservation"}),
