@@ -13,7 +13,7 @@ four-vector and the momentum a full covector.  The lagrangian extends the
 inhomogeneous one as a positively homogeneous function of degree one, its
 fiber derivative lands on the zero set of the mass-shell residual, and a
 change of frame acts on momenta by adding a fixed multiple of the
-frame-shift covector.  Homogeneous dynamics is checked pointwise
+frame-shift covector.  Homogeneous dynamics is checked state by state
 (membership of a state-with-derivatives tuple) rather than integrated.
 
 Each formula is written once, as an array kernel (``*_array``) over stacks
@@ -68,50 +68,44 @@ _FD_DIRECTIONS = np.concatenate([np.eye(3), -np.eye(3)])
 
 @dataclass(frozen=True)
 class Potential:
-    """Scalar potential on space-time with an analytic or a
-    finite-difference spatial gradient.
+    """Scalar potential on space-time: one array kernel for its values,
+    with an analytic or a finite-difference spatial gradient.
 
     ``values`` maps a time t (one, or an array broadcasting against
-    q[..., 0]) and positions q (..., 3) to the values there, shape (...);
-    the built-in constructors give it alone, its rows rounding exactly as
-    one event does.  ``value``, given for a ``custom`` potential on the
-    scalar ``math`` table, maps an Event to a real and owns the rounding
-    and ArithmeticError contract of every point value: such a potential is
-    ``pointwise``.  ``spatial_gradient``, when given, maps t and q to the
-    analytic gradient (..., 3); otherwise it is central differences of
-    ``values`` with step 1e-6 * (1 + |q_i|), in one call.
-    ``time_independent`` declares that the value does not depend on t, so
-    the time derivative is exactly 0; otherwise it is a central difference
-    of ``at``.  Analytic gradients must agree with the differences to about
-    1e-6 relative (the test suite enforces this for the built-in ones).
+    q[..., 0]) and positions q (..., 3) to the values there, shape (...),
+    each row rounding exactly as that event alone; it may raise an
+    ArithmeticError where it has no value (a ``custom`` kernel does at a
+    division by zero or an overflow).
+    ``spatial_gradient``, when given, maps t and q to the analytic gradient
+    (..., 3); otherwise it is central differences of ``values`` with step
+    1e-6 * (1 + |q_i|), in one call.  ``time_independent`` declares that
+    the value does not depend on t, so the time derivative is exactly 0;
+    otherwise it is a central difference of ``values``.  Analytic gradients
+    must agree with the differences to about 1e-6 relative (the test suite
+    enforces this for the built-in ones).
     """
 
-    value: Callable[[Event], float] | None = None
+    values: Callable[[float, np.ndarray], np.ndarray]
     spatial_gradient: Callable[[float, np.ndarray], np.ndarray] | None = None
     time_independent: bool = False
-    values: Callable[[float, np.ndarray], np.ndarray] | None = None
-
-    @property
-    def pointwise(self) -> bool:
-        return self.value is not None
 
     def at(self, x: Event) -> float:
-        return float(self.value(x) if self.pointwise else
-                     self.values(x.t, x.spatial))
+        return float(self.values(x.t, x.spatial))
 
     def at_events(self, x: np.ndarray, on_error=None) -> np.ndarray:
-        """Values at the events x (n, 4): one ``values`` call or, when
-        pointwise, one ``at`` per event, where an ArithmeticError propagates
-        or gives the value on_error(index, error)."""
-        if not self.pointwise:
+        """Values at the events x (n, 4) in one ``values`` call.  When that
+        raises an ArithmeticError and on_error is given, each event is
+        evaluated alone, and one that raises gets on_error(index, error)."""
+        try:
             return self.values(x[:, 0], x[:, 1:])
+        except ArithmeticError:
+            if on_error is None:
+                raise
         out = np.empty(len(x))
-        for i, event in enumerate(x.tolist()):
+        for i, event in enumerate(x):
             try:
-                out[i] = self.at(Event(*event))
+                out[i] = self.values(event[0], event[1:])
             except ArithmeticError as exc:
-                if on_error is None:
-                    raise
                 out[i] = on_error(i, exc)
         return out
 
@@ -137,17 +131,18 @@ class Potential:
 
         The spatial part is one grad_s call over every event.  The time
         derivative is 0 for a time-independent potential and otherwise a
-        central difference of ``at``, event by event.
+        central difference of ``values`` with step 1e-6 * (1 + |t|), in two
+        calls.
         """
         flat = np.asarray(x, dtype=float).reshape(-1, 4)
+        t, q = flat[:, 0], flat[:, 1:]
         out = np.empty(flat.shape)
-        out[:, 1:] = self.grad_s(flat[:, 0], flat[:, 1:])
+        out[:, 1:] = self.grad_s(t, q)
         out[:, 0] = 0.0
         if not self.time_independent:
-            for i, (t, q1, q2, q3) in enumerate(flat.tolist()):
-                step = FD_STEP * (1.0 + abs(t))
-                out[i, 0] = (self.at(Event(t + step, q1, q2, q3)) -
-                             self.at(Event(t - step, q1, q2, q3))) / (2.0 * step)
+            step = FD_STEP * (1.0 + np.abs(t))
+            out[:, 0] = (self.values(t + step, q) -
+                         self.values(t - step, q)) / (2.0 * step)
         return out.reshape(np.shape(x))
 
     def d(self, x: Event) -> Covector4:

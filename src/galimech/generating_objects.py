@@ -546,18 +546,9 @@ def vector_to_fiber(v) -> np.ndarray:
 def _potential_jet(potential: Potential,
                    x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The potential (...) and its differential (..., 4) at the events x
-    (..., 4), each distinct event evaluated once."""
-    flat = np.ascontiguousarray(x).reshape(-1, 4)
-    # Rows come in runs over one event (the fiber shifts of one point), so
-    # each run of bitwise equal events is evaluated once.
-    bits = flat.view(np.int64)
-    new = np.ones(len(flat), dtype=bool)
-    np.any(bits[1:] != bits[:-1], axis=1, out=new[1:])
-    events = flat[new]
-    run = np.cumsum(new) - 1
-    phi = potential.at_events(events)
-    dphi = potential.differential(events)
-    return phi[run].reshape(x.shape[:-1]), dphi[run].reshape(x.shape)
+    (..., 4)."""
+    phi = potential.at_events(np.reshape(x, (-1, 4)))
+    return phi.reshape(x.shape[:-1]), potential.differential(x)
 
 
 def family_fam1(u: Frame, m: float, g: SpatialMetric,

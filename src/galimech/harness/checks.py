@@ -146,9 +146,9 @@ def _draws(rng: np.random.Generator, n: int, *draws) -> list[np.ndarray]:
 
 
 def _potential_at(phi: Potential, x: np.ndarray) -> np.ndarray:
-    """phi at each event of x (n, 4), NaN where a pointwise evaluation
-    raises an ArithmeticError, so that sample fails its check instead of
-    ending the run."""
+    """phi at each event of x (n, 4), NaN where the event's value raises
+    an ArithmeticError, so that sample fails its check instead of ending
+    the run."""
     return phi.at_events(x, lambda i, exc: np.nan)
 
 

@@ -104,10 +104,8 @@ class PotentialSpec:
             return harmonic_potential(self.k, self.center)
         # kind == "custom", the one that loads the expression compiler;
         # raises ExpressionError for a malformed expr
-        from .expressions import compile_array_expression, compile_expression
-        fn = compile_expression(self.expr)
-        return Potential(value=lambda x: fn(x.t, x.q1, x.q2, x.q3),
-                         values=compile_array_expression(self.expr))
+        from .expressions import compile_array_expression
+        return Potential(values=compile_array_expression(self.expr))
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind}

@@ -5,12 +5,14 @@ is a deliberately small language: numbers, the four coordinates, pi, the
 operators + - * / ^ with the usual precedence (^ binds tightest and
 associates to the right), parentheses, and the unary functions sin, cos,
 exp.  One recursive-descent parser turns the text into a tree of closures
-over one of two function tables: ``math`` for the scalar evaluator
-(``compile_expression``, one point per call) and ``numpy`` for the array
-evaluator (``compile_array_expression``, every point of a (..., 3) array in
-one call).  There is no use of the Python evaluator, so a config file
-cannot execute anything, and the parser bounds how deeply an expression
-may nest, so none can exhaust the interpreter's stack.
+over one of two function tables: ``numpy`` for the array evaluator
+(``compile_array_expression``, every point of a (..., 3) array in one
+call), which gives every value, and ``math`` for the scalar evaluator
+(``compile_expression``, one point per call), which judges whether a
+non-finite value is an error.  There is no use of the Python evaluator,
+so a config file cannot execute anything, and the parser bounds how
+deeply an expression may nest, so none can exhaust the interpreter's
+stack.
 """
 
 from __future__ import annotations
@@ -253,9 +255,11 @@ def compile_array_expression(text: str) -> Callable[[float, np.ndarray], np.ndar
 
     Raises ExpressionError as compile_expression does.  Evaluation keeps
     the scalar evaluator's error contract: numpy warnings are silenced,
-    and where a value is not finite the point is evaluated again by the
-    scalar evaluator, so an ArithmeticError it raises there (division by
-    zero, overflow) is raised here too.
+    and where a value is not finite at a finite point, the point is
+    evaluated again by the scalar evaluator, so an ArithmeticError it
+    raises there (division by zero, overflow) is raised here too.  A
+    finite value is kept as numpy gives it, even through an infinite
+    intermediate: exp(-1/q1^2) is 0 at q1 = 0.
     """
     node, spatial = _parse(text, _ARRAY)
     if not spatial:  # one value for every position
@@ -269,10 +273,11 @@ def compile_array_expression(text: str) -> Callable[[float, np.ndarray], np.ndar
             out = node({"t": t, "q1": q[..., 0], "q2": q[..., 1],
                         "q3": q[..., 2]})
         if not np.isfinite(out).all():
-            scalar = scalar or compile_expression(text)
-            bad = ~np.isfinite(out)
-            times = np.broadcast_to(t, out.shape)[bad].tolist()
-            for t_i, (q1, q2, q3) in zip(times, q[bad].tolist()):
+            times = np.broadcast_to(t, out.shape)
+            bad = ~np.isfinite(out) & np.isfinite(times) & \
+                np.isfinite(q).all(axis=-1)
+            for t_i, (q1, q2, q3) in zip(times[bad].tolist(), q[bad].tolist()):
+                scalar = scalar or compile_expression(text)
                 scalar(t_i, q1, q2, q3)
         return out
 

@@ -74,7 +74,7 @@ def free_model(m: float = 1.0, g: SpatialMetric | None = None) -> NewtonModel:
 
 
 def constant_potential(c: float) -> Potential:
-    return Potential(value=lambda x: c,
+    return Potential(values=lambda t, q: np.full(np.shape(q)[:-1], c),
                      spatial_gradient=lambda t, q: np.zeros(np.shape(q)),
                      time_independent=True)
 

@@ -112,7 +112,6 @@ class TestPotentials:
         ]
         x = rng.normal(scale=scale, size=(4, 25, 4))
         for phi, ref in refs:
-            assert not phi.pointwise
             got = phi.values(x[..., 0], x[..., 1:])
             assert got.shape == (4, 25)
             for index in np.ndindex(4, 25):
@@ -172,17 +171,42 @@ class TestPotentials:
             assert potential.d(Event(t, q1, q2, q3)).as_array().tolist() == \
                 got[index].tolist()
 
+    @pytest.mark.parametrize("expr", [
+        "0.5*q1^2 + 0.25*q2^4 + 0.1*q1*q3",
+        "0.5*(q1^2+q2^2+q3^2)*(1+0.1*t)",
+        "0.5*1.3*((q1-0.2)^2 + (q2+0.4)^2 + (q3-0.7)^2) + 0.1*(q1-0.2)^4"
+        " + 0.3*sin(q2)*cos(q3) + 0.4*exp(-0.5*(q1^2 + q3^2))",
+    ])
+    def test_custom_point_values_equal_array_rows(self, rng, expr):
+        # One evaluator: the value at an event alone, a row of at_events
+        # and a row of one values call carry the same bits.
+        phi = PotentialSpec("custom", expr=expr).build()
+        x = rng.normal(scale=1.5, size=(1000, 4))
+        rows = phi.values(x[:, 0], x[:, 1:])
+        assert _bits(phi.at_events(x)).tolist() == _bits(rows).tolist()
+        assert _bits(np.array([phi.at(Event(*row)) for row in x.tolist()])
+                     ).tolist() == _bits(rows).tolist()
+
+    def test_finite_value_through_an_infinite_intermediate(self):
+        # numpy carries exp(-1/q1^2) to 0 at q1 = 0 through -inf, and every
+        # evaluation keeps that finite value.
+        phi = PotentialSpec("custom", expr="exp(-1/q1^2)").build()
+        x = np.array([[0.5, 0.0, 1.0, -2.0]])
+        assert phi.at(Event(*x[0].tolist())) == 0.0
+        assert phi.at_events(x).tolist() == [0.0]
+        assert phi.values(x[:, 0], x[:, 1:]).tolist() == [0.0]
+
     def test_numpy_event_keeps_the_scalar_error_contract(self):
-        # Event coerces numpy scalars to float, so the scalar evaluator
-        # divides Python floats and raises instead of returning inf.
+        # Event coerces numpy scalars to float.  The array evaluator gives
+        # inf at this finite point, so the scalar evaluator judges it and
+        # raises instead of returning inf.
         x = Event(*np.zeros(4))
         assert all(type(c) is float for c in (x.t, x.q1, x.q2, x.q3))
         with pytest.raises(ZeroDivisionError):
             PotentialSpec("custom", expr="1/q1").build().at(x)
 
     def test_fd_fallback_when_no_gradient(self):
-        phi = Potential(value=lambda x: x.q1 ** 2 + 0.5 * x.t,
-                        values=lambda t, q: q[..., 0] ** 2 + 0.5 * t)
+        phi = Potential(values=lambda t, q: q[..., 0] ** 2 + 0.5 * t)
         x = Event(1.0, 3.0, 0.0, 0.0)
         assert np.allclose(phi.d_s(x), [6.0, 0.0, 0.0], atol=1e-8)
         assert phi.d(x).a0 == pytest.approx(0.5, abs=1e-9)
@@ -196,7 +220,7 @@ class TestInhomogeneous:
 
     def test_lagrangian_with_potential(self):
         w = Frame.from_spatial([3.0, 0.0, 0.0])
-        phi = Potential(value=lambda x: 1.0)
+        phi = Potential(values=lambda t, q: np.ones(np.shape(q)[:-1]))
         val = lagrangian_inhom(E0, 2.0, ID3, phi, ORIGIN, w)
         assert val == pytest.approx(8.0)
 

@@ -25,9 +25,11 @@ these outputs fails here, so refactors of those layers have to keep every
 float the same.
 
 The one exception is the custom-potential ``simulate`` CSV, re-recorded
-when the finite-difference gradient moved to the numpy evaluator, whose
-``power`` and ``exp`` may round differently from the scalar ``math``
-path.  A bounded test holds that CSV against a scalar reference instead.
+twice: when the finite-difference gradient moved to the numpy evaluator,
+whose ``power`` and ``exp`` may round differently from the scalar ``math``
+path, and when the ``H`` column moved there too (one value, at step 14,
+moved by 1 ulp, a scaled difference of 6.0e-17).  A bounded test holds
+that CSV against a scalar reference instead.
 """
 
 import hashlib
@@ -78,7 +80,7 @@ GOLDEN = {
     ("custom_anharmonic", "invariants"):
         (0, "ef1604167fcf83ea28102581f769fec230d75e98a387fd338cd8780babff3210"),
     ("custom_anharmonic", "simulate"):
-        (0, "38f8d03ee0379fb0ae77baca047b0ab4840bf860f1a47c22d3ab4e3d2436cc67"),
+        (0, "294629af2044d92e7eb35d67beec27ea1b696d10273833509dbf186841fbc9eb"),
     ("default", "boost-check"):
         (0, "8781a3f909da51855fe3d2aa4cf7a6e9d03b0b2600f331095204c689182e7444"),
     ("default", "invariants"):

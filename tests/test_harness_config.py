@@ -190,6 +190,24 @@ class TestPotentialBuild:
         assert np.allclose(custom.d_s(self.x), builtin.d_s(self.x), atol=1e-7)
 
 
+@pytest.fixture
+def scalar_points(monkeypatch):
+    """Every point the scalar evaluator is called at, as (t, q1, q2, q3)."""
+    points, compile_scalar = [], expressions.compile_expression
+
+    def counted_compile(text):
+        fn = compile_scalar(text)
+
+        def evaluate(*point):
+            points.append(point)
+            return fn(*point)
+
+        return evaluate
+
+    monkeypatch.setattr(expressions, "compile_expression", counted_compile)
+    return points
+
+
 class TestBuildOnce:
     def test_config_objects_are_shared_and_fields_unchanged(self):
         cfg = parse_config(minimal(potential={"kind": "custom",
@@ -204,8 +222,9 @@ class TestBuildOnce:
             parse_config(minimal(potential={"kind": "custom",
                                             "expr": "q1^2 + q2"})).to_json())
 
-    def test_one_invariants_run_compiles_each_evaluator_once(
-            self, tmp_path, monkeypatch):
+    def test_custom_runs_parse_only_the_array_table(self, tmp_path,
+                                                    monkeypatch,
+                                                    scalar_points):
         parses, metrics = [], []
         parse, init = expressions._parse, SpatialMetric.__init__
 
@@ -220,15 +239,36 @@ class TestBuildOnce:
         monkeypatch.setattr(expressions, "_parse", counted_parse)
         monkeypatch.setattr(SpatialMetric, "__init__", counted_init)
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(minimal(potential={
-            "kind": "custom", "expr": "0.5*q1^2 + 0.25*q2^4 + 0.1*q1*q3"})))
-        assert main(["invariants", "--suite", "all", "--config", str(path),
-                     "--seed", "3", "--out", str(tmp_path / "report.json")]) == 0
-        # the scalar and the array evaluator, once each
-        assert sorted(map(id, parses)) == sorted(
-            [id(expressions._SCALAR), id(expressions._ARRAY)])
-        # once to validate the config, once for the checks
-        assert len(metrics) == 2
+        path.write_text(json.dumps({  # the golden custom_anharmonic scenario
+            "potential": {"kind": "custom",
+                          "expr": "0.5*q1^2 + 0.25*q2^4 + 0.1*q1*q3"},
+            "initial_event": [0.0, 0.8, 0.5, 0.1], "n": 50}))
+        for argv in (["simulate"], ["boost-check"],
+                     ["invariants", "--suite", "all"],
+                     ["morse-check", "--family", "all"]):
+            parses.clear()
+            metrics.clear()
+            assert main([*argv, "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 0
+            # the array evaluator, once; the scalar one, never
+            assert len(parses) == 1 and parses[0] is expressions._ARRAY
+            if argv[0] == "invariants":
+                # once to validate the config, once for the checks
+                assert len(metrics) == 2
+        assert scalar_points == []
+
+    def test_scalar_evaluator_judges_only_finite_points(self, tmp_path,
+                                                        scalar_points):
+        # (q1-2)^0.5 is NaN from the first step on: the integrator names
+        # that step, and no point past it goes to the scalar evaluator.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "potential": {"kind": "custom", "expr": "(q1-2)^0.5"},
+            "initial_event": [0, 1, 0, 0]}))
+        assert main(["boost-check", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert scalar_points
+        assert np.isfinite(scalar_points).all()
 
 
 class TestLoad:
