@@ -19,8 +19,7 @@ element is the chart-invariant affine function f_w(p) = <p, v> - r.
 The module also carries the derived machinery that lives naturally on the
 quotient: the universal mass-shell function, the affine lagrangian, the
 hamiltonian as a fiber difference, the three tuple maps relating the tangent
-and cotangent pictures, the spatial momentum quotient, and the affine-metric
-section construction.
+and cotangent pictures, and the affine-metric section construction.
 
 The quotient operations are written once, as array kernels (``*_array``)
 over stacks of components: momentum representatives as covector components
@@ -39,10 +38,8 @@ import numpy as np
 
 from .galilean_core import (
     Covector4,
-    Event,
     Frame,
     SpatialMetric,
-    TAU,
     Vector4,
     pair,
     pair_frame,
@@ -71,7 +68,6 @@ __all__ = [
     "eval_affine_array",
     "pairing_array",
     "psi_m_array",
-    "universal_hamiltonian_residual",
     "affine_lagrangian_array",
     "hamiltonian_fun_array",
     "alpha",
@@ -79,37 +75,24 @@ __all__ = [
     "beta_inv",
     "gamma",
     "dynamics_membership_universal_array",
-    "project_P0",
-    "lift_P0",
-    "inhomogeneous_dynamics_membership",
     "AffineMetric",
     "affine_metric_apply",
-    "legendre_affine_metric",
     "section_from_affine_metric",
     "family_fam3",
     "family_fam4",
 ]
 
+# Canonical representatives are taken in the rest frame of the global chart.
 REFERENCE_FRAME = Frame.from_spatial([0.0, 0.0, 0.0])
-
-# Unit-time-slice gauge: tangents produced by differencing a trajectory's
-# events carry rounding of this order at most.
-_TIME_GAUGE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class NewtonModel:
-    """Ambient data every quotient operation needs: mass, metric, potential.
-
-    The reference frame fixes which representative is "canonical"; the rest
-    frame of the global chart is the default and there is no reason to
-    change it outside of tests.
-    """
+    """Ambient data every quotient operation needs: mass, metric, potential."""
 
     mass: float
     metric: SpatialMetric
     potential: Potential
-    reference: Frame = REFERENCE_FRAME
 
     def __post_init__(self) -> None:
         if not (self.mass > 0.0):
@@ -160,8 +143,8 @@ def p_change_chart(model: NewtonModel, p: Covector4,
 class WElement:
     """Class of (frame, velocity, real) triples under the sigma relation.
 
-    Stored as the representative in the model's reference frame.  The
-    velocity part is the class invariant; the real part is chart-relative.
+    Stored as the representative in the reference frame.  The velocity
+    part is the class invariant; the real part is chart-relative.
     """
 
     v: Vector4
@@ -174,11 +157,11 @@ class WElement:
     @classmethod
     def from_chart(cls, model: NewtonModel, v: Vector4, r: float,
                    frame: Frame) -> "WElement":
-        vv, rr = w_change_chart(model, v, float(r), frame, model.reference)
+        vv, rr = w_change_chart(model, v, float(r), frame, REFERENCE_FRAME)
         return cls(vv, rr)
 
     def in_chart(self, model: NewtonModel, frame: Frame) -> tuple[Vector4, float]:
-        return w_change_chart(model, self.v, self.r, model.reference, frame)
+        return w_change_chart(model, self.v, self.r, REFERENCE_FRAME, frame)
 
 
 @dataclass(frozen=True)
@@ -190,10 +173,10 @@ class PElement:
     @classmethod
     def from_chart(cls, model: NewtonModel, p: Covector4,
                    frame: Frame) -> "PElement":
-        return cls(p_change_chart(model, p, frame, model.reference))
+        return cls(p_change_chart(model, p, frame, REFERENCE_FRAME))
 
     def in_chart(self, model: NewtonModel, frame: Frame) -> Covector4:
-        return p_change_chart(model, self.p, model.reference, frame)
+        return p_change_chart(model, self.p, REFERENCE_FRAME, frame)
 
 
 # The distinguished unit: evaluates to 1 on every momentum class, and its
@@ -250,17 +233,7 @@ def psi_m_array(model: NewtonModel, p) -> np.ndarray:
     """
     ps = p[..., 1:]
     return 0.5 / model.mass * np.vecdot(ps, model.metric.apply_inverse(ps)) \
-        + pair_frame(p, model.reference.spatial)
-
-
-def universal_hamiltonian_residual(model: NewtonModel, x: Event,
-                                   pp: PElement) -> float:
-    """Mass-shell defect on the quotient: psi_m plus the potential.
-
-    Vanishes exactly on classes of fiber-derivative momenta; agrees with
-    the per-frame residual evaluated on any representative.
-    """
-    return float(psi_m_array(model, pp.p.as_array())) + model.potential.at(x)
+        + pair_frame(p, REFERENCE_FRAME.spatial)
 
 
 def affine_lagrangian_array(model: NewtonModel, phi, v) -> np.ndarray:
@@ -271,7 +244,7 @@ def affine_lagrangian_array(model: NewtonModel, phi, v) -> np.ndarray:
     per-frame lagrangians differ by exactly the sigma pairing the chart
     rule removes.  The velocities must be future-directed.
     """
-    return w_pack(v, lagrangian_hom_array(model.reference.spatial, model.mass,
+    return w_pack(v, lagrangian_hom_array(REFERENCE_FRAME.spatial, model.mass,
                                           model.metric, phi, v))
 
 
@@ -325,49 +298,8 @@ def dynamics_membership_universal_array(model: NewtonModel, phi, dphi, p,
     covectors.
     """
     return homogeneous_dynamics_violation_array(
-        model.reference.spatial, model.mass, model.metric, phi, dphi, p,
+        REFERENCE_FRAME.spatial, model.mass, model.metric, phi, dphi, p,
         xdot, pdot) <= tol
-
-
-def project_P0(model: NewtonModel, pp: PElement) -> np.ndarray:
-    """Spatial momentum: the class of p modulo multiples of the time
-    covector, represented by the three spatial components in the reference
-    chart."""
-    return pp.p.spatial
-
-
-def lift_P0(model: NewtonModel, p0, time: float) -> PElement:
-    """Momentum class with given spatial part and time component, both read
-    in the reference chart.  project_P0 recovers p0 exactly."""
-    p0 = np.asarray(p0, dtype=float)
-    if p0.shape != (3,):
-        raise ValueError(f"spatial momentum needs 3 components, got {p0.shape}")
-    return PElement(Covector4(float(time), float(p0[0]), float(p0[1]),
-                              float(p0[2])))
-
-
-def inhomogeneous_dynamics_membership(model: NewtonModel, element: tuple,
-                                      tol: float) -> bool:
-    """Test (x, p0, xdot, p0dot) against the time-normalized dynamics.
-
-    xdot must lie on the unit-time slice; p0 and p0dot are spatial momenta
-    in the reference chart.  Membership means xdot's spatial part equals
-    the metric transport of p0/m shifted by the reference velocity, and
-    p0dot balances the spatial force.
-    """
-    x, p0, xdot, p0dot = element
-    tv = TAU.pair(xdot)
-    if abs(tv - 1.0) > _TIME_GAUGE_TOL:
-        raise ValueError(
-            f"velocity must lie on the unit-time slice, got <tau, v>={tv!r}")
-    p0 = np.asarray(p0, dtype=float)
-    p0dot = np.asarray(p0dot, dtype=float)
-    v_expected = model.metric.apply_inverse(p0) / model.mass \
-        + model.reference.spatial
-    force = model.potential.d_s(x)
-    err = max(float(np.max(np.abs(xdot.spatial - v_expected))),
-              float(np.max(np.abs(p0dot + force))))
-    return err <= tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,12 +326,6 @@ def affine_metric_apply(model: NewtonModel, h: AffineMetric,
     """Evaluate the affine metric at a unit-time velocity."""
     d = b.spatial - h.base_point.spatial
     return h.value_at_base + model.mass * model.metric.apply(d)
-
-
-def legendre_affine_metric(model: NewtonModel) -> AffineMetric:
-    """The time-normalized fiber-derivative map as an affine metric: zero
-    at the reference velocity, linear part m g."""
-    return AffineMetric(model.reference, np.zeros(3))
 
 
 def section_from_affine_metric(model: NewtonModel, h: AffineMetric,
@@ -434,7 +360,7 @@ def family_fam3(model: NewtonModel) -> FunctionFamily:
     taken in the reference chart, which is the point: on canonical
     representatives the two coincide.
     """
-    inner = family_fam2(model.reference, model.mass, model.metric,
+    inner = family_fam2(REFERENCE_FRAME, model.mass, model.metric,
                         model.potential)
     return FunctionFamily(inner.base_dim, inner.fiber_dim, inner.value,
                           inner.gradient, name="fam3")
@@ -444,7 +370,7 @@ def family_fam4(model: NewtonModel) -> FunctionFamily:
     """Generating family of the quotient dynamics on the velocity side:
     <p, v> minus the lagrangian value over base (event, canonical
     momentum), fiber the full velocity."""
-    inner = family_fam1(model.reference, model.mass, model.metric,
+    inner = family_fam1(REFERENCE_FRAME, model.mass, model.metric,
                         model.potential)
     return FunctionFamily(inner.base_dim, inner.fiber_dim, inner.value,
                           inner.gradient, name="fam4")

@@ -277,20 +277,6 @@ def legendre_inhom(u: Frame, m: float, g: SpatialMetric, w: Frame) -> np.ndarray
     return legendre_inhom_array(u.spatial, m, g, w.spatial)
 
 
-def vector_field_inhom(u: Frame, m: float, g: SpatialMetric,
-                       potential: Potential,
-                       state: PhasePoint) -> tuple[Vector4, np.ndarray]:
-    """Right-hand side of the equations of motion in frame u.
-
-    Returns (xdot, pdot) with xdot = raised p/m + u (time component 1) and
-    pdot = minus the spatial gradient of the potential.
-    """
-    vel = g.apply_inverse(state.p) / m + u.spatial
-    xdot = Vector4(1.0, float(vel[0]), float(vel[1]), float(vel[2]))
-    pdot = -potential.d_s(state.x)
-    return xdot, pdot
-
-
 def _require_future(v: Vector4) -> None:
     tv = TAU.pair(v)
     if tv <= 0.0:

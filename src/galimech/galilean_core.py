@@ -13,10 +13,9 @@ Conventions used by every module in this package:
 
 Everything here is a pure function of immutable values.  No state, no
 globals beyond TAU.  The array kernels (``pair``, ``pair_frame``,
-``iota_u_array``, ``sigma_array`` and the ``SpatialMetric`` methods) take arrays of
-components of shape (..., 3) or (..., 4) and evaluate every entry in one
-numpy pass, with the floating-point operations, in the order, of the
-object-level functions, which are thin wrappers over them.
+``iota_u_array``, ``sigma_array`` and the ``SpatialMetric`` methods) take
+arrays of components of shape (..., 3) or (..., 4) and evaluate every
+entry in one numpy pass; ``sigma`` is the one object-level wrapper.
 """
 
 from __future__ import annotations
@@ -247,52 +246,6 @@ def iota_u_array(u, v) -> np.ndarray:
     maps to zero.
     """
     return v[..., 1:] - v[..., :1] * u
-
-
-def iota_u(u: Frame, v) -> Vector4:
-    """iota_u_array for one Vector4 (or Frame); the result has time
-    component exactly 0."""
-    if isinstance(v, Frame):
-        v = v.velocity
-    return Vector4(0.0, *iota_u_array(u.spatial, v.as_array()).tolist())
-
-
-def split(u: Frame, v) -> tuple[np.ndarray, float]:
-    """Decompose a vector into (spatial part seen from u, time component)."""
-    if isinstance(v, Frame):
-        v = v.velocity
-    return iota_u(u, v).spatial, TAU.pair(v)
-
-
-def unsplit(u: Frame, spatial, time: float) -> Vector4:
-    """Inverse of split: rebuild the vector time * u + (spatial lift)."""
-    s = np.asarray(spatial, dtype=float)
-    us = u.spatial
-    return Vector4(float(time), float(s[0] + time * us[0]),
-                   float(s[1] + time * us[1]), float(s[2] + time * us[2]))
-
-
-def cosplit(u: Frame, p: Covector4) -> tuple[np.ndarray, float]:
-    """Decompose a covector into (spatial restriction, value on u)."""
-    return p.spatial, p.pair(u)
-
-
-def uncosplit(u: Frame, spatial, value_on_u: float) -> Covector4:
-    """Inverse of cosplit: unique covector with given restriction and u-value."""
-    f = np.asarray(spatial, dtype=float)
-    a0 = float(value_on_u) - float(f @ u.spatial)
-    return Covector4(a0, float(f[0]), float(f[1]), float(f[2]))
-
-
-def g_prime(g: SpatialMetric, p: Covector4) -> Vector4:
-    """Degenerate inverse metric on covectors.
-
-    Raises the spatial restriction of p and lifts it back as a spatial
-    vector; the time component of p is discarded, so multiples of TAU span
-    the kernel.
-    """
-    raised = g.apply_inverse(p.spatial)
-    return Vector4(0.0, float(raised[0]), float(raised[1]), float(raised[2]))
 
 
 def sigma_array(g: SpatialMetric, u_prime, u) -> np.ndarray:

@@ -388,20 +388,18 @@ def kappa(fam: FunctionFamily, point: CriticalPoint,
 
 
 def generate(fam: FunctionFamily, bases: Sequence, seeds: Sequence,
-             tol: float = 1e-10, check_morse: bool = True,
-             rank_tol: float = 1e-8) -> list[GeneratedCovector]:
+             tol: float = 1e-10) -> list[GeneratedCovector]:
     """Sample the generated covector set over a collection of base points.
 
     For each base point, finds critical fiber points from the given seeds;
-    then maps all of them through kappa at once.  With check_morse (the
-    default) they are certified in one is_morse call first, and a rank
-    defect at any point raises ValueError; base points where no seed
-    converges contribute nothing.
+    certifies them in one is_morse call, where a rank defect at any point
+    raises ValueError; then maps all of them through kappa at once.  Base
+    points where no seed converges contribute nothing.
     """
     points = [pt for found in solve_critical_stack(fam, bases, seeds, tol=tol)
               for pt in found]
-    if check_morse and points:
-        report = is_morse(fam, points, rank_tol)
+    if points:
+        report = is_morse(fam, points)
         for pt, rank in zip(points, report.ranks):
             if rank != report.required_rank:
                 raise ValueError(

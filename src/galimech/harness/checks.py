@@ -61,6 +61,7 @@ from ..generating_objects import (
     vector_to_fiber,
 )
 from ..affine_phase import (
+    REFERENCE_FRAME,
     NewtonModel,
     W_UNIT,
     affine_lagrangian_array,
@@ -366,7 +367,7 @@ def _charted(model: NewtonModel, p, u: np.ndarray) -> np.ndarray:
     """Momentum classes, given by representatives p (..., 4), presented
     through the chart of the frames with spatial velocities u (..., 3) and
     back, which exercises the relation the quotient is built on."""
-    ref = model.reference.spatial
+    ref = REFERENCE_FRAME.spatial
     return p_change_chart_array(model, p_change_chart_array(model, p, ref, u),
                                 u, ref)
 
@@ -383,7 +384,7 @@ def _chart_samples(cfg: ScenarioConfig, rng):
 @_sampled("affine.chart.eval_affine", "chart_battery")
 def _chart_eval_affine(cfg: ScenarioConfig, rng) -> np.ndarray:
     model, _, _, u = _chart_samples(cfg, rng)
-    ref_u = model.reference.spatial
+    ref_u = REFERENCE_FRAME.spatial
     w = np.array([1.0, 0.5, -0.3, 0.2, 0.4])
     p = np.array([-0.2, 0.7, 0.1, -0.5])
     ref = eval_affine_array(w, p)
@@ -396,7 +397,7 @@ def _chart_eval_affine(cfg: ScenarioConfig, rng) -> np.ndarray:
 @_sampled("affine.chart.pairing", "chart_battery")
 def _chart_pairing(cfg: ScenarioConfig, rng) -> np.ndarray:
     model, _, _, u = _chart_samples(cfg, rng)
-    ref_u = model.reference.spatial
+    ref_u = REFERENCE_FRAME.spatial
     p = np.array([0.3, -0.4, 0.8, 0.1])
     v = np.array([1.0, 0.2, -0.6, 0.9])
     ref = pairing_array(p, v)[4]
@@ -421,7 +422,7 @@ def _chart_affine_lagrangian(cfg: ScenarioConfig, rng) -> np.ndarray:
     ref = affine_lagrangian_array(model, phi, v)[4]
     l_u = lagrangian_hom_array(u, model.mass, model.metric, phi, v)
     rebuilt = w_change_chart_array(model, w_pack(v, l_u), u,
-                                   model.reference.spatial)
+                                   REFERENCE_FRAME.spatial)
     return _rel(np.abs(rebuilt[:, 4] - ref), ref)
 
 
@@ -440,7 +441,7 @@ def _chart_hamiltonian_fun(cfg: ScenarioConfig, rng) -> np.ndarray:
 def _chart_membership(cfg: ScenarioConfig, rng) -> np.ndarray:
     model, x, phi, u = _chart_samples(cfg, rng)
     v = Vector4(1.0, 0.4, -0.1, 0.3)
-    p_on = legendre_hom(model.reference, model.mass, model.metric,
+    p_on = legendre_hom(REFERENCE_FRAME, model.mass, model.metric,
                         model.potential, x, v).as_array()
     p_off = p_on.copy()
     p_off[0] += 1.0
@@ -552,7 +553,7 @@ def morse_checks(cfg: ScenarioConfig, family: str) -> list[CheckResult]:
     if family in ("fam1", "fam4"):
         fam = family_fam1(u, cfg.mass, g, phi) if family == "fam1" \
             else family_fam4(model)
-        anchor = model.reference if family == "fam4" else u
+        anchor = REFERENCE_FRAME if family == "fam4" else u
         bases, fibers = _on_shell_samples(cfg, anchor, rng, 25)
         found = solve_critical_stack(fam, bases, fibers[:, None], tol=1e-10)
         points = [pt for pts in found for pt in pts]
@@ -566,7 +567,7 @@ def morse_checks(cfg: ScenarioConfig, family: str) -> list[CheckResult]:
             raise DomainError(f"{family}: potential not finite at the initial event")
         fam = family_fam2(u, cfg.mass, g, phi) if family == "fam2" \
             else family_fam3(model)
-        anchor = model.reference if family == "fam3" else u
+        anchor = REFERENCE_FRAME if family == "fam3" else u
         bases, _ = _on_shell_samples(cfg, anchor, rng, 25)
         points = [CriticalPoint(base, np.array([1.0])) for base in bases]
         results.append(_rank_check(f"morse.{family}.rank", fam, points, 1))
@@ -633,7 +634,7 @@ def _fam3_chart_residuals(cfg: ScenarioConfig, rng) -> np.ndarray:
     p, *frames = _draws(rng, 5, _NORMAL4, *[_FRAME] * 20)
     charted = _charted(model, p[:, None], np.stack(frames, axis=1))
     # fam3's value at multiplier 1: the reference-chart mass-shell residual
-    ref, val = (mass_shell_residual_array(model.reference.spatial, model.mass,
+    ref, val = (mass_shell_residual_array(REFERENCE_FRAME.spatial, model.mass,
                                           model.metric, phi, q)
                 for q in (p[:, None], charted))
     return _rel(np.abs(val - ref), ref).ravel()

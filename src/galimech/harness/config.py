@@ -81,8 +81,8 @@ class PotentialSpec:
     """Declarative potential description from the config file.
 
     The Potential is built once per spec, on the first ``build`` call, and
-    kept outside the fields, so equality, ``dataclasses.replace`` and the
-    JSON form see only the description.
+    kept outside the fields, so equality and ``dataclasses.replace`` see
+    only the description.
     """
 
     kind: str
@@ -107,25 +107,14 @@ class PotentialSpec:
         from .expressions import compile_array_expression
         return Potential(values=compile_array_expression(self.expr))
 
-    def to_json(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind == "uniform":
-            out["force"] = list(self.force)
-        elif self.kind == "harmonic":
-            out["k"] = self.k
-            out["center"] = list(self.center)
-        elif self.kind == "custom":
-            out["expr"] = self.expr
-        return out
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One fully validated scenario.
 
     Pure data: the domain objects (metric, potential, frames) are built on
-    demand so the config itself stays comparable and serializable.  The
-    metric and the potential are built once per config and then shared.
+    demand so the config itself stays comparable.  The metric and the
+    potential are built once per config and then shared.
     """
 
     mass: float
@@ -160,21 +149,6 @@ class ScenarioConfig:
         w = Frame.from_spatial(self.initial_velocity)
         p = legendre_inhom(u, self.mass, self.build_metric(), w)
         return PhasePoint.spatial(self.build_initial_event(), p)
-
-    def to_json(self) -> dict:
-        return {
-            "mass": self.mass,
-            "metric": [list(row) for row in self.metric],
-            "potential": self.potential.to_json(),
-            "frames": [list(f) for f in self.frames],
-            "initial_event": list(self.initial_event),
-            "initial_velocity": list(self.initial_velocity),
-            "h": self.h,
-            "n": self.n,
-            "seed": self.seed,
-            "tolerances": {name: getattr(self.tolerances, name)
-                           for name in _TOLERANCE_NAMES},
-        }
 
 
 def _finite_floats(field: str, value, count: int) -> tuple[float, ...]:

@@ -11,7 +11,6 @@ from galimech.galilean_core import (
     Frame,
     SpatialMetric,
     Vector4,
-    iota_u,
     sigma,
 )
 from galimech.frame_dynamics import (
@@ -32,7 +31,6 @@ from galimech.frame_dynamics import (
     legendre_inhom,
     mass_shell_residual,
     uniform_potential,
-    vector_field_inhom,
     write_trajectory_csv,
 )
 from galimech.affine_phase import NewtonModel, p_change_chart_array
@@ -281,18 +279,28 @@ class TestInhomogeneous:
             rhs = float(p @ (w.spatial - u.spatial))
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    # integrate's rates, read from one step of h = 2^-27: the O(h^2) terms
+    # of the step fall below the rounding of these states, so the
+    # difference quotients are (xdot, pdot) exactly.
+    @staticmethod
+    def rates(u, m, g, phi, state):
+        h = 2.0 ** -27
+        traj = integrate(u, m, g, phi, state, h, 1)
+        dt, dq, dp = (a[1] - a[0] for a in (traj.t, traj.q[:, 0], traj.p[:, 0]))
+        return np.concatenate([[dt], dq]) / h, dp / h
+
     def test_vector_field_example(self):
         phi = harmonic_potential(1.0)
         state = PhasePoint.spatial(Event(0.0, 1.0, 0.0, 0.0), [0.0, 0.0, 0.0])
-        xdot, pdot = vector_field_inhom(E0, 1.0, ID3, phi, state)
-        assert xdot.as_array().tolist() == [1.0, 0.0, 0.0, 0.0]
+        xdot, pdot = self.rates(E0, 1.0, ID3, phi, state)
+        assert xdot.tolist() == [1.0, 0.0, 0.0, 0.0]
         assert np.array_equal(pdot, [-1.0, 0.0, 0.0])
 
     def test_vector_field_moving_frame(self):
         u = Frame.from_spatial([0.0, 1.0, 0.0])
         state = PhasePoint.spatial(ORIGIN, [2.0, 0.0, 0.0])
-        xdot, _ = vector_field_inhom(u, 2.0, ID3, free_potential(), state)
-        assert xdot.as_array().tolist() == [1.0, 1.0, 1.0, 0.0]
+        xdot, _ = self.rates(u, 2.0, ID3, free_potential(), state)
+        assert xdot.tolist() == [1.0, 1.0, 1.0, 0.0]
 
 
 class TestHomogeneous:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from galimech.affine_phase import (
+    REFERENCE_FRAME,
     NewtonModel,
     affine_lagrangian_array,
     dynamics_membership_universal_array,
@@ -187,7 +188,7 @@ def test_membership(case):
     model, phi, v = case["model"], case["phi"], case["v"]
     x = Event(0.3, -0.2, 0.5, 1.0)
     dphi = phi.d(x).as_array()
-    p_on = legendre_hom_array(model.reference.spatial, model.mass,
+    p_on = legendre_hom_array(REFERENCE_FRAME.spatial, model.mass,
                               model.metric, phi.at(x), v)
     pdot = -v[:, :1] * dphi
     p = np.where(np.arange(N)[:, None] % 2 == 0, p_on, case["p"])

@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 from conftest import random_frame, random_metric
-from galimech.affine_phase import NewtonModel, family_fam3, family_fam4
+from galimech.affine_phase import (REFERENCE_FRAME, NewtonModel, family_fam3,
+                                   family_fam4)
 from galimech.frame_dynamics import (
     FD_STEP,
     harmonic_potential,
@@ -190,7 +191,7 @@ def velocity_family(name, rng, potential):
            "fam2": lambda: family_fam2(u, m, g, potential),
            "fam3": lambda: family_fam3(model),
            "fam4": lambda: family_fam4(model)}[name]()
-    anchor = model.reference if name in ("fam3", "fam4") else u
+    anchor = REFERENCE_FRAME if name in ("fam3", "fam4") else u
     ref = (ref_fam1 if name in ("fam1", "fam4") else ref_fam2)(
         anchor, m, g, potential)
     return fam, ref, anchor, m, g
