@@ -29,6 +29,7 @@ from __future__ import annotations
 import logging
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from typing import TextIO
 
 import numpy as np
@@ -69,24 +70,25 @@ _FD_DIRECTIONS = np.concatenate([np.eye(3), -np.eye(3)])
 @dataclass(frozen=True)
 class Potential:
     """Scalar potential on space-time: one array kernel for its values,
-    with an analytic or a finite-difference spatial gradient.
+    with an analytic or a finite-difference force.
 
     ``values`` maps a time t (one, or an array broadcasting against
     q[..., 0]) and positions q (..., 3) to the values there, shape (...),
     each row rounding exactly as that event alone; it may raise an
     ArithmeticError where it has no value (a ``custom`` kernel does at a
     division by zero or an overflow).
-    ``spatial_gradient``, when given, maps t and q to the analytic gradient
-    (..., 3); otherwise it is central differences of ``values`` with step
+    ``force``, when given, maps t, q and an optional out to the analytic
+    force -grad phi (..., 3), written into out when out is given;
+    otherwise the force is central differences of ``values`` with step
     1e-6 * (1 + |q_i|), in one call.  ``time_independent`` declares that
     the value does not depend on t, so the time derivative is exactly 0;
-    otherwise it is a central difference of ``values``.  Analytic gradients
+    otherwise it is a central difference of ``values``.  Analytic forces
     must agree with the differences to about 1e-6 relative (the test suite
     enforces this for the built-in ones).
     """
 
     values: Callable[[float, np.ndarray], np.ndarray]
-    spatial_gradient: Callable[[float, np.ndarray], np.ndarray] | None = None
+    force: Callable[..., np.ndarray] | None = None
     time_independent: bool = False
 
     def at(self, x: Event) -> float:
@@ -109,18 +111,23 @@ class Potential:
                 out[i] = on_error(i, exc)
         return out
 
-    def grad_s(self, t, q: np.ndarray) -> np.ndarray:
-        """Spatial gradient for positions q of shape (..., 3) at time t:
-        one time, or an array of times of shape (...), one per position."""
-        if self.spatial_gradient is not None:
-            return self.spatial_gradient(t, q)
+    def _central_force(self, t, q: np.ndarray, out=None) -> np.ndarray:
+        """-grad phi by central differences of ``values``."""
         step = FD_STEP * (1.0 + np.abs(q))
         # Fortran order keeps each coordinate of the points contiguous, the
         # layout on which numpy's small-array operations are fastest.
         points = np.add(q[..., None, :], _FD_DIRECTIONS * step[..., None, :],
                         order="F")
         v = self.values(t[..., None] if isinstance(t, np.ndarray) else t, points)
-        return (v[..., :3] - v[..., 3:]) / (2.0 * step)
+        # The sign sits in the divisor: negation commutes exactly with a
+        # division, so this is -((v+ - v-) / (2 step)) bit for bit.
+        return np.divide(np.subtract(v[..., :3], v[..., 3:], out),
+                         -2.0 * step, out)
+
+    def grad_s(self, t, q: np.ndarray) -> np.ndarray:
+        """Spatial gradient for positions q of shape (..., 3) at time t:
+        one time, or an array of times of shape (...), one per position."""
+        return np.negative((self.force or self._central_force)(t, q))
 
     def d_s(self, x: Event) -> np.ndarray:
         """Derivative along the three spatial coordinates."""
@@ -150,10 +157,19 @@ class Potential:
         return Covector4(*self.differential(x.as_array()).tolist())
 
 
+def _filled(q: np.ndarray, out, value) -> np.ndarray:
+    """out, or a new array shaped like q, with value broadcast into it."""
+    if out is None:
+        out = np.empty(np.shape(q))
+    out[...] = value
+    return out
+
+
 def free_potential() -> Potential:
-    """Identically zero potential."""
+    """Identically zero potential; its force is -0.0, the negated zero
+    gradient."""
     return Potential(values=lambda t, q: np.zeros(np.shape(q)[:-1]),
-                     spatial_gradient=lambda t, q: np.zeros(np.shape(q)),
+                     force=lambda t, q, out=None: _filled(q, out, -0.0),
                      time_independent=True)
 
 
@@ -165,7 +181,7 @@ def uniform_potential(force) -> Potential:
 
     return Potential(
         values=lambda t, q: -np.vecdot(q, f),
-        spatial_gradient=lambda t, q: -np.broadcast_to(f, np.shape(q)),
+        force=lambda t, q, out=None: _filled(q, out, f),
         time_independent=True,
     )
 
@@ -176,10 +192,15 @@ def harmonic_potential(k: float, center=(0.0, 0.0, 0.0)) -> Potential:
     if c.shape != (3,):
         raise ValueError(f"center needs 3 components, got shape {c.shape}")
     k = float(k)
+    # (-k) * (q - c) is -(k * (q - c)) bit for bit: negation commutes
+    # exactly with a product.  numpy multiplies by a 0-d array faster
+    # than by a float.
+    minus_k = np.array(-k)
 
     return Potential(
         values=lambda t, q: 0.5 * k * np.vecdot(q - c, q - c),
-        spatial_gradient=lambda t, q: k * (q - c),
+        force=lambda t, q, out=None: np.multiply(
+            minus_k, np.subtract(q, c, out), out),
         time_independent=True,
     )
 
@@ -392,7 +413,9 @@ def integrate(u: Frame | Sequence[Frame], m: float, g: SpatialMetric,
     time.  All frames advance as one stacked state y (2, F, 3), positions
     then momenta, each stage written into buffers allocated once per call,
     with the same floating-point operations per frame as when integrated
-    alone.  Produces n+1 steps including the initial one.  Raises
+    alone.  The momentum rate of a stage is the potential's force, written
+    in place: its ``force`` kernel, or central differences without one.
+    Produces n+1 steps including the initial one.  Raises
     ValueError for a non-positive mass or step, n < 1, or initial states
     that do not match the frames one to one at one start time, and
     NonFiniteState naming the first step whose time or state is not
@@ -424,18 +447,23 @@ def integrate(u: Frame | Sequence[Frame], m: float, g: SpatialMetric,
     ys = np.empty((n + 1, 2, len(frames), 3))
     ys[0, 0] = [s.x.spatial for s in starts]
     ys[0, 1] = [s.p for s in starts]
-    # Every stage temporary lives in one of these buffers, written in place.
-    k1, k2, k3, k4, stage = (np.empty(ys.shape[1:]) for _ in range(5))
-    (k1q, k1p), (k2q, k2p), (k3q, k3p), (k4q, k4p), (sq, sp) = \
-        k1, k2, k3, k4, stage
-    inverse, grad, half = g.apply_inverse, potential.grad_s, 0.5 * h
+    # Every stage temporary lives in one of these buffers, written in place:
+    # the four stage rates k1..k4 stacked in ks, the stage state, and acc.
+    ks = np.empty((4, *ys.shape[1:]))
+    stage, acc = np.empty(ys.shape[1:]), np.empty(ys.shape[1:])
+    k1, k2, k3, _ = ks
+    k23 = ks[1:3]
+    (k1q, k1p), (k2q, k2p), (k3q, k3p), (k4q, k4p) = ks
+    sq, sp = stage
+    inverse, half = g.apply_inverse, 0.5 * h
+    force = potential.force or potential._central_force
     # numpy combines an array with a 0-d array faster than with a float.
     m_, half_, h_, two, six = (np.array(c, dtype=float)
                                for c in (m, half, h, 2.0, 6.0))
 
     def rates(t: float, q, p, kq, kp) -> None:
         np.add(np.divide(inverse(p, kq), m_, kq), u_s, kq)
-        np.negative(grad(t, q), kp)
+        force(t, q, kp)
 
     def check(first: int, last: int) -> None:
         """Raise NonFiniteState for the first of steps first..last whose
@@ -460,11 +488,13 @@ def integrate(u: Frame | Sequence[Frame], m: float, g: SpatialMetric,
                     rates(t + half, sq, sp, k3q, k3p)
                     np.add(y, np.multiply(h_, k3, stage), stage)
                     rates(t + h, sq, sp, k4q, k4p)
-                    # y + h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
-                    np.add(k1, np.multiply(two, k2, k2), k2)
-                    np.add(k2, np.multiply(two, k3, k3), k2)
-                    np.divide(np.add(k2, k4, k2), six, k2)
-                    np.add(y, np.multiply(h_, k2, k2), ys[step + 1])
+                    # y + h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0): the
+                    # reduction adds the stages in order, and starting it
+                    # from -0.0 keeps the sign of a zero sum.
+                    np.multiply(two, k23, k23)
+                    np.add.reduce(ks, axis=0, out=acc, initial=-0.0)
+                    np.divide(acc, six, acc)
+                    np.add(y, np.multiply(h_, acc, acc), ys[step + 1])
         except Exception as exc:
             # A step that went non-finite before the failing one is
             # reported first, as a test after every step would have.
@@ -489,8 +519,9 @@ def write_trajectory_csv(traj: Trajectory, g: SpatialMetric,
     Floats carry 17 significant digits so values round-trip bit for bit.
     """
     rows = np.column_stack([traj.t, traj.q[:, 0], traj.p[:, 0],
-                            traj.energies(g, potential)])
+                            traj.energies(g, potential)]).tolist()
     row = "%d," + ",".join(["%.17g"] * 8) + "\n"
     stream.write("step,t,q1,q2,q3,p1,p2,p3,H\n")
-    stream.writelines(row % (k, *fields)
-                      for k, fields in enumerate(rows.tolist()))
+    # The whole body in one format call; the step stays an int for %d.
+    stream.write((row * len(rows)) % tuple(
+        chain.from_iterable((k, *fields) for k, fields in enumerate(rows))))

@@ -80,7 +80,7 @@ def universal_residual(model: NewtonModel, x: Event, pp: PElement) -> float:
 
 def constant_potential(c: float) -> Potential:
     return Potential(values=lambda t, q: np.full(np.shape(q)[:-1], c),
-                     spatial_gradient=lambda t, q: np.zeros(np.shape(q)),
+                     force=free_potential().force,
                      time_independent=True)
 
 

@@ -209,6 +209,51 @@ class TestPotentials:
         assert np.allclose(phi.d_s(x), [6.0, 0.0, 0.0], atol=1e-8)
         assert phi.d(x).a0 == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("kind", ["free", "uniform", "harmonic", "custom"])
+    def test_force_kernels_equal_hand_formulas(self, rng, kind):
+        # Each force kernel, with and without out, is its hand formula bit
+        # for bit, and grad_s and differential negate it back to the
+        # gradient formulas: positions at the center and with zeros of
+        # either sign, a center and a force with signed-zero components.
+        k, c = 1.7, np.array([0.2, -0.0, 0.0])
+        f = np.array([0.3, 0.0, -0.0])
+        t = np.linspace(-0.5, 0.5, 6)
+        q = rng.normal(size=(6, 3))
+        q[0] = c
+        q[1] = [-0.0, 0.0, -0.0]
+        q[2, 1:] = [0.0, -0.0]
+        if kind == "custom":
+            phi = PotentialSpec("custom", expr=(
+                "0.5*q1^2 + 0.25*q2^4 + sin(t)*q3 + 0.1*q1*q3")).build()
+            kernel = phi._central_force
+            step = 1e-6 * (1.0 + np.abs(q))
+            a, b = (np.stack([phi.values(t, q + sign * np.eye(3)[i] * step)
+                              for i in range(3)], axis=-1)
+                    for sign in (1.0, -1.0))
+            gradient = (a - b) / (2.0 * step)
+            s = 1e-6 * (1.0 + np.abs(t))
+            dt = (phi.values(t + s, q) - phi.values(t - s, q)) / (2.0 * s)
+        else:
+            phi = {"free": free_potential(), "uniform": uniform_potential(f),
+                   "harmonic": harmonic_potential(k, c)}[kind]
+            kernel = phi.force
+            gradient = {"free": np.zeros(q.shape),
+                        "uniform": -np.broadcast_to(f, q.shape),
+                        "harmonic": k * (q - c)}[kind]
+            dt = np.zeros(len(t))
+        force = {"free": np.full(q.shape, -0.0),
+                 "uniform": np.broadcast_to(f, q.shape),
+                 "harmonic": -(k * (q - c)),
+                 "custom": -gradient}[kind]
+        for ts, qs, want in [(t, q, force), (t[0], q[0], force[0])]:
+            assert _bits(kernel(ts, qs)).tolist() == _bits(want).tolist()
+            out = np.empty(qs.shape)
+            assert kernel(ts, qs, out) is out
+            assert _bits(out).tolist() == _bits(want).tolist()
+        assert _bits(phi.grad_s(t, q)).tolist() == _bits(gradient).tolist()
+        assert _bits(phi.differential(np.column_stack([t, q]))).tolist() == \
+            _bits(np.column_stack([dt, gradient])).tolist()
+
 
 class TestInhomogeneous:
     def test_lagrangian_rest_frame(self):
@@ -676,18 +721,22 @@ def _message(fn, *args):
 def _step_gradient(schedule):
     """A potential whose gradient is 0 up to the first time in schedule,
     then what the last entry passed says: a float fills the gradient, an
-    exception class is raised."""
-    def gradient(t, q):
+    exception class is raised.  Its force kernel writes the negated
+    gradient."""
+    def force(t, q, out=None):
         value = 0.0
         for start, what in schedule:
             if t > start:
                 value = what
         if isinstance(value, type):
             raise value(f"raised at t={t}")
-        return np.full(np.shape(q), value)
+        if out is None:
+            out = np.empty(np.shape(q))
+        out[...] = -value
+        return out
 
     return Potential(values=lambda t, q: np.zeros(np.shape(q)[:-1]),
-                     spatial_gradient=gradient, time_independent=False)
+                     force=force, time_independent=False)
 
 
 class TestIntegrateBits:
@@ -709,6 +758,29 @@ class TestIntegrateBits:
         x0 = Event(0.37, 0.8, -0.4, 0.2)
         inits = [PhasePoint.spatial(x0, rng.normal(size=3)) for _ in us]
         args = (us, 0.7, g, phi, inits, 0.013, n)
+        ts, ys = reference_integrate(*args)
+        traj = integrate(*args)
+        assert np.array_equal(_bits(traj.t), _bits(ts))
+        assert np.array_equal(_bits(traj.q), _bits(ys[:, 0]))
+        assert np.array_equal(_bits(traj.p), _bits(ys[:, 1]))
+
+    @pytest.mark.parametrize("metric", ["identity", "spd"])
+    @pytest.mark.parametrize("kind", ["free", "uniform", "harmonic"])
+    def test_signed_zero_bits(self, rng, kind, metric):
+        # Starts, frames, centers and force components of either sign of
+        # zero, with the harmonic start at its center: every stage sum
+        # that cancels to zero keeps the reference's sign.
+        phi = {"free": free_potential(),
+               "uniform": uniform_potential([0.0, -0.0, 0.5]),
+               "harmonic": harmonic_potential(1.3, (-0.0, 0.0, 0.4)),
+               }[kind]
+        g = ID3 if metric == "identity" else random_metric(rng)
+        zeros = [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [-0.0, -0.0, -0.0]]
+        us = [Frame.from_spatial(z) for z in zeros]
+        inits = [PhasePoint.spatial(Event(0.0, *q), p)
+                 for q, p in zip([[-0.0, 0.0, 0.4], [0.0, -0.0, 0.4],
+                                  [-0.0, -0.0, -0.0]], zeros[::-1])]
+        args = (us, 0.7, g, phi, inits, 0.013, 5)
         ts, ys = reference_integrate(*args)
         traj = integrate(*args)
         assert np.array_equal(_bits(traj.t), _bits(ts))

@@ -7,7 +7,8 @@ failing checks must be exactly the row's.  A check that passes with its
 kernel wrong is no evidence for what it claims.
 
 The rows cover the sampled checks that mix uniform and normal draws, the
-on-shell bases of the Morse families, and ``momentum.offset_constant``.
+on-shell bases of the Morse families, ``momentum.offset_constant`` and
+``energy.drift``.
 The Morse rank checks (``morse.famN.rank``) are absent: a rank is stable
 under small perturbations, so no 1e-6 defect changes one.
 """
@@ -69,6 +70,18 @@ def shifted_offsets(integrate):
         initial = [initial[0], *(dataclasses.replace(s, p=s.p + REL * (s.p - p0))
                                  for s in initial[1:])]
         return integrate(u, m, g, potential, initial, h, n)
+    return perturbed
+
+
+def scaled_force(harmonic_potential):
+    """harmonic_potential with its force kernel's output scaled by 1 + REL."""
+    def perturbed(*args, **kwargs):
+        phi = harmonic_potential(*args, **kwargs)
+
+        def force(t, q, out=None):
+            f = phi.force(t, q, out)
+            return np.multiply(f, 1.0 + REL, f)
+        return dataclasses.replace(phi, force=force)
     return perturbed
 
 
@@ -151,6 +164,27 @@ def test_perturbation_fails_exactly_its_checks(tmp_path, monkeypatch, row):
     module, name, wrap, argv, expected = ROWS[row]
     patch_everywhere(monkeypatch, module, name, wrap)
     assert failing_checks(tmp_path, argv) == (1, expected)
+
+
+# The default scenario is free, whose force is zero, so the force row runs
+# on a harmonic one.
+HARMONIC = {"potential": {"kind": "harmonic", "k": 1.3,
+                          "center": [0.1, -0.2, 0.4]}}
+
+
+@pytest.mark.parametrize("argv", [INVARIANTS, BOOST])
+def test_unperturbed_harmonic_runs_pass(tmp_path, argv):
+    assert failing_checks(tmp_path, argv, HARMONIC) == (0, set())
+
+
+def test_scaled_force_fails_energy_drift(tmp_path, monkeypatch):
+    # Integrating with a force that is not -grad phi breaks the energy of
+    # phi; every frame integrates the same wrong force, so the world lines
+    # still agree and boost-check passes.
+    patch_everywhere(monkeypatch, "frame_dynamics", "harmonic_potential",
+                     scaled_force)
+    assert failing_checks(tmp_path, INVARIANTS, HARMONIC) == (1, {"energy.drift"})
+    assert failing_checks(tmp_path, BOOST, HARMONIC) == (0, set())
 
 
 @pytest.mark.parametrize("speed", [1.0, 1e4, 1e8])
