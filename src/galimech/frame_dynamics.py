@@ -63,10 +63,6 @@ class NonFiniteState(GalimechError):
 # RK4 steps between two finiteness tests of the integrated states.
 _FINITE_BLOCK = 64
 
-# Central-difference offsets: the three coordinates stepped up, then down.
-_FD_DIRECTIONS = np.concatenate([np.eye(3), -np.eye(3)])
-
-
 @dataclass(frozen=True)
 class Potential:
     """Scalar potential on space-time: one array kernel for its values,
@@ -88,7 +84,7 @@ class Potential:
     """
 
     values: Callable[[float, np.ndarray], np.ndarray]
-    force: Callable[..., np.ndarray] | None = None
+    force: Callable[..., np.ndarray]
     time_independent: bool = False
 
     def at(self, x: Event) -> float:
@@ -111,23 +107,10 @@ class Potential:
                 out[i] = on_error(i, exc)
         return out
 
-    def _central_force(self, t, q: np.ndarray, out=None) -> np.ndarray:
-        """-grad phi by central differences of ``values``."""
-        step = FD_STEP * (1.0 + np.abs(q))
-        # Fortran order keeps each coordinate of the points contiguous, the
-        # layout on which numpy's small-array operations are fastest.
-        points = np.add(q[..., None, :], _FD_DIRECTIONS * step[..., None, :],
-                        order="F")
-        v = self.values(t[..., None] if isinstance(t, np.ndarray) else t, points)
-        # The sign sits in the divisor: negation commutes exactly with a
-        # division, so this is -((v+ - v-) / (2 step)) bit for bit.
-        return np.divide(np.subtract(v[..., :3], v[..., 3:], out),
-                         -2.0 * step, out)
-
     def grad_s(self, t, q: np.ndarray) -> np.ndarray:
         """Spatial gradient for positions q of shape (..., 3) at time t:
         one time, or an array of times of shape (...), one per position."""
-        return np.negative((self.force or self._central_force)(t, q))
+        return np.negative(self.force(t, q))
 
     def d_s(self, x: Event) -> np.ndarray:
         """Derivative along the three spatial coordinates."""
@@ -456,7 +439,7 @@ def integrate(u: Frame | Sequence[Frame], m: float, g: SpatialMetric,
     (k1q, k1p), (k2q, k2p), (k3q, k3p), (k4q, k4p) = ks
     sq, sp = stage
     inverse, half = g.apply_inverse, 0.5 * h
-    force = potential.force or potential._central_force
+    force = potential.force
     # numpy combines an array with a 0-d array faster than with a float.
     m_, half_, h_, two, six = (np.array(c, dtype=float)
                                for c in (m, half, h, 2.0, 6.0))

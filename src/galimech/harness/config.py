@@ -104,8 +104,8 @@ class PotentialSpec:
             return harmonic_potential(self.k, self.center)
         # kind == "custom", the one that loads the expression compiler;
         # raises ExpressionError for a malformed expr
-        from .expressions import compile_array_expression
-        return Potential(values=compile_array_expression(self.expr))
+        from .expressions import compile_potential
+        return Potential(*compile_potential(self.expr))
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,19 @@ Scenario files may define a potential as a string in t, q1, q2, q3.  This
 is a deliberately small language: numbers, the four coordinates, pi, the
 operators + - * / ^ with the usual precedence (^ binds tightest and
 associates to the right), parentheses, and the unary functions sin, cos,
-exp.  One recursive-descent parser turns the text into a tree of closures
-over one of two function tables: ``numpy`` for the array evaluator
-(``compile_array_expression``, every point of a (..., 3) array in one
-call), which gives every value, and ``math`` for the scalar evaluator
-(``compile_expression``, one point per call), which judges whether a
-non-finite value is an error.  There is no use of the Python evaluator,
-so a config file cannot execute anything, and the parser bounds how
-deeply an expression may nest, so none can exhaust the interpreter's
-stack.
+exp.  One recursive-descent parser turns the text into a graph of
+hash-consed nodes over one of two function tables, folding operations on
+constants as it goes: ``numpy`` for the array evaluators (every point of a
+(..., 3) array in one call), which give every value and force, and
+``math`` for the scalar evaluator (one point per call), which judges
+whether a non-finite result is an error.  The force is derived from the
+same graph by the chain rule, forward through its nodes (Griewank &
+Walther, *Evaluating Derivatives*, 2008), with structural zeros pruned, so
+a subexpression the value and its three derivatives share is one node.
+Evaluation runs the needed nodes in order, each appending one result, so
+it never recurses.  There is no use of the Python evaluator, so a config
+file cannot execute anything, and the parser bounds how deeply an
+expression may nest and how many operations deep it may be.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-__all__ = ["ExpressionError", "compile_array_expression", "compile_expression"]
+__all__ = ["ExpressionError", "compile_array_expression", "compile_expression",
+           "compile_potential"]
 
 _TOKEN = re.compile(r"""
     \s*(?:
@@ -35,11 +40,10 @@ _TOKEN = re.compile(r"""
 
 
 class _Table(NamedTuple):
-    """How the parser stores literals, and what ^, sin, cos and exp call."""
+    """How constants are stored, and what each operation calls."""
 
     constant: Callable
-    power: Callable
-    functions: dict[str, Callable]
+    ops: dict[str, Callable]
 
 
 def _real_power(a: float, b: float) -> float:
@@ -53,21 +57,41 @@ def _real_periodic(fn: Callable[[float], float]) -> Callable[[float], float]:
     return lambda a: math.nan if math.isinf(a) else fn(a)
 
 
-_SCALAR = _Table(float, _real_power,
-                 {"sin": _real_periodic(math.sin),
-                  "cos": _real_periodic(math.cos), "exp": math.exp})
-# Literals are 0-d arrays: numpy combines an array with a 0-d array faster
-# than with a Python float.
-_ARRAY = _Table(lambda value: np.array(value, dtype=float), operator.pow,
-                {"sin": np.sin, "cos": np.cos, "exp": np.exp})
-_VARIABLES = ("t", "q1", "q2", "q3")
+def _real_log(a: float) -> float:
+    """log a, -inf at 0 and NaN below it, as numpy gives."""
+    return math.log(a) if a > 0.0 else -math.inf if a == 0.0 else math.nan
 
-# Bounds that keep parsing and evaluation well inside Python's recursion
-# limit.  A level of nesting (a parenthesis, a unary minus, an exponent, a
-# function argument) costs the parser up to five frames; an operation costs
-# one frame at evaluation, where a flat sum of n terms is n - 1 deep.
+
+_SCALAR = _Table(float, {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "^": _real_power, "neg": operator.neg,
+    "sin": _real_periodic(math.sin), "cos": _real_periodic(math.cos),
+    "exp": math.exp, "log": _real_log})
+# Constants are 0-d arrays: numpy combines an array with a 0-d array faster
+# than with a Python float, and faster through an operator than through a
+# ufunc call.  ``^`` squares for an exponent of 2 where np.power would not.
+# ``log`` is internal: only the derivative of a power with a variable
+# exponent uses it.
+_ARRAY = _Table(lambda value: np.array(value, dtype=float), {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "^": operator.pow, "neg": operator.neg,
+    "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log})
+# The ufunc behind each array operation that can write into an out array.
+_UFUNCS = {operator.add: np.add, operator.sub: np.subtract,
+           operator.mul: np.multiply, operator.truediv: np.divide,
+           operator.neg: np.negative, np.sin: np.sin, np.cos: np.cos,
+           np.exp: np.exp, np.log: np.log}
+_VARIABLES = ("t", "q1", "q2", "q3")
+_FUNCTIONS = ("sin", "cos", "exp")
+
+# Bounds on what one expression may make: a level of nesting (a
+# parenthesis, a unary minus, an exponent, a function argument) costs the
+# parser up to five frames of recursion, and an operation one level of
+# node depth, where a flat sum of n terms is n - 1 deep.
 _MAX_NESTING = 100
 _MAX_DEPTH = 400
+
+_TINY = 2.0 ** -1022  # the smallest normal float
 
 
 class ExpressionError(ValueError):
@@ -75,34 +99,230 @@ class ExpressionError(ValueError):
 
 
 def _tokenize(text: str) -> list[str]:
+    """The tokens of text, then None to mark the end."""
     tokens = []
     pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            # Only whitespace may remain unmatched.
-            if text[pos:].strip():
-                raise ExpressionError(
-                    f"unexpected character {text[pos:].strip()[0]!r} "
-                    f"at position {pos}")
+    for match in _TOKEN.finditer(text):
+        if match.start() != pos:
             break
         tokens.append(match.group(match.lastgroup))
         pos = match.end()
-    return tokens
+    if text[pos:].strip():  # only whitespace may remain unmatched
+        raise ExpressionError(
+            f"unexpected character {text[pos:].strip()[0]!r} "
+            f"at position {pos}")
+    return tokens + [None]
+
+
+class _Graph:
+    """Hash-consed expression nodes over one function table.
+
+    Node k is ``nodes[k]``: ("const", value, None), ("var", name, None) or
+    (op, a, b) with a and b the ids of its operands (b None for a function
+    or a negation).  Operands come before the nodes that use them, so ids
+    are an evaluation order.  ``op`` folds an operation on constants,
+    rewrites products by a constant exactly (see there), and gives back
+    the node it made before for the same operation, so equal
+    subexpressions are one node.  Folding runs numpy, so a caller builds
+    nodes under np.errstate(all="ignore").
+    """
+
+    def __init__(self, table: _Table):
+        self.table = table
+        self.nodes: list[tuple] = []
+        self.depths: list[int] = []  # operations below each node
+        self.ids: dict[tuple, int] = {}
+        self.names: set[str] = set()  # coordinates that occur
+
+    def _node(self, key: tuple, node: tuple, depth: int) -> int:
+        k = self.ids.get(key)
+        if k is None:
+            k = self.ids[key] = len(self.nodes)
+            self.nodes.append(node)
+            self.depths.append(depth)
+        return k
+
+    def const(self, value) -> int:
+        value = float(value)
+        # keyed by the bits, so that 0.0 and -0.0 stay apart
+        return self._node(("const", value.hex()), ("const", value, None), 0)
+
+    def var(self, name: str) -> int:
+        self.names.add(name)
+        return self._node(("var", name), ("var", name, None), 0)
+
+    def op(self, op: str, a: int, b: int | None = None) -> int:
+        """The node op(a, b).  Products by a constant c keep c first and
+        are rewritten where that keeps every bit: 1 * x is x, -1 * x is
+        -x, c * -x is (-c) * x, and -(c * x) is (-c) * x; so are x / 1,
+        x ^ 1 and --x.  c * (2^k * x) is (c 2^k) * x when c 2^k is a
+        normal number, which keeps every bit unless 2^k * x overflows or
+        underflows."""
+        x = self.nodes[a]
+        y = None if b is None else self.nodes[b]
+        if x[0] == "const" and (y is None or y[0] == "const"):
+            fn, constant = self.table.ops[op], self.table.constant
+            try:
+                value = float(fn(constant(x[1])) if y is None
+                              else fn(constant(x[1]), constant(y[1])))
+            except (ArithmeticError, TypeError, ValueError):
+                value = math.nan
+            # An operation that is not finite is left to evaluation, where
+            # it raises its error with the step known.
+            if math.isfinite(value):
+                return self.const(value)
+        if op == "*":
+            if y[0] == "const":
+                a, b, x, y = b, a, y, x
+            if x[0] == "const":
+                if x[1] == 1.0:
+                    return b
+                if x[1] == -1.0:
+                    return self.op("neg", b)
+                if y[0] == "neg":
+                    return self.op("*", self.const(-x[1]), y[1])
+                if y[0] == "*" and self.nodes[y[1]][0] == "const" \
+                        and abs(math.frexp(self.nodes[y[1]][1])[0]) == 0.5 \
+                        and _TINY <= abs(x[1] * self.nodes[y[1]][1]) < math.inf:
+                    return self.op("*", self.const(x[1] * self.nodes[y[1]][1]),
+                                   y[2])
+        elif op == "neg":
+            if x[0] == "neg":
+                return x[1]
+            if x[0] == "*" and self.nodes[x[1]][0] == "const":
+                return self.op("*", self.const(-self.nodes[x[1]][1]), x[2])
+        elif y == ("const", 1.0, None) and op in ("/", "^"):
+            return a
+        depth = self.depths[a] if b is None else max(self.depths[a],
+                                                      self.depths[b])
+        return self._node((op, a, b), (op, a, b), 1 + depth)
+
+    def force(self, root: int) -> list[int]:
+        """Nodes of -d root / dq1, -d root / dq2 and -d root / dq3, by the
+        chain rule forward through the nodes up to root, all three in one
+        pass; a component that is structurally zero is the constant -0.0,
+        the negated zero."""
+        op, one = self.op, self.const(1.0)
+        # Seeding each coordinate with -1 gives the force, not the gradient:
+        # the sign folds into a constant factor or a negation already there.
+        seed, zero = self.const(-1.0), (None, None, None)
+
+        def add(a, b):
+            return b if a is None else a if b is None else op("+", a, b)
+
+        def sub(a, b):
+            return a if b is None else op("neg", b) if a is None else op("-", a, b)
+
+        def mul(a, b):
+            return None if a is None or b is None else op("*", a, b)
+
+        def rule(kind, k, a, b, da, db):
+            if da is None and db is None:
+                return None
+            if kind == "+":
+                return add(da, db)
+            if kind == "-":
+                return sub(da, db)
+            if kind == "neg":
+                return op("neg", da)
+            if kind == "*":
+                return add(mul(da, b), mul(a, db))
+            if kind == "/":  # (da - (a / b) db) / b
+                return op("/", sub(da, mul(k, db)), b)
+            if kind == "^":  # b a^(b-1) da + a^b log(a) db
+                return add(mul(mul(b, op("^", a, op("-", b, one))), da),
+                           None if db is None
+                           else mul(mul(k, op("log", a)), db))
+            if kind == "sin":
+                return mul(op("cos", a), da)
+            if kind == "cos":
+                return mul(op("neg", op("sin", a)), da)
+            if kind == "exp":
+                return mul(k, da)
+            return op("/", da, a)  # log
+
+        d = []  # the three derivatives of each node, None for 0
+        with np.errstate(all="ignore"):
+            for k, (kind, a, b) in enumerate(self.nodes[:root + 1]):
+                if kind == "var":
+                    d.append(tuple(seed if a == name else None
+                                   for name in _VARIABLES[1:]))
+                    continue
+                da = zero if kind == "const" else d[a]
+                db = zero if b is None or kind == "const" else d[b]
+                if da is zero and db is zero:
+                    d.append(zero)
+                else:
+                    d.append((rule(kind, k, a, b, da[0], db[0]),
+                              rule(kind, k, a, b, da[1], db[1]),
+                              rule(kind, k, a, b, da[2], db[2])))
+            return [self.const(-0.0) if dk is None else dk for dk in d[root]]
+
+
+class _Program(NamedTuple):
+    """Straight-line code for some nodes of a graph.  The registers start
+    as [t, q1, q2, q3, *constants]; each step (fn, a, b) appends fn(r[a])
+    or, with b not None, fn(r[a], r[b]).  ``roots`` are the registers of
+    the nodes asked for, or the steps that make them (see _program)."""
+
+    constants: list
+    steps: list[tuple]
+    roots: list
+
+    def run(self, t, q1, q2, q3) -> list:
+        r = [t, q1, q2, q3, *self.constants]
+        for f, a, b in self.steps:
+            r.append(f(r[a]) if b is None else f(r[a], r[b]))
+        return r
+
+
+def _program(graph: _Graph, roots: list[int], tails: bool = False) -> _Program:
+    """The program that evaluates roots, each needed node once.  With
+    tails, the roots are steps (ufunc, a, b) for the caller to run into an
+    out array: a root that no other node reads is left out of the steps,
+    and any other is copied by np.positive."""
+    nodes = graph.nodes
+    reads = [0] * (max(roots) + 1)  # how many needed nodes read each
+    for k in roots:
+        reads[k] += 1
+    for k in range(len(reads) - 1, -1, -1):  # operands have smaller ids
+        kind, a, b = nodes[k]
+        if reads[k] and kind != "const" and kind != "var":
+            reads[a] += 1
+            if b is not None:
+                reads[b] += 1
+    order = [k for k, n in enumerate(reads) if n]
+    consts = [k for k in order if nodes[k][0] == "const"]
+    reg = {k: len(_VARIABLES) + i for i, k in enumerate(consts)}
+    steps, last = [], {}
+    for k in order:
+        kind, a, b = nodes[k]
+        if kind == "var":
+            reg[k] = _VARIABLES.index(a)
+        elif kind != "const":
+            fn = graph.table.ops[kind]
+            step = (fn, reg[a], None if b is None else reg[b])
+            if tails and reads[k] == 1 and k in roots and fn in _UFUNCS:
+                last[k] = (_UFUNCS[fn], *step[1:])
+            else:
+                reg[k] = len(_VARIABLES) + len(consts) + len(steps)
+                steps.append(step)
+    constants = [graph.table.constant(graph.nodes[k][1]) for k in consts]
+    if tails:
+        return _Program(constants, steps, [
+            last.get(k) or (np.positive, reg[k], None) for k in roots])
+    return _Program(constants, steps, [reg[k] for k in roots])
 
 
 class _Parser:
-    def __init__(self, tokens: list[str], table: _Table):
+    def __init__(self, tokens: list[str], graph: _Graph):
         self.tokens = tokens
-        self.table = table
+        self.graph = graph
         self.pos = 0
-        self.constants: set[Callable] = set()  # closures of constants
-        self.depths: dict[Callable, int] = {}  # operations below a closure
         self.nesting = 0
-        self.spatial = False  # whether q1, q2 or q3 occurs
 
     def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def take(self) -> str:
         tok = self.peek()
@@ -116,117 +336,84 @@ class _Parser:
         if got != tok:
             raise ExpressionError(f"expected {tok!r}, got {got!r}")
 
-    def constant(self, value) -> Callable:
-        value = self.table.constant(value)
-        node = lambda env: value
-        self.constants.add(node)
-        return node
-
-    def fold(self, node: Callable, *operands: Callable) -> Callable:
-        """node, or its value as a constant when every operand is one.
-        Raises ExpressionError when node is more than _MAX_DEPTH operations
-        deep."""
-        if all(a in self.constants for a in operands):
-            try:
-                with np.errstate(all="ignore"):
-                    return self.constant(node(None))
-            except (ArithmeticError, TypeError, ValueError):
-                pass  # raised at evaluation instead, where the step is known
-        depth = 1 + max(self.depths.get(a, 0) for a in operands)
-        if depth > _MAX_DEPTH:
+    def op(self, op: str, *operands: int) -> int:
+        """The node op(*operands).  Raises ExpressionError when it is more
+        than _MAX_DEPTH operations deep."""
+        node = self.graph.op(op, *operands)
+        if self.graph.depths[node] > _MAX_DEPTH:
             raise ExpressionError(
                 f"expression deeper than {_MAX_DEPTH} operations")
-        self.depths[node] = depth
         return node
 
     # expr := term (('+'|'-') term)*
-    def expr(self) -> Callable:
+    def expr(self) -> int:
         node = self.term()
         while self.peek() in ("+", "-"):
             op = self.take()
-            rhs = self.term()
-            lhs = node
-            if op == "+":
-                node = lambda env, a=lhs, b=rhs: a(env) + b(env)
-            else:
-                node = lambda env, a=lhs, b=rhs: a(env) - b(env)
-            node = self.fold(node, lhs, rhs)
+            node = self.op(op, node, self.term())
         return node
 
     # term := unary (('*'|'/') unary)*
-    def term(self) -> Callable:
+    def term(self) -> int:
         node = self.unary()
         while self.peek() in ("*", "/"):
             op = self.take()
-            rhs = self.unary()
-            lhs = node
-            if op == "*":
-                node = lambda env, a=lhs, b=rhs: a(env) * b(env)
-            else:
-                node = lambda env, a=lhs, b=rhs: a(env) / b(env)
-            node = self.fold(node, lhs, rhs)
+            node = self.op(op, node, self.unary())
         return node
 
     # unary := '-' unary | power     (so -x^2 parses as -(x^2))
     # Every nested construct passes through here, so this counts nesting.
-    def unary(self) -> Callable:
+    def unary(self) -> int:
         self.nesting += 1
         if self.nesting > _MAX_NESTING:
             raise ExpressionError(
                 f"expression nested deeper than {_MAX_NESTING} levels")
         if self.peek() == "-":
             self.take()
-            inner = self.unary()
-            node = self.fold(lambda env, a=inner: -a(env), inner)
+            node = self.op("neg", self.unary())
         else:
             node = self.power()
         self.nesting -= 1
         return node
 
     # power := atom ('^' unary)?     (right-associative, 2^3^2 = 512)
-    def power(self) -> Callable:
+    def power(self) -> int:
         base = self.atom()
         if self.peek() == "^":
             self.take()
-            exponent = self.unary()
-            power = self.table.power
-            return self.fold(
-                lambda env, f=power, a=base, b=exponent: f(a(env), b(env)),
-                base, exponent)
+            return self.op("^", base, self.unary())
         return base
 
-    def atom(self) -> Callable:
+    def atom(self) -> int:
         tok = self.take()
         if tok == "(":
             inner = self.expr()
             self.expect(")")
             return inner
-        if re.fullmatch(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?", tok):
-            return self.constant(float(tok))
+        if tok[0] in "0123456789.":  # the tokenizer matched a number
+            return self.graph.const(float(tok))
         if tok == "pi":
-            return self.constant(math.pi)
+            return self.graph.const(math.pi)
         if tok in _VARIABLES:
-            self.spatial = self.spatial or tok != "t"
-            return lambda env, name=tok: env[name]
-        if tok in self.table.functions:
+            return self.graph.var(tok)
+        if tok in _FUNCTIONS:
             self.expect("(")
             arg = self.expr()
             self.expect(")")
-            fn = self.table.functions[tok]
-            return self.fold(lambda env, f=fn, a=arg: f(a(env)), arg)
+            return self.op(tok, arg)
         raise ExpressionError(f"unknown symbol {tok!r}")
 
 
-def _parse(text: str, table: _Table) -> tuple[Callable, bool]:
-    """The closure tree of text over table, and whether a spatial
-    coordinate occurs in it."""
+def _parse(text: str, table: _Table) -> tuple[_Graph, int]:
+    """The node graph of text over table, and its root."""
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError("expression must be a non-empty string")
-    parser = _Parser(_tokenize(text), table)
-    node = parser.expr()
+    parser = _Parser(_tokenize(text), _Graph(table))
+    with np.errstate(all="ignore"):
+        root = parser.expr()
     if parser.peek() is not None:
         raise ExpressionError(f"trailing input starting at {parser.peek()!r}")
-    return node, parser.spatial
+    return parser.graph, root
 
 
 def compile_expression(text: str) -> Callable[[float, float, float, float], float]:
@@ -239,12 +426,70 @@ def compile_expression(text: str) -> Callable[[float, float, float, float], floa
     cos of an infinity, evaluates to NaN, as in the array evaluator;
     division by zero and overflow raise their ArithmeticError.
     """
-    node, _ = _parse(text, _SCALAR)
+    graph, root = _parse(text, _SCALAR)
+    program = _program(graph, [root])
 
     def evaluate(t: float, q1: float, q2: float, q3: float) -> float:
-        return float(node({"t": t, "q1": q1, "q2": q2, "q3": q3}))
+        return float(program.run(t, q1, q2, q3)[program.roots[0]])
 
     return evaluate
+
+
+def _judge(text: str) -> Callable:
+    """judge(t, q, ok, force): evaluate text again with the ``math`` table,
+    its value and, with force, its force, at every finite point where ok
+    is False, so that an ArithmeticError there is raised.  The scalar
+    evaluators are compiled on first need."""
+    scalar = scalar_force = None
+
+    def judge(t, q: np.ndarray, ok: np.ndarray, force: bool) -> None:
+        nonlocal scalar, scalar_force
+        times = np.broadcast_to(t, ok.shape)
+        bad = ~ok & np.isfinite(times) & np.isfinite(q).all(axis=-1)
+        for t_i, (q1, q2, q3) in zip(times[bad].tolist(), q[bad].tolist()):
+            scalar = scalar or compile_expression(text)
+            scalar(t_i, q1, q2, q3)
+            if force:
+                if scalar_force is None:
+                    graph, root = _parse(text, _SCALAR)
+                    scalar_force = _program(graph, graph.force(root))
+                scalar_force.run(t_i, q1, q2, q3)
+
+    return judge
+
+
+def _checked(evaluate: Callable, judge: Callable, force: bool) -> Callable:
+    """evaluate(t, q, *out) under the scalar evaluator's error contract.
+    It runs with numpy's floating-point errors raised: from finite points,
+    only an overflow, a division by zero or an invalid operation makes a
+    result that is not finite.  After such an error it runs again with
+    them ignored, and the rows that are not finite are judged."""
+    def kernel(t, q: np.ndarray, *out) -> np.ndarray:
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                return evaluate(t, q, *out)
+        except FloatingPointError:
+            pass
+        with np.errstate(all="ignore"):
+            result = evaluate(t, q, *out)
+        ok = np.isfinite(result)
+        judge(t, q, ok.all(axis=-1) if force else ok, force)
+        return result
+
+    return kernel
+
+
+def _values(graph: _Graph, root: int) -> Callable:
+    """values(t, q) of the array graph, without the error contract."""
+    spatial = not graph.names.isdisjoint(_VARIABLES[1:])
+    program = _program(graph, [root])
+    (k,) = program.roots
+
+    def values(t, q: np.ndarray) -> np.ndarray:
+        out = program.run(t, q[..., 0], q[..., 1], q[..., 2])[k]
+        return out if spatial else np.full(np.shape(q)[:-1], out)
+
+    return values
 
 
 def compile_array_expression(text: str) -> Callable[[float, np.ndarray], np.ndarray]:
@@ -261,24 +506,41 @@ def compile_array_expression(text: str) -> Callable[[float, np.ndarray], np.ndar
     finite value is kept as numpy gives it, even through an infinite
     intermediate: exp(-1/q1^2) is 0 at q1 = 0.
     """
-    node, spatial = _parse(text, _ARRAY)
-    if not spatial:  # one value for every position
-        node = lambda env, f=node: np.full(np.shape(env["q1"]), f(env))
+    return _checked(_values(*_parse(text, _ARRAY)), _judge(text), False)
 
-    scalar = None  # the scalar evaluator, compiled on first need
 
-    def values(t, q: np.ndarray) -> np.ndarray:
-        nonlocal scalar
-        with np.errstate(all="ignore"):
-            out = node({"t": t, "q1": q[..., 0], "q2": q[..., 1],
-                        "q3": q[..., 2]})
-        if not np.isfinite(out).all():
-            times = np.broadcast_to(t, out.shape)
-            bad = ~np.isfinite(out) & np.isfinite(times) & \
-                np.isfinite(q).all(axis=-1)
-            for t_i, (q1, q2, q3) in zip(times[bad].tolist(), q[bad].tolist()):
-                scalar = scalar or compile_expression(text)
-                scalar(t_i, q1, q2, q3)
+def compile_potential(text: str) -> tuple[Callable, Callable, bool]:
+    """Compile an expression string, parsed once, to the fields of its
+    Potential: ``values`` as compile_array_expression gives it, the exact
+    ``force(t, q, out=None)``, -grad phi (..., 3) written into out when
+    given, and whether t does not occur (``time_independent``).
+
+    The force evaluates each node it needs once per call and writes the
+    last operation of each component into its column of out.  It keeps
+    the values' error contract: where a row of the force is not finite at
+    a finite point, the value and then the force are evaluated there
+    again with the ``math`` table, so an ArithmeticError either raises is
+    raised here too.  Otherwise the non-finite force stands.  So the force
+    of exp(-1/q1^2) at q1 = 0, 0 * inf in numpy, raises the
+    ZeroDivisionError of -1/q1^2, although numpy's value there is 0.
+    """
+    graph, root = _parse(text, _ARRAY)
+    judge = _judge(text)
+    program = _program(graph, graph.force(root), tails=True)
+
+    def evaluate(t, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+        r = program.run(t, q[..., 0], q[..., 1], q[..., 2])
+        for i, (f, a, b) in enumerate(program.roots):
+            if b is None:
+                f(r[a], out[..., i])
+            else:
+                f(r[a], r[b], out[..., i])
         return out
 
-    return values
+    checked = _checked(evaluate, judge, True)
+
+    def force(t, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return checked(t, q, np.empty(np.shape(q)) if out is None else out)
+
+    return (_checked(_values(graph, root), judge, False), force,
+            "t" not in graph.names)

@@ -118,10 +118,9 @@ class TestPotentialArithmeticErrors:
         assert f"{error} at step 1" in lines[0]
 
     def test_energy_column_error_exits_3_without_output(self, tmp_path):
-        # The gradient's differences never touch the origin; the H column does.
+        # The force of 1/t + q1 never divides by t; the H column does.
         cfg = write_config(tmp_path,
-                           potential={"kind": "custom",
-                                      "expr": "1/(q1^2+q2^2+q3^2)"},
+                           potential={"kind": "custom", "expr": "1/t + q1"},
                            initial_event=[0, 0, 0, 0],
                            initial_velocity=[0, 0, 0])
         out = tmp_path / "never.csv"

@@ -204,7 +204,9 @@ class TestPotentials:
             PotentialSpec("custom", expr="1/q1").build().at(x)
 
     def test_fd_fallback_when_no_gradient(self):
-        phi = Potential(values=lambda t, q: q[..., 0] ** 2 + 0.5 * t)
+        # A custom potential has an exact spatial derivative; only its time
+        # derivative falls back on central differences.
+        phi = PotentialSpec("custom", expr="q1^2 + 0.5*t").build()
         x = Event(1.0, 3.0, 0.0, 0.0)
         assert np.allclose(phi.d_s(x), [6.0, 0.0, 0.0], atol=1e-8)
         assert phi.d(x).a0 == pytest.approx(0.5, abs=1e-9)
@@ -225,12 +227,11 @@ class TestPotentials:
         if kind == "custom":
             phi = PotentialSpec("custom", expr=(
                 "0.5*q1^2 + 0.25*q2^4 + sin(t)*q3 + 0.1*q1*q3")).build()
-            kernel = phi._central_force
-            step = 1e-6 * (1.0 + np.abs(q))
-            a, b = (np.stack([phi.values(t, q + sign * np.eye(3)[i] * step)
-                              for i in range(3)], axis=-1)
-                    for sign in (1.0, -1.0))
-            gradient = (a - b) / (2.0 * step)
+            kernel = phi.force
+            # the exact force in the operations the derivative rules build
+            gradient = -np.stack([-q[:, 0] + (-0.1) * q[:, 2],
+                                  -(q[:, 1] ** np.array(3.0)),
+                                  -np.sin(t) + (-0.1) * q[:, 0]], axis=-1)
             s = 1e-6 * (1.0 + np.abs(t))
             dt = (phi.values(t + s, q) - phi.values(t - s, q)) / (2.0 * s)
         else:
@@ -263,7 +264,8 @@ class TestInhomogeneous:
 
     def test_lagrangian_with_potential(self):
         w = Frame.from_spatial([3.0, 0.0, 0.0])
-        phi = Potential(values=lambda t, q: np.ones(np.shape(q)[:-1]))
+        phi = Potential(values=lambda t, q: np.ones(np.shape(q)[:-1]),
+                        force=free_potential().force)
         val = lagrangian_inhom(E0, 2.0, ID3, phi, ORIGIN, w)
         assert val == pytest.approx(8.0)
 
