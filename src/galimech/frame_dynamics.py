@@ -48,7 +48,7 @@ from .galilean_core import (
 
 log = logging.getLogger(__name__)
 
-# Relative scale for one-sided offsets in central finite differences.
+# Relative step of the central difference in time of a potential.
 FD_STEP = 1e-6
 
 
@@ -63,24 +63,25 @@ class NonFiniteState(GalimechError):
 # RK4 steps between two finiteness tests of the integrated states.
 _FINITE_BLOCK = 64
 
+
 @dataclass(frozen=True)
 class Potential:
-    """Scalar potential on space-time: one array kernel for its values,
-    with an analytic or a finite-difference force.
+    """Scalar potential on space-time: one array kernel for its values
+    and one for its force.
 
     ``values`` maps a time t (one, or an array broadcasting against
     q[..., 0]) and positions q (..., 3) to the values there, shape (...),
     each row rounding exactly as that event alone; it may raise an
     ArithmeticError where it has no value (a ``custom`` kernel does at a
     division by zero or an overflow).
-    ``force``, when given, maps t, q and an optional out to the analytic
-    force -grad phi (..., 3), written into out when out is given;
-    otherwise the force is central differences of ``values`` with step
-    1e-6 * (1 + |q_i|), in one call.  ``time_independent`` declares that
-    the value does not depend on t, so the time derivative is exactly 0;
-    otherwise it is a central difference of ``values``.  Analytic forces
-    must agree with the differences to about 1e-6 relative (the test suite
-    enforces this for the built-in ones).
+    ``force`` maps t, q and an optional out to the force -grad phi
+    (..., 3), written into out when out is given: a hand formula for the
+    built-in kinds, the exact derivative of the expression for ``custom``
+    (``harness.expressions.compile_potential``).  Forces must agree with
+    central differences of ``values`` to about 1e-6 relative (the test
+    suite enforces this).  ``time_independent`` declares that the value
+    does not depend on t, so the time derivative is exactly 0; otherwise
+    it is a central difference of ``values``.
     """
 
     values: Callable[[float, np.ndarray], np.ndarray]
@@ -236,8 +237,8 @@ class Trajectory:
         trajectory.
 
         Raises NonFiniteState, naming the step, when the potential raises
-        an ArithmeticError at an integrated point: the gradient's central
-        differences never evaluate the potential exactly there.
+        an ArithmeticError at an integrated point: the force may be
+        finite where the value is not (1/t + q1 at t = 0).
         """
         if len(self.frames) != 1:
             raise ValueError(
@@ -397,7 +398,7 @@ def integrate(u: Frame | Sequence[Frame], m: float, g: SpatialMetric,
     then momenta, each stage written into buffers allocated once per call,
     with the same floating-point operations per frame as when integrated
     alone.  The momentum rate of a stage is the potential's force, written
-    in place: its ``force`` kernel, or central differences without one.
+    in place by its ``force`` kernel.
     Produces n+1 steps including the initial one.  Raises
     ValueError for a non-positive mass or step, n < 1, or initial states
     that do not match the frames one to one at one start time, and

@@ -4,19 +4,13 @@ Scenario files may define a potential as a string in t, q1, q2, q3.  This
 is a deliberately small language: numbers, the four coordinates, pi, the
 operators + - * / ^ with the usual precedence (^ binds tightest and
 associates to the right), parentheses, and the unary functions sin, cos,
-exp.  One recursive-descent parser turns the text into a graph of
-hash-consed nodes over one of two function tables, folding operations on
-constants as it goes: ``numpy`` for the array evaluators (every point of a
-(..., 3) array in one call), which give every value and force, and
-``math`` for the scalar evaluator (one point per call), which judges
-whether a non-finite result is an error.  The force is derived from the
-same graph by the chain rule, forward through its nodes (Griewank &
-Walther, *Evaluating Derivatives*, 2008), with structural zeros pruned, so
-a subexpression the value and its three derivatives share is one node.
-Evaluation runs the needed nodes in order, each appending one result, so
-it never recurses.  There is no use of the Python evaluator, so a config
-file cannot execute anything, and the parser bounds how deeply an
-expression may nest and how many operations deep it may be.
+exp.  One recursive-descent parser turns the text into a graph of shared
+nodes over ``numpy``, for the values and the force of a (..., 3) array of
+points in one call, or over ``math``, which judges whether a result that
+is not finite is an error.  The force is derived from the graph by the
+chain rule (Griewank & Walther, *Evaluating Derivatives*, 2008).  Nothing
+evaluates Python, so a config file cannot execute anything, and nothing
+recurses deeper than the parser, which bounds nesting.
 """
 
 from __future__ import annotations
@@ -24,7 +18,9 @@ from __future__ import annotations
 import math
 import operator
 import re
-from typing import Callable, NamedTuple
+import sys
+from collections import namedtuple
+from typing import Callable
 
 import numpy as np
 
@@ -39,11 +35,8 @@ _TOKEN = re.compile(r"""
     )""", re.VERBOSE)
 
 
-class _Table(NamedTuple):
-    """How constants are stored, and what each operation calls."""
-
-    constant: Callable
-    ops: dict[str, Callable]
+# How a function table stores constants, and what each operation calls.
+_Table = namedtuple("_Table", "constant ops")
 
 
 def _real_power(a: float, b: float) -> float:
@@ -57,41 +50,30 @@ def _real_periodic(fn: Callable[[float], float]) -> Callable[[float], float]:
     return lambda a: math.nan if math.isinf(a) else fn(a)
 
 
-def _real_log(a: float) -> float:
-    """log a, -inf at 0 and NaN below it, as numpy gives."""
-    return math.log(a) if a > 0.0 else -math.inf if a == 0.0 else math.nan
-
-
 _SCALAR = _Table(float, {
     "+": operator.add, "-": operator.sub, "*": operator.mul,
     "/": operator.truediv, "^": _real_power, "neg": operator.neg,
     "sin": _real_periodic(math.sin), "cos": _real_periodic(math.cos),
-    "exp": math.exp, "log": _real_log})
-# Constants are 0-d arrays: numpy combines an array with a 0-d array faster
-# than with a Python float, and faster through an operator than through a
-# ufunc call.  ``^`` squares for an exponent of 2 where np.power would not.
-# ``log`` is internal: only the derivative of a power with a variable
-# exponent uses it.
+    "exp": math.exp,  # log as numpy gives it: -inf at 0, NaN below
+    "log": lambda a: math.log(a) if a > 0 else -math.inf if a == 0 else math.nan})
+# Constants are 0-d arrays, and operators stand for ufunc calls: both are
+# faster in numpy.  ``log`` serves only the derivative of a variable power.
 _ARRAY = _Table(lambda value: np.array(value, dtype=float), {
     "+": operator.add, "-": operator.sub, "*": operator.mul,
     "/": operator.truediv, "^": operator.pow, "neg": operator.neg,
     "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log})
-# The ufunc behind each array operation that can write into an out array.
+# The ufunc of each array operation that can write into an out array.
 _UFUNCS = {operator.add: np.add, operator.sub: np.subtract,
            operator.mul: np.multiply, operator.truediv: np.divide,
            operator.neg: np.negative, np.sin: np.sin, np.cos: np.cos,
-           np.exp: np.exp, np.log: np.log}
+           np.exp: np.exp}
 _VARIABLES = ("t", "q1", "q2", "q3")
-_FUNCTIONS = ("sin", "cos", "exp")
 
-# Bounds on what one expression may make: a level of nesting (a
-# parenthesis, a unary minus, an exponent, a function argument) costs the
-# parser up to five frames of recursion, and an operation one level of
-# node depth, where a flat sum of n terms is n - 1 deep.
+# A level of nesting (a parenthesis, a unary minus, an exponent, a function
+# argument) costs the parser up to five frames of recursion.  Depth counts
+# operations: a flat sum of n terms is n - 1 deep.
 _MAX_NESTING = 100
 _MAX_DEPTH = 400
-
-_TINY = 2.0 ** -1022  # the smallest normal float
 
 
 class ExpressionError(ValueError):
@@ -115,16 +97,10 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _Graph:
-    """Hash-consed expression nodes over one function table.
-
-    Node k is ``nodes[k]``: ("const", value, None), ("var", name, None) or
-    (op, a, b) with a and b the ids of its operands (b None for a function
-    or a negation).  Operands come before the nodes that use them, so ids
-    are an evaluation order.  ``op`` folds an operation on constants,
-    rewrites products by a constant exactly (see there), and gives back
-    the node it made before for the same operation, so equal
-    subexpressions are one node.  Folding runs numpy, so a caller builds
-    nodes under np.errstate(all="ignore").
+    """Expression nodes over one function table, each made once: node k
+    is ("const", value, None), ("var", name, None) or (op, a, b) with the
+    ids of its operands (b None for one), which come before it.  Folding
+    runs numpy, so callers build nodes under np.errstate(all="ignore").
     """
 
     def __init__(self, table: _Table):
@@ -143,8 +119,7 @@ class _Graph:
         return k
 
     def const(self, value) -> int:
-        value = float(value)
-        # keyed by the bits, so that 0.0 and -0.0 stay apart
+        value = float(value)  # keyed by the bits: 0.0 and -0.0 stay apart
         return self._node(("const", value.hex()), ("const", value, None), 0)
 
     def var(self, name: str) -> int:
@@ -152,12 +127,11 @@ class _Graph:
         return self._node(("var", name), ("var", name, None), 0)
 
     def op(self, op: str, a: int, b: int | None = None) -> int:
-        """The node op(a, b).  Products by a constant c keep c first and
-        are rewritten where that keeps every bit: 1 * x is x, -1 * x is
-        -x, c * -x is (-c) * x, and -(c * x) is (-c) * x; so are x / 1,
-        x ^ 1 and --x.  c * (2^k * x) is (c 2^k) * x when c 2^k is a
-        normal number, which keeps every bit unless 2^k * x overflows or
-        underflows."""
+        """The node op(a, b), made once: constants fold to a finite constant,
+        a constant factor goes first, and these keep every bit: 1 * x and
+        x / 1 and x ^ 1 are x, -1 * x is -x, c * -x and -(c * x) are
+        (-c) * x, --x is x, and c * (2^k * x) is (c 2^k) * x while c 2^k
+        is normal and 2^k * x neither overflows nor underflows."""
         x = self.nodes[a]
         y = None if b is None else self.nodes[b]
         if x[0] == "const" and (y is None or y[0] == "const"):
@@ -167,25 +141,21 @@ class _Graph:
                               else fn(constant(x[1]), constant(y[1])))
             except (ArithmeticError, TypeError, ValueError):
                 value = math.nan
-            # An operation that is not finite is left to evaluation, where
-            # it raises its error with the step known.
+            # Otherwise evaluation raises the error, with the step known.
             if math.isfinite(value):
                 return self.const(value)
         if op == "*":
             if y[0] == "const":
                 a, b, x, y = b, a, y, x
             if x[0] == "const":
-                if x[1] == 1.0:
-                    return b
-                if x[1] == -1.0:
-                    return self.op("neg", b)
+                if x[1] in (1.0, -1.0):
+                    return b if x[1] == 1.0 else self.op("neg", b)
                 if y[0] == "neg":
                     return self.op("*", self.const(-x[1]), y[1])
-                if y[0] == "*" and self.nodes[y[1]][0] == "const" \
-                        and abs(math.frexp(self.nodes[y[1]][1])[0]) == 0.5 \
-                        and _TINY <= abs(x[1] * self.nodes[y[1]][1]) < math.inf:
-                    return self.op("*", self.const(x[1] * self.nodes[y[1]][1]),
-                                   y[2])
+                c = self.nodes[y[1]] if y[0] == "*" else ()
+                if c and c[0] == "const" and abs(math.frexp(c[1])[0]) == 0.5 \
+                        and sys.float_info.min <= abs(x[1] * c[1]) < math.inf:
+                    return self.op("*", self.const(x[1] * c[1]), y[2])
         elif op == "neg":
             if x[0] == "neg":
                 return x[1]
@@ -193,15 +163,12 @@ class _Graph:
                 return self.op("*", self.const(-self.nodes[x[1]][1]), x[2])
         elif y == ("const", 1.0, None) and op in ("/", "^"):
             return a
-        depth = self.depths[a] if b is None else max(self.depths[a],
-                                                      self.depths[b])
-        return self._node((op, a, b), (op, a, b), 1 + depth)
+        depth = 1 + max(self.depths[a], 0 if b is None else self.depths[b])
+        return self._node((op, a, b), (op, a, b), depth)
 
     def force(self, root: int) -> list[int]:
-        """Nodes of -d root / dq1, -d root / dq2 and -d root / dq3, by the
-        chain rule forward through the nodes up to root, all three in one
-        pass; a component that is structurally zero is the constant -0.0,
-        the negated zero."""
+        """Nodes of -d root / dq1..3 by the chain rule through the nodes up
+        to root, structural zeros left out (-0.0 for a zero component)."""
         op, one = self.op, self.const(1.0)
         # Seeding each coordinate with -1 gives the force, not the gradient:
         # the sign folds into a constant factor or a negation already there.
@@ -223,8 +190,6 @@ class _Graph:
                 return add(da, db)
             if kind == "-":
                 return sub(da, db)
-            if kind == "neg":
-                return op("neg", da)
             if kind == "*":
                 return add(mul(da, b), mul(a, db))
             if kind == "/":  # (da - (a / b) db) / b
@@ -233,15 +198,15 @@ class _Graph:
                 return add(mul(mul(b, op("^", a, op("-", b, one))), da),
                            None if db is None
                            else mul(mul(k, op("log", a)), db))
+            if kind == "neg":
+                return op("neg", da)
             if kind == "sin":
                 return mul(op("cos", a), da)
             if kind == "cos":
                 return mul(op("neg", op("sin", a)), da)
-            if kind == "exp":
-                return mul(k, da)
-            return op("/", da, a)  # log
+            return mul(k, da) if kind == "exp" else op("/", da, a)  # log
 
-        d = []  # the three derivatives of each node, None for 0
+        d = []  # the three derivatives of each node, None for zero
         with np.errstate(all="ignore"):
             for k, (kind, a, b) in enumerate(self.nodes[:root + 1]):
                 if kind == "var":
@@ -250,44 +215,24 @@ class _Graph:
                     continue
                 da = zero if kind == "const" else d[a]
                 db = zero if b is None or kind == "const" else d[b]
-                if da is zero and db is zero:
-                    d.append(zero)
-                else:
-                    d.append((rule(kind, k, a, b, da[0], db[0]),
-                              rule(kind, k, a, b, da[1], db[1]),
-                              rule(kind, k, a, b, da[2], db[2])))
+                d.append(zero if da is zero and db is zero else tuple(
+                    rule(kind, k, a, b, da[i], db[i]) for i in range(3)))
             return [self.const(-0.0) if dk is None else dk for dk in d[root]]
 
 
-class _Program(NamedTuple):
-    """Straight-line code for some nodes of a graph.  The registers start
-    as [t, q1, q2, q3, *constants]; each step (fn, a, b) appends fn(r[a])
-    or, with b not None, fn(r[a], r[b]).  ``roots`` are the registers of
-    the nodes asked for, or the steps that make them (see _program)."""
-
-    constants: list
-    steps: list[tuple]
-    roots: list
-
-    def run(self, t, q1, q2, q3) -> list:
-        r = [t, q1, q2, q3, *self.constants]
-        for f, a, b in self.steps:
-            r.append(f(r[a]) if b is None else f(r[a], r[b]))
-        return r
-
-
-def _program(graph: _Graph, roots: list[int], tails: bool = False) -> _Program:
-    """The program that evaluates roots, each needed node once.  With
-    tails, the roots are steps (ufunc, a, b) for the caller to run into an
-    out array: a root that no other node reads is left out of the steps,
-    and any other is copied by np.positive."""
+def _program(graph: _Graph, roots: list[int], tails: bool = False):
+    """run(t, q1, q2, q3), whose steps (fn, a, b) append fn(r[a]) or
+    fn(r[a], r[b]) to r = [t, q1, q2, q3, *constants], once for each node
+    roots need; and the registers of roots, or with tails the steps
+    (ufunc, a, b) that write them into out: the last step of a root no
+    other node reads, else a copy."""
     nodes = graph.nodes
     reads = [0] * (max(roots) + 1)  # how many needed nodes read each
     for k in roots:
         reads[k] += 1
-    for k in range(len(reads) - 1, -1, -1):  # operands have smaller ids
+    for k in range(len(reads) - 1, -1, -1):
         kind, a, b = nodes[k]
-        if reads[k] and kind != "const" and kind != "var":
+        if reads[k] and kind not in ("const", "var"):
             reads[a] += 1
             if b is not None:
                 reads[b] += 1
@@ -307,11 +252,16 @@ def _program(graph: _Graph, roots: list[int], tails: bool = False) -> _Program:
             else:
                 reg[k] = len(_VARIABLES) + len(consts) + len(steps)
                 steps.append(step)
-    constants = [graph.table.constant(graph.nodes[k][1]) for k in consts]
-    if tails:
-        return _Program(constants, steps, [
-            last.get(k) or (np.positive, reg[k], None) for k in roots])
-    return _Program(constants, steps, [reg[k] for k in roots])
+    constants = [graph.table.constant(nodes[k][1]) for k in consts]
+
+    def run(t, q1, q2, q3) -> list:
+        r = [t, q1, q2, q3, *constants]
+        for f, a, b in steps:
+            r.append(f(r[a]) if b is None else f(r[a], r[b]))
+        return r
+
+    return run, [last.get(k) or (np.positive, reg[k], None) if tails
+                 else reg[k] for k in roots]
 
 
 class _Parser:
@@ -336,21 +286,12 @@ class _Parser:
         if got != tok:
             raise ExpressionError(f"expected {tok!r}, got {got!r}")
 
-    def op(self, op: str, *operands: int) -> int:
-        """The node op(*operands).  Raises ExpressionError when it is more
-        than _MAX_DEPTH operations deep."""
-        node = self.graph.op(op, *operands)
-        if self.graph.depths[node] > _MAX_DEPTH:
-            raise ExpressionError(
-                f"expression deeper than {_MAX_DEPTH} operations")
-        return node
-
     # expr := term (('+'|'-') term)*
     def expr(self) -> int:
         node = self.term()
         while self.peek() in ("+", "-"):
             op = self.take()
-            node = self.op(op, node, self.term())
+            node = self.graph.op(op, node, self.term())
         return node
 
     # term := unary (('*'|'/') unary)*
@@ -358,7 +299,7 @@ class _Parser:
         node = self.unary()
         while self.peek() in ("*", "/"):
             op = self.take()
-            node = self.op(op, node, self.unary())
+            node = self.graph.op(op, node, self.unary())
         return node
 
     # unary := '-' unary | power     (so -x^2 parses as -(x^2))
@@ -370,7 +311,7 @@ class _Parser:
                 f"expression nested deeper than {_MAX_NESTING} levels")
         if self.peek() == "-":
             self.take()
-            node = self.op("neg", self.unary())
+            node = self.graph.op("neg", self.unary())
         else:
             node = self.power()
         self.nesting -= 1
@@ -381,7 +322,7 @@ class _Parser:
         base = self.atom()
         if self.peek() == "^":
             self.take()
-            return self.op("^", base, self.unary())
+            return self.graph.op("^", base, self.unary())
         return base
 
     def atom(self) -> int:
@@ -396,11 +337,11 @@ class _Parser:
             return self.graph.const(math.pi)
         if tok in _VARIABLES:
             return self.graph.var(tok)
-        if tok in _FUNCTIONS:
+        if tok in ("sin", "cos", "exp"):  # log is not in the language
             self.expect("(")
             arg = self.expr()
             self.expect(")")
-            return self.op(tok, arg)
+            return self.graph.op(tok, arg)
         raise ExpressionError(f"unknown symbol {tok!r}")
 
 
@@ -413,6 +354,8 @@ def _parse(text: str, table: _Table) -> tuple[_Graph, int]:
         root = parser.expr()
     if parser.peek() is not None:
         raise ExpressionError(f"trailing input starting at {parser.peek()!r}")
+    if parser.graph.depths[root] > _MAX_DEPTH:  # the deepest node
+        raise ExpressionError(f"expression deeper than {_MAX_DEPTH} operations")
     return parser.graph, root
 
 
@@ -427,120 +370,81 @@ def compile_expression(text: str) -> Callable[[float, float, float, float], floa
     division by zero and overflow raise their ArithmeticError.
     """
     graph, root = _parse(text, _SCALAR)
-    program = _program(graph, [root])
-
-    def evaluate(t: float, q1: float, q2: float, q3: float) -> float:
-        return float(program.run(t, q1, q2, q3)[program.roots[0]])
-
-    return evaluate
-
-
-def _judge(text: str) -> Callable:
-    """judge(t, q, ok, force): evaluate text again with the ``math`` table,
-    its value and, with force, its force, at every finite point where ok
-    is False, so that an ArithmeticError there is raised.  The scalar
-    evaluators are compiled on first need."""
-    scalar = scalar_force = None
-
-    def judge(t, q: np.ndarray, ok: np.ndarray, force: bool) -> None:
-        nonlocal scalar, scalar_force
-        times = np.broadcast_to(t, ok.shape)
-        bad = ~ok & np.isfinite(times) & np.isfinite(q).all(axis=-1)
-        for t_i, (q1, q2, q3) in zip(times[bad].tolist(), q[bad].tolist()):
-            scalar = scalar or compile_expression(text)
-            scalar(t_i, q1, q2, q3)
-            if force:
-                if scalar_force is None:
-                    graph, root = _parse(text, _SCALAR)
-                    scalar_force = _program(graph, graph.force(root))
-                scalar_force.run(t_i, q1, q2, q3)
-
-    return judge
-
-
-def _checked(evaluate: Callable, judge: Callable, force: bool) -> Callable:
-    """evaluate(t, q, *out) under the scalar evaluator's error contract.
-    It runs with numpy's floating-point errors raised: from finite points,
-    only an overflow, a division by zero or an invalid operation makes a
-    result that is not finite.  After such an error it runs again with
-    them ignored, and the rows that are not finite are judged."""
-    def kernel(t, q: np.ndarray, *out) -> np.ndarray:
-        try:
-            with np.errstate(all="raise", under="ignore"):
-                return evaluate(t, q, *out)
-        except FloatingPointError:
-            pass
-        with np.errstate(all="ignore"):
-            result = evaluate(t, q, *out)
-        ok = np.isfinite(result)
-        judge(t, q, ok.all(axis=-1) if force else ok, force)
-        return result
-
-    return kernel
-
-
-def _values(graph: _Graph, root: int) -> Callable:
-    """values(t, q) of the array graph, without the error contract."""
-    spatial = not graph.names.isdisjoint(_VARIABLES[1:])
-    program = _program(graph, [root])
-    (k,) = program.roots
-
-    def values(t, q: np.ndarray) -> np.ndarray:
-        out = program.run(t, q[..., 0], q[..., 1], q[..., 2])[k]
-        return out if spatial else np.full(np.shape(q)[:-1], out)
-
-    return values
+    run, (k,) = _program(graph, [root])
+    return lambda t, q1, q2, q3: float(run(t, q1, q2, q3)[k])
 
 
 def compile_array_expression(text: str) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Compile an expression string to a function of (t, q) that evaluates
-    it at every position of q, shape (..., 3), giving an array of shape
-    (...).  t is one time or an array of times that broadcasts against
-    q[..., 0].
-
-    Raises ExpressionError as compile_expression does.  Evaluation keeps
-    the scalar evaluator's error contract: numpy warnings are silenced,
-    and where a value is not finite at a finite point, the point is
-    evaluated again by the scalar evaluator, so an ArithmeticError it
-    raises there (division by zero, overflow) is raised here too.  A
-    finite value is kept as numpy gives it, even through an infinite
-    intermediate: exp(-1/q1^2) is 0 at q1 = 0.
-    """
-    return _checked(_values(*_parse(text, _ARRAY)), _judge(text), False)
+    """values(t, q) of compile_potential(text)."""
+    return compile_potential(text)[0]
 
 
 def compile_potential(text: str) -> tuple[Callable, Callable, bool]:
     """Compile an expression string, parsed once, to the fields of its
-    Potential: ``values`` as compile_array_expression gives it, the exact
-    ``force(t, q, out=None)``, -grad phi (..., 3) written into out when
-    given, and whether t does not occur (``time_independent``).
+    Potential: values(t, q) at every position of q (..., 3), giving (...);
+    the exact force(t, q, out=None), -grad phi (..., 3), written into out
+    when given; and whether t does not occur (``time_independent``).  t is
+    one time or an array of times broadcasting against q[..., 0].  Raises
+    ExpressionError as compile_expression does.
 
-    The force evaluates each node it needs once per call and writes the
-    last operation of each component into its column of out.  It keeps
-    the values' error contract: where a row of the force is not finite at
-    a finite point, the value and then the force are evaluated there
-    again with the ``math`` table, so an ArithmeticError either raises is
-    raised here too.  Otherwise the non-finite force stands.  So the force
-    of exp(-1/q1^2) at q1 = 0, 0 * inf in numpy, raises the
-    ZeroDivisionError of -1/q1^2, although numpy's value there is 0.
+    The force evaluates each node it needs once per call, and the last
+    operation of each component writes into its column of out.  Both
+    kernels run with numpy's floating-point errors raised: from finite
+    points, nothing else makes a result that is not finite.  After one, a
+    kernel runs again with them ignored, and at each finite point whose
+    row is not finite the ``math`` table evaluates the value (and the
+    force), so an ArithmeticError it raises there (division by zero,
+    overflow) is raised too.  A result the math table accepts stands, even
+    a finite value through an infinite intermediate: at q1 = 0,
+    exp(-1/q1^2) is 0, and its force, 0 * inf, raises the
+    ZeroDivisionError of -1/q1^2.
     """
     graph, root = _parse(text, _ARRAY)
-    judge = _judge(text)
-    program = _program(graph, graph.force(root), tails=True)
+    judges = []  # the value and force evaluators of the math table
 
-    def evaluate(t, q: np.ndarray, out: np.ndarray) -> np.ndarray:
-        r = program.run(t, q[..., 0], q[..., 1], q[..., 2])
-        for i, (f, a, b) in enumerate(program.roots):
+    def judge(t, q: np.ndarray, ok: np.ndarray, n: int) -> None:
+        times = np.broadcast_to(t, ok.shape)
+        bad = ~ok & np.isfinite(times) & np.isfinite(q).all(axis=-1)
+        for t_i, (q1, q2, q3) in zip(times[bad].tolist(), q[bad].tolist()):
+            if not judges:  # compiled on first need
+                scalar, scalar_root = _parse(text, _SCALAR)
+                judges[:] = (compile_expression(text),
+                             _program(scalar, scalar.force(scalar_root))[0])
+            for evaluate in judges[:n]:
+                evaluate(t_i, q1, q2, q3)
+
+    def checked(evaluate: Callable, n: int) -> Callable:
+        def kernel(t, q: np.ndarray, *out) -> np.ndarray:
+            try:
+                with np.errstate(all="raise", under="ignore"):
+                    return evaluate(t, q, *out)
+            except FloatingPointError:
+                pass
+            with np.errstate(all="ignore"):
+                result = evaluate(t, q, *out)
+            ok = np.isfinite(result)
+            judge(t, q, ok.all(axis=-1) if n == 2 else ok, n)
+            return result
+        return kernel
+
+    run_values, (k,) = _program(graph, [root])
+    run_force, tails = _program(graph, graph.force(root), tails=True)
+    spatial = not graph.names.isdisjoint(_VARIABLES[1:])
+
+    def values(t, q: np.ndarray) -> np.ndarray:
+        out = run_values(t, q[..., 0], q[..., 1], q[..., 2])[k]
+        return out if spatial else np.full(np.shape(q)[:-1], out)
+
+    def force(t, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+        r = run_force(t, q[..., 0], q[..., 1], q[..., 2])
+        for i, (f, a, b) in enumerate(tails):
             if b is None:
                 f(r[a], out[..., i])
             else:
                 f(r[a], r[b], out[..., i])
         return out
 
-    checked = _checked(evaluate, judge, True)
-
-    def force(t, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return checked(t, q, np.empty(np.shape(q)) if out is None else out)
-
-    return (_checked(_values(graph, root), judge, False), force,
-            "t" not in graph.names)
+    forces = checked(force, 2)
+    return (checked(values, 1), lambda t, q, out=None: forces(
+        t, q, np.empty(np.shape(q)) if out is None else out),
+        "t" not in graph.names)

@@ -117,6 +117,23 @@ class TestPotentialArithmeticErrors:
         assert len(lines) == 1  # no traceback
         assert f"{error} at step 1" in lines[0]
 
+    @pytest.mark.parametrize("command", ["simulate", "boost-check"])
+    def test_force_error_at_the_start_exits_3(self, tmp_path, command):
+        # The exact force of 1/r^2 at the origin divides by zero, where
+        # central differences around it never did.
+        cfg = write_config(tmp_path,
+                           potential={"kind": "custom",
+                                      "expr": "1/(q1^2+q2^2+q3^2)"},
+                           initial_event=[0, 0, 0, 0],
+                           initial_velocity=[0, 0, 0])
+        out = tmp_path / "never.out"
+        proc = run(command, "--config", cfg, "--out", str(out))
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1  # no traceback
+        assert "ZeroDivisionError at step 1" in lines[0]
+        assert not out.exists()
+
     def test_energy_column_error_exits_3_without_output(self, tmp_path):
         # The force of 1/t + q1 never divides by t; the H column does.
         cfg = write_config(tmp_path,

@@ -1,5 +1,5 @@
-"""Tests for the little potential-expression language: the parser and its
-scalar and array evaluators."""
+"""Tests for the little potential-expression language: the parser, its
+scalar and array evaluators, and the exact force derived from it."""
 
 import math
 import warnings
@@ -7,10 +7,15 @@ import warnings
 import numpy as np
 import pytest
 
+from galimech.frame_dynamics import PhasePoint, integrate
+from galimech.galilean_core import Event, Frame, SpatialMetric
+from galimech.harness import expressions
+from galimech.harness.config import PotentialSpec
 from galimech.harness.expressions import (
     ExpressionError,
     compile_array_expression,
     compile_expression,
+    compile_potential,
 )
 
 
@@ -89,6 +94,7 @@ class TestFunctions:
 class TestRejection:
     @pytest.mark.parametrize("bad", [
         "", "   ", "2+", "(2", "2)", "1 2", "foo(1)", "q4", "2**3",
+        "log(2)",  # the derivative's log is not part of the language
     ])
     def test_malformed(self, bad):
         with pytest.raises(ExpressionError):
@@ -271,3 +277,156 @@ class TestArrayEvaluator:
         for bad in ("", "2+", "q4", "sin 3"):
             with pytest.raises(ExpressionError):
                 compile_array_expression(bad)
+
+
+def _force(text):
+    return compile_potential(text)[1]
+
+
+class TestForce:
+    """The exact force -grad phi that compile_potential derives."""
+
+    # Every construct of the grammar, each next to the others it meets
+    # most: + - * /, ^ with a constant and with a variable exponent, unary
+    # minus, sin cos exp, pi and t.
+    CASES = [
+        "q1 + q2 - q3 + t",
+        "q1 * q2 / (1 + q3^2)",
+        "-q1^3 - -q2 * q3",
+        "(q1^2 + 1)^1.5 + q3^-2 + pi * q2",
+        "2^q1 + q2^q3 + (q1^2 + 1)^(q2 / 3)",
+        "sin(q1 * t) * cos(q2) + exp(-(q1^2 + q3^2) / 2)",
+        "exp(sin(q1) * q2) / (2 + cos(q3 * pi))",
+        "0.5*1.3*((q1-0.2)^2 + (q2+0.4)^2 + (q3-0.7)^2) + 0.1*(q1-0.2)^4"
+        " + 0.3*sin(q2)*cos(q3) + 0.4*exp(-0.5*(q1^2 + q3^2))",
+    ]
+
+    @pytest.fixture
+    def points(self):
+        # q3 stays positive, so that the variable exponents have a real log
+        q = np.random.default_rng(20261).normal(size=(40, 3))
+        q[:, 1:] = np.abs(q[:, 1:]) + 0.1
+        return q
+
+    @pytest.mark.parametrize("text", CASES)
+    def test_matches_sympy(self, points, text):
+        sympy = pytest.importorskip("sympy")
+        t, q1, q2, q3 = sympy.symbols("t q1 q2 q3")
+        phi = sympy.sympify(text.replace("^", "**"),
+                            locals={"t": t, "q1": q1, "q2": q2, "q3": q3})
+        ref = [sympy.lambdify((t, q1, q2, q3), -sympy.diff(phi, q), "math")
+               for q in (q1, q2, q3)]
+        got = _force(text)(0.7, points)
+        want = np.array([[f(0.7, *p) for f in ref] for p in points.tolist()])
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+    @pytest.mark.parametrize("text", CASES)
+    def test_matches_central_differences(self, points, text):
+        # The bound the built-in force kernels are held to.
+        values, force = compile_potential(text)[:2]
+        step = 1e-6 * (1.0 + np.abs(points))
+        shifts = np.eye(3)[:, None, :] * step
+        numeric = -(values(0.7, points + shifts) -
+                    values(0.7, points - shifts)).T / (2.0 * step)
+        got = force(0.7, points)
+        assert np.all(np.abs(got - numeric) <=
+                      1e-6 * (1.0 + np.max(np.abs(numeric), axis=-1,
+                                           keepdims=True)))
+
+    @pytest.mark.parametrize("text", CASES)
+    def test_rows_equal_single_points(self, points, text):
+        force = _force(text)
+        grid = points[:24].reshape(4, 6, 3)
+        out = np.empty(grid.shape)
+        assert force(0.3, grid, out) is out
+        for index in np.ndindex(4, 6):
+            assert force(0.3, grid[index]).tolist() == out[index].tolist()
+
+    def test_variable_exponent_at_a_base_that_is_zero_or_negative(self):
+        # d(a^b)/db = a^b log(a): log is NaN below 0 and -inf at 0, so that
+        # component is NaN there, while d/da = b a^(b-1) stays exact.  No
+        # error is raised: the math table gives the same NaN.
+        q = np.array([[-1.5, 2.0, 0.0], [0.0, 2.0, 0.0], [0.0, 3.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _force("q1^q2")(0.0, q)
+        assert got[:, 0].tolist() == [3.0, -0.0, -0.0]
+        assert np.isnan(got[:, 1]).all()
+        assert got[:, 2].tolist() == [-0.0, -0.0, -0.0]
+
+    @pytest.mark.parametrize("text", ["3", "pi*t", "sin(t)^2"])
+    def test_no_spatial_coordinate_gives_negative_zero(self, text):
+        got = _force(text)(np.array([0.1, 0.2]), np.ones((2, 3)))
+        assert got.shape == (2, 3)
+        assert np.all(got == 0.0) and np.signbit(got).all()
+
+    @pytest.mark.parametrize("text, time_independent", [
+        ("q1^2 + sin(q2)", True), ("3", True), ("q1 * t", False),
+        ("0 * t + q1", False),
+    ])
+    def test_time_independent_when_t_does_not_occur(self, text,
+                                                    time_independent):
+        assert compile_potential(text)[2] is time_independent
+
+    def test_shared_subexpression_is_evaluated_once(self, monkeypatch):
+        # exp(q1 + q2) is the value node and a factor of both derivatives.
+        calls = []
+
+        def exp(x):
+            calls.append(x)
+            return np.exp(x)
+
+        monkeypatch.setitem(expressions._ARRAY.ops, "exp", exp)
+        force = _force("exp(q1 + q2) * 2")
+        assert force(0.0, np.zeros((2, 3))).tolist() == [[-2.0, -2.0, -0.0]] * 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("text, point, error", [
+        ("1/q1", (0.0, 1.0, 2.0), ZeroDivisionError),
+        ("q1^0.5", (0.0, 1.0, 2.0), ZeroDivisionError),
+        ("10^400*q1", (1.0, 1.0, 1.0), OverflowError),
+        ("exp(q1)", (800.0, 0.0, 0.0), OverflowError),
+        ("exp(-1/q1^2)", (0.0, 1.0, 1.0), ZeroDivisionError),
+    ])
+    def test_raises_the_scalar_arithmetic_error(self, text, point, error):
+        # A force that is not finite at a finite point is judged with the
+        # math table, which raises where it divides by zero or overflows.
+        q = np.array([[0.5, 0.5, 0.5], point, [2.0, 1.0, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                _force(text)(0.0, q)
+
+    @pytest.mark.parametrize("text, point", [
+        ("q1^1.5", (-1.0, 0.0, 0.0)),               # complex power: NaN
+        ("sin(exp(q1)*exp(q1))", (400.0, 0.0, 0.0)),  # sin of infinity
+        ("exp(q1)*exp(q1)", (400.0, 0.0, 0.0)),       # inf without an error
+    ])
+    def test_other_non_finite_forces_stand(self, text, point):
+        q = np.array([[0.5, 0.5, 0.5], point])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _force(text)(0.0, q)
+        assert np.isfinite(got[0]).all() and not np.isfinite(got[1]).all()
+
+    def test_deepest_expressions_compile_and_integrate(self):
+        # At both parser bounds: nesting 100 deep (99 functions inside the
+        # top level) and 400 operations deep (397 factors, each 2 deep, and
+        # two sums).  The derivative of the product is about twice as deep,
+        # and neither building nor evaluating it recurses.
+        nested = "sin(" * 99 + "q1" + ")" * 99
+        chain = "*".join(["(1 + 0.001*q2)"] * 397)
+        text = f"{nested} + {chain} + q3^2"
+        graph, root = expressions._parse(text, expressions._ARRAY)
+        assert graph.depths[root] == 400
+        phi = PotentialSpec("custom", expr=text).build()
+        start = PhasePoint(Event(0.0, 0.3, 0.2, 0.1), np.zeros(3))
+        traj = integrate(Frame.from_spatial([0.0, 0.0, 0.0]), 1.0,
+                         SpatialMetric(np.eye(3)), phi, start, 1e-3, 20)
+        assert np.isfinite(traj.q).all() and np.isfinite(traj.p).all()
+        scalar = compile_expression(text)
+        step = 1e-6
+        numeric = -(scalar(0.0, 0.3 + step, 0.2, 0.1) -
+                    scalar(0.0, 0.3 - step, 0.2, 0.1)) / (2.0 * step)
+        assert phi.force(0.0, np.array([0.3, 0.2, 0.1]))[0] == \
+            pytest.approx(numeric, rel=1e-6)

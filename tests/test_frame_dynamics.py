@@ -194,6 +194,32 @@ class TestPotentials:
         assert phi.at_events(x).tolist() == [0.0]
         assert phi.values(x[:, 0], x[:, 1:]).tolist() == [0.0]
 
+    def test_force_through_an_infinite_intermediate_is_judged(self):
+        # At q1 = 0 numpy's value of exp(-1/q1^2) is 0, but its exact force
+        # is 0 * inf; the math table judges that point, where -1/q1^2
+        # divides by zero, so integrating from there stops at step 1.
+        phi = PotentialSpec("custom", expr="exp(-1/q1^2)").build()
+        start = PhasePoint(Event(0.0, 0.0, 1.0, -2.0), np.zeros(3))
+        assert phi.at(start.x) == 0.0
+        with pytest.raises(NonFiniteState,
+                           match="ZeroDivisionError at step 1"):
+            integrate(Frame.from_spatial([0.0, 0.0, 0.0]), 1.0, ID3, phi,
+                      start, 1e-3, 10)
+
+    @pytest.mark.parametrize("expr", ["0.5*q1^2 + sin(q2)*q3", "(-1)^0.5*q1"])
+    def test_t_free_custom_potential_has_a_zero_time_derivative(self, rng,
+                                                                expr):
+        # No value is evaluated for the time column, which is +0.0 even
+        # where the potential is NaN.
+        phi = PotentialSpec("custom", expr=expr).build()
+        assert phi.time_independent
+        dt = phi.differential(rng.normal(size=(5, 4)))[:, 0]
+        assert dt.tolist() == [0.0] * 5 and not np.signbit(dt).any()
+
+    def test_force_is_required(self):
+        with pytest.raises(TypeError):
+            Potential(values=lambda t, q: np.zeros(np.shape(q)[:-1]))
+
     def test_numpy_event_keeps_the_scalar_error_contract(self):
         # Event coerces numpy scalars to float.  The array evaluator gives
         # inf at this finite point, so the scalar evaluator judges it and

@@ -8,7 +8,8 @@ kernel wrong is no evidence for what it claims.
 
 The rows cover the sampled checks that mix uniform and normal draws, the
 on-shell bases of the Morse families, ``momentum.offset_constant`` and
-``energy.drift``.
+``energy.drift``, which a force that is not -grad phi fails for a built-in
+and for a ``custom`` potential.
 The Morse rank checks (``morse.famN.rank``) are absent: a rank is stable
 under small perturbations, so no 1e-6 defect changes one.
 """
@@ -29,6 +30,7 @@ from galimech.harness.cli import main
 REL = 1e-6
 
 INVARIANTS = ("invariants", "--suite", "all")
+DYNAMICS = ("invariants", "--suite", "dynamics")
 BOOST = ("boost-check",)
 MORSE = ("morse-check", "--family", "all")
 
@@ -185,6 +187,37 @@ def test_scaled_force_fails_energy_drift(tmp_path, monkeypatch):
                      scaled_force)
     assert failing_checks(tmp_path, INVARIANTS, HARMONIC) == (1, {"energy.drift"})
     assert failing_checks(tmp_path, BOOST, HARMONIC) == (0, set())
+
+
+# The golden custom_anharmonic scenario, whose force is the derivative
+# compile_potential builds from the expression.
+CUSTOM = {"potential": {"kind": "custom",
+                        "expr": "0.5*q1^2 + 0.25*q2^4 + 0.1*q1*q3"},
+          "initial_event": [0.0, 0.8, 0.5, 0.1], "n": 50}
+
+
+def scaled_compiled_force(compile_potential):
+    """compile_potential with the output of its force scaled by 1 + REL."""
+    def perturbed(text):
+        values, force, time_independent = compile_potential(text)
+
+        def scaled(t, q, out=None):
+            f = force(t, q, out)
+            return np.multiply(f, 1.0 + REL, f)
+        return values, scaled, time_independent
+    return perturbed
+
+
+@pytest.mark.parametrize("argv", [DYNAMICS, BOOST])
+def test_unperturbed_custom_runs_pass(tmp_path, argv):
+    assert failing_checks(tmp_path, argv, CUSTOM) == (0, set())
+
+
+def test_scaled_custom_force_fails_energy_drift(tmp_path, monkeypatch):
+    patch_everywhere(monkeypatch, "harness.expressions", "compile_potential",
+                     scaled_compiled_force)
+    assert failing_checks(tmp_path, DYNAMICS, CUSTOM) == (1, {"energy.drift"})
+    assert failing_checks(tmp_path, BOOST, CUSTOM) == (0, set())
 
 
 @pytest.mark.parametrize("speed", [1.0, 1e4, 1e8])
