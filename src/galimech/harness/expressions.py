@@ -27,12 +27,14 @@ import numpy as np
 __all__ = ["ExpressionError", "compile_array_expression", "compile_expression",
            "compile_potential"]
 
-_TOKEN = re.compile(r"""
-    \s*(?:
-        (?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
-      | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<op>[-+*/^()])
-    )""", re.VERBOSE)
+# A token (a number, a name or an operator) after optional whitespace, and
+# a text of tokens and whitespace.
+_TOKEN = re.compile(r"""\s*(
+    \d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?
+  | [A-Za-z_][A-Za-z_0-9]*
+  | [-+*/^()]
+)""", re.VERBOSE)
+_TEXT = re.compile(f"(?:{_TOKEN.pattern})*\\s*", re.VERBOSE)
 
 
 # How a function table stores constants, and what each operation calls.
@@ -82,18 +84,11 @@ class ExpressionError(ValueError):
 
 def _tokenize(text: str) -> list[str]:
     """The tokens of text, then None to mark the end."""
-    tokens = []
-    pos = 0
-    for match in _TOKEN.finditer(text):
-        if match.start() != pos:
-            break
-        tokens.append(match.group(match.lastgroup))
-        pos = match.end()
-    if text[pos:].strip():  # only whitespace may remain unmatched
-        raise ExpressionError(
-            f"unexpected character {text[pos:].strip()[0]!r} "
-            f"at position {pos}")
-    return tokens + [None]
+    end = _TEXT.match(text).end()
+    if end < len(text):
+        raise ExpressionError(f"unexpected character {text[end]!r} "
+                              f"at position {len(text[:end].rstrip())}")
+    return _TOKEN.findall(text) + [None]
 
 
 class _Graph:
@@ -135,7 +130,10 @@ class _Graph:
         x = self.nodes[a]
         y = None if b is None else self.nodes[b]
         if x[0] == "const" and (y is None or y[0] == "const"):
-            fn, constant = self.table.ops[op], self.table.constant
+            # Arithmetic rounds alike in every table; the rest folds in its own.
+            fn = self.table.ops[op]
+            constant = float if op in ("+", "-", "*", "/", "neg") \
+                else self.table.constant
             try:
                 value = float(fn(constant(x[1])) if y is None
                               else fn(constant(x[1]), constant(y[1])))
@@ -207,16 +205,17 @@ class _Graph:
             return mul(k, da) if kind == "exp" else op("/", da, a)  # log
 
         d = []  # the three derivatives of each node, None for zero
+        seeds = {"t": zero, "q1": (seed, None, None), "q2": (None, seed, None),
+                 "q3": (None, None, seed)}
         with np.errstate(all="ignore"):
             for k, (kind, a, b) in enumerate(self.nodes[:root + 1]):
-                if kind == "var":
-                    d.append(tuple(seed if a == name else None
-                                   for name in _VARIABLES[1:]))
-                    continue
-                da = zero if kind == "const" else d[a]
+                da = zero if kind == "const" else seeds[a] if kind == "var" \
+                    else d[a]
                 db = zero if b is None or kind == "const" else d[b]
-                d.append(zero if da is zero and db is zero else tuple(
-                    rule(kind, k, a, b, da[i], db[i]) for i in range(3)))
+                d.append(da if kind == "var" or da is db is zero else (
+                    rule(kind, k, a, b, da[0], db[0]),
+                    rule(kind, k, a, b, da[1], db[1]),
+                    rule(kind, k, a, b, da[2], db[2])))
             return [self.const(-0.0) if dk is None else dk for dk in d[root]]
 
 
@@ -231,8 +230,8 @@ def _program(graph: _Graph, roots: list[int], tails: bool = False):
     for k in roots:
         reads[k] += 1
     for k in range(len(reads) - 1, -1, -1):
-        kind, a, b = nodes[k]
-        if reads[k] and kind not in ("const", "var"):
+        if reads[k] and nodes[k][0] not in ("const", "var"):
+            _, a, b = nodes[k]
             reads[a] += 1
             if b is not None:
                 reads[b] += 1
