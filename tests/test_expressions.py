@@ -303,7 +303,7 @@ class TestForce:
 
     @pytest.fixture
     def points(self):
-        # q3 stays positive, so that the variable exponents have a real log
+        # q2 and q3 stay positive, so that q2^q3 has a real log
         q = np.random.default_rng(20261).normal(size=(40, 3))
         q[:, 1:] = np.abs(q[:, 1:]) + 0.1
         return q
