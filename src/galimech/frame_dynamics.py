@@ -48,9 +48,6 @@ from .galilean_core import (
 
 log = logging.getLogger(__name__)
 
-# Relative step of the central difference in time of a potential.
-FD_STEP = 1e-6
-
 
 class NotFutureDirected(GalimechError):
     """Homogeneous-picture velocity has non-positive time component."""
@@ -66,8 +63,8 @@ _FINITE_BLOCK = 64
 
 @dataclass(frozen=True)
 class Potential:
-    """Scalar potential on space-time: one array kernel for its values
-    and one for its force.
+    """Scalar potential on space-time: one array kernel for its values,
+    one for its force and one, optional, for its time derivative.
 
     ``values`` maps a time t (one, or an array broadcasting against
     q[..., 0]) and positions q (..., 3) to the values there, shape (...),
@@ -77,16 +74,17 @@ class Potential:
     ``force`` maps t, q and an optional out to the force -grad phi
     (..., 3), written into out when out is given: a hand formula for the
     built-in kinds, the exact derivative of the expression for ``custom``
-    (``harness.expressions.compile_potential``).  Forces must agree with
-    central differences of ``values`` to about 1e-6 relative (the test
-    suite enforces this).  ``time_independent`` declares that the value
-    does not depend on t, so the time derivative is exactly 0; otherwise
-    it is a central difference of ``values``.
+    (``harness.expressions.compile_potential``).  ``time`` maps t and q to
+    the time derivative d phi / dt (...), the exact derivative of the
+    expression for a ``custom`` kind in t; None, as for the built-in
+    kinds, means the value does not depend on t, so the time derivative
+    is exactly 0.  Derivatives must agree with central differences of
+    ``values`` to about 1e-6 relative (the test suite enforces this).
     """
 
     values: Callable[[float, np.ndarray], np.ndarray]
     force: Callable[..., np.ndarray]
-    time_independent: bool = False
+    time: Callable[[float, np.ndarray], np.ndarray] | None = None
 
     def at(self, x: Event) -> float:
         return float(self.values(x.t, x.spatial))
@@ -108,32 +106,19 @@ class Potential:
                 out[i] = on_error(i, exc)
         return out
 
-    def grad_s(self, t, q: np.ndarray) -> np.ndarray:
-        """Spatial gradient for positions q of shape (..., 3) at time t:
-        one time, or an array of times of shape (...), one per position."""
-        return np.negative(self.force(t, q))
-
     def d_s(self, x: Event) -> np.ndarray:
         """Derivative along the three spatial coordinates."""
-        return self.grad_s(x.t, x.spatial)
+        return np.negative(self.force(x.t, x.spatial))
 
     def differential(self, x: np.ndarray) -> np.ndarray:
-        """Full differentials (dt, dq1, dq2, dq3) at the events x (..., 4).
-
-        The spatial part is one grad_s call over every event.  The time
-        derivative is 0 for a time-independent potential and otherwise a
-        central difference of ``values`` with step 1e-6 * (1 + |t|), in two
-        calls.
-        """
+        """Full differentials (dt, dq1, dq2, dq3) at the events x (..., 4):
+        the negated force and the time derivative, each in one call over
+        every event, or a time column of 0 where ``time`` is None."""
         flat = np.asarray(x, dtype=float).reshape(-1, 4)
         t, q = flat[:, 0], flat[:, 1:]
         out = np.empty(flat.shape)
-        out[:, 1:] = self.grad_s(t, q)
-        out[:, 0] = 0.0
-        if not self.time_independent:
-            step = FD_STEP * (1.0 + np.abs(t))
-            out[:, 0] = (self.values(t + step, q) -
-                         self.values(t - step, q)) / (2.0 * step)
+        np.negative(self.force(t, q, out[:, 1:]), out[:, 1:])
+        out[:, 0] = 0.0 if self.time is None else self.time(t, q)
         return out.reshape(np.shape(x))
 
     def d(self, x: Event) -> Covector4:
@@ -153,8 +138,7 @@ def free_potential() -> Potential:
     """Identically zero potential; its force is -0.0, the negated zero
     gradient."""
     return Potential(values=lambda t, q: np.zeros(np.shape(q)[:-1]),
-                     force=lambda t, q, out=None: _filled(q, out, -0.0),
-                     time_independent=True)
+                     force=lambda t, q, out=None: _filled(q, out, -0.0))
 
 
 def uniform_potential(force) -> Potential:
@@ -166,7 +150,6 @@ def uniform_potential(force) -> Potential:
     return Potential(
         values=lambda t, q: -np.vecdot(q, f),
         force=lambda t, q, out=None: _filled(q, out, f),
-        time_independent=True,
     )
 
 
@@ -185,7 +168,6 @@ def harmonic_potential(k: float, center=(0.0, 0.0, 0.0)) -> Potential:
         values=lambda t, q: 0.5 * k * np.vecdot(q - c, q - c),
         force=lambda t, q, out=None: np.multiply(
             minus_k, np.subtract(q, c, out), out),
-        time_independent=True,
     )
 
 

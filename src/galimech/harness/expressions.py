@@ -5,12 +5,13 @@ is a deliberately small language: numbers, the four coordinates, pi, the
 operators + - * / ^ with the usual precedence (^ binds tightest and
 associates to the right), parentheses, and the unary functions sin, cos,
 exp.  One recursive-descent parser turns the text into a graph of shared
-nodes over ``numpy``, for the values and the force of a (..., 3) array of
-points in one call, or over ``math``, which judges whether a result that
-is not finite is an error.  The force is derived from the graph by the
-chain rule (Griewank & Walther, *Evaluating Derivatives*, 2008).  Nothing
-evaluates Python, so a config file cannot execute anything, and nothing
-recurses deeper than the parser, which bounds nesting.
+nodes over ``numpy``, for the values, the force and the time derivative
+of a (..., 3) array of points in one call, or over ``math``, which judges
+whether a result that is not finite is an error.  The force and the time
+derivative are derived from the graph by the chain rule (Griewank &
+Walther, *Evaluating Derivatives*, 2008).  Nothing evaluates Python, so a
+config file cannot execute anything, and nothing recurses deeper than the
+parser, which bounds nesting.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["ExpressionError", "compile_array_expression", "compile_expression",
-           "compile_potential"]
+__all__ = ["ExpressionError", "compile_expression", "compile_potential"]
 
 # A token (a number, a name or an operator) after optional whitespace, and
 # a text of tokens and whitespace.
@@ -103,7 +103,6 @@ class _Graph:
         self.nodes: list[tuple] = []
         self.depths: list[int] = []  # operations below each node
         self.ids: dict[tuple, int] = {}
-        self.names: set[str] = set()  # coordinates that occur
 
     def _node(self, key: tuple, node: tuple, depth: int) -> int:
         k = self.ids.get(key)
@@ -118,7 +117,6 @@ class _Graph:
         return self._node(("const", value.hex()), ("const", value, None), 0)
 
     def var(self, name: str) -> int:
-        self.names.add(name)
         return self._node(("var", name), ("var", name, None), 0)
 
     def op(self, op: str, a: int, b: int | None = None) -> int:
@@ -164,13 +162,12 @@ class _Graph:
         depth = 1 + max(self.depths[a], 0 if b is None else self.depths[b])
         return self._node((op, a, b), (op, a, b), depth)
 
-    def force(self, root: int) -> list[int]:
-        """Nodes of -d root / dq1..3 by the chain rule through the nodes up
-        to root, structural zeros left out (-0.0 for a zero component)."""
+    def derivatives(self, root: int) -> tuple[int | None, list[int]]:
+        """Nodes of d root / dt, None where t does not occur, and of the
+        force -d root / dq1..3, -0.0 for a zero component: the chain rule
+        in one forward pass for each coordinate that occurs, from its node
+        up to root, structural zeros left out."""
         op, one = self.op, self.const(1.0)
-        # Seeding each coordinate with -1 gives the force, not the gradient:
-        # the sign folds into a constant factor or a negation already there.
-        seed, zero = self.const(-1.0), (None, None, None)
 
         def add(a, b):
             return b if a is None else a if b is None else op("+", a, b)
@@ -204,19 +201,26 @@ class _Graph:
                 return mul(op("neg", op("sin", a)), da)
             return mul(k, da) if kind == "exp" else op("/", da, a)  # log
 
-        d = []  # the three derivatives of each node, None for zero
-        seeds = {"t": zero, "q1": (seed, None, None), "q2": (None, seed, None),
-                 "q3": (None, None, seed)}
+        found = {}  # d root by each coordinate that occurs, None for zero
         with np.errstate(all="ignore"):
-            for k, (kind, a, b) in enumerate(self.nodes[:root + 1]):
-                da = zero if kind == "const" else seeds[a] if kind == "var" \
-                    else d[a]
-                db = zero if b is None or kind == "const" else d[b]
-                d.append(da if kind == "var" or da is db is zero else (
-                    rule(kind, k, a, b, da[0], db[0]),
-                    rule(kind, k, a, b, da[1], db[1]),
-                    rule(kind, k, a, b, da[2], db[2])))
-            return [self.const(-0.0) if dk is None else dk for dk in d[root]]
+            for name in _VARIABLES:
+                var = self.ids.get(("var", name))
+                if var is None:
+                    continue
+                # The derivative of each node, None for zero, from the
+                # coordinate's own node on: t is seeded with 1, and each q
+                # with -1, which gives the force, not the gradient: the
+                # sign folds into a constant factor or a negation already
+                # there.
+                d = [None] * var + [self.const(1.0 if name == "t" else -1.0)]
+                for k in range(var + 1, root + 1):
+                    kind, a, b = self.nodes[k]
+                    d.append(None if kind in ("const", "var") else rule(
+                        kind, k, a, b, d[a], None if b is None else d[b]))
+                found[name] = d[root]
+        force = [found.get(name) for name in _VARIABLES[1:]]
+        return found.get("t"), [self.const(-0.0) if f is None else f
+                                for f in force]
 
 
 def _program(graph: _Graph, roots: list[int], tails: bool = False):
@@ -373,46 +377,46 @@ def compile_expression(text: str) -> Callable[[float, float, float, float], floa
     return lambda t, q1, q2, q3: float(run(t, q1, q2, q3)[k])
 
 
-def compile_array_expression(text: str) -> Callable[[float, np.ndarray], np.ndarray]:
-    """values(t, q) of compile_potential(text)."""
-    return compile_potential(text)[0]
-
-
-def compile_potential(text: str) -> tuple[Callable, Callable, bool]:
+def compile_potential(text: str) -> tuple[Callable, Callable, Callable | None]:
     """Compile an expression string, parsed once, to the fields of its
     Potential: values(t, q) at every position of q (..., 3), giving (...);
     the exact force(t, q, out=None), -grad phi (..., 3), written into out
-    when given; and whether t does not occur (``time_independent``).  t is
-    one time or an array of times broadcasting against q[..., 0].  Raises
-    ExpressionError as compile_expression does.
+    when given; and the exact time derivative time(t, q), d phi / dt
+    (...), or None where t does not occur.  t is one time or an array of
+    times broadcasting against q[..., 0]; a value in which no q occurs,
+    and every time derivative, is a new array of q's leading shape.
+    Raises ExpressionError as compile_expression does.
 
-    The force evaluates each node it needs once per call, and the last
-    operation of each component writes into its column of out.  Both
+    Each kernel evaluates each node it needs once per call, and the last
+    operation of each force component writes into its column of out.  The
     kernels run with numpy's floating-point errors raised: from finite
     points, nothing else makes a result that is not finite.  After one, a
     kernel runs again with them ignored, and at each finite point whose
     row is not finite the ``math`` table evaluates the value (and the
-    force), so an ArithmeticError it raises there (division by zero,
-    overflow) is raised too.  A result the math table accepts stands, even
-    a finite value through an infinite intermediate: at q1 = 0,
-    exp(-1/q1^2) is 0, and its force, 0 * inf, raises the
+    force or the time derivative), so an ArithmeticError it raises there
+    (division by zero, overflow) is raised too.  A result the math table
+    accepts stands, even a finite value through an infinite intermediate:
+    at q1 = 0, exp(-1/q1^2) is 0, and its force, 0 * inf, raises the
     ZeroDivisionError of -1/q1^2.
     """
     graph, root = _parse(text, _ARRAY)
-    judges = []  # the value and force evaluators of the math table
+    time, force_nodes = graph.derivatives(root)
+    judges = []  # the value, force and time evaluators of the math table
 
-    def judge(t, q: np.ndarray, ok: np.ndarray, n: int) -> None:
+    def judge(t, q: np.ndarray, ok: np.ndarray, which: tuple) -> None:
         times = np.broadcast_to(t, ok.shape)
         bad = ~ok & np.isfinite(times) & np.isfinite(q).all(axis=-1)
         for t_i, (q1, q2, q3) in zip(times[bad].tolist(), q[bad].tolist()):
-            if not judges:  # compiled on first need
+            if not judges:  # compiled on first need, from one parse
                 scalar, scalar_root = _parse(text, _SCALAR)
-                judges[:] = (compile_expression(text),
-                             _program(scalar, scalar.force(scalar_root))[0])
-            for evaluate in judges[:n]:
-                evaluate(t_i, q1, q2, q3)
+                scalar_time, scalar_force = scalar.derivatives(scalar_root)
+                judges[:] = [_program(scalar, roots)[0] for roots in
+                             ([scalar_root], scalar_force, [scalar_time])
+                             if None not in roots]  # no time without t
+            for i in which:
+                judges[i](t_i, q1, q2, q3)
 
-    def checked(evaluate: Callable, n: int) -> Callable:
+    def checked(evaluate: Callable, *which: int) -> Callable:
         def kernel(t, q: np.ndarray, *out) -> np.ndarray:
             try:
                 with np.errstate(all="raise", under="ignore"):
@@ -422,17 +426,21 @@ def compile_potential(text: str) -> tuple[Callable, Callable, bool]:
             with np.errstate(all="ignore"):
                 result = evaluate(t, q, *out)
             ok = np.isfinite(result)
-            judge(t, q, ok.all(axis=-1) if n == 2 else ok, n)
+            judge(t, q, ok.all(axis=-1) if 1 in which else ok, which)
             return result
         return kernel
 
-    run_values, (k,) = _program(graph, [root])
-    run_force, tails = _program(graph, graph.force(root), tails=True)
-    spatial = not graph.names.isdisjoint(_VARIABLES[1:])
+    def field(k: int, spatial: bool) -> Callable:
+        """The kernel of node k at every position of q (..., 3), broadcast
+        into a new array unless spatial."""
+        run, (r,) = _program(graph, [k])
 
-    def values(t, q: np.ndarray) -> np.ndarray:
-        out = run_values(t, q[..., 0], q[..., 1], q[..., 2])[k]
-        return out if spatial else np.full(np.shape(q)[:-1], out)
+        def evaluate(t, q: np.ndarray) -> np.ndarray:
+            out = run(t, q[..., 0], q[..., 1], q[..., 2])[r]
+            return out if spatial else np.full(np.shape(q)[:-1], out)
+        return evaluate
+
+    run_force, tails = _program(graph, force_nodes, tails=True)
 
     def force(t, q: np.ndarray, out: np.ndarray) -> np.ndarray:
         r = run_force(t, q[..., 0], q[..., 1], q[..., 2])
@@ -443,7 +451,8 @@ def compile_potential(text: str) -> tuple[Callable, Callable, bool]:
                 f(r[a], r[b], out[..., i])
         return out
 
-    forces = checked(force, 2)
-    return (checked(values, 1), lambda t, q, out=None: forces(
+    forces = checked(force, 0, 1)
+    spatial = any(("var", name) in graph.ids for name in _VARIABLES[1:])
+    return (checked(field(root, spatial), 0), lambda t, q, out=None: forces(
         t, q, np.empty(np.shape(q)) if out is None else out),
-        "t" not in graph.names)
+        None if time is None else checked(field(time, False), 0, 2))

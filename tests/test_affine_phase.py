@@ -80,8 +80,7 @@ def universal_residual(model: NewtonModel, x: Event, pp: PElement) -> float:
 
 def constant_potential(c: float) -> Potential:
     return Potential(values=lambda t, q: np.full(np.shape(q)[:-1], c),
-                     force=free_potential().force,
-                     time_independent=True)
+                     force=free_potential().force)
 
 
 class TestChartChange:
@@ -526,7 +525,7 @@ class TestInhomogeneousMembership:
         # the equations of motion, as integrate's rates state them
         xdot = Frame.from_spatial(model.metric.apply_inverse(p0) / model.mass
                                   + REFERENCE_FRAME.spatial).velocity
-        p0dot = -model.potential.grad_s(x.t, x.spatial)
+        p0dot = model.potential.force(x.t, x.spatial)
         assert self.violation(model, x, p0, xdot, p0dot) <= 1e-12
 
     def test_wrong_force_rejected(self):

@@ -1,5 +1,6 @@
 """Tests for the little potential-expression language: the parser, its
-scalar and array evaluators, and the exact force derived from it."""
+scalar and array evaluators, and the exact force and time derivative
+derived from it."""
 
 import math
 import warnings
@@ -13,7 +14,6 @@ from galimech.harness import expressions
 from galimech.harness.config import PotentialSpec
 from galimech.harness.expressions import (
     ExpressionError,
-    compile_array_expression,
     compile_expression,
     compile_potential,
 )
@@ -21,6 +21,11 @@ from galimech.harness.expressions import (
 
 def ev(text, t=0.0, q1=0.0, q2=0.0, q3=0.0):
     return compile_expression(text)(t, q1, q2, q3)
+
+
+def compile_array_expression(text):
+    """The values kernel of compile_potential."""
+    return compile_potential(text)[0]
 
 
 class TestAtoms:
@@ -366,7 +371,8 @@ class TestForce:
     ])
     def test_time_independent_when_t_does_not_occur(self, text,
                                                     time_independent):
-        assert compile_potential(text)[2] is time_independent
+        # No time kernel is compiled where t does not occur.
+        assert (compile_potential(text)[2] is None) is time_independent
 
     def test_shared_subexpression_is_evaluated_once(self, monkeypatch):
         # exp(q1 + q2) is the value node and a factor of both derivatives.
@@ -430,3 +436,64 @@ class TestForce:
                     scalar(0.0, 0.3 - step, 0.2, 0.1)) / (2.0 * step)
         assert phi.force(0.0, np.array([0.3, 0.2, 0.1]))[0] == \
             pytest.approx(numeric, rel=1e-6)
+
+
+class TestTime:
+    """The exact time derivative d phi / dt that compile_potential derives
+    in the pass that gives the force."""
+
+    # t alone, a power of it, t through sin and exp, t as a variable
+    # exponent (the log rule), t over a coordinate, and a constant
+    # derivative, broadcast to the shape of q.
+    CASES = ["t", "t^2", "sin(t)*q1", "exp(0.1*t)*q2", "q1^t", "t/q1", "0.5*t"]
+
+    @pytest.fixture
+    def events(self):
+        # q1 stays positive, so that q1^t has a real log
+        x = np.random.default_rng(20262).normal(size=(40, 4))
+        x[:, 1] = np.abs(x[:, 1]) + 0.1
+        return x
+
+    @pytest.mark.parametrize("text", CASES)
+    def test_matches_sympy(self, events, text):
+        sympy = pytest.importorskip("sympy")
+        t, q1, q2, q3 = sympy.symbols("t q1 q2 q3")
+        phi = sympy.sympify(text.replace("^", "**"),
+                            locals={"t": t, "q1": q1, "q2": q2, "q3": q3})
+        ref = sympy.lambdify((t, q1, q2, q3), sympy.diff(phi, t), "math")
+        got = compile_potential(text)[2](events[:, 0], events[:, 1:])
+        want = np.array([float(ref(*x)) for x in events.tolist()])
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+    @pytest.mark.parametrize("text", CASES)
+    def test_matches_central_differences(self, events, text):
+        # The bound of the central difference in t this derivative replaced.
+        values, _, time = compile_potential(text)
+        t, q = events[:, 0], events[:, 1:]
+        step = 1e-6 * (1.0 + np.abs(t))
+        numeric = (values(t + step, q) - values(t - step, q)) / (2.0 * step)
+        assert np.all(np.abs(time(t, q) - numeric) <=
+                      1e-6 * (1.0 + np.abs(numeric)))
+
+    @pytest.mark.parametrize("text", CASES)
+    def test_rows_equal_single_events(self, events, text):
+        time = compile_potential(text)[2]
+        grid = events[:24].reshape(4, 6, 4)
+        got = time(grid[..., 0], grid[..., 1:])
+        assert got.shape == (4, 6)
+        for index in np.ndindex(4, 6):
+            t, *q = grid[index].tolist()
+            assert time(t, np.array(q)).tolist() == got[index].tolist()
+
+    def test_pole_raises_through_the_differential(self):
+        # At t = 0 the value of t^0.5*q1 is 0, but its time derivative
+        # 0.5*t^-0.5*q1 divides by zero, and the math table says so.
+        phi = PotentialSpec("custom", expr="t^0.5*q1").build()
+        x = np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]])
+        assert phi.at_events(x).tolist() == [2.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert phi.differential(x[:1]).tolist() == [[1.0, 1.0, 0.0, 0.0]]
+            with pytest.raises(ZeroDivisionError):
+                phi.differential(x)

@@ -139,12 +139,12 @@ class TestPotentials:
         phi = PotentialSpec("custom", expr=expr).build()
         t = 0.4
         q = rng.normal(scale=1.5, size=(8, 3))
-        got = phi.grad_s(t, q)
+        got = -phi.force(t, q)
         assert got.shape == (8, 3)
         for row, coords in zip(got, q):
             ref = fd_gradient(lambda c: phi.at(Event(t, *c)), coords)
             assert np.all(np.abs(row - ref) <= 1e-8 * (1.0 + np.abs(ref)))
-        assert np.array_equal(phi.grad_s(t, q[3]), got[3])
+        assert np.array_equal(-phi.force(t, q[3]), got[3])
 
     @pytest.mark.parametrize("potential", [
         harmonic_potential(1.3, center=[0.2, -0.1, 0.4]),
@@ -153,18 +153,17 @@ class TestPotentials:
         PotentialSpec("custom", expr="(q1^2 + q2*q3)*(1 + 0.1*t) + cos(t)*q1").build(),
     ])
     def test_differential_rows_equal_single_events(self, rng, potential):
-        # One grad_s call over a stack of events at different times gives,
-        # row by row, exactly the differential taken at each event alone.
+        # One force call and one time call over a stack of events at
+        # different times give, row by row, exactly the differential taken
+        # at each event alone.
         x = rng.normal(size=(3, 5, 4))
         got = potential.differential(x)
         assert got.shape == x.shape
         for index in np.ndindex(3, 5):
             t, q1, q2, q3 = x[index].tolist()
-            step = 1e-6 * (1.0 + abs(t))
-            dt = 0.0 if potential.time_independent else (
-                potential.at(Event(t + step, q1, q2, q3)) -
-                potential.at(Event(t - step, q1, q2, q3))) / (2.0 * step)
-            ds = potential.grad_s(t, np.array([q1, q2, q3]))
+            q = np.array([q1, q2, q3])
+            dt = 0.0 if potential.time is None else float(potential.time(t, q))
+            ds = potential.d_s(Event(t, q1, q2, q3))
             assert got[index].tolist() == [dt, *ds.tolist()]
             assert potential.d(Event(t, q1, q2, q3)).as_array().tolist() == \
                 got[index].tolist()
@@ -212,7 +211,7 @@ class TestPotentials:
         # No value is evaluated for the time column, which is +0.0 even
         # where the potential is NaN.
         phi = PotentialSpec("custom", expr=expr).build()
-        assert phi.time_independent
+        assert phi.time is None
         dt = phi.differential(rng.normal(size=(5, 4)))[:, 0]
         assert dt.tolist() == [0.0] * 5 and not np.signbit(dt).any()
 
@@ -230,17 +229,17 @@ class TestPotentials:
             PotentialSpec("custom", expr="1/q1").build().at(x)
 
     def test_fd_fallback_when_no_gradient(self):
-        # A custom potential has an exact spatial derivative; only its time
-        # derivative falls back on central differences.
+        # A custom potential has exact derivatives in space and in time:
+        # no central difference remains.
         phi = PotentialSpec("custom", expr="q1^2 + 0.5*t").build()
         x = Event(1.0, 3.0, 0.0, 0.0)
         assert np.allclose(phi.d_s(x), [6.0, 0.0, 0.0], atol=1e-8)
-        assert phi.d(x).a0 == pytest.approx(0.5, abs=1e-9)
+        assert phi.d(x).a0 == 0.5
 
     @pytest.mark.parametrize("kind", ["free", "uniform", "harmonic", "custom"])
     def test_force_kernels_equal_hand_formulas(self, rng, kind):
         # Each force kernel, with and without out, is its hand formula bit
-        # for bit, and grad_s and differential negate it back to the
+        # for bit, and d_s and differential negate it back to the
         # gradient formulas: positions at the center and with zeros of
         # either sign, a center and a force with signed-zero components.
         k, c = 1.7, np.array([0.2, -0.0, 0.0])
@@ -258,8 +257,7 @@ class TestPotentials:
             gradient = -np.stack([-q[:, 0] + (-0.1) * q[:, 2],
                                   -(q[:, 1] ** np.array(3.0)),
                                   -np.sin(t) + (-0.1) * q[:, 0]], axis=-1)
-            s = 1e-6 * (1.0 + np.abs(t))
-            dt = (phi.values(t + s, q) - phi.values(t - s, q)) / (2.0 * s)
+            dt = np.cos(t) * q[:, 2]
         else:
             phi = {"free": free_potential(), "uniform": uniform_potential(f),
                    "harmonic": harmonic_potential(k, c)}[kind]
@@ -277,7 +275,8 @@ class TestPotentials:
             out = np.empty(qs.shape)
             assert kernel(ts, qs, out) is out
             assert _bits(out).tolist() == _bits(want).tolist()
-        assert _bits(phi.grad_s(t, q)).tolist() == _bits(gradient).tolist()
+        assert _bits(np.array([phi.d_s(Event(ti, *qi)) for ti, qi in zip(
+            t.tolist(), q.tolist())])).tolist() == _bits(gradient).tolist()
         assert _bits(phi.differential(np.column_stack([t, q]))).tolist() == \
             _bits(np.column_stack([dt, gradient])).tolist()
 
@@ -709,7 +708,7 @@ def reference_integrate(frames, m, g, potential, starts, h, n):
 
     def rates(t, y, k):
         np.add(g.apply_inverse(y[1]) / m, u_s, out=k[0])
-        np.negative(potential.grad_s(t, y[0]), out=k[1])
+        k[1][...] = potential.force(t, y[0])
 
     step = 0
     try:
@@ -764,7 +763,7 @@ def _step_gradient(schedule):
         return out
 
     return Potential(values=lambda t, q: np.zeros(np.shape(q)[:-1]),
-                     force=force, time_independent=False)
+                     force=force)
 
 
 class TestIntegrateBits:

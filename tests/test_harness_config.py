@@ -197,19 +197,22 @@ class TestPotentialBuild:
 
 @pytest.fixture
 def scalar_points(monkeypatch):
-    """Every point the scalar evaluator is called at, as (t, q1, q2, q3)."""
-    points, compile_scalar = [], expressions.compile_expression
+    """Every point a program over the scalar table runs at, as
+    (t, q1, q2, q3): the scalar evaluator and the judges of the kernels."""
+    points, program = [], expressions._program
 
-    def counted_compile(text):
-        fn = compile_scalar(text)
+    def counted_program(graph, roots, tails=False):
+        run, registers = program(graph, roots, tails)
+        if graph.table is not expressions._SCALAR:
+            return run, registers
 
         def evaluate(*point):
             points.append(point)
-            return fn(*point)
+            return run(*point)
 
-        return evaluate
+        return evaluate, registers
 
-    monkeypatch.setattr(expressions, "compile_expression", counted_compile)
+    monkeypatch.setattr(expressions, "_program", counted_program)
     return points
 
 

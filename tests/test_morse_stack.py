@@ -24,7 +24,6 @@ from conftest import random_frame, random_metric
 from galimech.affine_phase import (REFERENCE_FRAME, NewtonModel, family_fam3,
                                    family_fam4)
 from galimech.frame_dynamics import (
-    FD_STEP,
     harmonic_potential,
     legendre_hom,
     legendre_hom_array,
@@ -81,12 +80,8 @@ def bits(a) -> bytes:
 # --- the per-point reference -------------------------------------------
 
 def ref_differential(potential, x: Event) -> np.ndarray:
-    dt = 0.0
-    if not potential.time_independent:
-        step = FD_STEP * (1.0 + abs(x.t))
-        dt = (potential.at(Event(x.t + step, x.q1, x.q2, x.q3)) -
-              potential.at(Event(x.t - step, x.q1, x.q2, x.q3))) / (2.0 * step)
-    ds = potential.grad_s(x.t, x.spatial)
+    dt = 0.0 if potential.time is None else potential.time(x.t, x.spatial)
+    ds = potential.d_s(x)
     return np.array([float(dt), float(ds[0]), float(ds[1]), float(ds[2])])
 
 

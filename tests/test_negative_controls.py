@@ -199,12 +199,12 @@ CUSTOM = {"potential": {"kind": "custom",
 def scaled_compiled_force(compile_potential):
     """compile_potential with the output of its force scaled by 1 + REL."""
     def perturbed(text):
-        values, force, time_independent = compile_potential(text)
+        values, force, time = compile_potential(text)
 
         def scaled(t, q, out=None):
             f = force(t, q, out)
             return np.multiply(f, 1.0 + REL, f)
-        return values, scaled, time_independent
+        return values, scaled, time
     return perturbed
 
 
