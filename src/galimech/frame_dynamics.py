@@ -6,7 +6,10 @@ In the *inhomogeneous* picture a state is an event plus a spatial momentum
 (three components).  The lagrangian is kinetic energy relative to the frame
 minus a potential, the Legendre map lowers the relative velocity with the
 metric, and trajectories are integrated in time with a classical fixed-step
-RK4 scheme.
+RK4 scheme.  For the built-in potentials the equations of motion are affine
+in the state, so one RK4 step is one affine map, the same at every step and
+in every frame up to its constant term; it is precomputed once per
+integration.  A ``custom`` potential runs RK4's four stages at every step.
 
 In the *homogeneous* picture the velocity is an arbitrary future-directed
 four-vector and the momentum a full covector.  The lagrangian extends the
@@ -80,11 +83,21 @@ class Potential:
     kinds, means the value does not depend on t, so the time derivative
     is exactly 0.  Derivatives must agree with central differences of
     ``values`` to about 1e-6 relative (the test suite enforces this).
+    ``affine`` declares that the force is an affine function of q alone,
+    f0 + K q, and that the value does not depend on t (so ``time`` must
+    be None): ``integrate`` then runs RK4 as one precomputed step map.
+    The built-in kinds set it; a ``custom`` kind does not.
     """
 
     values: Callable[[float, np.ndarray], np.ndarray]
     force: Callable[..., np.ndarray]
     time: Callable[[float, np.ndarray], np.ndarray] | None = None
+    affine: bool = False
+
+    def __post_init__(self):
+        if self.affine and self.time is not None:
+            raise ValueError("an affine potential does not depend on t, "
+                             "so it has no time kernel")
 
     def at(self, x: Event) -> float:
         return float(self.values(x.t, x.spatial))
@@ -138,7 +151,8 @@ def free_potential() -> Potential:
     """Identically zero potential; its force is -0.0, the negated zero
     gradient."""
     return Potential(values=lambda t, q: np.zeros(np.shape(q)[:-1]),
-                     force=lambda t, q, out=None: _filled(q, out, -0.0))
+                     force=lambda t, q, out=None: _filled(q, out, -0.0),
+                     affine=True)
 
 
 def uniform_potential(force) -> Potential:
@@ -150,6 +164,7 @@ def uniform_potential(force) -> Potential:
     return Potential(
         values=lambda t, q: -np.vecdot(q, f),
         force=lambda t, q, out=None: _filled(q, out, f),
+        affine=True,
     )
 
 
@@ -168,6 +183,7 @@ def harmonic_potential(k: float, center=(0.0, 0.0, 0.0)) -> Potential:
         values=lambda t, q: 0.5 * k * np.vecdot(q - c, q - c),
         force=lambda t, q, out=None: np.multiply(
             minus_k, np.subtract(q, c, out), out),
+        affine=True,
     )
 
 
@@ -367,6 +383,106 @@ def in_homogeneous_dynamics(u: Frame, m: float, g: SpatialMetric,
         p.as_array(), xdot.as_array(), pdot.as_array())) <= tol
 
 
+def _stage_steps(ts, ys, u_s, m, g, potential, h, check):
+    """advance(start, stop): RK4 steps start..stop-1 of integrate, each
+    through its four stages, every stage temporary in a buffer allocated
+    here once.  A step that raises names itself after check has named any
+    earlier non-finite step."""
+    # The four stage rates k1..k4 stacked in ks, the stage state, and acc.
+    ks = np.empty((4, *ys.shape[1:]))
+    stage, acc = np.empty(ys.shape[1:]), np.empty(ys.shape[1:])
+    k1, k2, k3, _ = ks
+    k23 = ks[1:3]
+    (k1q, k1p), (k2q, k2p), (k3q, k3p), (k4q, k4p) = ks
+    sq, sp = stage
+    inverse, half = g.apply_inverse, 0.5 * h
+    force = potential.force
+    # numpy combines an array with a 0-d array faster than with a float.
+    m_, half_, h_, two, six = (np.array(c, dtype=float)
+                               for c in (m, half, h, 2.0, 6.0))
+
+    def rates(t: float, q, p, kq, kp) -> None:
+        np.add(np.divide(inverse(p, kq), m_, kq), u_s, kq)
+        force(t, q, kp)
+
+    def advance(start: int, stop: int) -> None:
+        try:
+            for step, t in enumerate(ts[start:stop].tolist(), start):
+                y = ys[step]
+                rates(t, y[0], y[1], k1q, k1p)
+                np.add(y, np.multiply(half_, k1, stage), stage)
+                rates(t + half, sq, sp, k2q, k2p)
+                np.add(y, np.multiply(half_, k2, stage), stage)
+                rates(t + half, sq, sp, k3q, k3p)
+                np.add(y, np.multiply(h_, k3, stage), stage)
+                rates(t + h, sq, sp, k4q, k4p)
+                # y + h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0): the
+                # reduction adds the stages in order, and starting it
+                # from -0.0 keeps the sign of a zero sum.
+                np.multiply(two, k23, k23)
+                np.add.reduce(ks, axis=0, out=acc, initial=-0.0)
+                np.divide(acc, six, acc)
+                np.add(y, np.multiply(h_, acc, acc), ys[step + 1])
+        except Exception as exc:
+            # A step that went non-finite before the failing one is
+            # reported first, as a test after every step would have.
+            check(start + 1, step)
+            if not isinstance(exc, ArithmeticError):
+                raise
+            raise NonFiniteState(
+                f"potential raised {type(exc).__name__} at step {step + 1}: "
+                f"{exc}") from exc
+
+    return advance
+
+
+def _step_map_steps(ys, t, u_s, m, g, potential, h):
+    """advance(start, stop): RK4 steps start..stop-1 of integrate for an
+    affine potential, each one stacked matvec and one add.
+
+    With the force f0 + K q, the frame-u equations are y' = M y + b_u for
+    y = (q, p), M = [[0, G^-1/m], [K, 0]] and b_u = (u, f0).  One RK4 step
+    of an affine system is the affine map y + (D y + c_u), with X = h M,
+    D = X + X^2/2 + X^3/6 + X^4/24 (RK4's stability polynomial less 1)
+    and c_u = h (I + X/2 + X^2/6 + X^3/24) b_u: the same four stages,
+    summed in another order.  f0 and K come from one call of the force
+    kernel on q = 0 and the unit vectors.  c_u applies X to the vector
+    h b_u, so no power of X is scaled by h, which could overflow where the
+    state does not.  Each step adds D y + c_u to y rather than applying
+    I + D, which keeps the increment's rounding relative to the increment.
+    """
+    frames = len(u_s)
+    f = potential.force(t, np.vstack([np.zeros(3), np.eye(3)]))
+    x = np.zeros((6, 6))
+    x[:3, 3:] = g.apply_inverse(np.eye(3)).T * (h / m)
+    x[3:, :3] = (f[1:] - f[0]).T * h
+    eye = np.eye(6)
+    # [D | c_u] for every frame, acting on (q, p, 1).
+    a = np.empty((frames, 6, 7))
+    a[:, :, :6] = x @ (eye + x @ (eye / 2.0 + x @ (eye / 6.0 + x / 24.0)))
+    hb = np.concatenate([u_s, np.broadcast_to(f[0], u_s.shape)], axis=1) * h
+    c = hb / 24.0
+    for k in (6.0, 2.0, 1.0):
+        c = hb / k + np.matvec(x, c)
+    a[:, :, 6] = c
+    # One block of states as (q, p, 1) per frame, and the same states in
+    # the layout of ys; the block starts from the last state stored.
+    z = np.empty((_FINITE_BLOCK + 1, frames, 7))
+    z[..., 6] = 1.0
+    zy = z[..., :6]
+    zys = zy.reshape(-1, frames, 2, 3, copy=False).transpose(0, 2, 1, 3)
+    dz = np.empty((frames, 6))
+
+    def advance(start: int, stop: int) -> None:
+        steps = stop - start
+        zys[0] = ys[start]
+        for zk, yk, yk1 in zip(z[:steps], zy[:steps], zy[1:steps + 1]):
+            np.add(yk, np.matvec(a, zk, out=dz), yk1)
+        ys[start + 1:stop + 1] = zys[1:steps + 1]
+
+    return advance
+
+
 def integrate(u: Frame | Sequence[Frame], m: float, g: SpatialMetric,
               potential: Potential,
               initial: PhasePoint | Sequence[PhasePoint],
@@ -376,11 +492,18 @@ def integrate(u: Frame | Sequence[Frame], m: float, g: SpatialMetric,
 
     ``u`` is one Frame or a sequence of F frames, and ``initial`` the
     matching PhasePoint or sequence of F PhasePoints, all at one start
-    time.  All frames advance as one stacked state y (2, F, 3), positions
-    then momenta, each stage written into buffers allocated once per call,
-    with the same floating-point operations per frame as when integrated
-    alone.  The momentum rate of a stage is the potential's force, written
-    in place by its ``force`` kernel.
+    time.  All frames advance together, with the same floating-point
+    operations per frame as when integrated alone, in one of two ways
+    chosen by the potential:
+    - an ``affine`` potential (the built-in kinds) runs each step as one
+      precomputed affine map of the state, built once per call from one
+      call of its ``force`` kernel; that map is the RK4 step itself, its
+      four stages summed in another order, so it agrees with the stage
+      loop to a few ulps per step;
+    - any other potential runs the four stages of each step as one
+      stacked state y (2, F, 3), positions then momenta, each stage
+      written into buffers allocated once per call, the momentum rate of
+      a stage written in place by the ``force`` kernel.
     Produces n+1 steps including the initial one.  Raises
     ValueError for a non-positive mass or step, n < 1, or initial states
     that do not match the frames one to one at one start time, and
@@ -413,23 +536,6 @@ def integrate(u: Frame | Sequence[Frame], m: float, g: SpatialMetric,
     ys = np.empty((n + 1, 2, len(frames), 3))
     ys[0, 0] = [s.x.spatial for s in starts]
     ys[0, 1] = [s.p for s in starts]
-    # Every stage temporary lives in one of these buffers, written in place:
-    # the four stage rates k1..k4 stacked in ks, the stage state, and acc.
-    ks = np.empty((4, *ys.shape[1:]))
-    stage, acc = np.empty(ys.shape[1:]), np.empty(ys.shape[1:])
-    k1, k2, k3, _ = ks
-    k23 = ks[1:3]
-    (k1q, k1p), (k2q, k2p), (k3q, k3p), (k4q, k4p) = ks
-    sq, sp = stage
-    inverse, half = g.apply_inverse, 0.5 * h
-    force = potential.force
-    # numpy combines an array with a 0-d array faster than with a float.
-    m_, half_, h_, two, six = (np.array(c, dtype=float)
-                               for c in (m, half, h, 2.0, 6.0))
-
-    def rates(t: float, q, p, kq, kp) -> None:
-        np.add(np.divide(inverse(p, kq), m_, kq), u_s, kq)
-        force(t, q, kp)
 
     def check(first: int, last: int) -> None:
         """Raise NonFiniteState for the first of steps first..last whose
@@ -440,37 +546,16 @@ def integrate(u: Frame | Sequence[Frame], m: float, g: SpatialMetric,
             raise NonFiniteState(f"state became non-finite at step "
                                  f"{first + int(np.argmin(ok))}")
 
-    for start in range(0, n, _FINITE_BLOCK):
-        stop = min(start + _FINITE_BLOCK, n)
-        try:
-            # Overflow is caught by check, not by numpy warnings.
-            with np.errstate(over="ignore", invalid="ignore"):
-                for step, t in enumerate(ts[start:stop].tolist(), start):
-                    y = ys[step]
-                    rates(t, y[0], y[1], k1q, k1p)
-                    np.add(y, np.multiply(half_, k1, stage), stage)
-                    rates(t + half, sq, sp, k2q, k2p)
-                    np.add(y, np.multiply(half_, k2, stage), stage)
-                    rates(t + half, sq, sp, k3q, k3p)
-                    np.add(y, np.multiply(h_, k3, stage), stage)
-                    rates(t + h, sq, sp, k4q, k4p)
-                    # y + h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0): the
-                    # reduction adds the stages in order, and starting it
-                    # from -0.0 keeps the sign of a zero sum.
-                    np.multiply(two, k23, k23)
-                    np.add.reduce(ks, axis=0, out=acc, initial=-0.0)
-                    np.divide(acc, six, acc)
-                    np.add(y, np.multiply(h_, acc, acc), ys[step + 1])
-        except Exception as exc:
-            # A step that went non-finite before the failing one is
-            # reported first, as a test after every step would have.
-            check(start + 1, step)
-            if not isinstance(exc, ArithmeticError):
-                raise
-            raise NonFiniteState(
-                f"potential raised {type(exc).__name__} at step {step + 1}: "
-                f"{exc}") from exc
-        check(start + 1, stop)
+    # Overflow is caught by check, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if potential.affine:
+            advance = _step_map_steps(ys, t, u_s, m, g, potential, h)
+        else:
+            advance = _stage_steps(ts, ys, u_s, m, g, potential, h, check)
+        for start in range(0, n, _FINITE_BLOCK):
+            stop = min(start + _FINITE_BLOCK, n)
+            advance(start, stop)
+            check(start + 1, stop)
 
     for arr in (ts, ys):  # views taken after this are read-only as well
         arr.setflags(write=False)

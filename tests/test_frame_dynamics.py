@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -613,17 +614,19 @@ class TestIntegrate:
         assert np.max(np.abs(energies - energies[0])) <= 1e-10
 
     def test_blowup_raises_non_finite(self):
-        # Inverted quadratic potential: exponential runaway then overflow.
-        phi = harmonic_potential(-1e6)
+        # Inverted quadratic potential: exponential runaway then overflow,
+        # through the step map and through the stage loop.
         init = PhasePoint.spatial(Event(0.0, 1.0, 0.0, 0.0), [0.0, 0.0, 0.0])
-        with pytest.raises(NonFiniteState) as info:
-            integrate(E0, 1.0, ID3, phi, init, 0.01, 500)
-        # The error names the first step whose state is not finite: every
-        # step before it integrates to a finite state.
-        step = int(str(info.value).rsplit(" ", 1)[1])
-        assert step > 1
-        traj = integrate(E0, 1.0, ID3, phi, init, 0.01, step - 1)
-        assert np.isfinite(traj.q).all() and np.isfinite(traj.p).all()
+        for affine in (True, False):
+            phi = dataclasses.replace(harmonic_potential(-1e6), affine=affine)
+            with pytest.raises(NonFiniteState) as info:
+                integrate(E0, 1.0, ID3, phi, init, 0.01, 500)
+            # The error names the first step whose state is not finite:
+            # every step before it integrates to a finite state.
+            step = int(str(info.value).rsplit(" ", 1)[1])
+            assert step > 1
+            traj = integrate(E0, 1.0, ID3, phi, init, 0.01, step - 1)
+            assert np.isfinite(traj.q).all() and np.isfinite(traj.p).all()
 
     def test_trajectory_is_read_only(self):
         init = PhasePoint.spatial(ORIGIN, [1.0, 0.0, 0.0])
@@ -766,25 +769,36 @@ def _step_gradient(schedule):
                      force=force)
 
 
+def _grid_args(rng, phi, metric, frames, n):
+    """integrate's arguments on the grid of TestIntegrateBits."""
+    g = ID3 if metric == "identity" else random_metric(rng)
+    us = [random_frame(rng, scale=1.5) for _ in range(frames)]
+    x0 = Event(0.37, 0.8, -0.4, 0.2)
+    inits = [PhasePoint.spatial(x0, rng.normal(size=3)) for _ in us]
+    return us, 0.7, g, phi, inits, 0.013, n
+
+
+GRID_POTENTIALS = {
+    "free": free_potential,
+    "uniform": lambda: uniform_potential([0.3, -1.1, 0.6]),
+    "harmonic": lambda: harmonic_potential(1.3, (0.1, -0.2, 0.4)),
+    "custom": lambda: PotentialSpec("custom", expr=(
+        "0.5*q1^2 + 0.25*q2^4 + sin(t)*q3 + 0.1*q1*q3")).build(),
+}
+
+
 class TestIntegrateBits:
-    """integrate against reference_integrate, bit for bit."""
+    """The stage loop against reference_integrate, bit for bit.  The
+    built-in kinds are affine and would take the step map, so they run
+    here with the flag cleared."""
 
     @pytest.mark.parametrize("n", [1, 2 * _FINITE_BLOCK + 22])
     @pytest.mark.parametrize("frames", [1, 8])
     @pytest.mark.parametrize("metric", ["identity", "spd"])
     @pytest.mark.parametrize("kind", ["free", "uniform", "harmonic", "custom"])
     def test_trajectory_bits(self, rng, kind, metric, frames, n):
-        phi = {"free": free_potential(),
-               "uniform": uniform_potential([0.3, -1.1, 0.6]),
-               "harmonic": harmonic_potential(1.3, (0.1, -0.2, 0.4)),
-               "custom": PotentialSpec("custom", expr=(
-                   "0.5*q1^2 + 0.25*q2^4 + sin(t)*q3 + 0.1*q1*q3")).build(),
-               }[kind]
-        g = ID3 if metric == "identity" else random_metric(rng)
-        us = [random_frame(rng, scale=1.5) for _ in range(frames)]
-        x0 = Event(0.37, 0.8, -0.4, 0.2)
-        inits = [PhasePoint.spatial(x0, rng.normal(size=3)) for _ in us]
-        args = (us, 0.7, g, phi, inits, 0.013, n)
+        phi = dataclasses.replace(GRID_POTENTIALS[kind](), affine=False)
+        args = _grid_args(rng, phi, metric, frames, n)
         ts, ys = reference_integrate(*args)
         traj = integrate(*args)
         assert np.array_equal(_bits(traj.t), _bits(ts))
@@ -797,10 +811,11 @@ class TestIntegrateBits:
         # Starts, frames, centers and force components of either sign of
         # zero, with the harmonic start at its center: every stage sum
         # that cancels to zero keeps the reference's sign.
-        phi = {"free": free_potential(),
-               "uniform": uniform_potential([0.0, -0.0, 0.5]),
-               "harmonic": harmonic_potential(1.3, (-0.0, 0.0, 0.4)),
-               }[kind]
+        phi = dataclasses.replace({
+            "free": free_potential(),
+            "uniform": uniform_potential([0.0, -0.0, 0.5]),
+            "harmonic": harmonic_potential(1.3, (-0.0, 0.0, 0.4)),
+        }[kind], affine=False)
         g = ID3 if metric == "identity" else random_metric(rng)
         zeros = [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [-0.0, -0.0, -0.0]]
         us = [Frame.from_spatial(z) for z in zeros]
@@ -842,9 +857,44 @@ class TestIntegrateBits:
         assert want is not None and _message(integrate, *args) == want
 
     def test_time_column_overflow_is_named(self):
-        # t passes the largest float at step 10, long before q does.
+        # t passes the largest float at step 10, long before q does, on
+        # the step map as on the stage loop.
         init = PhasePoint.spatial(Event(1.7e308, 0.0, 0.0, 0.0), [1.0, 0.0, 0.0])
-        args = ([E0], 0.7, ID3, free_potential(), [init], 1e306, 200)
-        want = _message(reference_integrate, *args)
-        assert _message(integrate, *args) == want == \
-            "state became non-finite at step 10"
+        for affine in (True, False):
+            phi = dataclasses.replace(free_potential(), affine=affine)
+            args = ([E0], 0.7, ID3, phi, [init], 1e306, 200)
+            want = _message(reference_integrate, *args)
+            assert _message(integrate, *args) == want == \
+                "state became non-finite at step 10"
+
+
+class TestStepMap:
+    """The step map of the affine kinds against reference_integrate.  It
+    sums RK4's four stages in another order, so it is held to a bound
+    fixed from the dtype: |delta| <= 16 n eps (1 + max |y_ref|)."""
+
+    @pytest.mark.parametrize("n", [1, 2 * _FINITE_BLOCK + 22])
+    @pytest.mark.parametrize("frames", [1, 8])
+    @pytest.mark.parametrize("metric", ["identity", "spd"])
+    @pytest.mark.parametrize("kind", ["free", "uniform", "harmonic"])
+    def test_tracks_the_stage_loop(self, rng, kind, metric, frames, n):
+        phi = GRID_POTENTIALS[kind]()
+        assert phi.affine
+        args = _grid_args(rng, phi, metric, frames, n)
+        ts, ys = reference_integrate(*args)
+        traj = integrate(*args)
+        assert np.array_equal(_bits(traj.t), _bits(ts))
+        bound = 16 * n * np.finfo(float).eps * (1.0 + np.max(np.abs(ys)))
+        assert np.max(np.abs(traj.q - ys[:, 0])) <= bound
+        assert np.max(np.abs(traj.p - ys[:, 1])) <= bound
+
+    def test_custom_potential_is_not_affine(self):
+        phi = PotentialSpec("custom", expr="0.5*q1^2").build()
+        assert not phi.affine
+
+    def test_affine_potential_has_no_time_kernel(self):
+        phi = free_potential()
+        with pytest.raises(ValueError, match="time"):
+            Potential(values=phi.values, force=phi.force,
+                      time=lambda t, q: np.zeros(np.shape(q)[:-1]),
+                      affine=True)

@@ -8,8 +8,8 @@ kernel wrong is no evidence for what it claims.
 
 The rows cover the sampled checks that mix uniform and normal draws, the
 on-shell bases of the Morse families, ``momentum.offset_constant`` and
-``energy.drift``, which a force that is not -grad phi fails for a built-in
-and for a ``custom`` potential.
+``energy.drift``, which a force that is not -grad phi fails for a
+harmonic, a uniform and a ``custom`` potential.
 The Morse rank checks (``morse.famN.rank``) are absent: a rank is stable
 under small perturbations, so no 1e-6 defect changes one.
 """
@@ -75,10 +75,12 @@ def shifted_offsets(integrate):
     return perturbed
 
 
-def scaled_force(harmonic_potential):
-    """harmonic_potential with its force kernel's output scaled by 1 + REL."""
+def scaled_force(make_potential):
+    """A built-in potential factory whose force kernel's output is scaled
+    by 1 + REL.  The step map of an affine potential reads its force
+    through that kernel, so the scaled force drives the motion."""
     def perturbed(*args, **kwargs):
-        phi = harmonic_potential(*args, **kwargs)
+        phi = make_potential(*args, **kwargs)
 
         def force(t, q, out=None):
             f = phi.force(t, q, out)
@@ -187,6 +189,23 @@ def test_scaled_force_fails_energy_drift(tmp_path, monkeypatch):
                      scaled_force)
     assert failing_checks(tmp_path, INVARIANTS, HARMONIC) == (1, {"energy.drift"})
     assert failing_checks(tmp_path, BOOST, HARMONIC) == (0, set())
+
+
+# A uniform force: the force kernel's probe of the step map then reads a
+# zero Jacobian, as the free default does, but with a force to scale.
+UNIFORM = {"potential": {"kind": "uniform", "force": [0.3, -1.1, 0.6]}}
+
+
+@pytest.mark.parametrize("argv", [INVARIANTS, BOOST])
+def test_unperturbed_uniform_runs_pass(tmp_path, argv):
+    assert failing_checks(tmp_path, argv, UNIFORM) == (0, set())
+
+
+def test_scaled_uniform_force_fails_energy_drift(tmp_path, monkeypatch):
+    patch_everywhere(monkeypatch, "frame_dynamics", "uniform_potential",
+                     scaled_force)
+    assert failing_checks(tmp_path, INVARIANTS, UNIFORM) == (1, {"energy.drift"})
+    assert failing_checks(tmp_path, BOOST, UNIFORM) == (0, set())
 
 
 # The golden custom_anharmonic scenario, whose force is the derivative
