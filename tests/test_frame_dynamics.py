@@ -876,9 +876,19 @@ class TestStepMap:
     @pytest.mark.parametrize("n", [1, 2 * _FINITE_BLOCK + 22])
     @pytest.mark.parametrize("frames", [1, 8])
     @pytest.mark.parametrize("metric", ["identity", "spd"])
-    @pytest.mark.parametrize("kind", ["free", "uniform", "harmonic"])
+    @pytest.mark.parametrize("kind", ["free", "uniform", "harmonic", "linear"])
     def test_tracks_the_stage_loop(self, rng, kind, metric, frames, n):
-        phi = GRID_POTENTIALS[kind]()
+        if kind == "linear":
+            # A force f0 - A q whose Jacobian is neither isotropic nor
+            # symmetric, so each entry of K lands in its own place.
+            a = np.array([[1.3, 0.4, -0.2], [-0.1, 0.9, 0.3], [0.5, 0.0, 2.1]])
+            f0 = np.array([0.2, -0.7, 0.1])
+            phi = Potential(values=lambda t, q: np.zeros(np.shape(q)[:-1]),
+                            force=lambda t, q, out=None: np.subtract(
+                                f0, np.matvec(a, q), out),
+                            affine=True)
+        else:
+            phi = GRID_POTENTIALS[kind]()
         assert phi.affine
         args = _grid_args(rng, phi, metric, frames, n)
         ts, ys = reference_integrate(*args)
