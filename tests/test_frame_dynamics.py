@@ -778,10 +778,23 @@ def _grid_args(rng, phi, metric, frames, n):
     return us, 0.7, g, phi, inits, 0.013, n
 
 
+def _linear_force() -> Potential:
+    """An affine force f0 - A q whose Jacobian is neither isotropic nor
+    symmetric, so each entry of the step map's K lands in its own place.
+    Its values are not the potential of that force."""
+    a = np.array([[1.3, 0.4, -0.2], [-0.1, 0.9, 0.3], [0.5, 0.0, 2.1]])
+    f0 = np.array([0.2, -0.7, 0.1])
+    return Potential(values=lambda t, q: np.zeros(np.shape(q)[:-1]),
+                     force=lambda t, q, out=None: np.subtract(
+                         f0, np.matvec(a, q), out),
+                     affine=True)
+
+
 GRID_POTENTIALS = {
     "free": free_potential,
     "uniform": lambda: uniform_potential([0.3, -1.1, 0.6]),
     "harmonic": lambda: harmonic_potential(1.3, (0.1, -0.2, 0.4)),
+    "linear": _linear_force,
     "custom": lambda: PotentialSpec("custom", expr=(
         "0.5*q1^2 + 0.25*q2^4 + sin(t)*q3 + 0.1*q1*q3")).build(),
 }
@@ -878,17 +891,7 @@ class TestStepMap:
     @pytest.mark.parametrize("metric", ["identity", "spd"])
     @pytest.mark.parametrize("kind", ["free", "uniform", "harmonic", "linear"])
     def test_tracks_the_stage_loop(self, rng, kind, metric, frames, n):
-        if kind == "linear":
-            # A force f0 - A q whose Jacobian is neither isotropic nor
-            # symmetric, so each entry of K lands in its own place.
-            a = np.array([[1.3, 0.4, -0.2], [-0.1, 0.9, 0.3], [0.5, 0.0, 2.1]])
-            f0 = np.array([0.2, -0.7, 0.1])
-            phi = Potential(values=lambda t, q: np.zeros(np.shape(q)[:-1]),
-                            force=lambda t, q, out=None: np.subtract(
-                                f0, np.matvec(a, q), out),
-                            affine=True)
-        else:
-            phi = GRID_POTENTIALS[kind]()
+        phi = GRID_POTENTIALS[kind]()
         assert phi.affine
         args = _grid_args(rng, phi, metric, frames, n)
         ts, ys = reference_integrate(*args)
