@@ -86,17 +86,15 @@ __all__ = [
 REFERENCE_FRAME = Frame.from_spatial([0.0, 0.0, 0.0])
 
 
-@dataclass(frozen=True)
 class NewtonModel:
     """Ambient data every quotient operation needs: mass, metric, potential."""
 
-    mass: float
-    metric: SpatialMetric
-    potential: Potential
+    __slots__ = ("mass", "metric", "potential")
 
-    def __post_init__(self) -> None:
-        if not (self.mass > 0.0):
-            raise ValueError(f"mass must be positive, got {self.mass!r}")
+    def __init__(self, mass: float, metric: SpatialMetric, potential: Potential):
+        if not (mass > 0.0):
+            raise ValueError(f"mass must be positive, got {mass!r}")
+        self.mass, self.metric, self.potential = mass, metric, potential
 
 
 def w_pack(v, r) -> np.ndarray:
@@ -302,7 +300,6 @@ def dynamics_membership_universal_array(model: NewtonModel, phi, dphi, p,
         xdot, pdot) <= tol
 
 
-@dataclass(frozen=True, eq=False)
 class AffineMetric:
     """Affine map from unit-time velocities to spatial momenta.
 
@@ -310,15 +307,14 @@ class AffineMetric:
     part, which is always mass times the model metric.
     """
 
-    base_point: Frame
-    value_at_base: np.ndarray
+    __slots__ = ("base_point", "value_at_base")
 
-    def __post_init__(self) -> None:
-        value = np.asarray(self.value_at_base, dtype=float)
+    def __init__(self, base_point: Frame, value_at_base):
+        value = np.asarray(value_at_base, dtype=float)
         if value.shape != (3,):
             raise ValueError(
                 f"base value needs 3 components, got shape {value.shape}")
-        object.__setattr__(self, "value_at_base", value)
+        self.base_point, self.value_at_base = base_point, value
 
 
 def affine_metric_apply(model: NewtonModel, h: AffineMetric,

@@ -29,9 +29,7 @@ calls the kernel on one entry.
 
 from __future__ import annotations
 
-import logging
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from itertools import chain
 from typing import TextIO
 
@@ -49,8 +47,6 @@ from .galilean_core import (
     pair_frame,
 )
 
-log = logging.getLogger(__name__)
-
 
 class NotFutureDirected(GalimechError):
     """Homogeneous-picture velocity has non-positive time component."""
@@ -64,7 +60,6 @@ class NonFiniteState(GalimechError):
 _FINITE_BLOCK = 64
 
 
-@dataclass(frozen=True)
 class Potential:
     """Scalar potential on space-time: one array kernel for its values,
     one for its force and one, optional, for its time derivative.
@@ -89,15 +84,17 @@ class Potential:
     The built-in kinds set it; a ``custom`` kind does not.
     """
 
-    values: Callable[[float, np.ndarray], np.ndarray]
-    force: Callable[..., np.ndarray]
-    time: Callable[[float, np.ndarray], np.ndarray] | None = None
-    affine: bool = False
+    __slots__ = ("values", "force", "time", "affine")
 
-    def __post_init__(self):
-        if self.affine and self.time is not None:
+    def __init__(self, values: Callable[[float, np.ndarray], np.ndarray],
+                 force: Callable[..., np.ndarray],
+                 time: Callable[[float, np.ndarray], np.ndarray] | None = None,
+                 affine: bool = False):
+        if affine and time is not None:
             raise ValueError("an affine potential does not depend on t, "
                              "so it has no time kernel")
+        self.values, self.force, self.time, self.affine = \
+            values, force, time, affine
 
     def at(self, x: Event) -> float:
         return float(self.values(x.t, x.spatial))
@@ -187,27 +184,24 @@ def harmonic_potential(k: float, center=(0.0, 0.0, 0.0)) -> Potential:
     )
 
 
-@dataclass(frozen=True, eq=False)
 class PhasePoint:
     """State of the particle in the inhomogeneous picture: an event and a
-    spatial momentum."""
+    spatial momentum (a read-only copy of p)."""
 
-    x: Event
-    p: np.ndarray
+    __slots__ = ("x", "p")
 
-    def __post_init__(self):
-        arr = np.array(self.p, dtype=float)
+    def __init__(self, x: Event, p):
+        arr = np.array(p, dtype=float)
         if arr.shape != (3,):
             raise ValueError(f"spatial momentum needs 3 components, got {arr.shape}")
         arr.setflags(write=False)
-        object.__setattr__(self, "p", arr)
+        self.x, self.p = x, arr
 
     @classmethod
     def spatial(cls, x: Event, p) -> "PhasePoint":
         return cls(x=x, p=p)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Trajectory:
     """Fixed-step discrete trajectories of F frames in the inhomogeneous
     picture, integrated together.
@@ -220,12 +214,12 @@ class Trajectory:
     final addition).
     """
 
-    t: np.ndarray
-    q: np.ndarray
-    p: np.ndarray
-    h: float
-    frames: tuple[Frame, ...]
-    mass: float
+    __slots__ = ("t", "q", "p", "h", "frames", "mass")
+
+    def __init__(self, t: np.ndarray, q: np.ndarray, p: np.ndarray, h: float,
+                 frames: tuple[Frame, ...], mass: float):
+        self.t, self.q, self.p, self.h, self.frames, self.mass = \
+            t, q, p, h, frames, mass
 
     def __len__(self) -> int:
         return len(self.t)

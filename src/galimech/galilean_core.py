@@ -11,16 +11,15 @@ Conventions used by every module in this package:
 * A frame is a vector with time component exactly 1; its spatial part is the
   constant velocity of the corresponding family of inertial observers.
 
-Everything here is a pure function of immutable values.  No state, no
-globals beyond TAU.  The array kernels (``pair``, ``pair_frame``,
+Everything here is a pure function of values that nothing changes after
+construction (plain ``__slots__`` classes, their arrays read-only).  No
+state, no globals beyond TAU.  The array kernels (``pair``, ``pair_frame``,
 ``iota_u_array``, ``sigma_array`` and the ``SpatialMetric`` methods) take
 arrays of components of shape (..., 3) or (..., 4) and evaluate every
 entry in one numpy pass; ``sigma`` is the one object-level wrapper.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,14 +41,19 @@ class SingularMetric(GalimechError):
 _SPD_EIGENVALUE_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
 class Vector4:
     """Displacement between events, or a velocity of a parametrized motion."""
 
-    c0: float
-    c1: float
-    c2: float
-    c3: float
+    __slots__ = ("c0", "c1", "c2", "c3")
+
+    def __init__(self, c0: float, c1: float, c2: float, c3: float):
+        self.c0, self.c1, self.c2, self.c3 = c0, c1, c2, c3
+
+    def __eq__(self, other):
+        if type(other) is not Vector4:
+            return NotImplemented
+        return (self.c0, self.c1, self.c2, self.c3) == \
+            (other.c0, other.c1, other.c2, other.c3)
 
     @classmethod
     def from_array(cls, a) -> "Vector4":
@@ -67,14 +71,19 @@ class Vector4:
         return np.array([self.c1, self.c2, self.c3], dtype=float)
 
 
-@dataclass(frozen=True)
 class Covector4:
     """Linear functional on four-component vectors."""
 
-    a0: float
-    a1: float
-    a2: float
-    a3: float
+    __slots__ = ("a0", "a1", "a2", "a3")
+
+    def __init__(self, a0: float, a1: float, a2: float, a3: float):
+        self.a0, self.a1, self.a2, self.a3 = a0, a1, a2, a3
+
+    def __eq__(self, other):
+        if type(other) is not Covector4:
+            return NotImplemented
+        return (self.a0, self.a1, self.a2, self.a3) == \
+            (other.a0, other.a1, other.a2, other.a3)
 
     @classmethod
     def from_array(cls, a) -> "Covector4":
@@ -101,19 +110,21 @@ class Covector4:
 TAU = Covector4(1.0, 0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True, init=False)
 class Event:
     """Point of space-time in the global chart (t, q1, q2, q3), held as
     Python floats: scalar arithmetic on them raises ArithmeticError where
     numpy scalars would give inf or NaN."""
 
-    t: float
-    q1: float
-    q2: float
-    q3: float
+    __slots__ = ("t", "q1", "q2", "q3")
 
-    def __init__(self, t, q1, q2, q3):  # frozen, so set through __dict__
-        self.__dict__.update(t=float(t), q1=float(q1), q2=float(q2), q3=float(q3))
+    def __init__(self, t, q1, q2, q3):
+        self.t, self.q1, self.q2, self.q3 = float(t), float(q1), float(q2), float(q3)
+
+    def __eq__(self, other):
+        if type(other) is not Event:
+            return NotImplemented
+        return (self.t, self.q1, self.q2, self.q3) == \
+            (other.t, other.q1, other.q2, other.q3)
 
     @classmethod
     def from_array(cls, a) -> "Event":
@@ -130,19 +141,19 @@ class Event:
         return np.array([self.q1, self.q2, self.q3], dtype=float)
 
 
-@dataclass(frozen=True)
 class Frame:
-    """Inertial frame: a four-velocity whose time component is exactly 1."""
+    """Inertial frame: a four-velocity whose time component is exactly 1.
+    ``spatial`` is its spatial velocity, built once per frame (read-only)."""
 
-    velocity: Vector4
+    __slots__ = ("velocity", "spatial")
 
-    def __post_init__(self):
-        if self.velocity.c0 != 1.0:
+    def __init__(self, velocity: Vector4):
+        if velocity.c0 != 1.0:
             raise ValueError(
-                f"frame velocity must have time component 1, got {self.velocity.c0}")
-        spatial = self.velocity.spatial
+                f"frame velocity must have time component 1, got {velocity.c0}")
+        spatial = velocity.spatial
         spatial.setflags(write=False)
-        object.__setattr__(self, "_spatial", spatial)
+        self.velocity, self.spatial = velocity, spatial
 
     @classmethod
     def from_spatial(cls, s) -> "Frame":
@@ -150,11 +161,6 @@ class Frame:
         if s.shape != (3,):
             raise ValueError(f"frame spatial velocity needs 3 components, got {s.shape}")
         return cls(Vector4(1.0, float(s[0]), float(s[1]), float(s[2])))
-
-    @property
-    def spatial(self) -> np.ndarray:
-        """The spatial velocity, built once per frame (read-only)."""
-        return self._spatial
 
 
 class SpatialMetric:

@@ -26,14 +26,13 @@ degree-one homogeneous fibers) still make progress.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+from ._log import DEBUG, log
 from .galilean_core import (
     Covector4,
     DomainError,
@@ -50,8 +49,6 @@ from .frame_dynamics import (
     mass_shell_residual,
     mass_shell_residual_array,
 )
-
-log = logging.getLogger(__name__)
 
 # Step scales for differencing the family gradient.
 _GRAD_STEP = 1e-6       # the Newton Jacobian
@@ -78,7 +75,6 @@ class SectionNotUnique(GalimechError):
     """Fiber elimination found several stationary points over one base point."""
 
 
-@dataclass(frozen=True, eq=False)
 class FunctionFamily:
     """Real function on R^base_dim x R^fiber_dim with its gradient.
 
@@ -89,29 +85,35 @@ class FunctionFamily:
     The engine reads only the gradient.
     """
 
-    base_dim: int
-    fiber_dim: int
-    value: Callable[[np.ndarray, np.ndarray], float]
-    gradient: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-    name: str = "family"
+    __slots__ = ("base_dim", "fiber_dim", "value", "gradient", "name")
+
+    def __init__(self, base_dim: int, fiber_dim: int,
+                 value: Callable[[np.ndarray, np.ndarray], float],
+                 gradient: Callable[[np.ndarray, np.ndarray],
+                                    tuple[np.ndarray, np.ndarray]],
+                 name: str = "family"):
+        self.base_dim, self.fiber_dim, self.value, self.gradient, self.name = \
+            base_dim, fiber_dim, value, gradient, name
 
 
-@dataclass(frozen=True, eq=False)
 class CriticalPoint:
     """Point of the critical set, with the achieved fiber-gradient norm."""
 
-    base: np.ndarray
-    fiber: np.ndarray
-    residual_norm: float = 0.0
+    __slots__ = ("base", "fiber", "residual_norm")
+
+    def __init__(self, base: np.ndarray, fiber: np.ndarray,
+                 residual_norm: float = 0.0):
+        self.base, self.fiber, self.residual_norm = base, fiber, residual_norm
 
 
-@dataclass(frozen=True, eq=False)
 class GeneratedCovector:
     """Base point paired with the covector the family generates there."""
 
-    base: np.ndarray
-    covector: np.ndarray
-    source: CriticalPoint
+    __slots__ = ("base", "covector", "source")
+
+    def __init__(self, base: np.ndarray, covector: np.ndarray,
+                 source: CriticalPoint):
+        self.base, self.covector, self.source = base, covector, source
 
 
 def _gradient_split(fam: FunctionFamily, base, fiber) -> tuple[np.ndarray, np.ndarray]:
@@ -251,7 +253,7 @@ def _converged(outcomes: list, blocks: int, per_base: int):
         block = outcomes[i * per_base:(i + 1) * per_base]
         for outcome in block:
             if isinstance(outcome, NoConvergence):
-                log.debug("seed rejected: %s", outcome)
+                log(__name__, DEBUG, "seed rejected: %s", outcome)
             elif isinstance(outcome, Exception):
                 raise outcome
         yield ([o for o in block if isinstance(o, tuple)],
@@ -324,14 +326,15 @@ def hessian(fam: FunctionFamily, point: CriticalPoint) -> np.ndarray:
     return hessians(fam, [point])[0]
 
 
-@dataclass(frozen=True)
 class MorseReport:
     """Outcome of a full-rank certification over sampled critical points.
     A rank is NaN where the Hessian is not finite."""
 
-    ok: bool
-    ranks: tuple[int | float, ...]
-    required_rank: int
+    __slots__ = ("ok", "ranks", "required_rank")
+
+    def __init__(self, ok: bool, ranks: tuple[int | float, ...],
+                 required_rank: int):
+        self.ok, self.ranks, self.required_rank = ok, ranks, required_rank
 
 
 def _ranks(matrices: np.ndarray, rel_tol: float) -> list[int | float]:

@@ -18,7 +18,8 @@ in the target directory, then renamed over the path (through a symlink,
 keeping a replaced file's mode); an --out that cannot be written, or that
 names an existing special file, is a configuration problem (exit 2).  The
 checks are imported by the commands that run them, so ``simulate`` never
-loads them.
+loads them.  ``logging`` is imported only for a log line that
+GALIMECH_LOG lets through, so the default level never loads it.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ import argparse
 import dataclasses
 import functools
 import io
-import logging
 import os
 import stat
 import sys
 import tempfile
 
+from .. import _log
+from .._log import DEBUG, ERROR, INFO, WARNING
 from ..frame_dynamics import NonFiniteState, integrate, write_trajectory_csv
 from ..galilean_core import DomainError, sigma_array
 from .config import (
@@ -44,23 +46,14 @@ from .config import (
 )
 from .report import Report
 
-log = logging.getLogger("galimech.cli")
-
-_LOG_LEVELS = {
-    "error": logging.ERROR,
-    "warn": logging.WARNING,
-    "info": logging.INFO,
-    "debug": logging.DEBUG,
-}
+log = functools.partial(_log.log, "galimech.cli")
 
 
-def _configure_logging() -> None:
-    raw = os.environ.get("GALIMECH_LOG", "error").strip().lower()
-    logging.basicConfig(level=_LOG_LEVELS.get(raw, logging.ERROR),
-                        format="%(levelname)s %(name)s: %(message)s",
-                        stream=sys.stderr)
-    if raw and raw not in _LOG_LEVELS:
-        log.error("GALIMECH_LOG=%r not recognized, using error", raw)
+def _check_log_level() -> None:
+    """One ERROR line when GALIMECH_LOG is set to no known level."""
+    raw = _log.level_name()
+    if raw and raw not in _log.LEVELS:
+        log(ERROR, "GALIMECH_LOG=%r not recognized, using error", raw)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -102,13 +95,13 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         _atomic_write(out, text)
-        log.info("wrote %s", out)
+        log(INFO, "wrote %s", out)
 
 
 def _load(args: argparse.Namespace) -> ScenarioConfig:
     if args.config is None:
         cfg = default_config()
-        log.info("no --config given, using the built-in scenario")
+        log(INFO, "no --config given, using the built-in scenario")
     else:
         cfg = load_config(args.config)
     if getattr(args, "seed", None) is not None:
@@ -139,7 +132,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     buf = io.StringIO()
     write_trajectory_csv(traj, g, potential, buf)
     _emit(buf.getvalue(), args.out)
-    log.info("simulated %d steps in frame %d", cfg.n, args.frame)
+    log(INFO, "simulated %d steps in frame %d", cfg.n, args.frame)
     return 0
 
 
@@ -150,7 +143,7 @@ def _cmd_boost_check(args: argparse.Namespace) -> int:
         raise ConfigError("frames", "boost-check needs at least two frames")
     sigma_fn = corrupted_sigma if args.corrupt_sigma else sigma_array
     if args.corrupt_sigma:
-        log.warning("running with a corrupted frame-shift covector")
+        log(WARNING, "running with a corrupted frame-shift covector")
     return _finish(Report(tuple(boost_checks(cfg, sigma_fn))), args.out)
 
 
@@ -160,7 +153,7 @@ def _cmd_morse_check(args: argparse.Namespace) -> int:
     families = MORSE_FAMILIES if args.family == "all" else (args.family,)
     results = []
     for fam in families:
-        log.info("checking family %s", fam)
+        log(INFO, "checking family %s", fam)
         results.extend(morse_checks(cfg, fam))
     return _finish(Report(tuple(results)), args.out)
 
@@ -218,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
+    _check_log_level()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -233,7 +226,7 @@ def main(argv=None) -> int:
         return 3
     except Exception as exc:  # noqa: BLE001 - every other failure
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        log.debug("traceback of the internal error", exc_info=exc)
+        log(DEBUG, "traceback of the internal error", exc_info=exc)
         return 4
 
 

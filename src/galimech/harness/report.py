@@ -10,27 +10,31 @@ must produce byte-identical JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 __all__ = ["CheckResult", "Report"]
 
 
-@dataclass(frozen=True)
 class CheckResult:
     """Outcome of one named check against its tolerance."""
 
-    name: str
-    max_err: float
-    tol: float
-    n: int
-    worst_index: int | None = None
-    nonfinite: int = 0
+    __slots__ = ("name", "max_err", "tol", "n", "worst_index", "nonfinite")
+
+    def __init__(self, name: str, max_err: float, tol: float, n: int,
+                 worst_index: int | None = None, nonfinite: int = 0):
+        self.name, self.max_err, self.tol, self.n = name, max_err, tol, n
+        self.worst_index, self.nonfinite = worst_index, nonfinite
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if type(other) is not CheckResult:
+            return NotImplemented
+        return self.to_json() == other.to_json()
 
     def __post_init__(self) -> None:
-        # normalize numpy scalars so json and identity checks behave
-        object.__setattr__(self, "max_err", float(self.max_err))
-        object.__setattr__(self, "tol", float(self.tol))
-        object.__setattr__(self, "n", int(self.n))
+        # normalize numpy scalars so json and identity checks behave; a
+        # method of its own, which the benchmark tracer wraps
+        self.max_err, self.tol, self.n = \
+            float(self.max_err), float(self.tol), int(self.n)
 
     @property
     def passed(self) -> bool:
@@ -52,11 +56,13 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
 class Report:
     """All checks from one command invocation."""
 
-    checks: tuple[CheckResult, ...]
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[CheckResult, ...]):
+        self.checks = checks
 
     @property
     def verdict(self) -> str:

@@ -362,6 +362,23 @@ class TestInProcess:
         assert leaked == []
 
 
+    def test_log_level_is_read_at_every_call(self, tmp_path, monkeypatch,
+                                              capsys):
+        # Each main() call applies GALIMECH_LOG anew, so a later call may
+        # print lines an earlier one did not, and stop printing them again.
+        from galimech.harness.cli import main
+
+        out = tmp_path / "t.csv"
+        argv = ["simulate", "--config", write_config(tmp_path),
+                "--out", str(out)]
+        info = [f"INFO galimech.cli: wrote {out}",
+                "INFO galimech.cli: simulated 10 steps in frame 0"]
+        for level, want in [("error", []), ("info", info), ("error", [])]:
+            monkeypatch.setenv("GALIMECH_LOG", level)
+            assert main(argv) == 0
+            assert capsys.readouterr().err.splitlines() == want
+
+
 class TestUnwritableOut:
     """An --out that cannot be written exits 2 with one line naming it."""
 
@@ -559,6 +576,18 @@ def _loaded_after(code: str) -> list[str]:
     return proc.stdout.split()
 
 
+def _logging_loaded_after(code: str) -> bool:
+    """Whether a fresh interpreter at the default GALIMECH_LOG holds
+    ``logging`` after running code."""
+    env = os.environ.copy()
+    env.pop("GALIMECH_LOG", None)
+    probe = code + "\nimport sys\nprint('logging' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()[-1] == "True"
+
+
 class TestImports:
     def test_simulate_loads_only_the_integrator(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -587,6 +616,40 @@ class TestImports:
             "from galimech.harness.config import load_config\n"
             f"load_config({cfg!r}).build_potential()\n")
         assert "galimech.harness.expressions" in loaded
+
+    @pytest.mark.parametrize("command", ["simulate", "boost-check"])
+    def test_default_level_never_loads_logging(self, tmp_path, command):
+        out = tmp_path / "out"
+        assert not _logging_loaded_after(
+            "import runpy, sys\n"
+            f"sys.argv = ['galimech', {command!r}, '--out', {str(out)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('galimech', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n")
+        assert out.stat().st_size > 0
+
+    def test_set_up_never_loads_logging(self, tmp_path):
+        cfg = write_config(tmp_path, potential={"kind": "harmonic", "k": 2.0})
+        assert not _logging_loaded_after(
+            "import galimech.harness.cli\n"
+            "from galimech.harness.config import load_config\n"
+            f"assert load_config({cfg!r}).potential.kind == 'harmonic'\n")
+
+    @pytest.mark.parametrize("argv, info", [
+        (["simulate"], ["wrote {out}", "simulated 10 steps in frame 0"]),
+        (["boost-check"], ["wrote {out}"]),
+        (["morse-check", "--family", "fam1"],
+         ["checking family fam1", "wrote {out}"]),
+    ])
+    def test_info_lines(self, tmp_path, argv, info):
+        out = tmp_path / "out"
+        proc = run(*argv, "--config", write_config(tmp_path),
+                   "--out", str(out), log="info")
+        assert proc.returncode == 0
+        assert [line for line in proc.stderr.splitlines()
+                if line.startswith("INFO ")] == [
+            "INFO galimech.cli: " + line.format(out=out) for line in info]
 
     def test_malformed_expression_still_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, potential={"kind": "custom", "expr": "q1+"})

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import math
 
@@ -618,7 +617,8 @@ class TestIntegrate:
         # through the step map and through the stage loop.
         init = PhasePoint.spatial(Event(0.0, 1.0, 0.0, 0.0), [0.0, 0.0, 0.0])
         for affine in (True, False):
-            phi = dataclasses.replace(harmonic_potential(-1e6), affine=affine)
+            base = harmonic_potential(-1e6)
+            phi = Potential(base.values, base.force, affine=affine)
             with pytest.raises(NonFiniteState) as info:
                 integrate(E0, 1.0, ID3, phi, init, 0.01, 500)
             # The error names the first step whose state is not finite:
@@ -810,7 +810,8 @@ class TestIntegrateBits:
     @pytest.mark.parametrize("metric", ["identity", "spd"])
     @pytest.mark.parametrize("kind", ["free", "uniform", "harmonic", "custom"])
     def test_trajectory_bits(self, rng, kind, metric, frames, n):
-        phi = dataclasses.replace(GRID_POTENTIALS[kind](), affine=False)
+        phi = GRID_POTENTIALS[kind]()
+        phi = Potential(phi.values, phi.force, phi.time, affine=False)
         args = _grid_args(rng, phi, metric, frames, n)
         ts, ys = reference_integrate(*args)
         traj = integrate(*args)
@@ -824,11 +825,12 @@ class TestIntegrateBits:
         # Starts, frames, centers and force components of either sign of
         # zero, with the harmonic start at its center: every stage sum
         # that cancels to zero keeps the reference's sign.
-        phi = dataclasses.replace({
+        phi = {
             "free": free_potential(),
             "uniform": uniform_potential([0.0, -0.0, 0.5]),
             "harmonic": harmonic_potential(1.3, (-0.0, 0.0, 0.4)),
-        }[kind], affine=False)
+        }[kind]
+        phi = Potential(phi.values, phi.force, affine=False)
         g = ID3 if metric == "identity" else random_metric(rng)
         zeros = [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [-0.0, -0.0, -0.0]]
         us = [Frame.from_spatial(z) for z in zeros]
@@ -874,7 +876,8 @@ class TestIntegrateBits:
         # the step map as on the stage loop.
         init = PhasePoint.spatial(Event(1.7e308, 0.0, 0.0, 0.0), [1.0, 0.0, 0.0])
         for affine in (True, False):
-            phi = dataclasses.replace(free_potential(), affine=affine)
+            base = free_potential()
+            phi = Potential(base.values, base.force, affine=affine)
             args = ([E0], 0.7, ID3, phi, [init], 1e306, 200)
             want = _message(reference_integrate, *args)
             assert _message(integrate, *args) == want == \

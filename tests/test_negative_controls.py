@@ -6,16 +6,19 @@ The command then runs in process through ``cli.main``, and the set of
 failing checks must be exactly the row's.  A check that passes with its
 kernel wrong is no evidence for what it claims.
 
-The rows cover the sampled checks that mix uniform and normal draws, the
-on-shell bases of the Morse families, ``momentum.offset_constant`` and
-``energy.drift``, which a force that is not -grad phi fails for a
-harmonic, a uniform and a ``custom`` potential.
+The rows cover the sampled checks that mix uniform and normal draws
+(both arguments of ``sigma_array`` among them), the chart changes of
+momenta and of lagrangian values, the operations of the value space W
+(``affine.w_axioms``) and the evaluation of its unit
+(``affine.unit_evaluates_one``), the on-shell bases of the Morse
+families, ``momentum.offset_constant`` and ``energy.drift``, which a force
+that is not -grad phi fails for a harmonic, a uniform and a ``custom``
+potential.
 The Morse rank checks (``morse.famN.rank``) are absent: a rank is stable
 under small perturbations, so no 1e-6 defect changes one.
 """
 
 import contextlib
-import dataclasses
 import importlib
 import io
 import json
@@ -25,6 +28,7 @@ import numpy as np
 import pytest
 
 import galimech.harness.checks  # noqa: F401 - binds every kernel name
+from galimech.frame_dynamics import PhasePoint, Potential
 from galimech.harness.cli import main
 
 REL = 1e-6
@@ -69,7 +73,7 @@ def shifted_offsets(integrate):
         if not isinstance(initial, (list, tuple)):
             return integrate(u, m, g, potential, initial, h, n)
         p0 = initial[0].p
-        initial = [initial[0], *(dataclasses.replace(s, p=s.p + REL * (s.p - p0))
+        initial = [initial[0], *(PhasePoint(s.x, s.p + REL * (s.p - p0))
                                  for s in initial[1:])]
         return integrate(u, m, g, potential, initial, h, n)
     return perturbed
@@ -85,7 +89,7 @@ def scaled_force(make_potential):
         def force(t, q, out=None):
             f = phi.force(t, q, out)
             return np.multiply(f, 1.0 + REL, f)
-        return dataclasses.replace(phi, force=force)
+        return Potential(phi.values, force, phi.time, phi.affine)
     return perturbed
 
 
@@ -124,6 +128,30 @@ ROWS = {
     "momentum_offset": (
         "frame_dynamics", "integrate", shifted_offsets, BOOST,
         {"momentum.offset_constant", "world_line.agreement"}),
+    "sigma_frame_argument": (
+        "galilean_core", "sigma_array", scaled_argument(1, 0), INVARIANTS,
+        {"sigma.antisymmetry", "sigma.cocycle", "sigma.pairing_formula",
+         "lagrangian.shift_identity", "boost.residual_preservation",
+         "affine.chart.pairing", "affine.chart.psi_m",
+         "affine.chart.hamiltonian_fun", "affine.chart.membership"}),
+    "p_change_chart": (
+        "affine_phase", "p_change_chart_array", scaled_output(1), INVARIANTS,
+        {"affine.chart.eval_affine", "affine.chart.pairing",
+         "affine.chart.psi_m", "affine.chart.hamiltonian_fun",
+         "affine.chart.membership"}),
+    "w_change_chart": (
+        "affine_phase", "w_change_chart_array", scaled_output(4), INVARIANTS,
+        {"affine.chart.affine_lagrangian", "affine.chart.eval_affine",
+         "affine.chart.pairing"}),
+    "w_add": (
+        "affine_phase", "w_add_array", scaled_output(), INVARIANTS,
+        {"affine.w_axioms"}),
+    "w_scale": (
+        "affine_phase", "w_scale_array", scaled_output(), INVARIANTS,
+        {"affine.w_axioms"}),
+    "eval_affine": (
+        "affine_phase", "eval_affine_array", scaled_output(), INVARIANTS,
+        {"affine.unit_evaluates_one"}),
 }
 
 

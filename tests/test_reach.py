@@ -13,6 +13,7 @@ called, unless it or a function enclosing it is on the allow-list:
   ``layers()``, and the ``len`` its CSV counter takes of a trajectory;
 * library API that an acceptance criterion or the README tour uses;
 * error paths these runs do not take;
+* the ``__eq__`` of the value classes that tests compare instances of;
 * the ``value`` of each generating family with its helpers, the oracle
   of the gradient tests, and ``beta``, the test reference for
   ``beta_inv``.
@@ -43,7 +44,7 @@ COMMANDS = [["simulate"], ["boost-check"], ["morse-check", "--family", "all"],
 # Module-relative qualnames; an entry covers the functions nested in it.
 LIBRARY_API = [
     "frame_dynamics.in_homogeneous_dynamics",
-    "affine_phase.AffineMetric.__post_init__",
+    "affine_phase.AffineMetric.__init__",
     "affine_phase.affine_metric_apply",
     "affine_phase.section_from_affine_metric",
     "affine_phase.w_change_chart",  # the charts of WElement and PElement
@@ -72,6 +73,11 @@ TEST_ORACLES = [
     "affine_phase.beta",
 ]
 BENCHMARK_CALLS = ["frame_dynamics.Trajectory.__len__"]
+VALUE_EQUALITY = [
+    "galilean_core.Vector4.__eq__",
+    "galilean_core.Covector4.__eq__",
+    "galilean_core.Event.__eq__",
+]
 
 
 def library_functions() -> dict:
@@ -125,7 +131,7 @@ def allowed(qualname: str, allow: set) -> bool:
 def test_every_library_function_is_reached_or_listed(tmp_path):
     functions = library_functions()
     allow = set(LIBRARY_API + ERROR_PATHS + TEST_ORACLES + BENCHMARK_CALLS
-                + tracer_names())
+                + VALUE_EQUALITY + tracer_names())
     assert allow <= set(functions.values()), "allow-list names a lost function"
 
     reached = set()
