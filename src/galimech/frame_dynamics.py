@@ -44,6 +44,7 @@ from .galilean_core import (
     SpatialMetric,
     Vector4,
     iota_u_array,
+    maxabs,
     pair_frame,
 )
 
@@ -358,9 +359,8 @@ def homogeneous_dynamics_violation_array(u, m: float, g: SpatialMetric, phi,
     defect is NaN.
     """
     with np.errstate(all="ignore"):  # rows with tv <= 0 are replaced below
-        err_p = np.max(np.abs(p - legendre_hom_array(u, m, g, phi, xdot)),
-                       axis=-1)
-    err_pdot = np.max(np.abs(pdot - (-xdot[..., :1]) * dphi), axis=-1)
+        err_p = maxabs(p - legendre_hom_array(u, m, g, phi, xdot))
+    err_pdot = maxabs(pdot - (-xdot[..., :1]) * dphi)
     return np.where(xdot[..., 0] <= 0.0, np.inf, np.maximum(err_p, err_pdot))
 
 

@@ -13,10 +13,11 @@ Conventions used by every module in this package:
 
 Everything here is a pure function of values that nothing changes after
 construction (plain ``__slots__`` classes, their arrays read-only).  No
-state, no globals beyond TAU.  The array kernels (``pair``, ``pair_frame``,
-``iota_u_array``, ``sigma_array`` and the ``SpatialMetric`` methods) take
-arrays of components of shape (..., 3) or (..., 4) and evaluate every
-entry in one numpy pass; ``sigma`` is the one object-level wrapper.
+state, no globals beyond TAU.  The array kernels (``pair``, ``maxabs``,
+``pair_frame``, ``iota_u_array``, ``sigma_array`` and the ``SpatialMetric``
+methods) take arrays of components of shape (..., 3) or (..., 4) and
+evaluate every entry in one numpy pass; ``sigma`` is the one object-level
+wrapper.
 """
 
 from __future__ import annotations
@@ -234,6 +235,22 @@ def pair(p: np.ndarray, v: np.ndarray) -> np.ndarray:
     p0, p1, p2, p3 = _components(p)
     v0, v1, v2, v3 = _components(v)
     return p0 * v0 + p1 * v1 + p2 * v2 + p3 * v3
+
+
+def maxabs(x: np.ndarray) -> np.ndarray:
+    """max |x| over the last axis of a stack (..., w), 0.0 where w is 0.
+
+    np.maximum folded over the columns: on short rows about ten times
+    faster than np.max(np.abs(x), axis=-1), and bit for bit the same,
+    because a maximum is exact, NaN propagates, and |x| holds no -0.0.
+    """
+    a = np.abs(x)
+    if not a.shape[-1]:
+        return np.zeros(a.shape[:-1])
+    out = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        out = np.maximum(out, a[..., j])
+    return out
 
 
 def pair_frame(p: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -41,6 +41,7 @@ from .galilean_core import (
     GalimechError,
     SpatialMetric,
     Vector4,
+    maxabs,
 )
 from .frame_dynamics import (
     Potential,
@@ -189,7 +190,7 @@ def _newton(fam: FunctionFamily, bases: np.ndarray, fibers: np.ndarray,
     grad, errors = _fiber_gradients(fam, bases, fiber, head) if len(fiber) \
         else (np.empty((0, head)), {})
     grad = np.array(grad)  # rows are updated in place as they step
-    norm = np.max(np.abs(grad), axis=-1)  # NaN once a row has ended
+    norm = maxabs(grad)  # NaN once a row has ended
     for i in np.flatnonzero(~np.isfinite(norm)).tolist():
         errors.setdefault(i, DomainError(
             f"{fam.name}: fiber gradient not finite at the start "
@@ -222,7 +223,7 @@ def _newton(fam: FunctionFamily, bases: np.ndarray, fibers: np.ndarray,
             trial = fiber[search]
             trial[:, :head] += scale * steps
             trial_grad, failed = _fiber_gradients(fam, bases[search], trial, head)
-            trial_norm = np.max(np.abs(trial_grad), axis=-1)
+            trial_norm = maxabs(trial_grad)
             accept = (trial_norm < norm[search]) | (trial_norm <= tol)
             done = search[accept]
             fiber[done], grad[done], norm[done] = (
@@ -370,7 +371,7 @@ def kappas(fam: FunctionFamily, points: Sequence[CriticalPoint],
         return []
     gb, gf = _gradient_split(fam, np.array([pt.base for pt in points], dtype=float),
                              np.array([pt.fiber for pt in points], dtype=float))
-    grad_norms = np.max(np.abs(gf), axis=-1, initial=0.0)
+    grad_norms = maxabs(gf)
     for norm in grad_norms.tolist():
         if norm > tol:
             raise NotCritical(

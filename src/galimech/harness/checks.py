@@ -9,8 +9,15 @@ A sampled check draws its samples block-wise: ``_draws`` lays the blocks
 of every draw side by side as columns and fills them with one
 ``rng.random((n, U))`` call for the U uniform columns, then one
 ``rng.standard_normal((n, N))`` call for the N normal ones; sample i is
-row i of each draw.  The identity is then evaluated once over the whole
-sample axis through the array kernels.  One driver, ``_sampled``, turns
+row i of each draw.  Which columns each call fills is planned once per
+layout (``_plan``, cached on the layout tuple) and laid in by slices, so a
+call pays only for its generator work; every draw is a view into the one
+buffer, with the strides the per-row BLAS path of ``np.matvec`` sees.  The
+identity is then evaluated once over the whole sample axis through the
+array kernels.  Row maxima of |x| over short rows go through
+``galilean_core.maxabs``, an ``np.maximum`` fold over the columns, which
+gives the bits of ``np.max(np.abs(x), axis=-1)``: a maximum is exact, NaN
+propagates, and |x| holds no -0.0 whose sign the order could pick.  One driver, ``_sampled``, turns
 the per-sample errors into the verdict: the largest error, NaN included,
 so a single non-finite sample fails the check.  ``worst_index`` is the
 flat index of that error (of the first NaN; with a count, of the first
@@ -36,6 +43,7 @@ from ..galilean_core import (
     Frame,
     SpatialMetric,
     Vector4,
+    maxabs,
     pair,
     sigma_array,
 )
@@ -113,10 +121,6 @@ def _rel(err, ref):
 _ROUNDING_ULPS = 4
 
 
-def _maxabs(a: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(a), axis=-1)
-
-
 def _model(cfg: ScenarioConfig) -> NewtonModel:
     return NewtonModel(cfg.mass, cfg.build_metric(), cfg.build_potential())
 
@@ -128,22 +132,59 @@ _FUTURE = ((0.2, 2.0, 1), 3)  # future-directed vector
 _NORMAL4 = (4,)  # event, vector or covector
 
 
-def _draws(rng: np.random.Generator, n: int, *draws) -> list[np.ndarray]:
-    """n samples of each draw, one (n, width) array per draw, from one
-    rng.random call for all uniform columns, mapped to low + (high - low) * u,
-    then one rng.standard_normal call for all normal columns."""
-    blocks = [b for draw in draws for b in draw]
-    normal = np.concatenate([np.full(b, True) if isinstance(b, int)
-                             else np.full(b[2], False) for b in blocks])
-    low, high = np.array([b[:2] for b in blocks if not isinstance(b, int)
-                          for _ in range(b[2])]).reshape(-1, 2).T
-    out = np.empty((n, normal.size))
-    if low.size:
-        out[:, ~normal] = low + (high - low) * rng.random((n, low.size))
-    if normal.any():
-        out[:, normal] = rng.standard_normal((n, int(normal.sum())))
+@functools.cache
+def _plan(draws: tuple) -> tuple:
+    """How _draws fills a layout's (n, W) buffer, worked out once per
+    layout: the uniform columns' low and high - low (read-only), the
+    numbers of uniform and of normal columns, W, for each generator call
+    the runs of adjacent buffer columns it fills as (buffer columns,
+    generated columns) slice pairs, and each draw's column slice."""
+    low, span, col = [], [], 0
+    runs, taken = ([], []), [0, 0]  # uniform, then normal
+    for block in (b for draw in draws for b in draw):
+        normal = isinstance(block, int)
+        width = block if normal else block[2]
+        if not normal:
+            low += [block[0]] * width
+            span += [block[1] - block[0]] * width
+        kind, start = runs[normal], taken[normal]
+        if kind and kind[-1][1] == col:  # continues the run before it
+            kind[-1][1] += width
+            kind[-1][3] += width
+        else:
+            kind.append([col, col + width, start, start + width])
+        taken[normal] += width
+        col += width
+    uniform_runs, normal_runs = (
+        tuple((slice(a, b), slice(c, d)) for a, b, c, d in kind) for kind in runs)
     widths = [sum(b if isinstance(b, int) else b[2] for b in d) for d in draws]
-    return np.split(out, np.cumsum(widths)[:-1], axis=1)
+    cuts = np.cumsum([0, *widths]).tolist()
+    low, span = np.array(low), np.array(span)
+    low.setflags(write=False)
+    span.setflags(write=False)
+    return (low, span, taken[0], taken[1], col, uniform_runs, normal_runs,
+            tuple(slice(a, b) for a, b in zip(cuts, cuts[1:])))
+
+
+def _draws(rng: np.random.Generator, n: int, *draws) -> list[np.ndarray]:
+    """n samples of each draw, one (n, width) view per draw into one
+    (n, W) buffer, from one rng.random call for all uniform columns,
+    mapped to low + (high - low) * u, then one rng.standard_normal call
+    for all normal columns, each laid into its column runs."""
+    low, span, uniform, normal, width, uniform_runs, normal_runs, cols = \
+        _plan(draws)
+    out = np.empty((n, width))
+    if uniform:
+        u = rng.random((n, uniform))
+        u *= span
+        u += low
+        for dst, src in uniform_runs:
+            out[:, dst] = u[:, src]
+    if normal:
+        z = rng.standard_normal((n, normal))
+        for dst, src in normal_runs:
+            out[:, dst] = z[:, src]
+    return [out[:, c] for c in cols]
 
 
 def _potential_at(phi: Potential, x: np.ndarray) -> np.ndarray:
@@ -200,7 +241,7 @@ def corrupted_sigma(g: SpatialMetric, u_prime, u) -> np.ndarray:
 def check_sigma_antisymmetry(cfg: ScenarioConfig, rng) -> np.ndarray:
     g = cfg.build_metric()
     a, b = _draws(rng, 1000, _FRAME, _FRAME)
-    return _maxabs(sigma_array(g, a, b) + sigma_array(g, b, a))
+    return maxabs(sigma_array(g, a, b) + sigma_array(g, b, a))
 
 
 @_sampled("sigma.cocycle", "cocycle")
@@ -209,7 +250,7 @@ def check_sigma_cocycle(cfg: ScenarioConfig, rng) -> np.ndarray:
     u1, u2, u3 = _draws(rng, 1000, _FRAME, _FRAME, _FRAME)
     direct = sigma_array(g, u3, u1)
     chained = sigma_array(g, u3, u2) + sigma_array(g, u2, u1)
-    return _rel(_maxabs(direct - chained), _maxabs(direct))
+    return _rel(maxabs(direct - chained), maxabs(direct))
 
 
 @_sampled("sigma.pairing_formula", "cocycle")
@@ -265,7 +306,7 @@ def check_legendre_fd(cfg: ScenarioConfig, rng) -> np.ndarray:
         lambda w: lagrangian_inhom_array(u0[:, None], m, g, phi0[:, None], w), w)
     fd_hom = _central_differences(
         lambda v: lagrangian_hom_array(u1[:, None], m, g, phi1[:, None], v), v)
-    errs = [_rel(_maxabs(analytic - fd), _maxabs(fd)) for analytic, fd in (
+    errs = [_rel(maxabs(analytic - fd), maxabs(fd)) for analytic, fd in (
         (legendre_inhom_array(u0, m, g, w), fd_inhom),
         (legendre_hom_array(u1, m, g, phi1, v), fd_hom))]
     return np.concatenate(errs)
@@ -330,7 +371,7 @@ def check_world_lines(cfg: ScenarioConfig, traj: Trajectory) -> CheckResult:
         else cfg.tolerances.world_line_bound
     scale = max(float(np.max(np.abs(traj.t))),
                 float(np.max(np.abs(traj.q[:, 0]))))
-    errs = _maxabs(traj.q[:, 1:] - traj.q[:, :1])
+    errs = maxabs(traj.q[:, 1:] - traj.q[:, :1])
     return _verdict(name, _rel(errs, scale).ravel(), tol)
 
 
@@ -346,9 +387,9 @@ def check_momentum_offset(cfg: ScenarioConfig, traj: Trajectory) -> CheckResult:
                          for u in others]).reshape(-1, 3)
     p0, p = traj.p[:, :1], traj.p[:, 1:]
     rounding = _ROUNDING_ULPS * np.finfo(float).eps \
-        * np.maximum(_maxabs(p0), _maxabs(p))
-    errs = np.maximum(_maxabs((p0 - p) - expected) - rounding, 0.0)
-    return _verdict(name, _rel(errs, _maxabs(expected)).ravel(),
+        * np.maximum(maxabs(p0), maxabs(p))
+    errs = np.maximum(maxabs((p0 - p) - expected) - rounding, 0.0)
+    return _verdict(name, _rel(errs, maxabs(expected)).ravel(),
                     cfg.tolerances.momentum_offset)
 
 
@@ -470,7 +511,7 @@ def check_w_axioms(cfg: ScenarioConfig, rng) -> np.ndarray:
             (add(add(a, b), c), add(a, add(b, c))),
             (scale(s, add(a, b)), add(scale(s, a), scale(s, b))),
             (scale(s, scale(t, a)), scale(s * t, a))]
-    return np.max([_rel(_maxabs(lhs - rhs), _maxabs(rhs))
+    return np.max([_rel(maxabs(lhs - rhs), maxabs(rhs))
                    for lhs, rhs in laws], axis=0)
 
 
@@ -609,8 +650,7 @@ def _fam1_vs_fam2(cfg: ScenarioConfig, u: Frame) -> CheckResult:
             _certified_covectors(fam, [found[i][k][0] for i in single])
             for k, fam in enumerate((fam1, fam2)))
         with np.errstate(all="ignore"):
-            rel = _rel(np.max(np.abs(cov1 - cov2), axis=1),
-                       np.max(np.abs(cov2), axis=1))
+            rel = _rel(maxabs(cov1 - cov2), maxabs(cov2))
         morse = morse1 & morse2
         errs[single] = np.where(morse, rel, np.inf)
         compared = int(np.sum(morse))

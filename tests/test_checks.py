@@ -1,6 +1,8 @@
 """Direct tests of the check layer, mostly the parts the CLI cannot reach."""
 
+import ast
 import dataclasses
+import inspect
 import json
 import math
 import warnings
@@ -16,7 +18,7 @@ from galimech.frame_dynamics import (
     legendre_inhom,
 )
 from galimech.galilean_core import (
-    Event, Frame, SpatialMetric, Vector4, sigma, sigma_array)
+    Event, Frame, SpatialMetric, Vector4, maxabs, sigma, sigma_array)
 from galimech.generating_objects import CriticalPoint, FunctionFamily, is_morse
 from galimech.harness import checks
 from galimech.harness.checks import (
@@ -357,3 +359,100 @@ def test_world_line_and_offset_name_a_step_and_frame():
         assert not result.passed
         assert divmod(result.worst_index, frames) == (17, 2)
     assert check_momentum_offset(cfg, broken).nonfinite == 1
+
+
+# --- the draw driver against the per-draw masks it replaced ---------------
+
+def _masked_draws(rng, n, *draws):
+    """The draw driver before its column plan was cached: boolean column
+    masks built on every call, kept here as the reference."""
+    blocks = [b for draw in draws for b in draw]
+    normal = np.concatenate([np.full(b, True) if isinstance(b, int)
+                             else np.full(b[2], False) for b in blocks])
+    low, high = np.array([b[:2] for b in blocks if not isinstance(b, int)
+                          for _ in range(b[2])]).reshape(-1, 2).T
+    out = np.empty((n, normal.size))
+    if low.size:
+        out[:, ~normal] = low + (high - low) * rng.random((n, low.size))
+    if normal.any():
+        out[:, normal] = rng.standard_normal((n, int(normal.sum())))
+    widths = [sum(b if isinstance(b, int) else b[2] for b in d) for d in draws]
+    return np.split(out, np.cumsum(widths)[:-1], axis=1)
+
+
+def _layouts_in_checks() -> list[tuple]:
+    """Every layout that checks.py passes to _draws, read from its source."""
+    tree = ast.parse(inspect.getsource(checks))
+    namespace = vars(checks)
+    layouts = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_draws":
+            layout = []
+            for arg in node.args[2:]:
+                starred = isinstance(arg, ast.Starred)
+                value = eval(compile(ast.Expression(
+                    arg.value if starred else arg), "<layout>", "eval"), namespace)
+                layout += value if starred else [value]
+            layouts.append(tuple(layout))
+    return layouts
+
+
+def test_layouts_are_read_from_the_source():
+    layouts = _layouts_in_checks()
+    assert len(layouts) > 10
+    assert (checks._FRAME, checks._FRAME, checks._FUTURE,
+            checks._NORMAL4) in layouts
+    assert (checks._NORMAL4, *[checks._FRAME] * 20) in layouts
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+@pytest.mark.parametrize("layout", _layouts_in_checks(), ids=str)
+def test_draws_keep_the_masked_values_and_strides(layout, n):
+    got = checks._draws(np.random.default_rng([3, n]), n, *layout)
+    want = _masked_draws(np.random.default_rng([3, n]), n, *layout)
+    assert len(got) == len(want) == len(layout)
+    for a, b in zip(got, want):
+        assert (a.shape, a.strides) == (b.shape, b.strides)
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_draws_leave_the_stream_where_the_masks_did():
+    layout = (checks._FRAME, checks._NORMAL4, (3,), checks._FUTURE)
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    checks._draws(rng, 50, *layout)
+    _masked_draws(ref, 50, *layout)
+    assert rng.random() == ref.random()
+
+
+# --- the row maximum as a column fold -------------------------------------
+
+def _rows(width: int) -> np.ndarray:
+    """(8, width) rows holding NaN, +-inf, -0.0 and a maximum in the last
+    column, next to plain values."""
+    rng = np.random.default_rng(width)
+    a = rng.normal(size=(8, width))
+    if width:
+        a[0, -1] = np.nan
+        a[1, 0] = -np.inf
+        a[2, -1] = np.inf
+        a[3] = -0.0
+        a[4, -1] = 1e3
+        a[5, 0], a[5, -1] = np.nan, -np.inf
+        a[6, -1] = -1e3
+    return a
+
+
+@pytest.mark.parametrize("width", range(6))
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["rows", "stacked"])
+def test_maxabs_equals_the_reduction_bit_for_bit(width, shape):
+    a = _rows(width)
+    if shape:
+        a = np.stack([a, -a[::-1], a * 0.5], axis=1)  # (n, k, w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.asarray(maxabs(a))
+        want = np.max(np.abs(a), axis=-1, initial=0.0) if not width \
+            else np.max(np.abs(a), axis=-1)
+    assert got.shape == want.shape == a.shape[:-1]
+    assert got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
