@@ -60,6 +60,16 @@ class NonFiniteState(GalimechError):
 # RK4 steps between two finiteness tests of the integrated states.
 _FINITE_BLOCK = 64
 
+# The step map's fixed inputs: the probe points q = 0 and the unit
+# vectors, and the identity with the two scaled copies of it that the
+# Horner form of D takes.
+_PROBE = np.vstack([np.zeros(3), np.eye(3)])
+_EYE6 = np.eye(6)
+_EYE6_2, _EYE6_6 = _EYE6 / 2.0, _EYE6 / 6.0
+for _a in (_PROBE, _EYE6, _EYE6_2, _EYE6_6):
+    _a.setflags(write=False)
+del _a
+
 
 class Potential:
     """Scalar potential on space-time: one array kernel for its values,
@@ -446,31 +456,32 @@ def _step_map_steps(ys, t, u_s, m, g, potential, h):
     I + D, which keeps the increment's rounding relative to the increment.
     """
     frames = len(u_s)
-    f = potential.force(t, np.vstack([np.zeros(3), np.eye(3)]))
+    f = potential.force(t, _PROBE)
     x = np.zeros((6, 6))
-    x[:3, 3:] = g.apply_inverse(np.eye(3)).T * (h / m)
+    x[:3, 3:] = g.apply_inverse(_PROBE[1:]).T * (h / m)
     x[3:, :3] = (f[1:] - f[0]).T * h
-    eye = np.eye(6)
     # [D | c_u] for every frame, acting on (q, p, 1).
     a = np.empty((frames, 6, 7))
-    a[:, :, :6] = x @ (eye + x @ (eye / 2.0 + x @ (eye / 6.0 + x / 24.0)))
+    a[:, :, :6] = x @ (_EYE6 + x @ (_EYE6_2 + x @ (_EYE6_6 + x / 24.0)))
     hb = np.concatenate([u_s, np.broadcast_to(f[0], u_s.shape)], axis=1) * h
     c = hb / 24.0
     for k in (6.0, 2.0, 1.0):
         c = hb / k + np.matvec(x, c)
     a[:, :, 6] = c
     # One block of states as (q, p, 1) per frame, and the same states in
-    # the layout of ys; the block starts from the last state stored.
-    z = np.empty((_FINITE_BLOCK + 1, frames, 7))
+    # the layout of ys; the block starts from the last state stored.  The
+    # views each step reads and writes are taken once per call.
+    z = np.empty((min(_FINITE_BLOCK, len(ys) - 1) + 1, frames, 7))
     z[..., 6] = 1.0
     zy = z[..., :6]
     zys = zy.reshape(-1, frames, 2, 3, copy=False).transpose(0, 2, 1, 3)
     dz = np.empty((frames, 6))
+    rows = list(zip(z, zy, zy[1:]))
 
     def advance(start: int, stop: int) -> None:
         steps = stop - start
         zys[0] = ys[start]
-        for zk, yk, yk1 in zip(z[:steps], zy[:steps], zy[1:steps + 1]):
+        for zk, yk, yk1 in rows[:steps]:
             np.add(yk, np.matvec(a, zk, out=dz), yk1)
         ys[start + 1:stop + 1] = zys[1:steps + 1]
 
