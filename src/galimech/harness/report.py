@@ -9,9 +9,29 @@ must produce byte-identical JSON.
 
 from __future__ import annotations
 
-import json
+import math
+from json.encoder import encode_basestring_ascii
 
 __all__ = ["CheckResult", "Report"]
+
+
+def _json_value(v) -> str:
+    """v as json.dumps writes it: null, an escaped ASCII string, a float
+    by its repr (NaN, Infinity and -Infinity as json spells them), or an
+    int."""
+    if v is None:
+        return "null"
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if isinstance(v, float):
+        if v != v:
+            return "NaN"
+        if v == math.inf:
+            return "Infinity"
+        if v == -math.inf:
+            return "-Infinity"
+        return float.__repr__(v)
+    return int.__repr__(v)
 
 
 class CheckResult:
@@ -79,7 +99,17 @@ class Report:
         }
 
     def render_json(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
+        """The bytes of json.dumps(self.to_json(), indent=2, sort_keys=True)
+        plus a newline, written out directly: with an indent, json runs its
+        pure-Python encoder, whose closures leave reference cycles behind
+        on every call."""
+        checks = ",\n".join(
+            "    {\n" + ",\n".join(f"      {_json_value(k)}: {_json_value(v)}"
+                                   for k, v in sorted(c.to_json().items()))
+            + "\n    }" for c in self.checks)
+        checks = f"[\n{checks}\n  ]" if checks else "[]"
+        return (f'{{\n  "checks": {checks},\n'
+                f'  "verdict": {_json_value(self.verdict)}\n}}\n')
 
     def render_lines(self) -> str:
         """Human-oriented one-line-per-check summary (stderr companion)."""

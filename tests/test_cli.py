@@ -361,6 +361,25 @@ class TestInProcess:
             gc.garbage.clear()
         assert leaked == []
 
+    def test_repeated_main_leaves_no_cyclic_garbage(self, tmp_path, capsys):
+        # A whole command, report rendering included, frees everything it
+        # made by reference counting alone.
+        from galimech.harness.cli import main
+
+        argv = ["morse-check", "--family", "fam2",
+                "--out", str(tmp_path / "m.json")]
+        assert main(argv) == 0  # warm-up
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for _ in range(10):
+                assert main(argv) == 0
+            gc.collect()
+            leaked = [type(o).__name__ for o in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == []
 
     def test_log_level_is_read_at_every_call(self, tmp_path, monkeypatch,
                                               capsys):

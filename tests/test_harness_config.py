@@ -314,6 +314,18 @@ class TestReport:
             "worst_index": None, "nonfinite": 0,
         }
 
+    def test_render_matches_json_dumps(self):
+        # NaN and the infinities as json spells them, escaped names,
+        # integers of any size, and a report without checks.
+        for checks in [(), (
+                CheckResult("a.b", float("nan"), 1e-12, 1000, 5, 1),
+                CheckResult('q"\\\n\u00e9', float("inf"), 0.0, 0),
+                CheckResult("c", -float("inf"), 5e-324, 7, 2**70, 2),
+                CheckResult("d", -0.0, 1e22, 1, 0))]:
+            report = Report(checks)
+            assert report.render_json() == json.dumps(
+                report.to_json(), indent=2, sort_keys=True) + "\n"
+
     def test_render_is_deterministic(self):
         report = Report((CheckResult("a", 0.5, 1.0, 3),
                          CheckResult("b", 2.0, 1.0, 4)))
