@@ -72,6 +72,9 @@ the ``custom_anharmonic`` ones, which still run the stage loop.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -227,3 +230,24 @@ def test_custom_csv_matches_scalar_reference(tmp_path):
     ref = _scalar_reference_rows(scenario)
     assert got.shape == ref.shape == (scenario["n"] + 1, 9)
     assert np.all(np.abs(got - ref) <= 1e-10 * (1.0 + np.abs(ref)))
+
+
+@pytest.mark.parametrize("command", ["invariants-all", "morse-check"])
+def test_long_reports_do_not_depend_on_the_hash_seed(tmp_path, command):
+    # str hashes change with PYTHONHASHSEED; nothing that sets an output
+    # byte may depend on them, caches keyed by the check layouts included.
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(SCENARIOS["harmonic_metric"]))
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"out-{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, GALIMECH_LOG="error")
+        proc = subprocess.run(
+            [sys.executable, "-m", "galimech", *COMMANDS[command],
+             "--config", str(cfg), "--out", str(out)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert hashlib.sha256(outputs[0]).hexdigest() == \
+        GOLDEN[("harmonic_metric", command)][1]
