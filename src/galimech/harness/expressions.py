@@ -6,16 +6,19 @@ operators + - * / ^ with the usual precedence (^ binds tightest and
 associates to the right), parentheses, and the unary functions sin, cos,
 exp.  One recursive-descent parser turns the text into a graph of shared
 nodes over ``numpy``, for the values, the force and the time derivative
-of a (..., 3) array of points in one call, or over ``math``, which judges
-whether a result that is not finite is an error.  The force and the time
-derivative are derived from the graph by the chain rule (Griewank &
-Walther, *Evaluating Derivatives*, 2008).  Nothing evaluates Python, so a
-config file cannot execute anything, and nothing recurses deeper than the
-parser, which bounds nesting.
+of a (..., 3) array of points, with times broadcasting against them, in
+one call: each node is one ufunc call into a register, reused once its
+last reader has run, and each result is a new array or the caller's out.
+Or over ``math``, which judges whether a result that is not finite is an
+error.  The force and the time derivative are derived from the graph by
+the chain rule (Griewank & Walther, *Evaluating Derivatives*, 2008).
+Nothing evaluates Python, so a config file cannot execute anything, and
+nothing recurses deeper than the parser, which bounds nesting.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -58,17 +61,12 @@ _SCALAR = _Table(float, {
     "sin": _real_periodic(math.sin), "cos": _real_periodic(math.cos),
     "exp": math.exp,  # log as numpy gives it: -inf at 0, NaN below
     "log": lambda a: math.log(a) if a > 0 else -math.inf if a == 0 else math.nan})
-# Constants are 0-d arrays, and operators stand for ufunc calls: both are
-# faster in numpy.  ``log`` serves only the derivative of a variable power.
+# Ufuncs, each step one call into a register, and 0-d constants, which
+# numpy takes faster than floats.  ``log`` serves only a variable power.
 _ARRAY = _Table(lambda value: np.array(value, dtype=float), {
-    "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "/": operator.truediv, "^": operator.pow, "neg": operator.neg,
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+    "^": np.power, "neg": np.negative,
     "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log})
-# The ufunc of each array operation that can write into an out array.
-_UFUNCS = {operator.add: np.add, operator.sub: np.subtract,
-           operator.mul: np.multiply, operator.truediv: np.divide,
-           operator.neg: np.negative, np.sin: np.sin, np.cos: np.cos,
-           np.exp: np.exp}
 _VARIABLES = ("t", "q1", "q2", "q3")
 
 # A level of nesting (a parenthesis, a unary minus, an exponent, a function
@@ -223,38 +221,32 @@ class _Graph:
                                 for f in force]
 
 
-def _program(graph: _Graph, roots: list[int], tails: bool = False):
+def _needed(nodes: list[tuple], roots: list[int]) -> list[int]:
+    """The ids of the nodes roots need, in graph order."""
+    need = set(roots)
+    for k in range(max(roots), -1, -1):
+        if k in need and nodes[k][0] not in ("const", "var"):
+            need.update(nodes[k][1:])
+    return sorted(need - {None})
+
+
+def _program(graph: _Graph, roots: list[int]):
     """run(t, q1, q2, q3), whose steps (fn, a, b) append fn(r[a]) or
     fn(r[a], r[b]) to r = [t, q1, q2, q3, *constants], once for each node
-    roots need; and the registers of roots, or with tails the steps
-    (ufunc, a, b) that write them into out: the last step of a root no
-    other node reads, else a copy."""
+    roots need; and the registers of roots."""
     nodes = graph.nodes
-    reads = [0] * (max(roots) + 1)  # how many needed nodes read each
-    for k in roots:
-        reads[k] += 1
-    for k in range(len(reads) - 1, -1, -1):
-        if reads[k] and nodes[k][0] not in ("const", "var"):
-            _, a, b = nodes[k]
-            reads[a] += 1
-            if b is not None:
-                reads[b] += 1
-    order = [k for k, n in enumerate(reads) if n]
+    order = _needed(nodes, roots)
     consts = [k for k in order if nodes[k][0] == "const"]
     reg = {k: len(_VARIABLES) + i for i, k in enumerate(consts)}
-    steps, last = [], {}
+    steps = []
     for k in order:
         kind, a, b = nodes[k]
         if kind == "var":
             reg[k] = _VARIABLES.index(a)
         elif kind != "const":
-            fn = graph.table.ops[kind]
-            step = (fn, reg[a], None if b is None else reg[b])
-            if tails and reads[k] == 1 and k in roots and fn in _UFUNCS:
-                last[k] = (_UFUNCS[fn], *step[1:])
-            else:
-                reg[k] = len(_VARIABLES) + len(consts) + len(steps)
-                steps.append(step)
+            reg[k] = len(_VARIABLES) + len(consts) + len(steps)
+            steps.append((graph.table.ops[kind], reg[a],
+                          None if b is None else reg[b]))
     constants = [graph.table.constant(nodes[k][1]) for k in consts]
 
     def run(t, q1, q2, q3) -> list:
@@ -263,8 +255,56 @@ def _program(graph: _Graph, roots: list[int], tails: bool = False):
             r.append(f(r[a]) if b is None else f(r[a], r[b]))
         return r
 
-    return run, [last.get(k) or (np.positive, reg[k], None) if tails
-                 else reg[k] for k in roots]
+    return run, [reg[k] for k in roots]
+
+
+def _evaluator(graph: _Graph, roots: list[int]) -> Callable:
+    """evaluate(t, q, outs), which writes each root at every position of
+    q (..., 3) into its array of outs, all of one shape, by the steps
+    (ufunc, a, b, c): ufunc(r[a], r[c]) or ufunc(r[a], r[b], r[c]) on r =
+    [t, q1, q2, q3, *constants, *outs, *registers].  A root's own step
+    writes its out (a coordinate, a constant or a repeated root is copied
+    there); any other node takes a register, free again after its last
+    reader.  Registers are allocated at the first call and each new shape."""
+    nodes = graph.nodes
+    order = _needed(nodes, roots)
+    consts = [k for k in order if nodes[k][0] == "const"]
+    reg = {k: len(_VARIABLES) + i for i, k in enumerate(consts)}
+    base = len(_VARIABLES) + len(consts) + len(roots)
+    outs, fresh = range(base - len(roots), base), itertools.count(base)
+    own = dict(zip(reversed(roots), reversed(outs)))  # at the first place
+    last = {x: i for i, k in enumerate(order)  # the step of the last reader
+            if nodes[k][0] not in ("const", "var") for x in nodes[k][1:]}
+    free, steps = [], []
+    for i, k in enumerate(order):
+        kind, a, b = nodes[k]
+        if kind == "var":
+            reg[k] = _VARIABLES.index(a)
+        elif kind != "const":
+            reg[k] = own.get(k) or (free.pop() if free else next(fresh))
+            steps.append((graph.table.ops[kind], reg[a],
+                          None if b is None else reg[b], reg[k]))
+            free += [reg[x] for x in {a, b} - {None}
+                     if last[x] == i and reg[x] >= base]
+    steps += [(np.positive, reg[k], None, c)
+              for k, c in zip(roots, outs) if reg[k] != c]
+    constants = [graph.table.constant(nodes[k][1]) for k in consts]
+    shape, registers, size = None, [], next(fresh) - base
+
+    def evaluate(t, q: np.ndarray, outs: list) -> None:
+        nonlocal shape, registers
+        if outs[0].shape != shape:
+            shape = outs[0].shape
+            registers = [np.empty(shape) for _ in range(size)]
+        r = [t, q[..., 0], q[..., 1], q[..., 2], *constants, *outs,
+             *registers]
+        for f, a, b, c in steps:
+            if b is None:
+                f(r[a], r[c])
+            else:
+                f(r[a], r[b], r[c])
+
+    return evaluate
 
 
 class _Parser:
@@ -383,20 +423,22 @@ def compile_potential(text: str) -> tuple[Callable, Callable, Callable | None]:
     the exact force(t, q, out=None), -grad phi (..., 3), written into out
     when given; and the exact time derivative time(t, q), d phi / dt
     (...), or None where t does not occur.  t is one time or an array of
-    times broadcasting against q[..., 0]; a value in which no q occurs,
-    and every time derivative, is a new array of q's leading shape.
+    times broadcasting against q[..., 0], and each result has the shape
+    they broadcast to.  A value or a time derivative is always a new
+    array, never a view of t or q, and so is a force without out.
     Raises ExpressionError as compile_expression does.
 
-    Each kernel evaluates each node it needs once per call, and the last
-    operation of each force component writes into its column of out.  The
-    kernels run with numpy's floating-point errors raised: from finite
-    points, nothing else makes a result that is not finite.  After one, a
-    kernel runs again with them ignored, and at each finite point whose
-    row is not finite the ``math`` table evaluates the value (and the
-    force or the time derivative), so an ArithmeticError it raises there
-    (division by zero, overflow) is raised too.  A result the math table
-    accepts stands, even a finite value through an infinite intermediate:
-    at q1 = 0, exp(-1/q1^2) is 0, and its force, 0 * inf, raises the
+    Each kernel evaluates each node it needs once per call, by one ufunc
+    call into a register it keeps between calls, and the last operation
+    of each root writes into its result.  The kernels run with numpy's
+    floating-point errors raised: from finite points, nothing else makes
+    a result that is not finite.  After one, a kernel runs again with
+    them ignored, and at each finite point whose row is not finite the
+    ``math`` table evaluates the value (and the force or the time
+    derivative), so an ArithmeticError it raises there (division by zero,
+    overflow) is raised too.  A result the math table accepts stands,
+    even a finite value through an infinite intermediate: at q1 = 0,
+    exp(-1/q1^2) is 0, and its force, 0 * inf, raises the
     ZeroDivisionError of -1/q1^2.
     """
     graph, root = _parse(text, _ARRAY)
@@ -405,6 +447,7 @@ def compile_potential(text: str) -> tuple[Callable, Callable, Callable | None]:
 
     def judge(t, q: np.ndarray, ok: np.ndarray, which: tuple) -> None:
         times = np.broadcast_to(t, ok.shape)
+        q = np.broadcast_to(q, ok.shape + (3,))
         bad = ~ok & np.isfinite(times) & np.isfinite(q).all(axis=-1)
         for t_i, (q1, q2, q3) in zip(times[bad].tolist(), q[bad].tolist()):
             if not judges:  # compiled on first need, from one parse
@@ -416,43 +459,29 @@ def compile_potential(text: str) -> tuple[Callable, Callable, Callable | None]:
             for i in which:
                 judges[i](t_i, q1, q2, q3)
 
-    def checked(evaluate: Callable, *which: int) -> Callable:
-        def kernel(t, q: np.ndarray, *out) -> np.ndarray:
+    def kernel(roots: list[int], *which: int) -> Callable:
+        """The kernel run(t, q, out=None) of roots, judged by the math
+        table's evaluators which: the force, into columns, if 1 is one."""
+        evaluate = _evaluator(graph, roots)
+        raising = np.errstate(all="raise", under="ignore")(evaluate)
+        force = 1 in which
+
+        def run(t, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            if out is None:
+                shape = np.broadcast_shapes(np.shape(t), np.shape(q)[:-1])
+                out = np.empty(shape + (3,) if force else shape)
+            outs = [out[..., 0], out[..., 1], out[..., 2]] if force else [out]
             try:
-                with np.errstate(all="raise", under="ignore"):
-                    return evaluate(t, q, *out)
+                raising(t, q, outs)
+                return out
             except FloatingPointError:
                 pass
             with np.errstate(all="ignore"):
-                result = evaluate(t, q, *out)
-            ok = np.isfinite(result)
-            judge(t, q, ok.all(axis=-1) if 1 in which else ok, which)
-            return result
-        return kernel
+                evaluate(t, q, outs)
+            ok = np.isfinite(out)
+            judge(t, q, ok.all(axis=-1) if force else ok, which)
+            return out
+        return run
 
-    def field(k: int, spatial: bool) -> Callable:
-        """The kernel of node k at every position of q (..., 3), broadcast
-        into a new array unless spatial."""
-        run, (r,) = _program(graph, [k])
-
-        def evaluate(t, q: np.ndarray) -> np.ndarray:
-            out = run(t, q[..., 0], q[..., 1], q[..., 2])[r]
-            return out if spatial else np.full(np.shape(q)[:-1], out)
-        return evaluate
-
-    run_force, tails = _program(graph, force_nodes, tails=True)
-
-    def force(t, q: np.ndarray, out: np.ndarray) -> np.ndarray:
-        r = run_force(t, q[..., 0], q[..., 1], q[..., 2])
-        for i, (f, a, b) in enumerate(tails):
-            if b is None:
-                f(r[a], out[..., i])
-            else:
-                f(r[a], r[b], out[..., i])
-        return out
-
-    forces = checked(force, 0, 1)
-    spatial = any(("var", name) in graph.ids for name in _VARIABLES[1:])
-    return (checked(field(root, spatial), 0), lambda t, q, out=None: forces(
-        t, q, np.empty(np.shape(q)) if out is None else out),
-        None if time is None else checked(field(time, False), 0, 2))
+    return (kernel([root], 0), kernel(force_nodes, 0, 1),
+            None if time is None else kernel([time], 0, 2))

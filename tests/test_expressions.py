@@ -3,6 +3,7 @@ scalar and array evaluators, and the exact force and time derivative
 derived from it."""
 
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -378,9 +379,9 @@ class TestForce:
         # exp(q1 + q2) is the value node and a factor of both derivatives.
         calls = []
 
-        def exp(x):
+        def exp(x, out=None):  # each step writes into a register
             calls.append(x)
-            return np.exp(x)
+            return np.exp(x, out)
 
         monkeypatch.setitem(expressions._ARRAY.ops, "exp", exp)
         force = _force("exp(q1 + q2) * 2")
@@ -497,3 +498,141 @@ class TestTime:
             assert phi.differential(x[:1]).tolist() == [[1.0, 1.0, 0.0, 0.0]]
             with pytest.raises(ZeroDivisionError):
                 phi.differential(x)
+
+
+class TestKernelResults:
+    """What a compiled kernel hands back: a new array of the shape t and
+    q[..., 0] broadcast to, never a view of its input or a buffer it
+    reuses."""
+
+    @pytest.mark.parametrize("text", ["q1", "q3", "t"])
+    def test_values_are_not_a_view_of_the_input(self, text):
+        values = compile_potential(text)[0]
+        t, q = np.array([0.5, 1.5]), np.arange(6.0).reshape(2, 3)
+        got = values(t, q)
+        assert not np.shares_memory(got, q)
+        assert not np.shares_memory(got, t)
+        kept = got.copy()
+        values(t + 10.0, q + 10.0)
+        assert got.tolist() == kept.tolist()
+
+    @pytest.mark.parametrize("text", ["q1*t + sin(q2)", "t^2*exp(q3)"])
+    def test_results_survive_the_next_call(self, text):
+        # Each kernel keeps its registers between calls, but no result is
+        # one of them.
+        values, force, time = compile_potential(text)
+        q = np.random.default_rng(20263).normal(size=(2, 8, 3))
+        for kernel in (values, force, time):
+            got = kernel(0.5, q[0])
+            kept = got.copy()
+            kernel(1.5, q[1])
+            assert got.tolist() == kept.tolist()
+
+    @pytest.mark.parametrize("text, kernel, want", [
+        ("t^2 + 1", 0, [1.0, 2.0, 5.0]),
+        ("q1*t", 1, [[-0.0, -0.0, -0.0], [-1.0, -0.0, -0.0],
+                     [-2.0, -0.0, -0.0]]),
+        ("q1*t", 2, [0.0, 0.0, 0.0]),
+    ])
+    def test_times_broadcast_against_one_point(self, text, kernel, want):
+        got = compile_potential(text)[kernel](np.arange(3.0), np.zeros(3))
+        assert got.shape == np.shape(want)
+        assert got.tolist() == want
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "^": operator.pow, "neg": operator.neg,
+              "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log}
+
+
+def _reference(graph, k, t, q, memo):
+    """Node k of graph at (t, q), evaluated by recursion with the operator
+    semantics of numpy arrays over 0-d constants: an interpreter that
+    shares nothing with the compiled kernels but the graph."""
+    if k not in memo:
+        kind, a, b = graph.nodes[k]
+        if kind == "const":
+            memo[k] = np.array(a)
+        elif kind == "var":
+            memo[k] = t if a == "t" else q[..., "123".index(a[1])]
+        else:
+            fn = _OPERATORS[kind]
+            x = _reference(graph, a, t, q, memo)
+            memo[k] = fn(x) if b is None else \
+                fn(x, _reference(graph, b, t, q, memo))
+    return memo[k]
+
+
+def _same_bits(got, want):
+    want = np.broadcast_to(want, got.shape)
+    return np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestReferenceEquality:
+    """The compiled kernels equal a recursive interpretation of their graph
+    bit for bit.  No golden output evaluates sin, cos or exp, so this is
+    the bit-level guard of those steps."""
+
+    CASES = [
+        # the custom_field potentials of benchmark seeds 1 to 6
+        "0.5*0.9978*((q1-(0.2238))^2+(q2-(0.0153))^2+(q3-(-0.6874))^2)"
+        " + 0.1706*(q1-(0.2238))^4 + 0.1057*sin(q2)*cos(q3)"
+        " + 0.2307*exp(-0.5*(q1^2+q3^2))",
+        "0.5*1.842*((q1-(0.71))^2+(q2-(-0.589))^2+(q3-(0.9316))^2)"
+        " + 0.0563*(q1-(0.71))^4 + 0.2428*sin(q2)*cos(q3)"
+        " + 0.2198*exp(-0.5*(q1^2+q3^2))",
+        "0.5*0.8799*((q1-(-0.1856))^2+(q2-(-0.3173))^2+(q3-(-0.1451))^2)"
+        " + 0.1308*(q1-(-0.1856))^4 + 0.372*sin(q2)*cos(q3)"
+        " + 0.3315*exp(-0.5*(q1^2+q3^2))",
+        "0.5*1.9697*((q1-(-0.1321))^2+(q2-(-0.7093))^2+(q3-(-0.8772))^2)"
+        " + 0.1601*(q1-(-0.1321))^4 + 0.112*sin(q2)*cos(q3)"
+        " + 0.4925*exp(-0.5*(q1^2+q3^2))",
+        "0.5*1.6613*((q1-(-0.0586))^2+(q2-(0.3918))^2+(q3-(0.6331))^2)"
+        " + 0.1307*(q1-(-0.0586))^4 + 0.2552*sin(q2)*cos(q3)"
+        " + 0.2841*exp(-0.5*(q1^2+q3^2))",
+        "0.5*1.3522*((q1-(0.2603))^2+(q2-(-0.3924))^2+(q3-(0.2034))^2)"
+        " + 0.1168*(q1-(0.2603))^4 + 0.3675*sin(q2)*cos(q3)"
+        " + 0.4626*exp(-0.5*(q1^2+q3^2))",
+        # the golden custom potentials, and t through sin
+        "0.5*q1^2 + 0.25*q2^4 + 0.1*q1*q3",
+        "0.5*(q1^2+q2^2+q3^2)*(1+0.1*t)",
+        "sin(q1 * t) * cos(q2) + exp(-(q1^2 + q3^2) / 2)",
+    ]
+
+    @staticmethod
+    def _check(text, kernels, t, q):
+        graph, root = expressions._parse(text, expressions._ARRAY)
+        time, force = graph.derivatives(root)
+        memo = {}
+        values, forces, times = kernels
+        assert _same_bits(values(t, q), _reference(graph, root, t, q, memo))
+        want = np.stack(np.broadcast_arrays(
+            *[_reference(graph, k, t, q, memo) for k in force]), axis=-1)
+        got = forces(t, q)
+        assert _same_bits(got, want)
+        out = np.empty_like(got)
+        assert forces(t, q, out) is out and _same_bits(out, want)
+        if time is not None:
+            assert _same_bits(times(t, q), _reference(graph, time, t, q, memo))
+
+    @pytest.mark.parametrize("text", CASES)
+    def test_kernels_equal_the_interpreter(self, text):
+        kernels = compile_potential(text)
+        rng = np.random.default_rng(20264)
+        # (8, 3), (1, 3), (8, 3) replaces the registers twice.
+        for shape in [(3,), (8, 3), (1, 3), (8, 3), (500, 3)]:
+            q = rng.normal(scale=1.5, size=shape)
+            lead = shape[:-1] or (5,)  # one point against five times
+            for t in (0.7, rng.uniform(-1.0, 2.0, size=lead)):
+                self._check(text, kernels, t, q)
+
+    def test_a_finite_call_after_an_arithmetic_error(self):
+        kernels = compile_potential("1/q1")
+        q = np.random.default_rng(20265).normal(size=(8, 3))
+        pole = q.copy()
+        pole[3, 0] = 0.0
+        for kernel in kernels[:2]:
+            with pytest.raises(ZeroDivisionError):
+                kernel(0.0, pole)
+            self._check("1/q1", kernels, 0.0, q)

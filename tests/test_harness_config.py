@@ -201,8 +201,8 @@ def scalar_points(monkeypatch):
     (t, q1, q2, q3): the scalar evaluator and the judges of the kernels."""
     points, program = [], expressions._program
 
-    def counted_program(graph, roots, tails=False):
-        run, registers = program(graph, roots, tails)
+    def counted_program(graph, roots):
+        run, registers = program(graph, roots)
         if graph.table is not expressions._SCALAR:
             return run, registers
 
