@@ -9,7 +9,8 @@ metric, and trajectories are integrated in time with a classical fixed-step
 RK4 scheme.  For the built-in potentials the equations of motion are affine
 in the state, so one RK4 step is one affine map, the same at every step and
 in every frame up to its constant term; it is precomputed once per
-integration.  A ``custom`` potential runs RK4's four stages at every step.
+integration, with its powers, and advanced a block of steps at a time.  A
+``custom`` potential runs RK4's four stages at every step.
 
 In the *homogeneous* picture the velocity is an arbitrary future-directed
 four-vector and the momentum a full covector.  The lagrangian extends the
@@ -147,10 +148,18 @@ class Potential:
         return Covector4(*self.differential(x.as_array()).tolist())
 
 
-def _filled(q: np.ndarray, out, value) -> np.ndarray:
-    """out, or a new array shaped like q, with value broadcast into it."""
+def _at(t, q) -> np.ndarray:
+    """q broadcast against an array of times t along its leading axes."""
+    if getattr(t, "ndim", 0) and t.shape != np.shape(q)[:-1]:
+        lead = np.broadcast_shapes(t.shape, np.shape(q)[:-1])
+        q = np.broadcast_to(q, (*lead, 3))
+    return q
+
+
+def _filled(t, q: np.ndarray, out, value) -> np.ndarray:
+    """out, or a new array shaped as the force at (t, q), set to value."""
     if out is None:
-        out = np.empty(np.shape(q))
+        out = np.empty(np.shape(_at(t, q)))
     out[...] = value
     return out
 
@@ -158,8 +167,8 @@ def _filled(q: np.ndarray, out, value) -> np.ndarray:
 def free_potential() -> Potential:
     """Identically zero potential; its force is -0.0, the negated zero
     gradient."""
-    return Potential(values=lambda t, q: np.zeros(np.shape(q)[:-1]),
-                     force=lambda t, q, out=None: _filled(q, out, -0.0),
+    return Potential(values=lambda t, q: np.zeros(np.shape(_at(t, q))[:-1]),
+                     force=lambda t, q, out=None: _filled(t, q, out, -0.0),
                      affine=True)
 
 
@@ -170,8 +179,8 @@ def uniform_potential(force) -> Potential:
         raise ValueError(f"force needs 3 components, got shape {f.shape}")
 
     return Potential(
-        values=lambda t, q: -np.vecdot(q, f),
-        force=lambda t, q, out=None: _filled(q, out, f),
+        values=lambda t, q: -np.vecdot(_at(t, q), f),
+        force=lambda t, q, out=None: _filled(t, q, out, f),
         affine=True,
     )
 
@@ -188,9 +197,9 @@ def harmonic_potential(k: float, center=(0.0, 0.0, 0.0)) -> Potential:
     minus_k = np.array(-k)
 
     return Potential(
-        values=lambda t, q: 0.5 * k * np.vecdot(q - c, q - c),
+        values=lambda t, q: 0.5 * k * np.vecdot(q - c, _at(t, q) - c),
         force=lambda t, q, out=None: np.multiply(
-            minus_k, np.subtract(q, c, out), out),
+            minus_k, np.subtract(_at(t, q), c, out), out),
         affine=True,
     )
 
@@ -442,7 +451,7 @@ def _stage_steps(ts, ys, u_s, m, g, potential, h, check):
 
 def _step_map_steps(ys, t, u_s, m, g, potential, h):
     """advance(start, stop): RK4 steps start..stop-1 of integrate for an
-    affine potential, each one stacked matvec and one add.
+    affine potential, advanced a block of steps at a time.
 
     With the force f0 + K q, the frame-u equations are y' = M y + b_u for
     y = (q, p), M = [[0, G^-1/m], [K, 0]] and b_u = (u, f0).  One RK4 step
@@ -452,38 +461,68 @@ def _step_map_steps(ys, t, u_s, m, g, potential, h):
     summed in another order.  f0 and K come from one call of the force
     kernel on q = 0 and the unit vectors.  c_u applies X to the vector
     h b_u, so no power of X is scaled by h, which could overflow where the
-    state does not.  Each step adds D y + c_u to y rather than applying
-    I + D, which keeps the increment's rounding relative to the increment.
+    state does not.
+
+    With A = I + D, j steps take y_s to y_s + D_j y_s + S_j c_u, for
+    D_j = A^j - I and S_j the sum of A^i over i < j: P_j = [D_j | S_j] for
+    j < B, by doubling, P_{i+m} = P_i + P_m + D_i P_m.  A block predicts
+    its states from y_s by the P_j, takes the increments D y + c_u there
+    and stores y_s plus their running sum in step order, so each rounding
+    stays relative to its increment.  Products are one BLAS call of one
+    shape per frame, so a frame keeps the bits it gets alone.  A block
+    whose last state is not finite (a power may overflow where no state
+    does) is redone in blocks of one step, predicted as their start state,
+    and a frame that stayed finite keeps the block's states.
     """
     frames = len(u_s)
     f = potential.force(t, _PROBE)
     x = np.zeros((6, 6))
     x[:3, 3:] = g.apply_inverse(_PROBE[1:]).T * (h / m)
     x[3:, :3] = (f[1:] - f[0]).T * h
-    # [D | c_u] for every frame, acting on (q, p, 1).
-    a = np.empty((frames, 6, 7))
-    a[:, :, :6] = x @ (_EYE6 + x @ (_EYE6_2 + x @ (_EYE6_6 + x / 24.0)))
     hb = np.concatenate([u_s, np.broadcast_to(f[0], u_s.shape)], axis=1) * h
     c = hb / 24.0
     for k in (6.0, 2.0, 1.0):
         c = hb / k + np.matvec(x, c)
-    a[:, :, 6] = c
-    # One block of states as (q, p, 1) per frame, and the same states in
-    # the layout of ys; the block starts from the last state stored.  The
-    # views each step reads and writes are taken once per call.
-    z = np.empty((min(_FINITE_BLOCK, len(ys) - 1) + 1, frames, 7))
-    z[..., 6] = 1.0
-    zy = z[..., :6]
-    zys = zy.reshape(-1, frames, 2, 3, copy=False).transpose(0, 2, 1, 3)
-    dz = np.empty((frames, 6))
-    rows = list(zip(z, zy, zy[1:]))
+    # The powers P_j acting on (y, c_u), with P_1 = [D | I] the step map.
+    blk = min(_FINITE_BLOCK, len(ys) - 1)
+    p = np.empty((max(blk, 2), 6, 12))
+    p[1, :, :6] = x @ (_EYE6 + x @ (_EYE6_2 + x @ (_EYE6_6 + x / 24.0)))
+    p[1, :, 6:] = _EYE6
+    j = 1
+    while j + 1 < blk:
+        known = p[1:min(j, blk - 1 - j) + 1]
+        p[j + 1:j + 1 + len(known)] = p[j] + known + p[j, :, :6] @ known
+        j += len(known)
+    powers, step_map = p[1:blk].reshape(-1, 12), p[1].T  # p[0] unused
+    # Per frame: the block's states as (y, c_u) rows, the start state
+    # first; the predictions less the start state; the increments.
+    yc = np.empty((frames, blk, 12))
+    yc[..., 6:] = c[:, None]
+    start_state = yc[:, 0, :6].reshape(frames, 2, 3).transpose(1, 0, 2)
+    pred = np.empty((frames, len(powers), 1))
+    rows = pred.reshape(frames, blk - 1, 6, copy=False)
+    inc = np.empty((frames, blk, 6))
+    inc_ys = inc.reshape(frames, blk, 2, 3, copy=False).transpose(1, 2, 0, 3)
+
+    def block(start: int, steps: int) -> np.ndarray:
+        """Steps start.. as one block into ys; each frame's finiteness."""
+        start_state[...] = ys[start]
+        r = 6 * (steps - 1)
+        np.matmul(powers[:r], yc[:, 0, :, None], out=pred[:, :r])
+        np.add(rows[:, :steps - 1], yc[:, :1, :6], out=yc[:, 1:steps, :6])
+        np.matmul(yc[:, :steps], step_map, out=inc[:, :steps])
+        out = ys[start:start + steps + 1]
+        out[1:] = inc_ys[:steps]
+        np.add.accumulate(out, axis=0, out=out)
+        return np.isfinite(out[-1]).all(axis=(0, 2))
 
     def advance(start: int, stop: int) -> None:
-        steps = stop - start
-        zys[0] = ys[start]
-        for zk, yk, yk1 in rows[:steps]:
-            np.add(yk, np.matvec(a, zk, out=dz), yk1)
-        ys[start + 1:stop + 1] = zys[1:steps + 1]
+        finite = block(start, stop - start)
+        if not finite.all():  # redo it, keeping the frames that stayed finite
+            kept = ys[start + 1:stop + 1, :, finite]
+            for step in range(start, stop):
+                block(step, 1)
+            ys[start + 1:stop + 1, :, finite] = kept
 
     return advance
 
@@ -504,7 +543,8 @@ def integrate(u: Frame | Sequence[Frame], m: float, g: SpatialMetric,
       precomputed affine map of the state, built once per call from one
       call of its ``force`` kernel; that map is the RK4 step itself, its
       four stages summed in another order, so it agrees with the stage
-      loop to a few ulps per step;
+      loop to a few ulps per step; it advances a block of steps at a time,
+      from the map's powers;
     - any other potential runs the four stages of each step as one
       stacked state y (2, F, 3), positions then momenta, each stage
       written into buffers allocated once per call, the momentum rate of

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -13,8 +14,13 @@ from galimech.galilean_core import (
     Vector4,
     sigma,
 )
+from galimech import frame_dynamics
 from galimech.frame_dynamics import (
+    _EYE6,
+    _EYE6_2,
+    _EYE6_6,
     _FINITE_BLOCK,
+    _PROBE,
     NonFiniteState,
     NotFutureDirected,
     PhasePoint,
@@ -34,7 +40,9 @@ from galimech.frame_dynamics import (
     write_trajectory_csv,
 )
 from galimech.affine_phase import NewtonModel, p_change_chart_array
+from galimech.harness.cli import main
 from galimech.harness.config import PotentialSpec
+from galimech.harness.expressions import compile_potential
 
 from conftest import random_frame, random_metric
 
@@ -279,6 +287,28 @@ class TestPotentials:
             t.tolist(), q.tolist())])).tolist() == _bits(gradient).tolist()
         assert _bits(phi.differential(np.column_stack([t, q]))).tolist() == \
             _bits(np.column_stack([dt, gradient])).tolist()
+
+
+    @pytest.mark.parametrize("q_shape", [(3,), (3, 3)])
+    @pytest.mark.parametrize("kind, expr", [
+        ("free", "0"),
+        ("uniform", "-(0.3*q1 - 1.1*q2 + 0.6*q3)"),
+        ("harmonic", "0.5*1.3*((q1-0.1)^2 + (q2+0.2)^2 + (q3-0.4)^2)"),
+    ])
+    def test_builtin_kernels_broadcast_t(self, rng, kind, expr, q_shape):
+        # t broadcasts against q[..., 0], as for a custom kind, and each
+        # row is the kernel at that one time.
+        phi = GRID_POTENTIALS[kind]()
+        values, force = compile_potential(expr)[:2]
+        t, q = np.arange(3.0), rng.normal(size=q_shape)
+        got_values, got_force = phi.values(t, q), phi.force(t, q)
+        assert got_values.shape == values(t, q).shape == (3,)
+        assert got_force.shape == force(t, q).shape == (3, 3)
+        rows = np.broadcast_to(q, got_force.shape)
+        for i, ti in enumerate(t.tolist()):
+            assert got_values[i] == phi.values(ti, rows[i])
+            assert _bits(got_force[i]).tolist() == \
+                _bits(phi.force(ti, rows[i])).tolist()
 
 
 class TestInhomogeneous:
@@ -578,10 +608,11 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate([E0, E0], 1.0, ID3, free_potential(), [init], 0.1, 10)
 
-    def test_free_particle_linear_motion(self):
+    @pytest.mark.parametrize("n", [10, 3 * _FINITE_BLOCK + 5])
+    def test_free_particle_linear_motion(self, n):
         init = PhasePoint.spatial(ORIGIN, [1.0, 0.0, 0.0])
-        traj = integrate(E0, 1.0, ID3, free_potential(), init, 0.1, 10)
-        assert len(traj) == 11
+        traj = integrate(E0, 1.0, ID3, free_potential(), init, 0.1, n)
+        assert len(traj) == n + 1
         # identical accumulation, bit for bit
         assert np.array_equal(traj.q[:, 0, 0], traj.t)
         assert np.all(traj.p[:, 0] == [1.0, 0.0, 0.0])
@@ -654,22 +685,25 @@ class TestIntegrate:
                                   traj.p[:, 0])]
         assert traj.energies(g, phi).tolist() == ref
 
+    @pytest.mark.parametrize("n", [50, 2 * _FINITE_BLOCK + 22])
     @pytest.mark.parametrize("metric", ["identity", "random"])
-    @pytest.mark.parametrize("kind", ["harmonic", "custom"])
-    def test_batched_equals_single_frame_calls(self, rng, metric, kind):
+    @pytest.mark.parametrize("kind", ["harmonic", "linear", "custom"])
+    def test_batched_equals_single_frame_calls(self, rng, metric, kind, n):
         g = ID3 if metric == "identity" else random_metric(rng)
         if kind == "harmonic":
             phi = harmonic_potential(1.3, (0.1, -0.2, 0.0))
+        elif kind == "linear":
+            phi = _linear_force()
         else:  # the array evaluator's finite-difference gradient
             phi = PotentialSpec(
                 "custom", expr="0.5*q1^2 + 0.25*q2^4 + 0.1*q1*q3").build()
         frames = [random_frame(rng, scale=1.5) for _ in range(4)]
         x0 = Event(0.3, 0.8, -0.4, 0.2)
         inits = [PhasePoint.spatial(x0, rng.normal(size=3)) for _ in frames]
-        batched = integrate(frames, 1.2, g, phi, inits, 0.01, 50)
-        assert batched.q.shape == batched.p.shape == (51, 4, 3)
+        batched = integrate(frames, 1.2, g, phi, inits, 0.01, n)
+        assert batched.q.shape == batched.p.shape == (n + 1, 4, 3)
         for f, (u, init) in enumerate(zip(frames, inits)):
-            single = integrate(u, 1.2, g, phi, init, 0.01, 50)
+            single = integrate(u, 1.2, g, phi, init, 0.01, n)
             assert np.array_equal(batched.t, single.t)
             assert np.array_equal(batched.q[:, f], single.q[:, 0])
             assert np.array_equal(batched.p[:, f], single.p[:, 0])
@@ -889,7 +923,8 @@ class TestStepMap:
     sums RK4's four stages in another order, so it is held to a bound
     fixed from the dtype: |delta| <= 16 n eps (1 + max |y_ref|)."""
 
-    @pytest.mark.parametrize("n", [1, 2 * _FINITE_BLOCK + 22])
+    @pytest.mark.parametrize("n", [1, _FINITE_BLOCK - 1, _FINITE_BLOCK,
+                                   _FINITE_BLOCK + 1, 2 * _FINITE_BLOCK + 22])
     @pytest.mark.parametrize("frames", [1, 8])
     @pytest.mark.parametrize("metric", ["identity", "spd"])
     @pytest.mark.parametrize("kind", ["free", "uniform", "harmonic", "linear"])
@@ -914,3 +949,100 @@ class TestStepMap:
             Potential(values=phi.values, force=phi.force,
                       time=lambda t, q: np.zeros(np.shape(q)[:-1]),
                       affine=True)
+
+
+def _per_step_map_steps(ys, t, u_s, m, g, potential, h):
+    """The step map one step at a time, as before it advanced by blocks,
+    kept here as the reference: each step one stacked matvec and one
+    add."""
+    frames = len(u_s)
+    f = potential.force(t, _PROBE)
+    x = np.zeros((6, 6))
+    x[:3, 3:] = g.apply_inverse(_PROBE[1:]).T * (h / m)
+    x[3:, :3] = (f[1:] - f[0]).T * h
+    # [D | c_u] for every frame, acting on (q, p, 1).
+    a = np.empty((frames, 6, 7))
+    a[:, :, :6] = x @ (_EYE6 + x @ (_EYE6_2 + x @ (_EYE6_6 + x / 24.0)))
+    hb = np.concatenate([u_s, np.broadcast_to(f[0], u_s.shape)], axis=1) * h
+    c = hb / 24.0
+    for k in (6.0, 2.0, 1.0):
+        c = hb / k + np.matvec(x, c)
+    a[:, :, 6] = c
+    # One block of states as (q, p, 1) per frame, and the same states in
+    # the layout of ys; the block starts from the last state stored.  The
+    # views each step reads and writes are taken once per call.
+    z = np.empty((min(_FINITE_BLOCK, len(ys) - 1) + 1, frames, 7))
+    z[..., 6] = 1.0
+    zy = z[..., :6]
+    zys = zy.reshape(-1, frames, 2, 3, copy=False).transpose(0, 2, 1, 3)
+    dz = np.empty((frames, 6))
+    rows = list(zip(z, zy, zy[1:]))
+
+    def advance(start: int, stop: int) -> None:
+        steps = stop - start
+        zys[0] = ys[start]
+        for zk, yk, yk1 in rows[:steps]:
+            np.add(yk, np.matvec(a, zk, out=dz), yk1)
+        ys[start + 1:stop + 1] = zys[1:steps + 1]
+
+    return advance
+
+
+class TestBlockOverflow:
+    """A block of the step map whose powers overflow where its states do
+    not is redone one step at a time, so every run ends as the per-step
+    map ends."""
+
+    @pytest.mark.parametrize("k, q1, ending", [
+        (-1e10, 1e-290, "state became non-finite at step 90"),
+        (-1e10, 1.0, "state became non-finite at step 46"),
+        (-1e4, 1.0, None),
+    ])
+    def test_ends_as_the_per_step_map(self, tmp_path, capsys, monkeypatch,
+                                      k, q1, ending):
+        # At k = -1e10 the 47-step power overflows, far before the state
+        # at q1 = 1e-290 does.
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({
+            "potential": {"kind": "harmonic", "k": k},
+            "initial_event": [0, q1, 0, 0], "initial_velocity": [0, 0, 0],
+            "h": 0.001, "n": 400}))
+        runs = []
+        for step_map in (frame_dynamics._step_map_steps, _per_step_map_steps):
+            monkeypatch.setattr(frame_dynamics, "_step_map_steps", step_map)
+            out = tmp_path / f"{step_map.__name__}.csv"
+            code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+            runs.append((code, capsys.readouterr().err, out))
+        (code, err, out), (want_code, want_err, want_out) = runs
+        assert (code, err) == (want_code, want_err)
+        if ending is not None:
+            assert (code, err) == (3, f"integration diverged: {ending}\n")
+            return
+        assert code == 0
+        got, want = (np.loadtxt(path, delimiter=",", skiprows=1)[:, 2:8]
+                     for path in (out, want_out))
+        # each map within TestStepMap's bound of the stage loop
+        bound = 32 * 400 * np.finfo(float).eps * (1.0 + np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= bound
+
+    def test_a_frame_redone_alone_keeps_the_others_bits(self, monkeypatch):
+        # The second frame's block overflows in its predictions, not in its
+        # states, and is redone one step at a time; the first frame keeps
+        # the block's states.  Each has the bits it gets alone.
+        phi = harmonic_potential(1.0)
+        inits = [PhasePoint.spatial(Event(0.0, 1.0, 0.0, 0.0), [0.0, 0.0, 0.0]),
+                 PhasePoint.spatial(Event(0.0, 1e308, 0.0, 0.0),
+                                    [0.0, 1e308, 0.0])]
+        args = ([E0, E0], 1.0, ID3, phi, inits, 0.05, _FINITE_BLOCK)
+        batched = integrate(*args)
+        singles = [integrate(E0, *args[1:4], init, *args[5:])
+                   for init in inits]
+        monkeypatch.setattr(frame_dynamics, "_FINITE_BLOCK", 1)
+        stepped = integrate(*args)
+        for f, single in enumerate(singles):
+            for got, want in ((batched.q[:, f], single.q[:, 0]),
+                              (batched.p[:, f], single.p[:, 0])):
+                assert np.isfinite(got).all()
+                assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(batched.q[:, 1]), _bits(stepped.q[:, 1]))
+        assert not np.array_equal(batched.q[:, 0], stepped.q[:, 0])
