@@ -288,7 +288,6 @@ class TestPotentials:
         assert _bits(phi.differential(np.column_stack([t, q]))).tolist() == \
             _bits(np.column_stack([dt, gradient])).tolist()
 
-
     @pytest.mark.parametrize("q_shape", [(3,), (3, 3)])
     @pytest.mark.parametrize("kind, expr", [
         ("free", "0"),
