@@ -21,12 +21,12 @@ quotient: the universal mass-shell function, the affine lagrangian, the
 hamiltonian as a fiber difference, the three tuple maps relating the tangent
 and cotangent pictures, and the affine-metric section construction.
 
-The quotient operations are written once, as array kernels (``*_array``)
-over stacks of components: momentum representatives as covector components
-(..., 4), W representatives packed as (v0, v1, v2, v3, r) in (..., 5),
-frames as spatial velocities (..., 3), and the potential as its values.
-The WElement and PElement objects and their chart changes wrap the
-kernels for one element.
+The quotient operations are written once, as array kernels over stacks of
+components: momentum representatives as covector components (..., 4), W
+representatives packed as (v0, v1, v2, v3, r) in (..., 5), frames as
+spatial velocities (..., 3), and the potential as its values.  WElement
+and PElement hold one class each; their ``from_chart``/``in_chart`` call
+the chart-change kernels on its components.
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ from .galilean_core import (
     Vector4,
     pair,
     pair_frame,
-    sigma_array,
+    sigma,
 )
 from .frame_dynamics import (
     Potential,
     homogeneous_dynamics_violation_array,
-    lagrangian_hom_array,
+    lagrangian_hom,
 )
 from .generating_objects import FunctionFamily, family_fam1, family_fam2
 
@@ -60,9 +60,7 @@ __all__ = [
     "W_UNIT",
     "w_pack",
     "w_change_chart",
-    "w_change_chart_array",
     "p_change_chart",
-    "p_change_chart_array",
     "w_add_array",
     "w_scale_array",
     "eval_affine_array",
@@ -105,36 +103,21 @@ def w_pack(v, r) -> np.ndarray:
     return out
 
 
-def w_change_chart_array(model: NewtonModel, w, from_u, to_u) -> np.ndarray:
+def w_change_chart(model: NewtonModel, w, from_u, to_u) -> np.ndarray:
     """Re-express lagrangian-value representatives (..., 5) in other frames.
 
     The velocity part is chart-independent; the real part picks up the
     sigma pairing:  r' = r - m <sigma(to, from), v>.
     """
     v = w[..., :4]
-    shift = sigma_array(model.metric, to_u, from_u)
+    shift = sigma(model.metric, to_u, from_u)
     return w_pack(v, w[..., 4] - model.mass * pair(shift, v))
 
 
-def w_change_chart(model: NewtonModel, v: Vector4, r: float,
-                   from_frame: Frame, to_frame: Frame) -> tuple[Vector4, float]:
-    """w_change_chart_array for one representative (v, r)."""
-    w = w_change_chart_array(model, WElement(v, r).as_array(),
-                             from_frame.spatial, to_frame.spatial)
-    return v, float(w[4])
-
-
-def p_change_chart_array(model: NewtonModel, p, from_u, to_u) -> np.ndarray:
+def p_change_chart(model: NewtonModel, p, from_u, to_u) -> np.ndarray:
     """Re-express momentum representatives (..., 4) in other frames:
     p' = p - m sigma(to, from)."""
-    return p - model.mass * sigma_array(model.metric, to_u, from_u)
-
-
-def p_change_chart(model: NewtonModel, p: Covector4,
-                   from_frame: Frame, to_frame: Frame) -> Covector4:
-    """p_change_chart_array for one representative."""
-    return Covector4(*p_change_chart_array(
-        model, p.as_array(), from_frame.spatial, to_frame.spatial).tolist())
+    return p - model.mass * sigma(model.metric, to_u, from_u)
 
 
 @dataclass(frozen=True)
@@ -155,11 +138,14 @@ class WElement:
     @classmethod
     def from_chart(cls, model: NewtonModel, v: Vector4, r: float,
                    frame: Frame) -> "WElement":
-        vv, rr = w_change_chart(model, v, float(r), frame, REFERENCE_FRAME)
-        return cls(vv, rr)
+        w = w_change_chart(model, w_pack(v.as_array(), r), frame.spatial,
+                           REFERENCE_FRAME.spatial)
+        return cls(v, float(w[4]))
 
     def in_chart(self, model: NewtonModel, frame: Frame) -> tuple[Vector4, float]:
-        return w_change_chart(model, self.v, self.r, REFERENCE_FRAME, frame)
+        w = w_change_chart(model, self.as_array(), REFERENCE_FRAME.spatial,
+                           frame.spatial)
+        return self.v, float(w[4])
 
 
 @dataclass(frozen=True)
@@ -171,10 +157,12 @@ class PElement:
     @classmethod
     def from_chart(cls, model: NewtonModel, p: Covector4,
                    frame: Frame) -> "PElement":
-        return cls(p_change_chart(model, p, frame, REFERENCE_FRAME))
+        return cls(Covector4.from_array(p_change_chart(
+            model, p.as_array(), frame.spatial, REFERENCE_FRAME.spatial)))
 
     def in_chart(self, model: NewtonModel, frame: Frame) -> Covector4:
-        return p_change_chart(model, self.p, REFERENCE_FRAME, frame)
+        return Covector4.from_array(p_change_chart(
+            model, self.p.as_array(), REFERENCE_FRAME.spatial, frame.spatial))
 
 
 # The distinguished unit: evaluates to 1 on every momentum class, and its
@@ -242,8 +230,8 @@ def affine_lagrangian_array(model: NewtonModel, phi, v) -> np.ndarray:
     per-frame lagrangians differ by exactly the sigma pairing the chart
     rule removes.  The velocities must be future-directed.
     """
-    return w_pack(v, lagrangian_hom_array(REFERENCE_FRAME.spatial, model.mass,
-                                          model.metric, phi, v))
+    return w_pack(v, lagrangian_hom(REFERENCE_FRAME.spatial, model.mass,
+                                    model.metric, phi, v))
 
 
 def hamiltonian_fun_array(model: NewtonModel, phi, v, p) -> np.ndarray:

@@ -20,12 +20,13 @@ change of frame acts on momenta by adding a fixed multiple of the
 frame-shift covector.  Homogeneous dynamics is checked state by state
 (membership of a state-with-derivatives tuple) rather than integrated.
 
-Each formula is written once, as an array kernel (``*_array``) over stacks
-of components: frames as spatial velocities (..., 3), velocities and
-momenta as components (..., 4), and the potential as its values (...) at
-the events in question.  Some kernels also have a thin wrapper over Frame,
-Event, Vector4 and Covector4 objects that evaluates the potential and
-calls the kernel on one entry.
+Each formula is written once, as an array kernel over stacks of
+components: frames as spatial velocities (..., 3), velocities and momenta
+as components (..., 4), and the potential as its values (...) at the
+events in question.  A caller with one Frame, Event, Vector4 or Covector4
+passes its components (``spatial``, ``as_array``); a velocity that is not
+future-directed is not rejected, and the homogeneous kernels are undefined
+there.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from typing import TextIO
 import numpy as np
 
 from .galilean_core import (
-    TAU,
     Covector4,
     Event,
     Frame,
@@ -48,10 +48,6 @@ from .galilean_core import (
     maxabs,
     pair_frame,
 )
-
-
-class NotFutureDirected(GalimechError):
-    """Homogeneous-picture velocity has non-positive time component."""
 
 
 class NonFiniteState(GalimechError):
@@ -128,11 +124,13 @@ class Potential:
                 out[i] = on_error(i, exc)
         return out
 
-    def d_s(self, x: Event) -> np.ndarray:
-        """Derivative along the three spatial coordinates."""
-        return np.negative(self.force(x.t, x.spatial))
+    def d_s(self, x: np.ndarray) -> np.ndarray:
+        """Derivatives along the three spatial coordinates (..., 3) at the
+        events x (..., 4): the negated force."""
+        x = np.asarray(x, dtype=float)
+        return np.negative(self.force(x[..., 0], x[..., 1:]))
 
-    def differential(self, x: np.ndarray) -> np.ndarray:
+    def d(self, x: np.ndarray) -> np.ndarray:
         """Full differentials (dt, dq1, dq2, dq3) at the events x (..., 4):
         the negated force and the time derivative, each in one call over
         every event, or a time column of 0 where ``time`` is None."""
@@ -142,10 +140,6 @@ class Potential:
         np.negative(self.force(t, q, out[:, 1:]), out[:, 1:])
         out[:, 0] = 0.0 if self.time is None else self.time(t, q)
         return out.reshape(np.shape(x))
-
-    def d(self, x: Event) -> Covector4:
-        """Full differential, time component included."""
-        return Covector4(*self.differential(x.as_array()).tolist())
 
 
 def _at(t, q) -> np.ndarray:
@@ -217,10 +211,6 @@ class PhasePoint:
         arr.setflags(write=False)
         self.x, self.p = x, arr
 
-    @classmethod
-    def spatial(cls, x: Event, p) -> "PhasePoint":
-        return cls(x=x, p=p)
-
 
 class Trajectory:
     """Fixed-step discrete trajectories of F frames in the inhomogeneous
@@ -266,7 +256,7 @@ class Trajectory:
         return 0.5 / self.mass * np.vecdot(p, g.apply_inverse(p)) + phi
 
 
-def lagrangian_inhom_array(u, m: float, g: SpatialMetric, phi, w) -> np.ndarray:
+def lagrangian_inhom(u, m: float, g: SpatialMetric, phi, w) -> np.ndarray:
     """Kinetic energy of w relative to u, minus the potential value phi.
 
     The velocity w lives on the unit-time-component slice, so w - u is
@@ -276,32 +266,13 @@ def lagrangian_inhom_array(u, m: float, g: SpatialMetric, phi, w) -> np.ndarray:
     return 0.5 * m * g.quadratic(np.subtract(w, u)) - phi
 
 
-def lagrangian_inhom(u: Frame, m: float, g: SpatialMetric,
-                     potential: Potential, x: Event, w: Frame) -> float:
-    """lagrangian_inhom_array at one state."""
-    return float(lagrangian_inhom_array(u.spatial, m, g, potential.at(x),
-                                        w.spatial))
-
-
-def legendre_inhom_array(u, m: float, g: SpatialMetric, w) -> np.ndarray:
+def legendre_inhom(u, m: float, g: SpatialMetric, w) -> np.ndarray:
     """Spatial momentum conjugate to w in frame u: m times the lowered
     relative velocity."""
     return m * g.apply(np.subtract(w, u))
 
 
-def legendre_inhom(u: Frame, m: float, g: SpatialMetric, w: Frame) -> np.ndarray:
-    """legendre_inhom_array for one pair of frames."""
-    return legendre_inhom_array(u.spatial, m, g, w.spatial)
-
-
-def _require_future(v: Vector4) -> None:
-    tv = TAU.pair(v)
-    if tv <= 0.0:
-        raise NotFutureDirected(
-            f"velocity must have positive time component, got {tv!r}")
-
-
-def lagrangian_hom_array(u, m: float, g: SpatialMetric, phi, v) -> np.ndarray:
+def lagrangian_hom(u, m: float, g: SpatialMetric, phi, v) -> np.ndarray:
     """Degree-one homogeneous extension of the frame-u lagrangian.
 
     For a future-directed v (not checked here) with time component tv,
@@ -315,16 +286,7 @@ def lagrangian_hom_array(u, m: float, g: SpatialMetric, phi, v) -> np.ndarray:
     return 0.5 * m / tv * g.quadratic(iota_u_array(u, v)) - tv * phi
 
 
-def lagrangian_hom(u: Frame, m: float, g: SpatialMetric,
-                   potential: Potential, x: Event, v: Vector4) -> float:
-    """lagrangian_hom_array at one state; raises NotFutureDirected for a
-    non-positive time component."""
-    _require_future(v)
-    return float(lagrangian_hom_array(u.spatial, m, g, potential.at(x),
-                                      v.as_array()))
-
-
-def legendre_hom_array(u, m: float, g: SpatialMetric, phi, v) -> np.ndarray:
+def legendre_hom(u, m: float, g: SpatialMetric, phi, v) -> np.ndarray:
     """Fiber derivative of the homogeneous lagrangian in the velocity.
 
     Spatial components lower the projected velocity, the time component
@@ -341,16 +303,7 @@ def legendre_hom_array(u, m: float, g: SpatialMetric, phi, v) -> np.ndarray:
     return out
 
 
-def legendre_hom(u: Frame, m: float, g: SpatialMetric,
-                 potential: Potential, x: Event, v: Vector4) -> Covector4:
-    """legendre_hom_array at one state; raises NotFutureDirected for a
-    non-positive time component."""
-    _require_future(v)
-    return Covector4(*legendre_hom_array(u.spatial, m, g, potential.at(x),
-                                         v.as_array()).tolist())
-
-
-def mass_shell_residual_array(u, m: float, g: SpatialMetric, phi, p) -> np.ndarray:
+def mass_shell_residual(u, m: float, g: SpatialMetric, phi, p) -> np.ndarray:
     """Defect of the frame-u energy constraint for covector momenta:
 
         <p, g'(p)> / 2m + <p, u> + phi.
@@ -359,13 +312,6 @@ def mass_shell_residual_array(u, m: float, g: SpatialMetric, phi, p) -> np.ndarr
     """
     ps = p[..., 1:]
     return 0.5 / m * np.vecdot(ps, g.apply_inverse(ps)) + pair_frame(p, u) + phi
-
-
-def mass_shell_residual(u: Frame, m: float, g: SpatialMetric,
-                        potential: Potential, x: Event, p: Covector4) -> float:
-    """mass_shell_residual_array at one state."""
-    return float(mass_shell_residual_array(u.spatial, m, g, potential.at(x),
-                                           p.as_array()))
 
 
 def homogeneous_dynamics_violation_array(u, m: float, g: SpatialMetric, phi,
@@ -378,7 +324,7 @@ def homogeneous_dynamics_violation_array(u, m: float, g: SpatialMetric, phi,
     defect is NaN.
     """
     with np.errstate(all="ignore"):  # rows with tv <= 0 are replaced below
-        err_p = maxabs(p - legendre_hom_array(u, m, g, phi, xdot))
+        err_p = maxabs(p - legendre_hom(u, m, g, phi, xdot))
     err_pdot = maxabs(pdot - (-xdot[..., :1]) * dphi)
     return np.where(xdot[..., 0] <= 0.0, np.inf, np.maximum(err_p, err_pdot))
 
@@ -392,7 +338,7 @@ def in_homogeneous_dynamics(u: Frame, m: float, g: SpatialMetric,
     defect is homogeneous_dynamics_violation_array at that one state."""
     x, p, xdot, pdot = element
     return float(homogeneous_dynamics_violation_array(
-        u.spatial, m, g, potential.at(x), potential.d(x).as_array(),
+        u.spatial, m, g, potential.at(x), potential.d(x.as_array()),
         p.as_array(), xdot.as_array(), pdot.as_array())) <= tol
 
 
@@ -554,7 +500,8 @@ def integrate(u: Frame | Sequence[Frame], m: float, g: SpatialMetric,
     that do not match the frames one to one at one start time, and
     NonFiniteState naming the first step whose time or state is not
     finite, or at which the potential raised an ArithmeticError.
-    Finiteness is tested once per block of _FINITE_BLOCK steps.
+    Finiteness is tested on the last step of each block of _FINITE_BLOCK
+    steps, and step by step only in a block that failed it.
     """
     frames = (u,) if isinstance(u, Frame) else tuple(u)
     starts = (initial,) if isinstance(initial, PhasePoint) else tuple(initial)
@@ -600,7 +547,10 @@ def integrate(u: Frame | Sequence[Frame], m: float, g: SpatialMetric,
         for start in range(0, n, _FINITE_BLOCK):
             stop = min(start + _FINITE_BLOCK, n)
             advance(start, stop)
-            check(start + 1, stop)
+            # Times are an increasing running sum, and each state adds to
+            # the one before, so a block is finite when its last step is.
+            if not (np.isfinite(ts[stop]) and np.isfinite(ys[stop]).all()):
+                check(start + 1, stop)
 
     for arr in (ts, ys):  # views taken after this are read-only as well
         arr.setflags(write=False)

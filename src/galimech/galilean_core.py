@@ -13,11 +13,11 @@ Conventions used by every module in this package:
 
 Everything here is a pure function of values that nothing changes after
 construction (plain ``__slots__`` classes, their arrays read-only).  No
-state, no globals beyond TAU.  The array kernels (``pair``, ``maxabs``,
-``pair_frame``, ``iota_u_array``, ``sigma_array`` and the ``SpatialMetric``
+state, no globals beyond TAU.  The kernels (``pair``, ``maxabs``,
+``pair_frame``, ``iota_u_array``, ``sigma`` and the ``SpatialMetric``
 methods) take arrays of components of shape (..., 3) or (..., 4) and
-evaluate every entry in one numpy pass; ``sigma`` is the one object-level
-wrapper.
+evaluate every entry in one numpy pass; the value classes hold one entry
+and give their components with ``as_array`` or ``spatial``.
 """
 
 from __future__ import annotations
@@ -100,12 +100,6 @@ class Covector4:
     def spatial(self) -> np.ndarray:
         """Restriction to the simultaneity directions (components a1..a3)."""
         return np.array([self.a1, self.a2, self.a3], dtype=float)
-
-    def pair(self, v) -> float:
-        """Evaluate on a Vector4 or on a Frame (through its velocity)."""
-        if isinstance(v, Frame):
-            v = v.velocity
-        return self.a0 * v.c0 + self.a1 * v.c1 + self.a2 * v.c2 + self.a3 * v.c3
 
 
 TAU = Covector4(1.0, 0.0, 0.0, 0.0)
@@ -231,7 +225,7 @@ def _components(a: np.ndarray) -> list:
 
 def pair(p: np.ndarray, v: np.ndarray) -> np.ndarray:
     """<p, v> for stacks of covectors and vectors of shape (..., 4), summed
-    in component order as Covector4.pair does."""
+    in component order: a0*c0 + a1*c1 + a2*c2 + a3*c3."""
     p0, p1, p2, p3 = _components(p)
     v0, v1, v2, v3 = _components(v)
     return p0 * v0 + p1 * v1 + p2 * v2 + p3 * v3
@@ -271,7 +265,7 @@ def iota_u_array(u, v) -> np.ndarray:
     return v[..., 1:] - v[..., :1] * u
 
 
-def sigma_array(g: SpatialMetric, u_prime, u) -> np.ndarray:
+def sigma(g: SpatialMetric, u_prime, u) -> np.ndarray:
     """Momentum shift covector attached to a change of frame u -> u_prime.
 
     Lowers the relative velocity u_prime - u with the metric and extends the
@@ -292,7 +286,3 @@ def sigma_array(g: SpatialMetric, u_prime, u) -> np.ndarray:
     out[..., 1:] = f
     return out
 
-
-def sigma(g: SpatialMetric, u_prime: Frame, u: Frame) -> Covector4:
-    """sigma_array for one pair of Frames."""
-    return Covector4(*sigma_array(g, u_prime.spatial, u.spatial).tolist())

@@ -42,13 +42,13 @@ from .galilean_core import (
     SpatialMetric,
     Vector4,
     maxabs,
+    pair,
 )
 from .frame_dynamics import (
     Potential,
     lagrangian_hom,
-    legendre_hom_array,
+    legendre_hom,
     mass_shell_residual,
-    mass_shell_residual_array,
 )
 
 # Step scales for differencing the family gradient.
@@ -301,7 +301,7 @@ def solve_critical(fam: FunctionFamily, base, seeds: Sequence,
     return solve_critical_stack(fam, [base], seeds, tol, max_iter)[0]
 
 
-def hessians(fam: FunctionFamily, points: Sequence[CriticalPoint]) -> np.ndarray:
+def hessian(fam: FunctionFamily, points: Sequence[CriticalPoint]) -> np.ndarray:
     """Mixed second derivatives at every point, shape (N, f, b + f).
 
     Rows run over the fiber directions, columns over base directions then
@@ -322,11 +322,6 @@ def hessians(fam: FunctionFamily, points: Sequence[CriticalPoint]) -> np.ndarray
         return np.swapaxes((g[:, 0] - g[:, 1]) / (2.0 * h)[..., None], -1, -2)
 
 
-def hessian(fam: FunctionFamily, point: CriticalPoint) -> np.ndarray:
-    """hessians at one point: a fiber_dim x (base_dim + fiber_dim) matrix."""
-    return hessians(fam, [point])[0]
-
-
 class MorseReport:
     """Outcome of a full-rank certification over sampled critical points.
     A rank is NaN where the Hessian is not finite."""
@@ -338,10 +333,12 @@ class MorseReport:
         self.ok, self.ranks, self.required_rank = ok, ranks, required_rank
 
 
-def _ranks(matrices: np.ndarray, rel_tol: float) -> list[int | float]:
+def numerical_rank(matrices: np.ndarray,
+                   rel_tol: float = 1e-8) -> list[int | float]:
     """Numerical rank of each matrix of a stack (N, r, c): the number of
     singular values above rel_tol times the largest one, from one SVD of
     the whole stack; NaN for a matrix with a non-finite entry."""
+    matrices = np.asarray(matrices, dtype=float)
     finite = np.isfinite(matrices).all(axis=(-2, -1))
     sv = np.linalg.svd(np.where(finite[:, None, None], matrices, 0.0),
                        compute_uv=False)
@@ -349,24 +346,24 @@ def _ranks(matrices: np.ndarray, rel_tol: float) -> list[int | float]:
     return [int(c) if ok else math.nan for c, ok in zip(counts, finite)]
 
 
-def numerical_rank(matrix: np.ndarray, rel_tol: float = 1e-8) -> int | float:
-    """Number of singular values above rel_tol times the largest one (NaN
-    for a matrix with a non-finite entry)."""
-    return _ranks(np.asarray(matrix, dtype=float)[None], rel_tol)[0]
-
-
 def is_morse(fam: FunctionFamily, points: Sequence[CriticalPoint],
              rank_tol: float = 1e-8) -> MorseReport:
     """Certify that the mixed Hessian has full row rank at every point:
     one stacked Hessian and one stacked SVD for all of them."""
-    ranks = tuple(_ranks(hessians(fam, points), rank_tol)) if points else ()
+    ranks = tuple(numerical_rank(hessian(fam, points), rank_tol)) if points else ()
     ok = all(r == fam.fiber_dim for r in ranks)
     return MorseReport(ok=ok, ranks=ranks, required_rank=fam.fiber_dim)
 
 
-def kappas(fam: FunctionFamily, points: Sequence[CriticalPoint],
-           tol: float = 1e-8) -> list[GeneratedCovector]:
-    """kappa at every point, from one gradient call over all of them."""
+def kappa(fam: FunctionFamily, points: Sequence[CriticalPoint],
+          tol: float = 1e-8) -> list[GeneratedCovector]:
+    """Covectors generated at critical points: the base-direction gradient
+    at every point, from one gradient call over all of them.
+
+    Well defined because any two lifts of a base vector differ by a fiber
+    vector, on which the gradient vanishes at criticality.  Raises
+    NotCritical when a fiber gradient exceeds tol.
+    """
     if not points:
         return []
     gb, gf = _gradient_split(fam, np.array([pt.base for pt in points], dtype=float),
@@ -378,17 +375,6 @@ def kappas(fam: FunctionFamily, points: Sequence[CriticalPoint],
                 f"{fam.name}: fiber gradient norm {norm:.3e} exceeds {tol:.1e}")
     return [GeneratedCovector(base=pt.base, covector=cov, source=pt)
             for pt, cov in zip(points, gb)]
-
-
-def kappa(fam: FunctionFamily, point: CriticalPoint,
-          tol: float = 1e-8) -> GeneratedCovector:
-    """Covector generated at a critical point: the base-direction gradient.
-
-    Well defined because any two lifts of a base vector differ by a fiber
-    vector, on which the gradient vanishes at criticality.  Raises
-    NotCritical when the fiber gradient exceeds tol.
-    """
-    return kappas(fam, [point], tol)[0]
 
 
 def generate(fam: FunctionFamily, bases: Sequence, seeds: Sequence,
@@ -410,7 +396,7 @@ def generate(fam: FunctionFamily, bases: Sequence, seeds: Sequence,
                     f"{fam.name} is not a Morse family over base "
                     f"{pt.base.tolist()}: rank {rank} "
                     f"(need {report.required_rank})")
-    return kappas(fam, points, tol=max(10.0 * tol, 1e-12))
+    return kappa(fam, points, tol=max(10.0 * tol, 1e-12))
 
 
 def reduce_family(fam: FunctionFamily, eliminate: int, seeds: Sequence,
@@ -524,14 +510,6 @@ _V_NATURAL_TO_FIBER = np.array([1, 2, 3, 0])
 _V_FIBER_TO_NATURAL = np.array([3, 0, 1, 2])
 
 
-def _fiber_to_vector(fiber: np.ndarray) -> Vector4:
-    return Vector4(*np.asarray(fiber, dtype=float)[_V_FIBER_TO_NATURAL].tolist())
-
-
-def _base_to_state(base: np.ndarray) -> tuple[Event, Covector4]:
-    return Event.from_array(base[:4]), Covector4.from_array(base[4:])
-
-
 def state_to_base(x: Event, p: Covector4) -> np.ndarray:
     """Pack an event and a covector momentum into the 8-component base chart
     used by the velocity-fibered families."""
@@ -550,7 +528,7 @@ def _potential_jet(potential: Potential,
     """The potential (...) and its differential (..., 4) at the events x
     (..., 4)."""
     phi = potential.at_events(np.reshape(x, (-1, 4)))
-    return phi.reshape(x.shape[:-1]), potential.differential(x)
+    return phi.reshape(x.shape[:-1]), potential.d(x)
 
 
 def family_fam1(u: Frame, m: float, g: SpatialMetric,
@@ -568,9 +546,11 @@ def family_fam1(u: Frame, m: float, g: SpatialMetric,
     u_s = u.spatial
 
     def value(base: np.ndarray, fiber: np.ndarray) -> float:
-        x, p = _base_to_state(base)
-        v = _fiber_to_vector(fiber)
-        return p.pair(v) - lagrangian_hom(u, m, g, potential, x, v)
+        base, fiber = np.asarray(base, dtype=float), np.asarray(fiber, dtype=float)
+        x, p = base[:4], base[4:]
+        v = fiber[_V_FIBER_TO_NATURAL]
+        phi = potential.at_events(x[None])[0]
+        return float(pair(p, v) - lagrangian_hom(u_s, m, g, phi, v))
 
     def gradient(base: np.ndarray, fiber: np.ndarray):
         base, fiber = np.asarray(base, dtype=float), np.asarray(fiber, dtype=float)
@@ -579,7 +559,7 @@ def family_fam1(u: Frame, m: float, g: SpatialMetric,
         phi, dphi = _potential_jet(potential, x)
         tv = v[..., :1]
         gb = np.concatenate([tv * dphi, v], axis=-1)
-        gf = (p - legendre_hom_array(u_s, m, g, phi, v))[..., _V_NATURAL_TO_FIBER]
+        gf = (p - legendre_hom(u_s, m, g, phi, v))[..., _V_NATURAL_TO_FIBER]
         past = tv <= 0.0
         if np.any(past):
             gb, gf = np.where(past, np.nan, gb), np.where(past, np.nan, gf)
@@ -600,15 +580,17 @@ def family_fam2(u: Frame, m: float, g: SpatialMetric,
     u_s = u.spatial
 
     def value(base: np.ndarray, fiber: np.ndarray) -> float:
-        x, p = _base_to_state(base)
-        return float(fiber[0]) * mass_shell_residual(u, m, g, potential, x, p)
+        base = np.asarray(base, dtype=float)
+        x, p = base[:4], base[4:]
+        phi = potential.at_events(x[None])[0]
+        return float(fiber[0] * mass_shell_residual(u_s, m, g, phi, p))
 
     def gradient(base: np.ndarray, fiber: np.ndarray):
         base, fiber = np.asarray(base, dtype=float), np.asarray(fiber, dtype=float)
         x, p = base[..., :4], base[..., 4:]
         r = fiber[..., :1]
         phi, dphi = _potential_jet(potential, x)
-        res = mass_shell_residual_array(u_s, m, g, phi, p)
+        res = mass_shell_residual(u_s, m, g, phi, p)
         dres_dp = g.apply_inverse(p[..., 1:]) / m + u_s
         dres = np.concatenate([dphi, np.ones_like(r), dres_dp], axis=-1)
         return r * dres, res[..., None]

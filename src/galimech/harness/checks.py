@@ -42,21 +42,19 @@ from ..galilean_core import (
     Event,
     Frame,
     SpatialMetric,
-    Vector4,
     maxabs,
     pair,
-    sigma_array,
+    sigma,
 )
 from ..frame_dynamics import (
     Potential,
     Trajectory,
     integrate,
-    lagrangian_hom_array,
-    lagrangian_inhom_array,
+    lagrangian_hom,
+    lagrangian_inhom,
     legendre_hom,
-    legendre_hom_array,
-    legendre_inhom_array,
-    mass_shell_residual_array,
+    legendre_inhom,
+    mass_shell_residual,
 )
 from ..generating_objects import (
     CriticalPoint,
@@ -64,7 +62,7 @@ from ..generating_objects import (
     family_fam1,
     family_fam2,
     is_morse,
-    kappas,
+    kappa,
     solve_critical_stack,
     vector_to_fiber,
 )
@@ -81,11 +79,11 @@ from ..affine_phase import (
     family_fam4,
     gamma,
     hamiltonian_fun_array,
-    p_change_chart_array,
+    p_change_chart,
     pairing_array,
     psi_m_array,
     w_add_array,
-    w_change_chart_array,
+    w_change_chart,
     w_pack,
     w_scale_array,
 )
@@ -231,7 +229,7 @@ def corrupted_sigma(g: SpatialMetric, u_prime, u) -> np.ndarray:
     """Deliberately wrong frame-shift covector for negative-control runs:
     the time component is scaled, which breaks residual preservation at a
     level far above every tolerance."""
-    s = sigma_array(g, u_prime, u)
+    s = sigma(g, u_prime, u)
     return np.concatenate([1.001 * s[..., :1] + 1e-3, s[..., 1:]], axis=-1)
 
 
@@ -241,15 +239,15 @@ def corrupted_sigma(g: SpatialMetric, u_prime, u) -> np.ndarray:
 def check_sigma_antisymmetry(cfg: ScenarioConfig, rng) -> np.ndarray:
     g = cfg.build_metric()
     a, b = _draws(rng, 1000, _FRAME, _FRAME)
-    return maxabs(sigma_array(g, a, b) + sigma_array(g, b, a))
+    return maxabs(sigma(g, a, b) + sigma(g, b, a))
 
 
 @_sampled("sigma.cocycle", "cocycle")
 def check_sigma_cocycle(cfg: ScenarioConfig, rng) -> np.ndarray:
     g = cfg.build_metric()
     u1, u2, u3 = _draws(rng, 1000, _FRAME, _FRAME, _FRAME)
-    direct = sigma_array(g, u3, u1)
-    chained = sigma_array(g, u3, u2) + sigma_array(g, u2, u1)
+    direct = sigma(g, u3, u1)
+    chained = sigma(g, u3, u2) + sigma(g, u2, u1)
     return _rel(maxabs(direct - chained), maxabs(direct))
 
 
@@ -259,7 +257,7 @@ def check_sigma_pairing_formula(cfg: ScenarioConfig, rng) -> np.ndarray:
     mid-frame-corrected vector."""
     g = cfg.build_metric()
     u_prime, u, v = _draws(rng, 1000, _FRAME, _FRAME, _NORMAL4)
-    via_sigma = pair(sigma_array(g, u_prime, u), v)
+    via_sigma = pair(sigma(g, u_prime, u), v)
     corrected = v[:, 1:] - 0.5 * v[:, :1] * (u + u_prime)
     direct = np.vecdot(g.apply(u_prime - u), corrected)
     return _rel(np.abs(via_sigma - direct), direct)
@@ -273,9 +271,9 @@ def check_lagrangian_shift(cfg: ScenarioConfig, rng) -> np.ndarray:
     g, m = cfg.build_metric(), cfg.mass
     u, u_prime, v, x = _draws(rng, 1000, _FRAME, _FRAME, _FUTURE, _NORMAL4)
     phi = _potential_at(cfg.build_potential(), x)
-    lhs = lagrangian_hom_array(u, m, g, phi, v) \
-        - lagrangian_hom_array(u_prime, m, g, phi, v)
-    rhs = m * pair(sigma_array(g, u_prime, u), v)
+    lhs = lagrangian_hom(u, m, g, phi, v) \
+        - lagrangian_hom(u_prime, m, g, phi, v)
+    rhs = m * pair(sigma(g, u_prime, u), v)
     return _rel(np.abs(lhs - rhs), rhs)
 
 
@@ -303,12 +301,12 @@ def check_legendre_fd(cfg: ScenarioConfig, rng) -> np.ndarray:
                                   _FRAME, _NORMAL4, _FUTURE)
     phi0, phi1 = _potential_at(potential, x0), _potential_at(potential, x1)
     fd_inhom = _central_differences(
-        lambda w: lagrangian_inhom_array(u0[:, None], m, g, phi0[:, None], w), w)
+        lambda w: lagrangian_inhom(u0[:, None], m, g, phi0[:, None], w), w)
     fd_hom = _central_differences(
-        lambda v: lagrangian_hom_array(u1[:, None], m, g, phi1[:, None], v), v)
+        lambda v: lagrangian_hom(u1[:, None], m, g, phi1[:, None], v), v)
     errs = [_rel(maxabs(analytic - fd), maxabs(fd)) for analytic, fd in (
-        (legendre_inhom_array(u0, m, g, w), fd_inhom),
-        (legendre_hom_array(u1, m, g, phi1, v), fd_hom))]
+        (legendre_inhom(u0, m, g, w), fd_inhom),
+        (legendre_hom(u1, m, g, phi1, v), fd_hom))]
     return np.concatenate(errs)
 
 
@@ -318,8 +316,8 @@ def check_mass_shell(cfg: ScenarioConfig, rng) -> np.ndarray:
     g, m = cfg.build_metric(), cfg.mass
     u, x, v = _draws(rng, 500, _FRAME, _NORMAL4, _FUTURE)
     phi = _potential_at(cfg.build_potential(), x)
-    p = legendre_hom_array(u, m, g, phi, v)
-    return np.abs(mass_shell_residual_array(u, m, g, phi, p))
+    p = legendre_hom(u, m, g, phi, v)
+    return np.abs(mass_shell_residual(u, m, g, phi, p))
 
 
 @_sampled("boost.residual_preservation", "residual_preservation")
@@ -329,9 +327,9 @@ def check_residual_preservation(cfg: ScenarioConfig, rng,
     g, m = cfg.build_metric(), cfg.mass
     u_prime, u, x, p = _draws(rng, 500, _FRAME, _FRAME, _NORMAL4, _NORMAL4)
     phi = _potential_at(cfg.build_potential(), x)
-    before = mass_shell_residual_array(u_prime, m, g, phi, p)
+    before = mass_shell_residual(u_prime, m, g, phi, p)
     carried = p + m * sigma_fn(g, u_prime, u)
-    after = mass_shell_residual_array(u, m, g, phi, carried)
+    after = mass_shell_residual(u, m, g, phi, carried)
     return _rel(np.abs(after - before), before)
 
 
@@ -409,7 +407,7 @@ def _charted(model: NewtonModel, p, u: np.ndarray) -> np.ndarray:
     through the chart of the frames with spatial velocities u (..., 3) and
     back, which exercises the relation the quotient is built on."""
     ref = REFERENCE_FRAME.spatial
-    return p_change_chart_array(model, p_change_chart_array(model, p, ref, u),
+    return p_change_chart(model, p_change_chart(model, p, ref, u),
                                 u, ref)
 
 
@@ -429,8 +427,8 @@ def _chart_eval_affine(cfg: ScenarioConfig, rng) -> np.ndarray:
     w = np.array([1.0, 0.5, -0.3, 0.2, 0.4])
     p = np.array([-0.2, 0.7, 0.1, -0.5])
     ref = eval_affine_array(w, p)
-    w_u = w_change_chart_array(model, w, ref_u, u)
-    val = eval_affine_array(w_change_chart_array(model, w_u, u, ref_u),
+    w_u = w_change_chart(model, w, ref_u, u)
+    val = eval_affine_array(w_change_chart(model, w_u, u, ref_u),
                             _charted(model, p, u))
     return _rel(np.abs(val - ref), ref)
 
@@ -442,8 +440,8 @@ def _chart_pairing(cfg: ScenarioConfig, rng) -> np.ndarray:
     p = np.array([0.3, -0.4, 0.8, 0.1])
     v = np.array([1.0, 0.2, -0.6, 0.9])
     ref = pairing_array(p, v)[4]
-    p_u = p_change_chart_array(model, p, ref_u, u)
-    rebuilt = w_change_chart_array(model, pairing_array(p_u, v), u, ref_u)
+    p_u = p_change_chart(model, p, ref_u, u)
+    rebuilt = w_change_chart(model, pairing_array(p_u, v), u, ref_u)
     return _rel(np.abs(rebuilt[:, 4] - ref), ref)
 
 
@@ -461,8 +459,8 @@ def _chart_affine_lagrangian(cfg: ScenarioConfig, rng) -> np.ndarray:
     model, _, phi, u = _chart_samples(cfg, rng)
     v = np.array([0.8, 0.4, -0.2, 0.6])
     ref = affine_lagrangian_array(model, phi, v)[4]
-    l_u = lagrangian_hom_array(u, model.mass, model.metric, phi, v)
-    rebuilt = w_change_chart_array(model, w_pack(v, l_u), u,
+    l_u = lagrangian_hom(u, model.mass, model.metric, phi, v)
+    rebuilt = w_change_chart(model, w_pack(v, l_u), u,
                                    REFERENCE_FRAME.spatial)
     return _rel(np.abs(rebuilt[:, 4] - ref), ref)
 
@@ -481,15 +479,15 @@ def _chart_hamiltonian_fun(cfg: ScenarioConfig, rng) -> np.ndarray:
 @_sampled("affine.chart.membership", 0.0, count=True)
 def _chart_membership(cfg: ScenarioConfig, rng) -> np.ndarray:
     model, x, phi, u = _chart_samples(cfg, rng)
-    v = Vector4(1.0, 0.4, -0.1, 0.3)
-    p_on = legendre_hom(REFERENCE_FRAME, model.mass, model.metric,
-                        model.potential, x, v).as_array()
+    v = np.array([1.0, 0.4, -0.1, 0.3])
+    p_on = legendre_hom(REFERENCE_FRAME.spatial, model.mass, model.metric,
+                        phi, v)
     p_off = p_on.copy()
     p_off[0] += 1.0
-    dphi = model.potential.d(x).as_array()
+    dphi = model.potential.d(x.as_array())
     got = dynamics_membership_universal_array(
         model, phi, dphi, _charted(model, np.stack([p_on, p_off]), u[:, None]),
-        v.as_array(), -dphi, 1e-9)
+        v, -dphi, 1e-9)
     return got != [True, False]
 
 
@@ -562,7 +560,7 @@ def _on_shell_samples(cfg: ScenarioConfig, u: Frame, rng, count: int):
     of the velocities that put them there."""
     x, v = _draws(rng, count, _NORMAL4, _FUTURE)
     phi = _potential_at(cfg.build_potential(), x)
-    p = legendre_hom_array(u.spatial, cfg.mass, cfg.build_metric(), phi, v)
+    p = legendre_hom(u.spatial, cfg.mass, cfg.build_metric(), phi, v)
     return np.concatenate([x, p], axis=1), vector_to_fiber(v)
 
 
@@ -637,7 +635,7 @@ def _fam1_vs_fam2(cfg: ScenarioConfig, u: Frame) -> CheckResult:
     v1, v2 = np.meshgrid(np.linspace(-1.0, 1.0, 5), np.linspace(-0.5, 0.5, 5),
                          indexing="ij")
     v = np.stack([np.ones(25), v1.ravel(), v2.ravel(), np.full(25, 0.2)], axis=1)
-    p = legendre_hom_array(u.spatial, cfg.mass, g,
+    p = legendre_hom(u.spatial, cfg.mass, g,
                            phi.at(Event(*cfg.initial_event)), v)
     bases = np.concatenate([np.broadcast_to(x, p.shape), p], axis=1)
     found = list(zip(
@@ -659,9 +657,9 @@ def _fam1_vs_fam2(cfg: ScenarioConfig, u: Frame) -> CheckResult:
 
 def _certified_covectors(fam, points: Sequence[CriticalPoint]):
     """Which points have a full-rank mixed Hessian, and the covectors kappa
-    generates at every point: one is_morse and one kappas call."""
+    generates at every point: one is_morse and one kappa call."""
     morse = np.array(is_morse(fam, points).ranks) == fam.fiber_dim
-    return morse, np.array([gc.covector for gc in kappas(fam, points, tol=1e-10)])
+    return morse, np.array([gc.covector for gc in kappa(fam, points, tol=1e-10)])
 
 
 @_sampled("morse.fam3.chart_residuals", "chart_battery")
@@ -674,7 +672,7 @@ def _fam3_chart_residuals(cfg: ScenarioConfig, rng) -> np.ndarray:
     p, *frames = _draws(rng, 5, _NORMAL4, *[_FRAME] * 20)
     charted = _charted(model, p[:, None], np.stack(frames, axis=1))
     # fam3's value at multiplier 1: the reference-chart mass-shell residual
-    ref, val = (mass_shell_residual_array(REFERENCE_FRAME.spatial, model.mass,
+    ref, val = (mass_shell_residual(REFERENCE_FRAME.spatial, model.mass,
                                           model.metric, phi, q)
                 for q in (p[:, None], charted))
     return _rel(np.abs(val - ref), ref).ravel()
@@ -695,7 +693,7 @@ def dynamics_suite(cfg: ScenarioConfig) -> list[CheckResult]:
         check_lagrangian_shift(cfg),
         check_legendre_fd(cfg),
         check_mass_shell(cfg),
-        check_residual_preservation(cfg, sigma_array),
+        check_residual_preservation(cfg, sigma),
         check_energy_drift(cfg),
     ]
 

@@ -36,7 +36,7 @@ import tempfile
 from .. import _log
 from .._log import DEBUG, ERROR, INFO, WARNING
 from ..frame_dynamics import NonFiniteState, integrate, write_trajectory_csv
-from ..galilean_core import DomainError, sigma_array
+from ..galilean_core import DomainError, sigma
 from .config import (
     MORSE_FAMILIES,
     ConfigError,
@@ -141,7 +141,7 @@ def _cmd_boost_check(args: argparse.Namespace) -> int:
     cfg = _load(args)
     if len(cfg.frames) < 2:
         raise ConfigError("frames", "boost-check needs at least two frames")
-    sigma_fn = corrupted_sigma if args.corrupt_sigma else sigma_array
+    sigma_fn = corrupted_sigma if args.corrupt_sigma else sigma
     if args.corrupt_sigma:
         log(WARNING, "running with a corrupted frame-shift covector")
     return _finish(Report(tuple(boost_checks(cfg, sigma_fn))), args.out)

@@ -146,9 +146,9 @@ class ScenarioConfig:
 
     def initial_state(self, u: Frame) -> PhasePoint:
         """Phase-space start in frame u for the configured world velocity."""
-        w = Frame.from_spatial(self.initial_velocity)
-        p = legendre_inhom(u, self.mass, self.build_metric(), w)
-        return PhasePoint.spatial(self.build_initial_event(), p)
+        p = legendre_inhom(u.spatial, self.mass, self.build_metric(),
+                           np.array(self.initial_velocity))
+        return PhasePoint(self.build_initial_event(), p)
 
 
 def _finite_floats(field: str, value, count: int) -> tuple[float, ...]:

@@ -18,7 +18,7 @@ from galimech.frame_dynamics import (
     legendre_inhom,
 )
 from galimech.galilean_core import (
-    Event, Frame, SpatialMetric, Vector4, maxabs, sigma, sigma_array)
+    Event, Frame, SpatialMetric, maxabs, pair, sigma)
 from galimech.generating_objects import CriticalPoint, FunctionFamily, is_morse
 from galimech.harness import checks
 from galimech.harness.checks import (
@@ -79,7 +79,7 @@ def test_free_world_lines_agree_exactly():
 
 
 def test_residual_preservation_margin_is_wide():
-    clean = check_residual_preservation(default_config(), sigma_array)
+    clean = check_residual_preservation(default_config(), sigma)
     dirty = check_residual_preservation(default_config(), corrupted_sigma)
     assert clean.passed
     assert dirty.max_err > 1e6 * clean.max_err
@@ -89,7 +89,7 @@ def test_checks_are_order_independent():
     # Same named check, same config: identical numbers no matter what ran
     # before it, because each check derives its own rng stream.
     cfg = default_config()
-    alone = check_residual_preservation(cfg, sigma_array)
+    alone = check_residual_preservation(cfg, sigma)
     after_suite = [c for c in suite_checks(cfg, "dynamics")
                    if c.name == "boost.residual_preservation"]
     assert after_suite == [alone]
@@ -98,8 +98,8 @@ def test_checks_are_order_independent():
 def test_seed_changes_samples_but_not_verdict():
     cfg = default_config()
     other = dataclasses.replace(cfg, seed=1234)
-    a = check_residual_preservation(cfg, sigma_array)
-    b = check_residual_preservation(other, sigma_array)
+    a = check_residual_preservation(cfg, sigma)
+    b = check_residual_preservation(other, sigma)
     assert a.passed and b.passed
     assert a.max_err != b.max_err
 
@@ -129,7 +129,7 @@ HALF_NAN_POTENTIAL = PotentialSpec("custom", expr="q1^0.5")
                                    check_residual_preservation])
 def test_non_finite_samples_fail_the_check(potential, check):
     cfg = dataclasses.replace(default_config(), potential=potential)
-    args = (sigma_array,) if check is check_residual_preservation else ()
+    args = (sigma,) if check is check_residual_preservation else ()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy warning may escape either
         result = check(cfg, *args)
@@ -155,18 +155,17 @@ def test_one_nan_among_finite_errors_fails():
                     count=True).max_err == 2.0
 
 
-# --- the array checks against per-sample loops over the object API --------
+# --- the array checks against per-sample loops over single entries -------
 
 def _loop_lagrangian_shift(cfg, rng, phi, g):
     worst = 0.0
     rows = zip(*checks._draws(rng, 1000, checks._FRAME, checks._FRAME,
                               checks._FUTURE, checks._NORMAL4))
     for u, u_prime, v, x in rows:
-        u, u_prime = Frame.from_spatial(u), Frame.from_spatial(u_prime)
-        v, x = Vector4.from_array(v), Event(*x.tolist())
-        lhs = lagrangian_hom(u, cfg.mass, g, phi, x, v) \
-            - lagrangian_hom(u_prime, cfg.mass, g, phi, x, v)
-        rhs = cfg.mass * sigma(g, u_prime, u).pair(v)
+        phi_x = phi.at(Event(*x.tolist()))
+        lhs = lagrangian_hom(u, cfg.mass, g, phi_x, v) \
+            - lagrangian_hom(u_prime, cfg.mass, g, phi_x, v)
+        rhs = cfg.mass * pair(sigma(g, u_prime, u), v)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     return worst
 
@@ -178,20 +177,16 @@ def _loop_legendre_fd(cfg, rng, phi, g):
         checks._FRAME, checks._NORMAL4, checks._FUTURE)
     for i in range(500):
         k = i // 2
-        u = Frame.from_spatial((u0, u1)[i % 2][k])
-        x = Event(*(x0, x1)[i % 2][k].tolist())
+        u = (u0, u1)[i % 2][k]
+        phi_x = phi.at(Event(*(x0, x1)[i % 2][k].tolist()))
         if i % 2 == 0:
-            w = w0[k]
-            analytic = legendre_inhom(u, m, g, Frame.from_spatial(w))
-            lagrangian = lambda c: lagrangian_inhom(u, m, g, phi, x,
-                                                    Frame.from_spatial(c))
-            coords = w
+            coords = w0[k]
+            analytic = legendre_inhom(u, m, g, coords)
+            lagrangian = lambda c: lagrangian_inhom(u, m, g, phi_x, c)
         else:
-            v = Vector4.from_array(v1[k])
-            analytic = legendre_hom(u, m, g, phi, x, v).as_array()
-            lagrangian = lambda c: lagrangian_hom(u, m, g, phi, x,
-                                                  Vector4.from_array(c))
-            coords = v.as_array()
+            coords = v1[k]
+            analytic = legendre_hom(u, m, g, phi_x, coords)
+            lagrangian = lambda c: lagrangian_hom(u, m, g, phi_x, c)
         fd = np.empty(len(coords))
         for j in range(len(coords)):
             step = 1e-6 * (1.0 + abs(coords[j]))
@@ -231,7 +226,7 @@ def _nan_after_first(monkeypatch, name, index=1):
 
     def patched(*args, **kwargs):
         out = real(*args, **kwargs)
-        if name == "kappas":
+        if name == "kappa":
             out[index].covector[:] = np.nan
         else:
             out = out.copy()
@@ -258,7 +253,7 @@ def test_rank_check_nan_rank_fails():
 def test_fam1_vs_fam2_nan_covector_fails(monkeypatch):
     cfg = default_config()
     assert _fam1_vs_fam2(cfg, Frame.from_spatial(cfg.frames[0])).passed
-    _nan_after_first(monkeypatch, "kappas", index=3)
+    _nan_after_first(monkeypatch, "kappa", index=3)
     result = _fam1_vs_fam2(cfg, Frame.from_spatial(cfg.frames[0]))
     assert math.isnan(result.max_err) and not result.passed
     assert result.n == 25
@@ -326,8 +321,7 @@ def test_one_nan_sample_is_named_in_the_report(tmp_path, monkeypatch):
 
 def test_worst_index_replays_from_the_seed_and_the_check_name():
     # The check's stream, drawn in the check's block layout, gives back the
-    # worst sample; one evaluation of it through the object API reproduces
-    # max_err.
+    # worst sample; one evaluation of it alone reproduces max_err.
     cfg = dataclasses.replace(
         default_config(), seed=7, mass=1.3,
         potential=PotentialSpec("custom", expr="sin(q1)*q2 + 0.2*q3^2"))
@@ -336,11 +330,10 @@ def test_worst_index_replays_from_the_seed_and_the_check_name():
         _rng(cfg, result.name), result.n,
         checks._FRAME, checks._FRAME, checks._FUTURE, checks._NORMAL4)
     i, g, phi = result.worst_index, cfg.build_metric(), cfg.build_potential()
-    u, u_prime = Frame.from_spatial(u[i]), Frame.from_spatial(u_prime[i])
-    v, x = Vector4.from_array(v[i]), Event(*x[i].tolist())
-    lhs = lagrangian_hom(u, cfg.mass, g, phi, x, v) \
-        - lagrangian_hom(u_prime, cfg.mass, g, phi, x, v)
-    rhs = cfg.mass * sigma(g, u_prime, u).pair(v)
+    phi_x = phi.at(Event(*x[i].tolist()))
+    lhs = lagrangian_hom(u[i], cfg.mass, g, phi_x, v[i]) \
+        - lagrangian_hom(u_prime[i], cfg.mass, g, phi_x, v[i])
+    rhs = cfg.mass * pair(sigma(g, u_prime[i], u[i]), v[i])
     assert abs(lhs - rhs) / max(1.0, abs(rhs)) == result.max_err
     assert result.nonfinite == 0
 

@@ -495,9 +495,9 @@ class TestTime:
         assert phi.at_events(x).tolist() == [2.0, 0.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert phi.differential(x[:1]).tolist() == [[1.0, 1.0, 0.0, 0.0]]
+            assert phi.d(x[:1]).tolist() == [[1.0, 1.0, 0.0, 0.0]]
             with pytest.raises(ZeroDivisionError):
-                phi.differential(x)
+                phi.d(x)
 
 
 class TestKernelResults:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from galimech.galilean_core import (
+    Covector4,
     DomainError,
     Event,
     Frame,
@@ -140,7 +141,7 @@ class TestDomain:
         report = is_morse(fam, points)
         assert report.ranks[0] == 1 and math.isnan(report.ranks[1])
         assert not report.ok
-        assert math.isnan(numerical_rank(np.array([[1.0, np.nan]])))
+        assert math.isnan(numerical_rank([[[1.0, np.nan]]])[0])
 
     def test_past_directed_velocity_leaves_the_domain(self):
         fam = family_fam1(E0, 1.0, ID3, free_potential())
@@ -156,12 +157,12 @@ class TestHessian:
         fam = FunctionFamily(1, 1, lambda b, f: float(f[0] ** 2),
                              lambda b, f: (np.zeros_like(b), 2.0 * f),
                              name="parabola")
-        h = hessian(fam, CriticalPoint(np.array([0.0]), np.array([0.0])))
+        (h,) = hessian(fam, [CriticalPoint(np.array([0.0]), np.array([0.0]))])
         assert np.allclose(h, [[0.0, 2.0]], atol=1e-7)
 
     def test_saddle(self):
         fam = saddle_family()
-        h = hessian(fam, CriticalPoint(np.array([1.0]), np.array([1.0])))
+        (h,) = hessian(fam, [CriticalPoint(np.array([1.0]), np.array([1.0]))])
         assert np.allclose(h, [[1.0, -1.0]], atol=1e-7)
 
     def test_fiber_block_symmetry(self, rng):
@@ -174,7 +175,7 @@ class TestHessian:
             return s1, np.concatenate([b + s2, s1 + s2 ** 2], axis=-1)
         fam = FunctionFamily(1, 2, value, grad, name="crossed")
         pt = CriticalPoint(rng.normal(size=1), rng.normal(size=2))
-        h = hessian(fam, pt)
+        (h,) = hessian(fam, [pt])
         fiber_block = h[:, 1:]
         assert np.max(np.abs(fiber_block - fiber_block.T)) <= 1e-6
 
@@ -200,7 +201,7 @@ class TestMorse:
 
     def test_numerical_rank_threshold(self):
         m = np.diag([1.0, 1e-7, 1e-9])
-        assert numerical_rank(m, rel_tol=1e-8) == 2
+        assert numerical_rank(m[None], rel_tol=1e-8) == [2]
 
 
 class TestKappa:
@@ -215,13 +216,13 @@ class TestKappa:
                     np.zeros_like(f))
         fam = FunctionFamily(2, 1, value, grad, name="pullback")
         pt = CriticalPoint(np.array([0.3, -1.2]), np.array([7.0]))
-        out = kappa(fam, pt)
+        (out,) = kappa(fam, [pt])
         assert np.allclose(out.covector, [np.cos(0.3), -2.4], atol=1e-8)
 
     def test_rejects_non_critical(self):
         fam = saddle_family()
         with pytest.raises(NotCritical):
-            kappa(fam, CriticalPoint(np.array([2.0]), np.array([0.0])))
+            kappa(fam, [CriticalPoint(np.array([2.0]), np.array([0.0]))])
 
     def test_lift_independence(self, rng):
         # <dF, lift> must not depend on the vertical part of the lift at a
@@ -249,7 +250,7 @@ class TestKappa:
         s_star = grid[np.argmin(vals)]
         expected = value_differences(fam, base, [s_star])[0][0]
         pts = solve_critical(fam, base, seeds=[[0.0]], tol=1e-10)
-        out = kappa(fam, pts[0])
+        (out,) = kappa(fam, pts[:1])
         assert out.covector[0] == pytest.approx(expected, abs=1e-4)
 
 
@@ -349,7 +350,7 @@ class TestExample31:
         fam = family_example31(mass=1.5, stiffness=0.7)
         base = np.array([0.2, -0.1, 0.4, 1.0, -2.0, 0.5])
         pt = solve_critical(fam, base, seeds=[np.zeros(3)], tol=1e-12)[0]
-        h = hessian(fam, pt)
+        (h,) = hessian(fam, [pt])
         assert h.shape == (3, 9)
         assert np.allclose(h[:, 0:3], np.zeros((3, 3)), atol=1e-7)       # d2F/dv dq
         assert np.allclose(h[:, 3:6], -np.eye(3), atol=1e-7)             # d2F/dv dp
@@ -393,8 +394,9 @@ class TestParticleFamilies:
         self.phi = harmonic_potential(0.8, center=[0.1, 0.0, -0.3])
 
     def on_shell_base(self, v: Vector4, x: Event) -> np.ndarray:
-        p = legendre_hom(self.u, self.m, self.g, self.phi, x, v)
-        return state_to_base(x, p)
+        p = legendre_hom(self.u.spatial, self.m, self.g, self.phi.at(x),
+                         v.as_array())
+        return state_to_base(x, Covector4.from_array(p))
 
     def test_fam1_critical_velocity_relation(self):
         x = Event(0.1, 0.5, -0.2, 0.3)

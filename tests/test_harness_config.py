@@ -174,12 +174,12 @@ class TestPotentialBuild:
     def test_free_is_zero(self):
         phi = PotentialSpec("free").build()
         assert phi.at(self.x) == 0.0
-        assert np.all(phi.d_s(self.x) == 0.0)
+        assert np.all(phi.d_s(self.x.as_array()) == 0.0)
 
     def test_uniform_value_and_gradient(self):
         phi = PotentialSpec("uniform", force=(1.0, 2.0, 3.0)).build()
         assert phi.at(self.x) == -(1.0 * 1.0 + 2.0 * -2.0 + 3.0 * 0.25)
-        assert np.allclose(phi.d_s(self.x), [-1.0, -2.0, -3.0])
+        assert np.allclose(phi.d_s(self.x.as_array()), [-1.0, -2.0, -3.0])
 
     def test_harmonic_value(self):
         phi = PotentialSpec("harmonic", k=4.0, center=(1.0, 0.0, 0.0)).build()
@@ -192,7 +192,8 @@ class TestPotentialBuild:
         builtin = PotentialSpec("harmonic", k=4.0, center=(1.0, 0.0, 0.0)).build()
         assert custom.at(self.x) == pytest.approx(builtin.at(self.x), rel=1e-15)
         # gradient falls back to finite differences
-        assert np.allclose(custom.d_s(self.x), builtin.d_s(self.x), atol=1e-7)
+        x = self.x.as_array()
+        assert np.allclose(custom.d_s(x), builtin.d_s(x), atol=1e-7)
 
 
 @pytest.fixture

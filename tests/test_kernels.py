@@ -1,14 +1,11 @@
 """The array kernels over stacks against single entries, bit for bit.
 
 Each kernel evaluated once over a stack of seeded random inputs must give,
-entry for entry, exactly the float that the same computation gives for
-that entry alone.  Where an object-level wrapper remains, the entry is
-computed through it, so that the sampled checks (which evaluate stacks)
-and the Morse families and library callers (which call the objects) see
-one formula with one rounding.  Where no wrapper remains, the kernel is
-called on each row alone: a sampled check must not depend on how many
-samples share its stack.  Inputs are strided views, as the checks pass
-them.
+entry for entry, exactly the float that it gives for that entry alone, so
+that the sampled checks (which evaluate stacks) and the Morse families and
+library callers (which may pass one entry) see one formula with one
+rounding, and a sampled check does not depend on how many samples share
+its stack.  Inputs are strided views, as the checks pass them.
 """
 
 import numpy as np
@@ -22,37 +19,22 @@ from galimech.affine_phase import (
     eval_affine_array,
     hamiltonian_fun_array,
     p_change_chart,
-    p_change_chart_array,
     pairing_array,
     psi_m_array,
     w_add_array,
     w_change_chart,
-    w_change_chart_array,
     w_scale_array,
 )
 from galimech.frame_dynamics import (
     harmonic_potential,
     homogeneous_dynamics_violation_array,
     lagrangian_hom,
-    lagrangian_hom_array,
     lagrangian_inhom,
-    lagrangian_inhom_array,
     legendre_hom,
-    legendre_hom_array,
     legendre_inhom,
-    legendre_inhom_array,
     mass_shell_residual,
-    mass_shell_residual_array,
 )
-from galimech.galilean_core import (
-    Covector4,
-    Event,
-    Frame,
-    SpatialMetric,
-    Vector4,
-    sigma,
-    sigma_array,
-)
+from galimech.galilean_core import Event, SpatialMetric, sigma
 
 N = 200
 
@@ -78,10 +60,6 @@ def case(request):
     }
 
 
-def frame(row):
-    return Frame.from_spatial(row)
-
-
 def same(stacked, per_entry):
     return np.array_equal(stacked, np.array(per_entry))
 
@@ -92,8 +70,7 @@ def potential_values(case):
 
 def test_sigma(case):
     g, u, u2 = case["g"], case["u"], case["u2"]
-    assert same(sigma_array(g, u, u2),
-                [sigma(g, frame(a), frame(b)).as_array() for a, b in zip(u, u2)])
+    assert same(sigma(g, u, u2), [sigma(g, a, b) for a, b in zip(u, u2)])
 
 
 def test_metric_methods_on_stacks(case):
@@ -104,31 +81,25 @@ def test_metric_methods_on_stacks(case):
 
 
 def test_inhomogeneous_kernels(case):
-    g, m, phi, u, w = case["g"], case["m"], case["phi"], case["u"], case["w"]
+    g, m, u, w = case["g"], case["m"], case["u"], case["w"]
     values = potential_values(case)
-    assert same(lagrangian_inhom_array(u, m, g, values, w),
-                [lagrangian_inhom(frame(a), m, g, phi, Event(*x), frame(b))
-                 for a, x, b in zip(u, case["x"], w)])
-    assert same(legendre_inhom_array(u, m, g, w),
-                [legendre_inhom(frame(a), m, g, frame(b))
-                 for a, b in zip(u, w)])
+    assert same(lagrangian_inhom(u, m, g, values, w),
+                [lagrangian_inhom(a, m, g, y, b)
+                 for a, y, b in zip(u, values, w)])
+    assert same(legendre_inhom(u, m, g, w),
+                [legendre_inhom(a, m, g, b) for a, b in zip(u, w)])
 
 
 def test_homogeneous_kernels(case):
-    g, m, phi, u, v, p = (case[k] for k in ("g", "m", "phi", "u", "v", "p"))
+    g, m, u, v, p = (case[k] for k in ("g", "m", "u", "v", "p"))
     values = potential_values(case)
-    rows = list(zip(u, case["x"], v, p))
-    assert same(lagrangian_hom_array(u, m, g, values, v),
-                [lagrangian_hom(frame(a), m, g, phi, Event(*x),
-                                Vector4.from_array(b)) for a, x, b, _ in rows])
-    assert same(legendre_hom_array(u, m, g, values, v),
-                [legendre_hom(frame(a), m, g, phi, Event(*x),
-                              Vector4.from_array(b)).as_array()
-                 for a, x, b, _ in rows])
-    assert same(mass_shell_residual_array(u, m, g, values, p),
-                [mass_shell_residual(frame(a), m, g, phi, Event(*x),
-                                     Covector4.from_array(c))
-                 for a, x, _, c in rows])
+    rows = list(zip(u, values, v, p))
+    assert same(lagrangian_hom(u, m, g, values, v),
+                [lagrangian_hom(a, m, g, y, b) for a, y, b, _ in rows])
+    assert same(legendre_hom(u, m, g, values, v),
+                [legendre_hom(a, m, g, y, b) for a, y, b, _ in rows])
+    assert same(mass_shell_residual(u, m, g, values, p),
+                [mass_shell_residual(a, m, g, y, c) for a, y, _, c in rows])
 
 
 def test_dynamics_violation(case):
@@ -137,7 +108,7 @@ def test_dynamics_violation(case):
     xdot[::7, 0] *= -1.0  # some past-directed velocities: +inf
     pdot = np.roll(case["p"], 1, axis=0)
     values = potential_values(case)
-    dphi = np.array([phi.d(Event(*x)).as_array() for x in case["x"].tolist()])
+    dphi = np.array([phi.d(x) for x in case["x"]])
     expected = [homogeneous_dynamics_violation_array(a, m, g, y, dy, b, c, d)
                 for a, y, dy, b, c, d in zip(u, values, dphi, p, xdot, pdot)]
     got = homogeneous_dynamics_violation_array(u, m, g, values, dphi, p,
@@ -150,14 +121,10 @@ def test_chart_changes(case):
     model, u, u2, v, r, p = (case[k] for k in
                              ("model", "u", "u2", "v", "r", "p"))
     w = np.concatenate([v, r[:, None]], axis=1)
-    assert same(w_change_chart_array(model, w, u, u2)[:, 4],
-                [w_change_chart(model, Vector4.from_array(a), b,
-                                frame(c), frame(d))[1]
-                 for a, b, c, d in zip(v, r, u, u2)])
-    assert same(p_change_chart_array(model, p, u, u2),
-                [p_change_chart(model, Covector4.from_array(a), frame(b),
-                                frame(c)).as_array()
-                 for a, b, c in zip(p, u, u2)])
+    assert same(w_change_chart(model, w, u, u2),
+                [w_change_chart(model, a, b, c) for a, b, c in zip(w, u, u2)])
+    assert same(p_change_chart(model, p, u, u2),
+                [p_change_chart(model, a, b, c) for a, b, c in zip(p, u, u2)])
 
 
 def test_w_operations(case):
@@ -187,9 +154,9 @@ def test_quotient_functions(case):
 def test_membership(case):
     model, phi, v = case["model"], case["phi"], case["v"]
     x = Event(0.3, -0.2, 0.5, 1.0)
-    dphi = phi.d(x).as_array()
-    p_on = legendre_hom_array(REFERENCE_FRAME.spatial, model.mass,
-                              model.metric, phi.at(x), v)
+    dphi = phi.d(x.as_array())
+    p_on = legendre_hom(REFERENCE_FRAME.spatial, model.mass, model.metric,
+                        phi.at(x), v)
     pdot = -v[:, :1] * dphi
     p = np.where(np.arange(N)[:, None] % 2 == 0, p_on, case["p"])
     expected = [dynamics_membership_universal_array(

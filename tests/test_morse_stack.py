@@ -26,11 +26,9 @@ from galimech.affine_phase import (REFERENCE_FRAME, NewtonModel, family_fam3,
 from galimech.frame_dynamics import (
     harmonic_potential,
     legendre_hom,
-    legendre_hom_array,
     mass_shell_residual,
 )
 from galimech.galilean_core import (
-    TAU,
     Covector4,
     DomainError,
     Event,
@@ -52,9 +50,8 @@ from galimech.generating_objects import (
     fiber_gradient,
     generate,
     hessian,
-    hessians,
     is_morse,
-    kappas,
+    kappa,
     numerical_rank,
     reduce_family,
     solve_critical,
@@ -81,7 +78,7 @@ def bits(a) -> bytes:
 
 def ref_differential(potential, x: Event) -> np.ndarray:
     dt = 0.0 if potential.time is None else potential.time(x.t, x.spatial)
-    ds = potential.d_s(x)
+    ds = potential.d_s(x.as_array())
     return np.array([float(dt), float(ds[0]), float(ds[1]), float(ds[2])])
 
 
@@ -90,8 +87,9 @@ def ref_fam1(u: Frame, m, g, potential):
         x, p = Event.from_array(base[:4]), Covector4.from_array(base[4:])
         v = Vector4(float(fiber[3]), float(fiber[0]), float(fiber[1]),
                     float(fiber[2]))
-        gx = TAU.pair(v) * ref_differential(potential, x)
-        gv = p.as_array() - legendre_hom(u, m, g, potential, x, v).as_array()
+        gx = v.c0 * ref_differential(potential, x)
+        gv = p.as_array() - legendre_hom(u.spatial, m, g, potential.at(x),
+                                         v.as_array())
         return np.concatenate([gx, v.as_array()]), gv[[1, 2, 3, 0]]
     return gradient
 
@@ -100,7 +98,7 @@ def ref_fam2(u: Frame, m, g, potential):
     def gradient(base, fiber):
         x, p = Event.from_array(base[:4]), Covector4.from_array(base[4:])
         r = float(fiber[0])
-        res = mass_shell_residual(u, m, g, potential, x, p)
+        res = mass_shell_residual(u.spatial, m, g, potential.at(x), p.as_array())
         dres_dp = np.concatenate([[1.0], g.apply_inverse(p.spatial) / m + u.spatial])
         return (r * np.concatenate([ref_differential(potential, x), dres_dp]),
                 np.array([res]))
@@ -172,7 +170,7 @@ def on_shell(rng, u: Frame, m, g, potential, count: int):
     for _ in range(count):
         x = Event(*rng.normal(size=4))
         v = np.array([rng.uniform(0.5, 1.5), *rng.normal(size=3)])
-        p = legendre_hom_array(u.spatial, m, g, potential.at(x), v)
+        p = legendre_hom(u.spatial, m, g, potential.at(x), v)
         out.append((np.concatenate([x.as_array(), p]), v[[1, 2, 3, 0]]))
     return out
 
@@ -195,13 +193,13 @@ def velocity_family(name, rng, potential):
 def assert_engine_matches(fam, ref, points):
     b, f = fam.base_dim, fam.fiber_dim
     expected = [ref_hessian(ref, b, f, pt) for pt in points]
-    stacked = hessians(fam, points)
+    stacked = hessian(fam, points)
     assert stacked.shape == (len(points), f, b + f)
     assert bits(stacked) == bits(np.array(expected))
-    assert bits(hessian(fam, points[-1])) == bits(expected[-1])
+    assert bits(hessian(fam, points[-1:])) == bits(expected[-1])
     ranks = is_morse(fam, points).ranks
     assert ranks == tuple(ref_rank(h) for h in expected)
-    assert ranks == tuple(numerical_rank(h) for h in expected)
+    assert ranks == tuple(numerical_rank([h])[0] for h in expected)
     assert set(ranks) == {f}
 
 
@@ -528,4 +526,4 @@ def test_generate_merges_seeds_per_base():
     assert len(want) == 2 * len(bases)
     assert_same_points([gc.source for gc in out], want)
     assert bits([gc.covector for gc in out]) == bits(
-        [gc.covector for gc in kappas(fam, want, tol=1e-11)])
+        [gc.covector for gc in kappa(fam, want, tol=1e-11)])

@@ -7,7 +7,7 @@ failing checks must be exactly the row's.  A check that passes with its
 kernel wrong is no evidence for what it claims.
 
 The rows cover the sampled checks that mix uniform and normal draws
-(both arguments of ``sigma_array`` among them), the chart changes of
+(both arguments of ``sigma`` among them), the chart changes of
 momenta and of lagrangian values, the operations of the value space W
 (``affine.w_axioms``) and the evaluation of its unit
 (``affine.unit_evaluates_one``), the on-shell bases of the Morse
@@ -96,51 +96,51 @@ def scaled_force(make_potential):
 # (defining module, name, perturbation, command, checks that must fail)
 ROWS = {
     "sigma_time_component": (
-        "galilean_core", "sigma_array", scaled_output(0), INVARIANTS,
+        "galilean_core", "sigma", scaled_output(0), INVARIANTS,
         {"sigma.pairing_formula", "lagrangian.shift_identity",
          "boost.residual_preservation", "affine.chart.affine_lagrangian"}),
     "sigma_in_boost_check": (
-        "galilean_core", "sigma_array", scaled_output(1), BOOST,
+        "galilean_core", "sigma", scaled_output(1), BOOST,
         {"boost.residual_preservation"}),
     "lagrangian_hom": (
-        "frame_dynamics", "lagrangian_hom_array", scaled_output(), INVARIANTS,
+        "frame_dynamics", "lagrangian_hom", scaled_output(), INVARIANTS,
         {"lagrangian.shift_identity", "legendre.fd_consistency",
          "affine.chart.affine_lagrangian"}),
     "lagrangian_inhom": (
-        "frame_dynamics", "lagrangian_inhom_array", scaled_output(), INVARIANTS,
+        "frame_dynamics", "lagrangian_inhom", scaled_output(), INVARIANTS,
         {"legendre.fd_consistency"}),
     "legendre_hom": (
-        "frame_dynamics", "legendre_hom_array", scaled_output(1), INVARIANTS,
+        "frame_dynamics", "legendre_hom", scaled_output(1), INVARIANTS,
         {"legendre.fd_consistency", "mass_shell.on_shell_residual"}),
     "legendre_hom_on_shell_bases": (
-        "frame_dynamics", "legendre_hom_array", scaled_output(1), MORSE,
+        "frame_dynamics", "legendre_hom", scaled_output(1), MORSE,
         {"morse.fam1.vs_fam2"}),
     "mass_shell_momentum": (
-        "frame_dynamics", "mass_shell_residual_array", scaled_argument(4, 0),
+        "frame_dynamics", "mass_shell_residual", scaled_argument(4, 0),
         INVARIANTS,
         {"mass_shell.on_shell_residual", "boost.residual_preservation"}),
     "mass_shell_in_boost_check": (
-        "frame_dynamics", "mass_shell_residual_array", scaled_argument(4, 1),
+        "frame_dynamics", "mass_shell_residual", scaled_argument(4, 1),
         BOOST, {"boost.residual_preservation"}),
     "chart_change_in_morse_check": (
-        "affine_phase", "p_change_chart_array", scaled_output(1), MORSE,
+        "affine_phase", "p_change_chart", scaled_output(1), MORSE,
         {"morse.fam3.chart_residuals"}),
     "momentum_offset": (
         "frame_dynamics", "integrate", shifted_offsets, BOOST,
         {"momentum.offset_constant", "world_line.agreement"}),
     "sigma_frame_argument": (
-        "galilean_core", "sigma_array", scaled_argument(1, 0), INVARIANTS,
+        "galilean_core", "sigma", scaled_argument(1, 0), INVARIANTS,
         {"sigma.antisymmetry", "sigma.cocycle", "sigma.pairing_formula",
          "lagrangian.shift_identity", "boost.residual_preservation",
          "affine.chart.pairing", "affine.chart.psi_m",
          "affine.chart.hamiltonian_fun", "affine.chart.membership"}),
     "p_change_chart": (
-        "affine_phase", "p_change_chart_array", scaled_output(1), INVARIANTS,
+        "affine_phase", "p_change_chart", scaled_output(1), INVARIANTS,
         {"affine.chart.eval_affine", "affine.chart.pairing",
          "affine.chart.psi_m", "affine.chart.hamiltonian_fun",
          "affine.chart.membership"}),
     "w_change_chart": (
-        "affine_phase", "w_change_chart_array", scaled_output(4), INVARIANTS,
+        "affine_phase", "w_change_chart", scaled_output(4), INVARIANTS,
         {"affine.chart.affine_lagrangian", "affine.chart.eval_affine",
          "affine.chart.pairing"}),
     "w_add": (
