@@ -360,6 +360,23 @@ class TestAffineLagrangian:
             assert rebuilt.r == pytest.approx(direct[4],
                                               abs=1e-11 * (1 + abs(direct[4])))
 
+    def test_rejects_past_directed(self):
+        # The class is built from the reference-chart lagrangian value,
+        # which exists only for future-directed velocities: the quotient
+        # dynamics rejects a past-directed velocity whose momentum and rate
+        # are the reference-chart formulas there, and accepts the same
+        # construction at the reversed, future-directed velocity.
+        model = NewtonModel(1.3, SpatialMetric.diagonal(1.0, 2.0, 0.5),
+                            harmonic_potential(0.7))
+        x = Event(0.1, -0.2, 0.3, 0.4)
+        phi, dphi = model.potential.at(x), model.potential.d(x.as_array())
+        for sign, member in ((-1.0, False), (1.0, True)):
+            v = sign * np.array([1.0, 0.4, -0.3, 0.2])
+            p = legendre_hom(REFERENCE_FRAME.spatial, model.mass,
+                             model.metric, phi, v)
+            assert bool(dynamics_membership_universal_array(
+                model, phi, dphi, p, v, -v[0] * dphi, 1e-9)) is member
+
     def test_positive_homogeneity(self, rng):
         model = free_model(1.1, SpatialMetric.diagonal(1.0, 2.0, 3.0))
         v = Vector4(1.0, 0.3, -0.5, 0.2)

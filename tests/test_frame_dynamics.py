@@ -430,6 +430,26 @@ class TestHomogeneous:
             assert lagrangian_hom(u_s, m, g, phi_x, c * v) == pytest.approx(
                 c * lagrangian_hom(u_s, m, g, phi_x, v), rel=1e-12)
 
+    def test_rejects_past_directed(self):
+        # The homogeneous kernels are undefined off the future cone, so the
+        # membership test rejects such a velocity even where the momentum
+        # and its rate are the kernels' own values there.
+        phi = harmonic_potential(0.6)
+        x = Event(0.3, 0.2, -0.4, 0.1)
+        dphi = phi.d(x.as_array())
+        v = np.array([-1.0, 1.0, 0.0, 0.0])
+        p = legendre_hom(E0.spatial, 1.0, ID3, phi.at(x), v)
+        pdot = -v[0] * dphi
+        state = (x, Covector4.from_array(p), Vector4.from_array(v),
+                 Covector4.from_array(pdot))
+        assert not in_homogeneous_dynamics(E0, 1.0, ID3, phi, state, 1e-9)
+        viol = homogeneous_dynamics_violation_array(
+            E0.spatial, 1.0, ID3, phi.at(x), dphi,
+            np.stack([p, np.zeros(4)]),
+            np.stack([v, np.array([0.0, 1.0, 0.0, 0.0])]),
+            np.stack([pdot, np.zeros(4)]))
+        assert viol.tolist() == [np.inf, np.inf]
+
     def test_legendre_hom_worked_example(self):
         p = legendre_hom(E0.spatial, 1.0, ID3, 0.0, np.array([1.0, 1.0, 0.0, 0.0]))
         assert p.tolist() == [-0.5, 1.0, 0.0, 0.0]
