@@ -240,7 +240,9 @@ class Trajectory:
 
         Raises NonFiniteState, naming the step, when the potential raises
         an ArithmeticError at an integrated point: the force may be
-        finite where the value is not (1/t + q1 at t = 0).
+        finite where the value is not (1/t + q1 at t = 0).  So it does
+        for the first step whose energy is not finite: a finite momentum
+        of 1e200 has an infinite kinetic energy.
         """
         if len(self.frames) != 1:
             raise ValueError(
@@ -253,7 +255,14 @@ class Trajectory:
 
         q, p = self.q[:, 0], self.p[:, 0]
         phi = potential.at_events(np.column_stack([self.t, q]), stop)
-        return 0.5 / self.mass * np.vecdot(p, g.apply_inverse(p)) + phi
+        with np.errstate(all="ignore"):  # a non-finite energy raises below
+            energy = 0.5 / self.mass * np.vecdot(p, g.apply_inverse(p)) + phi
+        finite = np.isfinite(energy)
+        if not finite.all():
+            step = int(np.argmin(finite))
+            raise NonFiniteState(
+                f"energy {energy[step]} is not finite at step {step}")
+        return energy
 
 
 def lagrangian_inhom(u, m: float, g: SpatialMetric, phi, w) -> np.ndarray:

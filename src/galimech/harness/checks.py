@@ -12,9 +12,10 @@ of every draw side by side as columns and fills them with one
 row i of each draw.  Which columns each call fills is planned once per
 layout (``_plan``, cached on the layout tuple) and laid in by slices, so a
 call pays only for its generator work; every draw is a view into the one
-buffer, with the strides the per-row BLAS path of ``np.matvec`` sees.  The
-identity is then evaluated once over the whole sample axis through the
-array kernels.  Row maxima of |x| over short rows go through
+buffer, unit stride along a row and rows one buffer width apart, a layout
+the ``SpatialMetric`` products hand to BLAS without a copy.  The identity
+is then evaluated once over the whole sample axis through the array
+kernels.  Row maxima of |x| over short rows go through
 ``galilean_core.maxabs``, an ``np.maximum`` fold over the columns, which
 gives the bits of ``np.max(np.abs(x), axis=-1)``: a maximum is exact, NaN
 propagates, and |x| holds no -0.0 whose sign the order could pick.  One driver, ``_sampled``, turns

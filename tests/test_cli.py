@@ -148,6 +148,24 @@ class TestPotentialArithmeticErrors:
         assert "ZeroDivisionError in the energy at step 0" in lines[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "invariants"])
+    @pytest.mark.parametrize("warnings", ["default", "error"])
+    def test_infinite_energy_at_finite_states_exits_3(self, tmp_path, command,
+                                                      warnings):
+        # |p|^2 overflows at a momentum of 1e200; the states stay finite.
+        # Under -W error a numpy overflow warning would end in exit 4.
+        cfg = write_config(tmp_path, initial_velocity=[1e200, 0, 0], n=5)
+        out = tmp_path / "never.out"
+        proc = subprocess.run(
+            [sys.executable, "-W", warnings, "-m", "galimech", command,
+             "--config", cfg, "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "GALIMECH_LOG": "error"})
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "integration diverged: energy inf is not finite at step 0"]
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("expr", ["(-1)^0.5*q1", "sin(q1*1e308*10)"])
     def test_nan_potential_in_the_checks_exits_3(self, tmp_path, expr):
