@@ -10,9 +10,12 @@ along the critical set; ranks are certified through singular values.
 
 The engine is generic and works on stacks: every family supplies its
 gradient, which takes base and fiber points of shape (..., b) and (..., f)
-and evaluates every row in one call, so a certification differentiates
-the gradient at every critical point in one call and takes the singular
-values of every mixed Hessian in one more.  Families for the particle
+and evaluates every row in one call.  A set of critical points is one
+``CriticalPoint`` record of stacks, with ``owner``, the base row each
+point lies over, from Newton to certificate.  A certification
+differentiates the gradient at every point in one call and takes the
+singular values of every mixed Hessian in one more, giving float ranks
+(N,), NaN where a Hessian is not finite.  Families for the particle
 system live at the bottom of the module: the velocity-fibered family whose
 critical covectors are the equations of motion in a fixed frame, its
 one-variable reduction to a scaled energy constraint, and a
@@ -26,7 +29,6 @@ degree-one homogeneous fibers) still make progress.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -98,17 +100,30 @@ class FunctionFamily:
 
 
 class CriticalPoint:
-    """Point of the critical set, with the achieved fiber-gradient norm."""
+    """Critical points as one stack: base (N, b), fiber (N, f), the
+    achieved fiber-gradient norm (N,), and owner (N,), the row of the
+    solved stack of bases that each point lies over.  Indexing with a
+    slice, mask or index array takes those rows."""
 
-    __slots__ = ("base", "fiber", "residual_norm")
+    __slots__ = ("base", "fiber", "residual_norm", "owner")
 
-    def __init__(self, base: np.ndarray, fiber: np.ndarray,
-                 residual_norm: float = 0.0):
-        self.base, self.fiber, self.residual_norm = base, fiber, residual_norm
+    def __init__(self, base, fiber, residual_norm=None, owner=None):
+        n = len(base)
+        self.base, self.fiber = base, fiber
+        self.residual_norm = np.zeros(n) if residual_norm is None else residual_norm
+        self.owner = np.arange(n) if owner is None else owner
+
+    def __len__(self) -> int:
+        return len(self.base)
+
+    def __getitem__(self, rows) -> CriticalPoint:
+        return CriticalPoint(self.base[rows], self.fiber[rows],
+                             self.residual_norm[rows], self.owner[rows])
 
 
 class GeneratedCovector:
-    """Base point paired with the covector the family generates there."""
+    """Base points (N, b) stacked with the covectors (N, b) the family
+    generates there, and the critical points they come from."""
 
     __slots__ = ("base", "covector", "source")
 
@@ -170,7 +185,8 @@ def _lstsq_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _newton(fam: FunctionFamily, bases: np.ndarray, fibers: np.ndarray,
-            head: int, tol: float, max_iter: int) -> list:
+            head: int, tol: float,
+            max_iter: int) -> tuple[np.ndarray, np.ndarray, dict]:
     """Damped Newton from every row of bases (B, b) and fibers (B, f) on
     the first ``head`` fiber components, the others held fixed; each row
     steps bit for bit as it would alone.
@@ -181,9 +197,11 @@ def _newton(fam: FunctionFamily, bases: np.ndarray, fibers: np.ndarray,
     line-search round makes one gradient call over the rows still
     searching, and shortens the step of a row whose trial leaves the
     domain (its gradient raises a GalimechError or is not finite).
-    Returns one outcome per row: (fiber, |grad|), or the row's error:
+    Returns (fiber, norm, errors): the last fiber (B, f) and |grad| (B,)
+    of every row, and by row the error of each row that did not converge:
     NoConvergence (stalled, or max_iter ran out), DomainError (gradient at
-    the start or Jacobian not finite), or what its gradient raised.
+    the start or Jacobian not finite), or what its gradient raised.  A row
+    converged exactly when its norm <= tol.
     """
     bases = np.asarray(bases, dtype=float)
     fiber = np.array(fibers, dtype=float)
@@ -228,80 +246,84 @@ def _newton(fam: FunctionFamily, bases: np.ndarray, fibers: np.ndarray,
             done = search[accept]
             fiber[done], grad[done], norm[done] = (
                 trial[accept], trial_grad[accept], trial_norm[accept])
+            stay = ~accept
             for k, exc in failed.items():  # a domain exit is shortened
                 if not isinstance(exc, (GalimechError, FloatingPointError)):
-                    errors[int(search[k])] = exc
-            stay = ~accept & np.array([i not in errors for i in search.tolist()],
-                                      dtype=bool)
+                    errors[int(search[k])], stay[k] = exc, False
             search, steps, scale = search[stay], steps[stay], 0.5 * scale
         for i in search.tolist():
             errors[i] = NoConvergence(
                 f"{fam.name}: damped Newton stalled at |grad|={norm[i]:.3e} "
                 f"over base {bases[i].tolist()}")
-    return [errors[i] if i in errors else
-            (fiber[i].copy(), float(norm[i])) if norm[i] <= tol else
-            NoConvergence(
-                f"{fam.name}: no critical point within {max_iter} iterations "
-                f"over base {bases[i].tolist()} (|grad|={norm[i]:.3e})")
-            for i in range(len(fiber))]
+    norm[list(errors)] = np.nan
+    for i in np.flatnonzero(norm > tol).tolist():
+        errors[i] = NoConvergence(
+            f"{fam.name}: no critical point within {max_iter} iterations "
+            f"over base {bases[i].tolist()} (|grad|={norm[i]:.3e})")
+    return fiber, norm, errors
 
 
-def _converged(outcomes: list, blocks: int, per_base: int):
-    """The outcomes of _newton in blocks of per_base rows, one block per
-    base: the (fiber, |grad|) of each converged row and the count of rows
-    rejected by NoConvergence.  Raises the first other error in row order."""
-    for i in range(blocks):
-        block = outcomes[i * per_base:(i + 1) * per_base]
-        for outcome in block:
-            if isinstance(outcome, NoConvergence):
-                log(__name__, DEBUG, "seed rejected: %s", outcome)
-            elif isinstance(outcome, Exception):
-                raise outcome
-        yield ([o for o in block if isinstance(o, tuple)],
-               sum(isinstance(o, NoConvergence) for o in block))
+def _raise_first(errors: dict, stop: int) -> None:
+    """Log each NoConvergence among _newton's errors before row stop, in
+    row order, as a rejected seed; raise the first other error there."""
+    for i in sorted(i for i in errors if i < stop):
+        if not isinstance(errors[i], NoConvergence):
+            raise errors[i]
+        log(__name__, DEBUG, "seed rejected: %s", errors[i])
 
 
-def solve_critical_stack(fam: FunctionFamily, bases, seeds: Sequence,
+def solve_critical_stack(fam: FunctionFamily, bases, seeds,
                          tol: float = 1e-10,
-                         max_iter: int = 60) -> list[list[CriticalPoint]]:
+                         max_iter: int = 60) -> CriticalPoint:
     """Find critical fiber points over every base point of a stack (B, b).
 
-    Damped Newton runs from the seeds (S, f), or per base (B, S, f), over
-    all B * S rows at once; then the rows are walked in (base, seed)
-    order.  Seeds that fail to converge are skipped, and a solution closer
-    than 10 * tol to one already found over its base is merged (the
-    smaller gradient norm is kept).  Returns one list per base, possibly
-    empty.  Raises the first other error in that order: DomainError when
-    the gradient is not finite at a seed, or what the gradient raised.
+    Damped Newton runs from one seed (f,), the seeds (S, f), or per base
+    (B, S, f), over all B * S rows at once.  Seeds that fail to converge
+    are skipped, and over a base where several converged, a solution
+    closer than 10 * tol to one already found is merged (the smaller
+    gradient norm is kept).  Returns the points in (base, seed) order,
+    each with the row of bases it lies over as its owner.  Raises the
+    first other error in that order: DomainError when the gradient is not
+    finite at a seed, or what the gradient raised; and ValueError for
+    seeds of another shape.
     """
     bases = np.asarray(bases, dtype=float).reshape(-1, fam.base_dim)
     seeds = np.asarray(seeds, dtype=float)
+    if seeds.shape in ((0,), (fam.fiber_dim,)):  # no seeds, or one
+        seeds = seeds.reshape(-1, fam.fiber_dim)
+    if seeds.ndim not in (2, 3) or seeds.shape[-1] != fam.fiber_dim:
+        raise ValueError(f"{fam.name}: seeds must be (f,), (S, f) or "
+                         f"(B, S, f) with f = {fam.fiber_dim}, not {seeds.shape}")
     seeds = np.broadcast_to(seeds, (len(bases),) + seeds.shape[-2:])
-    outcomes = _newton(fam, np.repeat(bases, seeds.shape[1], axis=0),
-                       seeds.reshape(-1, fam.fiber_dim), fam.fiber_dim,
-                       tol, max_iter)
-    out: list[list[CriticalPoint]] = []
-    for base, (solved, _) in zip(bases, _converged(outcomes, *seeds.shape[:2])):
-        found: list[CriticalPoint] = []
-        for fiber, norm in solved:
-            for k, existing in enumerate(found):
-                if float(np.linalg.norm(existing.fiber - fiber)) < _MERGE_FACTOR * tol:
-                    if norm < existing.residual_norm:
-                        found[k] = CriticalPoint(base, fiber, norm)
+    fiber, norm, errors = _newton(
+        fam, np.repeat(bases, seeds.shape[1], axis=0),
+        seeds.reshape(-1, fam.fiber_dim), fam.fiber_dim, tol, max_iter)
+    _raise_first(errors, len(norm))
+    ok = (norm <= tol).reshape(seeds.shape[:2])
+    for i in np.flatnonzero(ok.sum(axis=1) > 1).tolist():  # the merge
+        kept: list[int] = []
+        for j in np.flatnonzero(ok[i]).tolist():
+            r = i * seeds.shape[1] + j
+            for k in kept:
+                if float(np.linalg.norm(fiber[k] - fiber[r])) < _MERGE_FACTOR * tol:
+                    if norm[r] < norm[k]:
+                        fiber[k], norm[k] = fiber[r], norm[r]
+                    ok[i, j] = False
                     break
             else:
-                found.append(CriticalPoint(base, fiber, norm))
-        out.append(found)
-    return out
+                kept.append(r)
+    owner = np.nonzero(ok)[0]
+    rows = np.flatnonzero(ok)
+    return CriticalPoint(bases[owner], fiber[rows], norm[rows], owner)
 
 
-def solve_critical(fam: FunctionFamily, base, seeds: Sequence,
-                   tol: float = 1e-10, max_iter: int = 60) -> list[CriticalPoint]:
+def solve_critical(fam: FunctionFamily, base, seeds,
+                   tol: float = 1e-10, max_iter: int = 60) -> CriticalPoint:
     """solve_critical_stack over one base point."""
-    return solve_critical_stack(fam, [base], seeds, tol, max_iter)[0]
+    return solve_critical_stack(fam, [base], seeds, tol, max_iter)
 
 
-def hessian(fam: FunctionFamily, points: Sequence[CriticalPoint]) -> np.ndarray:
+def hessian(fam: FunctionFamily, points: CriticalPoint) -> np.ndarray:
     """Mixed second derivatives at every point, shape (N, f, b + f).
 
     Rows run over the fiber directions, columns over base directions then
@@ -309,8 +331,7 @@ def hessian(fam: FunctionFamily, points: Sequence[CriticalPoint]) -> np.ndarray:
     gradient, taken at all N * 2(b + f) shifted points in one gradient call.
     """
     b, f = fam.base_dim, fam.fiber_dim
-    joint = np.array([np.concatenate([pt.base, pt.fiber]) for pt in points],
-                     dtype=float).reshape(len(points), b + f)
+    joint = np.concatenate([points.base, points.fiber], axis=1, dtype=float)
     h = _HESS_GRAD_STEP * (1.0 + np.abs(joint))
     shifted = np.repeat(joint[:, None, None, :], 2 * (b + f), axis=1).reshape(
         len(points), 2, b + f, b + f)
@@ -323,79 +344,72 @@ def hessian(fam: FunctionFamily, points: Sequence[CriticalPoint]) -> np.ndarray:
 
 
 class MorseReport:
-    """Outcome of a full-rank certification over sampled critical points.
-    A rank is NaN where the Hessian is not finite."""
+    """Outcome of a full-rank certification over sampled critical points:
+    the rank (N,) at each point, NaN where the Hessian is not finite."""
 
     __slots__ = ("ok", "ranks", "required_rank")
 
-    def __init__(self, ok: bool, ranks: tuple[int | float, ...],
-                 required_rank: int):
+    def __init__(self, ok: bool, ranks: np.ndarray, required_rank: int):
         self.ok, self.ranks, self.required_rank = ok, ranks, required_rank
 
 
-def numerical_rank(matrices: np.ndarray,
-                   rel_tol: float = 1e-8) -> list[int | float]:
+def numerical_rank(matrices: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
     """Numerical rank of each matrix of a stack (N, r, c): the number of
     singular values above rel_tol times the largest one, from one SVD of
-    the whole stack; NaN for a matrix with a non-finite entry."""
+    the whole stack, as floats (N,); NaN for a matrix with a non-finite
+    entry."""
     matrices = np.asarray(matrices, dtype=float)
     finite = np.isfinite(matrices).all(axis=(-2, -1))
     sv = np.linalg.svd(np.where(finite[:, None, None], matrices, 0.0),
                        compute_uv=False)
-    counts = np.sum(sv > rel_tol * sv[:, :1], axis=-1)
-    return [int(c) if ok else math.nan for c, ok in zip(counts, finite)]
+    return np.where(finite, np.sum(sv > rel_tol * sv[:, :1], axis=-1), np.nan)
 
 
-def is_morse(fam: FunctionFamily, points: Sequence[CriticalPoint],
+def is_morse(fam: FunctionFamily, points: CriticalPoint,
              rank_tol: float = 1e-8) -> MorseReport:
     """Certify that the mixed Hessian has full row rank at every point:
     one stacked Hessian and one stacked SVD for all of them."""
-    ranks = tuple(numerical_rank(hessian(fam, points), rank_tol)) if points else ()
-    ok = all(r == fam.fiber_dim for r in ranks)
-    return MorseReport(ok=ok, ranks=ranks, required_rank=fam.fiber_dim)
+    ranks = numerical_rank(hessian(fam, points), rank_tol)
+    return MorseReport(ok=bool(np.all(ranks == fam.fiber_dim)), ranks=ranks,
+                       required_rank=fam.fiber_dim)
 
 
-def kappa(fam: FunctionFamily, points: Sequence[CriticalPoint],
-          tol: float = 1e-8) -> list[GeneratedCovector]:
+def kappa(fam: FunctionFamily, points: CriticalPoint,
+          tol: float = 1e-8) -> GeneratedCovector:
     """Covectors generated at critical points: the base-direction gradient
     at every point, from one gradient call over all of them.
 
     Well defined because any two lifts of a base vector differ by a fiber
     vector, on which the gradient vanishes at criticality.  Raises
-    NotCritical when a fiber gradient exceeds tol.
+    NotCritical at the first point whose fiber gradient is not within tol.
     """
-    if not points:
-        return []
-    gb, gf = _gradient_split(fam, np.array([pt.base for pt in points], dtype=float),
-                             np.array([pt.fiber for pt in points], dtype=float))
-    grad_norms = maxabs(gf)
-    for norm in grad_norms.tolist():
-        if norm > tol:
-            raise NotCritical(
-                f"{fam.name}: fiber gradient norm {norm:.3e} exceeds {tol:.1e}")
-    return [GeneratedCovector(base=pt.base, covector=cov, source=pt)
-            for pt, cov in zip(points, gb)]
+    gb, gf = _gradient_split(fam, points.base, points.fiber)
+    norms = maxabs(gf)
+    bad = np.flatnonzero(~(norms <= tol))
+    if bad.size:
+        raise NotCritical(f"{fam.name}: fiber gradient norm "
+                          f"{norms[bad[0]]:.3e} exceeds {tol:.1e}")
+    return GeneratedCovector(points.base, gb, points)
 
 
-def generate(fam: FunctionFamily, bases: Sequence, seeds: Sequence,
-             tol: float = 1e-10) -> list[GeneratedCovector]:
+def generate(fam: FunctionFamily, bases, seeds,
+             tol: float = 1e-10) -> GeneratedCovector:
     """Sample the generated covector set over a collection of base points.
 
     For each base point, finds critical fiber points from the given seeds;
     certifies them in one is_morse call, where a rank defect at any point
-    raises ValueError; then maps all of them through kappa at once.  Base
-    points where no seed converges contribute nothing.
+    raises ValueError naming the first such base; then maps all of them
+    through kappa at once.  Base points where no seed converges contribute
+    nothing.
     """
-    points = [pt for found in solve_critical_stack(fam, bases, seeds, tol=tol)
-              for pt in found]
-    if points:
-        report = is_morse(fam, points)
-        for pt, rank in zip(points, report.ranks):
-            if rank != report.required_rank:
-                raise ValueError(
-                    f"{fam.name} is not a Morse family over base "
-                    f"{pt.base.tolist()}: rank {rank} "
-                    f"(need {report.required_rank})")
+    points = solve_critical_stack(fam, bases, seeds, tol=tol)
+    report = is_morse(fam, points)
+    bad = np.flatnonzero(report.ranks != report.required_rank)
+    if bad.size:
+        raise ValueError(
+            f"{fam.name} is not a Morse family over base "
+            f"{points.base[bad[0]].tolist()}: rank {report.ranks[bad[0]]:g} "
+            f"(need {report.required_rank})")
     return kappa(fam, points, tol=max(10.0 * tol, 1e-12))
 
 
@@ -428,32 +442,34 @@ def reduce_family(fam: FunctionFamily, eliminate: int, seeds: Sequence,
 
     def sections(bases: np.ndarray, tails: np.ndarray) -> np.ndarray:
         """The eliminated block (N, eliminate) over bases (N, b) and kept
-        fibers (N, kept), from one stacked Newton over every row and seed;
-        the first row that fails raises."""
+        fibers (N, kept), from one stacked Newton over every row and seed:
+        the first solution over each row.  The first row that fails, or
+        that has a solution 10 * tol or more from its first, raises."""
         n, per_base = len(tails), len(seeds)
         fibers = np.concatenate(
             [np.broadcast_to(seeds, (n, per_base, eliminate)),
              np.broadcast_to(tails[:, None], (n, per_base, kept))], axis=-1)
-        outcomes = _newton(fam, np.repeat(bases, per_base, axis=0),
-                           fibers.reshape(-1, fam.fiber_dim), eliminate,
-                           tol, max_iter)
-        heads = np.empty((n, eliminate))
-        for i, (solved, failures) in enumerate(_converged(outcomes, n, per_base)):
-            solutions: list[np.ndarray] = []
-            for fiber, _ in solved:
-                if not any(float(np.linalg.norm(fiber[:eliminate] - s))
-                           < _MERGE_FACTOR * tol for s in solutions):
-                    solutions.append(fiber[:eliminate])
-            if not solutions:
+        fiber, norm, errors = _newton(
+            fam, np.repeat(bases, per_base, axis=0),
+            fibers.reshape(-1, fam.fiber_dim), eliminate, tol, max_iter)
+        ok = (norm <= tol).reshape(n, per_base)
+        heads = fiber[:, :eliminate].reshape(n, per_base, eliminate)
+        head = heads[np.arange(n), ok.argmax(axis=1)]
+        with np.errstate(all="ignore"):  # rows that did not converge
+            far = ok & ~(np.linalg.norm(heads - head[:, None], axis=-1)
+                         < _MERGE_FACTOR * tol)
+        bad = np.flatnonzero(~ok.any(axis=1) | far.any(axis=1))
+        _raise_first(errors, (bad[0] + 1) * per_base if bad.size else len(norm))
+        if bad.size:
+            i = int(bad[0])
+            if not ok[i].any():
                 raise NoConvergence(
                     f"{fam.name}: eliminated-block stationarity has no solution "
-                    f"over base {bases[i].tolist()} ({failures} seed(s) tried)")
-            if len(solutions) > 1:
-                raise SectionNotUnique(
-                    f"{fam.name}: {len(solutions)} stationary points of the "
-                    f"eliminated block over base {bases[i].tolist()}")
-            heads[i] = solutions[0]
-        return heads
+                    f"over base {bases[i].tolist()} ({per_base} seed(s) tried)")
+            raise SectionNotUnique(
+                f"{fam.name}: distinct stationary points of the eliminated "
+                f"block over base {bases[i].tolist()}")
+        return head
 
     def value(base: np.ndarray, tail: np.ndarray) -> float:
         base = np.asarray(base, dtype=float)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import zlib
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -565,10 +565,9 @@ def _on_shell_samples(cfg: ScenarioConfig, u: Frame, rng, count: int):
     return np.concatenate([x, p], axis=1), vector_to_fiber(v)
 
 
-def _rank_check(name: str, fam, points: Sequence[CriticalPoint],
+def _rank_check(name: str, fam, points: CriticalPoint,
                 required: int) -> CheckResult:
-    ranks = np.array(is_morse(fam, points).ranks, dtype=float)
-    return _verdict(name, np.abs(ranks - required), 0.0)
+    return _verdict(name, np.abs(is_morse(fam, points).ranks - required), 0.0)
 
 
 @_domain_errors
@@ -584,9 +583,8 @@ def morse_checks(cfg: ScenarioConfig, family: str) -> list[CheckResult]:
     if family == "example31":
         stiffness = cfg.potential.k if cfg.potential.kind == "harmonic" else 1.0
         fam = family_example31(cfg.mass, stiffness)
-        found = solve_critical_stack(fam, rng.normal(size=(100, 6)),
-                                     [np.zeros(3)], tol=1e-11)
-        points = [pt for pts in found for pt in pts]
+        points = solve_critical_stack(fam, rng.normal(size=(100, 6)),
+                                      [np.zeros(3)], tol=1e-11)
         results.append(_rank_check("morse.example31.rank", fam, points, 3))
         return results
 
@@ -595,8 +593,7 @@ def morse_checks(cfg: ScenarioConfig, family: str) -> list[CheckResult]:
             else family_fam4(model)
         anchor = REFERENCE_FRAME if family == "fam4" else u
         bases, fibers = _on_shell_samples(cfg, anchor, rng, 25)
-        found = solve_critical_stack(fam, bases, fibers[:, None], tol=1e-10)
-        points = [pt for pts in found for pt in pts]
+        points = solve_critical_stack(fam, bases, fibers[:, None], tol=1e-10)
         results.append(_rank_check(f"morse.{family}.rank", fam, points, 4))
         if family == "fam1":
             results.append(_fam1_vs_fam2(cfg, u))
@@ -609,7 +606,7 @@ def morse_checks(cfg: ScenarioConfig, family: str) -> list[CheckResult]:
             else family_fam3(model)
         anchor = REFERENCE_FRAME if family == "fam3" else u
         bases, _ = _on_shell_samples(cfg, anchor, rng, 25)
-        points = [CriticalPoint(base, np.array([1.0])) for base in bases]
+        points = CriticalPoint(bases, np.ones((len(bases), 1)))
         results.append(_rank_check(f"morse.{family}.rank", fam, points, 1))
         if family == "fam3":
             results.append(_fam3_chart_residuals(cfg))
@@ -623,9 +620,11 @@ def _fam1_vs_fam2(cfg: ScenarioConfig, u: Frame) -> CheckResult:
     covectors over a shared on-shell grid.
 
     Each family solves every grid base from its own seed in one stacked
-    Newton; the points it finds are certified in one is_morse call and
-    mapped through kappa in one stacked call.  A grid base where a family
-    finds no single Morse point has an infinite error and is not counted.
+    Newton.  The grid bases where each family finds exactly one point are
+    read from the points' owners with np.bincount; those points are
+    certified in one is_morse call per family and mapped through kappa in
+    one stacked call.  A grid base where a family finds no single Morse
+    point has an infinite error and is not counted.
     """
     name = "morse.fam1.vs_fam2"
     g = cfg.build_metric()
@@ -639,28 +638,28 @@ def _fam1_vs_fam2(cfg: ScenarioConfig, u: Frame) -> CheckResult:
     p = legendre_hom(u.spatial, cfg.mass, g,
                            phi.at(Event(*cfg.initial_event)), v)
     bases = np.concatenate([np.broadcast_to(x, p.shape), p], axis=1)
-    found = list(zip(
+    found = (
         solve_critical_stack(fam1, bases, vector_to_fiber(v)[:, None], tol=1e-11),
-        solve_critical_stack(fam2, bases, [[1.0]], tol=1e-11)))
-    single = [i for i, (a, b) in enumerate(found) if len(a) == len(b) == 1]
-    errs, compared = np.full(len(found), np.inf), 0
-    if single:
-        (morse1, cov1), (morse2, cov2) = (
-            _certified_covectors(fam, [found[i][k][0] for i in single])
-            for k, fam in enumerate((fam1, fam2)))
-        with np.errstate(all="ignore"):
-            rel = _rel(maxabs(cov1 - cov2), maxabs(cov2))
-        morse = morse1 & morse2
-        errs[single] = np.where(morse, rel, np.inf)
-        compared = int(np.sum(morse))
-    return _verdict(name, errs, cfg.tolerances.covector_match, n=compared)
+        solve_critical_stack(fam2, bases, [[1.0]], tol=1e-11))
+    single = np.logical_and(*(np.bincount(pts.owner, minlength=len(bases)) == 1
+                              for pts in found))
+    (morse1, cov1), (morse2, cov2) = (
+        _certified_covectors(fam, pts[single[pts.owner]])
+        for fam, pts in zip((fam1, fam2), found))
+    with np.errstate(all="ignore"):
+        rel = _rel(maxabs(cov1 - cov2), maxabs(cov2))
+    morse = morse1 & morse2
+    errs = np.full(len(bases), np.inf)
+    errs[single] = np.where(morse, rel, np.inf)
+    return _verdict(name, errs, cfg.tolerances.covector_match,
+                    n=int(np.sum(morse)))
 
 
-def _certified_covectors(fam, points: Sequence[CriticalPoint]):
+def _certified_covectors(fam, points: CriticalPoint):
     """Which points have a full-rank mixed Hessian, and the covectors kappa
     generates at every point: one is_morse and one kappa call."""
-    morse = np.array(is_morse(fam, points).ranks) == fam.fiber_dim
-    return morse, np.array([gc.covector for gc in kappa(fam, points, tol=1e-10)])
+    morse = is_morse(fam, points).ranks == fam.fiber_dim
+    return morse, kappa(fam, points, tol=1e-10).covector
 
 
 @_sampled("morse.fam3.chart_residuals", "chart_battery")

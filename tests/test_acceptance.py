@@ -45,7 +45,7 @@ from galimech.generating_objects import (
     is_morse,
     kappa,
     reduce_family,
-    solve_critical,
+    solve_critical_stack,
     state_to_base,
     vector_to_fiber,
 )
@@ -142,14 +142,11 @@ def test_criterion_03_legendre_and_rank(announce):
 
     rng = rng_for(3)
     fam = family_example31(mass=1.2, stiffness=0.8)
-    points = []
-    for _ in range(100):
-        found = solve_critical(fam, rng.normal(size=6), seeds=[np.zeros(3)],
-                               tol=1e-11)
-        assert len(found) == 1
-        points.extend(found)
+    points = solve_critical_stack(fam, rng.normal(size=(100, 6)),
+                                  seeds=[np.zeros(3)], tol=1e-11)
+    assert points.owner.tolist() == list(range(100))
     report = is_morse(fam, points)
-    rank_defect = max(abs(r - 3) for r in report.ranks)
+    rank_defect = np.max(np.abs(report.ranks - 3))
 
     announce(3, "momentum maps vs finite differences; oscillator rank 3",
              max(fd.max_err, float(rank_defect)), 1e-6,
@@ -312,14 +309,14 @@ def test_criterion_08_reduction_equivalence(announce):
                 legendre_hom(u.spatial, m, g, phi.at(x), v)))
             reduced = reduce_family(fam1, 3, seeds=[vector_to_fiber(v)[:3]])
             got = generate(reduced, [base], seeds=[[1.0]], tol=1e-10)
-            assert len(got) == 1
-            (analytic,) = kappa(fam2, [CriticalPoint(base, np.array([1.0]))])
+            assert len(got.source) == 1
+            analytic = kappa(fam2, CriticalPoint(base[None], np.ones((1, 1))))
             covector_err = max(
                 covector_err,
-                float(np.max(np.abs(got[0].covector - analytic.covector))))
+                float(np.max(np.abs(got.covector - analytic.covector))))
             value_err = max(
                 value_err,
-                abs(reduced.value(base, got[0].source.fiber)))
+                abs(reduced.value(base, got.source.fiber[0])))
             count += 1
     worst = max(covector_err / 1e-8, value_err / 1e-10)
     announce(8, "eliminated family matches multiplier family on 25 points",

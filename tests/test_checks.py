@@ -227,7 +227,7 @@ def _nan_after_first(monkeypatch, name, index=1):
     def patched(*args, **kwargs):
         out = real(*args, **kwargs)
         if name == "kappa":
-            out[index].covector[:] = np.nan
+            out.covector[index] = np.nan
         else:
             out = out.copy()
             out.reshape(-1, out.shape[-1])[index] = np.nan
@@ -243,7 +243,7 @@ def test_rank_check_nan_rank_fails():
         lambda b, f: (np.zeros_like(b),
                       np.where(b > 0.5, np.nan, 4 * f ** 3 - b)),
         name="nan-at-second")
-    points = [CriticalPoint(np.array([x]), np.array([0.0])) for x in (0.0, 1.0, 0.0)]
+    points = CriticalPoint(np.array([[0.0], [1.0], [0.0]]), np.zeros((3, 1)))
     assert is_morse(fam, points).ranks[0] == 1
     result = _rank_check("morse.nan.rank", fam, points, 1)
     assert math.isnan(result.max_err) and not result.passed

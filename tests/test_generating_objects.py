@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from galimech.frame_dynamics import (
 from galimech.generating_objects import (
     CriticalPoint,
     FunctionFamily,
-    GeneratedCovector,
     NoConvergence,
     NotCritical,
     SectionNotUnique,
@@ -37,6 +37,7 @@ from galimech.generating_objects import (
     numerical_rank,
     reduce_family,
     solve_critical,
+    solve_critical_stack,
     state_to_base,
     vector_to_fiber,
 )
@@ -56,6 +57,12 @@ def saddle_family() -> FunctionFamily:
         return fiber[..., :1], base[..., :1] - fiber[..., :1]
 
     return FunctionFamily(1, 1, value, grad, name="saddle")
+
+
+def points(bases, fibers) -> CriticalPoint:
+    """A stack of critical points from rows of bases and fibers."""
+    return CriticalPoint(np.array(bases, dtype=float),
+                         np.array(fibers, dtype=float))
 
 
 def value_differences(fam: FunctionFamily, base, fiber):
@@ -98,15 +105,15 @@ class TestSolveCritical:
     def test_saddle_solution(self):
         fam = saddle_family()
         pts = solve_critical(fam, [2.0], seeds=[[0.0]], tol=1e-12)
-        assert len(pts) == 1
-        assert pts[0].fiber[0] == pytest.approx(2.0, abs=1e-10)
-        assert pts[0].residual_norm <= 1e-12
+        assert len(pts) == 1 and pts.owner.tolist() == [0]
+        assert pts.fiber[0, 0] == pytest.approx(2.0, abs=1e-10)
+        assert pts.residual_norm[0] <= 1e-12
 
     def test_no_critical_point_gives_empty_list(self):
         fam = FunctionFamily(1, 1, lambda b, f: float(f[0]),
                              lambda b, f: (np.zeros_like(b), np.ones_like(f)),
                              name="slope")
-        assert solve_critical(fam, [0.0], seeds=[[0.0], [5.0]]) == []
+        assert len(solve_critical(fam, [0.0], seeds=[[0.0], [5.0]])) == 0
 
     def test_duplicate_solutions_are_merged(self):
         # F = (s^2 - 1)^2 / 4 has stationary fiber points -1, 0, +1.
@@ -117,10 +124,49 @@ class TestSolveCritical:
             name="quartic")
         pts = solve_critical(fam, [0.0], seeds=[[-1.1], [-0.9], [1.2]],
                              tol=1e-12)
-        values = sorted(p.fiber[0] for p in pts)
+        values = sorted(pts.fiber[:, 0])
         assert len(pts) == 2
         assert values[0] == pytest.approx(-1.0, abs=1e-10)
         assert values[1] == pytest.approx(1.0, abs=1e-10)
+
+    def test_one_seed_as_a_vector(self, rng):
+        fam = family_example31()
+        bases = rng.normal(size=(4, 6))
+        one = solve_critical_stack(fam, bases, np.zeros(3))
+        want = solve_critical_stack(fam, bases, [np.zeros(3)])
+        assert one.owner.tolist() == want.owner.tolist() == [0, 1, 2, 3]
+        assert one.fiber.tobytes() == want.fiber.tobytes()
+
+    @pytest.mark.parametrize("seeds", [np.zeros(2), np.zeros((2, 4)),
+                                       np.zeros((4, 1, 2)), np.float64(0.0),
+                                       np.zeros((1, 4, 1, 3))])
+    def test_seeds_of_another_fiber_dimension_are_rejected(self, rng, seeds):
+        with pytest.raises(ValueError, match=re.escape(f"not {np.shape(seeds)}")):
+            solve_critical_stack(family_example31(), rng.normal(size=(4, 6)),
+                                 seeds)
+
+    @pytest.mark.parametrize("case", ["no bases", "no seeds", "[] seeds",
+                                      "none converges"])
+    def test_empty_stacks_keep_their_shapes(self, case):
+        slope = FunctionFamily(2, 3, lambda b, f: 0.0,
+                               lambda b, f: (np.zeros_like(b), np.ones_like(f)),
+                               name="slope")
+        bases, seeds = {"no bases": (np.zeros((0, 2)), np.zeros((1, 3))),
+                        "no seeds": (np.ones((3, 2)), np.zeros((3, 0, 3))),
+                        "[] seeds": (np.ones((3, 2)), []),
+                        "none converges": (np.ones((3, 2)), np.zeros((2, 3)))
+                        }[case]
+        pts = solve_critical_stack(slope, bases, seeds)
+        assert len(pts) == 0
+        assert (pts.base.shape, pts.fiber.shape, pts.residual_norm.shape,
+                pts.owner.shape) == ((0, 2), (0, 3), (0,), (0,))
+        assert hessian(slope, pts).shape == (0, 3, 5)
+        assert numerical_rank(hessian(slope, pts)).shape == (0,)
+        report = is_morse(slope, pts)
+        assert report.ok and report.ranks.shape == (0,)
+        for out in (kappa(slope, pts), generate(slope, bases, seeds)):
+            assert out.base.shape == out.covector.shape == (0, 2)
+            assert len(out.source) == 0
 
 
 class TestDomain:
@@ -137,8 +183,7 @@ class TestDomain:
         fam = FunctionFamily(1, 1, lambda b, f: 0.0,
                              lambda b, f: (np.zeros_like(b), np.where(b > 0.5, np.inf, f)),
                              name="edge")
-        points = [CriticalPoint(np.array([x]), np.array([0.0])) for x in (0.0, 1.0)]
-        report = is_morse(fam, points)
+        report = is_morse(fam, points([[0.0], [1.0]], [[0.0], [0.0]]))
         assert report.ranks[0] == 1 and math.isnan(report.ranks[1])
         assert not report.ok
         assert math.isnan(numerical_rank([[[1.0, np.nan]]])[0])
@@ -157,12 +202,12 @@ class TestHessian:
         fam = FunctionFamily(1, 1, lambda b, f: float(f[0] ** 2),
                              lambda b, f: (np.zeros_like(b), 2.0 * f),
                              name="parabola")
-        (h,) = hessian(fam, [CriticalPoint(np.array([0.0]), np.array([0.0]))])
+        (h,) = hessian(fam, points([[0.0]], [[0.0]]))
         assert np.allclose(h, [[0.0, 2.0]], atol=1e-7)
 
     def test_saddle(self):
         fam = saddle_family()
-        (h,) = hessian(fam, [CriticalPoint(np.array([1.0]), np.array([1.0]))])
+        (h,) = hessian(fam, points([[1.0]], [[1.0]]))
         assert np.allclose(h, [[1.0, -1.0]], atol=1e-7)
 
     def test_fiber_block_symmetry(self, rng):
@@ -174,8 +219,8 @@ class TestHessian:
             s1, s2 = f[..., :1], f[..., 1:]
             return s1, np.concatenate([b + s2, s1 + s2 ** 2], axis=-1)
         fam = FunctionFamily(1, 2, value, grad, name="crossed")
-        pt = CriticalPoint(rng.normal(size=1), rng.normal(size=2))
-        (h,) = hessian(fam, [pt])
+        pt = points([rng.normal(size=1)], [rng.normal(size=2)])
+        (h,) = hessian(fam, pt)
         fiber_block = h[:, 1:]
         assert np.max(np.abs(fiber_block - fiber_block.T)) <= 1e-6
 
@@ -186,22 +231,20 @@ class TestMorse:
             1, 1, lambda b, f: float(f[0] ** 4 - b[0] * f[0]),
             lambda b, f: (-f, 4 * f ** 3 - b),
             name="quartic-coupled")
-        pt = CriticalPoint(np.array([0.0]), np.array([0.0]))
-        report = is_morse(fam, [pt])
-        assert report.ok and report.ranks == (1,)
+        report = is_morse(fam, points([[0.0]], [[0.0]]))
+        assert report.ok and report.ranks.tolist() == [1]
 
     def test_cubic_fails(self):
         fam = FunctionFamily(
             1, 1, lambda b, f: float(f[0] ** 3),
             lambda b, f: (np.zeros_like(b), 3 * f ** 2),
             name="cubic")
-        pt = CriticalPoint(np.array([0.0]), np.array([0.0]))
-        report = is_morse(fam, [pt])
-        assert not report.ok and report.ranks == (0,)
+        report = is_morse(fam, points([[0.0]], [[0.0]]))
+        assert not report.ok and report.ranks.tolist() == [0]
 
     def test_numerical_rank_threshold(self):
         m = np.diag([1.0, 1e-7, 1e-9])
-        assert numerical_rank(m[None], rel_tol=1e-8) == [2]
+        assert numerical_rank(m[None], rel_tol=1e-8).tolist() == [2]
 
 
 class TestKappa:
@@ -215,23 +258,29 @@ class TestKappa:
             return (np.concatenate([np.cos(b[..., :1]), 2.0 * b[..., 1:]], axis=-1),
                     np.zeros_like(f))
         fam = FunctionFamily(2, 1, value, grad, name="pullback")
-        pt = CriticalPoint(np.array([0.3, -1.2]), np.array([7.0]))
-        (out,) = kappa(fam, [pt])
-        assert np.allclose(out.covector, [np.cos(0.3), -2.4], atol=1e-8)
+        out = kappa(fam, points([[0.3, -1.2]], [[7.0]]))
+        assert np.allclose(out.covector, [[np.cos(0.3), -2.4]], atol=1e-8)
 
     def test_rejects_non_critical(self):
         fam = saddle_family()
         with pytest.raises(NotCritical):
-            kappa(fam, [CriticalPoint(np.array([2.0]), np.array([0.0]))])
+            kappa(fam, points([[2.0]], [[0.0]]))
+
+    def test_rejects_a_nan_fiber_gradient(self):
+        fam = FunctionFamily(1, 1, lambda b, f: math.nan,
+                             lambda b, f: (np.zeros_like(b), np.full_like(f, np.nan)),
+                             name="nowhere")
+        with pytest.raises(NotCritical, match="norm nan"):
+            kappa(fam, points([[0.0], [1.0]], [[0.0], [0.0]]))
 
     def test_lift_independence(self, rng):
         # <dF, lift> must not depend on the vertical part of the lift at a
         # critical point: compare two lifts directly through the gradient.
         fam = saddle_family()
         base = np.array([1.3])
-        pt = solve_critical(fam, base, seeds=[[0.0]], tol=1e-13)[0]
-        gb = fam.gradient(pt.base, pt.fiber)[0]
-        gf = fiber_gradient(fam, pt.base, pt.fiber)
+        pt = solve_critical(fam, base, seeds=[[0.0]], tol=1e-13)
+        gb = fam.gradient(pt.base[0], pt.fiber[0])[0]
+        gf = fiber_gradient(fam, pt.base[0], pt.fiber[0])
         for _ in range(10):
             direction = rng.normal(size=1)
             vertical_a = rng.normal(size=1)
@@ -250,8 +299,8 @@ class TestKappa:
         s_star = grid[np.argmin(vals)]
         expected = value_differences(fam, base, [s_star])[0][0]
         pts = solve_critical(fam, base, seeds=[[0.0]], tol=1e-10)
-        (out,) = kappa(fam, pts[:1])
-        assert out.covector[0] == pytest.approx(expected, abs=1e-4)
+        out = kappa(fam, pts[:1])
+        assert out.covector[0, 0] == pytest.approx(expected, abs=1e-4)
 
 
 class TestGenerate:
@@ -259,15 +308,14 @@ class TestGenerate:
         fam = saddle_family()
         bases = [[x] for x in np.linspace(-2.0, 2.0, 9)]
         out = generate(fam, bases, seeds=[[0.0]], tol=1e-12)
-        assert len(out) == 9
-        for gc in out:
-            assert gc.covector[0] == pytest.approx(gc.base[0], abs=1e-9)
+        assert out.covector.shape == (9, 1) and len(out.source) == 9
+        assert np.allclose(out.covector, out.base, atol=1e-9, rtol=0.0)
 
     def test_no_critical_points_contribute_nothing(self):
         fam = FunctionFamily(1, 1, lambda b, f: float(f[0]),
                              lambda b, f: (np.zeros_like(b), np.ones_like(f)),
                              name="slope")
-        assert generate(fam, [[0.0], [1.0]], seeds=[[0.0]]) == []
+        assert generate(fam, [[0.0], [1.0]], seeds=[[0.0]]).covector.shape == (0, 1)
 
     def test_non_morse_family_is_rejected(self):
         fam = FunctionFamily(
@@ -299,10 +347,9 @@ class TestReduce:
         bases = [[x] for x in np.linspace(-1.5, 1.5, 7)]
         parent = generate(fam, bases, seeds=[[0.0, 0.0]], tol=1e-12)
         child = generate(red, bases, seeds=[[0.0]], tol=1e-12)
-        assert len(parent) == len(child) == 7
-        for a, b in zip(parent, child):
-            assert b.covector[0] == pytest.approx(a.covector[0], abs=1e-8)
-            assert b.covector[0] == pytest.approx(2.0 * a.base[0], abs=1e-8)
+        assert len(parent.covector) == len(child.covector) == 7
+        assert np.allclose(child.covector, parent.covector, atol=1e-8, rtol=0.0)
+        assert np.allclose(child.covector, 2.0 * parent.base, atol=1e-8, rtol=0.0)
 
     def test_empty_block_returns_same_family(self):
         fam = saddle_family()
@@ -344,13 +391,13 @@ class TestExample31:
             base = rng.normal(size=6)
             pts = solve_critical(fam, base, seeds=[np.zeros(3)], tol=1e-12)
             assert len(pts) == 1
-            assert np.allclose(pts[0].fiber, base[3:] / 2.0, atol=1e-10)
+            assert np.allclose(pts.fiber[0], base[3:] / 2.0, atol=1e-10)
 
     def test_hessian_blocks(self):
         fam = family_example31(mass=1.5, stiffness=0.7)
         base = np.array([0.2, -0.1, 0.4, 1.0, -2.0, 0.5])
-        pt = solve_critical(fam, base, seeds=[np.zeros(3)], tol=1e-12)[0]
-        (h,) = hessian(fam, [pt])
+        pt = solve_critical(fam, base, seeds=[np.zeros(3)], tol=1e-12)
+        (h,) = hessian(fam, pt)
         assert h.shape == (3, 9)
         assert np.allclose(h[:, 0:3], np.zeros((3, 3)), atol=1e-7)       # d2F/dv dq
         assert np.allclose(h[:, 3:6], -np.eye(3), atol=1e-7)             # d2F/dv dp
@@ -358,13 +405,12 @@ class TestExample31:
 
     def test_rank_is_configuration_dimension(self, rng):
         fam = family_example31()
-        pts = []
-        for _ in range(25):
-            base = rng.normal(size=6)
-            pts.extend(solve_critical(fam, base, seeds=[np.zeros(3)], tol=1e-12))
+        pts = solve_critical_stack(fam, [rng.normal(size=6) for _ in range(25)],
+                                   seeds=[np.zeros(3)], tol=1e-12)
+        assert len(pts) == 25
         report = is_morse(fam, pts)
         assert report.ok
-        assert set(report.ranks) == {3}
+        assert set(report.ranks.tolist()) == {3}
 
     def test_gradient_matches_differences(self, rng):
         fam = family_example31(mass=1.3, stiffness=0.6)
@@ -380,10 +426,10 @@ class TestExample31:
         for _ in range(5):
             base = rng.normal(size=6)
             out = generate(fam, [base], seeds=[np.zeros(3)], tol=1e-12)
-            assert len(out) == 1
+            assert out.covector.shape == (1, 6)
             q, p = base[:3], base[3:]
-            assert np.allclose(out[0].covector[:3], -q, atol=1e-9)
-            assert np.allclose(out[0].covector[3:], -p, atol=1e-9)
+            assert np.allclose(out.covector[0, :3], -q, atol=1e-9)
+            assert np.allclose(out.covector[0, 3:], -p, atol=1e-9)
 
 
 class TestParticleFamilies:
@@ -404,8 +450,8 @@ class TestParticleFamilies:
         base = self.on_shell_base(v, x)
         pts = solve_critical(family_fam1(self.u, self.m, self.g, self.phi),
                              base, seeds=[vector_to_fiber(v) + 0.01], tol=1e-11)
-        assert pts
-        found = pts[0].fiber
+        assert len(pts)
+        found = pts.fiber[0]
         v_found = found[[3, 0, 1, 2]]
         # At criticality the projected velocity is tied to the momentum:
         # iota_u v = (tv / m) g^{-1} iota* p.
@@ -417,14 +463,13 @@ class TestParticleFamilies:
     def test_fam1_is_morse_rank_four(self):
         fam = family_fam1(self.u, self.m, self.g, self.phi)
         x = Event(0.0, 0.2, 0.1, -0.1)
-        pts = []
-        for vx in (0.3, -0.5, 0.9):
-            v = Vector4(1.0, vx, 0.2, 0.1)
-            base = self.on_shell_base(v, x)
-            pts.extend(solve_critical(fam, base, seeds=[vector_to_fiber(v)],
-                                      tol=1e-11))
+        vs = [Vector4(1.0, vx, 0.2, 0.1) for vx in (0.3, -0.5, 0.9)]
+        pts = solve_critical_stack(
+            fam, [self.on_shell_base(v, x) for v in vs],
+            [[vector_to_fiber(v)] for v in vs], tol=1e-11)
+        assert pts.owner.tolist() == [0, 1, 2]
         report = is_morse(fam, pts)
-        assert report.ok and set(report.ranks) == {4}
+        assert report.ok and set(report.ranks.tolist()) == {4}
 
     def test_fam2_critical_iff_on_shell(self):
         fam = family_fam2(self.u, self.m, self.g, self.phi)
@@ -432,18 +477,17 @@ class TestParticleFamilies:
         v = Vector4(1.0, 0.4, -0.3, 0.2)
         on_base = self.on_shell_base(v, x)
         pts = solve_critical(fam, on_base, seeds=[[1.0]], tol=1e-11)
-        assert len(pts) == 1 and pts[0].fiber[0] == pytest.approx(1.0)
+        assert len(pts) == 1 and pts.fiber[0, 0] == pytest.approx(1.0)
         off_base = on_base.copy()
         off_base[4] += 0.5  # move p0 off the shell
-        assert solve_critical(fam, off_base, seeds=[[1.0]], tol=1e-11) == []
+        assert len(solve_critical(fam, off_base, seeds=[[1.0]], tol=1e-11)) == 0
 
     def test_fam2_rank_one(self):
         fam = family_fam2(self.u, self.m, self.g, self.phi)
         x = Event(0.0, 0.3, 0.0, 0.2)
         v = Vector4(1.0, 0.4, -0.3, 0.2)
-        pt = CriticalPoint(self.on_shell_base(v, x), np.array([1.0]))
-        report = is_morse(fam, [pt])
-        assert report.ok and report.ranks == (1,)
+        report = is_morse(fam, points([self.on_shell_base(v, x)], [[1.0]]))
+        assert report.ok and report.ranks.tolist() == [1]
 
     def test_reduction_of_fam1_matches_fam2(self):
         fam1 = family_fam1(self.u, self.m, self.g, self.phi)
@@ -469,8 +513,8 @@ class TestParticleFamilies:
         v = Vector4(1.0, 0.6, -0.2, 0.3)
         base = self.on_shell_base(v, x)
         pts = solve_critical(red, base, seeds=[[1.0]], tol=1e-11)
-        assert pts
-        assert abs(red.value(base, pts[0].fiber)) <= 1e-10
+        assert len(pts)
+        assert abs(red.value(base, pts.fiber[0])) <= 1e-10
 
     def test_fam1_gradient_matches_differences(self, rng):
         fam = family_fam1(self.u, self.m, self.g, self.phi)

@@ -112,8 +112,8 @@ def ref_example31(m, k):
     return gradient
 
 
-def ref_hessian(gradient, b, f, point) -> np.ndarray:
-    joint = np.concatenate([point.base, point.fiber])
+def ref_hessian(gradient, b, f, base, fiber) -> np.ndarray:
+    joint = np.concatenate([base, fiber])
     out = np.empty((f, b + f))
     for j in range(b + f):
         h = 1e-5 * (1.0 + abs(joint[j]))
@@ -190,16 +190,23 @@ def velocity_family(name, rng, potential):
     return fam, ref, anchor, m, g
 
 
+def stack(found) -> CriticalPoint:
+    """The points of several stacks as one stack."""
+    return CriticalPoint(*(np.concatenate([getattr(pts, k) for pts in found])
+                           for k in CriticalPoint.__slots__))
+
+
 def assert_engine_matches(fam, ref, points):
     b, f = fam.base_dim, fam.fiber_dim
-    expected = [ref_hessian(ref, b, f, pt) for pt in points]
+    expected = [ref_hessian(ref, b, f, base, fiber)
+                for base, fiber in zip(points.base, points.fiber)]
     stacked = hessian(fam, points)
     assert stacked.shape == (len(points), f, b + f)
     assert bits(stacked) == bits(np.array(expected))
     assert bits(hessian(fam, points[-1:])) == bits(expected[-1])
-    ranks = is_morse(fam, points).ranks
-    assert ranks == tuple(ref_rank(h) for h in expected)
-    assert ranks == tuple(numerical_rank([h])[0] for h in expected)
+    ranks = is_morse(fam, points).ranks.tolist()
+    assert ranks == [ref_rank(h) for h in expected]
+    assert ranks == [numerical_rank([h])[0] for h in expected]
     assert set(ranks) == {f}
 
 
@@ -208,16 +215,15 @@ def assert_engine_matches(fam, ref, points):
 def test_velocity_families_match_reference(rng, name, kind):
     potential = POTENTIALS[kind]()
     fam, ref, anchor, m, g = velocity_family(name, rng, potential)
-    points = []
+    found = []
     for base, fiber in on_shell(rng, anchor, m, g, potential, 12):
         # Start off the critical set, so that Newton iterates.
         seed = fiber * (1.0 + 0.05 * rng.normal(size=4))
-        found = solve_critical(fam, base, seeds=[seed], tol=1e-10)
+        found.append(solve_critical(fam, base, seeds=[seed], tol=1e-10))
         expected = ref_newton(ref, base, seed, 1e-10)
-        assert len(found) == 1 and expected is not None
-        assert bits(found[0].fiber) == bits(expected)
-        points.extend(found)
-    assert_engine_matches(fam, ref, points)
+        assert len(found[-1]) == 1 and expected is not None
+        assert bits(found[-1].fiber) == bits(expected)
+    assert_engine_matches(fam, ref, stack(found))
 
 
 @pytest.mark.parametrize("kind", sorted(POTENTIALS))
@@ -226,23 +232,23 @@ def test_multiplier_families_match_reference(rng, name, kind):
     potential = POTENTIALS[kind]()
     fam, ref, anchor, m, g = velocity_family(name, rng, potential)
     samples = on_shell(rng, anchor, m, g, potential, 12)
-    points = [CriticalPoint(base, np.array([rng.uniform(0.5, 2.0)]))
-              for base, _ in samples]
-    for pt in points[:3]:
-        found = solve_critical(fam, pt.base, seeds=[pt.fiber], tol=1e-10)
-        assert bits(found[0].fiber) == bits(ref_newton(ref, pt.base, pt.fiber, 1e-10))
+    points = CriticalPoint(np.array([base for base, _ in samples]),
+                           np.array([[rng.uniform(0.5, 2.0)] for _ in samples]))
+    for base, fiber in zip(points.base[:3], points.fiber[:3]):
+        found = solve_critical(fam, base, seeds=[fiber], tol=1e-10)
+        assert bits(found.fiber) == bits(ref_newton(ref, base, fiber, 1e-10))
     assert_engine_matches(fam, ref, points)
 
 
 def test_example31_matches_reference(rng):
     fam, ref = family_example31(1.7, 0.6), ref_example31(1.7, 0.6)
-    points = []
+    found = []
     for _ in range(20):
         base = rng.normal(size=6)
-        found = solve_critical(fam, base, seeds=[np.zeros(3)], tol=1e-11)
-        assert bits(found[0].fiber) == bits(ref_newton(ref, base, np.zeros(3), 1e-11))
-        points.extend(found)
-    assert_engine_matches(fam, ref, points)
+        found.append(solve_critical(fam, base, seeds=[np.zeros(3)], tol=1e-11))
+        assert bits(found[-1].fiber) == bits(
+            ref_newton(ref, base, np.zeros(3), 1e-11))
+    assert_engine_matches(fam, ref, stack(found))
 
 
 def test_family_needs_a_gradient():
@@ -365,39 +371,52 @@ def ref_outcome(fam, base, fiber, head, tol, max_iter=60, log=None):
         return exc
 
 
-def ref_solve(fam, base, seeds, tol):
-    """Critical points over one base, seed by seed, merged as documented."""
-    base = np.asarray(base, dtype=float)
-    found = []
-    for seed in seeds:
-        try:
-            fiber, norm = ref_row_newton(fam, base, seed, fam.fiber_dim, tol)
-        except NoConvergence:
-            continue
-        for k, pt in enumerate(found):
-            if float(np.linalg.norm(pt.fiber - fiber)) < 10.0 * tol:
-                if norm < pt.residual_norm:
-                    found[k] = CriticalPoint(base, fiber, norm)
-                break
-        else:
-            found.append(CriticalPoint(base, fiber, norm))
-    return found
+def ref_solve(fam, bases, seeds, tol):
+    """Critical points over each base, seed by seed from the seeds (S, f)
+    or per base (B, S, f), merged as documented, in (base, seed) order."""
+    out = []  # (base, fiber, norm, owner) per point
+    for i, base in enumerate(np.asarray(bases, dtype=float)):
+        found = []  # [fiber, norm] per point over this base
+        for seed in seeds if np.ndim(seeds) == 2 else seeds[i]:
+            try:
+                fiber, norm = ref_row_newton(fam, base, seed, fam.fiber_dim, tol)
+            except NoConvergence:
+                continue
+            for pt in found:
+                if float(np.linalg.norm(pt[0] - fiber)) < 10.0 * tol:
+                    if norm < pt[1]:
+                        pt[:] = fiber, norm
+                    break
+            else:
+                found.append([fiber, norm])
+        out += [(base, fiber, norm, i) for fiber, norm in found]
+    base, fiber, norm, owner = zip(*out) if out else ((), (), (), ())
+    return CriticalPoint(np.reshape(base, (-1, fam.base_dim)),
+                         np.reshape(fiber, (-1, fam.fiber_dim)),
+                         np.array(norm, dtype=float), np.array(owner, dtype=int))
 
 
-def assert_same_outcomes(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
+def assert_same_outcomes(got, want, tol):
+    fiber, norm, errors = got
+    assert len(fiber) == len(norm) == len(want)
+    assert sorted(errors) == [i for i, w in enumerate(want)
+                              if isinstance(w, Exception)]
+    for i, w in enumerate(want):
         if isinstance(w, Exception):
+            g = errors[i]
             assert type(g) is type(w) and str(g) == str(w)
+            assert not norm[i] <= tol
         else:
-            assert bits(g[0]) == bits(w[0]) and g[1] == w[1]
+            assert bits(fiber[i]) == bits(w[0]) and norm[i] == w[1]
 
 
 def assert_same_points(got, want):
     assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert bits(g.base) == bits(w.base) and bits(g.fiber) == bits(w.fiber)
-        assert g.residual_norm == w.residual_norm
+    assert got.base.shape == want.base.shape
+    assert got.fiber.shape == want.fiber.shape
+    assert bits(got.base) == bits(want.base) and bits(got.fiber) == bits(want.fiber)
+    assert bits(got.residual_norm) == bits(want.residual_norm)
+    assert got.owner.tolist() == want.owner.tolist()
 
 
 def regime_family():
@@ -437,14 +456,14 @@ def test_stacked_rows_converge_at_different_iterations(rng):
             seeds.append(seed)
     bases, seeds = np.array(bases), np.array(seeds)
     want = [ref_outcome(fam, b, s, 4, 1e-10) for b, s in zip(bases, seeds)]
-    assert_same_outcomes(_newton(fam, bases, seeds, 4, 1e-10, 60), want)
+    assert_same_outcomes(_newton(fam, bases, seeds, 4, 1e-10, 60), want, 1e-10)
     # Exactly critical seeds stop before the first step, the others later.
     assert all(bits(w[0]) == bits(s) for w, s in zip(want[::3], seeds[::3]))
     assert all(bits(w[0]) != bits(s) for w, s in zip(want[1::3], seeds[1::3]))
     stacked = solve_critical_stack(fam, bases[::3], seeds.reshape(6, 3, 4),
                                    tol=1e-10)
-    for base, seed_block, got in zip(bases[::3], seeds.reshape(6, 3, 4), stacked):
-        assert_same_points(got, ref_solve(fam, base, seed_block, 1e-10))
+    assert_same_points(stacked, ref_solve(fam, bases[::3], seeds.reshape(6, 3, 4),
+                                          1e-10))
 
 
 def test_stacked_rows_shorten_stall_and_leave_the_domain():
@@ -460,7 +479,8 @@ def test_stacked_rows_shorten_stall_and_leave_the_domain():
         log = []
         want = [ref_outcome(fam, b, s, 1, 1e-12, max_iter, log)
                 for b, s in zip(bases, seeds)]
-        assert_same_outcomes(_newton(fam, bases, seeds, 1, 1e-12, max_iter), want)
+        assert_same_outcomes(_newton(fam, bases, seeds, 1, 1e-12, max_iter),
+                             want, 1e-12)
         assert "shorten" in log
         ends[max_iter] = [type(w).__name__ for w in want]
     assert ends[60] == ["tuple", "tuple", "NoConvergence", "DomainError",
@@ -476,10 +496,9 @@ def test_stacked_rows_shorten_stall_and_leave_the_domain():
         solve_critical_stack(fam, bases, seeds[:, None], tol=1e-12)
     keep = [0, 1, 2, 4, 6, 7]
     got = solve_critical_stack(fam, bases[keep], seeds[keep, None], tol=1e-12)
-    assert [len(pts) for pts in got] == [1, 1, 0, 1, 0, 1]
-    assert solve_critical_stack(fam, bases, [], tol=1e-12) == [[]] * len(bases)
-    for base, seed, pts in zip(bases[keep], seeds[keep], got):
-        assert_same_points(pts, ref_solve(fam, base, [seed], 1e-12))
+    assert got.owner.tolist() == [0, 1, 3, 5]
+    assert len(solve_critical_stack(fam, bases, [], tol=1e-12)) == 0
+    assert_same_points(got, ref_solve(fam, bases[keep], seeds[keep, None], 1e-12))
 
 
 def bistable_reduction():
@@ -502,12 +521,12 @@ def test_reduced_gradient_that_raises_inside_a_stacked_call():
     with pytest.raises(NoConvergence):
         fiber_gradient(red, bases, np.zeros((4, 1)))
     got = solve_critical_stack(red, bases, seeds, tol=1e-11)
-    assert [len(pts) for pts in got] == [1, 0, 1, 1]
-    for base, pts in zip(bases, got):
-        assert_same_points(pts, ref_solve(red, base, seeds, 1e-11))
+    assert got.owner.tolist() == [0, 2, 3]
+    assert_same_points(got, ref_solve(red, bases, seeds, 1e-11))
     rows = np.repeat(bases, 2, axis=0), np.tile(seeds, (4, 1))
     assert_same_outcomes(_newton(red, *rows, 1, 1e-11, 60),
-                         [ref_outcome(red, b, s, 1, 1e-11) for b, s in zip(*rows)])
+                         [ref_outcome(red, b, s, 1, 1e-11) for b, s in zip(*rows)],
+                         1e-11)
     # A row with three sections raises in row order, as it would alone.
     with pytest.raises(SectionNotUnique, match=r"over base \[0\.0\]"):
         solve_critical_stack(red, [[1.0], [0.0], [7.0], [0.1]], seeds, tol=1e-11)
@@ -522,8 +541,8 @@ def test_generate_merges_seeds_per_base():
     bases = np.linspace(-1.0, 1.0, 5)[:, None]
     seeds = [[-1.1], [-0.9], [1.2]]
     out = generate(fam, bases, seeds, tol=1e-12)
-    want = [pt for base in bases for pt in ref_solve(fam, base, seeds, 1e-12)]
+    want = ref_solve(fam, bases, seeds, 1e-12)
     assert len(want) == 2 * len(bases)
-    assert_same_points([gc.source for gc in out], want)
-    assert bits([gc.covector for gc in out]) == bits(
-        [gc.covector for gc in kappa(fam, want, tol=1e-11)])
+    assert_same_points(out.source, want)
+    assert bits(out.base) == bits(want.base)
+    assert bits(out.covector) == bits(kappa(fam, want, tol=1e-11).covector)
