@@ -347,7 +347,7 @@ def family_fam3(model: NewtonModel) -> FunctionFamily:
     inner = family_fam2(REFERENCE_FRAME, model.mass, model.metric,
                         model.potential)
     return FunctionFamily(inner.base_dim, inner.fiber_dim, inner.value,
-                          inner.gradient, name="fam3")
+                          inner.gradient, inner.hessian, name="fam3")
 
 
 def family_fam4(model: NewtonModel) -> FunctionFamily:
@@ -357,4 +357,4 @@ def family_fam4(model: NewtonModel) -> FunctionFamily:
     inner = family_fam1(REFERENCE_FRAME, model.mass, model.metric,
                         model.potential)
     return FunctionFamily(inner.base_dim, inner.fiber_dim, inner.value,
-                          inner.gradient, name="fam4")
+                          inner.gradient, inner.hessian, name="fam4")

@@ -9,22 +9,24 @@ derivative matrix (fiber rows, base-plus-fiber columns) has full row rank
 along the critical set; ranks are certified through singular values.
 
 The engine is generic and works on stacks: every family supplies its
-gradient, which takes base and fiber points of shape (..., b) and (..., f)
-and evaluates every row in one call.  A set of critical points is one
-``CriticalPoint`` record of stacks, with ``owner``, the base row each
-point lies over, from Newton to certificate.  A certification
-differentiates the gradient at every point in one call and takes the
-singular values of every mixed Hessian in one more, giving float ranks
-(N,), NaN where a Hessian is not finite.  Families for the particle
-system live at the bottom of the module: the velocity-fibered family whose
-critical covectors are the equations of motion in a fixed frame, its
-one-variable reduction to a scaled energy constraint, and a
-cotangent-bundle textbook family used as a rank reference.
+gradient and its mixed Hessian in closed form, each taking base and fiber
+points of shape (..., b) and (..., f) and evaluating every row in one
+call.  A set of critical points is one ``CriticalPoint`` record of stacks,
+with ``owner``, the base row each point lies over, from Newton to
+certificate.  A certification takes the mixed Hessians of every point in
+one call and the singular values of all of them, each column divided by
+its largest magnitude, in one more, giving float ranks (N,), NaN where a
+Hessian is not finite.  Families for the particle system live at the
+bottom of the module: the velocity-fibered family whose critical
+covectors are the equations of motion in a fixed frame, its one-variable
+reduction to a scaled energy constraint, and a cotangent-bundle textbook
+family used as a rank reference.
 
 The solver is deliberately plain: one damped Newton over a stack of bases
-on the fiber gradient with a finite-difference Jacobian, least-squares
-steps so rank deficient Jacobians (which occur by construction for
-degree-one homogeneous fibers) still make progress.
+on the fiber gradient, its Jacobian the fiber block of the family's mixed
+Hessian, with least-squares steps so rank deficient Jacobians (which
+occur by construction for degree-one homogeneous fibers) still make
+progress.
 """
 
 from __future__ import annotations
@@ -53,16 +55,13 @@ from .frame_dynamics import (
     mass_shell_residual,
 )
 
-# Step scales for differencing the family gradient.
-_GRAD_STEP = 1e-6       # the Newton Jacobian
-_HESS_GRAD_STEP = 1e-5  # the mixed Hessian
-
 # Dedup radius for critical points, in units of the solver tolerance.
 _MERGE_FACTOR = 10.0
 
-# Newton least-squares cutoff, well above finite-difference noise: a
-# Jacobian direction whose singular value is pure differencing error must
-# not steer the step.
+# Newton least-squares cutoff, relative to the largest singular value of
+# the Jacobian: the fiber Jacobian of a degree-one homogeneous family is
+# singular by construction, and a direction whose singular value is
+# rounding error must not steer the step.
 _NEWTON_RCOND = 1e-8
 
 
@@ -79,24 +78,32 @@ class SectionNotUnique(GalimechError):
 
 
 class FunctionFamily:
-    """Real function on R^base_dim x R^fiber_dim with its gradient.
+    """Real function on R^base_dim x R^fiber_dim with its gradient and its
+    mixed Hessian.
 
     ``value(base, fiber)`` returns a float at one point.  ``gradient(base,
     fiber)`` takes stacks of shape (..., base_dim) and (..., fiber_dim)
     with one leading shape and returns the pair (d/d base, d/d fiber) as
-    stacks of that leading shape, each row computed as it would be alone.
-    The engine reads only the gradient.
+    stacks of that leading shape.  ``hessian(base, fiber)`` takes the same
+    stacks and returns the derivatives of the fiber gradient, shape
+    (..., fiber_dim, base_dim + fiber_dim): rows over the fiber
+    directions, columns over the base directions then the fiber
+    directions, every entry NaN in a row of the stack where the fiber
+    gradient is not finite.  Both compute each row of a stack as it would
+    be alone.  The engine reads only the gradient and the Hessian.
     """
 
-    __slots__ = ("base_dim", "fiber_dim", "value", "gradient", "name")
+    __slots__ = ("base_dim", "fiber_dim", "value", "gradient", "hessian",
+                 "name")
 
     def __init__(self, base_dim: int, fiber_dim: int,
                  value: Callable[[np.ndarray, np.ndarray], float],
                  gradient: Callable[[np.ndarray, np.ndarray],
                                     tuple[np.ndarray, np.ndarray]],
+                 hessian: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  name: str = "family"):
-        self.base_dim, self.fiber_dim, self.value, self.gradient, self.name = \
-            base_dim, fiber_dim, value, gradient, name
+        self.base_dim, self.fiber_dim, self.value = base_dim, fiber_dim, value
+        self.gradient, self.hessian, self.name = gradient, hessian, name
 
 
 class CriticalPoint:
@@ -149,22 +156,31 @@ def fiber_gradient(fam: FunctionFamily, base, fiber) -> np.ndarray:
     return _gradient_split(fam, base, fiber)[1]
 
 
-def _fiber_gradients(fam: FunctionFamily, bases: np.ndarray,
-                     fibers: np.ndarray, head: int):
-    """The first ``head`` fiber-gradient components at every row of a
-    stack, and the error each row raised, by row (its gradient reads NaN).
-    When the stacked call raises, every row is evaluated again alone, so
-    each row ends exactly as it would alone."""
+def _mixed_hessian(fam: FunctionFamily, base, fiber) -> np.ndarray:
+    """The family's mixed Hessians (..., f, b + f) at every row of base
+    (..., b) and fiber (..., f).  numpy warnings are silenced: a
+    non-finite row is the caller's to judge."""
+    base = np.asarray(base, dtype=float)
+    fiber = np.asarray(fiber, dtype=float)
+    with np.errstate(all="ignore"):
+        return np.asarray(fam.hessian(base, fiber), dtype=float)
+
+
+def _by_row(call, bases: np.ndarray, fibers: np.ndarray, shape: tuple):
+    """call(bases, fibers), whose rows have the given shape, at every row
+    of a stack, and the error each row raised, by row (its output reads
+    NaN).  When the stacked call raises, every row is evaluated again
+    alone, so each row ends exactly as it would alone."""
     try:
-        return fiber_gradient(fam, bases, fibers)[..., :head], {}
+        return call(bases, fibers), {}
     except (GalimechError, ArithmeticError):
-        grads, errors = np.full(fibers.shape[:-1] + (head,), np.nan), {}
+        out, errors = np.full(fibers.shape[:-1] + shape, np.nan), {}
     for i, (base, fiber) in enumerate(zip(bases, fibers)):
         try:
-            grads[i] = fiber_gradient(fam, base, fiber)[..., :head]
+            out[i] = call(base, fiber)
         except (GalimechError, ArithmeticError) as exc:
             errors[i] = exc
-    return grads, errors
+    return out, errors
 
 
 def _raise_lstsq_error(err, flag):
@@ -191,21 +207,30 @@ def _newton(fam: FunctionFamily, bases: np.ndarray, fibers: np.ndarray,
     the first ``head`` fiber components, the others held fixed; each row
     steps bit for bit as it would alone.
 
-    An iteration takes the Jacobians of all unconverged rows from one
-    gradient call over their 2 * head shifted fibers, then one stacked
-    least-squares solve over the rows whose Jacobian is finite; a
-    line-search round makes one gradient call over the rows still
-    searching, and shortens the step of a row whose trial leaves the
-    domain (its gradient raises a GalimechError or is not finite).
+    An iteration takes the Jacobians of all unconverged rows from one call
+    of the family's Hessian, whose fiber block (first ``head`` rows and
+    fiber columns) each is, then one stacked least-squares solve over the
+    rows whose Jacobian is finite; a line-search round makes one gradient
+    call over the rows still searching, and shortens the step of a row
+    whose trial leaves the domain (its gradient raises a GalimechError or
+    is not finite).
     Returns (fiber, norm, errors): the last fiber (B, f) and |grad| (B,)
     of every row, and by row the error of each row that did not converge:
     NoConvergence (stalled, or max_iter ran out), DomainError (gradient at
     the start or Jacobian not finite), or what its gradient raised.  A row
     converged exactly when its norm <= tol.
     """
+    b = fam.base_dim
+
+    def gradient(bases, fibers):
+        return fiber_gradient(fam, bases, fibers)[..., :head]
+
+    def jacobian(bases, fibers):
+        return _mixed_hessian(fam, bases, fibers)[..., :head, b:b + head]
+
     bases = np.asarray(bases, dtype=float)
     fiber = np.array(fibers, dtype=float)
-    grad, errors = _fiber_gradients(fam, bases, fiber, head) if len(fiber) \
+    grad, errors = _by_row(gradient, bases, fiber, (head,)) if len(fiber) \
         else (np.empty((0, head)), {})
     grad = np.array(grad)  # rows are updated in place as they step
     norm = maxabs(grad)  # NaN once a row has ended
@@ -213,21 +238,12 @@ def _newton(fam: FunctionFamily, bases: np.ndarray, fibers: np.ndarray,
         errors.setdefault(i, DomainError(
             f"{fam.name}: fiber gradient not finite at the start "
             f"{fiber[i].tolist()} over base {bases[i].tolist()}"))
-    cols = np.arange(head)
     for _ in range(max_iter):
         norm[list(errors)] = np.nan
         act = np.flatnonzero(norm > tol)
         if not act.size:
             break
-        h = _GRAD_STEP * (1.0 + np.abs(fiber[act, :head]))
-        shifted = np.repeat(fiber[act, None], 2 * head, axis=1)
-        shifted[:, cols, cols] += h
-        shifted[:, head + cols, cols] -= h
-        g, failed = _fiber_gradients(fam, np.broadcast_to(
-            bases[act, None], shifted.shape[:2] + bases.shape[1:]), shifted, head)
-        with np.errstate(all="ignore"):
-            jac = np.swapaxes(
-                (g[:, :head] - g[:, head:]) / (2.0 * h)[..., None], -1, -2)
+        jac, failed = _by_row(jacobian, bases[act], fiber[act], (head, head))
         live = np.isfinite(jac).all(axis=(1, 2))  # a failed row reads NaN
         for k, i in zip(np.flatnonzero(~live).tolist(), act[~live].tolist()):
             errors[i] = failed[k] if k in failed else DomainError(
@@ -240,7 +256,7 @@ def _newton(fam: FunctionFamily, bases: np.ndarray, fibers: np.ndarray,
                 break
             trial = fiber[search]
             trial[:, :head] += scale * steps
-            trial_grad, failed = _fiber_gradients(fam, bases[search], trial, head)
+            trial_grad, failed = _by_row(gradient, bases[search], trial, (head,))
             trial_norm = maxabs(trial_grad)
             accept = (trial_norm < norm[search]) | (trial_norm <= tol)
             done = search[accept]
@@ -324,23 +340,14 @@ def solve_critical(fam: FunctionFamily, base, seeds,
 
 
 def hessian(fam: FunctionFamily, points: CriticalPoint) -> np.ndarray:
-    """Mixed second derivatives at every point, shape (N, f, b + f).
+    """Mixed second derivatives at every point, shape (N, f, b + f), from
+    one call of the family's Hessian.
 
     Rows run over the fiber directions, columns over base directions then
-    fiber directions.  The matrices are central differences of the family
-    gradient, taken at all N * 2(b + f) shifted points in one gradient call.
+    fiber directions; a point where the fiber gradient is not finite has
+    a NaN matrix.
     """
-    b, f = fam.base_dim, fam.fiber_dim
-    joint = np.concatenate([points.base, points.fiber], axis=1, dtype=float)
-    h = _HESS_GRAD_STEP * (1.0 + np.abs(joint))
-    shifted = np.repeat(joint[:, None, None, :], 2 * (b + f), axis=1).reshape(
-        len(points), 2, b + f, b + f)
-    cols = np.arange(b + f)
-    shifted[:, 0, cols, cols] += h
-    shifted[:, 1, cols, cols] -= h
-    g = fiber_gradient(fam, shifted[..., :b], shifted[..., b:])
-    with np.errstate(all="ignore"):  # a non-finite matrix gets rank NaN
-        return np.swapaxes((g[:, 0] - g[:, 1]) / (2.0 * h)[..., None], -1, -2)
+    return _mixed_hessian(fam, points.base, points.fiber)
 
 
 class MorseReport:
@@ -368,8 +375,18 @@ def numerical_rank(matrices: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
 def is_morse(fam: FunctionFamily, points: CriticalPoint,
              rank_tol: float = 1e-8) -> MorseReport:
     """Certify that the mixed Hessian has full row rank at every point:
-    one stacked Hessian and one stacked SVD for all of them."""
-    ranks = numerical_rank(hessian(fam, points), rank_tol)
+    one stacked Hessian and one stacked SVD for all of them.
+
+    Each column is divided by its largest magnitude first, and a zero
+    column stays zero.  That is a change of unit per coordinate, which
+    leaves the rank unchanged in exact arithmetic, so the certificate does
+    not depend on the units of mass, momentum or velocity (van der Sluis,
+    Numer. Math. 14, 1969).  A NaN column stays NaN.
+    """
+    h = hessian(fam, points)
+    scale = maxabs(np.swapaxes(h, -1, -2))[..., None, :]
+    with np.errstate(invalid="ignore"):  # an infinite column reads NaN
+        ranks = numerical_rank(h / np.where(scale > 0.0, scale, 1.0), rank_tol)
     return MorseReport(ok=bool(np.all(ranks == fam.fiber_dim)), ranks=ranks,
                        required_rank=fam.fiber_dim)
 
@@ -423,7 +440,10 @@ def reduce_family(fam: FunctionFamily, eliminate: int, seeds: Sequence,
     the solution.  The reduced gradient uses the stationarity of the
     eliminated block, so it is the restriction of the parent gradient to
     the section; over a stack it solves every row's section in one stacked
-    Newton and then evaluates the parent gradient once.
+    Newton and then evaluates the parent gradient once.  The reduced
+    Hessian is the Schur complement of the eliminated block in the parent
+    Hessian on the section, H_k. - H_kh H_hh^-1 H_h. over the base and
+    kept columns; a singular H_hh raises DomainError.
 
     Raises NoConvergence at evaluation when no seed converges and
     SectionNotUnique when distinct seeds land on distinct stationary
@@ -471,23 +491,39 @@ def reduce_family(fam: FunctionFamily, eliminate: int, seeds: Sequence,
                 f"block over base {bases[i].tolist()}")
         return head
 
-    def value(base: np.ndarray, tail: np.ndarray) -> float:
+    b = fam.base_dim
+    outer = np.r_[:b, b + eliminate:b + fam.fiber_dim]  # base and kept columns
+
+    def lift(base: np.ndarray, tail: np.ndarray):
+        """base (..., b) and the parent's fiber (..., f) on the section over
+        (base, tail)."""
         base = np.asarray(base, dtype=float)
         tail = np.asarray(tail, dtype=float)
-        head = sections(base[None], tail[None])[0]
-        return float(fam.value(base, np.concatenate([head, tail])))
+        heads = sections(base.reshape(-1, b), tail.reshape(-1, kept)).reshape(
+            tail.shape[:-1] + (eliminate,))
+        return base, np.concatenate([heads, tail], axis=-1)
+
+    def value(base: np.ndarray, tail: np.ndarray) -> float:
+        return float(fam.value(*lift(base, tail)))
 
     def gradient(base: np.ndarray, tail: np.ndarray):
-        base = np.asarray(base, dtype=float)
-        tail = np.asarray(tail, dtype=float)
-        heads = sections(base.reshape(-1, fam.base_dim),
-                         tail.reshape(-1, kept)).reshape(
-            tail.shape[:-1] + (eliminate,))
-        gb, gf = _gradient_split(fam, base, np.concatenate([heads, tail], axis=-1))
+        gb, gf = _gradient_split(fam, *lift(base, tail))
         return gb, gf[..., eliminate:]
 
-    return FunctionFamily(base_dim=fam.base_dim, fiber_dim=kept,
-                          value=value, gradient=gradient,
+    def hessian(base: np.ndarray, tail: np.ndarray) -> np.ndarray:
+        base, fiber = lift(base, tail)
+        h = _mixed_hessian(fam, base, fiber)
+        h_head, h_kept = h[..., :eliminate, :], h[..., eliminate:, :]
+        try:
+            solved = np.linalg.solve(h_head[..., b:b + eliminate],
+                                     h_head[..., outer])
+        except np.linalg.LinAlgError:
+            raise DomainError(f"{fam.name}: eliminated block singular over "
+                              f"base {base.tolist()}") from None
+        return h_kept[..., outer] - h_kept[..., b:b + eliminate] @ solved
+
+    return FunctionFamily(base_dim=b, fiber_dim=kept, value=value,
+                          gradient=gradient, hessian=hessian,
                           name=f"{fam.name}/reduced")
 
 
@@ -515,8 +551,16 @@ def family_example31(mass: float = 1.0, stiffness: float = 1.0) -> FunctionFamil
         q, p = base[..., :3], base[..., 3:]
         return np.concatenate([-k * q, -v], axis=-1), m * v - p
 
+    blocks = np.concatenate([np.zeros((3, 3)), -np.eye(3), m * np.eye(3)],
+                            axis=1)  # [0 | -I | m I]
+
+    def hessian(base: np.ndarray, fiber: np.ndarray) -> np.ndarray:
+        base, v = np.asarray(base, dtype=float), np.asarray(fiber, dtype=float)
+        finite = np.isfinite(m * v - base[..., 3:]).all(axis=-1)
+        return np.where(finite[..., None, None], blocks, np.nan)
+
     return FunctionFamily(base_dim=6, fiber_dim=3, value=value,
-                          gradient=gradient, name="example31")
+                          gradient=gradient, hessian=hessian, name="example31")
 
 
 # Fiber ordering for the velocity-fibered families: the three spatial
@@ -581,8 +625,34 @@ def family_fam1(u: Frame, m: float, g: SpatialMetric,
             gb, gf = np.where(past, np.nan, gb), np.where(past, np.nan, gf)
         return gb, gf
 
+    # G itself (its column j lowers the unit vector e_j) and G u.
+    g_matrix, g_u = g.apply(np.eye(3)).T, g.apply(u_s)
+
+    def hessian(base: np.ndarray, fiber: np.ndarray) -> np.ndarray:
+        """In fiber order (v_s, v0), with s = v_s - v0 u the projected
+        velocity: dphi(x) in the v0 row, the permuted identity in the p
+        columns and -L in the fiber columns, L the symmetric Hessian of
+        lagrangian_hom in v: L_ss = (m/v0) G, L_s0 = -(m/v0) G u -
+        (m/v0^2) G s and L_00 = (m/v0^3) <G v_s, v_s>."""
+        base, fiber = np.asarray(base, dtype=float), np.asarray(fiber, dtype=float)
+        x, p = base[..., :4], base[..., 4:]
+        v = fiber[..., _V_FIBER_TO_NATURAL]
+        phi, dphi = _potential_jet(potential, x)
+        tv = v[..., 0]
+        lowered = legendre_hom(u_s, m, g, phi, v)  # its spatial part (m/v0) G s
+        m_tv = m / tv
+        out = np.zeros(tv.shape + (4, 12))
+        out[..., 3, :4] = dphi
+        out[..., [0, 1, 2, 3], 4 + _V_NATURAL_TO_FIBER] = 1.0
+        out[..., :3, 8:11] = -m_tv[..., None, None] * g_matrix
+        out[..., :3, 11] = out[..., 3, 8:11] = \
+            m_tv[..., None] * g_u + lowered[..., 1:] / tv[..., None]
+        out[..., 3, 11] = -m_tv / (tv * tv) * g.quadratic(v[..., 1:])
+        out[(tv <= 0.0) | ~np.isfinite(p - lowered).all(axis=-1)] = np.nan
+        return out
+
     return FunctionFamily(base_dim=8, fiber_dim=4, value=value,
-                          gradient=gradient, name="fam1")
+                          gradient=gradient, hessian=hessian, name="fam1")
 
 
 def family_fam2(u: Frame, m: float, g: SpatialMetric,
@@ -601,15 +671,23 @@ def family_fam2(u: Frame, m: float, g: SpatialMetric,
         phi = potential.at_events(x[None])[0]
         return float(fiber[0] * mass_shell_residual(u_s, m, g, phi, p))
 
-    def gradient(base: np.ndarray, fiber: np.ndarray):
-        base, fiber = np.asarray(base, dtype=float), np.asarray(fiber, dtype=float)
+    def residual(base: np.ndarray):
+        """The mass-shell residual (..., 1) at base (..., 8) and its
+        differential (..., 8)."""
         x, p = base[..., :4], base[..., 4:]
-        r = fiber[..., :1]
         phi, dphi = _potential_jet(potential, x)
-        res = mass_shell_residual(u_s, m, g, phi, p)
+        res = mass_shell_residual(u_s, m, g, phi, p)[..., None]
         dres_dp = g.apply_inverse(p[..., 1:]) / m + u_s
-        dres = np.concatenate([dphi, np.ones_like(r), dres_dp], axis=-1)
-        return r * dres, res[..., None]
+        return res, np.concatenate([dphi, np.ones_like(res), dres_dp], axis=-1)
+
+    def gradient(base: np.ndarray, fiber: np.ndarray):
+        res, dres = residual(np.asarray(base, dtype=float))
+        return np.asarray(fiber, dtype=float)[..., :1] * dres, res
+
+    def hessian(base: np.ndarray, fiber: np.ndarray) -> np.ndarray:
+        res, dres = residual(np.asarray(base, dtype=float))
+        row = np.concatenate([dres, np.zeros_like(res)], axis=-1)  # 0 for r
+        return np.where(np.isfinite(res), row, np.nan)[..., None, :]
 
     return FunctionFamily(base_dim=8, fiber_dim=1, value=value,
-                          gradient=gradient, name="fam2")
+                          gradient=gradient, hessian=hessian, name="fam2")

@@ -242,6 +242,8 @@ def test_rank_check_nan_rank_fails():
         1, 1, lambda b, f: 0.0,
         lambda b, f: (np.zeros_like(b),
                       np.where(b > 0.5, np.nan, 4 * f ** 3 - b)),
+        lambda b, f: np.where(b[..., None] > 0.5, np.nan,
+                              np.stack([-np.ones_like(f), 12 * f ** 2], axis=-1)),
         name="nan-at-second")
     points = CriticalPoint(np.array([[0.0], [1.0], [0.0]]), np.zeros((3, 1)))
     assert is_morse(fam, points).ranks[0] == 1

@@ -20,6 +20,7 @@ from galimech.frame_dynamics import (
     mass_shell_residual,
     uniform_potential,
 )
+from galimech.affine_phase import NewtonModel, family_fam3, family_fam4
 from galimech.generating_objects import (
     CriticalPoint,
     FunctionFamily,
@@ -41,10 +42,18 @@ from galimech.generating_objects import (
     state_to_base,
     vector_to_fiber,
 )
+from galimech.harness.config import PotentialSpec
 
 E0 = Frame.from_spatial([0.0, 0.0, 0.0])
 ID3 = SpatialMetric.identity()
 ORIGIN = Event(0.0, 0.0, 0.0, 0.0)
+
+
+def constant(matrix):
+    """The hessian callable of a family whose mixed Hessian is matrix at
+    every point."""
+    matrix = np.array(matrix, dtype=float)
+    return lambda b, f: np.broadcast_to(matrix, np.shape(f)[:-1] + matrix.shape)
 
 
 def saddle_family() -> FunctionFamily:
@@ -56,13 +65,40 @@ def saddle_family() -> FunctionFamily:
     def grad(base, fiber):
         return fiber[..., :1], base[..., :1] - fiber[..., :1]
 
-    return FunctionFamily(1, 1, value, grad, name="saddle")
+    return FunctionFamily(1, 1, value, grad, constant([[1.0, -1.0]]),
+                          name="saddle")
 
 
 def points(bases, fibers) -> CriticalPoint:
     """A stack of critical points from rows of bases and fibers."""
     return CriticalPoint(np.array(bases, dtype=float),
                          np.array(fibers, dtype=float))
+
+
+def row(f, *entries):
+    """One mixed Hessian row (..., 1, k) over fibers f (..., w) from k
+    entries, each a number or of shape (..., 1)."""
+    lead = np.shape(f)[:-1] + (1,)
+    return np.concatenate([np.broadcast_to(e, lead) for e in entries],
+                          axis=-1)[..., None, :]
+
+
+def gradient_differences(fam: FunctionFamily, base, fiber) -> np.ndarray:
+    """Oracle for an exact mixed Hessian: central differences of the fiber
+    gradient at one point, step 1e-5 * (1 + |z|) in each coordinate z,
+    shape (f, b + f)."""
+    b = fam.base_dim
+    z = np.concatenate([np.asarray(base, dtype=float),
+                        np.asarray(fiber, dtype=float)])
+    out = np.empty((fam.fiber_dim, len(z)))
+    for j in range(len(z)):
+        h = 1e-5 * (1.0 + abs(z[j]))
+        plus, minus = z.copy(), z.copy()
+        plus[j] += h
+        minus[j] -= h
+        out[:, j] = (fam.gradient(plus[:b], plus[b:])[1] -
+                     fam.gradient(minus[:b], minus[b:])[1]) / (2.0 * h)
+    return out
 
 
 def value_differences(fam: FunctionFamily, base, fiber):
@@ -112,7 +148,7 @@ class TestSolveCritical:
     def test_no_critical_point_gives_empty_list(self):
         fam = FunctionFamily(1, 1, lambda b, f: float(f[0]),
                              lambda b, f: (np.zeros_like(b), np.ones_like(f)),
-                             name="slope")
+                             constant([[0.0, 0.0]]), name="slope")
         assert len(solve_critical(fam, [0.0], seeds=[[0.0], [5.0]])) == 0
 
     def test_duplicate_solutions_are_merged(self):
@@ -121,6 +157,7 @@ class TestSolveCritical:
             1, 1,
             lambda b, f: 0.25 * float((f[0] ** 2 - 1.0) ** 2),
             lambda b, f: (np.zeros_like(b), f ** 3 - f),
+            lambda b, f: row(f, 0.0, 3.0 * f ** 2 - 1.0),
             name="quartic")
         pts = solve_critical(fam, [0.0], seeds=[[-1.1], [-0.9], [1.2]],
                              tol=1e-12)
@@ -150,7 +187,7 @@ class TestSolveCritical:
     def test_empty_stacks_keep_their_shapes(self, case):
         slope = FunctionFamily(2, 3, lambda b, f: 0.0,
                                lambda b, f: (np.zeros_like(b), np.ones_like(f)),
-                               name="slope")
+                               constant(np.zeros((3, 5))), name="slope")
         bases, seeds = {"no bases": (np.zeros((0, 2)), np.zeros((1, 3))),
                         "no seeds": (np.ones((3, 2)), np.zeros((3, 0, 3))),
                         "[] seeds": (np.ones((3, 2)), []),
@@ -175,13 +212,15 @@ class TestDomain:
         # over no points.
         fam = FunctionFamily(1, 1, lambda b, f: math.nan,
                              lambda b, f: (np.zeros_like(b), np.full_like(f, np.nan)),
-                             name="nowhere")
+                             constant([[np.nan, np.nan]]), name="nowhere")
         with pytest.raises(DomainError, match="nowhere"):
             solve_critical(fam, [0.0], seeds=[[0.0]])
 
     def test_non_finite_hessian_has_nan_rank(self):
         fam = FunctionFamily(1, 1, lambda b, f: 0.0,
                              lambda b, f: (np.zeros_like(b), np.where(b > 0.5, np.inf, f)),
+                             lambda b, f: row(f, np.where(b > 0.5, np.nan, 0.0),
+                                                 np.where(b > 0.5, np.nan, 1.0)),
                              name="edge")
         report = is_morse(fam, points([[0.0], [1.0]], [[0.0], [0.0]]))
         assert report.ranks[0] == 1 and math.isnan(report.ranks[1])
@@ -198,16 +237,20 @@ class TestDomain:
 
 
 class TestHessian:
+    # The engine passes the family's Hessian through; these hold the test
+    # families' hand-written Hessians to differences of their gradients.
     def test_parabola(self):
         fam = FunctionFamily(1, 1, lambda b, f: float(f[0] ** 2),
                              lambda b, f: (np.zeros_like(b), 2.0 * f),
-                             name="parabola")
+                             constant([[0.0, 2.0]]), name="parabola")
         (h,) = hessian(fam, points([[0.0]], [[0.0]]))
+        assert np.allclose(h, gradient_differences(fam, [0.0], [0.0]), atol=1e-7)
         assert np.allclose(h, [[0.0, 2.0]], atol=1e-7)
 
     def test_saddle(self):
         fam = saddle_family()
         (h,) = hessian(fam, points([[1.0]], [[1.0]]))
+        assert np.allclose(h, gradient_differences(fam, [1.0], [1.0]), atol=1e-7)
         assert np.allclose(h, [[1.0, -1.0]], atol=1e-7)
 
     def test_fiber_block_symmetry(self, rng):
@@ -218,9 +261,16 @@ class TestHessian:
         def grad(b, f):
             s1, s2 = f[..., :1], f[..., 1:]
             return s1, np.concatenate([b + s2, s1 + s2 ** 2], axis=-1)
-        fam = FunctionFamily(1, 2, value, grad, name="crossed")
+
+        def hess(b, f):
+            s2 = f[..., 1:]
+            return np.concatenate([row(f, 1.0, 0.0, 1.0),
+                                   row(f, 0.0, 1.0, 2.0 * s2)], axis=-2)
+        fam = FunctionFamily(1, 2, value, grad, hess, name="crossed")
         pt = points([rng.normal(size=1)], [rng.normal(size=2)])
         (h,) = hessian(fam, pt)
+        assert np.allclose(h, gradient_differences(fam, pt.base[0], pt.fiber[0]),
+                           atol=1e-7)
         fiber_block = h[:, 1:]
         assert np.max(np.abs(fiber_block - fiber_block.T)) <= 1e-6
 
@@ -230,6 +280,7 @@ class TestMorse:
         fam = FunctionFamily(
             1, 1, lambda b, f: float(f[0] ** 4 - b[0] * f[0]),
             lambda b, f: (-f, 4 * f ** 3 - b),
+            lambda b, f: row(f, -1.0, 12.0 * f ** 2),
             name="quartic-coupled")
         report = is_morse(fam, points([[0.0]], [[0.0]]))
         assert report.ok and report.ranks.tolist() == [1]
@@ -238,6 +289,7 @@ class TestMorse:
         fam = FunctionFamily(
             1, 1, lambda b, f: float(f[0] ** 3),
             lambda b, f: (np.zeros_like(b), 3 * f ** 2),
+            lambda b, f: row(f, 0.0, 6.0 * f),
             name="cubic")
         report = is_morse(fam, points([[0.0]], [[0.0]]))
         assert not report.ok and report.ranks.tolist() == [0]
@@ -257,7 +309,8 @@ class TestKappa:
         def grad(b, f):
             return (np.concatenate([np.cos(b[..., :1]), 2.0 * b[..., 1:]], axis=-1),
                     np.zeros_like(f))
-        fam = FunctionFamily(2, 1, value, grad, name="pullback")
+        fam = FunctionFamily(2, 1, value, grad, constant([[0.0, 0.0, 0.0]]),
+                             name="pullback")
         out = kappa(fam, points([[0.3, -1.2]], [[7.0]]))
         assert np.allclose(out.covector, [[np.cos(0.3), -2.4]], atol=1e-8)
 
@@ -269,7 +322,7 @@ class TestKappa:
     def test_rejects_a_nan_fiber_gradient(self):
         fam = FunctionFamily(1, 1, lambda b, f: math.nan,
                              lambda b, f: (np.zeros_like(b), np.full_like(f, np.nan)),
-                             name="nowhere")
+                             constant([[np.nan, np.nan]]), name="nowhere")
         with pytest.raises(NotCritical, match="norm nan"):
             kappa(fam, points([[0.0], [1.0]], [[0.0], [0.0]]))
 
@@ -314,13 +367,14 @@ class TestGenerate:
     def test_no_critical_points_contribute_nothing(self):
         fam = FunctionFamily(1, 1, lambda b, f: float(f[0]),
                              lambda b, f: (np.zeros_like(b), np.ones_like(f)),
-                             name="slope")
+                             constant([[0.0, 0.0]]), name="slope")
         assert generate(fam, [[0.0], [1.0]], seeds=[[0.0]]).covector.shape == (0, 1)
 
     def test_non_morse_family_is_rejected(self):
         fam = FunctionFamily(
             1, 1, lambda b, f: float(f[0] ** 3),
             lambda b, f: (np.zeros_like(b), 3 * f ** 2),
+            lambda b, f: row(f, 0.0, 6.0 * f),
             name="cubic")
         with pytest.raises(ValueError):
             generate(fam, [[0.0]], seeds=[[0.0]], tol=1e-8)
@@ -336,7 +390,9 @@ class TestReduce:
         def grad(b, f):
             return f[..., :1] + f[..., 1:], b - f
 
-        fam = FunctionFamily(1, 2, value, grad, name="pair")
+        fam = FunctionFamily(1, 2, value, grad,
+                             constant([[1.0, -1.0, 0.0], [1.0, 0.0, -1.0]]),
+                             name="pair")
         red = reduce_family(fam, 1, seeds=[[0.0]], tol=1e-13)
         assert red.base_dim == 1 and red.fiber_dim == 1
         # Reduced value: x^2/2 + x s2 - s2^2/2.
@@ -362,7 +418,9 @@ class TestReduce:
         def grad(b, f):
             s2 = f[..., 1:]
             return s2, np.concatenate([np.ones_like(s2), b - s2], axis=-1)
-        fam = FunctionFamily(1, 2, value, grad, name="linear-head")
+        fam = FunctionFamily(1, 2, value, grad,
+                             constant([[0.0, 0.0, 0.0], [1.0, 0.0, -1.0]]),
+                             name="linear-head")
         red = reduce_family(fam, 1, seeds=[[0.0]], tol=1e-10)
         with pytest.raises(NoConvergence):
             red.value([1.0], [0.0])
@@ -378,10 +436,29 @@ class TestReduce:
             s1, s2 = f[..., :1], f[..., 1:]
             return s2, np.concatenate([s1 ** 3 - s1, b - s2], axis=-1)
 
-        fam = FunctionFamily(1, 2, value, grad, name="bistable")
+        def hess(b, f):
+            s1 = f[..., :1]
+            return np.concatenate([row(f, 0.0, 3.0 * s1 ** 2 - 1.0, 0.0),
+                                   row(f, 1.0, 0.0, -1.0)], axis=-2)
+
+        fam = FunctionFamily(1, 2, value, grad, hess, name="bistable")
         red = reduce_family(fam, 1, seeds=[[-1.2], [1.2]], tol=1e-12)
         with pytest.raises(SectionNotUnique):
             red.value([0.5], [0.0])
+
+
+    def test_singular_eliminated_block_is_a_domain_error(self):
+        # Over x = 0 every s1 is stationary: the section the seed lands on
+        # has a zero head Hessian, so its Schur complement does not exist.
+        def grad(b, f):
+            return np.zeros_like(b), np.concatenate([b, f[..., 1:] - b], axis=-1)
+
+        fam = FunctionFamily(1, 2, lambda b, f: 0.0, grad,
+                             constant([[1.0, 0.0, 0.0], [-1.0, 0.0, 1.0]]),
+                             name="flat-head")
+        red = reduce_family(fam, 1, seeds=[[0.0]], tol=1e-12)
+        with pytest.raises(DomainError, match="eliminated block singular"):
+            hessian(red, points([[0.0]], [[0.3]]))
 
 
 class TestExample31:
@@ -536,3 +613,90 @@ class TestParticleFamilies:
             gb_fd, gf_fd = value_differences(fam, base, fiber)
             assert np.allclose(gb, gb_fd, atol=2e-6 * (1 + np.max(np.abs(gb))))
             assert np.allclose(gf, gf_fd, atol=2e-6 * (1 + np.max(np.abs(gf))))
+
+
+class TestExactHessians:
+    """Every family's closed-form mixed Hessian against central differences
+    of its own gradient, over the potential kinds, a non-diagonal metric,
+    a frame off the lab and masses from 1e-8 to 1e12.  Each column j is
+    held to 1e-6 of its own largest entry, plus the rounding a central
+    difference of step h_j = 1e-5 (1 + |z_j|) makes on a gradient of size
+    |g|, eps |g| / h_j, with a margin of about 500."""
+
+    POTENTIALS = {
+        "free": free_potential,
+        "harmonic": lambda: harmonic_potential(1.3, center=[0.2, -0.1, 0.4]),
+        "custom": lambda: PotentialSpec(
+            "custom", expr="0.5*q1^2 + 0.25*q2^4 + 0.1*q1*q3 + sin(q2)*exp(-q3^2)"
+        ).build(),
+        "time_custom": lambda: PotentialSpec(
+            "custom", expr="0.5*(q1^2+q2^2+q3^2)*(1+0.1*t) + 0.2*sin(t)*q1"
+        ).build(),
+    }
+    METRIC = SpatialMetric([[1.0, 0.3, 0.0], [0.3, 2.0, 0.1], [0.0, 0.1, 0.5]])
+    FRAME = Frame.from_spatial([0.3, -0.2, 0.5])
+
+    def family(self, name, m, phi):
+        model = NewtonModel(m, self.METRIC, phi)
+        fam1 = family_fam1(self.FRAME, m, self.METRIC, phi)
+        return {"fam1": lambda: fam1,
+                "fam2": lambda: family_fam2(self.FRAME, m, self.METRIC, phi),
+                "fam3": lambda: family_fam3(model),
+                "fam4": lambda: family_fam4(model),
+                "example31": lambda: family_example31(m, 0.7),
+                # The section's Newton stops on an absolute gradient norm,
+                # and the gradient has size m.
+                "fam1/reduced": lambda: reduce_family(
+                    fam1, 3, seeds=[np.zeros(3)], tol=1e-12 * max(1.0, m)),
+                }[name]()
+
+    @staticmethod
+    def stack(rng, fam, m, n):
+        """n points: momenta of size m, so that no term of the gradient
+        is negligible, and future-directed velocities."""
+        base = rng.normal(size=(n, fam.base_dim))
+        base[:, -3:] *= m
+        if fam.base_dim == 8:
+            base[:, 4] *= m
+        fiber = rng.normal(size=(n, fam.fiber_dim))
+        if fam.name not in ("fam2", "fam3", "example31"):
+            fiber[:, -1] = rng.uniform(0.5, 1.5, size=n)  # the time component
+        return base, fiber
+
+    @pytest.mark.parametrize("mass", [1e-8, 1e-4, 1.0, 1e4, 1e8, 1e12])
+    @pytest.mark.parametrize("kind", sorted(POTENTIALS))
+    @pytest.mark.parametrize("name", ["fam1", "fam2", "fam3", "fam4",
+                                      "example31", "fam1/reduced"])
+    def test_hessian_agrees_with_gradient_differences(self, rng, name, kind,
+                                                      mass):
+        fam = self.family(name, mass, self.POTENTIALS[kind]())
+        # 70 rows: the SpatialMetric products batch from 64 rows on.
+        n = 10 if name == "fam1/reduced" else 70
+        base, fiber = self.stack(rng, fam, mass, n)
+        stacked = hessian(fam, points(base, fiber))
+        assert stacked.shape == (n, fam.fiber_dim, fam.base_dim + fam.fiber_dim)
+        for i in range(n):
+            alone = fam.hessian(base[i], fiber[i])
+            assert alone.tobytes() == stacked[i].tobytes()
+        for i in range(4):
+            z = np.abs(np.concatenate([base[i], fiber[i]]))
+            differences = gradient_differences(fam, base[i], fiber[i])
+            size = np.max(np.abs(fiber_gradient(fam, base[i], fiber[i])))
+            bound = (1e-6 * np.max(np.abs(stacked[i]), axis=0)
+                     + 1e-13 * size / (1e-5 * (1.0 + z)))
+            assert np.all(np.abs(stacked[i] - differences) <= bound), (
+                i, np.abs(stacked[i] - differences) / bound)
+
+    @pytest.mark.parametrize("name", ["fam1", "fam4"])
+    def test_past_directed_rows_read_nan(self, rng, name):
+        fam = self.family(name, 1.3, self.POTENTIALS["harmonic"]())
+        base, fiber = self.stack(rng, fam, 1.3, 70)
+        fiber[::3, 3] = -fiber[::3, 3]
+        fiber[1, 3] = 0.0
+        past = fiber[:, 3] <= 0.0
+        h = hessian(fam, points(base, fiber))
+        assert np.isnan(h[past]).all() and np.isfinite(h[~past]).all()
+        with np.errstate(divide="ignore", invalid="ignore"):  # v0 = 0
+            for i in range(3):
+                assert fam.hessian(base[i], fiber[i]).tobytes() == h[i].tobytes()
+        assert np.isnan(is_morse(fam, points(base, fiber)).ranks[past]).all()

@@ -2,12 +2,14 @@
 
 The reference below is the engine as it was written one point at a time:
 family gradients over Event/Vector4/Covector4 objects with the potential
-differential taken at one event, one gradient call per Hessian column,
-one SVD per matrix, and a Newton iteration that builds its Jacobian
-column by column.  The stacked engine must reproduce every float of it:
-the Hessians, the ranks and the critical fibers, for every particle
-family, under built-in, custom and time-dependent custom potentials and
-a random metric.
+differential taken at one event, one SVD per equilibrated matrix, and a
+Newton iteration whose Jacobian is the fiber block of the family's exact
+mixed Hessian at that one point.  The stacked engine must reproduce every
+float of it: the Hessians (the family's, taken one point at a time), the
+ranks and the critical fibers, for every particle family, under built-in,
+custom and time-dependent custom potentials and a random metric.  The
+exact Hessians are also held to central differences of the reference
+gradients.
 
 The stacked Newton is held to a second reference: the damped Newton as it
 was written one base at a time (one gradient call per row, the first error
@@ -52,7 +54,6 @@ from galimech.generating_objects import (
     hessian,
     is_morse,
     kappa,
-    numerical_rank,
     reduce_family,
     solve_critical,
     solve_critical_stack,
@@ -113,6 +114,7 @@ def ref_example31(m, k):
 
 
 def ref_hessian(gradient, b, f, base, fiber) -> np.ndarray:
+    """Central differences of the reference fiber gradient at one point."""
     joint = np.concatenate([base, fiber])
     out = np.empty((f, b + f))
     for j in range(b + f):
@@ -126,11 +128,17 @@ def ref_hessian(gradient, b, f, base, fiber) -> np.ndarray:
 
 
 def ref_rank(matrix) -> int:
-    sv = np.linalg.svd(matrix, compute_uv=False)
+    """Rank of one matrix with each column divided by its largest
+    magnitude (a zero column left at zero)."""
+    scale = np.max(np.abs(matrix), axis=0)
+    sv = np.linalg.svd(matrix / np.where(scale > 0.0, scale, 1.0),
+                       compute_uv=False)
     return 0 if sv[0] == 0.0 else int(np.sum(sv > 1e-8 * sv[0]))
 
 
-def ref_newton(gradient, base, seed, tol, max_iter=60):
+def ref_newton(gradient, hessian, base, seed, tol, max_iter=60):
+    """Damped Newton at one base on the reference gradient, its Jacobian
+    the fiber block of hessian(base, fiber) at that one point."""
     def fiber_grad(fiber):
         return gradient(base, fiber)[1]
 
@@ -140,13 +148,7 @@ def ref_newton(gradient, base, seed, tol, max_iter=60):
     for _ in range(max_iter):
         if norm <= tol:
             return fiber
-        jac = np.empty((len(fiber), len(fiber)))
-        for j in range(len(fiber)):
-            h = 1e-6 * (1.0 + abs(fiber[j]))
-            plus, minus = fiber.copy(), fiber.copy()
-            plus[j] += h
-            minus[j] -= h
-            jac[:, j] = (fiber_grad(plus) - fiber_grad(minus)) / (2.0 * h)
+        jac = hessian(base, fiber)[:, len(base):]
         step, *_ = np.linalg.lstsq(jac, -grad, rcond=1e-8)
         scale = 1.0
         for _ in range(25):
@@ -198,15 +200,17 @@ def stack(found) -> CriticalPoint:
 
 def assert_engine_matches(fam, ref, points):
     b, f = fam.base_dim, fam.fiber_dim
-    expected = [ref_hessian(ref, b, f, base, fiber)
-                for base, fiber in zip(points.base, points.fiber)]
+    alone = [fam.hessian(base, fiber)
+             for base, fiber in zip(points.base, points.fiber)]
     stacked = hessian(fam, points)
     assert stacked.shape == (len(points), f, b + f)
-    assert bits(stacked) == bits(np.array(expected))
-    assert bits(hessian(fam, points[-1:])) == bits(expected[-1])
+    assert bits(stacked) == bits(np.array(alone))
+    assert bits(hessian(fam, points[-1:])) == bits(alone[-1])
+    for h, base, fiber in zip(alone, points.base, points.fiber):
+        differences = ref_hessian(ref, b, f, base, fiber)
+        assert np.max(np.abs(h - differences)) <= 1e-6 * np.max(np.abs(h))
     ranks = is_morse(fam, points).ranks.tolist()
-    assert ranks == [ref_rank(h) for h in expected]
-    assert ranks == [numerical_rank([h])[0] for h in expected]
+    assert ranks == [ref_rank(h) for h in alone]
     assert set(ranks) == {f}
 
 
@@ -220,7 +224,7 @@ def test_velocity_families_match_reference(rng, name, kind):
         # Start off the critical set, so that Newton iterates.
         seed = fiber * (1.0 + 0.05 * rng.normal(size=4))
         found.append(solve_critical(fam, base, seeds=[seed], tol=1e-10))
-        expected = ref_newton(ref, base, seed, 1e-10)
+        expected = ref_newton(ref, fam.hessian, base, seed, 1e-10)
         assert len(found[-1]) == 1 and expected is not None
         assert bits(found[-1].fiber) == bits(expected)
     assert_engine_matches(fam, ref, stack(found))
@@ -236,7 +240,8 @@ def test_multiplier_families_match_reference(rng, name, kind):
                            np.array([[rng.uniform(0.5, 2.0)] for _ in samples]))
     for base, fiber in zip(points.base[:3], points.fiber[:3]):
         found = solve_critical(fam, base, seeds=[fiber], tol=1e-10)
-        assert bits(found.fiber) == bits(ref_newton(ref, base, fiber, 1e-10))
+        assert bits(found.fiber) == bits(
+            ref_newton(ref, fam.hessian, base, fiber, 1e-10))
     assert_engine_matches(fam, ref, points)
 
 
@@ -247,15 +252,52 @@ def test_example31_matches_reference(rng):
         base = rng.normal(size=6)
         found.append(solve_critical(fam, base, seeds=[np.zeros(3)], tol=1e-11))
         assert bits(found[-1].fiber) == bits(
-            ref_newton(ref, base, np.zeros(3), 1e-11))
+            ref_newton(ref, fam.hessian, base, np.zeros(3), 1e-11))
     assert_engine_matches(fam, ref, stack(found))
 
 
+def counted(fam):
+    """fam, with the number of rows of every gradient call it makes
+    recorded in the returned list."""
+    rows = []
+
+    def gradient(base, fiber):
+        rows.append(int(np.prod(np.shape(fiber)[:-1])))
+        return fam.gradient(base, fiber)
+    return FunctionFamily(fam.base_dim, fam.fiber_dim, fam.value, gradient,
+                          fam.hessian, fam.name), rows
+
+
+@pytest.mark.parametrize("name", ["fam1", "fam2", "fam3", "fam4"])
+def test_no_call_evaluates_the_gradient_on_more_rows_than_points(rng, name):
+    # A Jacobian or Hessian by central differences would evaluate the
+    # gradient at 2 (b + f) shifted copies of every point.
+    potential = POTENTIALS["custom"]()
+    fam, _, anchor, m, g = velocity_family(name, rng, potential)
+    fam, rows = counted(fam)
+    samples = on_shell(rng, anchor, m, g, potential, 8)
+    bases = np.array([base for base, _ in samples])
+    if fam.fiber_dim == 4:
+        seeds = np.array([fiber * (1.0 + 0.05 * rng.normal(size=4))
+                          for _, fiber in samples])
+    else:  # off the shell, where the multiplier's Newton stalls
+        bases[:, 4] += 0.1
+        seeds = rng.uniform(0.5, 2.0, size=(8, 1))
+    fiber, _, _ = _newton(fam, bases, seeds, fam.fiber_dim, 1e-10, 60)
+    assert len(rows) > 1 and max(rows) <= len(bases)
+    rows.clear()
+    report = is_morse(fam, CriticalPoint(bases, fiber))
+    assert report.ok and max(rows, default=0) <= len(bases)
+
+
 def test_family_needs_a_gradient():
-    # The engine has one gradient path: a family given by its value alone
-    # cannot be built.
+    # The engine has one gradient path and one Hessian path: a family
+    # given by its value alone, or without its Hessian, cannot be built.
     with pytest.raises(TypeError):
         FunctionFamily(1, 1, lambda b, f: float(b[0] * f[0]))
+    with pytest.raises(TypeError):
+        FunctionFamily(1, 1, lambda b, f: float(b[0] * f[0]),
+                       lambda b, f: (f, b))
 
 
 # --- the stacked least-squares solve against np.linalg.lstsq -------------
@@ -310,8 +352,10 @@ def test_lstsq_stack_raises_as_lstsq_on_a_nan_matrix(rng):
 # --- the stacked Newton against the Newton of one base at a time ---------
 
 def ref_row_newton(fam, base, fiber, head, tol, max_iter=60, log=None):
-    """The damped Newton of one row, raising its first error; log, when
-    given, collects "shorten" for every halved trial step."""
+    """The damped Newton of one row, raising its first error; its Jacobian
+    is the fiber block of the family's Hessian at the row alone.  log,
+    when given, collects "step" for every Jacobian taken and "shorten"
+    for every halved trial step."""
     base = np.asarray(base, dtype=float)
     fiber = np.array(fiber, dtype=float)
     grad = fiber_gradient(fam, base, fiber)[:head]
@@ -320,18 +364,14 @@ def ref_row_newton(fam, base, fiber, head, tol, max_iter=60, log=None):
         raise DomainError(
             f"{fam.name}: fiber gradient not finite at the start "
             f"{fiber.tolist()} over base {base.tolist()}")
-    cols = np.arange(head)
+    b = len(base)
     for _ in range(max_iter):
         if norm <= tol:
             return fiber, norm
-        h = 1e-6 * (1.0 + np.abs(fiber[:head]))
-        shifted = np.repeat(fiber[None], 2 * head, axis=0)
-        shifted[cols, cols] += h
-        shifted[head + cols, cols] -= h
-        g = fiber_gradient(fam, np.broadcast_to(base, (2 * head,) + base.shape),
-                           shifted)[:, :head]
+        if log is not None:
+            log.append("step")
         with np.errstate(all="ignore"):
-            jac = ((g[:head] - g[head:]) / (2.0 * h)[:, None]).T
+            jac = fam.hessian(base, fiber)[:head, b:b + head]
         if not np.isfinite(jac).all():
             raise DomainError(
                 f"{fam.name}: fiber Jacobian not finite at {fiber.tolist()} "
@@ -423,26 +463,35 @@ def regime_family():
     """One fiber s over bases (x, kind); the kind picks how Newton ends:
     0 arctan(s - x), a root that a far seed reaches only by shortened
     steps; 1 (s - x)^2 + 1, no root, so the line search stalls; 2 NaN, a
-    domain error at the start; 3 finite only at s = 5, a domain error in
-    the Jacobian; 4 arctan(s - x) that raises a DomainError below
-    s - x = -5, a trial step that is shortened; 5 the same raising a
-    ZeroDivisionError, which ends the row.  A seed at s - x = -5 over kind
-    4 or 5 raises in its first Jacobian call."""
-    def gradient(base, fiber):
+    domain error at the start; 3 finite only at s = 5, so its Hessian is
+    NaN, a domain error in the Jacobian; 4 arctan(s - x) that raises a
+    DomainError below s - x = -5, a trial step that is shortened; 5 the
+    same raising a ZeroDivisionError, which ends the row.  The Hessian of
+    kinds 4 and 5 raises at s - x = -5 as well, so a seed there raises in
+    its first Jacobian call."""
+    def split(base, fiber, edge):
         x, kind, s = base[..., :1], base[..., 1:], fiber[..., :1]
-        below = s - x < -5.0
-        if np.any(below & (kind == 4)):
+        if np.any(edge(s - x) & (kind == 4)):
             raise DomainError("left the domain")
-        if np.any(below & (kind == 5)):
+        if np.any(edge(s - x) & (kind == 5)):
             raise ZeroDivisionError("division by zero")
-        kind = np.where(kind >= 4, 0, kind)
+        return s - x, np.where(kind >= 4, 0, kind)
+
+    def gradient(base, fiber):
+        d, kind = split(base, fiber, lambda d: d < -5.0)
         with np.errstate(all="ignore"):
             gf = np.select([kind == 0, kind == 1, kind == 2],
-                           [np.arctan(s - x), (s - x) ** 2 + 1.0,
-                            np.full_like(s, np.nan)],
-                           np.where(s == 5.0, 4.0, np.nan))
+                           [np.arctan(d), d ** 2 + 1.0, np.full_like(d, np.nan)],
+                           np.where(fiber[..., :1] == 5.0, 4.0, np.nan))
         return np.zeros_like(base), gf
-    return FunctionFamily(2, 1, lambda b, f: 0.0, gradient, name="regimes")
+
+    def hessian(base, fiber):
+        d, kind = split(base, fiber, lambda d: d <= -5.0)
+        ds = np.select([kind == 0, kind == 1], [1.0 / (1.0 + d * d), 2.0 * d],
+                       np.nan)
+        return np.concatenate([-ds, 0.0 * ds, ds], axis=-1)[..., None, :]
+    return FunctionFamily(2, 1, lambda b, f: 0.0, gradient, hessian,
+                          name="regimes")
 
 
 def test_stacked_rows_converge_at_different_iterations(rng):
@@ -455,11 +504,16 @@ def test_stacked_rows_converge_at_different_iterations(rng):
             bases.append(base)
             seeds.append(seed)
     bases, seeds = np.array(bases), np.array(seeds)
-    want = [ref_outcome(fam, b, s, 4, 1e-10) for b, s in zip(bases, seeds)]
+    logs = [[] for _ in seeds]
+    want = [ref_outcome(fam, b, s, 4, 1e-10, log=log)
+            for b, s, log in zip(bases, seeds, logs)]
     assert_same_outcomes(_newton(fam, bases, seeds, 4, 1e-10, 60), want, 1e-10)
-    # Exactly critical seeds stop before the first step, the others later.
+    # Exactly critical seeds stop before the first step, the others later,
+    # and not all after the same number of steps.
     assert all(bits(w[0]) == bits(s) for w, s in zip(want[::3], seeds[::3]))
     assert all(bits(w[0]) != bits(s) for w, s in zip(want[1::3], seeds[1::3]))
+    steps = [log.count("step") for log in logs]
+    assert not any(steps[::3]) and len(set(steps[1::3])) > 1, steps
     stacked = solve_critical_stack(fam, bases[::3], seeds.reshape(6, 3, 4),
                                    tol=1e-10)
     assert_same_points(stacked, ref_solve(fam, bases[::3], seeds.reshape(6, 3, 4),
@@ -486,7 +540,7 @@ def test_stacked_rows_shorten_stall_and_leave_the_domain():
     assert ends[60] == ["tuple", "tuple", "NoConvergence", "DomainError",
                         "tuple", "DomainError", "NoConvergence", "tuple",
                         "ZeroDivisionError", "DomainError", "ZeroDivisionError"]
-    # In the first iteration rows fail their gradient call (9, 10), have a
+    # In the first iteration rows fail their Hessian call (9, 10), have a
     # Jacobian that is not finite (3) and solve (0, 1, 4 and the rest).
     assert [str(w) for w in want[9:]] == ["left the domain", "division by zero"]
     assert "within 2 iterations" in str(want[0])
@@ -509,7 +563,16 @@ def bistable_reduction():
         s1, s2 = f[..., :1], f[..., 1:]
         head = np.where(b < 5.0, s1 ** 3 - s1 + b, s1 ** 2 + 1.0)
         return s2, np.concatenate([head, b - s2], axis=-1)
-    fam = FunctionFamily(1, 2, lambda b, f: 0.0, gradient, name="bistable")
+
+    def hessian(b, f):
+        s1 = f[..., :1]
+        head = [np.where(b < 5.0, 1.0, 0.0),
+                np.where(b < 5.0, 3.0 * s1 ** 2 - 1.0, 2.0 * s1), 0.0 * s1]
+        kept = [np.ones_like(s1), 0.0 * s1, -np.ones_like(s1)]
+        return np.stack([np.concatenate(head, axis=-1),
+                         np.concatenate(kept, axis=-1)], axis=-2)
+    fam = FunctionFamily(1, 2, lambda b, f: 0.0, gradient, hessian,
+                         name="bistable")
     return reduce_family(fam, 1, seeds=[[-1.2], [1.2]], tol=1e-12)
 
 
@@ -537,7 +600,11 @@ def test_generate_merges_seeds_per_base():
     # on two of them, so the merge fires over every base.
     def gradient(b, f):
         return 0.1 * f, f ** 3 - f + 0.1 * b
-    fam = FunctionFamily(1, 1, lambda b, f: 0.0, gradient, name="quartic")
+
+    def hessian(b, f):
+        return np.stack([np.full_like(f, 0.1), 3.0 * f ** 2 - 1.0], axis=-1)
+    fam = FunctionFamily(1, 1, lambda b, f: 0.0, gradient, hessian,
+                         name="quartic")
     bases = np.linspace(-1.0, 1.0, 5)[:, None]
     seeds = [[-1.1], [-0.9], [1.2]]
     out = generate(fam, bases, seeds, tol=1e-12)

@@ -14,8 +14,16 @@ momenta and of lagrangian values, the operations of the value space W
 families, ``momentum.offset_constant`` and ``energy.drift``, which a force
 that is not -grad phi fails for a harmonic, a uniform and a ``custom``
 potential.
-The Morse rank checks (``morse.famN.rank``) are absent: a rank is stable
-under small perturbations, so no 1e-6 defect changes one.
+
+A rank is stable under small perturbations, so no 1e-6 defect changes
+one.  The rows of the five Morse rank checks (``morse.*.rank``) make a
+structural defect instead: the certificate reads its family's mixed
+Hessian with the block that carries the rank zeroed, and the rank check
+must fail at every mass from 1e-8 to 1e12.  That block is the momentum
+block for fam1 to fam4 (on the free default scenario the event block is
+zero as well); example31's velocity block m I carries rank 3 on its own
+too, so its row zeroes both.  Newton reads the family's Hessian, not the
+certificate's, so the same critical points are certified.
 """
 
 import contextlib
@@ -62,6 +70,19 @@ def scaled_argument(index, component):
             arg[..., component] *= 1.0 + REL
             args[index] = arg
             return kernel(*args, **kwargs)
+        return perturbed
+    return wrap
+
+
+def zeroed_columns(family, columns):
+    """The certificate's mixed Hessians with the given columns zeroed for
+    the family of that name."""
+    def wrap(hessian):
+        def perturbed(fam, points):
+            h = hessian(fam, points)
+            if fam.name == family:
+                h[..., columns] = 0.0
+            return h
         return perturbed
     return wrap
 
@@ -154,6 +175,22 @@ ROWS = {
         {"affine.unit_evaluates_one"}),
 }
 
+# The Morse rank rows: (family, zeroed columns, checks that must fail).
+# fam1 and fam2 certify their points for morse.fam1.vs_fam2 as well.
+P_BLOCK = slice(4, 8)
+RANK_ROWS = {
+    "fam1": (P_BLOCK, {"morse.fam1.rank", "morse.fam1.vs_fam2"}),
+    "fam2": (P_BLOCK, {"morse.fam2.rank", "morse.fam1.vs_fam2"}),
+    "fam3": (P_BLOCK, {"morse.fam3.rank"}),
+    "fam4": (P_BLOCK, {"morse.fam4.rank"}),
+    "example31": (slice(3, 9), {"morse.example31.rank"}),
+}
+RANK_CHECKS = {f"morse.{family}.rank" for family in RANK_ROWS}
+for family, (columns, expected) in RANK_ROWS.items():
+    ROWS[f"{family}_rank_block"] = (
+        "generating_objects", "hessian", zeroed_columns(family, columns),
+        MORSE, expected)
+
 
 def patch_everywhere(monkeypatch, module: str, name: str, wrap) -> None:
     """Replace galimech.<module>.<name> by wrap(it) in every loaded galimech
@@ -196,6 +233,31 @@ def test_perturbation_fails_exactly_its_checks(tmp_path, monkeypatch, row):
     module, name, wrap, argv, expected = ROWS[row]
     patch_everywhere(monkeypatch, module, name, wrap)
     assert failing_checks(tmp_path, argv) == (1, expected)
+
+
+MASSES = [1e-8, 1e-4, 1.0, 1e4, 1e6, 1e8, 1e12]
+
+
+@pytest.mark.parametrize("mass", MASSES)
+def test_unperturbed_rank_checks_pass_at_every_mass(tmp_path, mass):
+    # Other Morse checks fail at large masses (an absolute Newton stop and
+    # an unscaled chart residual); the rank checks do not.
+    _, report = run_report(tmp_path, MORSE, {"mass": mass})
+    ranks = {c["name"]: (c["status"], c["n"]) for c in report["checks"]
+             if c["name"] in RANK_CHECKS}
+    assert ranks == {name: ("pass", 100 if "example31" in name else 25)
+                     for name in RANK_CHECKS}
+
+
+@pytest.mark.parametrize("mass", MASSES)
+@pytest.mark.parametrize("family", sorted(RANK_ROWS))
+def test_zeroed_rank_block_fails_at_every_mass(tmp_path, monkeypatch, family,
+                                               mass):
+    columns, expected = RANK_ROWS[family]
+    patch_everywhere(monkeypatch, "generating_objects", "hessian",
+                     zeroed_columns(family, columns))
+    code, failing = failing_checks(tmp_path, MORSE, {"mass": mass})
+    assert code == 1 and failing & RANK_CHECKS == expected & RANK_CHECKS
 
 
 # The default scenario is free, whose force is zero, so the force row runs

@@ -10,7 +10,8 @@ handwritten function, method and nested function of those modules was
 called, unless it or a function enclosing it is on the allow-list:
 
 * the names ``perfbench/tracer.py`` wraps by name, read from its
-  ``layers()``, and the ``len`` its CSV counter takes of a trajectory;
+  ``layers()``, and the ``len`` its CSV counter takes of a trajectory and
+  its ``solve_critical`` counter of the critical points found;
 * library API that an acceptance criterion or the README tour uses;
 * error paths these runs do not take;
 * the ``__eq__`` of the value classes that tests compare instances of;
@@ -72,7 +73,8 @@ TEST_ORACLES = [
     "generating_objects.family_example31.<locals>.value",
     "affine_phase.beta",
 ]
-BENCHMARK_CALLS = ["frame_dynamics.Trajectory.__len__"]
+BENCHMARK_CALLS = ["frame_dynamics.Trajectory.__len__",
+                   "generating_objects.CriticalPoint.__len__"]
 VALUE_EQUALITY = [
     "galilean_core.Vector4.__eq__",
     "galilean_core.Covector4.__eq__",
