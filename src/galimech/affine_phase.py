@@ -25,8 +25,8 @@ The quotient operations are written once, as array kernels over stacks of
 components: momentum representatives as covector components (..., 4), W
 representatives packed as (v0, v1, v2, v3, r) in (..., 5), frames as
 spatial velocities (..., 3), and the potential as its values.  WElement
-and PElement hold one class each; their ``from_chart``/``in_chart`` call
-the chart-change kernels on its components.
+and PElement hold one class each, as its read-only representative array;
+their ``from_chart``/``in_chart`` call the chart-change kernels on it.
 """
 
 from __future__ import annotations
@@ -37,10 +37,8 @@ from typing import Callable
 import numpy as np
 
 from .galilean_core import (
-    Covector4,
     Frame,
     SpatialMetric,
-    Vector4,
     pair,
     pair_frame,
     sigma,
@@ -120,55 +118,58 @@ def p_change_chart(model: NewtonModel, p, from_u, to_u) -> np.ndarray:
     return p - model.mass * sigma(model.metric, to_u, from_u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WElement:
     """Class of (frame, velocity, real) triples under the sigma relation.
 
-    Stored as the representative in the reference frame.  The velocity
-    part is the class invariant; the real part is chart-relative.
+    Stored as ``w``, its representative (v0, v1, v2, v3, r) in the
+    reference frame, (5,), read-only in every instance this module builds.
+    The velocity part is the class invariant; the real part is
+    chart-relative.
     """
 
-    v: Vector4
-    r: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.v.c0, self.v.c1, self.v.c2, self.v.c3, self.r],
-                        dtype=float)
+    w: np.ndarray
 
     @classmethod
-    def from_chart(cls, model: NewtonModel, v: Vector4, r: float,
+    def from_chart(cls, model: NewtonModel, v, r: float,
                    frame: Frame) -> "WElement":
-        w = w_change_chart(model, w_pack(v.as_array(), r), frame.spatial,
+        """The class of velocity v (4,) and real r in the chart of frame."""
+        w = w_change_chart(model, w_pack(v, r), frame.spatial,
                            REFERENCE_FRAME.spatial)
-        return cls(v, float(w[4]))
+        w.setflags(write=False)
+        return cls(w)
 
-    def in_chart(self, model: NewtonModel, frame: Frame) -> tuple[Vector4, float]:
-        w = w_change_chart(model, self.as_array(), REFERENCE_FRAME.spatial,
-                           frame.spatial)
-        return self.v, float(w[4])
+    def in_chart(self, model: NewtonModel, frame: Frame) -> np.ndarray:
+        """The representative (5,) in the chart of frame."""
+        return w_change_chart(model, self.w, REFERENCE_FRAME.spatial,
+                              frame.spatial)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PElement:
-    """Momentum class, stored as its reference-frame covector."""
+    """Momentum class, stored as ``p``, its reference-frame covector (4,),
+    read-only in every instance this module builds."""
 
-    p: Covector4
+    p: np.ndarray
 
     @classmethod
-    def from_chart(cls, model: NewtonModel, p: Covector4,
-                   frame: Frame) -> "PElement":
-        return cls(Covector4.from_array(p_change_chart(
-            model, p.as_array(), frame.spatial, REFERENCE_FRAME.spatial)))
+    def from_chart(cls, model: NewtonModel, p, frame: Frame) -> "PElement":
+        """The class of covector p (4,) in the chart of frame."""
+        p = p_change_chart(model, p, frame.spatial, REFERENCE_FRAME.spatial)
+        p.setflags(write=False)
+        return cls(p)
 
-    def in_chart(self, model: NewtonModel, frame: Frame) -> Covector4:
-        return Covector4.from_array(p_change_chart(
-            model, self.p.as_array(), REFERENCE_FRAME.spatial, frame.spatial))
+    def in_chart(self, model: NewtonModel, frame: Frame) -> np.ndarray:
+        """The representative covector (4,) in the chart of frame."""
+        return p_change_chart(model, self.p, REFERENCE_FRAME.spatial,
+                              frame.spatial)
 
 
 # The distinguished unit: evaluates to 1 on every momentum class, and its
 # representative is the same pair in every chart (the sigma pairing with a
 # zero velocity vanishes identically).
-W_UNIT = WElement(Vector4(0.0, 0.0, 0.0, 0.0), -1.0)
+W_UNIT = WElement(np.array([0.0, 0.0, 0.0, 0.0, -1.0]))
+W_UNIT.w.setflags(write=False)
 
 
 def w_add_array(a, b) -> np.ndarray:

@@ -2,15 +2,16 @@
 
 Two equivalent pictures are implemented side by side.
 
-In the *inhomogeneous* picture a state is an event plus a spatial momentum
-(three components).  The lagrangian is kinetic energy relative to the frame
-minus a potential, the Legendre map lowers the relative velocity with the
-metric, and trajectories are integrated in time with a classical fixed-step
-RK4 scheme.  For the built-in potentials the equations of motion are affine
-in the state, so one RK4 step is one affine map, the same at every step and
-in every frame up to its constant term; it is precomputed once per
-integration, with its powers, and advanced a block of steps at a time.  A
-``custom`` potential runs RK4's four stages at every step.
+In the *inhomogeneous* picture a state is an event (four coordinates) plus
+a spatial momentum (three components).  The lagrangian is kinetic energy
+relative to the frame minus a potential, the Legendre map lowers the
+relative velocity with the metric, and trajectories are integrated in time
+with a classical fixed-step RK4 scheme.  For the built-in potentials the
+equations of motion are affine in the state, so one RK4 step is one affine
+map, the same at every step and in every frame up to its constant term; it
+is precomputed once per integration, with its powers, and advanced a block
+of steps at a time.  A ``custom`` potential runs RK4's four stages at every
+step.
 
 In the *homogeneous* picture the velocity is an arbitrary future-directed
 four-vector and the momentum a full covector.  The lagrangian extends the
@@ -21,12 +22,11 @@ frame-shift covector.  Homogeneous dynamics is checked state by state
 (membership of a state-with-derivatives tuple) rather than integrated.
 
 Each formula is written once, as an array kernel over stacks of
-components: frames as spatial velocities (..., 3), velocities and momenta
-as components (..., 4), and the potential as its values (...) at the
-events in question.  A caller with one Frame, Event, Vector4 or Covector4
-passes its components (``spatial``, ``as_array``); a velocity that is not
-future-directed is not rejected, and the homogeneous kernels are undefined
-there.
+components: frames as spatial velocities (..., 3) (a ``Frame`` gives its
+``spatial``), events, velocities and momenta as components (..., 4), and
+the potential as its values (...) at the events in question.  A velocity
+that is not future-directed is not rejected, and the homogeneous kernels
+are undefined there.
 """
 
 from __future__ import annotations
@@ -38,12 +38,9 @@ from typing import TextIO
 import numpy as np
 
 from .galilean_core import (
-    Covector4,
-    Event,
     Frame,
     GalimechError,
     SpatialMetric,
-    Vector4,
     iota_u_array,
     maxabs,
     pair_frame,
@@ -103,9 +100,6 @@ class Potential:
                              "so it has no time kernel")
         self.values, self.force, self.time, self.affine = \
             values, force, time, affine
-
-    def at(self, x: Event) -> float:
-        return float(self.values(x.t, x.spatial))
 
     def at_events(self, x: np.ndarray, on_error=None) -> np.ndarray:
         """Values at the events x (n, 4) in one ``values`` call.  When that
@@ -196,20 +190,6 @@ def harmonic_potential(k: float, center=(0.0, 0.0, 0.0)) -> Potential:
             minus_k, np.subtract(_at(t, q), c, out), out),
         affine=True,
     )
-
-
-class PhasePoint:
-    """State of the particle in the inhomogeneous picture: an event and a
-    spatial momentum (a read-only copy of p)."""
-
-    __slots__ = ("x", "p")
-
-    def __init__(self, x: Event, p):
-        arr = np.array(p, dtype=float)
-        if arr.shape != (3,):
-            raise ValueError(f"spatial momentum needs 3 components, got {arr.shape}")
-        arr.setflags(write=False)
-        self.x, self.p = x, arr
 
 
 class Trajectory:
@@ -340,15 +320,15 @@ def homogeneous_dynamics_violation_array(u, m: float, g: SpatialMetric, phi,
 
 def in_homogeneous_dynamics(u: Frame, m: float, g: SpatialMetric,
                             potential: Potential,
-                            element: tuple[Event, Covector4, Vector4, Covector4],
-                            tol: float) -> bool:
+                            element: tuple, tol: float) -> bool:
     """Membership test for a (state, derivative) tuple in the frame-u
-    homogeneous dynamics.  element = (x, p, xdot, pdot); the largest
-    defect is homogeneous_dynamics_violation_array at that one state."""
-    x, p, xdot, pdot = element
+    homogeneous dynamics.  element = (x, p, xdot, pdot), each of four
+    components; the largest defect is homogeneous_dynamics_violation_array
+    at that one state."""
+    x, p, xdot, pdot = (np.asarray(c, dtype=float) for c in element)
     return float(homogeneous_dynamics_violation_array(
-        u.spatial, m, g, potential.at(x), potential.d(x.as_array()),
-        p.as_array(), xdot.as_array(), pdot.as_array())) <= tol
+        u.spatial, m, g, potential.values(x[0], x[1:]), potential.d(x),
+        p, xdot, pdot)) <= tol
 
 
 def _stage_steps(ts, ys, u_s, m, g, potential, h, check):
@@ -484,16 +464,16 @@ def _step_map_steps(ys, t, u_s, m, g, potential, h):
 
 def integrate(u: Frame | Sequence[Frame], m: float, g: SpatialMetric,
               potential: Potential,
-              initial: PhasePoint | Sequence[PhasePoint],
-              h: float, n: int) -> Trajectory:
+              initial: tuple, h: float, n: int) -> Trajectory:
     """Classical RK4 integration of the equations of motion in one or more
     frames.
 
-    ``u`` is one Frame or a sequence of F frames, and ``initial`` the
-    matching PhasePoint or sequence of F PhasePoints, all at one start
-    time.  All frames advance together, with the same floating-point
-    operations per frame as when integrated alone, in one of two ways
-    chosen by the potential:
+    ``u`` is one Frame or a sequence of F frames, and ``initial`` the pair
+    (x, p) of the start events, (4,) or (F, 4), and the spatial momenta,
+    (3,) or (F, 3): one row per frame, or one row for every frame, all at
+    one start time.  All frames advance together, with the same
+    floating-point operations per frame as when integrated alone, in one of
+    two ways chosen by the potential:
     - an ``affine`` potential (the built-in kinds) runs each step as one
       precomputed affine map of the state, built once per call from one
       call of its ``force`` kernel; that map is the RK4 step itself, its
@@ -513,18 +493,20 @@ def integrate(u: Frame | Sequence[Frame], m: float, g: SpatialMetric,
     steps, and step by step only in a block that failed it.
     """
     frames = (u,) if isinstance(u, Frame) else tuple(u)
-    starts = (initial,) if isinstance(initial, PhasePoint) else tuple(initial)
+    x, p = (np.asarray(a, dtype=float) for a in initial)
     if m <= 0.0:
         raise ValueError(f"mass must be positive, got {m!r}")
     if not (h > 0.0):
         raise ValueError(f"step must be positive, got {h!r}")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"step count must be an integer >= 1, got {n!r}")
-    if not frames or len(starts) != len(frames):
-        raise ValueError(f"need one initial state per frame, got "
-                         f"{len(starts)} for {len(frames)} frames")
-    t = float(starts[0].x.t)
-    if any(s.x.t != t for s in starts):
+    if not frames or x.shape not in ((4,), (len(frames), 4)) \
+            or p.shape not in ((3,), (len(frames), 3)):
+        raise ValueError(f"need one initial state per frame, got events "
+                         f"{x.shape} and momenta {p.shape} for "
+                         f"{len(frames)} frames")
+    t = float(x.flat[0])
+    if np.any(x[..., 0] != t):
         raise ValueError("initial states must share one start time")
 
     u_s = np.array([f.spatial for f in frames])
@@ -535,8 +517,7 @@ def integrate(u: Frame | Sequence[Frame], m: float, g: SpatialMetric,
     with np.errstate(over="ignore"):
         np.add.accumulate(ts, out=ts)
     ys = np.empty((n + 1, 2, len(frames), 3))
-    ys[0, 0] = [s.x.spatial for s in starts]
-    ys[0, 1] = [s.p for s in starts]
+    ys[0, 0], ys[0, 1] = x[..., 1:], p
 
     def check(first: int, last: int) -> None:
         """Raise NonFiniteState for the first of steps first..last whose

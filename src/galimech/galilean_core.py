@@ -2,22 +2,21 @@
 
 Conventions used by every module in this package:
 
-* An event is a coordinate tuple (t, q1, q2, q3).
-* Vectors and covectors carry four components c0..c3 / a0..a3 and pair by
-  the plain sum a0*c0 + a1*c1 + a2*c2 + a3*c3.
-* The time covector TAU is (1, 0, 0, 0).  Vectors with vanishing first
+* An event is its coordinates (t, q1, q2, q3), an array of shape (4,).
+* Vectors and covectors are their four components c0..c3 / a0..a3, arrays
+  of shape (4,), and pair by the plain sum a0*c0 + a1*c1 + a2*c2 + a3*c3.
+* The time covector is (1, 0, 0, 0).  Vectors with vanishing first
   component are spatial (they connect simultaneous events); the metric acts
   on their three spatial components only.
 * A frame is a vector with time component exactly 1; its spatial part is the
-  constant velocity of the corresponding family of inertial observers.
+  constant velocity of the corresponding family of inertial observers, and
+  a ``Frame`` holds only that part.
 
 Everything here is a pure function of values that nothing changes after
-construction (plain ``__slots__`` classes, their arrays read-only).  No
-state, no globals beyond TAU.  The kernels (``pair``, ``maxabs``,
+construction.  No mutable state.  The kernels (``pair``, ``maxabs``,
 ``pair_frame``, ``iota_u_array``, ``sigma`` and the ``SpatialMetric``
 methods) take arrays of components of shape (..., 3) or (..., 4) and
-evaluate every entry in one numpy pass; the value classes hold one entry
-and give their components with ``as_array`` or ``spatial``.
+evaluate every entry in one numpy pass, one entry or a whole stack.
 """
 
 from __future__ import annotations
@@ -42,120 +41,23 @@ class SingularMetric(GalimechError):
 _SPD_EIGENVALUE_FLOOR = 1e-12
 
 
-class Vector4:
-    """Displacement between events, or a velocity of a parametrized motion."""
-
-    __slots__ = ("c0", "c1", "c2", "c3")
-
-    def __init__(self, c0: float, c1: float, c2: float, c3: float):
-        self.c0, self.c1, self.c2, self.c3 = c0, c1, c2, c3
-
-    def __eq__(self, other):
-        if type(other) is not Vector4:
-            return NotImplemented
-        return (self.c0, self.c1, self.c2, self.c3) == \
-            (other.c0, other.c1, other.c2, other.c3)
-
-    @classmethod
-    def from_array(cls, a) -> "Vector4":
-        a = np.asarray(a, dtype=float)
-        if a.shape != (4,):
-            raise ValueError(f"Vector4 needs 4 components, got shape {a.shape}")
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c0, self.c1, self.c2, self.c3], dtype=float)
-
-    @property
-    def spatial(self) -> np.ndarray:
-        """Components along the three simultaneity directions."""
-        return np.array([self.c1, self.c2, self.c3], dtype=float)
-
-
-class Covector4:
-    """Linear functional on four-component vectors."""
-
-    __slots__ = ("a0", "a1", "a2", "a3")
-
-    def __init__(self, a0: float, a1: float, a2: float, a3: float):
-        self.a0, self.a1, self.a2, self.a3 = a0, a1, a2, a3
-
-    def __eq__(self, other):
-        if type(other) is not Covector4:
-            return NotImplemented
-        return (self.a0, self.a1, self.a2, self.a3) == \
-            (other.a0, other.a1, other.a2, other.a3)
-
-    @classmethod
-    def from_array(cls, a) -> "Covector4":
-        a = np.asarray(a, dtype=float)
-        if a.shape != (4,):
-            raise ValueError(f"Covector4 needs 4 components, got shape {a.shape}")
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a0, self.a1, self.a2, self.a3], dtype=float)
-
-    @property
-    def spatial(self) -> np.ndarray:
-        """Restriction to the simultaneity directions (components a1..a3)."""
-        return np.array([self.a1, self.a2, self.a3], dtype=float)
-
-
-TAU = Covector4(1.0, 0.0, 0.0, 0.0)
-
-
-class Event:
-    """Point of space-time in the global chart (t, q1, q2, q3), held as
-    Python floats: scalar arithmetic on them raises ArithmeticError where
-    numpy scalars would give inf or NaN."""
-
-    __slots__ = ("t", "q1", "q2", "q3")
-
-    def __init__(self, t, q1, q2, q3):
-        self.t, self.q1, self.q2, self.q3 = float(t), float(q1), float(q2), float(q3)
-
-    def __eq__(self, other):
-        if type(other) is not Event:
-            return NotImplemented
-        return (self.t, self.q1, self.q2, self.q3) == \
-            (other.t, other.q1, other.q2, other.q3)
-
-    @classmethod
-    def from_array(cls, a) -> "Event":
-        a = np.asarray(a, dtype=float)
-        if a.shape != (4,):
-            raise ValueError(f"Event needs 4 coordinates, got shape {a.shape}")
-        return cls(*a)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.t, self.q1, self.q2, self.q3], dtype=float)
-
-    @property
-    def spatial(self) -> np.ndarray:
-        return np.array([self.q1, self.q2, self.q3], dtype=float)
-
-
 class Frame:
-    """Inertial frame: a four-velocity whose time component is exactly 1.
-    ``spatial`` is its spatial velocity, built once per frame (read-only)."""
+    """Inertial frame: a four-velocity whose time component is exactly 1,
+    held as its spatial velocity ``spatial``, a read-only (3,) array."""
 
-    __slots__ = ("velocity", "spatial")
+    __slots__ = ("spatial",)
 
-    def __init__(self, velocity: Vector4):
-        if velocity.c0 != 1.0:
-            raise ValueError(
-                f"frame velocity must have time component 1, got {velocity.c0}")
-        spatial = velocity.spatial
+    def __init__(self, s):
+        spatial = np.array(s, dtype=float)
+        if spatial.shape != (3,):
+            raise ValueError(f"frame spatial velocity needs 3 components, "
+                             f"got {spatial.shape}")
         spatial.setflags(write=False)
-        self.velocity, self.spatial = velocity, spatial
+        self.spatial = spatial
 
     @classmethod
     def from_spatial(cls, s) -> "Frame":
-        s = np.asarray(s, dtype=float)
-        if s.shape != (3,):
-            raise ValueError(f"frame spatial velocity needs 3 components, got {s.shape}")
-        return cls(Vector4(1.0, float(s[0]), float(s[1]), float(s[2])))
+        return cls(s)
 
 
 class SpatialMetric:
@@ -342,7 +244,9 @@ def sigma(g: SpatialMetric, u_prime, u) -> np.ndarray:
     result to a covector on all vectors using the projection along the
     midpoint frame: the value on v is
 
-        <g(u' - u), v - <TAU, v> (u + u')/2>.
+        <g(u' - u), v - v0 (u + u')/2>,
+
+    with v0 the time component of v.
 
     Frames are given by their spatial velocities, arrays of shape (..., 3);
     the covectors come back as components (..., 4).  Antisymmetric in its frame

@@ -38,13 +38,10 @@ from numpy.linalg import _umath_linalg
 
 from ._log import DEBUG, log
 from .galilean_core import (
-    Covector4,
     DomainError,
-    Event,
     Frame,
     GalimechError,
     SpatialMetric,
-    Vector4,
     maxabs,
     pair,
 )
@@ -570,17 +567,10 @@ _V_NATURAL_TO_FIBER = np.array([1, 2, 3, 0])
 _V_FIBER_TO_NATURAL = np.array([3, 0, 1, 2])
 
 
-def state_to_base(x: Event, p: Covector4) -> np.ndarray:
-    """Pack an event and a covector momentum into the 8-component base chart
-    used by the velocity-fibered families."""
-    return np.concatenate([x.as_array(), p.as_array()])
-
-
 def vector_to_fiber(v) -> np.ndarray:
-    """Pack four-velocities, a Vector4 or components (..., 4), into fiber
-    coordinates (spatial block, time)."""
-    a = v.as_array() if isinstance(v, Vector4) else np.asarray(v, dtype=float)
-    return a[..., _V_NATURAL_TO_FIBER]
+    """Pack four-velocities (..., 4) into fiber coordinates (spatial block,
+    time)."""
+    return np.asarray(v, dtype=float)[..., _V_NATURAL_TO_FIBER]
 
 
 def _potential_jet(potential: Potential,

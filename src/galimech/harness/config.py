@@ -16,9 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..galilean_core import Event, Frame, GalimechError, SingularMetric, SpatialMetric
+from ..galilean_core import Frame, GalimechError, SingularMetric, SpatialMetric
 from ..frame_dynamics import (
-    PhasePoint,
     Potential,
     free_potential,
     harmonic_potential,
@@ -141,14 +140,16 @@ class ScenarioConfig:
     def build_frames(self) -> list[Frame]:
         return [Frame.from_spatial(f) for f in self.frames]
 
-    def build_initial_event(self) -> Event:
-        return Event(*self.initial_event)
-
-    def initial_state(self, u: Frame) -> PhasePoint:
-        """Phase-space start in frame u for the configured world velocity."""
-        p = legendre_inhom(u.spatial, self.mass, self.build_metric(),
+    def initial_state(self, u: Frame | Sequence[Frame]
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """Phase-space start (x, p) for the configured world velocity, as
+        ``integrate`` takes it: the initial event x (4,) and the spatial
+        momentum p in frame u (3,), or in each of a sequence of F frames
+        (F, 3)."""
+        u_s = u.spatial if isinstance(u, Frame) else [f.spatial for f in u]
+        p = legendre_inhom(u_s, self.mass, self.build_metric(),
                            np.array(self.initial_velocity))
-        return PhasePoint(self.build_initial_event(), p)
+        return np.array(self.initial_event), p
 
 
 def _finite_floats(field: str, value, count: int) -> tuple[float, ...]:
@@ -164,25 +165,32 @@ def _finite_floats(field: str, value, count: int) -> tuple[float, ...]:
     return tuple(out)
 
 
+# The keys each kind of potential allows.
+_POTENTIAL_KEYS = {
+    "free": {"kind"},
+    "uniform": {"kind", "force"},
+    "harmonic": {"kind", "k", "center"},
+    "custom": {"kind", "expr"},
+}
+
+
 def _parse_potential(value) -> PotentialSpec:
     if not isinstance(value, Mapping):
         raise ConfigError("potential", "expected an object with a 'kind' key")
     kind = value.get("kind")
+    if not isinstance(kind, str) or kind not in _POTENTIAL_KEYS:
+        raise ConfigError(
+            "potential.kind",
+            f"expected one of free|uniform|harmonic|custom, got {kind!r}")
+    extra = set(value) - _POTENTIAL_KEYS[kind]
+    if extra:
+        raise ConfigError("potential", f"unknown keys {sorted(extra)}")
     if kind == "free":
-        extra = set(value) - {"kind"}
-        if extra:
-            raise ConfigError("potential", f"unknown keys {sorted(extra)}")
         return PotentialSpec("free")
     if kind == "uniform":
-        extra = set(value) - {"kind", "force"}
-        if extra:
-            raise ConfigError("potential", f"unknown keys {sorted(extra)}")
         force = _finite_floats("potential.force", value.get("force"), 3)
         return PotentialSpec("uniform", force=force)
     if kind == "harmonic":
-        extra = set(value) - {"kind", "k", "center"}
-        if extra:
-            raise ConfigError("potential", f"unknown keys {sorted(extra)}")
         k = value.get("k")
         if not isinstance(k, (int, float)) or isinstance(k, bool) \
                 or not math.isfinite(k):
@@ -190,20 +198,13 @@ def _parse_potential(value) -> PotentialSpec:
         center = _finite_floats("potential.center",
                                 value.get("center", [0.0, 0.0, 0.0]), 3)
         return PotentialSpec("harmonic", k=float(k), center=center)
-    if kind == "custom":
-        from .expressions import ExpressionError
-        extra = set(value) - {"kind", "expr"}
-        if extra:
-            raise ConfigError("potential", f"unknown keys {sorted(extra)}")
-        spec = PotentialSpec("custom", expr=value.get("expr"))
-        try:
-            spec.build()
-        except ExpressionError as err:
-            raise ConfigError("potential.expr", str(err)) from err
-        return spec
-    raise ConfigError(
-        "potential.kind",
-        f"expected one of free|uniform|harmonic|custom, got {kind!r}")
+    from .expressions import ExpressionError
+    spec = PotentialSpec("custom", expr=value.get("expr"))
+    try:
+        spec.build()
+    except ExpressionError as err:
+        raise ConfigError("potential.expr", str(err)) from err
+    return spec
 
 
 _TOP_LEVEL_KEYS = {

@@ -17,3 +17,9 @@ def random_metric(rng) -> SpatialMetric:
 
 def random_frame(rng, scale: float = 1.0) -> Frame:
     return Frame.from_spatial(rng.uniform(-scale, scale, size=3))
+
+
+def at(potential, x) -> float:
+    """The potential's value at one event x, coordinates (t, q1, q2, q3)."""
+    x = np.asarray(x, dtype=float)
+    return float(potential.values(x[0], x[1:]))

@@ -16,17 +16,12 @@ import numpy as np
 import pytest
 
 from galimech.galilean_core import (
-    Covector4,
-    Event,
     Frame,
     SpatialMetric,
-    TAU,
-    Vector4,
     pair,
     sigma,
 )
 from galimech.frame_dynamics import (
-    PhasePoint,
     free_potential,
     harmonic_potential,
     in_homogeneous_dynamics,
@@ -46,7 +41,6 @@ from galimech.generating_objects import (
     kappa,
     reduce_family,
     solve_critical_stack,
-    state_to_base,
     vector_to_fiber,
 )
 from galimech.affine_phase import (
@@ -67,6 +61,8 @@ from galimech.harness.checks import (
     frame_trajectories,
 )
 from galimech.harness.config import PotentialSpec, default_config
+
+from conftest import at
 
 
 @pytest.fixture
@@ -126,7 +122,7 @@ def test_criterion_02_lagrangian_difference(announce):
         g = random_spd(rng)
         u, u_prime = random_frame(rng), random_frame(rng)
         v = random_future(rng)
-        phi_x = phi.at(Event(*rng.normal(size=4)))
+        phi_x = at(phi, rng.normal(size=4))
         lhs = lagrangian_hom(u, m, g, phi_x, v) \
             - lagrangian_hom(u_prime, m, g, phi_x, v)
         rhs = m * pair(sigma(g, u_prime, u), v)
@@ -163,10 +159,10 @@ def test_criterion_04_mass_shell(announce):
     worst = 0.0
     for _ in range(500):
         u = random_frame(rng)
-        x = Event(*rng.normal(size=4))
+        x = rng.normal(size=4)
         v = random_future(rng)
         for phi in potentials:
-            phi_x = phi.at(x)
+            phi_x = at(phi, x)
             p = legendre_hom(u, m, g, phi_x, v)
             worst = max(worst,
                         float(abs(mass_shell_residual(u, m, g, phi_x, p))))
@@ -184,7 +180,7 @@ def test_criterion_05_boost_theorem(announce):
     res_err = 0.0
     for _ in range(500):
         u_prime, u = random_frame(rng), random_frame(rng)
-        phi_x = phi.at(Event(*rng.normal(size=4)))
+        phi_x = at(phi, rng.normal(size=4))
         p = rng.normal(size=4)
         before = mass_shell_residual(u_prime, m, g, phi_x, p)
         carried = p + m * sigma(g, u_prime, u)
@@ -221,35 +217,28 @@ def test_criterion_05_boost_theorem(announce):
     h, n = 1e-3, 300
     u_prime = Frame.from_spatial([0.3, -0.2, 0.1])
     u = Frame.from_spatial([-0.4, 0.25, 0.5])
-    start = Event(0.0, 1.0, 0.0, 0.0)
+    start = np.array([0.0, 1.0, 0.0, 0.0])
     w = Frame.from_spatial([0.2, 0.0, 0.0])
     p_start = m * g.apply(w.spatial - u_prime.spatial)
-    traj = integrate(u_prime, m, g, phi, PhasePoint(start, p_start),
-                     h, n)
+    traj = integrate(u_prime, m, g, phi, (start, p_start), h, n)
 
     def shell_lift(x, ps):
         # time component chosen to zero the u_prime-frame residual
         a0 = -(0.5 / m * float(ps @ g.apply_inverse(ps))
-               + float(ps @ u_prime.spatial) + phi.at(x))
-        return Covector4(a0, *ps)
+               + float(ps @ u_prime.spatial) + at(phi, x))
+        return np.array([a0, *ps])
 
-    events = [Event(t, *q) for t, q in zip(traj.t.tolist(),
-                                           traj.q[:, 0].tolist())]
+    xs = np.column_stack([traj.t, traj.q[:, 0]])
     offset = m * sigma(g, u_prime.spatial, u.spatial)
-    carried = [(x, Covector4.from_array(shell_lift(x, ps).as_array() + offset))
-               for x, ps in zip(events, traj.p[:, 0])]
-    xs = np.array([x.as_array() for x, _ in carried])
-    ps = np.array([p.as_array() for _, p in carried])
+    ps = np.array([shell_lift(x, p) + offset
+                   for x, p in zip(xs, traj.p[:, 0])])
     tol_c = 10.0 * h ** 4
     member_err = 0.0
     for k in range(2, n - 1):
         xdot = (xs[k - 2] - 8 * xs[k - 1] + 8 * xs[k + 1] - xs[k + 2]) / (12 * h)
         pdot = (ps[k - 2] - 8 * ps[k - 1] + 8 * ps[k + 1] - ps[k + 2]) / (12 * h)
-        ok = in_homogeneous_dynamics(
-            u, m, g, phi,
-            (carried[k][0], carried[k][1], Vector4.from_array(xdot),
-             Covector4.from_array(pdot)),
-            tol_c)
+        ok = in_homogeneous_dynamics(u, m, g, phi,
+                                     (xs[k], ps[k], xdot, pdot), tol_c)
         member_err = max(member_err, 0.0 if ok else float("inf"))
 
     worst = max(res_err / 1e-12, sym_err / 1e-10, member_err)
@@ -297,7 +286,7 @@ def test_criterion_08_reduction_equivalence(announce):
     u = Frame.from_spatial([0.15, -0.3, 0.05])
     fam1 = family_fam1(u, m, g, phi)
     fam2 = family_fam2(u, m, g, phi)
-    x = Event(0.0, 0.4, -0.1, 0.3)
+    x = np.array([0.0, 0.4, -0.1, 0.3])
 
     covector_err = 0.0
     value_err = 0.0
@@ -305,8 +294,8 @@ def test_criterion_08_reduction_equivalence(announce):
     for v1 in np.linspace(-1.0, 1.0, 5):
         for v2 in np.linspace(-0.5, 0.5, 5):
             v = np.array([1.0, v1, v2, 0.2])
-            base = state_to_base(x, Covector4.from_array(
-                legendre_hom(u.spatial, m, g, phi.at(x), v)))
+            base = np.concatenate(
+                [x, legendre_hom(u.spatial, m, g, at(phi, x), v)])
             reduced = reduce_family(fam1, 3, seeds=[vector_to_fiber(v)[:3]])
             got = generate(reduced, [base], seeds=[[1.0]], tol=1e-10)
             assert len(got.source) == 1

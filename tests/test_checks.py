@@ -18,7 +18,7 @@ from galimech.frame_dynamics import (
     legendre_inhom,
 )
 from galimech.galilean_core import (
-    Event, Frame, SpatialMetric, maxabs, pair, sigma)
+    Frame, SpatialMetric, maxabs, pair, sigma)
 from galimech.generating_objects import CriticalPoint, FunctionFamily, is_morse
 from galimech.harness import checks
 from galimech.harness.checks import (
@@ -41,6 +41,8 @@ from galimech.harness.checks import (
 )
 from galimech.harness.cli import main
 from galimech.harness.config import PotentialSpec, default_config
+
+from conftest import at
 
 
 def test_unknown_suite_raises():
@@ -162,7 +164,7 @@ def _loop_lagrangian_shift(cfg, rng, phi, g):
     rows = zip(*checks._draws(rng, 1000, checks._FRAME, checks._FRAME,
                               checks._FUTURE, checks._NORMAL4))
     for u, u_prime, v, x in rows:
-        phi_x = phi.at(Event(*x.tolist()))
+        phi_x = at(phi, x)
         lhs = lagrangian_hom(u, cfg.mass, g, phi_x, v) \
             - lagrangian_hom(u_prime, cfg.mass, g, phi_x, v)
         rhs = cfg.mass * pair(sigma(g, u_prime, u), v)
@@ -178,7 +180,7 @@ def _loop_legendre_fd(cfg, rng, phi, g):
     for i in range(500):
         k = i // 2
         u = (u0, u1)[i % 2][k]
-        phi_x = phi.at(Event(*(x0, x1)[i % 2][k].tolist()))
+        phi_x = at(phi, (x0, x1)[i % 2][k])
         if i % 2 == 0:
             coords = w0[k]
             analytic = legendre_inhom(u, m, g, coords)
@@ -332,7 +334,7 @@ def test_worst_index_replays_from_the_seed_and_the_check_name():
         _rng(cfg, result.name), result.n,
         checks._FRAME, checks._FRAME, checks._FUTURE, checks._NORMAL4)
     i, g, phi = result.worst_index, cfg.build_metric(), cfg.build_potential()
-    phi_x = phi.at(Event(*x[i].tolist()))
+    phi_x = at(phi, x[i])
     lhs = lagrangian_hom(u[i], cfg.mass, g, phi_x, v[i]) \
         - lagrangian_hom(u_prime[i], cfg.mass, g, phi_x, v[i])
     rhs = cfg.mass * pair(sigma(g, u_prime[i], u[i]), v[i])

@@ -9,8 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from galimech.frame_dynamics import PhasePoint, integrate
-from galimech.galilean_core import Event, Frame, SpatialMetric
+from galimech.frame_dynamics import integrate
+from galimech.galilean_core import Frame, SpatialMetric
 from galimech.harness import expressions
 from galimech.harness.config import PotentialSpec
 from galimech.harness.expressions import (
@@ -427,7 +427,7 @@ class TestForce:
         graph, root = expressions._parse(text, expressions._ARRAY)
         assert graph.depths[root] == 400
         phi = PotentialSpec("custom", expr=text).build()
-        start = PhasePoint(Event(0.0, 0.3, 0.2, 0.1), np.zeros(3))
+        start = (np.array([0.0, 0.3, 0.2, 0.1]), np.zeros(3))
         traj = integrate(Frame.from_spatial([0.0, 0.0, 0.0]), 1.0,
                          SpatialMetric(np.eye(3)), phi, start, 1e-3, 20)
         assert np.isfinite(traj.q).all() and np.isfinite(traj.p).all()

@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 
 from galimech.galilean_core import (
-    Covector4,
-    Event,
     Frame,
     SpatialMetric,
-    Vector4,
     pair,
     sigma,
 )
@@ -22,7 +19,6 @@ from galimech.frame_dynamics import (
     _FINITE_BLOCK,
     _PROBE,
     NonFiniteState,
-    PhasePoint,
     Potential,
     Trajectory,
     free_potential,
@@ -43,16 +39,17 @@ from galimech.harness.cli import main
 from galimech.harness.config import PotentialSpec
 from galimech.harness.expressions import compile_potential
 
-from conftest import random_frame, random_metric
+from conftest import at, random_frame, random_metric
 
 E0 = Frame.from_spatial([0.0, 0.0, 0.0])
-ORIGIN = Event(0.0, 0.0, 0.0, 0.0)
+ORIGIN = np.array([0.0, 0.0, 0.0, 0.0])
 ID3 = SpatialMetric.identity()
 
 
-def energy(m: float, g: SpatialMetric, phi: Potential, x: Event, p) -> float:
+def energy(m: float, g: SpatialMetric, phi: Potential, x: np.ndarray,
+           p) -> float:
     """Trajectory.energies at the single state (x, p)."""
-    traj = Trajectory(t=np.array([x.t]), q=x.spatial[None, None],
+    traj = Trajectory(t=x[:1], q=x[None, None, 1:],
                       p=np.asarray(p, dtype=float)[None, None], h=1.0,
                       frames=(E0,), mass=m)
     return float(traj.energies(g, phi)[0])
@@ -64,6 +61,12 @@ def carried(up: Frame, u: Frame, m: float, g: SpatialMetric,
     change p + m sigma(up, u) of its class."""
     model = NewtonModel(m, g, free_potential())
     return p_change_chart(model, p, up.spatial, u.spatial)
+
+
+def stacked(states) -> tuple[np.ndarray, np.ndarray]:
+    """integrate's initial pair for a list of (x, p) states, one per frame."""
+    xs, ps = zip(*states)
+    return np.array(xs, dtype=float), np.array(ps, dtype=float)
 
 
 def fd_gradient(f, x: np.ndarray) -> np.ndarray:
@@ -81,21 +84,21 @@ def fd_gradient(f, x: np.ndarray) -> np.ndarray:
 class TestPotentials:
     def test_free_is_zero(self):
         phi = free_potential()
-        assert phi.at(Event(1.0, 2.0, 3.0, 4.0)) == 0.0
-        assert np.array_equal(phi.d_s(ORIGIN.as_array()), np.zeros(3))
-        assert np.array_equal(phi.d(ORIGIN.as_array()), np.zeros(4))
+        assert at(phi, np.array([1.0, 2.0, 3.0, 4.0])) == 0.0
+        assert np.array_equal(phi.d_s(ORIGIN), np.zeros(3))
+        assert np.array_equal(phi.d(ORIGIN), np.zeros(4))
 
     def test_uniform_value_and_gradient(self):
         phi = uniform_potential([1.0, 0.0, -2.0])
-        x = Event(0.0, 2.0, 5.0, 1.0)
-        assert phi.at(x) == pytest.approx(-(2.0 - 2.0), abs=1e-15)
-        assert np.array_equal(phi.d_s(x.as_array()), [-1.0, 0.0, 2.0])
+        x = np.array([0.0, 2.0, 5.0, 1.0])
+        assert at(phi, x) == pytest.approx(-(2.0 - 2.0), abs=1e-15)
+        assert np.array_equal(phi.d_s(x), [-1.0, 0.0, 2.0])
 
     def test_harmonic_value_and_gradient(self):
         phi = harmonic_potential(2.0, center=[1.0, 0.0, 0.0])
-        x = Event(0.0, 3.0, 0.0, 0.0)
-        assert phi.at(x) == pytest.approx(4.0)
-        assert np.allclose(phi.d_s(x.as_array()), [4.0, 0.0, 0.0])
+        x = np.array([0.0, 3.0, 0.0, 0.0])
+        assert at(phi, x) == pytest.approx(4.0)
+        assert np.allclose(phi.d_s(x), [4.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("scale", [1.0, 1e3])
     def test_builtin_values_equal_point_values(self, rng, scale):
@@ -115,8 +118,7 @@ class TestPotentials:
             got = phi.values(x[..., 0], x[..., 1:])
             assert got.shape == (4, 25)
             for index in np.ndindex(4, 25):
-                event = Event(*x[index])
-                assert got[index] == phi.at(event) == ref(event.spatial)
+                assert got[index] == at(phi, x[index]) == ref(x[index][1:])
 
     def test_analytic_gradients_match_differences(self, rng):
         pots = [uniform_potential([0.3, -1.2, 0.7]),
@@ -125,7 +127,7 @@ class TestPotentials:
             for _ in range(50):
                 coords = rng.normal(size=4)
                 numeric = fd_gradient(
-                    lambda c: phi.at(Event.from_array(c)), coords)
+                    lambda c: at(phi, c), coords)
                 analytic = phi.d(coords)
                 assert np.allclose(analytic, numeric,
                                    atol=1e-6 * (1.0 + np.max(np.abs(numeric))))
@@ -143,7 +145,7 @@ class TestPotentials:
         got = -phi.force(t, q)
         assert got.shape == (8, 3)
         for row, coords in zip(got, q):
-            ref = fd_gradient(lambda c: phi.at(Event(t, *c)), coords)
+            ref = fd_gradient(lambda c: at(phi, [t, *c]), coords)
             assert np.all(np.abs(row - ref) <= 1e-8 * (1.0 + np.abs(ref)))
         assert np.array_equal(-phi.force(t, q[3]), got[3])
 
@@ -181,7 +183,7 @@ class TestPotentials:
         x = rng.normal(scale=1.5, size=(1000, 4))
         rows = phi.values(x[:, 0], x[:, 1:])
         assert _bits(phi.at_events(x)).tolist() == _bits(rows).tolist()
-        assert _bits(np.array([phi.at(Event(*row)) for row in x.tolist()])
+        assert _bits(np.array([at(phi, row) for row in x])
                      ).tolist() == _bits(rows).tolist()
 
     def test_finite_value_through_an_infinite_intermediate(self):
@@ -189,7 +191,7 @@ class TestPotentials:
         # evaluation keeps that finite value.
         phi = PotentialSpec("custom", expr="exp(-1/q1^2)").build()
         x = np.array([[0.5, 0.0, 1.0, -2.0]])
-        assert phi.at(Event(*x[0].tolist())) == 0.0
+        assert at(phi, x[0]) == 0.0
         assert phi.at_events(x).tolist() == [0.0]
         assert phi.values(x[:, 0], x[:, 1:]).tolist() == [0.0]
 
@@ -198,8 +200,8 @@ class TestPotentials:
         # is 0 * inf; the math table judges that point, where -1/q1^2
         # divides by zero, so integrating from there stops at step 1.
         phi = PotentialSpec("custom", expr="exp(-1/q1^2)").build()
-        start = PhasePoint(Event(0.0, 0.0, 1.0, -2.0), np.zeros(3))
-        assert phi.at(start.x) == 0.0
+        start = (np.array([0.0, 0.0, 1.0, -2.0]), np.zeros(3))
+        assert at(phi, start[0]) == 0.0
         with pytest.raises(NonFiniteState,
                            match="ZeroDivisionError at step 1"):
             integrate(Frame.from_spatial([0.0, 0.0, 0.0]), 1.0, ID3, phi,
@@ -219,22 +221,20 @@ class TestPotentials:
         with pytest.raises(TypeError):
             Potential(values=lambda t, q: np.zeros(np.shape(q)[:-1]))
 
-    def test_numpy_event_keeps_the_scalar_error_contract(self):
-        # Event coerces numpy scalars to float.  The array evaluator gives
-        # inf at this finite point, so the scalar evaluator judges it and
-        # raises instead of returning inf.
-        x = Event(*np.zeros(4))
-        assert all(type(c) is float for c in (x.t, x.q1, x.q2, x.q3))
+    def test_one_event_keeps_the_scalar_error_contract(self):
+        # The array evaluator gives inf at this finite event, so the scalar
+        # evaluator judges it and raises instead of returning inf.
+        x = np.zeros(4)
         with pytest.raises(ZeroDivisionError):
-            PotentialSpec("custom", expr="1/q1").build().at(x)
+            PotentialSpec("custom", expr="1/q1").build().values(x[0], x[1:])
 
     def test_fd_fallback_when_no_gradient(self):
         # A custom potential has exact derivatives in space and in time:
         # no central difference remains.
         phi = PotentialSpec("custom", expr="q1^2 + 0.5*t").build()
-        x = Event(1.0, 3.0, 0.0, 0.0)
-        assert np.allclose(phi.d_s(x.as_array()), [6.0, 0.0, 0.0], atol=1e-8)
-        assert phi.d(x.as_array())[0] == 0.5
+        x = np.array([1.0, 3.0, 0.0, 0.0])
+        assert np.allclose(phi.d_s(x), [6.0, 0.0, 0.0], atol=1e-8)
+        assert phi.d(x)[0] == 0.5
 
     @pytest.mark.parametrize("kind", ["free", "uniform", "harmonic", "custom"])
     def test_force_kernels_equal_hand_formulas(self, rng, kind):
@@ -312,7 +312,7 @@ class TestInhomogeneous:
         w = Frame.from_spatial([3.0, 0.0, 0.0])
         phi = Potential(values=lambda t, q: np.ones(np.shape(q)[:-1]),
                         force=free_potential().force)
-        val = lagrangian_inhom(E0.spatial, 2.0, ID3, phi.at(ORIGIN), w.spatial)
+        val = lagrangian_inhom(E0.spatial, 2.0, ID3, at(phi, ORIGIN), w.spatial)
         assert val == pytest.approx(8.0)
 
     def test_lagrangian_lower_bound(self, rng):
@@ -321,9 +321,9 @@ class TestInhomogeneous:
             u = random_frame(rng)
             w = random_frame(rng, scale=2.0)
             g = random_metric(rng)
-            x = Event.from_array(rng.normal(size=4))
-            assert lagrangian_inhom(u.spatial, 1.5, g, phi.at(x),
-                                    w.spatial) >= -phi.at(x)
+            x = rng.normal(size=4)
+            assert lagrangian_inhom(u.spatial, 1.5, g, at(phi, x),
+                                    w.spatial) >= -at(phi, x)
 
     def test_legendre_rest_frame(self):
         w = Frame.from_spatial([3.0, 0.0, 0.0])
@@ -344,10 +344,10 @@ class TestInhomogeneous:
             u = random_frame(rng)
             g = random_metric(rng)
             m = float(rng.uniform(0.5, 3.0))
-            x = Event.from_array(rng.normal(size=4))
+            x = rng.normal(size=4)
             ws = rng.uniform(-2.0, 2.0, size=3)
             numeric = fd_gradient(
-                lambda s: lagrangian_inhom(u.spatial, m, g, phi.at(x), s), ws)
+                lambda s: lagrangian_inhom(u.spatial, m, g, at(phi, x), s), ws)
             analytic = legendre_inhom(u.spatial, m, g, ws)
             scale = max(1.0, float(np.max(np.abs(analytic))))
             assert np.max(np.abs(analytic - numeric)) / scale <= 1e-6
@@ -366,11 +366,11 @@ class TestInhomogeneous:
             u = random_frame(rng)
             g = random_metric(rng)
             m = float(rng.uniform(0.5, 3.0))
-            x = Event.from_array(rng.normal(size=4))
+            x = rng.normal(size=4)
             w = random_frame(rng, scale=2.0)
             p = legendre_inhom(u.spatial, m, g, w.spatial)
             lhs = energy(m, g, phi, x, p) + \
-                lagrangian_inhom(u.spatial, m, g, phi.at(x), w.spatial)
+                lagrangian_inhom(u.spatial, m, g, at(phi, x), w.spatial)
             rhs = float(p @ (w.spatial - u.spatial))
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
@@ -386,14 +386,14 @@ class TestInhomogeneous:
 
     def test_vector_field_example(self):
         phi = harmonic_potential(1.0)
-        state = PhasePoint(Event(0.0, 1.0, 0.0, 0.0), [0.0, 0.0, 0.0])
+        state = (np.array([0.0, 1.0, 0.0, 0.0]), [0.0, 0.0, 0.0])
         xdot, pdot = self.rates(E0, 1.0, ID3, phi, state)
         assert xdot.tolist() == [1.0, 0.0, 0.0, 0.0]
         assert np.array_equal(pdot, [-1.0, 0.0, 0.0])
 
     def test_vector_field_moving_frame(self):
         u = Frame.from_spatial([0.0, 1.0, 0.0])
-        state = PhasePoint(ORIGIN, [2.0, 0.0, 0.0])
+        state = (ORIGIN, [2.0, 0.0, 0.0])
         xdot, _ = self.rates(u, 2.0, ID3, free_potential(), state)
         assert xdot.tolist() == [1.0, 1.0, 1.0, 0.0]
 
@@ -405,11 +405,11 @@ class TestHomogeneous:
             u = random_frame(rng)
             g = random_metric(rng)
             m = float(rng.uniform(0.5, 3.0))
-            x = Event.from_array(rng.normal(size=4))
+            x = rng.normal(size=4)
             w = random_frame(rng, scale=2.0)
-            hom = lagrangian_hom(u.spatial, m, g, phi.at(x),
-                                 w.velocity.as_array())
-            inhom = lagrangian_inhom(u.spatial, m, g, phi.at(x), w.spatial)
+            hom = lagrangian_hom(u.spatial, m, g, at(phi, x),
+                                 np.concatenate([[1.0], w.spatial]))
+            inhom = lagrangian_inhom(u.spatial, m, g, at(phi, x), w.spatial)
             assert hom == pytest.approx(inhom, abs=1e-12)
 
     def test_worked_example(self):
@@ -423,10 +423,10 @@ class TestHomogeneous:
             u = random_frame(rng)
             g = random_metric(rng)
             m = float(rng.uniform(0.5, 3.0))
-            x = Event.from_array(rng.normal(size=4))
+            x = rng.normal(size=4)
             v = np.array([rng.uniform(0.4, 2.0), *rng.normal(size=3)])
             c = float(rng.uniform(0.1, 5.0))
-            u_s, phi_x = u.spatial, phi.at(x)
+            u_s, phi_x = u.spatial, at(phi, x)
             assert lagrangian_hom(u_s, m, g, phi_x, c * v) == pytest.approx(
                 c * lagrangian_hom(u_s, m, g, phi_x, v), rel=1e-12)
 
@@ -435,16 +435,15 @@ class TestHomogeneous:
         # membership test rejects such a velocity even where the momentum
         # and its rate are the kernels' own values there.
         phi = harmonic_potential(0.6)
-        x = Event(0.3, 0.2, -0.4, 0.1)
-        dphi = phi.d(x.as_array())
+        x = np.array([0.3, 0.2, -0.4, 0.1])
+        dphi = phi.d(x)
         v = np.array([-1.0, 1.0, 0.0, 0.0])
-        p = legendre_hom(E0.spatial, 1.0, ID3, phi.at(x), v)
+        p = legendre_hom(E0.spatial, 1.0, ID3, at(phi, x), v)
         pdot = -v[0] * dphi
-        state = (x, Covector4.from_array(p), Vector4.from_array(v),
-                 Covector4.from_array(pdot))
+        state = (x, p, v, pdot)
         assert not in_homogeneous_dynamics(E0, 1.0, ID3, phi, state, 1e-9)
         viol = homogeneous_dynamics_violation_array(
-            E0.spatial, 1.0, ID3, phi.at(x), dphi,
+            E0.spatial, 1.0, ID3, at(phi, x), dphi,
             np.stack([p, np.zeros(4)]),
             np.stack([v, np.array([0.0, 1.0, 0.0, 0.0])]),
             np.stack([pdot, np.zeros(4)]))
@@ -460,11 +459,11 @@ class TestHomogeneous:
             u = random_frame(rng)
             g = random_metric(rng)
             m = float(rng.uniform(0.5, 3.0))
-            x = Event.from_array(rng.normal(size=4))
+            x = rng.normal(size=4)
             v = np.array([rng.uniform(0.4, 2.0), *rng.normal(size=3)])
             c = float(rng.uniform(0.2, 4.0))
-            a = legendre_hom(u.spatial, m, g, phi.at(x), v)
-            b = legendre_hom(u.spatial, m, g, phi.at(x), c * v)
+            a = legendre_hom(u.spatial, m, g, at(phi, x), v)
+            b = legendre_hom(u.spatial, m, g, at(phi, x), c * v)
             assert np.allclose(a, b, atol=1e-10 * (1.0 + np.max(np.abs(a))))
 
     def test_legendre_hom_matches_velocity_derivative(self, rng):
@@ -475,11 +474,11 @@ class TestHomogeneous:
             u = random_frame(rng)
             g = random_metric(rng)
             m = float(rng.uniform(0.5, 3.0))
-            x = Event.from_array(rng.normal(size=4))
+            x = rng.normal(size=4)
             v = np.concatenate([[rng.uniform(0.5, 2.0)], rng.normal(size=3)])
             numeric = fd_gradient(
-                lambda c: lagrangian_hom(u.spatial, m, g, phi.at(x), c), v)
-            analytic = legendre_hom(u.spatial, m, g, phi.at(x), v)
+                lambda c: lagrangian_hom(u.spatial, m, g, at(phi, x), c), v)
+            analytic = legendre_hom(u.spatial, m, g, at(phi, x), v)
             scale = max(1.0, float(np.max(np.abs(analytic))))
             assert np.max(np.abs(analytic - numeric)) / scale <= 1e-6
 
@@ -495,10 +494,10 @@ class TestHomogeneous:
                 u = random_frame(rng)
                 g = random_metric(rng)
                 m = float(rng.uniform(0.5, 3.0))
-                x = Event.from_array(rng.normal(size=4))
+                x = rng.normal(size=4)
                 v = np.array([rng.uniform(0.3, 2.5), *rng.normal(size=3)])
-                p = legendre_hom(u.spatial, m, g, phi.at(x), v)
-                assert abs(mass_shell_residual(u.spatial, m, g, phi.at(x),
+                p = legendre_hom(u.spatial, m, g, at(phi, x), v)
+                assert abs(mass_shell_residual(u.spatial, m, g, at(phi, x),
                                                p)) <= 1e-12
 
     def test_lagrangian_difference_is_sigma_pairing(self, rng):
@@ -511,10 +510,10 @@ class TestHomogeneous:
             up = random_frame(rng)
             g = random_metric(rng)
             m = float(rng.uniform(0.5, 3.0))
-            x = Event.from_array(rng.normal(size=4))
+            x = rng.normal(size=4)
             v = np.array([rng.uniform(0.3, 2.0), *rng.normal(size=3)])
-            lhs = lagrangian_hom(u.spatial, m, g, phi.at(x), v) - \
-                lagrangian_hom(up.spatial, m, g, phi.at(x), v)
+            lhs = lagrangian_hom(u.spatial, m, g, at(phi, x), v) - \
+                lagrangian_hom(up.spatial, m, g, at(phi, x), v)
             rhs = m * pair(sigma(g, up.spatial, u.spatial), v)
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
         assert worst <= 1e-10
@@ -522,33 +521,32 @@ class TestHomogeneous:
 
 class TestMembershipAndBoost:
     def test_free_particle_state_is_member(self):
-        v = Vector4(1.0, 1.0, 0.0, 0.0)
-        p = Covector4(-0.5, 1.0, 0.0, 0.0)
-        zero = Covector4(0.0, 0.0, 0.0, 0.0)
+        v = np.array([1.0, 1.0, 0.0, 0.0])
+        p = np.array([-0.5, 1.0, 0.0, 0.0])
+        zero = np.array([0.0, 0.0, 0.0, 0.0])
         assert in_homogeneous_dynamics(E0, 1.0, ID3, free_potential(),
                                        (ORIGIN, p, v, zero), 1e-12)
 
     def test_time_reversed_state_is_rejected(self):
-        v = Vector4(-1.0, -1.0, 0.0, 0.0)
-        p = Covector4(-0.5, 1.0, 0.0, 0.0)
-        zero = Covector4(0.0, 0.0, 0.0, 0.0)
+        v = np.array([-1.0, -1.0, 0.0, 0.0])
+        p = np.array([-0.5, 1.0, 0.0, 0.0])
+        zero = np.array([0.0, 0.0, 0.0, 0.0])
         assert not in_homogeneous_dynamics(E0, 1.0, ID3, free_potential(),
                                            (ORIGIN, p, v, zero), 1e-12)
 
     def test_wrong_momentum_is_rejected(self):
-        v = Vector4(1.0, 1.0, 0.0, 0.0)
-        p = Covector4(-0.5, 2.0, 0.0, 0.0)
-        zero = Covector4(0.0, 0.0, 0.0, 0.0)
+        v = np.array([1.0, 1.0, 0.0, 0.0])
+        p = np.array([-0.5, 2.0, 0.0, 0.0])
+        zero = np.array([0.0, 0.0, 0.0, 0.0])
         assert not in_homogeneous_dynamics(E0, 1.0, ID3, free_potential(),
                                            (ORIGIN, p, v, zero), 1e-6)
 
     def test_violation_scales_with_perturbation(self):
-        v = Vector4(1.0, 1.0, 0.0, 0.0)
-        p = Covector4(-0.5, 1.0 + 1e-4, 0.0, 0.0)
-        zero = Covector4(0.0, 0.0, 0.0, 0.0)
+        v = np.array([1.0, 1.0, 0.0, 0.0])
+        p = np.array([-0.5, 1.0 + 1e-4, 0.0, 0.0])
+        zero = np.array([0.0, 0.0, 0.0, 0.0])
         viol = homogeneous_dynamics_violation_array(
-            E0.spatial, 1.0, ID3, 0.0, np.zeros(4), p.as_array(),
-            v.as_array(), zero.as_array())
+            E0.spatial, 1.0, ID3, 0.0, np.zeros(4), p, v, zero)
         assert viol == pytest.approx(1e-4, rel=1e-6)
 
     def test_boost_worked_example(self):
@@ -563,11 +561,11 @@ class TestMembershipAndBoost:
             up = random_frame(rng)
             g = random_metric(rng)
             m = float(rng.uniform(0.5, 3.0))
-            x = Event.from_array(rng.normal(size=4))
+            x = rng.normal(size=4)
             p = rng.normal(size=4)
             q = carried(up, u, m, g, p)
-            before = mass_shell_residual(up.spatial, m, g, phi.at(x), p)
-            after = mass_shell_residual(u.spatial, m, g, phi.at(x), q)
+            before = mass_shell_residual(up.spatial, m, g, at(phi, x), p)
+            after = mass_shell_residual(u.spatial, m, g, at(phi, x), q)
             assert after == pytest.approx(before, abs=1e-12 * (1.0 + abs(before)))
 
     def test_boost_maps_legendre_images_between_frames(self, rng):
@@ -579,11 +577,11 @@ class TestMembershipAndBoost:
             up = random_frame(rng)
             g = random_metric(rng)
             m = float(rng.uniform(0.5, 3.0))
-            x = Event.from_array(rng.normal(size=4))
+            x = rng.normal(size=4)
             v = np.array([rng.uniform(0.3, 2.0), *rng.normal(size=3)])
-            p_up = legendre_hom(up.spatial, m, g, phi.at(x), v)
+            p_up = legendre_hom(up.spatial, m, g, at(phi, x), v)
             boosted = carried(up, u, m, g, p_up)
-            p_u = legendre_hom(u.spatial, m, g, phi.at(x), v)
+            p_u = legendre_hom(u.spatial, m, g, at(phi, x), v)
             assert np.allclose(boosted, p_u, atol=1e-12)
 
     def test_boosted_member_stays_member(self, rng):
@@ -593,19 +591,19 @@ class TestMembershipAndBoost:
             up = random_frame(rng)
             g = random_metric(rng)
             m = float(rng.uniform(0.5, 3.0))
-            x = Event.from_array(rng.normal(size=4))
-            v = Vector4(float(rng.uniform(0.4, 2.0)), *rng.normal(size=3))
-            p = legendre_hom(up.spatial, m, g, phi.at(x), v.as_array())
-            pdot = Covector4.from_array(-v.c0 * phi.d(x.as_array()))
-            member = (x, Covector4.from_array(p), v, pdot)
+            x = rng.normal(size=4)
+            v = np.array([float(rng.uniform(0.4, 2.0)), *rng.normal(size=3)])
+            p = legendre_hom(up.spatial, m, g, at(phi, x), v)
+            pdot = -v[0] * phi.d(x)
+            member = (x, p, v, pdot)
             assert in_homogeneous_dynamics(up, m, g, phi, member, 1e-10)
-            q = Covector4.from_array(carried(up, u, m, g, p))
+            q = carried(up, u, m, g, p)
             assert in_homogeneous_dynamics(u, m, g, phi, (x, q, v, pdot), 1e-10)
 
 
 class TestIntegrate:
     def test_rejects_bad_arguments(self):
-        init = PhasePoint(ORIGIN, [0.0, 0.0, 0.0])
+        init = (ORIGIN, [0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             integrate(E0, 1.0, ID3, free_potential(), init, 0.1, 0)
         with pytest.raises(ValueError):
@@ -613,11 +611,12 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(E0, 0.0, ID3, free_potential(), init, 0.1, 10)
         with pytest.raises(ValueError):
-            integrate([E0, E0], 1.0, ID3, free_potential(), [init], 0.1, 10)
+            integrate([E0, E0], 1.0, ID3, free_potential(), stacked([init] * 3),
+                      0.1, 10)
 
     @pytest.mark.parametrize("n", [10, 3 * _FINITE_BLOCK + 5])
     def test_free_particle_linear_motion(self, n):
-        init = PhasePoint(ORIGIN, [1.0, 0.0, 0.0])
+        init = (ORIGIN, [1.0, 0.0, 0.0])
         traj = integrate(E0, 1.0, ID3, free_potential(), init, 0.1, n)
         assert len(traj) == n + 1
         # identical accumulation, bit for bit
@@ -626,7 +625,7 @@ class TestIntegrate:
 
     def test_time_advances_by_h(self):
         phi = harmonic_potential(1.0)
-        init = PhasePoint(Event(0.3, 1.0, 0.0, 0.0), [0.0, 0.2, 0.0])
+        init = (np.array([0.3, 1.0, 0.0, 0.0]), [0.0, 0.2, 0.0])
         h = 0.001
         traj = integrate(E0, 1.0, ID3, phi, init, h, 500)
         ts = traj.t
@@ -636,7 +635,7 @@ class TestIntegrate:
     def test_harmonic_oscillator_quarter_period(self):
         # Closed form: q1(t) = cos t, p1(t) = -sin t.
         phi = harmonic_potential(1.0)
-        init = PhasePoint(Event(0.0, 1.0, 0.0, 0.0), [0.0, 0.0, 0.0])
+        init = (np.array([0.0, 1.0, 0.0, 0.0]), [0.0, 0.0, 0.0])
         n = 500
         h = (np.pi / 2.0) / n
         traj = integrate(E0, 1.0, ID3, phi, init, h, n)
@@ -645,7 +644,7 @@ class TestIntegrate:
 
     def test_harmonic_oscillator_energy_drift(self):
         phi = harmonic_potential(1.0)
-        init = PhasePoint(Event(0.0, 1.0, 0.0, 0.0), [0.0, 0.3, 0.0])
+        init = (np.array([0.0, 1.0, 0.0, 0.0]), [0.0, 0.3, 0.0])
         traj = integrate(E0, 1.0, ID3, phi, init, 1e-3, 2000)
         energies = traj.energies(ID3, phi)
         assert np.max(np.abs(energies - energies[0])) <= 1e-10
@@ -653,7 +652,7 @@ class TestIntegrate:
     def test_blowup_raises_non_finite(self):
         # Inverted quadratic potential: exponential runaway then overflow,
         # through the step map and through the stage loop.
-        init = PhasePoint(Event(0.0, 1.0, 0.0, 0.0), [0.0, 0.0, 0.0])
+        init = (np.array([0.0, 1.0, 0.0, 0.0]), [0.0, 0.0, 0.0])
         for affine in (True, False):
             base = harmonic_potential(-1e6)
             phi = Potential(base.values, base.force, affine=affine)
@@ -667,9 +666,8 @@ class TestIntegrate:
             assert np.isfinite(traj.q).all() and np.isfinite(traj.p).all()
 
     def test_trajectory_is_read_only(self):
-        init = PhasePoint(ORIGIN, [1.0, 0.0, 0.0])
-        traj = integrate([E0, E0], 1.0, ID3, free_potential(), [init, init],
-                         0.1, 3)
+        init = (ORIGIN, [1.0, 0.0, 0.0])
+        traj = integrate([E0, E0], 1.0, ID3, free_potential(), init, 0.1, 3)
         for arr in (traj.t, traj.q, traj.p):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
@@ -684,10 +682,10 @@ class TestIntegrate:
         else:
             phi = PotentialSpec("custom", expr="0.5*q1^2 + 0.25*q2^4").build()
         u = random_frame(rng)
-        init = PhasePoint(Event(0.3, 0.8, -0.4, 0.2), rng.normal(size=3))
+        init = (np.array([0.3, 0.8, -0.4, 0.2]), rng.normal(size=3))
         traj = integrate(u, 0.7, g, phi, init, 0.01, 100)
         # |p|^2 / 2m + phi(x), one step at a time
-        ref = [0.5 / 0.7 * float(p @ g.apply_inverse(p)) + phi.at(Event(t, *q))
+        ref = [0.5 / 0.7 * float(p @ g.apply_inverse(p)) + at(phi, [t, *q])
                for t, q, p in zip(traj.t.tolist(), traj.q[:, 0].tolist(),
                                   traj.p[:, 0])]
         assert traj.energies(g, phi).tolist() == ref
@@ -705,9 +703,9 @@ class TestIntegrate:
             phi = PotentialSpec(
                 "custom", expr="0.5*q1^2 + 0.25*q2^4 + 0.1*q1*q3").build()
         frames = [random_frame(rng, scale=1.5) for _ in range(4)]
-        x0 = Event(0.3, 0.8, -0.4, 0.2)
-        inits = [PhasePoint(x0, rng.normal(size=3)) for _ in frames]
-        batched = integrate(frames, 1.2, g, phi, inits, 0.01, n)
+        x0 = np.array([0.3, 0.8, -0.4, 0.2])
+        inits = [(x0, rng.normal(size=3)) for _ in frames]
+        batched = integrate(frames, 1.2, g, phi, stacked(inits), 0.01, n)
         assert batched.q.shape == batched.p.shape == (n + 1, 4, 3)
         for f, (u, init) in enumerate(zip(frames, inits)):
             single = integrate(u, 1.2, g, phi, init, 0.01, n)
@@ -715,14 +713,29 @@ class TestIntegrate:
             assert np.array_equal(batched.q[:, f], single.q[:, 0])
             assert np.array_equal(batched.p[:, f], single.p[:, 0])
 
+    def test_initial_pair_shapes(self):
+        # One event and one momentum per frame, or one for every frame.
+        phi = harmonic_potential(1.0)
+        p = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
+        shared = integrate([E0, E0], 1.0, ID3, phi, (ORIGIN, p), 0.1, 5)
+        rows = integrate([E0, E0], 1.0, ID3, phi,
+                         (np.stack([ORIGIN, ORIGIN]), p), 0.1, 5)
+        assert np.array_equal(shared.q, rows.q)
+        for bad in ((ORIGIN[1:], p[0]), (ORIGIN, np.zeros(4)),
+                    (np.stack([ORIGIN] * 3), p), (ORIGIN, p[:, :2])):
+            with pytest.raises(ValueError, match="one initial state"):
+                integrate([E0, E0] if np.ndim(bad[1]) == 2 else E0, 1.0, ID3,
+                          phi, bad, 0.1, 5)
+
     def test_batched_start_times_must_match(self):
-        inits = [PhasePoint(ORIGIN, [1.0, 0.0, 0.0]),
-                 PhasePoint(Event(0.1, 0.0, 0.0, 0.0), [1.0, 0.0, 0.0])]
+        inits = [(ORIGIN, [1.0, 0.0, 0.0]),
+                 (np.array([0.1, 0.0, 0.0, 0.0]), [1.0, 0.0, 0.0])]
         with pytest.raises(ValueError, match="start time"):
-            integrate([E0, E0], 1.0, ID3, free_potential(), inits, 0.1, 10)
+            integrate([E0, E0], 1.0, ID3, free_potential(), stacked(inits),
+                      0.1, 10)
 
     def test_csv_export_shape_and_precision(self):
-        init = PhasePoint(ORIGIN, [1.0, 0.0, 0.0])
+        init = (ORIGIN, [1.0, 0.0, 0.0])
         traj = integrate(E0, 1.0, ID3, free_potential(), init, 0.1, 3)
         buf = io.StringIO()
         write_trajectory_csv(traj, ID3, free_potential(), buf)
@@ -737,16 +750,16 @@ class TestIntegrate:
         assert float(row[1]) == 0.1
 
 
-def reference_integrate(frames, m, g, potential, starts, h, n):
+def reference_integrate(frames, m, g, potential, start, h, n):
     """The RK4 loop one step at a time, each temporary a fresh array and
     the finiteness tested after every step: (ts, ys) or NonFiniteState."""
     u_s = np.array([f.spatial for f in frames])
-    t = float(starts[0].x.t)
+    x, p = start
+    t = float(x[0, 0])
     ts = np.empty(n + 1)
     ys = np.empty((n + 1, 2, len(frames), 3))
     ts[0] = t
-    ys[0, 0] = [s.x.spatial for s in starts]
-    ys[0, 1] = [s.p for s in starts]
+    ys[0, 0], ys[0, 1] = x[:, 1:], p
     y = ys[0]
     k1, k2, k3, k4, stage = (np.empty(y.shape) for _ in range(5))
 
@@ -814,9 +827,9 @@ def _grid_args(rng, phi, metric, frames, n):
     """integrate's arguments on the grid of TestIntegrateBits."""
     g = ID3 if metric == "identity" else random_metric(rng)
     us = [random_frame(rng, scale=1.5) for _ in range(frames)]
-    x0 = Event(0.37, 0.8, -0.4, 0.2)
-    inits = [PhasePoint(x0, rng.normal(size=3)) for _ in us]
-    return us, 0.7, g, phi, inits, 0.013, n
+    x0 = np.array([0.37, 0.8, -0.4, 0.2])
+    inits = [(x0, rng.normal(size=3)) for _ in us]
+    return us, 0.7, g, phi, stacked(inits), 0.013, n
 
 
 def _linear_force() -> Potential:
@@ -875,10 +888,10 @@ class TestIntegrateBits:
         g = ID3 if metric == "identity" else random_metric(rng)
         zeros = [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [-0.0, -0.0, -0.0]]
         us = [Frame.from_spatial(z) for z in zeros]
-        inits = [PhasePoint(Event(0.0, *q), p)
+        inits = [([0.0, *q], p)
                  for q, p in zip([[-0.0, 0.0, 0.4], [0.0, -0.0, 0.4],
                                   [-0.0, -0.0, -0.0]], zeros[::-1])]
-        args = (us, 0.7, g, phi, inits, 0.013, 5)
+        args = (us, 0.7, g, phi, stacked(inits), 0.013, 5)
         ts, ys = reference_integrate(*args)
         traj = integrate(*args)
         assert np.array_equal(_bits(traj.t), _bits(ts))
@@ -907,7 +920,7 @@ class TestIntegrateBits:
         # Step k runs its stages at times k, k + 1/2 and k + 1 (h = 1).
         phi = _step_gradient(schedule)
         us = [Frame.from_spatial([0.1 * f, 0.0, 0.0]) for f in range(frames)]
-        inits = [PhasePoint(ORIGIN, [1.0, 0.0, 0.0]) for _ in us]
+        inits = stacked([(ORIGIN, [1.0, 0.0, 0.0]) for _ in us])
         args = (us, 0.7, ID3, phi, inits, 1.0, 3 * _FINITE_BLOCK + 5)
         want = _message(reference_integrate, *args)
         assert want is not None and _message(integrate, *args) == want
@@ -915,11 +928,11 @@ class TestIntegrateBits:
     def test_time_column_overflow_is_named(self):
         # t passes the largest float at step 10, long before q does, on
         # the step map as on the stage loop.
-        init = PhasePoint(Event(1.7e308, 0.0, 0.0, 0.0), [1.0, 0.0, 0.0])
+        init = (np.array([1.7e308, 0.0, 0.0, 0.0]), [1.0, 0.0, 0.0])
         for affine in (True, False):
             base = free_potential()
             phi = Potential(base.values, base.force, affine=affine)
-            args = ([E0], 0.7, ID3, phi, [init], 1e306, 200)
+            args = ([E0], 0.7, ID3, phi, stacked([init]), 1e306, 200)
             want = _message(reference_integrate, *args)
             assert _message(integrate, *args) == want == \
                 "state became non-finite at step 10"
@@ -1037,10 +1050,9 @@ class TestBlockOverflow:
         # states, and is redone one step at a time; the first frame keeps
         # the block's states.  Each has the bits it gets alone.
         phi = harmonic_potential(1.0)
-        inits = [PhasePoint(Event(0.0, 1.0, 0.0, 0.0), [0.0, 0.0, 0.0]),
-                 PhasePoint(Event(0.0, 1e308, 0.0, 0.0),
-                                    [0.0, 1e308, 0.0])]
-        args = ([E0, E0], 1.0, ID3, phi, inits, 0.05, _FINITE_BLOCK)
+        inits = [([0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+                 ([0.0, 1e308, 0.0, 0.0], [0.0, 1e308, 0.0])]
+        args = ([E0, E0], 1.0, ID3, phi, stacked(inits), 0.05, _FINITE_BLOCK)
         batched = integrate(*args)
         singles = [integrate(E0, *args[1:4], init, *args[5:])
                    for init in inits]

@@ -5,12 +5,9 @@ import numpy as np
 import pytest
 
 from galimech.galilean_core import (
-    Covector4,
     DomainError,
-    Event,
     Frame,
     SpatialMetric,
-    Vector4,
     iota_u_array,
 )
 from galimech.frame_dynamics import (
@@ -39,14 +36,14 @@ from galimech.generating_objects import (
     reduce_family,
     solve_critical,
     solve_critical_stack,
-    state_to_base,
     vector_to_fiber,
 )
 from galimech.harness.config import PotentialSpec
 
+from conftest import at
+
 E0 = Frame.from_spatial([0.0, 0.0, 0.0])
 ID3 = SpatialMetric.identity()
-ORIGIN = Event(0.0, 0.0, 0.0, 0.0)
 
 
 def constant(matrix):
@@ -516,14 +513,13 @@ class TestParticleFamilies:
         self.g = SpatialMetric.diagonal(1.0, 2.0, 0.5)
         self.phi = harmonic_potential(0.8, center=[0.1, 0.0, -0.3])
 
-    def on_shell_base(self, v: Vector4, x: Event) -> np.ndarray:
-        p = legendre_hom(self.u.spatial, self.m, self.g, self.phi.at(x),
-                         v.as_array())
-        return state_to_base(x, Covector4.from_array(p))
+    def on_shell_base(self, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+        p = legendre_hom(self.u.spatial, self.m, self.g, at(self.phi, x), v)
+        return np.concatenate([x, p])
 
     def test_fam1_critical_velocity_relation(self):
-        x = Event(0.1, 0.5, -0.2, 0.3)
-        v = Vector4(1.0, 0.7, 0.1, -0.2)
+        x = np.array([0.1, 0.5, -0.2, 0.3])
+        v = np.array([1.0, 0.7, 0.1, -0.2])
         base = self.on_shell_base(v, x)
         pts = solve_critical(family_fam1(self.u, self.m, self.g, self.phi),
                              base, seeds=[vector_to_fiber(v) + 0.01], tol=1e-11)
@@ -539,8 +535,8 @@ class TestParticleFamilies:
 
     def test_fam1_is_morse_rank_four(self):
         fam = family_fam1(self.u, self.m, self.g, self.phi)
-        x = Event(0.0, 0.2, 0.1, -0.1)
-        vs = [Vector4(1.0, vx, 0.2, 0.1) for vx in (0.3, -0.5, 0.9)]
+        x = np.array([0.0, 0.2, 0.1, -0.1])
+        vs = [np.array([1.0, vx, 0.2, 0.1]) for vx in (0.3, -0.5, 0.9)]
         pts = solve_critical_stack(
             fam, [self.on_shell_base(v, x) for v in vs],
             [[vector_to_fiber(v)] for v in vs], tol=1e-11)
@@ -550,8 +546,8 @@ class TestParticleFamilies:
 
     def test_fam2_critical_iff_on_shell(self):
         fam = family_fam2(self.u, self.m, self.g, self.phi)
-        x = Event(0.0, 0.3, 0.0, 0.2)
-        v = Vector4(1.0, 0.4, -0.3, 0.2)
+        x = np.array([0.0, 0.3, 0.0, 0.2])
+        v = np.array([1.0, 0.4, -0.3, 0.2])
         on_base = self.on_shell_base(v, x)
         pts = solve_critical(fam, on_base, seeds=[[1.0]], tol=1e-11)
         assert len(pts) == 1 and pts.fiber[0, 0] == pytest.approx(1.0)
@@ -561,8 +557,8 @@ class TestParticleFamilies:
 
     def test_fam2_rank_one(self):
         fam = family_fam2(self.u, self.m, self.g, self.phi)
-        x = Event(0.0, 0.3, 0.0, 0.2)
-        v = Vector4(1.0, 0.4, -0.3, 0.2)
+        x = np.array([0.0, 0.3, 0.0, 0.2])
+        v = np.array([1.0, 0.4, -0.3, 0.2])
         report = is_morse(fam, points([self.on_shell_base(v, x)], [[1.0]]))
         assert report.ok and report.ranks.tolist() == [1]
 
@@ -571,9 +567,9 @@ class TestParticleFamilies:
         fam2 = family_fam2(self.u, self.m, self.g, self.phi)
         red = reduce_family(fam1, 3, seeds=[np.zeros(3)], tol=1e-13)
         assert red.fiber_dim == 1
-        x = Event(0.2, -0.4, 0.5, 0.0)
+        x = np.array([0.2, -0.4, 0.5, 0.0])
         for vx, r in [(0.5, 1.0), (-0.3, 0.7), (0.8, 1.6)]:
-            v = Vector4(1.0, vx, 0.25, -0.15)
+            v = np.array([1.0, vx, 0.25, -0.15])
             base = self.on_shell_base(v, x)
             val_red = red.value(base, [r])
             val_two = fam2.value(base, [r])
@@ -586,8 +582,8 @@ class TestParticleFamilies:
     def test_fam1_value_vanishes_on_reduced_critical_set(self):
         fam1 = family_fam1(self.u, self.m, self.g, self.phi)
         red = reduce_family(fam1, 3, seeds=[np.zeros(3)], tol=1e-13)
-        x = Event(0.0, 0.1, 0.2, -0.3)
-        v = Vector4(1.0, 0.6, -0.2, 0.3)
+        x = np.array([0.0, 0.1, 0.2, -0.3])
+        v = np.array([1.0, 0.6, -0.2, 0.3])
         base = self.on_shell_base(v, x)
         pts = solve_critical(red, base, seeds=[[1.0]], tol=1e-11)
         assert len(pts)

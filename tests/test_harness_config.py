@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from galimech.galilean_core import Event, SpatialMetric
+from galimech.galilean_core import SpatialMetric
 from galimech.harness import expressions
 from galimech.harness.cli import main
 from galimech.harness.config import (
@@ -19,6 +19,8 @@ from galimech.harness.config import (
     parse_config,
 )
 from galimech.harness.report import CheckResult, Report
+
+from conftest import at
 
 
 def minimal(**overrides) -> dict:
@@ -70,9 +72,10 @@ class TestParse:
     def test_initial_state_uses_relative_velocity(self):
         cfg = parse_config(minimal())
         u = cfg.build_frames()[1]
-        state = cfg.initial_state(u)
+        x, p = cfg.initial_state(u)
         expected = cfg.mass * (np.array(cfg.initial_velocity) - u.spatial)
-        assert np.allclose(state.p, expected)
+        assert x.tolist() == list(cfg.initial_event)
+        assert np.allclose(p, expected)
 
 
 class TestRejection:
@@ -113,6 +116,20 @@ class TestRejection:
     def test_harmonic_rejects_extra_keys(self):
         data = minimal(potential={"kind": "harmonic", "k": 1.0, "kk": 2.0})
         assert self.field_of(data) == "potential"
+
+    @pytest.mark.parametrize("kind", ["free", "uniform", "harmonic", "custom"])
+    def test_unknown_keys_are_named_before_any_field(self, kind):
+        # The key test comes first, so a missing field does not hide it.
+        with pytest.raises(ConfigError) as info:
+            parse_config(minimal(potential={"kind": kind, "zz": 1, "aa": 2}))
+        assert (info.value.field, str(info.value)) == \
+            ("potential", "potential: unknown keys ['aa', 'zz']")
+
+    @pytest.mark.parametrize("kind", [None, ["free"], {"k": 1}, 3, "Free"])
+    def test_kind_that_is_no_known_name(self, kind):
+        # An unknown kind is named before its keys are looked at.
+        assert self.field_of(minimal(potential={"kind": kind, "zz": 1})) \
+            == "potential.kind"
 
     def test_custom_expression_checked_at_parse_time(self):
         data = minimal(potential={"kind": "custom", "expr": "q1 +"})
@@ -169,30 +186,31 @@ class TestRejection:
 
 
 class TestPotentialBuild:
-    x = Event(0.5, 1.0, -2.0, 0.25)
+    x = np.array([0.5, 1.0, -2.0, 0.25])
 
     def test_free_is_zero(self):
         phi = PotentialSpec("free").build()
-        assert phi.at(self.x) == 0.0
-        assert np.all(phi.d_s(self.x.as_array()) == 0.0)
+        assert at(phi, self.x) == 0.0
+        assert np.all(phi.d_s(self.x) == 0.0)
 
     def test_uniform_value_and_gradient(self):
         phi = PotentialSpec("uniform", force=(1.0, 2.0, 3.0)).build()
-        assert phi.at(self.x) == -(1.0 * 1.0 + 2.0 * -2.0 + 3.0 * 0.25)
-        assert np.allclose(phi.d_s(self.x.as_array()), [-1.0, -2.0, -3.0])
+        assert at(phi, self.x) == -(1.0 * 1.0 + 2.0 * -2.0 + 3.0 * 0.25)
+        assert np.allclose(phi.d_s(self.x), [-1.0, -2.0, -3.0])
 
     def test_harmonic_value(self):
         phi = PotentialSpec("harmonic", k=4.0, center=(1.0, 0.0, 0.0)).build()
-        assert phi.at(self.x) == pytest.approx(0.5 * 4.0 * (4.0 + 0.0625))
+        assert at(phi, self.x) == pytest.approx(0.5 * 4.0 * (4.0 + 0.0625))
 
     def test_custom_matches_builtin_harmonic(self):
         spec = PotentialSpec("custom",
                              expr="0.5*4*((q1-1)^2 + q2^2 + q3^2)")
         custom = spec.build()
         builtin = PotentialSpec("harmonic", k=4.0, center=(1.0, 0.0, 0.0)).build()
-        assert custom.at(self.x) == pytest.approx(builtin.at(self.x), rel=1e-15)
+        assert at(custom, self.x) == pytest.approx(at(builtin, self.x),
+                                                   rel=1e-15)
         # gradient falls back to finite differences
-        x = self.x.as_array()
+        x = self.x
         assert np.allclose(custom.d_s(x), builtin.d_s(x), atol=1e-7)
 
 

@@ -34,7 +34,9 @@ from galimech.frame_dynamics import (
     legendre_inhom,
     mass_shell_residual,
 )
-from galimech.galilean_core import Event, SpatialMetric, sigma
+from galimech.galilean_core import SpatialMetric, sigma
+
+from conftest import at
 
 N = 200
 
@@ -65,7 +67,7 @@ def same(stacked, per_entry):
 
 
 def potential_values(case):
-    return np.array([case["phi"].at(Event(*x)) for x in case["x"].tolist()])
+    return np.array([at(case["phi"], x) for x in case["x"]])
 
 
 def test_sigma(case):
@@ -153,15 +155,15 @@ def test_quotient_functions(case):
 
 def test_membership(case):
     model, phi, v = case["model"], case["phi"], case["v"]
-    x = Event(0.3, -0.2, 0.5, 1.0)
-    dphi = phi.d(x.as_array())
+    x = np.array([0.3, -0.2, 0.5, 1.0])
+    dphi = phi.d(x)
     p_on = legendre_hom(REFERENCE_FRAME.spatial, model.mass, model.metric,
-                        phi.at(x), v)
+                        at(phi, x), v)
     pdot = -v[:, :1] * dphi
     p = np.where(np.arange(N)[:, None] % 2 == 0, p_on, case["p"])
     expected = [dynamics_membership_universal_array(
-        model, phi.at(x), dphi, a, b, c, 1e-9) for a, b, c in zip(p, v, pdot)]
-    got = dynamics_membership_universal_array(model, phi.at(x), dphi, p, v,
+        model, at(phi, x), dphi, a, b, c, 1e-9) for a, b, c in zip(p, v, pdot)]
+    got = dynamics_membership_universal_array(model, at(phi, x), dphi, p, v,
                                               pdot, 1e-9)
     assert same(got, expected)
     assert got[::2].all() and not got[1::2].any()

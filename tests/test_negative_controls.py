@@ -13,7 +13,11 @@ momenta and of lagrangian values, the operations of the value space W
 (``affine.unit_evaluates_one``), the on-shell bases of the Morse
 families, ``momentum.offset_constant`` and ``energy.drift``, which a force
 that is not -grad phi fails for a harmonic, a uniform and a ``custom``
-potential.
+potential, and a time derivative scaled by 1 + 1e-6 fails on the
+time-dependent golden scenario.  Two rows make a defect that is not a
+scale: evaluation of W elements that drops their real part
+(``affine.duality_rank``) and the momentum-side tuple map without its
+negation (``affine.gamma_composite``).
 
 A rank is stable under small perturbations, so no 1e-6 defect changes
 one.  The rows of the five Morse rank checks (``morse.*.rank``) make a
@@ -36,7 +40,7 @@ import numpy as np
 import pytest
 
 import galimech.harness.checks  # noqa: F401 - binds every kernel name
-from galimech.frame_dynamics import PhasePoint, Potential
+from galimech.frame_dynamics import Potential
 from galimech.harness.cli import main
 
 REL = 1e-6
@@ -91,12 +95,28 @@ def shifted_offsets(integrate):
     """integrate with the initial momentum of every frame after the first
     moved off the first frame's by REL of their offset."""
     def perturbed(u, m, g, potential, initial, h, n):
-        if not isinstance(initial, (list, tuple)):
-            return integrate(u, m, g, potential, initial, h, n)
-        p0 = initial[0].p
-        initial = [initial[0], *(PhasePoint(s.x, s.p + REL * (s.p - p0))
-                                 for s in initial[1:])]
-        return integrate(u, m, g, potential, initial, h, n)
+        x, p = initial
+        if np.ndim(p) == 2:
+            p = np.concatenate([p[:1], p[1:] + REL * (p[1:] - p[0])])
+        return integrate(u, m, g, potential, (x, p), h, n)
+    return perturbed
+
+
+def dropped_real_part(kernel):
+    """eval_affine_array reading the W elements with their real part r set
+    to 0, so f_w(p) = <p, v> alone."""
+    def perturbed(w, p):
+        w = np.array(w, dtype=float)
+        w[..., 4] = 0.0
+        return kernel(w, p)
+    return perturbed
+
+
+def kept_sign(gamma):
+    """gamma with the negation of its velocity dropped."""
+    def perturbed(element):
+        x, v, a, p = gamma(element)
+        return x, -v, a, p
     return perturbed
 
 
@@ -173,6 +193,12 @@ ROWS = {
     "eval_affine": (
         "affine_phase", "eval_affine_array", scaled_output(), INVARIANTS,
         {"affine.unit_evaluates_one"}),
+    "eval_affine_real_part": (
+        "affine_phase", "eval_affine_array", dropped_real_part, INVARIANTS,
+        {"affine.duality_rank", "affine.unit_evaluates_one"}),
+    "gamma_sign": (
+        "affine_phase", "gamma", kept_sign, INVARIANTS,
+        {"affine.gamma_composite"}),
 }
 
 # The Morse rank rows: (family, zeroed columns, checks that must fail).
@@ -327,6 +353,47 @@ def test_scaled_custom_force_fails_energy_drift(tmp_path, monkeypatch):
                      scaled_compiled_force)
     assert failing_checks(tmp_path, DYNAMICS, CUSTOM) == (1, {"energy.drift"})
     assert failing_checks(tmp_path, BOOST, CUSTOM) == (0, set())
+
+
+# The golden time-dependent scenario.  Its energy changes by about 1.3e-2
+# over the run, so a time derivative off by 1e-6 relative leaves about
+# 1.3e-8 in the energy balance, against the tolerance of 1e-8.  Only
+# energy.drift integrates it; the other checks that read the time
+# derivative (affine.chart.membership) compare it with itself.
+TIME_METRIC = {
+    "metric": [[1.0, 0.3, 0.0], [0.3, 2.0, 0.1], [0.0, 0.1, 0.5]],
+    "potential": {"kind": "custom", "expr": "0.5*(q1^2+q2^2+q3^2)*(1+0.1*t)"},
+}
+
+
+def scaled_compiled_time(compile_potential):
+    """compile_potential with the output of its time derivative scaled by
+    1 + REL."""
+    def perturbed(text):
+        values, force, time = compile_potential(text)
+
+        def scaled(t, q, out=None):
+            return np.multiply(time(t, q, out), 1.0 + REL)
+        return values, force, scaled
+    return perturbed
+
+
+SEEDS = [None, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_unperturbed_time_dependent_run_passes(tmp_path, seed):
+    assert failing_checks(tmp_path, INVARIANTS, TIME_METRIC, seed) == \
+        (0, set())
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_scaled_time_derivative_fails_energy_drift(tmp_path, monkeypatch,
+                                                   seed):
+    patch_everywhere(monkeypatch, "harness.expressions", "compile_potential",
+                     scaled_compiled_time)
+    assert failing_checks(tmp_path, INVARIANTS, TIME_METRIC, seed) == \
+        (1, {"energy.drift"})
 
 
 @pytest.mark.parametrize("speed", [1.0, 1e4, 1e8])
