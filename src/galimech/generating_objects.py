@@ -6,7 +6,8 @@ base-direction gradient is well defined independently of how base vectors
 are lifted, and collecting it over many base points samples the covector
 set the family generates.  A family is Morse when the mixed second
 derivative matrix (fiber rows, base-plus-fiber columns) has full row rank
-along the critical set; ranks are certified through singular values.
+along the critical set; ranks are certified through singular values,
+bounded from the Gram matrix where that suffices.
 
 The engine is generic and works on stacks: every family supplies its
 gradient and its mixed Hessian in closed form, each taking base and fiber
@@ -14,13 +15,14 @@ points of shape (..., b) and (..., f) and evaluating every row in one
 call.  A set of critical points is one ``CriticalPoint`` record of stacks,
 with ``owner``, the base row each point lies over, from Newton to
 certificate.  A certification takes the mixed Hessians of every point in
-one call and the singular values of all of them, each column divided by
-its largest magnitude, in one more, giving float ranks (N,), NaN where a
-Hessian is not finite.  Families for the particle system live at the
-bottom of the module: the velocity-fibered family whose critical
-covectors are the equations of motion in a fixed frame, its one-variable
-reduction to a scaled energy constraint, and a cotangent-bundle textbook
-family used as a rank reference.
+one call and divides each column by its largest magnitude.  A Gershgorin
+bound on the Gram matrices of the whole stack proves most of them full
+rank; one SVD of the rest decides theirs.  The ranks come back as floats
+(N,), NaN where a Hessian is not finite.  Families for the particle
+system live at the bottom of the module: the velocity-fibered family
+whose critical covectors are the equations of motion in a fixed frame,
+its one-variable reduction to a scaled energy constraint, and a
+cotangent-bundle textbook family used as a rank reference.
 
 The solver is deliberately plain: one damped Newton over a stack of bases
 on the fiber gradient, its Jacobian the fiber block of the family's mixed
@@ -60,6 +62,11 @@ _MERGE_FACTOR = 10.0
 # singular by construction, and a direction whose singular value is
 # rounding error must not steer the step.
 _NEWTON_RCOND = 1e-8
+
+# The Gram trace window of the full-rank certificate: inside it no square
+# overflowed and underflow errs far below the Gram's rounding.
+_GRAM_TRACE_MIN, _GRAM_TRACE_MAX = 1e-250, 1e250
+_EPS = float(np.finfo(float).eps)
 
 
 class NoConvergence(GalimechError):
@@ -357,22 +364,71 @@ class MorseReport:
         self.ok, self.ranks, self.required_rank = ok, ranks, required_rank
 
 
+def _full_rank_certified(matrices: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Rows (N,) of a stack (N, r, c) whose numerical rank, as the SVD in
+    ``numerical_rank`` counts it, is k = min(r, c), proved without an SVD.
+
+    G = M Mᵀ over the shorter side of M is k x k, with eigenvalues σᵢ².
+    G is symmetric, so by Gershgorin (1931) each eigenvalue is at least
+    l = minᵢ(Gᵢᵢ − Σ_{j≠i}|Gᵢⱼ|) and at most trace G: σ_min² ≥ l and
+    σ_max² ≤ trace G.  A row is certified when l > c trace G, with
+    c = max(4 rel_tol², 100 k n eps) and n = max(r, c).
+
+    Proof sketch.  Each computed Gram entry is within about n eps trace G
+    of the exact one, so the computed l is within about 2 k n eps trace G,
+    a fiftieth of c at most, and the exact σ_min / σ_max exceeds both
+    1.9 rel_tol and 9 (k n eps)^½.  A backward stable SVD returns every
+    singular value within a small multiple of eps σ_max of the exact one
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 3,
+    with Weyl's inequality), far inside that margin, so it counts all k
+    values above rel_tol times the largest.  The trace window keeps the
+    squares clear of overflow, so every certified matrix is also finite,
+    and of underflow, whose absolute error is then far below the rounding
+    above.  At rel_tol ≥ ½, c ≥ 1 while l ≤ trace G: nothing is certified.
+    """
+    rows, cols = matrices.shape[-2:]
+    short, long = min(rows, cols), max(rows, cols)
+    if short == 0:
+        return np.zeros(len(matrices), dtype=bool)
+    m = matrices if rows == short else np.swapaxes(matrices, -1, -2)
+    ratio = max(4.0 * rel_tol * rel_tol, 100.0 * short * long * _EPS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = m @ np.swapaxes(m, -1, -2)
+        diag = np.diagonal(gram, axis1=-2, axis2=-1)
+        trace = diag.sum(axis=-1)
+        low = (2.0 * diag - np.abs(gram).sum(axis=-1)).min(axis=-1)
+        return (trace > _GRAM_TRACE_MIN) & (trace < _GRAM_TRACE_MAX) \
+            & (low > ratio * trace)
+
+
 def numerical_rank(matrices: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
     """Numerical rank of each matrix of a stack (N, r, c): the number of
-    singular values above rel_tol times the largest one, from one SVD of
-    the whole stack, as floats (N,); NaN for a matrix with a non-finite
-    entry."""
+    singular values above rel_tol times the largest one, as floats (N,);
+    NaN for a matrix with a non-finite entry.
+
+    A matrix that the Gram bound of ``_full_rank_certified`` proves full
+    rank gets min(r, c) without an SVD; the rest (rank deficient, near
+    the cut, non-finite or of extreme scale) go to one SVD of their stack.
+    Both give the same rank, so the split moves no result.
+    """
     matrices = np.asarray(matrices, dtype=float)
-    finite = np.isfinite(matrices).all(axis=(-2, -1))
-    sv = np.linalg.svd(np.where(finite[:, None, None], matrices, 0.0),
-                       compute_uv=False)
-    return np.where(finite, np.sum(sv > rel_tol * sv[:, :1], axis=-1), np.nan)
+    ranks = np.full(len(matrices), float(min(matrices.shape[-2:])))
+    undecided = ~_full_rank_certified(matrices, rel_tol)
+    if undecided.any():
+        rest = matrices[undecided]
+        finite = np.isfinite(rest).all(axis=(-2, -1))
+        sv = np.linalg.svd(np.where(finite[:, None, None], rest, 0.0),
+                           compute_uv=False)
+        ranks[undecided] = np.where(
+            finite, np.sum(sv > rel_tol * sv[:, :1], axis=-1), np.nan)
+    return ranks
 
 
 def is_morse(fam: FunctionFamily, points: CriticalPoint,
              rank_tol: float = 1e-8) -> MorseReport:
     """Certify that the mixed Hessian has full row rank at every point:
-    one stacked Hessian and one stacked SVD for all of them.
+    one stacked Hessian for all of them, and ``numerical_rank``, which
+    takes an SVD only of those its Gram bound cannot prove full rank.
 
     Each column is divided by its largest magnitude first, and a zero
     column stays zero.  That is a change of unit per coordinate, which

@@ -25,7 +25,6 @@ GALIMECH_LOG lets through, so the default level never loads it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import io
 import os
@@ -108,7 +107,7 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
         if args.seed < 0:
             raise ConfigError(
                 "--seed", f"expected a non-negative integer, got {args.seed}")
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+        cfg = cfg.with_seed(args.seed)
     return cfg
 
 

@@ -113,7 +113,8 @@ class ScenarioConfig:
 
     Pure data: the domain objects (metric, potential, frames) are built on
     demand so the config itself stays comparable.  The metric and the
-    potential are built once per config and then shared.
+    potential are built once per config and then shared; ``parse_config``
+    keeps the metric it built to validate, and ``with_seed`` hands it on.
     """
 
     mass: float
@@ -137,6 +138,11 @@ class ScenarioConfig:
     def build_potential(self) -> Potential:
         return self.potential.build()
 
+    def with_seed(self, seed: int) -> ScenarioConfig:
+        """This scenario at another seed, sharing this one's metric and
+        potential."""
+        return _keeping_metric(replace(self, seed=seed), self._metric)
+
     def build_frames(self) -> list[Frame]:
         return [Frame.from_spatial(f) for f in self.frames]
 
@@ -150,6 +156,12 @@ class ScenarioConfig:
         p = legendre_inhom(u_s, self.mass, self.build_metric(),
                            np.array(self.initial_velocity))
         return np.array(self.initial_event), p
+
+
+def _keeping_metric(cfg: ScenarioConfig, metric: SpatialMetric) -> ScenarioConfig:
+    """cfg with metric, built from cfg.metric, as its built metric."""
+    object.__setattr__(cfg, "_metric", metric)  # the cached_property's slot
+    return cfg
 
 
 def _finite_floats(field: str, value, count: int) -> tuple[float, ...]:
@@ -238,7 +250,7 @@ def parse_config(data) -> ScenarioConfig:
     metric = tuple(_finite_floats(f"metric[{i}]", row, 3)
                    for i, row in enumerate(metric_raw))
     try:
-        SpatialMetric(np.array(metric, dtype=float))
+        built_metric = SpatialMetric(np.array(metric, dtype=float))
     except (SingularMetric, ValueError) as err:
         raise ConfigError("metric", str(err)) from err
 
@@ -288,7 +300,7 @@ def parse_config(data) -> ScenarioConfig:
         overrides[name] = float(value)
     tolerances = replace(Tolerances(), **overrides)
 
-    return ScenarioConfig(
+    return _keeping_metric(ScenarioConfig(
         mass=float(mass),
         metric=metric,
         potential=potential,
@@ -299,7 +311,7 @@ def parse_config(data) -> ScenarioConfig:
         n=n,
         seed=seed,
         tolerances=tolerances,
-    )
+    ), built_metric)
 
 
 def default_config() -> ScenarioConfig:

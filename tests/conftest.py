@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from galimech import generating_objects
 from galimech.galilean_core import Frame, SpatialMetric
 
 
@@ -23,3 +26,47 @@ def at(potential, x) -> float:
     """The potential's value at one event x, coordinates (t, q1, q2, q3)."""
     x = np.asarray(x, dtype=float)
     return float(potential.values(x[0], x[1:]))
+
+
+class RankSpy:
+    """What the full-rank certificate decided, and what reached the SVD
+    from generating_objects, over the calls made while it is installed."""
+
+    def __init__(self):
+        self.decided: list[tuple[np.ndarray, np.ndarray]] = []
+        self.svd: list[np.ndarray] = []
+
+    def undecided(self) -> list[np.ndarray]:
+        """The rows the certificate left open, one stack per call that
+        left any."""
+        return [m[~ok] for m, ok in self.decided if not ok.all()]
+
+    def assert_svd_saw_exactly_the_undecided(self) -> None:
+        """One SVD per call that left rows open, of exactly those rows
+        (all finite in the runs that assert this)."""
+        undecided = self.undecided()
+        assert len(self.svd) == len(undecided)
+        for got, want in zip(self.svd, undecided):
+            assert np.isfinite(want).all()
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.fixture
+def rank_spy(monkeypatch) -> RankSpy:
+    spy = RankSpy()
+    certify, svd = generating_objects._full_rank_certified, np.linalg.svd
+
+    def recorded_certify(matrices, rel_tol):
+        certified = certify(matrices, rel_tol)
+        spy.decided.append((np.array(matrices), certified))
+        return certified
+
+    def recorded_svd(a, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == generating_objects.__name__:
+            spy.svd.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(generating_objects, "_full_rank_certified",
+                        recorded_certify)
+    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+    return spy

@@ -275,10 +275,37 @@ class TestBuildOnce:
                          "--out", str(tmp_path / "out")]) == 0
             # the array evaluator, once; the scalar one, never
             assert len(parses) == 1 and parses[0] is expressions._ARRAY
-            if argv[0] == "invariants":
-                # once to validate the config, once for the checks
-                assert len(metrics) == 2
+            # the metric built to validate the config serves the checks
+            assert len(metrics) == 1
         assert scalar_points == []
+
+    @pytest.mark.parametrize("argv", [["simulate"], ["boost-check"],
+                                      ["invariants", "--suite", "all"],
+                                      ["morse-check", "--family", "all"]])
+    def test_each_command_builds_the_metric_once(self, tmp_path, monkeypatch,
+                                                 argv):
+        # A --seed override copies the config; the copy keeps the metric.
+        metrics, init = [], SpatialMetric.__init__
+
+        def counted_init(self, matrix):
+            metrics.append(matrix)
+            init(self, matrix)
+
+        monkeypatch.setattr(SpatialMetric, "__init__", counted_init)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(minimal()))
+        for extra in ([], ["--seed", "3"], ["--config", str(path)],
+                      ["--config", str(path), "--seed", "3"]):
+            metrics.clear()
+            assert main([*argv, *extra, "--out", str(tmp_path / "out")]) == 0
+            assert len(metrics) == 1, extra
+
+    def test_with_seed_shares_the_built_metric(self):
+        cfg = parse_config(minimal())
+        other = cfg.with_seed(8)
+        assert other == dataclasses.replace(cfg, seed=8)
+        assert other.build_metric() is cfg.build_metric()
+        assert other.build_potential() is cfg.build_potential()
 
     def test_scalar_evaluator_judges_only_finite_points(self, tmp_path,
                                                         scalar_points):

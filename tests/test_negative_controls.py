@@ -277,13 +277,20 @@ def test_unperturbed_rank_checks_pass_at_every_mass(tmp_path, mass):
 
 @pytest.mark.parametrize("mass", MASSES)
 @pytest.mark.parametrize("family", sorted(RANK_ROWS))
-def test_zeroed_rank_block_fails_at_every_mass(tmp_path, monkeypatch, family,
-                                               mass):
+def test_zeroed_rank_block_fails_at_every_mass(tmp_path, monkeypatch, rank_spy,
+                                               family, mass):
+    # The certificate cannot prove a rank-deficient Hessian full rank, so
+    # every zeroed one goes to the SVD, which all undecided rows reach.
     columns, expected = RANK_ROWS[family]
     patch_everywhere(monkeypatch, "generating_objects", "hessian",
                      zeroed_columns(family, columns))
     code, failing = failing_checks(tmp_path, MORSE, {"mass": mass})
     assert code == 1 and failing & RANK_CHECKS == expected & RANK_CHECKS
+    zeroed = [ok[(m[..., columns] == 0.0).all(axis=(-2, -1))]
+              for m, ok in rank_spy.decided]
+    assert sum(len(z) for z in zeroed) > 0
+    assert not any(z.any() for z in zeroed)
+    rank_spy.assert_svd_saw_exactly_the_undecided()
 
 
 # The default scenario is free, whose force is zero, so the force row runs
