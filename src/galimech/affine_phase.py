@@ -24,9 +24,11 @@ and cotangent pictures, and the affine-metric section construction.
 The quotient operations are written once, as array kernels over stacks of
 components: momentum representatives as covector components (..., 4), W
 representatives packed as (v0, v1, v2, v3, r) in (..., 5), frames as
-spatial velocities (..., 3), and the potential as its values.  WElement
-and PElement hold one class each, as its read-only representative array;
-their ``from_chart``/``in_chart`` call the chart-change kernels on it.
+their spatial velocities (..., 3), and the potential as its values.  The
+reference frame ``REFERENCE_FRAME`` is the read-only zero velocity (3,).
+WElement and PElement hold one class each, as its read-only representative
+array; their ``from_chart``/``in_chart`` take a frame (3,) and call the
+chart-change kernels on it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from typing import Callable
 import numpy as np
 
 from .galilean_core import (
-    Frame,
     SpatialMetric,
     pair,
     pair_frame,
@@ -79,7 +80,8 @@ __all__ = [
 ]
 
 # Canonical representatives are taken in the rest frame of the global chart.
-REFERENCE_FRAME = Frame.from_spatial([0.0, 0.0, 0.0])
+REFERENCE_FRAME = np.zeros(3)
+REFERENCE_FRAME.setflags(write=False)
 
 
 class NewtonModel:
@@ -132,17 +134,15 @@ class WElement:
 
     @classmethod
     def from_chart(cls, model: NewtonModel, v, r: float,
-                   frame: Frame) -> "WElement":
+                   frame: np.ndarray) -> "WElement":
         """The class of velocity v (4,) and real r in the chart of frame."""
-        w = w_change_chart(model, w_pack(v, r), frame.spatial,
-                           REFERENCE_FRAME.spatial)
+        w = w_change_chart(model, w_pack(v, r), frame, REFERENCE_FRAME)
         w.setflags(write=False)
         return cls(w)
 
-    def in_chart(self, model: NewtonModel, frame: Frame) -> np.ndarray:
+    def in_chart(self, model: NewtonModel, frame: np.ndarray) -> np.ndarray:
         """The representative (5,) in the chart of frame."""
-        return w_change_chart(model, self.w, REFERENCE_FRAME.spatial,
-                              frame.spatial)
+        return w_change_chart(model, self.w, REFERENCE_FRAME, frame)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,16 +153,16 @@ class PElement:
     p: np.ndarray
 
     @classmethod
-    def from_chart(cls, model: NewtonModel, p, frame: Frame) -> "PElement":
+    def from_chart(cls, model: NewtonModel, p,
+                   frame: np.ndarray) -> "PElement":
         """The class of covector p (4,) in the chart of frame."""
-        p = p_change_chart(model, p, frame.spatial, REFERENCE_FRAME.spatial)
+        p = p_change_chart(model, p, frame, REFERENCE_FRAME)
         p.setflags(write=False)
         return cls(p)
 
-    def in_chart(self, model: NewtonModel, frame: Frame) -> np.ndarray:
+    def in_chart(self, model: NewtonModel, frame: np.ndarray) -> np.ndarray:
         """The representative covector (4,) in the chart of frame."""
-        return p_change_chart(model, self.p, REFERENCE_FRAME.spatial,
-                              frame.spatial)
+        return p_change_chart(model, self.p, REFERENCE_FRAME, frame)
 
 
 # The distinguished unit: evaluates to 1 on every momentum class, and its
@@ -220,7 +220,7 @@ def psi_m_array(model: NewtonModel, p) -> np.ndarray:
     """
     ps = p[..., 1:]
     return 0.5 / model.mass * np.vecdot(ps, model.metric.apply_inverse(ps)) \
-        + pair_frame(p, REFERENCE_FRAME.spatial)
+        + pair_frame(p, REFERENCE_FRAME)
 
 
 def affine_lagrangian_array(model: NewtonModel, phi, v) -> np.ndarray:
@@ -231,7 +231,7 @@ def affine_lagrangian_array(model: NewtonModel, phi, v) -> np.ndarray:
     per-frame lagrangians differ by exactly the sigma pairing the chart
     rule removes.  The velocities must be future-directed.
     """
-    return w_pack(v, lagrangian_hom(REFERENCE_FRAME.spatial, model.mass,
+    return w_pack(v, lagrangian_hom(REFERENCE_FRAME, model.mass,
                                     model.metric, phi, v))
 
 
@@ -285,52 +285,56 @@ def dynamics_membership_universal_array(model: NewtonModel, phi, dphi, p,
     covectors.
     """
     return homogeneous_dynamics_violation_array(
-        REFERENCE_FRAME.spatial, model.mass, model.metric, phi, dphi, p,
+        REFERENCE_FRAME, model.mass, model.metric, phi, dphi, p,
         xdot, pdot) <= tol
 
 
 class AffineMetric:
     """Affine map from unit-time velocities to spatial momenta.
 
-    Determined by its value at one base velocity together with the linear
-    part, which is always mass times the model metric.
+    Determined by its value at one base velocity, a frame (3,), together
+    with the linear part, which is always mass times the model metric.
+    Holds read-only copies of both (3,) arrays.
     """
 
     __slots__ = ("base_point", "value_at_base")
 
-    def __init__(self, base_point: Frame, value_at_base):
-        value = np.asarray(value_at_base, dtype=float)
-        if value.shape != (3,):
-            raise ValueError(
-                f"base value needs 3 components, got shape {value.shape}")
-        self.base_point, self.value_at_base = base_point, value
+    def __init__(self, base_point, value_at_base):
+        base, value = (np.array(a, dtype=float)
+                       for a in (base_point, value_at_base))
+        for what, a in (("base point", base), ("base value", value)):
+            if a.shape != (3,):
+                raise ValueError(
+                    f"{what} needs 3 components, got shape {a.shape}")
+            a.setflags(write=False)
+        self.base_point, self.value_at_base = base, value
 
 
 def affine_metric_apply(model: NewtonModel, h: AffineMetric,
-                        b: Frame) -> np.ndarray:
-    """Evaluate the affine metric at a unit-time velocity."""
-    d = b.spatial - h.base_point.spatial
+                        b: np.ndarray) -> np.ndarray:
+    """Evaluate the affine metric at a unit-time velocity, a frame (3,)."""
+    d = b - h.base_point
     return h.value_at_base + model.mass * model.metric.apply(d)
 
 
 def section_from_affine_metric(model: NewtonModel, h: AffineMetric,
                                value_at_base: float = 0.0,
-                               ) -> tuple[Callable[[Frame], float], float]:
+                               ) -> tuple[Callable[..., float], float]:
     """Primitive of an affine metric: the quadratic section
 
         l(b) = c + <h(a), b - a> + (m/2) <g(b - a), b - a>
 
-    anchored at the metric's base point a.  The vertical derivative of l is
-    h again, and two anchorings of the same metric differ by a constant.
-    The gauge constant c (the value at the base point) is returned
-    alongside the evaluator; it defaults to zero.
+    of frames b (3,), anchored at the metric's base point a.  The vertical
+    derivative of l is h again, and two anchorings of the same metric
+    differ by a constant.  The gauge constant c (the value at the base
+    point) is returned alongside the evaluator; it defaults to zero.
     """
     c = float(value_at_base)
-    a_s = h.base_point.spatial
+    a_s = h.base_point
     h_a = h.value_at_base
 
-    def section(b: Frame) -> float:
-        d = b.spatial - a_s
+    def section(b: np.ndarray) -> float:
+        d = b - a_s
         return c + float(h_a @ d) + 0.5 * model.mass * model.metric.quadratic(d)
 
     return section, c

@@ -22,23 +22,22 @@ frame-shift covector.  Homogeneous dynamics is checked state by state
 (membership of a state-with-derivatives tuple) rather than integrated.
 
 Each formula is written once, as an array kernel over stacks of
-components: frames as spatial velocities (..., 3) (a ``Frame`` gives its
-``spatial``), events, velocities and momenta as components (..., 4), and
-the potential as its values (...) at the events in question.  A velocity
-that is not future-directed is not rejected, and the homogeneous kernels
-are undefined there.
+components: frames as their spatial velocities (..., 3), events,
+velocities and momenta as components (..., 4), and the potential as its
+values (...) at the events in question.  A velocity that is not
+future-directed is not rejected, and the homogeneous kernels are undefined
+there.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from itertools import chain
 from typing import TextIO
 
 import numpy as np
 
 from .galilean_core import (
-    Frame,
     GalimechError,
     SpatialMetric,
     iota_u_array,
@@ -197,8 +196,9 @@ class Trajectory:
     picture, integrated together.
 
     ``t`` has shape (n+1,); ``q`` and ``p`` have shape (n+1, F, 3), with
-    ``q[k, f]`` and ``p[k, f]`` the position and momentum in ``frames[f]``
-    at time ``t[k]``, views of one read-only (n+1, 2, F, 3) array.  Step k
+    ``q[k, f]`` and ``p[k, f]`` the position and momentum in the frame
+    ``frames[f]``, a read-only (F, 3) array of spatial velocities, at time
+    ``t[k]``, views of one read-only (n+1, 2, F, 3) array.  Step k
     sits at time t[0] + k*h; the integrator guarantees the time coordinate
     advances by exactly the float h each step (up to the rounding of the
     final addition).
@@ -207,7 +207,7 @@ class Trajectory:
     __slots__ = ("t", "q", "p", "h", "frames", "mass")
 
     def __init__(self, t: np.ndarray, q: np.ndarray, p: np.ndarray, h: float,
-                 frames: tuple[Frame, ...], mass: float):
+                 frames: np.ndarray, mass: float):
         self.t, self.q, self.p, self.h, self.frames, self.mass = \
             t, q, p, h, frames, mass
 
@@ -318,16 +318,16 @@ def homogeneous_dynamics_violation_array(u, m: float, g: SpatialMetric, phi,
     return np.where(xdot[..., 0] <= 0.0, np.inf, np.maximum(err_p, err_pdot))
 
 
-def in_homogeneous_dynamics(u: Frame, m: float, g: SpatialMetric,
+def in_homogeneous_dynamics(u, m: float, g: SpatialMetric,
                             potential: Potential,
                             element: tuple, tol: float) -> bool:
     """Membership test for a (state, derivative) tuple in the frame-u
-    homogeneous dynamics.  element = (x, p, xdot, pdot), each of four
-    components; the largest defect is homogeneous_dynamics_violation_array
-    at that one state."""
+    homogeneous dynamics, u a spatial velocity (3,).  element = (x, p,
+    xdot, pdot), each of four components; the largest defect is
+    homogeneous_dynamics_violation_array at that one state."""
     x, p, xdot, pdot = (np.asarray(c, dtype=float) for c in element)
     return float(homogeneous_dynamics_violation_array(
-        u.spatial, m, g, potential.values(x[0], x[1:]), potential.d(x),
+        u, m, g, potential.values(x[0], x[1:]), potential.d(x),
         p, xdot, pdot)) <= tol
 
 
@@ -462,18 +462,18 @@ def _step_map_steps(ys, t, u_s, m, g, potential, h):
     return advance
 
 
-def integrate(u: Frame | Sequence[Frame], m: float, g: SpatialMetric,
+def integrate(u, m: float, g: SpatialMetric,
               potential: Potential,
               initial: tuple, h: float, n: int) -> Trajectory:
     """Classical RK4 integration of the equations of motion in one or more
     frames.
 
-    ``u`` is one Frame or a sequence of F frames, and ``initial`` the pair
-    (x, p) of the start events, (4,) or (F, 4), and the spatial momenta,
-    (3,) or (F, 3): one row per frame, or one row for every frame, all at
-    one start time.  All frames advance together, with the same
-    floating-point operations per frame as when integrated alone, in one of
-    two ways chosen by the potential:
+    ``u`` is one frame, its spatial velocity (3,), or F frames (F, 3), and
+    ``initial`` the pair (x, p) of the start events, (4,) or (F, 4), and
+    the spatial momenta, (3,) or (F, 3): one row per frame, or one row for
+    every frame, all at one start time.  All frames advance together, with
+    the same floating-point operations per frame as when integrated alone,
+    in one of two ways chosen by the potential:
     - an ``affine`` potential (the built-in kinds) runs each step as one
       precomputed affine map of the state, built once per call from one
       call of its ``force`` kernel; that map is the RK4 step itself, its
@@ -484,23 +484,26 @@ def integrate(u: Frame | Sequence[Frame], m: float, g: SpatialMetric,
       stacked state y (2, F, 3), positions then momenta, each stage
       written into buffers allocated once per call, the momentum rate of
       a stage written in place by the ``force`` kernel.
-    Produces n+1 steps including the initial one.  Raises
-    ValueError for a non-positive mass or step, n < 1, or initial states
-    that do not match the frames one to one at one start time, and
-    NonFiniteState naming the first step whose time or state is not
-    finite, or at which the potential raised an ArithmeticError.
+    Produces n+1 steps including the initial one.  Raises ValueError for
+    frames of any other shape, a non-positive mass or step, n < 1, or
+    initial states that do not match the frames one to one at one start
+    time, and NonFiniteState naming the first step whose time or state is
+    not finite, or at which the potential raised an ArithmeticError.
     Finiteness is tested on the last step of each block of _FINITE_BLOCK
     steps, and step by step only in a block that failed it.
     """
-    frames = (u,) if isinstance(u, Frame) else tuple(u)
+    frames = np.array(u, dtype=float, ndmin=2)
     x, p = (np.asarray(a, dtype=float) for a in initial)
-    if m <= 0.0:
+    if frames.shape[1:] != (3,) or not len(frames):
+        raise ValueError(f"frames must be one spatial velocity (3,) or a "
+                         f"stack (F, 3) with F >= 1, got shape {np.shape(u)}")
+    if not (m > 0.0):
         raise ValueError(f"mass must be positive, got {m!r}")
     if not (h > 0.0):
         raise ValueError(f"step must be positive, got {h!r}")
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValueError(f"step count must be an integer >= 1, got {n!r}")
-    if not frames or x.shape not in ((4,), (len(frames), 4)) \
+    if x.shape not in ((4,), (len(frames), 4)) \
             or p.shape not in ((3,), (len(frames), 3)):
         raise ValueError(f"need one initial state per frame, got events "
                          f"{x.shape} and momenta {p.shape} for "
@@ -509,7 +512,7 @@ def integrate(u: Frame | Sequence[Frame], m: float, g: SpatialMetric,
     if np.any(x[..., 0] != t):
         raise ValueError("initial states must share one start time")
 
-    u_s = np.array([f.spatial for f in frames])
+    frames.setflags(write=False)
     # The four stage time-rates are all exactly 1, so each step advances
     # the time by h * 1.0, exactly h; accumulate adds in sequence.
     ts = np.full(n + 1, h * 1.0)
@@ -531,9 +534,9 @@ def integrate(u: Frame | Sequence[Frame], m: float, g: SpatialMetric,
     # Overflow is caught by check, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         if potential.affine:
-            advance = _step_map_steps(ys, t, u_s, m, g, potential, h)
+            advance = _step_map_steps(ys, t, frames, m, g, potential, h)
         else:
-            advance = _stage_steps(ts, ys, u_s, m, g, potential, h, check)
+            advance = _stage_steps(ts, ys, frames, m, g, potential, h, check)
         for start in range(0, n, _FINITE_BLOCK):
             stop = min(start + _FINITE_BLOCK, n)
             advance(start, stop)

@@ -8,9 +8,9 @@ Conventions used by every module in this package:
 * The time covector is (1, 0, 0, 0).  Vectors with vanishing first
   component are spatial (they connect simultaneous events); the metric acts
   on their three spatial components only.
-* A frame is a vector with time component exactly 1; its spatial part is the
-  constant velocity of the corresponding family of inertial observers, and
-  a ``Frame`` holds only that part.
+* A frame is a vector with time component exactly 1, given by its spatial
+  part alone: the constant velocity of the corresponding family of inertial
+  observers, an array of shape (3,).  F frames are an (F, 3) stack.
 
 Everything here is a pure function of values that nothing changes after
 construction.  No mutable state.  The kernels (``pair``, ``maxabs``,
@@ -39,25 +39,6 @@ class SingularMetric(GalimechError):
 
 # Eigenvalues of a spatial metric must clear this floor.
 _SPD_EIGENVALUE_FLOOR = 1e-12
-
-
-class Frame:
-    """Inertial frame: a four-velocity whose time component is exactly 1,
-    held as its spatial velocity ``spatial``, a read-only (3,) array."""
-
-    __slots__ = ("spatial",)
-
-    def __init__(self, s):
-        spatial = np.array(s, dtype=float)
-        if spatial.shape != (3,):
-            raise ValueError(f"frame spatial velocity needs 3 components, "
-                             f"got {spatial.shape}")
-        spatial.setflags(write=False)
-        self.spatial = spatial
-
-    @classmethod
-    def from_spatial(cls, s) -> "Frame":
-        return cls(s)
 
 
 class SpatialMetric:
@@ -131,14 +112,14 @@ class SpatialMetric:
         out[...] = res
         return out
 
-    def quadratic(self, s, s2=None) -> np.ndarray:
-        """Inner product of two spatial vectors (of s with itself if s2 is
-        None), entry by entry for stacks of shape (..., 3)."""
+    def quadratic(self, s) -> np.ndarray:
+        """Inner product of spatial vectors with themselves, entry by entry
+        for stacks of shape (..., 3)."""
         if getattr(s, "size", 0) < 3 * _STACK_ROWS:
             low = np.vecmat(s, self._matrix)
         else:
             low = _vecmat_rows(s, self._matrix)
-        return np.vecdot(low, s if s2 is None else s2)
+        return np.vecdot(low, s)
 
 
 # Stacks of at least this many rows make one BLAS call per output

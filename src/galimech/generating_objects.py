@@ -41,7 +41,6 @@ from numpy.linalg import _umath_linalg
 from ._log import DEBUG, log
 from .galilean_core import (
     DomainError,
-    Frame,
     GalimechError,
     SpatialMetric,
     maxabs,
@@ -637,20 +636,19 @@ def _potential_jet(potential: Potential,
     return phi.reshape(x.shape[:-1]), potential.d(x)
 
 
-def family_fam1(u: Frame, m: float, g: SpatialMetric,
+def family_fam1(u_s: np.ndarray, m: float, g: SpatialMetric,
                 potential: Potential) -> FunctionFamily:
     """Velocity-fibered family over (event, covector momentum).
 
-    Value <p, v> minus the homogeneous frame-u lagrangian.  Critical points
-    pick out velocities whose fiber derivative reproduces p; the p-block of
-    the mixed Hessian is a permuted identity, so the family is Morse with
-    rank 4.  Fiber coordinates are ordered (v1, v2, v3, v0) so that
-    reduce_family with eliminate=3 removes the spatial directions and
-    leaves the time component.  The gradient is NaN at a velocity that is
-    not future-directed, where the lagrangian is undefined.
+    Value <p, v> minus the homogeneous lagrangian of the frame u_s, a
+    spatial velocity (3,).  Critical points pick out velocities whose fiber
+    derivative reproduces p; the p-block of the mixed Hessian is a permuted
+    identity, so the family is Morse with rank 4.  Fiber coordinates are
+    ordered (v1, v2, v3, v0) so that reduce_family with eliminate=3 removes
+    the spatial directions and leaves the time component.  The gradient is
+    NaN at a velocity that is not future-directed, where the lagrangian is
+    undefined.
     """
-    u_s = u.spatial
-
     def value(base: np.ndarray, fiber: np.ndarray) -> float:
         base, fiber = np.asarray(base, dtype=float), np.asarray(fiber, dtype=float)
         x, p = base[:4], base[4:]
@@ -701,16 +699,15 @@ def family_fam1(u: Frame, m: float, g: SpatialMetric,
                           gradient=gradient, hessian=hessian, name="fam1")
 
 
-def family_fam2(u: Frame, m: float, g: SpatialMetric,
+def family_fam2(u_s: np.ndarray, m: float, g: SpatialMetric,
                 potential: Potential) -> FunctionFamily:
     """One-variable family over (event, covector momentum).
 
-    Value r times the frame-u mass-shell residual.  Critical points exist
-    exactly over on-shell base points, where every r is stationary; the
-    generated covector scales the residual differentials by r.
+    Value r times the mass-shell residual of the frame u_s, a spatial
+    velocity (3,).  Critical points exist exactly over on-shell base points,
+    where every r is stationary; the generated covector scales the residual
+    differentials by r.
     """
-    u_s = u.spatial
-
     def value(base: np.ndarray, fiber: np.ndarray) -> float:
         base = np.asarray(base, dtype=float)
         x, p = base[:4], base[4:]

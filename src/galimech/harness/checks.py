@@ -40,7 +40,6 @@ import numpy as np
 
 from ..galilean_core import (
     DomainError,
-    Frame,
     SpatialMetric,
     maxabs,
     pair,
@@ -88,7 +87,7 @@ from ..affine_phase import (
     w_pack,
     w_scale_array,
 )
-from .config import MORSE_FAMILIES, ScenarioConfig
+from .config import ScenarioConfig
 from .report import CheckResult
 
 __all__ = [
@@ -99,7 +98,6 @@ __all__ = [
     "boost_checks",
     "frame_trajectories",
     "morse_checks",
-    "MORSE_FAMILIES",
     "corrupted_sigma",
 ]
 
@@ -370,14 +368,14 @@ def check_energy_drift(cfg: ScenarioConfig) -> CheckResult:
     """
     g = cfg.build_metric()
     phi = cfg.build_potential()
-    u = Frame.from_spatial(cfg.frames[0])
+    u = cfg.build_frames()[0]
     traj = integrate(u, cfg.mass, g, phi, cfg.initial_state(u), cfg.h, cfg.n)
     energies = traj.energies(g, phi)
     with np.errstate(all="ignore"):
         change = energies - energies[0]
-        if phi.time is not None or u.spatial.any():
+        if phi.time is not None or u.any():
             rate = pair_frame(phi.d(np.column_stack([traj.t, traj.q[:, 0]])),
-                              u.spatial)
+                              u)
             change -= _cumulative_simpson(rate, traj.h)
         errs = _rel(np.abs(change), energies[0])
     return _verdict("energy.drift", errs, cfg.tolerances.energy_drift)
@@ -414,9 +412,7 @@ def check_momentum_offset(cfg: ScenarioConfig, traj: Trajectory) -> CheckResult:
     carry however the offset compares, then is scaled by the offset."""
     name = "momentum.offset_constant"
     g = cfg.build_metric()
-    u0, *others = traj.frames
-    expected = np.array([cfg.mass * g.apply(u.spatial - u0.spatial)
-                         for u in others]).reshape(-1, 3)
+    expected = cfg.mass * g.apply(traj.frames[1:] - traj.frames[0])
     p0, p = traj.p[:, :1], traj.p[:, 1:]
     rounding = _ROUNDING_ULPS * np.finfo(float).eps \
         * np.maximum(maxabs(p0), maxabs(p))
@@ -440,9 +436,8 @@ def _charted(model: NewtonModel, p, u: np.ndarray) -> np.ndarray:
     """Momentum classes, given by representatives p (..., 4), presented
     through the chart of the frames with spatial velocities u (..., 3) and
     back, which exercises the relation the quotient is built on."""
-    ref = REFERENCE_FRAME.spatial
-    return p_change_chart(model, p_change_chart(model, p, ref, u),
-                                u, ref)
+    ref = REFERENCE_FRAME
+    return p_change_chart(model, p_change_chart(model, p, ref, u), u, ref)
 
 
 def _chart_samples(cfg: ScenarioConfig, rng):
@@ -456,12 +451,11 @@ def _chart_samples(cfg: ScenarioConfig, rng):
 @_sampled("affine.chart.eval_affine", "chart_battery")
 def _chart_eval_affine(cfg: ScenarioConfig, rng) -> np.ndarray:
     model, _, _, u = _chart_samples(cfg, rng)
-    ref_u = REFERENCE_FRAME.spatial
     w = np.array([1.0, 0.5, -0.3, 0.2, 0.4])
     p = np.array([-0.2, 0.7, 0.1, -0.5])
     ref = eval_affine_array(w, p)
-    w_u = w_change_chart(model, w, ref_u, u)
-    val = eval_affine_array(w_change_chart(model, w_u, u, ref_u),
+    w_u = w_change_chart(model, w, REFERENCE_FRAME, u)
+    val = eval_affine_array(w_change_chart(model, w_u, u, REFERENCE_FRAME),
                             _charted(model, p, u))
     return _rel(np.abs(val - ref), ref)
 
@@ -469,12 +463,11 @@ def _chart_eval_affine(cfg: ScenarioConfig, rng) -> np.ndarray:
 @_sampled("affine.chart.pairing", "chart_battery")
 def _chart_pairing(cfg: ScenarioConfig, rng) -> np.ndarray:
     model, _, _, u = _chart_samples(cfg, rng)
-    ref_u = REFERENCE_FRAME.spatial
     p = np.array([0.3, -0.4, 0.8, 0.1])
     v = np.array([1.0, 0.2, -0.6, 0.9])
     ref = pairing_array(p, v)[4]
-    p_u = p_change_chart(model, p, ref_u, u)
-    rebuilt = w_change_chart(model, pairing_array(p_u, v), u, ref_u)
+    p_u = p_change_chart(model, p, REFERENCE_FRAME, u)
+    rebuilt = w_change_chart(model, pairing_array(p_u, v), u, REFERENCE_FRAME)
     return _rel(np.abs(rebuilt[:, 4] - ref), ref)
 
 
@@ -493,8 +486,7 @@ def _chart_affine_lagrangian(cfg: ScenarioConfig, rng) -> np.ndarray:
     v = np.array([0.8, 0.4, -0.2, 0.6])
     ref = affine_lagrangian_array(model, phi, v)[4]
     l_u = lagrangian_hom(u, model.mass, model.metric, phi, v)
-    rebuilt = w_change_chart(model, w_pack(v, l_u), u,
-                                   REFERENCE_FRAME.spatial)
+    rebuilt = w_change_chart(model, w_pack(v, l_u), u, REFERENCE_FRAME)
     return _rel(np.abs(rebuilt[:, 4] - ref), ref)
 
 
@@ -513,8 +505,7 @@ def _chart_hamiltonian_fun(cfg: ScenarioConfig, rng) -> np.ndarray:
 def _chart_membership(cfg: ScenarioConfig, rng) -> np.ndarray:
     model, x, phi, u = _chart_samples(cfg, rng)
     v = np.array([1.0, 0.4, -0.1, 0.3])
-    p_on = legendre_hom(REFERENCE_FRAME.spatial, model.mass, model.metric,
-                        phi, v)
+    p_on = legendre_hom(REFERENCE_FRAME, model.mass, model.metric, phi, v)
     p_off = p_on.copy()
     p_off[0] += 1.0
     dphi = model.potential.d(x)
@@ -588,12 +579,12 @@ def _domain_errors(run):
     return checked
 
 
-def _on_shell_samples(cfg: ScenarioConfig, u: Frame, rng, count: int):
+def _on_shell_samples(cfg: ScenarioConfig, u: np.ndarray, rng, count: int):
     """Bases (count, 8) on the constraint set, with the fibers (count, 4)
     of the velocities that put them there."""
     x, v = _draws(rng, count, _NORMAL4, _FUTURE)
     phi = _potential_at(cfg.build_potential(), x)
-    p = legendre_hom(u.spatial, cfg.mass, cfg.build_metric(), phi, v)
+    p = legendre_hom(u, cfg.mass, cfg.build_metric(), phi, v)
     return np.concatenate([x, p], axis=1), vector_to_fiber(v)
 
 
@@ -608,7 +599,7 @@ def morse_checks(cfg: ScenarioConfig, family: str) -> list[CheckResult]:
     g = cfg.build_metric()
     phi = cfg.build_potential()
     model = _model(cfg)
-    u = Frame.from_spatial(cfg.frames[0])
+    u = cfg.build_frames()[0]
     rng = _rng(cfg, f"morse.{family}")
     results: list[CheckResult] = []
 
@@ -647,7 +638,7 @@ def morse_checks(cfg: ScenarioConfig, family: str) -> list[CheckResult]:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _fam1_vs_fam2(cfg: ScenarioConfig, u: Frame) -> CheckResult:
+def _fam1_vs_fam2(cfg: ScenarioConfig, u: np.ndarray) -> CheckResult:
     """The velocity-fiber and multiplier-fiber families generate the same
     covectors over a shared on-shell grid.
 
@@ -667,7 +658,7 @@ def _fam1_vs_fam2(cfg: ScenarioConfig, u: Frame) -> CheckResult:
     v1, v2 = np.meshgrid(np.linspace(-1.0, 1.0, 5), np.linspace(-0.5, 0.5, 5),
                          indexing="ij")
     v = np.stack([np.ones(25), v1.ravel(), v2.ravel(), np.full(25, 0.2)], axis=1)
-    p = legendre_hom(u.spatial, cfg.mass, g, phi_x, v)
+    p = legendre_hom(u, cfg.mass, g, phi_x, v)
     bases = np.concatenate([np.broadcast_to(x, p.shape), p], axis=1)
     found = (
         solve_critical_stack(fam1, bases, vector_to_fiber(v)[:, None], tol=1e-11),
@@ -703,8 +694,8 @@ def _fam3_chart_residuals(cfg: ScenarioConfig, rng) -> np.ndarray:
     p, *frames = _draws(rng, 5, _NORMAL4, *[_FRAME] * 20)
     charted = _charted(model, p[:, None], np.stack(frames, axis=1))
     # fam3's value at multiplier 1: the reference-chart mass-shell residual
-    ref, val = (mass_shell_residual(REFERENCE_FRAME.spatial, model.mass,
-                                          model.metric, phi, q)
+    ref, val = (mass_shell_residual(REFERENCE_FRAME, model.mass,
+                                    model.metric, phi, q)
                 for q in (p[:, None], charted))
     return _rel(np.abs(val - ref), ref).ravel()
 

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..galilean_core import Frame, GalimechError, SingularMetric, SpatialMetric
+from ..galilean_core import GalimechError, SingularMetric, SpatialMetric
 from ..frame_dynamics import (
     Potential,
     free_potential,
@@ -143,17 +143,15 @@ class ScenarioConfig:
         potential."""
         return _keeping_metric(replace(self, seed=seed), self._metric)
 
-    def build_frames(self) -> list[Frame]:
-        return [Frame.from_spatial(f) for f in self.frames]
+    def build_frames(self) -> np.ndarray:
+        """The configured frames, their spatial velocities (F, 3)."""
+        return np.array(self.frames)
 
-    def initial_state(self, u: Frame | Sequence[Frame]
-                      ) -> tuple[np.ndarray, np.ndarray]:
+    def initial_state(self, u) -> tuple[np.ndarray, np.ndarray]:
         """Phase-space start (x, p) for the configured world velocity, as
         ``integrate`` takes it: the initial event x (4,) and the spatial
-        momentum p in frame u (3,), or in each of a sequence of F frames
-        (F, 3)."""
-        u_s = u.spatial if isinstance(u, Frame) else [f.spatial for f in u]
-        p = legendre_inhom(u_s, self.mass, self.build_metric(),
+        momentum p in frame u (3,), or in each of F frames u (F, 3)."""
+        p = legendre_inhom(u, self.mass, self.build_metric(),
                            np.array(self.initial_velocity))
         return np.array(self.initial_event), p
 

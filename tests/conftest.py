@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from galimech import generating_objects
-from galimech.galilean_core import Frame, SpatialMetric
+from galimech.galilean_core import SpatialMetric
 
 
 @pytest.fixture
@@ -18,8 +18,8 @@ def random_metric(rng) -> SpatialMetric:
     return SpatialMetric(a @ a.T + 1.5 * np.eye(3))
 
 
-def random_frame(rng, scale: float = 1.0) -> Frame:
-    return Frame.from_spatial(rng.uniform(-scale, scale, size=3))
+def random_frame(rng, scale: float = 1.0) -> np.ndarray:
+    return rng.uniform(-scale, scale, size=3)
 
 
 def at(potential, x) -> float:

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from galimech.galilean_core import (
-    Frame,
     SpatialMetric,
     pair,
     sigma,
@@ -215,21 +214,21 @@ def test_criterion_05_boost_theorem(announce):
     # still satisfies that frame's equations of motion, with derivatives
     # estimated by the five-point stencil.
     h, n = 1e-3, 300
-    u_prime = Frame.from_spatial([0.3, -0.2, 0.1])
-    u = Frame.from_spatial([-0.4, 0.25, 0.5])
+    u_prime = np.array([0.3, -0.2, 0.1])
+    u = np.array([-0.4, 0.25, 0.5])
     start = np.array([0.0, 1.0, 0.0, 0.0])
-    w = Frame.from_spatial([0.2, 0.0, 0.0])
-    p_start = m * g.apply(w.spatial - u_prime.spatial)
+    w = np.array([0.2, 0.0, 0.0])
+    p_start = m * g.apply(w - u_prime)
     traj = integrate(u_prime, m, g, phi, (start, p_start), h, n)
 
     def shell_lift(x, ps):
         # time component chosen to zero the u_prime-frame residual
         a0 = -(0.5 / m * float(ps @ g.apply_inverse(ps))
-               + float(ps @ u_prime.spatial) + at(phi, x))
+               + float(ps @ u_prime) + at(phi, x))
         return np.array([a0, *ps])
 
     xs = np.column_stack([traj.t, traj.q[:, 0]])
-    offset = m * sigma(g, u_prime.spatial, u.spatial)
+    offset = m * sigma(g, u_prime, u)
     ps = np.array([shell_lift(x, p) + offset
                    for x, p in zip(xs, traj.p[:, 0])])
     tol_c = 10.0 * h ** 4
@@ -283,7 +282,7 @@ def test_criterion_08_reduction_equivalence(announce):
     m = 1.1
     g = SpatialMetric.diagonal(1.0, 2.0, 0.5)
     phi = harmonic_potential(1.3, (0.0, 0.2, 0.0))
-    u = Frame.from_spatial([0.15, -0.3, 0.05])
+    u = np.array([0.15, -0.3, 0.05])
     fam1 = family_fam1(u, m, g, phi)
     fam2 = family_fam2(u, m, g, phi)
     x = np.array([0.0, 0.4, -0.1, 0.3])
@@ -295,7 +294,7 @@ def test_criterion_08_reduction_equivalence(announce):
         for v2 in np.linspace(-0.5, 0.5, 5):
             v = np.array([1.0, v1, v2, 0.2])
             base = np.concatenate(
-                [x, legendre_hom(u.spatial, m, g, at(phi, x), v)])
+                [x, legendre_hom(u, m, g, at(phi, x), v)])
             reduced = reduce_family(fam1, 3, seeds=[vector_to_fiber(v)[:3]])
             got = generate(reduced, [base], seeds=[[1.0]], tol=1e-10)
             assert len(got.source) == 1
@@ -341,30 +340,29 @@ def test_criterion_11_affine_metric_section(announce):
     rng = rng_for(11)
     model = NewtonModel(1.4, SpatialMetric.diagonal(2.0, 1.0, 0.5),
                         harmonic_potential(1.0))
-    a = Frame.from_spatial([0.3, -0.1, 0.6])
+    a = np.array([0.3, -0.1, 0.6])
     h = AffineMetric(a, np.array([0.7, -0.2, 0.4]))
     section, _ = section_from_affine_metric(model, h, value_at_base=0.25)
 
     fd_err = 0.0
     for _ in range(200):
         b_s = rng.uniform(-2.0, 2.0, size=3)
-        expected = affine_metric_apply(model, h, Frame.from_spatial(b_s))
+        expected = affine_metric_apply(model, h, b_s)
         for j in range(3):
             step = 1e-6 * (1.0 + abs(b_s[j]))
             plus, minus = b_s.copy(), b_s.copy()
             plus[j] += step
             minus[j] -= step
-            fd = (section(Frame.from_spatial(plus))
-                  - section(Frame.from_spatial(minus))) / (2 * step)
+            fd = (section(plus) - section(minus)) / (2 * step)
             fd_err = max(fd_err,
                          abs(fd - expected[j]) / max(1.0, abs(expected[j])))
 
     # Re-anchor the same affine map at a second base point; the two
     # primitives may differ only by a constant.
-    a2 = Frame.from_spatial([-0.5, 0.8, 0.1])
+    a2 = np.array([-0.5, 0.8, 0.1])
     h2 = AffineMetric(a2, affine_metric_apply(model, h, a2))
     section2, _ = section_from_affine_metric(model, h2)
-    diffs = [section(Frame.from_spatial(s)) - section2(Frame.from_spatial(s))
+    diffs = [section(s) - section2(s)
              for s in rng.uniform(-2.0, 2.0, size=(200, 3))]
     const_err = float(np.std(diffs))
 

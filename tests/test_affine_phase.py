@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from galimech.galilean_core import (
-    Frame,
     SpatialMetric,
     pair,
     pair_frame,
@@ -57,7 +56,7 @@ from conftest import at, random_frame, random_metric
 
 X0 = np.array([0.0, 0.0, 0.0, 0.0])
 REST_VELOCITY = np.array([1.0, 0.0, 0.0, 0.0])  # of REFERENCE_FRAME
-U1 = Frame.from_spatial([1.0, 0.0, 0.0])
+U1 = np.array([1.0, 0.0, 0.0])
 
 
 def free_model(m: float = 1.0, g: SpatialMetric | None = None) -> NewtonModel:
@@ -69,7 +68,7 @@ def universal_residual(model: NewtonModel, x: np.ndarray,
     """The mass-shell residual on the quotient: the frame residual of the
     canonical representative, taken at the reference frame."""
     return float(mass_shell_residual(
-        REFERENCE_FRAME.spatial, model.mass, model.metric,
+        REFERENCE_FRAME, model.mass, model.metric,
         at(model.potential, x), pp.p))
 
 
@@ -82,23 +81,23 @@ class TestChartChange:
     def test_same_frame_is_identity(self):
         model = free_model()
         w = np.array([1.0, 0.3, -0.2, 0.5, 0.7])
-        assert w_change_chart(model, w, U1.spatial, U1.spatial).tolist() == \
+        assert w_change_chart(model, w, U1, U1).tolist() == \
             w.tolist()
         p = np.array([0.1, 0.2, 0.3, 0.4])
-        assert p_change_chart(model, p, U1.spatial, U1.spatial).tolist() == \
+        assert p_change_chart(model, p, U1, U1).tolist() == \
             p.tolist()
 
     def test_worked_example(self):
         model = free_model()
         w = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
-        rr = w_change_chart(model, w, REFERENCE_FRAME.spatial, U1.spatial)[4]
+        rr = w_change_chart(model, w, REFERENCE_FRAME, U1)[4]
         assert rr == pytest.approx(-0.5, abs=1e-15)
 
     def test_chain_equals_direct(self, rng):
         for _ in range(50):
             g = random_metric(rng)
             model = NewtonModel(rng.uniform(0.5, 2.0), g, free_potential())
-            u1, u2, u3 = (random_frame(rng).spatial for _ in range(3))
+            u1, u2, u3 = (random_frame(rng) for _ in range(3))
             w = w_pack(rng.normal(size=4), rng.normal())
             step = w_change_chart(model, w_change_chart(model, w, u1, u2),
                                   u2, u3)[4]
@@ -115,7 +114,7 @@ class TestChartChange:
         for _ in range(20):
             u = random_frame(rng)
             back = w_change_chart(model, w.in_chart(model, u),
-                                  u.spatial, REFERENCE_FRAME.spatial)
+                                  u, REFERENCE_FRAME)
             assert back[:4].tolist() == w.w[:4].tolist()
             assert back[4] == pytest.approx(w.w[4], abs=1e-13)
 
@@ -123,7 +122,8 @@ class TestChartChange:
         model = free_model(1.7, SpatialMetric.diagonal(2.0, 1.0, 0.5))
         w = WElement.from_chart(model, [1.0, 0.4, -0.1, 0.2], 0.9, U1)
         pp = PElement.from_chart(model, [0.3, 1.0, -2.0, 0.5], U1)
-        for a in (w.w, pp.p, W_UNIT.w):
+        assert REFERENCE_FRAME.tolist() == [0.0, 0.0, 0.0]
+        for a in (w.w, pp.p, W_UNIT.w, REFERENCE_FRAME):
             with pytest.raises(ValueError):
                 a[0] = 1.0
         with pytest.raises(AttributeError):
@@ -137,8 +137,7 @@ class TestWSpace:
         assert np.array_equal(w_add_array(w, np.zeros(5)), w)
         # The unit element is literally the same pair in every chart.
         for spatial in ([0.4, 0.0, 0.0], [-1.0, 2.0, 0.3]):
-            u = Frame.from_spatial(spatial)
-            assert W_UNIT.in_chart(model, u).tolist() == \
+            assert W_UNIT.in_chart(model, np.array(spatial)).tolist() == \
                 [0.0, 0.0, 0.0, 0.0, -1.0]
 
     def test_vector_space_axioms(self, rng):
@@ -270,7 +269,7 @@ class TestMassShellFunctions:
         p_u = pp.in_chart(model, U1)
         assert np.allclose(p_u, [0.5, 0.0, 0.0, 0.0])
         ps = p_u[1:]
-        by_hand = 0.5 * float(ps @ ps) + pair_frame(p_u, U1.spatial)
+        by_hand = 0.5 * float(ps @ ps) + pair_frame(p_u, U1)
         assert by_hand == pytest.approx(psi_m_array(model, pp.p))
 
     def test_psi_chart_battery(self, rng):
@@ -296,7 +295,7 @@ class TestMassShellFunctions:
         for _ in range(20):
             u = random_frame(rng)
             v = np.array([rng.uniform(0.2, 2.0), *rng.normal(size=3)])
-            p_u = legendre_hom(u.spatial, model.mass, model.metric,
+            p_u = legendre_hom(u, model.mass, model.metric,
                                at(model.potential, x), v)
             pp = PElement.from_chart(model, p_u, u)
             res = universal_residual(model, x, pp)
@@ -310,7 +309,7 @@ class TestMassShellFunctions:
         universal = universal_residual(model, x, pp)
         for _ in range(50):
             u = random_frame(rng)
-            per_frame = mass_shell_residual(u.spatial, model.mass, model.metric,
+            per_frame = mass_shell_residual(u, model.mass, model.metric,
                                             at(model.potential, x),
                                             pp.in_chart(model, u))
             assert per_frame == pytest.approx(universal,
@@ -330,7 +329,7 @@ class TestAffineLagrangian:
         # that zero must recover the canonical 0.5.
         model = free_model()
         v = np.array([1.0, 1.0, 0.0, 0.0])
-        l_u1 = float(lagrangian_hom(U1.spatial, 1.0, model.metric,
+        l_u1 = float(lagrangian_hom(U1, 1.0, model.metric,
                                     at(model.potential, X0), v))
         assert l_u1 == pytest.approx(0.0, abs=1e-15)
         rebuilt = WElement.from_chart(model, v, l_u1, U1)
@@ -346,7 +345,7 @@ class TestAffineLagrangian:
         direct = affine_lagrangian_array(model, at(model.potential, x), v)
         for _ in range(100):
             u = random_frame(rng)
-            l_u = lagrangian_hom(u.spatial, model.mass, model.metric,
+            l_u = lagrangian_hom(u, model.mass, model.metric,
                                  at(model.potential, x), v)
             rebuilt = WElement.from_chart(model, v, l_u, u)
             assert rebuilt.w[4] == pytest.approx(direct[4],
@@ -364,7 +363,7 @@ class TestAffineLagrangian:
         phi, dphi = at(model.potential, x), model.potential.d(x)
         for sign, member in ((-1.0, False), (1.0, True)):
             v = sign * np.array([1.0, 0.4, -0.3, 0.2])
-            p = legendre_hom(REFERENCE_FRAME.spatial, model.mass,
+            p = legendre_hom(REFERENCE_FRAME, model.mass,
                              model.metric, phi, v)
             assert bool(dynamics_membership_universal_array(
                 model, phi, dphi, p, v, -v[0] * dphi, 1e-9)) is member
@@ -397,7 +396,7 @@ class TestHamiltonianFun:
             p_u = rng.normal(size=4)
             pp = PElement.from_chart(model, p_u, u)
             in_chart = pair(p_u, v) - lagrangian_hom(
-                u.spatial, model.mass, model.metric, at(model.potential, x), v)
+                u, model.mass, model.metric, at(model.potential, x), v)
             h = hamiltonian_fun_array(model, at(model.potential, x), v, pp.p)
             assert h == pytest.approx(in_chart, abs=1e-11 * (1 + abs(in_chart)))
 
@@ -440,7 +439,7 @@ class TestUniversalMembership:
         for _ in range(10):
             u = random_frame(rng)
             v = np.array([1.0, *rng.normal(size=3)])
-            p_u = legendre_hom(u.spatial, model.mass, model.metric,
+            p_u = legendre_hom(u, model.mass, model.metric,
                                at(model.potential, x), v)
             pp = PElement.from_chart(model, p_u, u)
             dphi = model.potential.d(x)
@@ -488,8 +487,7 @@ class TestP0:
         pp = PElement(np.array([0.2, 0.6, -0.3, 0.9]))
         for _ in range(20):
             u = random_frame(rng)
-            shift = model.mass * sigma(model.metric, u.spatial,
-                                       REFERENCE_FRAME.spatial)[1:]
+            shift = model.mass * sigma(model.metric, u, REFERENCE_FRAME)[1:]
             assert np.allclose(pp.in_chart(model, u)[1:], pp.p[1:] - shift,
                                atol=1e-12)
 
@@ -502,7 +500,7 @@ class TestInhomogeneousMembership:
 
     @staticmethod
     def violation(model, x, p0, xdot, p0dot) -> float:
-        u, v = REFERENCE_FRAME.spatial, xdot
+        u, v = REFERENCE_FRAME, xdot
         phi = at(model.potential, x)
         dphi = model.potential.d(x)
         p = legendre_hom(u, model.mass, model.metric, phi, v)
@@ -526,7 +524,7 @@ class TestInhomogeneousMembership:
         p0 = traj.p[-1, 0]
         # the equations of motion, as integrate's rates state them
         xdot = np.concatenate([[1.0], model.metric.apply_inverse(p0)
-                               / model.mass + REFERENCE_FRAME.spatial])
+                               / model.mass + REFERENCE_FRAME])
         p0dot = model.potential.force(x[0], x[1:])
         assert self.violation(model, x, p0, xdot, p0dot) <= 1e-12
 
@@ -539,19 +537,19 @@ class TestInhomogeneousMembership:
 class TestAffineMetric:
     def test_identity_metric_section(self):
         model = free_model(2.0)
-        a = Frame.from_spatial([0.5, 0.0, -0.5])
+        a = np.array([0.5, 0.0, -0.5])
         h = AffineMetric(a, np.zeros(3))
         section, c = section_from_affine_metric(model, h)
         assert c == 0.0
         for spatial in ([1.0, 0.0, 0.0], [0.0, 2.0, 1.0], [-0.3, 0.4, 0.5]):
-            b = Frame.from_spatial(spatial)
-            d = b.spatial - a.spatial
+            b = np.array(spatial)
+            d = b - a
             assert section(b) == pytest.approx(0.5 * 2.0 * float(d @ d))
 
     def test_vertical_derivative_matches_metric(self, rng):
         model = NewtonModel(1.3, SpatialMetric.diagonal(1.0, 2.0, 0.5),
                             free_potential())
-        a = Frame.from_spatial([0.1, -0.2, 0.3])
+        a = np.array([0.1, -0.2, 0.3])
         h = AffineMetric(a, np.array([0.4, -0.1, 0.7]))
         section, _ = section_from_affine_metric(model, h)
         for _ in range(30):
@@ -562,14 +560,13 @@ class TestAffineMetric:
                 plus, minus = b_s.copy(), b_s.copy()
                 plus[i] += step
                 minus[i] -= step
-                fd[i] = (section(Frame.from_spatial(plus)) -
-                         section(Frame.from_spatial(minus))) / (2 * step)
-            expected = affine_metric_apply(model, h, Frame.from_spatial(b_s))
+                fd[i] = (section(plus) - section(minus)) / (2 * step)
+            expected = affine_metric_apply(model, h, b_s)
             assert np.allclose(fd, expected, atol=1e-6 * (1 + np.max(np.abs(expected))))
 
     def test_derivative_at_base_point_is_base_value(self):
         model = free_model(1.7)
-        a = Frame.from_spatial([0.2, 0.1, -0.3])
+        a = np.array([0.2, 0.1, -0.3])
         h = AffineMetric(a, np.array([1.0, -2.0, 0.5]))
         assert np.array_equal(affine_metric_apply(model, h, a),
                               h.value_at_base)
@@ -577,15 +574,15 @@ class TestAffineMetric:
     def test_rebased_sections_differ_by_constant(self, rng):
         model = NewtonModel(0.9, SpatialMetric.diagonal(2.0, 1.0, 3.0),
                             free_potential())
-        a1 = Frame.from_spatial([0.0, 0.0, 0.0])
+        a1 = np.array([0.0, 0.0, 0.0])
         h1 = AffineMetric(a1, np.array([0.3, 0.4, -0.2]))
-        a2 = Frame.from_spatial([1.0, -0.5, 0.2])
+        a2 = np.array([1.0, -0.5, 0.2])
         h2 = AffineMetric(a2, affine_metric_apply(model, h1, a2))
         s1, _ = section_from_affine_metric(model, h1)
         s2, _ = section_from_affine_metric(model, h2)
         diffs = []
         for _ in range(50):
-            b = Frame.from_spatial(rng.normal(size=3))
+            b = rng.normal(size=3)
             diffs.append(s1(b) - s2(b))
         assert np.std(diffs) <= 1e-12 * (1 + np.max(np.abs(diffs)))
 
@@ -599,14 +596,27 @@ class TestAffineMetric:
         x = np.array([0.0, 0.3, -0.1, 0.2])
         phi = at(model.potential, x)
         for _ in range(20):
-            w = Frame.from_spatial(rng.normal(size=3))
-            kinetic = lagrangian_inhom(REFERENCE_FRAME.spatial, model.mass,
-                                       model.metric, phi, w.spatial) + phi
+            w = rng.normal(size=3)
+            kinetic = lagrangian_inhom(REFERENCE_FRAME, model.mass,
+                                       model.metric, phi, w) + phi
             assert section(w) == pytest.approx(kinetic, rel=1e-12, abs=1e-12)
 
-    def test_base_value_shape_validated(self):
-        with pytest.raises(ValueError):
+    def test_base_shapes_validated(self):
+        with pytest.raises(ValueError, match="base value"):
             AffineMetric(REFERENCE_FRAME, np.zeros(4))
+        for bad in (np.zeros(2), np.zeros((1, 3))):
+            with pytest.raises(ValueError, match="base point"):
+                AffineMetric(bad, np.zeros(3))
+
+    def test_holds_read_only_copies(self):
+        a, value = np.array([0.5, -1.0, 2.0]), np.array([1.0, 0.0, 0.3])
+        h = AffineMetric(a, value)
+        a[0] = value[0] = 9.0
+        assert h.base_point.tolist() == [0.5, -1.0, 2.0]
+        assert h.value_at_base.tolist() == [1.0, 0.0, 0.3]
+        for held in (h.base_point, h.value_at_base):
+            with pytest.raises(ValueError):
+                held[0] = 1.0
 
 
 class TestQuotientFamilies:
@@ -657,7 +667,7 @@ class TestQuotientFamilies:
         fam4 = family_fam4(model)
         x = np.array([0.0, 0.3, 0.1, -0.2])
         v = np.array([1.0, 0.5, -0.2, 0.4])
-        p_on = legendre_hom(REFERENCE_FRAME.spatial, model.mass, model.metric,
+        p_on = legendre_hom(REFERENCE_FRAME, model.mass, model.metric,
                             at(model.potential, x), v)
         base_on = np.concatenate([x, p_on])
         pts = solve_critical(fam4, base_on, seeds=[vector_to_fiber(v) + 0.01],
@@ -684,7 +694,7 @@ class TestQuotientFamilies:
             u_prime = random_frame(rng)
             p_u = rng.normal(size=4)
             via_boost = p_u + model.mass * sigma(
-                model.metric, u_prime.spatial, REFERENCE_FRAME.spatial)
+                model.metric, u_prime, REFERENCE_FRAME)
             direct = PElement.from_chart(model, p_u, u_prime)
             assert np.array_equal(via_boost, direct.p)
 

@@ -18,7 +18,7 @@ from galimech.frame_dynamics import (
     legendre_inhom,
 )
 from galimech.galilean_core import (
-    Frame, SpatialMetric, maxabs, pair, sigma)
+    SpatialMetric, maxabs, pair, sigma)
 from galimech.generating_objects import CriticalPoint, FunctionFamily, is_morse
 from galimech.harness import checks
 from galimech.harness.checks import (
@@ -256,9 +256,9 @@ def test_rank_check_nan_rank_fails():
 
 def test_fam1_vs_fam2_nan_covector_fails(monkeypatch):
     cfg = default_config()
-    assert _fam1_vs_fam2(cfg, Frame.from_spatial(cfg.frames[0])).passed
+    assert _fam1_vs_fam2(cfg, cfg.build_frames()[0]).passed
     _nan_after_first(monkeypatch, "kappa", index=3)
-    result = _fam1_vs_fam2(cfg, Frame.from_spatial(cfg.frames[0]))
+    result = _fam1_vs_fam2(cfg, cfg.build_frames()[0])
     assert math.isnan(result.max_err) and not result.passed
     assert result.n == 25
 

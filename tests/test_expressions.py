@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from galimech.frame_dynamics import integrate
-from galimech.galilean_core import Frame, SpatialMetric
+from galimech.galilean_core import SpatialMetric
 from galimech.harness import expressions
 from galimech.harness.config import PotentialSpec
 from galimech.harness.expressions import (
@@ -428,7 +428,7 @@ class TestForce:
         assert graph.depths[root] == 400
         phi = PotentialSpec("custom", expr=text).build()
         start = (np.array([0.0, 0.3, 0.2, 0.1]), np.zeros(3))
-        traj = integrate(Frame.from_spatial([0.0, 0.0, 0.0]), 1.0,
+        traj = integrate(np.array([0.0, 0.0, 0.0]), 1.0,
                          SpatialMetric(np.eye(3)), phi, start, 1e-3, 20)
         assert np.isfinite(traj.q).all() and np.isfinite(traj.p).all()
         scalar = compile_expression(text)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -6,7 +7,6 @@ import numpy as np
 import pytest
 
 from galimech.galilean_core import (
-    Frame,
     SpatialMetric,
     pair,
     sigma,
@@ -41,7 +41,7 @@ from galimech.harness.expressions import compile_potential
 
 from conftest import at, random_frame, random_metric
 
-E0 = Frame.from_spatial([0.0, 0.0, 0.0])
+E0 = np.array([0.0, 0.0, 0.0])
 ORIGIN = np.array([0.0, 0.0, 0.0, 0.0])
 ID3 = SpatialMetric.identity()
 
@@ -51,16 +51,16 @@ def energy(m: float, g: SpatialMetric, phi: Potential, x: np.ndarray,
     """Trajectory.energies at the single state (x, p)."""
     traj = Trajectory(t=x[:1], q=x[None, None, 1:],
                       p=np.asarray(p, dtype=float)[None, None], h=1.0,
-                      frames=(E0,), mass=m)
+                      frames=E0[None], mass=m)
     return float(traj.energies(g, phi)[0])
 
 
-def carried(up: Frame, u: Frame, m: float, g: SpatialMetric,
+def carried(up: np.ndarray, u: np.ndarray, m: float, g: SpatialMetric,
             p: np.ndarray) -> np.ndarray:
     """Momentum p carried from frame up's bookkeeping to frame u: the chart
     change p + m sigma(up, u) of its class."""
     model = NewtonModel(m, g, free_potential())
-    return p_change_chart(model, p, up.spatial, u.spatial)
+    return p_change_chart(model, p, up, u)
 
 
 def stacked(states) -> tuple[np.ndarray, np.ndarray]:
@@ -204,7 +204,7 @@ class TestPotentials:
         assert at(phi, start[0]) == 0.0
         with pytest.raises(NonFiniteState,
                            match="ZeroDivisionError at step 1"):
-            integrate(Frame.from_spatial([0.0, 0.0, 0.0]), 1.0, ID3, phi,
+            integrate(np.array([0.0, 0.0, 0.0]), 1.0, ID3, phi,
                       start, 1e-3, 10)
 
     @pytest.mark.parametrize("expr", ["0.5*q1^2 + sin(q2)*q3", "(-1)^0.5*q1"])
@@ -304,15 +304,15 @@ class TestPotentials:
 
 class TestInhomogeneous:
     def test_lagrangian_rest_frame(self):
-        w = Frame.from_spatial([1.0, 0.0, 0.0])
-        val = lagrangian_inhom(E0.spatial, 1.0, ID3, 0.0, w.spatial)
+        w = np.array([1.0, 0.0, 0.0])
+        val = lagrangian_inhom(E0, 1.0, ID3, 0.0, w)
         assert val == pytest.approx(0.5)
 
     def test_lagrangian_with_potential(self):
-        w = Frame.from_spatial([3.0, 0.0, 0.0])
+        w = np.array([3.0, 0.0, 0.0])
         phi = Potential(values=lambda t, q: np.ones(np.shape(q)[:-1]),
                         force=free_potential().force)
-        val = lagrangian_inhom(E0.spatial, 2.0, ID3, at(phi, ORIGIN), w.spatial)
+        val = lagrangian_inhom(E0, 2.0, ID3, at(phi, ORIGIN), w)
         assert val == pytest.approx(8.0)
 
     def test_lagrangian_lower_bound(self, rng):
@@ -322,18 +322,17 @@ class TestInhomogeneous:
             w = random_frame(rng, scale=2.0)
             g = random_metric(rng)
             x = rng.normal(size=4)
-            assert lagrangian_inhom(u.spatial, 1.5, g, at(phi, x),
-                                    w.spatial) >= -at(phi, x)
+            assert lagrangian_inhom(u, 1.5, g, at(phi, x), w) >= -at(phi, x)
 
     def test_legendre_rest_frame(self):
-        w = Frame.from_spatial([3.0, 0.0, 0.0])
-        assert np.array_equal(legendre_inhom(E0.spatial, 2.0, ID3, w.spatial),
+        w = np.array([3.0, 0.0, 0.0])
+        assert np.array_equal(legendre_inhom(E0, 2.0, ID3, w),
                               [6.0, 0.0, 0.0])
 
     def test_legendre_moving_frame(self):
-        u = Frame.from_spatial([1.0, 0.0, 0.0])
-        w = Frame.from_spatial([1.0, 2.0, 0.0])
-        assert np.array_equal(legendre_inhom(u.spatial, 1.0, ID3, w.spatial),
+        u = np.array([1.0, 0.0, 0.0])
+        w = np.array([1.0, 2.0, 0.0])
+        assert np.array_equal(legendre_inhom(u, 1.0, ID3, w),
                               [0.0, 2.0, 0.0])
 
     def test_legendre_matches_velocity_derivative(self, rng):
@@ -347,8 +346,8 @@ class TestInhomogeneous:
             x = rng.normal(size=4)
             ws = rng.uniform(-2.0, 2.0, size=3)
             numeric = fd_gradient(
-                lambda s: lagrangian_inhom(u.spatial, m, g, at(phi, x), s), ws)
-            analytic = legendre_inhom(u.spatial, m, g, ws)
+                lambda s: lagrangian_inhom(u, m, g, at(phi, x), s), ws)
+            analytic = legendre_inhom(u, m, g, ws)
             scale = max(1.0, float(np.max(np.abs(analytic))))
             assert np.max(np.abs(analytic - numeric)) / scale <= 1e-6
             checked += 1
@@ -368,10 +367,10 @@ class TestInhomogeneous:
             m = float(rng.uniform(0.5, 3.0))
             x = rng.normal(size=4)
             w = random_frame(rng, scale=2.0)
-            p = legendre_inhom(u.spatial, m, g, w.spatial)
+            p = legendre_inhom(u, m, g, w)
             lhs = energy(m, g, phi, x, p) + \
-                lagrangian_inhom(u.spatial, m, g, at(phi, x), w.spatial)
-            rhs = float(p @ (w.spatial - u.spatial))
+                lagrangian_inhom(u, m, g, at(phi, x), w)
+            rhs = float(p @ (w - u))
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
     # integrate's rates, read from one step of h = 2^-27: the O(h^2) terms
@@ -392,7 +391,7 @@ class TestInhomogeneous:
         assert np.array_equal(pdot, [-1.0, 0.0, 0.0])
 
     def test_vector_field_moving_frame(self):
-        u = Frame.from_spatial([0.0, 1.0, 0.0])
+        u = np.array([0.0, 1.0, 0.0])
         state = (ORIGIN, [2.0, 0.0, 0.0])
         xdot, _ = self.rates(u, 2.0, ID3, free_potential(), state)
         assert xdot.tolist() == [1.0, 1.0, 1.0, 0.0]
@@ -407,14 +406,14 @@ class TestHomogeneous:
             m = float(rng.uniform(0.5, 3.0))
             x = rng.normal(size=4)
             w = random_frame(rng, scale=2.0)
-            hom = lagrangian_hom(u.spatial, m, g, at(phi, x),
-                                 np.concatenate([[1.0], w.spatial]))
-            inhom = lagrangian_inhom(u.spatial, m, g, at(phi, x), w.spatial)
+            hom = lagrangian_hom(u, m, g, at(phi, x),
+                                 np.concatenate([[1.0], w]))
+            inhom = lagrangian_inhom(u, m, g, at(phi, x), w)
             assert hom == pytest.approx(inhom, abs=1e-12)
 
     def test_worked_example(self):
         v = np.array([2.0, 2.0, 0.0, 0.0])
-        val = lagrangian_hom(E0.spatial, 1.0, ID3, 0.0, v)
+        val = lagrangian_hom(E0, 1.0, ID3, 0.0, v)
         assert val == pytest.approx(1.0)
 
     def test_degree_one_homogeneity(self, rng):
@@ -426,9 +425,9 @@ class TestHomogeneous:
             x = rng.normal(size=4)
             v = np.array([rng.uniform(0.4, 2.0), *rng.normal(size=3)])
             c = float(rng.uniform(0.1, 5.0))
-            u_s, phi_x = u.spatial, at(phi, x)
-            assert lagrangian_hom(u_s, m, g, phi_x, c * v) == pytest.approx(
-                c * lagrangian_hom(u_s, m, g, phi_x, v), rel=1e-12)
+            phi_x = at(phi, x)
+            assert lagrangian_hom(u, m, g, phi_x, c * v) == pytest.approx(
+                c * lagrangian_hom(u, m, g, phi_x, v), rel=1e-12)
 
     def test_rejects_past_directed(self):
         # The homogeneous kernels are undefined off the future cone, so the
@@ -438,19 +437,19 @@ class TestHomogeneous:
         x = np.array([0.3, 0.2, -0.4, 0.1])
         dphi = phi.d(x)
         v = np.array([-1.0, 1.0, 0.0, 0.0])
-        p = legendre_hom(E0.spatial, 1.0, ID3, at(phi, x), v)
+        p = legendre_hom(E0, 1.0, ID3, at(phi, x), v)
         pdot = -v[0] * dphi
         state = (x, p, v, pdot)
         assert not in_homogeneous_dynamics(E0, 1.0, ID3, phi, state, 1e-9)
         viol = homogeneous_dynamics_violation_array(
-            E0.spatial, 1.0, ID3, at(phi, x), dphi,
+            E0, 1.0, ID3, at(phi, x), dphi,
             np.stack([p, np.zeros(4)]),
             np.stack([v, np.array([0.0, 1.0, 0.0, 0.0])]),
             np.stack([pdot, np.zeros(4)]))
         assert viol.tolist() == [np.inf, np.inf]
 
     def test_legendre_hom_worked_example(self):
-        p = legendre_hom(E0.spatial, 1.0, ID3, 0.0, np.array([1.0, 1.0, 0.0, 0.0]))
+        p = legendre_hom(E0, 1.0, ID3, 0.0, np.array([1.0, 1.0, 0.0, 0.0]))
         assert p.tolist() == [-0.5, 1.0, 0.0, 0.0]
 
     def test_legendre_hom_scale_invariance(self, rng):
@@ -462,8 +461,8 @@ class TestHomogeneous:
             x = rng.normal(size=4)
             v = np.array([rng.uniform(0.4, 2.0), *rng.normal(size=3)])
             c = float(rng.uniform(0.2, 4.0))
-            a = legendre_hom(u.spatial, m, g, at(phi, x), v)
-            b = legendre_hom(u.spatial, m, g, at(phi, x), c * v)
+            a = legendre_hom(u, m, g, at(phi, x), v)
+            b = legendre_hom(u, m, g, at(phi, x), c * v)
             assert np.allclose(a, b, atol=1e-10 * (1.0 + np.max(np.abs(a))))
 
     def test_legendre_hom_matches_velocity_derivative(self, rng):
@@ -477,14 +476,14 @@ class TestHomogeneous:
             x = rng.normal(size=4)
             v = np.concatenate([[rng.uniform(0.5, 2.0)], rng.normal(size=3)])
             numeric = fd_gradient(
-                lambda c: lagrangian_hom(u.spatial, m, g, at(phi, x), c), v)
-            analytic = legendre_hom(u.spatial, m, g, at(phi, x), v)
+                lambda c: lagrangian_hom(u, m, g, at(phi, x), c), v)
+            analytic = legendre_hom(u, m, g, at(phi, x), v)
             scale = max(1.0, float(np.max(np.abs(analytic))))
             assert np.max(np.abs(analytic - numeric)) / scale <= 1e-6
 
     def test_mass_shell_residual_example(self):
         p = np.array([-0.5, 1.0, 0.0, 0.0])
-        assert mass_shell_residual(E0.spatial, 1.0, ID3, 0.0, p) == 0.0
+        assert mass_shell_residual(E0, 1.0, ID3, 0.0, p) == 0.0
 
     def test_legendre_output_is_on_shell(self, rng):
         pots = [free_potential(), uniform_potential([1.0, 0.0, 0.0]),
@@ -496,8 +495,8 @@ class TestHomogeneous:
                 m = float(rng.uniform(0.5, 3.0))
                 x = rng.normal(size=4)
                 v = np.array([rng.uniform(0.3, 2.5), *rng.normal(size=3)])
-                p = legendre_hom(u.spatial, m, g, at(phi, x), v)
-                assert abs(mass_shell_residual(u.spatial, m, g, at(phi, x),
+                p = legendre_hom(u, m, g, at(phi, x), v)
+                assert abs(mass_shell_residual(u, m, g, at(phi, x),
                                                p)) <= 1e-12
 
     def test_lagrangian_difference_is_sigma_pairing(self, rng):
@@ -512,9 +511,9 @@ class TestHomogeneous:
             m = float(rng.uniform(0.5, 3.0))
             x = rng.normal(size=4)
             v = np.array([rng.uniform(0.3, 2.0), *rng.normal(size=3)])
-            lhs = lagrangian_hom(u.spatial, m, g, at(phi, x), v) - \
-                lagrangian_hom(up.spatial, m, g, at(phi, x), v)
-            rhs = m * pair(sigma(g, up.spatial, u.spatial), v)
+            lhs = lagrangian_hom(u, m, g, at(phi, x), v) - \
+                lagrangian_hom(up, m, g, at(phi, x), v)
+            rhs = m * pair(sigma(g, up, u), v)
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
         assert worst <= 1e-10
 
@@ -546,11 +545,11 @@ class TestMembershipAndBoost:
         p = np.array([-0.5, 1.0 + 1e-4, 0.0, 0.0])
         zero = np.array([0.0, 0.0, 0.0, 0.0])
         viol = homogeneous_dynamics_violation_array(
-            E0.spatial, 1.0, ID3, 0.0, np.zeros(4), p, v, zero)
+            E0, 1.0, ID3, 0.0, np.zeros(4), p, v, zero)
         assert viol == pytest.approx(1e-4, rel=1e-6)
 
     def test_boost_worked_example(self):
-        up = Frame.from_spatial([1.0, 0.0, 0.0])
+        up = np.array([1.0, 0.0, 0.0])
         p = carried(up, E0, 1.0, ID3, np.zeros(4))
         assert p.tolist() == [-0.5, 1.0, 0.0, 0.0]
 
@@ -564,8 +563,8 @@ class TestMembershipAndBoost:
             x = rng.normal(size=4)
             p = rng.normal(size=4)
             q = carried(up, u, m, g, p)
-            before = mass_shell_residual(up.spatial, m, g, at(phi, x), p)
-            after = mass_shell_residual(u.spatial, m, g, at(phi, x), q)
+            before = mass_shell_residual(up, m, g, at(phi, x), p)
+            after = mass_shell_residual(u, m, g, at(phi, x), q)
             assert after == pytest.approx(before, abs=1e-12 * (1.0 + abs(before)))
 
     def test_boost_maps_legendre_images_between_frames(self, rng):
@@ -579,9 +578,9 @@ class TestMembershipAndBoost:
             m = float(rng.uniform(0.5, 3.0))
             x = rng.normal(size=4)
             v = np.array([rng.uniform(0.3, 2.0), *rng.normal(size=3)])
-            p_up = legendre_hom(up.spatial, m, g, at(phi, x), v)
+            p_up = legendre_hom(up, m, g, at(phi, x), v)
             boosted = carried(up, u, m, g, p_up)
-            p_u = legendre_hom(u.spatial, m, g, at(phi, x), v)
+            p_u = legendre_hom(u, m, g, at(phi, x), v)
             assert np.allclose(boosted, p_u, atol=1e-12)
 
     def test_boosted_member_stays_member(self, rng):
@@ -593,7 +592,7 @@ class TestMembershipAndBoost:
             m = float(rng.uniform(0.5, 3.0))
             x = rng.normal(size=4)
             v = np.array([float(rng.uniform(0.4, 2.0)), *rng.normal(size=3)])
-            p = legendre_hom(up.spatial, m, g, at(phi, x), v)
+            p = legendre_hom(up, m, g, at(phi, x), v)
             pdot = -v[0] * phi.d(x)
             member = (x, p, v, pdot)
             assert in_homogeneous_dynamics(up, m, g, phi, member, 1e-10)
@@ -608,10 +607,50 @@ class TestIntegrate:
             integrate(E0, 1.0, ID3, free_potential(), init, 0.1, 0)
         with pytest.raises(ValueError):
             integrate(E0, 1.0, ID3, free_potential(), init, -0.1, 10)
-        with pytest.raises(ValueError):
-            integrate(E0, 0.0, ID3, free_potential(), init, 0.1, 10)
+        for m in (0.0, math.nan):
+            with pytest.raises(ValueError, match="mass must be positive"):
+                integrate(E0, m, ID3, free_potential(), init, 0.1, 10)
+        with pytest.raises(ValueError, match="step count"):
+            integrate(E0, 1.0, ID3, free_potential(), init, 0.1, True)
         with pytest.raises(ValueError):
             integrate([E0, E0], 1.0, ID3, free_potential(), stacked([init] * 3),
+                      0.1, 10)
+
+    @pytest.mark.parametrize("kind, one, stack", [
+        ("harmonic", "7274d8cdfababb35", "b551f2893bb358ea"),
+        ("custom", "b4c117b4267ae4e5", "abe9494c4d38277d"),
+    ])
+    def test_frame_shapes(self, kind, one, stack):
+        # A (3,) frame, an (F, 3) stack and a list of (3,) rows give the
+        # trajectory bits pinned here, on the step map and on the stage
+        # loop.
+        phi = harmonic_potential(1.3, (0.1, -0.2, 0.4)) if kind == "harmonic" \
+            else PotentialSpec("custom",
+                               expr="0.5*q1^2 + 0.25*q2^4 + sin(t)*q3").build()
+        g = SpatialMetric(np.array([[1.0, 0.3, 0.0], [0.3, 2.0, 0.1],
+                                    [0.0, 0.1, 0.5]]))
+        frames = np.array([[0.0, 0.0, 0.0], [0.5, -0.25, 1.0],
+                           [-1.2, 0.4, 0.3]])
+        x0 = np.array([0.2, 0.8, -0.4, 0.1])
+        p0 = np.array([[0.3, -0.1, 0.6], [1.1, 0.2, -0.5], [-0.4, 0.9, 0.0]])
+
+        def digest(u, p):
+            traj = integrate(u, 0.7, g, phi, (x0, p), 0.01, 100)
+            assert np.array_equal(traj.frames, np.reshape(u, (-1, 3)))
+            assert not traj.frames.flags.writeable
+            h = hashlib.sha256()
+            for a in (traj.t, traj.q, traj.p):
+                h.update(np.ascontiguousarray(a).tobytes())
+            return h.hexdigest()[:16]
+
+        assert digest(frames[1], p0[1]) == one
+        assert digest(frames, p0) == digest(list(frames), p0) == stack
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 2), (0, 3), (1, 1, 3), ()])
+    def test_rejects_a_frame_of_another_shape(self, shape):
+        init = (ORIGIN, [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="frames must be"):
+            integrate(np.zeros(shape), 1.0, ID3, free_potential(), init,
                       0.1, 10)
 
     @pytest.mark.parametrize("n", [10, 3 * _FINITE_BLOCK + 5])
@@ -753,7 +792,7 @@ class TestIntegrate:
 def reference_integrate(frames, m, g, potential, start, h, n):
     """The RK4 loop one step at a time, each temporary a fresh array and
     the finiteness tested after every step: (ts, ys) or NonFiniteState."""
-    u_s = np.array([f.spatial for f in frames])
+    u_s = np.array(frames)
     x, p = start
     t = float(x[0, 0])
     ts = np.empty(n + 1)
@@ -887,7 +926,7 @@ class TestIntegrateBits:
         phi = Potential(phi.values, phi.force, affine=False)
         g = ID3 if metric == "identity" else random_metric(rng)
         zeros = [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [-0.0, -0.0, -0.0]]
-        us = [Frame.from_spatial(z) for z in zeros]
+        us = np.array(zeros)
         inits = [([0.0, *q], p)
                  for q, p in zip([[-0.0, 0.0, 0.4], [0.0, -0.0, 0.4],
                                   [-0.0, -0.0, -0.0]], zeros[::-1])]
@@ -919,7 +958,7 @@ class TestIntegrateBits:
     def test_names_the_same_step(self, schedule, frames):
         # Step k runs its stages at times k, k + 1/2 and k + 1 (h = 1).
         phi = _step_gradient(schedule)
-        us = [Frame.from_spatial([0.1 * f, 0.0, 0.0]) for f in range(frames)]
+        us = [np.array([0.1 * f, 0.0, 0.0]) for f in range(frames)]
         inits = stacked([(ORIGIN, [1.0, 0.0, 0.0]) for _ in us])
         args = (us, 0.7, ID3, phi, inits, 1.0, 3 * _FINITE_BLOCK + 5)
         want = _message(reference_integrate, *args)

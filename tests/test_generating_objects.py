@@ -6,7 +6,6 @@ import pytest
 
 from galimech.galilean_core import (
     DomainError,
-    Frame,
     SpatialMetric,
     iota_u_array,
 )
@@ -42,7 +41,7 @@ from galimech.harness.config import PotentialSpec
 
 from conftest import at
 
-E0 = Frame.from_spatial([0.0, 0.0, 0.0])
+E0 = np.array([0.0, 0.0, 0.0])
 ID3 = SpatialMetric.identity()
 
 
@@ -508,13 +507,13 @@ class TestExample31:
 
 class TestParticleFamilies:
     def setup_method(self):
-        self.u = Frame.from_spatial([0.2, -0.1, 0.4])
+        self.u = np.array([0.2, -0.1, 0.4])
         self.m = 1.3
         self.g = SpatialMetric.diagonal(1.0, 2.0, 0.5)
         self.phi = harmonic_potential(0.8, center=[0.1, 0.0, -0.3])
 
     def on_shell_base(self, v: np.ndarray, x: np.ndarray) -> np.ndarray:
-        p = legendre_hom(self.u.spatial, self.m, self.g, at(self.phi, x), v)
+        p = legendre_hom(self.u, self.m, self.g, at(self.phi, x), v)
         return np.concatenate([x, p])
 
     def test_fam1_critical_velocity_relation(self):
@@ -529,7 +528,7 @@ class TestParticleFamilies:
         # At criticality the projected velocity is tied to the momentum:
         # iota_u v = (tv / m) g^{-1} iota* p.
         tv = v_found[0]
-        lhs = iota_u_array(self.u.spatial, v_found)
+        lhs = iota_u_array(self.u, v_found)
         rhs = tv / self.m * self.g.apply_inverse(base[5:])
         assert np.allclose(lhs, rhs, atol=1e-9)
 
@@ -630,7 +629,7 @@ class TestExactHessians:
         ).build(),
     }
     METRIC = SpatialMetric([[1.0, 0.3, 0.0], [0.3, 2.0, 0.1], [0.0, 0.1, 0.5]])
-    FRAME = Frame.from_spatial([0.3, -0.2, 0.5])
+    FRAME = np.array([0.3, -0.2, 0.5])
 
     def family(self, name, m, phi):
         model = NewtonModel(m, self.METRIC, phi)

@@ -73,7 +73,7 @@ class TestParse:
         cfg = parse_config(minimal())
         u = cfg.build_frames()[1]
         x, p = cfg.initial_state(u)
-        expected = cfg.mass * (np.array(cfg.initial_velocity) - u.spatial)
+        expected = cfg.mass * (np.array(cfg.initial_velocity) - u)
         assert x.tolist() == list(cfg.initial_event)
         assert np.allclose(p, expected)
 

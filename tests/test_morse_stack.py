@@ -30,7 +30,7 @@ from galimech.frame_dynamics import (
     legendre_hom,
     mass_shell_residual,
 )
-from galimech.galilean_core import DomainError, Frame, GalimechError
+from galimech.galilean_core import DomainError, GalimechError
 from galimech.generating_objects import (
     CriticalPoint,
     FunctionFamily,
@@ -76,26 +76,26 @@ def ref_differential(potential, x: np.ndarray) -> np.ndarray:
     return np.array([float(dt), float(ds[0]), float(ds[1]), float(ds[2])])
 
 
-def ref_fam1(u: Frame, m, g, potential):
+def ref_fam1(u: np.ndarray, m, g, potential):
     def gradient(base, fiber):
         base = np.asarray(base, dtype=float)
         x, p = base[:4], base[4:]
         v = np.array([float(fiber[3]), float(fiber[0]), float(fiber[1]),
                       float(fiber[2])])
         gx = v[0] * ref_differential(potential, x)
-        gv = p - legendre_hom(u.spatial, m, g, at(potential, x), v)
+        gv = p - legendre_hom(u, m, g, at(potential, x), v)
         return np.concatenate([gx, v]), gv[[1, 2, 3, 0]]
     return gradient
 
 
-def ref_fam2(u: Frame, m, g, potential):
+def ref_fam2(u: np.ndarray, m, g, potential):
     def gradient(base, fiber):
         base = np.asarray(base, dtype=float)
         x, p = base[:4], base[4:]
         r = float(fiber[0])
-        res = mass_shell_residual(u.spatial, m, g, at(potential, x), p)
+        res = mass_shell_residual(u, m, g, at(potential, x), p)
         dres_dp = np.concatenate([[1.0],
-                                  g.apply_inverse(p[1:]) / m + u.spatial])
+                                  g.apply_inverse(p[1:]) / m + u])
         return (r * np.concatenate([ref_differential(potential, x), dres_dp]),
                 np.array([res]))
     return gradient
@@ -161,13 +161,13 @@ def ref_newton(gradient, hessian, base, seed, tol, max_iter=60):
 
 # --- cases ----------------------------------------------------------------
 
-def on_shell(rng, u: Frame, m, g, potential, count: int):
+def on_shell(rng, u: np.ndarray, m, g, potential, count: int):
     """Bases on the constraint set of frame u and their velocities."""
     out = []
     for _ in range(count):
         x = rng.normal(size=4)
         v = np.array([rng.uniform(0.5, 1.5), *rng.normal(size=3)])
-        p = legendre_hom(u.spatial, m, g, at(potential, x), v)
+        p = legendre_hom(u, m, g, at(potential, x), v)
         out.append((np.concatenate([x, p]), v[[1, 2, 3, 0]]))
     return out
 
