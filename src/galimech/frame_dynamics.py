@@ -11,7 +11,8 @@ equations of motion are affine in the state, so one RK4 step is one affine
 map, the same at every step and in every frame up to its constant term; it
 is precomputed once per integration, with its powers, and advanced a block
 of steps at a time.  A ``custom`` potential runs RK4's four stages at every
-step.
+step, as one program of ufunc calls bound once per integration to fixed
+buffers, its force kernel's own schedule (``bind``) among them.
 
 In the *homogeneous* picture the velocity is an arbitrary future-directed
 four-vector and the momentum a full covector.  The lagrangian extends the
@@ -86,6 +87,12 @@ class Potential:
     f0 + K q, and that the value does not depend on t (so ``time`` must
     be None): ``integrate`` then runs RK4 as one precomputed step map.
     The built-in kinds set it; a ``custom`` kind does not.
+    A force may also carry ``force.bind(t, q, out)``, as a ``custom``
+    kernel does: its schedule of calls (f, args), which, run in order,
+    write into out the force at whatever the 0-d time array t and the
+    positions q then hold, with the bits of ``force(float(t), q, out)``
+    when no call raises.  ``integrate`` binds it once per call into its
+    RK4 stage program.
     """
 
     __slots__ = ("values", "force", "time", "affine")
@@ -335,42 +342,83 @@ def _stage_steps(ts, ys, u_s, m, g, potential, h, check):
     """advance(start, stop): RK4 steps start..stop-1 of integrate, each
     through its four stages, every stage temporary in a buffer allocated
     here once.  A step that raises names itself after check has named any
-    earlier non-finite step."""
-    # The four stage rates k1..k4 stacked in ks, the stage state, and acc.
+    earlier non-finite step.
+
+    One step is a flat program of calls (f, args) bound once to these
+    buffers: the rates of each stage (``g.apply_inverse`` as a method,
+    which keeps its batched products), each force evaluation, the stage
+    sums, and the stage times, held in 0-d arrays.  A force kernel with a
+    ``bind(t, q, out)`` gives its own schedule of calls, bound to the
+    stage state and rate; any other force is one call that gets t as a
+    float.  A block of steps runs under numpy's floating-point errors
+    raised.  A step that raises is redone from its start state to the
+    end of the block by the program that calls each force through its
+    own per-call entry, with overflow and invalid ignored, so every bit
+    and every error is the per-call loop's."""
+    # The four stage rates k1..k4 stacked in ks, the state y, the stage
+    # state, acc, and the stage times t, t + h/2 and t + h.
     ks = np.empty((4, *ys.shape[1:]))
-    stage, acc = np.empty(ys.shape[1:]), np.empty(ys.shape[1:])
-    k1, k2, k3, _ = ks
+    y, stage, acc = (np.empty(ys.shape[1:]) for _ in range(3))
+    t0, t_half, t1 = (np.empty(()) for _ in range(3))
+    k1, k2, k3, k4 = ks
     k23 = ks[1:3]
-    (k1q, k1p), (k2q, k2p), (k3q, k3p), (k4q, k4p) = ks
-    sq, sp = stage
-    inverse, half = g.apply_inverse, 0.5 * h
-    force = potential.force
+    inverse, force = g.apply_inverse, potential.force
     # numpy combines an array with a 0-d array faster than with a float.
     m_, half_, h_, two, six = (np.array(c, dtype=float)
-                               for c in (m, half, h, 2.0, 6.0))
+                               for c in (m, 0.5 * h, h, 2.0, 6.0))
 
-    def rates(t: float, q, p, kq, kp) -> None:
-        np.add(np.divide(inverse(p, kq), m_, kq), u_s, kq)
-        force(t, q, kp)
+    def per_call(t, q, out) -> None:
+        force(float(t), q, out)
+
+    def program(bind) -> list:
+        """The calls of one step from (t0, y) into (t0, y): each force
+        through its schedule bind(t, q, out), or per_call where bind is
+        None."""
+        def rates(t, state, k) -> list:
+            (q, p), (kq, kp) = state, k
+            return [(inverse, (p, kq)), (np.divide, (kq, m_, kq)),
+                    (np.add, (kq, u_s, kq)),
+                    *(bind(t, q, kp) if bind else [(per_call, (t, q, kp))])]
+
+        def stage_state(c, k) -> list:
+            return [(np.multiply, (c, k, stage)), (np.add, (y, stage, stage))]
+
+        return [
+            *rates(t0, y, k1), *stage_state(half_, k1),
+            (np.add, (t0, half_, t_half)),
+            *rates(t_half, stage, k2), *stage_state(half_, k2),
+            *rates(t_half, stage, k3), *stage_state(h_, k3),
+            (np.add, (t0, h_, t1)),
+            *rates(t1, stage, k4),
+            # y + h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0): the
+            # reduction adds the stages in order, and starting it from
+            # -0.0 keeps the sign of a zero sum.
+            (np.multiply, (two, k23, k23)),
+            (np.add.reduce, (ks, 0, None, acc, False, -0.0)),
+            (np.divide, (acc, six, acc)), (np.multiply, (h_, acc, acc)),
+            (np.add, (y, acc, y)),
+            # t + h, as integrate's running sum of the times has it
+            (np.positive, (t1, t0))]
+
+    fast, slow = program(getattr(force, "bind", None)), program(None)
+    step = 0  # the step running, named when one raises
+
+    def run(calls: list, first: int, stop: int) -> None:
+        """Steps first..stop-1 by calls, from ys[first], each stored."""
+        nonlocal step
+        y[...], t0[...] = ys[first], ts[first]
+        for step in range(first, stop):
+            for f, args in calls:
+                f(*args)
+            ys[step + 1] = y
 
     def advance(start: int, stop: int) -> None:
         try:
-            for step, t in enumerate(ts[start:stop].tolist(), start):
-                y = ys[step]
-                rates(t, y[0], y[1], k1q, k1p)
-                np.add(y, np.multiply(half_, k1, stage), stage)
-                rates(t + half, sq, sp, k2q, k2p)
-                np.add(y, np.multiply(half_, k2, stage), stage)
-                rates(t + half, sq, sp, k3q, k3p)
-                np.add(y, np.multiply(h_, k3, stage), stage)
-                rates(t + h, sq, sp, k4q, k4p)
-                # y + h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0): the
-                # reduction adds the stages in order, and starting it
-                # from -0.0 keeps the sign of a zero sum.
-                np.multiply(two, k23, k23)
-                np.add.reduce(ks, axis=0, out=acc, initial=-0.0)
-                np.divide(acc, six, acc)
-                np.add(y, np.multiply(h_, acc, acc), ys[step + 1])
+            try:
+                with np.errstate(all="raise", under="ignore"):
+                    run(fast, start, stop)
+            except FloatingPointError:
+                run(slow, step, stop)
         except Exception as exc:
             # A step that went non-finite before the failing one is
             # reported first, as a test after every step would have.
@@ -483,7 +531,13 @@ def integrate(u, m: float, g: SpatialMetric,
     - any other potential runs the four stages of each step as one
       stacked state y (2, F, 3), positions then momenta, each stage
       written into buffers allocated once per call, the momentum rate of
-      a stage written in place by the ``force`` kernel.
+      a stage written in place by the ``force`` kernel: one flat program
+      of calls bound once per call to those buffers, with the schedule of
+      ``force.bind`` where the force has one, run under numpy's
+      floating-point errors raised; a step that raises is redone, to the
+      end of its block, with each force called through its per-call
+      entry and overflow ignored, which gives the same bits and names the
+      same step.
     Produces n+1 steps including the initial one.  Raises ValueError for
     frames of any other shape, a non-positive mass or step, n < 1, or
     initial states that do not match the frames one to one at one start

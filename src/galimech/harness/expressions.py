@@ -8,9 +8,11 @@ exp.  One recursive-descent parser turns the text into a graph of shared
 nodes over ``numpy``, for the values, the force and the time derivative
 of a (..., 3) array of points, with times broadcasting against them, in
 one call: each node is one ufunc call into a register, reused once its
-last reader has run, and each result is a new array or the caller's out.
-Or over ``math``, which judges whether a result that is not finite is an
-error.  The force and the time derivative are derived from the graph by
+last reader has run, and each result is a new array or the caller's out;
+that schedule of calls can also be bound once to a caller's arrays and
+run again at whatever they hold (threaded code: Bell, *CACM* 16(6),
+1973).  Or over ``math``, which judges whether a result that is not
+finite is an error.  The force and the time derivative are derived from the graph by
 the chain rule (Griewank & Walther, *Evaluating Derivatives*, 2008).
 Nothing evaluates Python, so a config file cannot execute anything, and
 nothing recurses deeper than the parser, which bounds nesting.
@@ -259,13 +261,16 @@ def _program(graph: _Graph, roots: list[int]):
 
 
 def _evaluator(graph: _Graph, roots: list[int]) -> Callable:
-    """evaluate(t, q, outs), which writes each root at every position of
-    q (..., 3) into its array of outs, all of one shape, by the steps
-    (ufunc, a, b, c): ufunc(r[a], r[c]) or ufunc(r[a], r[b], r[c]) on r =
-    [t, q1, q2, q3, *constants, *outs, *registers].  A root's own step
-    writes its out (a coordinate, a constant or a repeated root is copied
-    there); any other node takes a register, free again after its last
-    reader.  Registers are allocated at the first call and each new shape."""
+    """bind(t, q, outs), the schedule that writes each root at every
+    position of q (..., 3) into its array of outs, all of one shape: a
+    list of calls (ufunc, args), args (r[a], r[c]) or (r[a], r[b], r[c])
+    of r = [t, q1, q2, q3, *constants, *outs, *registers], bound to the
+    arrays given, so running the calls in order evaluates at whatever
+    they hold then.  A root's own step writes its out (a coordinate, a
+    constant or a repeated root is copied there); any other node takes a
+    register, free again after its last reader.  Registers are allocated
+    at the first binding and each new shape, and shared by every binding
+    of that shape."""
     nodes = graph.nodes
     order = _needed(nodes, roots)
     consts = [k for k in order if nodes[k][0] == "const"]
@@ -288,23 +293,31 @@ def _evaluator(graph: _Graph, roots: list[int]) -> Callable:
                      if last[x] == i and reg[x] >= base]
     steps += [(np.positive, reg[k], None, c)
               for k, c in zip(roots, outs) if reg[k] != c]
+    # Each step's args, taken from r in one C call.
+    steps = [(f, operator.itemgetter(a, c) if b is None
+              else operator.itemgetter(a, b, c)) for f, a, b, c in steps]
     constants = [graph.table.constant(nodes[k][1]) for k in consts]
     shape, registers, size = None, [], next(fresh) - base
 
-    def evaluate(t, q: np.ndarray, outs: list) -> None:
+    def bind(t, q: np.ndarray, outs: list) -> list:
         nonlocal shape, registers
         if outs[0].shape != shape:
             shape = outs[0].shape
             registers = [np.empty(shape) for _ in range(size)]
         r = [t, q[..., 0], q[..., 1], q[..., 2], *constants, *outs,
              *registers]
-        for f, a, b, c in steps:
-            if b is None:
-                f(r[a], r[c])
-            else:
-                f(r[a], r[b], r[c])
+        return [(f, args(r)) for f, args in steps]
 
-    return evaluate
+    return bind
+
+
+def _call(calls: list) -> None:
+    """Run the calls (f, args) of a bound schedule in order."""
+    for f, args in calls:
+        f(*args)
+
+
+_raising = np.errstate(all="raise", under="ignore")(_call)
 
 
 class _Parser:
@@ -440,6 +453,16 @@ def compile_potential(text: str) -> tuple[Callable, Callable, Callable | None]:
     even a finite value through an infinite intermediate: at q1 = 0,
     exp(-1/q1^2) is 0, and its force, 0 * inf, raises the
     ZeroDivisionError of -1/q1^2.
+
+    Each kernel also has bind(t, q, out), for a caller that evaluates
+    many times over the same arrays: the kernel's schedule as a list of
+    calls (ufunc, args), bound to a 0-d array t of the time, the
+    positions q, out and the kernel's registers.  Running the calls in
+    order writes the result at whatever t and q hold then, with the bits
+    of run(float(t), q, out), but judges nothing: under numpy's errors
+    raised, a call that meets one raises FloatingPointError, and the
+    caller evaluates there through the kernel itself, which binds the
+    same schedule at each call.
     """
     graph, root = _parse(text, _ARRAY)
     time, force_nodes = graph.derivatives(root)
@@ -460,27 +483,32 @@ def compile_potential(text: str) -> tuple[Callable, Callable, Callable | None]:
                 judges[i](t_i, q1, q2, q3)
 
     def kernel(roots: list[int], *which: int) -> Callable:
-        """The kernel run(t, q, out=None) of roots, judged by the math
-        table's evaluators which: the force, into columns, if 1 is one."""
-        evaluate = _evaluator(graph, roots)
-        raising = np.errstate(all="raise", under="ignore")(evaluate)
+        """The kernel run(t, q, out=None) of roots, with run.bind, judged
+        by the math table's evaluators which: the force, into columns, if
+        1 is one."""
+        bind = _evaluator(graph, roots)
         force = 1 in which
+
+        def columns(out: np.ndarray) -> list:
+            return [out[..., 0], out[..., 1], out[..., 2]] if force else [out]
 
         def run(t, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             if out is None:
                 shape = np.broadcast_shapes(np.shape(t), np.shape(q)[:-1])
                 out = np.empty(shape + (3,) if force else shape)
-            outs = [out[..., 0], out[..., 1], out[..., 2]] if force else [out]
+            calls = bind(t, q, columns(out))
             try:
-                raising(t, q, outs)
+                _raising(calls)
                 return out
             except FloatingPointError:
                 pass
             with np.errstate(all="ignore"):
-                evaluate(t, q, outs)
+                _call(calls)
             ok = np.isfinite(out)
             judge(t, q, ok.all(axis=-1) if force else ok, which)
             return out
+
+        run.bind = lambda t, q, out: bind(t, q, columns(out))
         return run
 
     return (kernel([root], 0), kernel(force_nodes, 0, 1),

@@ -636,3 +636,21 @@ class TestReferenceEquality:
             with pytest.raises(ZeroDivisionError):
                 kernel(0.0, pole)
             self._check("1/q1", kernels, 0.0, q)
+
+    @pytest.mark.parametrize("text", CASES)
+    def test_bound_schedules_equal_the_kernels(self, text):
+        # A schedule bound once evaluates at whatever its arrays hold when
+        # it runs, a 0-d array of the time included, with every bit of a
+        # per-call evaluation there.
+        rng = np.random.default_rng(20266)
+        t, q = np.empty(()), np.empty((8, 3))
+        kernels = [k for k in compile_potential(text) if k is not None]
+        outs = [np.empty((8, 3) if i == 1 else 8)
+                for i in range(len(kernels))]
+        schedules = [k.bind(t, q, out) for k, out in zip(kernels, outs)]
+        for _ in range(3):
+            t[...], q[...] = rng.uniform(-1.0, 2.0), rng.normal(size=(8, 3))
+            for kernel, calls, out in zip(kernels, schedules, outs):
+                for f, args in calls:
+                    f(*args)
+                assert _same_bits(out, kernel(float(t), q))

@@ -883,6 +883,26 @@ def _linear_force() -> Potential:
                      affine=True)
 
 
+# The custom_field potential of benchmark seed 1, through powers, sin, cos
+# and exp.
+CUSTOM_FIELD = (
+    "0.5*0.9978*((q1-(0.2238))^2+(q2-(0.0153))^2+(q3-(-0.6874))^2)"
+    " + 0.1706*(q1-(0.2238))^4 + 0.1057*sin(q2)*cos(q3)"
+    " + 0.2307*exp(-0.5*(q1^2+q3^2))")
+
+# Compiled forces that raise or overflow inside a step: (expr, h, the
+# stderr line of `galimech simulate` from the stock start at the origin).
+HOSTILE = [
+    ("q1^-1", 1e-3, "integration diverged: potential raised "
+     "ZeroDivisionError at step 1: 0.0 cannot be raised to a negative power"),
+    # a finite force whose stage sums overflow
+    ("1e308*q1*q1*q1", 1e-3,
+     "integration diverged: state became non-finite at step 1"),
+    # a division by zero at an exact stage time, t = 2, in mid-block
+    ("q1/(t-2)", 0.25, "integration diverged: potential raised "
+     "ZeroDivisionError at step 8: float division by zero"),
+]
+
 GRID_POTENTIALS = {
     "free": free_potential,
     "uniform": lambda: uniform_potential([0.3, -1.1, 0.6]),
@@ -890,7 +910,21 @@ GRID_POTENTIALS = {
     "linear": _linear_force,
     "custom": lambda: PotentialSpec("custom", expr=(
         "0.5*q1^2 + 0.25*q2^4 + sin(t)*q3 + 0.1*q1*q3")).build(),
+    "custom_field": lambda: PotentialSpec("custom", expr=CUSTOM_FIELD).build(),
 }
+
+
+def _spied(phi: Potential) -> tuple[Potential, list]:
+    """phi with a force that notes the time of each per-call entry, and
+    binds as phi's force does; and the list of those times."""
+    calls = []
+
+    def force(t, q, out=None):
+        calls.append(t)
+        return phi.force(t, q, out)
+
+    force.bind = phi.force.bind
+    return Potential(phi.values, force, phi.time), calls
 
 
 class TestIntegrateBits:
@@ -901,7 +935,8 @@ class TestIntegrateBits:
     @pytest.mark.parametrize("n", [1, 2 * _FINITE_BLOCK + 22])
     @pytest.mark.parametrize("frames", [1, 8])
     @pytest.mark.parametrize("metric", ["identity", "spd"])
-    @pytest.mark.parametrize("kind", ["free", "uniform", "harmonic", "custom"])
+    @pytest.mark.parametrize("kind", ["free", "uniform", "harmonic", "custom",
+                                      "custom_field"])
     def test_trajectory_bits(self, rng, kind, metric, frames, n):
         phi = GRID_POTENTIALS[kind]()
         phi = Potential(phi.values, phi.force, phi.time, affine=False)
@@ -963,6 +998,55 @@ class TestIntegrateBits:
         args = (us, 0.7, ID3, phi, inits, 1.0, 3 * _FINITE_BLOCK + 5)
         want = _message(reference_integrate, *args)
         assert want is not None and _message(integrate, *args) == want
+
+    def test_wide_stack_bits(self, rng):
+        # 64 frames take the metric's batched products.
+        args = _grid_args(rng, GRID_POTENTIALS["custom_field"](), "spd", 64,
+                          2 * _FINITE_BLOCK + 22)
+        ts, ys = reference_integrate(*args)
+        traj = integrate(*args)
+        assert np.array_equal(_bits(traj.q), _bits(ys[:, 0]))
+        assert np.array_equal(_bits(traj.p), _bits(ys[:, 1]))
+
+    def test_a_finite_run_never_calls_the_force(self, rng):
+        # A compiled force runs through its bound schedule; its per-call
+        # entry runs only to redo a step that raised, with t a float.
+        phi = GRID_POTENTIALS["custom_field"]()
+        args = _grid_args(rng, phi, "spd", 8, 2 * _FINITE_BLOCK + 22)
+        ts, ys = reference_integrate(*args)
+        spy, calls = _spied(phi)
+        traj = integrate(*args[:3], spy, *args[4:])
+        assert calls == []
+        assert np.array_equal(_bits(traj.q), _bits(ys[:, 0]))
+        assert np.array_equal(_bits(traj.p), _bits(ys[:, 1]))
+        spy, calls = _spied(PotentialSpec("custom", expr="q1^-1").build())
+        with pytest.raises(NonFiniteState, match="ZeroDivisionError"):
+            integrate(E0, 1.0, ID3, spy, (ORIGIN, [1.0, 0.0, 0.0]), 1e-3, 5)
+        assert calls == [0.0]
+        assert type(calls[0]) is float
+
+    @pytest.mark.parametrize("frames", [1, 8])
+    @pytest.mark.parametrize("expr, h, line", HOSTILE)
+    def test_compiled_force_errors_name_the_same_step(self, expr, h, line,
+                                                      frames):
+        phi = PotentialSpec("custom", expr=expr).build()
+        us = np.array([[0.1 * f, 0.0, 0.0] for f in range(frames)])
+        ps = legendre_inhom(us, 1.0, ID3, np.array([1.0, 0.0, 0.0]))
+        args = (us, 1.0, ID3, phi, stacked([(ORIGIN, p) for p in ps]), h, 40)
+        want = _message(reference_integrate, *args)
+        assert _message(integrate, *args) == want == \
+            line.removeprefix("integration diverged: ")
+
+    @pytest.mark.parametrize("expr, h, line", HOSTILE)
+    def test_compiled_force_errors_exit_3(self, tmp_path, capsys, expr, h,
+                                          line):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({
+            "potential": {"kind": "custom", "expr": expr}, "h": h, "n": 40}))
+        out = tmp_path / "never.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not out.exists()
 
     def test_time_column_overflow_is_named(self):
         # t passes the largest float at step 10, long before q does, on

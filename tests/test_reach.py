@@ -55,6 +55,10 @@ LIBRARY_API = [
 ERROR_PATHS = [
     "generating_objects._raise_lstsq_error",
     "frame_dynamics.Trajectory.energies.<locals>.stop",
+    # The per-call force entry of the RK4 stage program: it runs a force
+    # without a bound schedule, and redoes a step that raised.  Every
+    # golden force binds, and no golden step raises.
+    "frame_dynamics._stage_steps.<locals>.per_call",
 ]
 TEST_ORACLES = [
     "generating_objects.family_fam1.<locals>.value",
