@@ -24,11 +24,13 @@ and cotangent pictures, and the affine-metric section construction.
 The quotient operations are written once, as array kernels over stacks of
 components: momentum representatives as covector components (..., 4), W
 representatives packed as (v0, v1, v2, v3, r) in (..., 5), frames as
-their spatial velocities (..., 3), and the potential as its values.  The
-reference frame ``REFERENCE_FRAME`` is the read-only zero velocity (3,).
-WElement and PElement hold one class each, as its read-only representative
-array; their ``from_chart``/``in_chart`` take a frame (3,) and call the
-chart-change kernels on it.
+their spatial velocities (..., 3), and the potential as its values.  Every
+kernel that reads the mass m and the spatial metric g takes them as its
+first two arguments, as in ``frame_dynamics``.  The reference frame
+``REFERENCE_FRAME`` is the read-only zero velocity (3,).  WElement and
+PElement hold one class each, as its read-only representative array; their
+``from_chart``/``in_chart`` take m, g and a frame (3,) and call the
+chart-change kernels on them.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from .generating_objects import FunctionFamily, family_fam1, family_fam2
 
 __all__ = [
     "REFERENCE_FRAME",
-    "NewtonModel",
     "WElement",
     "PElement",
     "W_UNIT",
@@ -84,17 +85,6 @@ REFERENCE_FRAME = np.zeros(3)
 REFERENCE_FRAME.setflags(write=False)
 
 
-class NewtonModel:
-    """Ambient data every quotient operation needs: mass, metric, potential."""
-
-    __slots__ = ("mass", "metric", "potential")
-
-    def __init__(self, mass: float, metric: SpatialMetric, potential: Potential):
-        if not (mass > 0.0):
-            raise ValueError(f"mass must be positive, got {mass!r}")
-        self.mass, self.metric, self.potential = mass, metric, potential
-
-
 def w_pack(v, r) -> np.ndarray:
     """Pack velocity parts (..., 4) and real parts (...) as (..., 5)."""
     out = np.empty(np.broadcast_shapes(np.shape(v)[:-1], np.shape(r)) + (5,))
@@ -103,21 +93,20 @@ def w_pack(v, r) -> np.ndarray:
     return out
 
 
-def w_change_chart(model: NewtonModel, w, from_u, to_u) -> np.ndarray:
+def w_change_chart(m: float, g: SpatialMetric, w, from_u, to_u) -> np.ndarray:
     """Re-express lagrangian-value representatives (..., 5) in other frames.
 
     The velocity part is chart-independent; the real part picks up the
     sigma pairing:  r' = r - m <sigma(to, from), v>.
     """
     v = w[..., :4]
-    shift = sigma(model.metric, to_u, from_u)
-    return w_pack(v, w[..., 4] - model.mass * pair(shift, v))
+    return w_pack(v, w[..., 4] - m * pair(sigma(g, to_u, from_u), v))
 
 
-def p_change_chart(model: NewtonModel, p, from_u, to_u) -> np.ndarray:
+def p_change_chart(m: float, g: SpatialMetric, p, from_u, to_u) -> np.ndarray:
     """Re-express momentum representatives (..., 4) in other frames:
     p' = p - m sigma(to, from)."""
-    return p - model.mass * sigma(model.metric, to_u, from_u)
+    return p - m * sigma(g, to_u, from_u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,16 +122,17 @@ class WElement:
     w: np.ndarray
 
     @classmethod
-    def from_chart(cls, model: NewtonModel, v, r: float,
+    def from_chart(cls, m: float, g: SpatialMetric, v, r: float,
                    frame: np.ndarray) -> "WElement":
         """The class of velocity v (4,) and real r in the chart of frame."""
-        w = w_change_chart(model, w_pack(v, r), frame, REFERENCE_FRAME)
+        w = w_change_chart(m, g, w_pack(v, r), frame, REFERENCE_FRAME)
         w.setflags(write=False)
         return cls(w)
 
-    def in_chart(self, model: NewtonModel, frame: np.ndarray) -> np.ndarray:
+    def in_chart(self, m: float, g: SpatialMetric,
+                 frame: np.ndarray) -> np.ndarray:
         """The representative (5,) in the chart of frame."""
-        return w_change_chart(model, self.w, REFERENCE_FRAME, frame)
+        return w_change_chart(m, g, self.w, REFERENCE_FRAME, frame)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,16 +143,17 @@ class PElement:
     p: np.ndarray
 
     @classmethod
-    def from_chart(cls, model: NewtonModel, p,
+    def from_chart(cls, m: float, g: SpatialMetric, p,
                    frame: np.ndarray) -> "PElement":
         """The class of covector p (4,) in the chart of frame."""
-        p = p_change_chart(model, p, frame, REFERENCE_FRAME)
+        p = p_change_chart(m, g, p, frame, REFERENCE_FRAME)
         p.setflags(write=False)
         return cls(p)
 
-    def in_chart(self, model: NewtonModel, frame: np.ndarray) -> np.ndarray:
+    def in_chart(self, m: float, g: SpatialMetric,
+                 frame: np.ndarray) -> np.ndarray:
         """The representative covector (4,) in the chart of frame."""
-        return p_change_chart(model, self.p, REFERENCE_FRAME, frame)
+        return p_change_chart(m, g, self.p, REFERENCE_FRAME, frame)
 
 
 # The distinguished unit: evaluates to 1 on every momentum class, and its
@@ -210,7 +201,7 @@ def pairing_array(p, v) -> np.ndarray:
     return w_pack(v, pair(p, v))
 
 
-def psi_m_array(model: NewtonModel, p) -> np.ndarray:
+def psi_m_array(m: float, g: SpatialMetric, p) -> np.ndarray:
     """Kinetic-plus-transport part of the mass-shell function,
 
         (1/2m) <p, g'(p)> + <p, u>
@@ -219,11 +210,11 @@ def psi_m_array(model: NewtonModel, p) -> np.ndarray:
     the sigma shift changes both terms by opposite amounts.
     """
     ps = p[..., 1:]
-    return 0.5 / model.mass * np.vecdot(ps, model.metric.apply_inverse(ps)) \
+    return 0.5 / m * np.vecdot(ps, g.apply_inverse(ps)) \
         + pair_frame(p, REFERENCE_FRAME)
 
 
-def affine_lagrangian_array(model: NewtonModel, phi, v) -> np.ndarray:
+def affine_lagrangian_array(m: float, g: SpatialMetric, phi, v) -> np.ndarray:
     """The lagrangian as a W-valued map: class of (u, v, l_u(x, v)), for
     velocities (..., 4) at events with potential values phi.
 
@@ -231,11 +222,11 @@ def affine_lagrangian_array(model: NewtonModel, phi, v) -> np.ndarray:
     per-frame lagrangians differ by exactly the sigma pairing the chart
     rule removes.  The velocities must be future-directed.
     """
-    return w_pack(v, lagrangian_hom(REFERENCE_FRAME, model.mass,
-                                    model.metric, phi, v))
+    return w_pack(v, lagrangian_hom(REFERENCE_FRAME, m, g, phi, v))
 
 
-def hamiltonian_fun_array(model: NewtonModel, phi, v, p) -> np.ndarray:
+def hamiltonian_fun_array(m: float, g: SpatialMetric, phi, v,
+                          p) -> np.ndarray:
     """<p, v> minus the lagrangian value, as a chart-independent real, for
     velocities (..., 4), momentum representatives (..., 4) and potential
     values phi.
@@ -245,7 +236,7 @@ def hamiltonian_fun_array(model: NewtonModel, phi, v, p) -> np.ndarray:
     the single-chart formula <p, v> - l_u(x, v) in every chart.
     """
     return pairing_array(p, v)[..., 4] \
-        - affine_lagrangian_array(model, phi, v)[..., 4]
+        - affine_lagrangian_array(m, g, phi, v)[..., 4]
 
 
 def alpha(element: tuple) -> tuple:
@@ -274,8 +265,9 @@ def gamma(element: tuple) -> tuple:
     return (x, -v, a, pp)
 
 
-def dynamics_membership_universal_array(model: NewtonModel, phi, dphi, p,
-                                        xdot, pdot, tol: float) -> np.ndarray:
+def dynamics_membership_universal_array(m: float, g: SpatialMetric, phi,
+                                        dphi, p, xdot, pdot,
+                                        tol: float) -> np.ndarray:
     """Test momentum representatives p, velocities xdot and momentum rates
     pdot (..., 4), at events with potential values phi and differentials
     dphi (..., 4), against the quotient dynamics.
@@ -285,15 +277,14 @@ def dynamics_membership_universal_array(model: NewtonModel, phi, dphi, p,
     covectors.
     """
     return homogeneous_dynamics_violation_array(
-        REFERENCE_FRAME, model.mass, model.metric, phi, dphi, p,
-        xdot, pdot) <= tol
+        REFERENCE_FRAME, m, g, phi, dphi, p, xdot, pdot) <= tol
 
 
 class AffineMetric:
     """Affine map from unit-time velocities to spatial momenta.
 
     Determined by its value at one base velocity, a frame (3,), together
-    with the linear part, which is always mass times the model metric.
+    with the linear part, which is always mass times the spatial metric.
     Holds read-only copies of both (3,) arrays.
     """
 
@@ -310,14 +301,13 @@ class AffineMetric:
         self.base_point, self.value_at_base = base, value
 
 
-def affine_metric_apply(model: NewtonModel, h: AffineMetric,
+def affine_metric_apply(m: float, g: SpatialMetric, h: AffineMetric,
                         b: np.ndarray) -> np.ndarray:
     """Evaluate the affine metric at a unit-time velocity, a frame (3,)."""
-    d = b - h.base_point
-    return h.value_at_base + model.mass * model.metric.apply(d)
+    return h.value_at_base + m * g.apply(b - h.base_point)
 
 
-def section_from_affine_metric(model: NewtonModel, h: AffineMetric,
+def section_from_affine_metric(m: float, g: SpatialMetric, h: AffineMetric,
                                value_at_base: float = 0.0,
                                ) -> tuple[Callable[..., float], float]:
     """Primitive of an affine metric: the quadratic section
@@ -335,12 +325,13 @@ def section_from_affine_metric(model: NewtonModel, h: AffineMetric,
 
     def section(b: np.ndarray) -> float:
         d = b - a_s
-        return c + float(h_a @ d) + 0.5 * model.mass * model.metric.quadratic(d)
+        return c + float(h_a @ d) + 0.5 * m * g.quadratic(d)
 
     return section, c
 
 
-def family_fam3(model: NewtonModel) -> FunctionFamily:
+def family_fam3(m: float, g: SpatialMetric,
+                potential: Potential) -> FunctionFamily:
     """Generating family of the quotient dynamics on the momentum side.
 
     Base: event and canonical momentum representative (8 numbers); fiber:
@@ -349,17 +340,16 @@ def family_fam3(model: NewtonModel) -> FunctionFamily:
     taken in the reference chart, which is the point: on canonical
     representatives the two coincide.
     """
-    inner = family_fam2(REFERENCE_FRAME, model.mass, model.metric,
-                        model.potential)
+    inner = family_fam2(REFERENCE_FRAME, m, g, potential)
     return FunctionFamily(inner.base_dim, inner.fiber_dim, inner.value,
                           inner.gradient, inner.hessian, name="fam3")
 
 
-def family_fam4(model: NewtonModel) -> FunctionFamily:
+def family_fam4(m: float, g: SpatialMetric,
+                potential: Potential) -> FunctionFamily:
     """Generating family of the quotient dynamics on the velocity side:
     <p, v> minus the lagrangian value over base (event, canonical
     momentum), fiber the full velocity."""
-    inner = family_fam1(REFERENCE_FRAME, model.mass, model.metric,
-                        model.potential)
+    inner = family_fam1(REFERENCE_FRAME, m, g, potential)
     return FunctionFamily(inner.base_dim, inner.fiber_dim, inner.value,
                           inner.gradient, inner.hessian, name="fam4")

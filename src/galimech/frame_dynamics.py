@@ -19,8 +19,8 @@ four-vector and the momentum a full covector.  The lagrangian extends the
 inhomogeneous one as a positively homogeneous function of degree one, its
 fiber derivative lands on the zero set of the mass-shell residual, and a
 change of frame acts on momenta by adding a fixed multiple of the
-frame-shift covector.  Homogeneous dynamics is checked state by state
-(membership of a state-with-derivatives tuple) rather than integrated.
+frame-shift covector.  Homogeneous dynamics is checked rather than
+integrated: the defect of each state with its derivatives, over a stack.
 
 Each formula is written once, as an array kernel over stacks of
 components: frames as their spatial velocities (..., 3), events,
@@ -323,19 +323,6 @@ def homogeneous_dynamics_violation_array(u, m: float, g: SpatialMetric, phi,
         err_p = maxabs(p - legendre_hom(u, m, g, phi, xdot))
     err_pdot = maxabs(pdot - (-xdot[..., :1]) * dphi)
     return np.where(xdot[..., 0] <= 0.0, np.inf, np.maximum(err_p, err_pdot))
-
-
-def in_homogeneous_dynamics(u, m: float, g: SpatialMetric,
-                            potential: Potential,
-                            element: tuple, tol: float) -> bool:
-    """Membership test for a (state, derivative) tuple in the frame-u
-    homogeneous dynamics, u a spatial velocity (3,).  element = (x, p,
-    xdot, pdot), each of four components; the largest defect is
-    homogeneous_dynamics_violation_array at that one state."""
-    x, p, xdot, pdot = (np.asarray(c, dtype=float) for c in element)
-    return float(homogeneous_dynamics_violation_array(
-        u, m, g, potential.values(x[0], x[1:]), potential.d(x),
-        p, xdot, pdot)) <= tol
 
 
 def _stage_steps(ts, ys, u_s, m, g, potential, h, check):

@@ -131,17 +131,6 @@ class CriticalPoint:
                              self.residual_norm[rows], self.owner[rows])
 
 
-class GeneratedCovector:
-    """Base points (N, b) stacked with the covectors (N, b) the family
-    generates there, and the critical points they come from."""
-
-    __slots__ = ("base", "covector", "source")
-
-    def __init__(self, base: np.ndarray, covector: np.ndarray,
-                 source: CriticalPoint):
-        self.base, self.covector, self.source = base, covector, source
-
-
 def _gradient_split(fam: FunctionFamily, base, fiber) -> tuple[np.ndarray, np.ndarray]:
     """(d/d base, d/d fiber) at every row of base (..., b) and fiber
     (..., f), which share one leading shape.  numpy warnings are silenced:
@@ -353,16 +342,6 @@ def hessian(fam: FunctionFamily, points: CriticalPoint) -> np.ndarray:
     return _mixed_hessian(fam, points.base, points.fiber)
 
 
-class MorseReport:
-    """Outcome of a full-rank certification over sampled critical points:
-    the rank (N,) at each point, NaN where the Hessian is not finite."""
-
-    __slots__ = ("ok", "ranks", "required_rank")
-
-    def __init__(self, ok: bool, ranks: np.ndarray, required_rank: int):
-        self.ok, self.ranks, self.required_rank = ok, ranks, required_rank
-
-
 def _full_rank_certified(matrices: np.ndarray, rel_tol: float) -> np.ndarray:
     """Rows (N,) of a stack (N, r, c) whose numerical rank, as the SVD in
     ``numerical_rank`` counts it, is k = min(r, c), proved without an SVD.
@@ -424,10 +403,12 @@ def numerical_rank(matrices: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
 
 
 def is_morse(fam: FunctionFamily, points: CriticalPoint,
-             rank_tol: float = 1e-8) -> MorseReport:
-    """Certify that the mixed Hessian has full row rank at every point:
-    one stacked Hessian for all of them, and ``numerical_rank``, which
-    takes an SVD only of those its Gram bound cannot prove full rank.
+             rank_tol: float = 1e-8) -> np.ndarray:
+    """The rank (N,) of the mixed Hessian at every point, NaN where the
+    Hessian is not finite; the family is Morse at a point whose rank is
+    fam.fiber_dim.  One stacked Hessian for all of them, and
+    ``numerical_rank``, which takes an SVD only of those its Gram bound
+    cannot prove full rank.
 
     Each column is divided by its largest magnitude first, and a zero
     column stays zero.  That is a change of unit per coordinate, which
@@ -438,15 +419,13 @@ def is_morse(fam: FunctionFamily, points: CriticalPoint,
     h = hessian(fam, points)
     scale = maxabs(np.swapaxes(h, -1, -2))[..., None, :]
     with np.errstate(invalid="ignore"):  # an infinite column reads NaN
-        ranks = numerical_rank(h / np.where(scale > 0.0, scale, 1.0), rank_tol)
-    return MorseReport(ok=bool(np.all(ranks == fam.fiber_dim)), ranks=ranks,
-                       required_rank=fam.fiber_dim)
+        return numerical_rank(h / np.where(scale > 0.0, scale, 1.0), rank_tol)
 
 
 def kappa(fam: FunctionFamily, points: CriticalPoint,
-          tol: float = 1e-8) -> GeneratedCovector:
-    """Covectors generated at critical points: the base-direction gradient
-    at every point, from one gradient call over all of them.
+          tol: float = 1e-8) -> np.ndarray:
+    """Covectors (N, b) generated at critical points: the base-direction
+    gradient at every point, from one gradient call over all of them.
 
     Well defined because any two lifts of a base vector differ by a fiber
     vector, on which the gradient vanishes at criticality.  Raises
@@ -458,12 +437,13 @@ def kappa(fam: FunctionFamily, points: CriticalPoint,
     if bad.size:
         raise NotCritical(f"{fam.name}: fiber gradient norm "
                           f"{norms[bad[0]]:.3e} exceeds {tol:.1e}")
-    return GeneratedCovector(points.base, gb, points)
+    return gb
 
 
 def generate(fam: FunctionFamily, bases, seeds,
-             tol: float = 1e-10) -> GeneratedCovector:
-    """Sample the generated covector set over a collection of base points.
+             tol: float = 1e-10) -> tuple[CriticalPoint, np.ndarray]:
+    """Sample the generated covector set over a collection of base points:
+    the critical points found (N points) and the covectors (N, b) there.
 
     For each base point, finds critical fiber points from the given seeds;
     certifies them in one is_morse call, where a rank defect at any point
@@ -472,14 +452,14 @@ def generate(fam: FunctionFamily, bases, seeds,
     nothing.
     """
     points = solve_critical_stack(fam, bases, seeds, tol=tol)
-    report = is_morse(fam, points)
-    bad = np.flatnonzero(report.ranks != report.required_rank)
+    ranks = is_morse(fam, points)
+    bad = np.flatnonzero(ranks != fam.fiber_dim)
     if bad.size:
         raise ValueError(
             f"{fam.name} is not a Morse family over base "
-            f"{points.base[bad[0]].tolist()}: rank {report.ranks[bad[0]]:g} "
-            f"(need {report.required_rank})")
-    return kappa(fam, points, tol=max(10.0 * tol, 1e-12))
+            f"{points.base[bad[0]].tolist()}: rank {ranks[bad[0]]:g} "
+            f"(need {fam.fiber_dim})")
+    return points, kappa(fam, points, tol=max(10.0 * tol, 1e-12))
 
 
 def reduce_family(fam: FunctionFamily, eliminate: int, seeds: Sequence,

@@ -224,6 +224,18 @@ class TestPotentialDomainErrors:
         assert lines[0].startswith(f"domain error: {family}: potential not "
                                    "finite at the initial event")
 
+    def test_extreme_frame_exits_3_without_a_warning(self, tmp_path):
+        # Legendre images in a frame of speed 2.5e282 overflow: the first
+        # Newton solve starts from a non-finite base, a domain error, and
+        # the overflow itself prints no numpy warning.
+        cfg = tmp_path / "extreme.json"
+        cfg.write_text(json.dumps({"frames": [[2.5e282, 0, 0], [0, 0, 0]]}))
+        proc = run("morse-check", "--config", str(cfg))
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "Warning" not in proc.stderr
+        assert lines[0].startswith("domain error: fam1: fiber gradient not finite")
+
 
 class TestConfigErrors:
     def test_bad_mass_names_field(self, tmp_path):

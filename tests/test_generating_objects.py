@@ -16,7 +16,7 @@ from galimech.frame_dynamics import (
     mass_shell_residual,
     uniform_potential,
 )
-from galimech.affine_phase import NewtonModel, family_fam3, family_fam4
+from galimech.affine_phase import family_fam3, family_fam4
 from galimech.generating_objects import (
     CriticalPoint,
     FunctionFamily,
@@ -195,11 +195,11 @@ class TestSolveCritical:
                 pts.owner.shape) == ((0, 2), (0, 3), (0,), (0,))
         assert hessian(slope, pts).shape == (0, 3, 5)
         assert numerical_rank(hessian(slope, pts)).shape == (0,)
-        report = is_morse(slope, pts)
-        assert report.ok and report.ranks.shape == (0,)
-        for out in (kappa(slope, pts), generate(slope, bases, seeds)):
-            assert out.base.shape == out.covector.shape == (0, 2)
-            assert len(out.source) == 0
+        assert is_morse(slope, pts).shape == (0,)
+        assert kappa(slope, pts).shape == (0, 2)
+        found, covectors = generate(slope, bases, seeds)
+        assert found.base.shape == covectors.shape == (0, 2)
+        assert len(found) == 0
 
 
 class TestDomain:
@@ -218,9 +218,8 @@ class TestDomain:
                              lambda b, f: row(f, np.where(b > 0.5, np.nan, 0.0),
                                                  np.where(b > 0.5, np.nan, 1.0)),
                              name="edge")
-        report = is_morse(fam, points([[0.0], [1.0]], [[0.0], [0.0]]))
-        assert report.ranks[0] == 1 and math.isnan(report.ranks[1])
-        assert not report.ok
+        ranks = is_morse(fam, points([[0.0], [1.0]], [[0.0], [0.0]]))
+        assert ranks[0] == 1 and math.isnan(ranks[1])
         assert math.isnan(numerical_rank([[[1.0, np.nan]]])[0])
 
     def test_past_directed_velocity_leaves_the_domain(self):
@@ -278,8 +277,7 @@ class TestMorse:
             lambda b, f: (-f, 4 * f ** 3 - b),
             lambda b, f: row(f, -1.0, 12.0 * f ** 2),
             name="quartic-coupled")
-        report = is_morse(fam, points([[0.0]], [[0.0]]))
-        assert report.ok and report.ranks.tolist() == [1]
+        assert is_morse(fam, points([[0.0]], [[0.0]])).tolist() == [1]
 
     def test_cubic_fails(self):
         fam = FunctionFamily(
@@ -287,8 +285,7 @@ class TestMorse:
             lambda b, f: (np.zeros_like(b), 3 * f ** 2),
             lambda b, f: row(f, 0.0, 6.0 * f),
             name="cubic")
-        report = is_morse(fam, points([[0.0]], [[0.0]]))
-        assert not report.ok and report.ranks.tolist() == [0]
+        assert is_morse(fam, points([[0.0]], [[0.0]])).tolist() == [0]
 
     def test_numerical_rank_threshold(self):
         m = np.diag([1.0, 1e-7, 1e-9])
@@ -308,7 +305,7 @@ class TestKappa:
         fam = FunctionFamily(2, 1, value, grad, constant([[0.0, 0.0, 0.0]]),
                              name="pullback")
         out = kappa(fam, points([[0.3, -1.2]], [[7.0]]))
-        assert np.allclose(out.covector, [[np.cos(0.3), -2.4]], atol=1e-8)
+        assert np.allclose(out, [[np.cos(0.3), -2.4]], atol=1e-8)
 
     def test_rejects_non_critical(self):
         fam = saddle_family()
@@ -348,23 +345,22 @@ class TestKappa:
         s_star = grid[np.argmin(vals)]
         expected = value_differences(fam, base, [s_star])[0][0]
         pts = solve_critical(fam, base, seeds=[[0.0]], tol=1e-10)
-        out = kappa(fam, pts[:1])
-        assert out.covector[0, 0] == pytest.approx(expected, abs=1e-4)
+        assert kappa(fam, pts[:1])[0, 0] == pytest.approx(expected, abs=1e-4)
 
 
 class TestGenerate:
     def test_saddle_generates_identity_covector(self):
         fam = saddle_family()
         bases = [[x] for x in np.linspace(-2.0, 2.0, 9)]
-        out = generate(fam, bases, seeds=[[0.0]], tol=1e-12)
-        assert out.covector.shape == (9, 1) and len(out.source) == 9
-        assert np.allclose(out.covector, out.base, atol=1e-9, rtol=0.0)
+        found, covectors = generate(fam, bases, seeds=[[0.0]], tol=1e-12)
+        assert covectors.shape == (9, 1) and len(found) == 9
+        assert np.allclose(covectors, found.base, atol=1e-9, rtol=0.0)
 
     def test_no_critical_points_contribute_nothing(self):
         fam = FunctionFamily(1, 1, lambda b, f: float(f[0]),
                              lambda b, f: (np.zeros_like(b), np.ones_like(f)),
                              constant([[0.0, 0.0]]), name="slope")
-        assert generate(fam, [[0.0], [1.0]], seeds=[[0.0]]).covector.shape == (0, 1)
+        assert generate(fam, [[0.0], [1.0]], seeds=[[0.0]])[1].shape == (0, 1)
 
     def test_non_morse_family_is_rejected(self):
         fam = FunctionFamily(
@@ -397,11 +393,12 @@ class TestReduce:
             assert red.value([x], [s2]) == pytest.approx(expected, abs=1e-9)
         # Same generated covectors as the parent family.
         bases = [[x] for x in np.linspace(-1.5, 1.5, 7)]
-        parent = generate(fam, bases, seeds=[[0.0, 0.0]], tol=1e-12)
-        child = generate(red, bases, seeds=[[0.0]], tol=1e-12)
-        assert len(parent.covector) == len(child.covector) == 7
-        assert np.allclose(child.covector, parent.covector, atol=1e-8, rtol=0.0)
-        assert np.allclose(child.covector, 2.0 * parent.base, atol=1e-8, rtol=0.0)
+        parent, parent_cov = generate(fam, bases, seeds=[[0.0, 0.0]],
+                                      tol=1e-12)
+        child_cov = generate(red, bases, seeds=[[0.0]], tol=1e-12)[1]
+        assert len(parent_cov) == len(child_cov) == 7
+        assert np.allclose(child_cov, parent_cov, atol=1e-8, rtol=0.0)
+        assert np.allclose(child_cov, 2.0 * parent.base, atol=1e-8, rtol=0.0)
 
     def test_empty_block_returns_same_family(self):
         fam = saddle_family()
@@ -481,9 +478,7 @@ class TestExample31:
         pts = solve_critical_stack(fam, [rng.normal(size=6) for _ in range(25)],
                                    seeds=[np.zeros(3)], tol=1e-12)
         assert len(pts) == 25
-        report = is_morse(fam, pts)
-        assert report.ok
-        assert set(report.ranks.tolist()) == {3}
+        assert set(is_morse(fam, pts).tolist()) == {3}
 
     def test_gradient_matches_differences(self, rng):
         fam = family_example31(mass=1.3, stiffness=0.6)
@@ -498,11 +493,12 @@ class TestExample31:
         fam = family_example31(mass=1.0, stiffness=1.0)
         for _ in range(5):
             base = rng.normal(size=6)
-            out = generate(fam, [base], seeds=[np.zeros(3)], tol=1e-12)
-            assert out.covector.shape == (1, 6)
+            _, covectors = generate(fam, [base], seeds=[np.zeros(3)],
+                                    tol=1e-12)
+            assert covectors.shape == (1, 6)
             q, p = base[:3], base[3:]
-            assert np.allclose(out.covector[0, :3], -q, atol=1e-9)
-            assert np.allclose(out.covector[0, 3:], -p, atol=1e-9)
+            assert np.allclose(covectors[0, :3], -q, atol=1e-9)
+            assert np.allclose(covectors[0, 3:], -p, atol=1e-9)
 
 
 class TestParticleFamilies:
@@ -540,8 +536,7 @@ class TestParticleFamilies:
             fam, [self.on_shell_base(v, x) for v in vs],
             [[vector_to_fiber(v)] for v in vs], tol=1e-11)
         assert pts.owner.tolist() == [0, 1, 2]
-        report = is_morse(fam, pts)
-        assert report.ok and set(report.ranks.tolist()) == {4}
+        assert set(is_morse(fam, pts).tolist()) == {4}
 
     def test_fam2_critical_iff_on_shell(self):
         fam = family_fam2(self.u, self.m, self.g, self.phi)
@@ -558,8 +553,8 @@ class TestParticleFamilies:
         fam = family_fam2(self.u, self.m, self.g, self.phi)
         x = np.array([0.0, 0.3, 0.0, 0.2])
         v = np.array([1.0, 0.4, -0.3, 0.2])
-        report = is_morse(fam, points([self.on_shell_base(v, x)], [[1.0]]))
-        assert report.ok and report.ranks.tolist() == [1]
+        ranks = is_morse(fam, points([self.on_shell_base(v, x)], [[1.0]]))
+        assert ranks.tolist() == [1]
 
     def test_reduction_of_fam1_matches_fam2(self):
         fam1 = family_fam1(self.u, self.m, self.g, self.phi)
@@ -632,12 +627,11 @@ class TestExactHessians:
     FRAME = np.array([0.3, -0.2, 0.5])
 
     def family(self, name, m, phi):
-        model = NewtonModel(m, self.METRIC, phi)
         fam1 = family_fam1(self.FRAME, m, self.METRIC, phi)
         return {"fam1": lambda: fam1,
                 "fam2": lambda: family_fam2(self.FRAME, m, self.METRIC, phi),
-                "fam3": lambda: family_fam3(model),
-                "fam4": lambda: family_fam4(model),
+                "fam3": lambda: family_fam3(m, self.METRIC, phi),
+                "fam4": lambda: family_fam4(m, self.METRIC, phi),
                 "example31": lambda: family_example31(m, 0.7),
                 # The section's Newton stops on an absolute gradient norm,
                 # and the gradient has size m.
@@ -694,4 +688,4 @@ class TestExactHessians:
         with np.errstate(divide="ignore", invalid="ignore"):  # v0 = 0
             for i in range(3):
                 assert fam.hessian(base[i], fiber[i]).tobytes() == h[i].tobytes()
-        assert np.isnan(is_morse(fam, points(base, fiber)).ranks[past]).all()
+        assert np.isnan(is_morse(fam, points(base, fiber))[past]).all()

@@ -13,7 +13,6 @@ import pytest
 
 from galimech.affine_phase import (
     REFERENCE_FRAME,
-    NewtonModel,
     affine_lagrangian_array,
     dynamics_membership_universal_array,
     eval_affine_array,
@@ -54,7 +53,7 @@ def case(request):
     cols[:, 0] = rng.uniform(0.2, 2.0, size=N)  # future time components
     cols[:, 4] = rng.uniform(0.2, 2.0, size=N)
     return {
-        "g": g, "m": m, "phi": phi, "model": NewtonModel(m, g, phi),
+        "g": g, "m": m, "phi": phi,
         "u": cols[:, 8:11], "u2": cols[:, 11:14], "w": cols[:, 14:17],
         "v": cols[:, 0:4], "xdot": cols[:, 4:8], "x": cols[:, 17:21],
         "p": cols[:, 21:25], "r": cols[:, 25], "s": cols[:, 26],
@@ -120,13 +119,13 @@ def test_dynamics_violation(case):
 
 
 def test_chart_changes(case):
-    model, u, u2, v, r, p = (case[k] for k in
-                             ("model", "u", "u2", "v", "r", "p"))
+    m, g, u, u2, v, r, p = (case[k] for k in
+                            ("m", "g", "u", "u2", "v", "r", "p"))
     w = np.concatenate([v, r[:, None]], axis=1)
-    assert same(w_change_chart(model, w, u, u2),
-                [w_change_chart(model, a, b, c) for a, b, c in zip(w, u, u2)])
-    assert same(p_change_chart(model, p, u, u2),
-                [p_change_chart(model, a, b, c) for a, b, c in zip(p, u, u2)])
+    assert same(w_change_chart(m, g, w, u, u2),
+                [w_change_chart(m, g, a, b, c) for a, b, c in zip(w, u, u2)])
+    assert same(p_change_chart(m, g, p, u, u2),
+                [p_change_chart(m, g, a, b, c) for a, b, c in zip(p, u, u2)])
 
 
 def test_w_operations(case):
@@ -142,28 +141,27 @@ def test_w_operations(case):
 
 
 def test_quotient_functions(case):
-    model, p, v = (case[k] for k in ("model", "p", "v"))
+    m, g, p, v = (case[k] for k in ("m", "g", "p", "v"))
     values = potential_values(case)
-    assert same(psi_m_array(model, p), [psi_m_array(model, c) for c in p])
-    assert same(affine_lagrangian_array(model, values, v),
-                [affine_lagrangian_array(model, y, d)
+    assert same(psi_m_array(m, g, p), [psi_m_array(m, g, c) for c in p])
+    assert same(affine_lagrangian_array(m, g, values, v),
+                [affine_lagrangian_array(m, g, y, d)
                  for y, d in zip(values, v)])
-    assert same(hamiltonian_fun_array(model, values, v, p),
-                [hamiltonian_fun_array(model, y, d, c)
+    assert same(hamiltonian_fun_array(m, g, values, v, p),
+                [hamiltonian_fun_array(m, g, y, d, c)
                  for y, d, c in zip(values, v, p)])
 
 
 def test_membership(case):
-    model, phi, v = case["model"], case["phi"], case["v"]
+    m, g, phi, v = (case[k] for k in ("m", "g", "phi", "v"))
     x = np.array([0.3, -0.2, 0.5, 1.0])
     dphi = phi.d(x)
-    p_on = legendre_hom(REFERENCE_FRAME, model.mass, model.metric,
-                        at(phi, x), v)
+    p_on = legendre_hom(REFERENCE_FRAME, m, g, at(phi, x), v)
     pdot = -v[:, :1] * dphi
     p = np.where(np.arange(N)[:, None] % 2 == 0, p_on, case["p"])
     expected = [dynamics_membership_universal_array(
-        model, at(phi, x), dphi, a, b, c, 1e-9) for a, b, c in zip(p, v, pdot)]
-    got = dynamics_membership_universal_array(model, at(phi, x), dphi, p, v,
+        m, g, at(phi, x), dphi, a, b, c, 1e-9) for a, b, c in zip(p, v, pdot)]
+    got = dynamics_membership_universal_array(m, g, at(phi, x), dphi, p, v,
                                               pdot, 1e-9)
     assert same(got, expected)
     assert got[::2].all() and not got[1::2].any()
