@@ -241,8 +241,8 @@ class Trajectory:
                 f"at step {step}: {exc}") from exc
 
         q, p = self.q[:, 0], self.p[:, 0]
-        phi = potential.at_events(np.column_stack([self.t, q]), stop)
         with np.errstate(all="ignore"):  # a non-finite energy raises below
+            phi = potential.at_events(np.column_stack([self.t, q]), stop)
             energy = 0.5 / self.mass * np.vecdot(p, g.apply_inverse(p)) + phi
         finite = np.isfinite(energy)
         if not finite.all():

@@ -210,15 +210,13 @@ def _sampled(name: str, tol: str | float, count: bool = False):
     Decorates errors(cfg, rng, *args), which draws the check's samples from
     the check's own rng stream and returns one error per sample (with
     count, one mismatch flag).  tol names a Tolerances field or is the
-    tolerance itself.  numpy warnings are silenced inside: a non-finite
-    error is reported by the verdict, not by a warning.
+    tolerance itself.  A non-finite error fails the verdict.
     """
     def decorate(errors):
         @functools.wraps(errors)
         def check(cfg: ScenarioConfig, *args, **kwargs) -> CheckResult:
-            with np.errstate(all="ignore"):
-                errs = np.asarray(errors(cfg, _rng(cfg, name), *args, **kwargs),
-                                  dtype=float)
+            errs = np.asarray(errors(cfg, _rng(cfg, name), *args, **kwargs),
+                              dtype=float)
             limit = getattr(cfg.tolerances, tol) if isinstance(tol, str) else tol
             return _verdict(name, errs, limit, count)
         return check
@@ -366,13 +364,11 @@ def check_energy_drift(cfg: ScenarioConfig) -> CheckResult:
     u = cfg.build_frames()[0]
     traj = integrate(u, cfg.mass, g, phi, cfg.initial_state(u), cfg.h, cfg.n)
     energies = traj.energies(g, phi)
-    with np.errstate(all="ignore"):
-        change = energies - energies[0]
-        if phi.time is not None or u.any():
-            rate = pair_frame(phi.d(np.column_stack([traj.t, traj.q[:, 0]])),
-                              u)
-            change -= _cumulative_simpson(rate, traj.h)
-        errs = _rel(np.abs(change), energies[0])
+    change = energies - energies[0]
+    if phi.time is not None or u.any():
+        rate = pair_frame(phi.d(np.column_stack([traj.t, traj.q[:, 0]])), u)
+        change -= _cumulative_simpson(rate, traj.h)
+    errs = _rel(np.abs(change), energies[0])
     return _verdict("energy.drift", errs, cfg.tolerances.energy_drift)
 
 
@@ -576,12 +572,11 @@ def _domain_errors(run):
 
 def _on_shell_samples(cfg: ScenarioConfig, u: np.ndarray, rng, count: int):
     """Bases (count, 8) on the constraint set, with the fibers (count, 4)
-    of the velocities that put them there.  numpy warnings are silenced:
-    a non-finite base is the solver's to judge."""
+    of the velocities that put them there.  A non-finite base is the
+    solver's to judge."""
     x, v = _draws(rng, count, _NORMAL4, _FUTURE)
     phi = _potential_at(cfg.build_potential(), x)
-    with np.errstate(all="ignore"):
-        p = legendre_hom(u, cfg.mass, cfg.build_metric(), phi, v)
+    p = legendre_hom(u, cfg.mass, cfg.build_metric(), phi, v)
     return np.concatenate([x, p], axis=1), vector_to_fiber(v)
 
 
@@ -664,8 +659,7 @@ def _fam1_vs_fam2(cfg: ScenarioConfig, u: np.ndarray) -> CheckResult:
     (morse1, cov1), (morse2, cov2) = (
         _certified_covectors(fam, pts[single[pts.owner]])
         for fam, pts in zip((fam1, fam2), found))
-    with np.errstate(all="ignore"):
-        rel = _rel(maxabs(cov1 - cov2), maxabs(cov2))
+    rel = _rel(maxabs(cov1 - cov2), maxabs(cov2))
     morse = morse1 & morse2
     errs = np.full(len(bases), np.inf)
     errs[single] = np.where(morse, rel, np.inf)

@@ -11,7 +11,9 @@ Exit status: 0 all checks passed (or simulation written), 1 at least one
 check failed, 2 configuration problem, 3 the integrator hit a non-finite
 state, a check needed the potential where it raised an arithmetic error,
 or a Newton solve started from a non-finite gradient, 4 any other error
-(one line on stderr; the traceback too at GALIMECH_LOG=debug).  Reports
+(one line on stderr; the traceback too at GALIMECH_LOG=debug).  Commands
+run with numpy's floating-point errors ignored: a non-finite value fails a
+verdict or raises where it lands, and numpy prints no warning.  Reports
 go to --out or stdout as JSON; a human-readable summary always goes to
 stderr.  Output files are written atomically: full content to a temp file
 in the target directory, then renamed over the path (through a symlink,
@@ -31,6 +33,8 @@ import os
 import stat
 import sys
 import tempfile
+
+import numpy as np
 
 from .. import _log
 from .._log import DEBUG, ERROR, INFO, WARNING
@@ -213,7 +217,8 @@ def main(argv=None) -> int:
     _check_log_level()
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ import tempfile
 
 import pytest
 
-_CMD = [sys.executable, "-m", "galimech"]
+_CMD = [sys.executable, "-W", "error::RuntimeWarning", "-m", "galimech"]
 
 
 def run(*args, log="error"):
@@ -224,17 +224,41 @@ class TestPotentialDomainErrors:
         assert lines[0].startswith(f"domain error: {family}: potential not "
                                    "finite at the initial event")
 
-    def test_extreme_frame_exits_3_without_a_warning(self, tmp_path):
-        # Legendre images in a frame of speed 2.5e282 overflow: the first
-        # Newton solve starts from a non-finite base, a domain error, and
-        # the overflow itself prints no numpy warning.
+    @pytest.mark.parametrize("config, args, prefix", [
+        ({"frames": [[2.5e282, 0, 0], [0, 0, 0]]}, ("morse-check",),
+         "domain error: fam1: fiber gradient not finite"),
+        ({"potential": {"kind": "uniform", "force": [1e308, 1e308, 0]},
+          "n": 5}, ("simulate",),
+         "integration diverged: energy nan is not finite at step 1"),
+        ({"potential": {"kind": "uniform", "force": [1e308, 1e308, 0]},
+          "n": 5}, ("morse-check",),
+         "domain error: fam1: fiber gradient not finite"),
+        ({"potential": {"kind": "harmonic", "k": 1e308}, "n": 5},
+         ("morse-check",), "domain error: fam1: fiber gradient not finite"),
+        ({"potential": {"kind": "harmonic", "k": -1e308},
+          "initial_event": [0, 1, 0, 0], "n": 5}, ("morse-check",),
+         "domain error: fam1: fiber gradient not finite"),
+        ({"mass": 2.0, "initial_velocity": [0, 0, 1e308]}, ("boost-check",),
+         "integration diverged: state became non-finite at step 1"),
+        ({"mass": 2.0, "initial_velocity": [0, 0, 1e308]},
+         ("invariants", "--suite", "dynamics"),
+         "integration diverged: state became non-finite at step 1"),
+    ], ids=["frame-morse", "uniform-simulate", "uniform-morse", "k-morse",
+            "negative-k-morse", "velocity-boost", "velocity-invariants"])
+    def test_extreme_frame_exits_3_without_a_warning(self, tmp_path, config,
+                                                     args, prefix):
+        # Extreme magnitudes overflow: Legendre images in a frame of speed
+        # 2.5e282, the uniform potential's value at a force of 1e308, the
+        # harmonic force at k = +-1e308, the momentum of a velocity of
+        # 1e308.  A non-finite base or state is a domain error or a
+        # divergence, and the overflow itself prints no numpy warning.
         cfg = tmp_path / "extreme.json"
-        cfg.write_text(json.dumps({"frames": [[2.5e282, 0, 0], [0, 0, 0]]}))
-        proc = run("morse-check", "--config", str(cfg))
+        cfg.write_text(json.dumps(config))
+        proc = run(*args, "--config", str(cfg))
         assert proc.returncode == 3
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and "Warning" not in proc.stderr
-        assert lines[0].startswith("domain error: fam1: fiber gradient not finite")
+        assert lines[0].startswith(prefix)
 
 
 class TestConfigErrors:

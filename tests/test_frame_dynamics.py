@@ -724,6 +724,17 @@ class TestIntegrate:
                                   traj.p[:, 0])]
         assert traj.energies(g, phi).tolist() == ref
 
+    def test_overflowing_potential_value_stops_the_energies(self):
+        # The state stays finite, but at step 1 the kinetic energy and the
+        # potential's value -<f, q> overflow to inf and -inf: the energy is
+        # NaN, and the overflow prints no numpy warning.
+        phi = uniform_potential([1e308, 1e308, 0.0])
+        traj = integrate(E0, 1.0, ID3, phi, (ORIGIN, [1.0, 0.0, 0.0]),
+                         1e-3, 5)
+        with pytest.raises(NonFiniteState) as info:
+            traj.energies(ID3, phi)
+        assert str(info.value) == "energy nan is not finite at step 1"
+
     @pytest.mark.parametrize("n", [50, 2 * _FINITE_BLOCK + 22])
     @pytest.mark.parametrize("metric", ["identity", "random"])
     @pytest.mark.parametrize("kind", ["harmonic", "linear", "custom"])

@@ -209,9 +209,7 @@ class TestPotentialBuild:
         builtin = PotentialSpec("harmonic", k=4.0, center=(1.0, 0.0, 0.0)).build()
         assert at(custom, self.x) == pytest.approx(at(builtin, self.x),
                                                    rel=1e-15)
-        # gradient falls back to finite differences
-        x = self.x
-        assert np.allclose(custom.d_s(x), builtin.d_s(x), atol=1e-7)
+        assert np.array_equal(custom.d_s(self.x), builtin.d_s(self.x))
 
 
 @pytest.fixture
