@@ -6,13 +6,16 @@ In the *inhomogeneous* picture a state is an event (four coordinates) plus
 a spatial momentum (three components).  The lagrangian is kinetic energy
 relative to the frame minus a potential, the Legendre map lowers the
 relative velocity with the metric, and trajectories are integrated in time
-with a classical fixed-step RK4 scheme.  For the built-in potentials the
+with a classical fixed-step RK4 scheme.  For an ``affine`` potential (every
+built-in kind, and a ``custom`` one whose force is affine in q) the
 equations of motion are affine in the state, so one RK4 step is one affine
 map, the same at every step and in every frame up to its constant term; it
 is precomputed once per integration, with its powers, and advanced a block
-of steps at a time.  A ``custom`` potential runs RK4's four stages at every
+of steps at a time.  Any other potential runs RK4's four stages at every
 step, as one program of ufunc calls bound once per integration to fixed
-buffers, its force kernel's own schedule (``bind``) among them.
+buffers, its force kernel's own schedule (``bind``) among them.  Every
+potential a scenario names is compiled from expression text
+(``harness.expressions.compile_potential``).
 
 In the *homogeneous* picture the velocity is an arbitrary future-directed
 four-vector and the momentum a full covector.  The lagrangian extends the
@@ -72,22 +75,21 @@ class Potential:
     ``values`` maps a time t (one, or an array broadcasting against
     q[..., 0]) and positions q (..., 3) to the values there, shape (...),
     each row rounding exactly as that event alone; it may raise an
-    ArithmeticError where it has no value (a ``custom`` kernel does at a
+    ArithmeticError where it has no value (a compiled kernel does at a
     division by zero or an overflow).
     ``force`` maps t, q and an optional out to the force -grad phi
-    (..., 3), written into out when out is given: a hand formula for the
-    built-in kinds, the exact derivative of the expression for ``custom``
-    (``harness.expressions.compile_potential``).  ``time`` maps t and q to
-    the time derivative d phi / dt (...), the exact derivative of the
-    expression for a ``custom`` kind in t; None, as for the built-in
-    kinds, means the value does not depend on t, so the time derivative
-    is exactly 0.  Derivatives must agree with central differences of
-    ``values`` to about 1e-6 relative (the test suite enforces this).
-    ``affine`` declares that the force is an affine function of q alone,
+    (..., 3), written into out when out is given, the exact derivative of
+    the expression (``harness.expressions.compile_potential``).  ``time``
+    maps t and q to the time derivative d phi / dt (...), the exact
+    derivative of the expression in t; None means the value does not
+    depend on t, so the time derivative is exactly 0.  Derivatives must
+    agree with central differences of ``values`` to about 1e-6 relative
+    (the test suite enforces this).
+    ``affine`` states that the force is an affine function of q alone,
     f0 + K q, and that the value does not depend on t (so ``time`` must
     be None): ``integrate`` then runs RK4 as one precomputed step map.
-    The built-in kinds set it; a ``custom`` kind does not.
-    A force may also carry ``force.bind(t, q, out)``, as a ``custom``
+    ``compile_potential`` reads it off the force's expression.
+    A force may also carry ``force.bind(t, q, out)``, as a compiled
     kernel does: its schedule of calls (f, args), which, run in order,
     write into out the force at whatever the 0-d time array t and the
     positions q then hold, with the bits of ``force(float(t), q, out)``
@@ -140,62 +142,6 @@ class Potential:
         np.negative(self.force(t, q, out[:, 1:]), out[:, 1:])
         out[:, 0] = 0.0 if self.time is None else self.time(t, q)
         return out.reshape(np.shape(x))
-
-
-def _at(t, q) -> np.ndarray:
-    """q broadcast against an array of times t along its leading axes."""
-    if getattr(t, "ndim", 0) and t.shape != np.shape(q)[:-1]:
-        lead = np.broadcast_shapes(t.shape, np.shape(q)[:-1])
-        q = np.broadcast_to(q, (*lead, 3))
-    return q
-
-
-def _filled(t, q: np.ndarray, out, value) -> np.ndarray:
-    """out, or a new array shaped as the force at (t, q), set to value."""
-    if out is None:
-        out = np.empty(np.shape(_at(t, q)))
-    out[...] = value
-    return out
-
-
-def free_potential() -> Potential:
-    """Identically zero potential; its force is -0.0, the negated zero
-    gradient."""
-    return Potential(values=lambda t, q: np.zeros(np.shape(_at(t, q))[:-1]),
-                     force=lambda t, q, out=None: _filled(t, q, out, -0.0),
-                     affine=True)
-
-
-def uniform_potential(force) -> Potential:
-    """Potential of a constant force field: value -force . q."""
-    f = np.array(force, dtype=float)
-    if f.shape != (3,):
-        raise ValueError(f"force needs 3 components, got shape {f.shape}")
-
-    return Potential(
-        values=lambda t, q: -np.vecdot(_at(t, q), f),
-        force=lambda t, q, out=None: _filled(t, q, out, f),
-        affine=True,
-    )
-
-
-def harmonic_potential(k: float, center=(0.0, 0.0, 0.0)) -> Potential:
-    """Quadratic well of stiffness k about a fixed spatial point."""
-    c = np.array(center, dtype=float)
-    if c.shape != (3,):
-        raise ValueError(f"center needs 3 components, got shape {c.shape}")
-    k = float(k)
-    # (-k) * (q - c) is -(k * (q - c)) bit for bit: negation commutes
-    # exactly with a product.  numpy multiplies by a 0-d array faster
-    # than by a float.
-    minus_k = np.array(-k)
-
-    return Potential(
-        values=lambda t, q: 0.5 * k * np.vecdot(q - c, _at(t, q) - c),
-        force=lambda t, q, out=None: np.multiply(
-            minus_k, np.subtract(_at(t, q), c, out), out),
-        affine=True,
-    )
 
 
 class Trajectory:
@@ -412,11 +358,15 @@ def _stage_steps(ts, ys, u_s, m, g, potential, h, check):
             check(start + 1, step)
             if not isinstance(exc, ArithmeticError):
                 raise
-            raise NonFiniteState(
-                f"potential raised {type(exc).__name__} at step {step + 1}: "
-                f"{exc}") from exc
+            raise _raised(exc, step + 1) from exc
 
     return advance
+
+
+def _raised(exc: ArithmeticError, step: int) -> NonFiniteState:
+    """The divergence of a potential that raised exc at step."""
+    return NonFiniteState(
+        f"potential raised {type(exc).__name__} at step {step}: {exc}")
 
 
 def _step_map_steps(ys, t, u_s, m, g, potential, h):
@@ -429,7 +379,8 @@ def _step_map_steps(ys, t, u_s, m, g, potential, h):
     D = X + X^2/2 + X^3/6 + X^4/24 (RK4's stability polynomial less 1)
     and c_u = h (I + X/2 + X^2/6 + X^3/24) b_u: the same four stages,
     summed in another order.  f0 and K come from one call of the force
-    kernel on q = 0 and the unit vectors.  c_u applies X to the vector
+    kernel on q = 0 and the unit vectors; an ArithmeticError it raises
+    there ends the integration at step 1.  c_u applies X to the vector
     h b_u, so no power of X is scaled by h, which could overflow where the
     state does not.
 
@@ -445,7 +396,10 @@ def _step_map_steps(ys, t, u_s, m, g, potential, h):
     and a frame that stayed finite keeps the block's states.
     """
     frames = len(u_s)
-    f = potential.force(t, _PROBE)
+    try:
+        f = potential.force(t, _PROBE)
+    except ArithmeticError as exc:
+        raise _raised(exc, 1) from exc
     x = np.zeros((6, 6))
     x[:3, 3:] = g.apply_inverse(_PROBE[1:]).T * (h / m)
     x[3:, :3] = (f[1:] - f[0]).T * h
@@ -509,9 +463,10 @@ def integrate(u, m: float, g: SpatialMetric,
     every frame, all at one start time.  All frames advance together, with
     the same floating-point operations per frame as when integrated alone,
     in one of two ways chosen by the potential:
-    - an ``affine`` potential (the built-in kinds) runs each step as one
-      precomputed affine map of the state, built once per call from one
-      call of its ``force`` kernel; that map is the RK4 step itself, its
+    - an ``affine`` potential (every built-in kind among them) runs each
+      step as one precomputed affine map of the state, built once per
+      call from one call of its ``force`` kernel, an ArithmeticError there
+      naming step 1; that map is the RK4 step itself, its
       four stages summed in another order, so it agrees with the stage
       loop to a few ulps per step; it advances a block of steps at a time,
       from the map's powers;

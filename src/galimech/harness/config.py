@@ -17,13 +17,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..galilean_core import GalimechError, SingularMetric, SpatialMetric
-from ..frame_dynamics import (
-    Potential,
-    free_potential,
-    harmonic_potential,
-    legendre_inhom,
-    uniform_potential,
-)
+from ..frame_dynamics import Potential, legendre_inhom
+from .expressions import ExpressionError, compile_potential
 
 __all__ = [
     "MAX_FRAME_STEPS",
@@ -79,9 +74,8 @@ _TOLERANCE_NAMES = tuple(f.name for f in fields(Tolerances))
 class PotentialSpec:
     """Declarative potential description from the config file.
 
-    The Potential is built once per spec, on the first ``build`` call, and
-    kept outside the fields, so equality and ``dataclasses.replace`` see
-    only the description.
+    Every kind is an expression in t, q1, q2, q3 (``text``), and ``build``
+    compiles it, once per process for a recent text.
     """
 
     kind: str
@@ -90,21 +84,24 @@ class PotentialSpec:
     center: tuple[float, float, float] | None = None
     expr: str | None = None
 
-    def build(self) -> Potential:
-        return self._potential
-
-    @cached_property
-    def _potential(self) -> Potential:
+    @property
+    def text(self) -> str:
+        """The potential as expression text, each float written by repr,
+        which parses back to the same float."""
         if self.kind == "free":
-            return free_potential()
+            return "0"
         if self.kind == "uniform":
-            return uniform_potential(self.force)
+            f1, f2, f3 = map(float, self.force)
+            return f"-(({f1!r})*q1+({f2!r})*q2+({f3!r})*q3)"
         if self.kind == "harmonic":
-            return harmonic_potential(self.k, self.center)
-        # kind == "custom", the one that loads the expression compiler;
-        # raises ExpressionError for a malformed expr
-        from .expressions import compile_potential
-        return Potential(*compile_potential(self.expr))
+            k, (c1, c2, c3) = float(self.k), map(float, self.center)
+            return (f"0.5*({k!r})*((q1-({c1!r}))^2+(q2-({c2!r}))^2"
+                    f"+(q3-({c3!r}))^2)")
+        return self.expr
+
+    def build(self) -> Potential:
+        """The compiled potential; ExpressionError for a malformed expr."""
+        return compile_potential(self.text)
 
 
 @dataclass(frozen=True)
@@ -112,9 +109,10 @@ class ScenarioConfig:
     """One fully validated scenario.
 
     Pure data: the domain objects (metric, potential, frames) are built on
-    demand so the config itself stays comparable.  The metric and the
-    potential are built once per config and then shared; ``parse_config``
-    keeps the metric it built to validate, and ``with_seed`` hands it on.
+    demand so the config itself stays comparable.  The metric is built
+    once per config and then shared (``parse_config`` keeps the metric it
+    built to validate, and ``with_seed`` hands it on), the potential once
+    per text in the process.
     """
 
     mass: float
@@ -208,8 +206,10 @@ def _parse_potential(value) -> PotentialSpec:
         center = _finite_floats("potential.center",
                                 value.get("center", [0.0, 0.0, 0.0]), 3)
         return PotentialSpec("harmonic", k=float(k), center=center)
-    from .expressions import ExpressionError
-    spec = PotentialSpec("custom", expr=value.get("expr"))
+    expr = value.get("expr")
+    if not isinstance(expr, str):  # the compiled potentials are keyed by it
+        raise ConfigError("potential.expr", f"expected a string, got {expr!r}")
+    spec = PotentialSpec("custom", expr=expr)
     try:
         spec.build()
     except ExpressionError as err:

@@ -1,8 +1,9 @@
 """Arithmetic expressions over the space-time coordinates.
 
-Scenario files may define a potential as a string in t, q1, q2, q3.  This
-is a deliberately small language: numbers, the four coordinates, pi, the
-operators + - * / ^ with the usual precedence (^ binds tightest and
+Every potential is a string in t, q1, q2, q3: a scenario file's ``custom``
+one, and each built-in kind written as one (``config.PotentialSpec``).
+This is a deliberately small language: numbers, the four coordinates, pi,
+the operators + - * / ^ with the usual precedence (^ binds tightest and
 associates to the right), parentheses, and the unary functions sin, cos,
 exp.  One recursive-descent parser turns the text into a graph of shared
 nodes over ``numpy``, for the values, the force and the time derivative
@@ -20,6 +21,7 @@ nothing recurses deeper than the parser, which bounds nesting.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -29,6 +31,8 @@ from collections import namedtuple
 from typing import Callable
 
 import numpy as np
+
+from ..frame_dynamics import Potential
 
 __all__ = ["ExpressionError", "compile_expression", "compile_potential"]
 
@@ -232,6 +236,32 @@ def _needed(nodes: list[tuple], roots: list[int]) -> list[int]:
     return sorted(need - {None})
 
 
+def _degree(nodes: list[tuple], roots: list[int]) -> float:
+    """The largest degree in q of roots as polynomials: inf for one that
+    is no polynomial in q, reads t, or holds an operation on constants
+    that did not fold (10^400 overflows, so the graph keeps the power)."""
+    deg: list[float] = []
+    for kind, a, b in nodes[:max(roots) + 1]:
+        if kind in ("const", "var"):
+            deg.append(0 if kind == "const" else math.inf if a == "t" else 1)
+            continue
+        da, db = deg[a], 0 if b is None else deg[b]
+        e = nodes[b][1] if kind == "^" and nodes[b][0] == "const" else 0.0
+        if da + db == 0:  # only constants, so it did not fold
+            deg.append(math.inf)
+        elif kind in ("+", "-"):
+            deg.append(max(da, db))
+        elif kind == "*":
+            deg.append(da + db)
+        elif kind == "neg" or (kind == "/" and db == 0):
+            deg.append(da)
+        elif e >= 1 and e.is_integer():  # a power to a constant
+            deg.append(da * e)
+        else:
+            deg.append(math.inf)
+    return max(deg[k] for k in roots)
+
+
 def _program(graph: _Graph, roots: list[int]):
     """run(t, q1, q2, q3), whose steps (fn, a, b) append fn(r[a]) or
     fn(r[a], r[b]) to r = [t, q1, q2, q3, *constants], once for each node
@@ -430,16 +460,23 @@ def compile_expression(text: str) -> Callable[[float, float, float, float], floa
     return lambda t, q1, q2, q3: float(run(t, q1, q2, q3)[k])
 
 
-def compile_potential(text: str) -> tuple[Callable, Callable, Callable | None]:
-    """Compile an expression string, parsed once, to the fields of its
-    Potential: values(t, q) at every position of q (..., 3), giving (...);
-    the exact force(t, q, out=None), -grad phi (..., 3), written into out
-    when given; and the exact time derivative time(t, q), d phi / dt
-    (...), or None where t does not occur.  t is one time or an array of
-    times broadcasting against q[..., 0], and each result has the shape
-    they broadcast to.  A value or a time derivative is always a new
-    array, never a view of t or q, and so is a force without out.
-    Raises ExpressionError as compile_expression does.
+# Potentials compiled in this process, by text: every command loads its
+# config afresh, and a scenario's text recurs from one command to the next.
+@functools.lru_cache(maxsize=8)
+def compile_potential(text: str) -> Potential:
+    """Compile an expression string, parsed once, to its Potential:
+    values(t, q) at every position of q (..., 3), giving (...); the exact
+    force(t, q, out=None), -grad phi (..., 3), written into out when
+    given; and the exact time derivative time(t, q), d phi / dt (...), or
+    None where t does not occur.  t is one time or an array of times
+    broadcasting against q[..., 0], and each result has the shape they
+    broadcast to.  A value or a time derivative is always a new array,
+    never a view of t or q, and so is a force without out.  The Potential
+    is ``affine`` when t does not occur and each force component is a
+    polynomial of degree at most 1 in q, read off the force's nodes.
+    Raises ExpressionError as compile_expression does.  The last eight
+    texts compiled are kept, and a text compiled again returns the same
+    Potential.
 
     Each kernel evaluates each node it needs once per call, by one ufunc
     call into a register it keeps between calls, and the last operation
@@ -511,5 +548,6 @@ def compile_potential(text: str) -> tuple[Callable, Callable, Callable | None]:
         run.bind = lambda t, q, out: bind(t, q, columns(out))
         return run
 
-    return (kernel([root], 0), kernel(force_nodes, 0, 1),
-            None if time is None else kernel([time], 0, 2))
+    return Potential(kernel([root], 0), kernel(force_nodes, 0, 1),
+                     None if time is None else kernel([time], 0, 2),
+                     time is None and _degree(graph.nodes, force_nodes) <= 1)

@@ -4,12 +4,38 @@ import numpy as np
 import pytest
 
 from galimech import generating_objects
+from galimech.frame_dynamics import Potential
 from galimech.galilean_core import SpatialMetric
+from galimech.harness.config import PotentialSpec
+from galimech.harness.expressions import compile_potential
+
+
+@pytest.fixture(autouse=True)
+def fresh_potentials():
+    """Each test compiles its potentials afresh, as a new process does, so
+    a potential compiled under a patch never reaches another test."""
+    compile_potential.cache_clear()
+    yield
+    compile_potential.cache_clear()
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# The built-in kinds, built as a scenario builds them.
+def free_potential() -> Potential:
+    return PotentialSpec("free").build()
+
+
+def uniform_potential(force) -> Potential:
+    return PotentialSpec("uniform", force=tuple(map(float, force))).build()
+
+
+def harmonic_potential(k: float, center=(0.0, 0.0, 0.0)) -> Potential:
+    return PotentialSpec("harmonic", k=float(k),
+                         center=tuple(map(float, center))).build()
 
 
 def random_metric(rng) -> SpatialMetric:

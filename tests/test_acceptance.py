@@ -21,14 +21,11 @@ from galimech.galilean_core import (
     sigma,
 )
 from galimech.frame_dynamics import (
-    free_potential,
-    harmonic_potential,
     homogeneous_dynamics_violation_array,
     integrate,
     lagrangian_hom,
     legendre_hom,
     mass_shell_residual,
-    uniform_potential,
 )
 from galimech.generating_objects import (
     CriticalPoint,
@@ -113,7 +110,7 @@ def test_criterion_01_cocycle_suite(announce):
 
 def test_criterion_02_lagrangian_difference(announce):
     rng = rng_for(2)
-    phi = harmonic_potential(1.7, (0.2, -0.4, 0.0))
+    phi = PotentialSpec("harmonic", k=1.7, center=(0.2, -0.4, 0.0)).build()
     m = 1.3
     worst = 0.0
     for _ in range(1000):
@@ -150,9 +147,9 @@ def test_criterion_04_mass_shell(announce):
     rng = rng_for(4)
     g = random_spd(rng)
     m = 0.8
-    potentials = (free_potential(),
-                  uniform_potential((1.0, -2.0, 0.5)),
-                  harmonic_potential(2.0, (0.3, 0.0, -0.2)))
+    potentials = [PotentialSpec(kind, **fields).build() for kind, fields in [
+        ("free", {}), ("uniform", {"force": (1.0, -2.0, 0.5)}),
+        ("harmonic", {"k": 2.0, "center": (0.3, 0.0, -0.2)})]]
     worst = 0.0
     for _ in range(500):
         u = random_frame(rng)
@@ -171,7 +168,7 @@ def test_criterion_05_boost_theorem(announce):
     rng = rng_for(5)
     m = 1.0
     g = SpatialMetric.identity()
-    phi = harmonic_potential(1.0)
+    phi = PotentialSpec("harmonic", k=1.0, center=(0.0, 0.0, 0.0)).build()
 
     # (a) residual preservation under the momentum shift
     res_err = 0.0
@@ -282,7 +279,7 @@ def test_criterion_07_energy_drift(announce):
 def test_criterion_08_reduction_equivalence(announce):
     m = 1.1
     g = SpatialMetric.diagonal(1.0, 2.0, 0.5)
-    phi = harmonic_potential(1.3, (0.0, 0.2, 0.0))
+    phi = PotentialSpec("harmonic", k=1.3, center=(0.0, 0.2, 0.0)).build()
     u = np.array([0.15, -0.3, 0.05])
     fam1 = family_fam1(u, m, g, phi)
     fam2 = family_fam2(u, m, g, phi)

@@ -9,8 +9,6 @@ from galimech.galilean_core import (
 )
 from galimech.frame_dynamics import (
     Potential,
-    free_potential,
-    harmonic_potential,
     homogeneous_dynamics_violation_array,
     integrate,
     lagrangian_hom,
@@ -51,7 +49,13 @@ from galimech.generating_objects import (
     vector_to_fiber,
 )
 
-from conftest import at, random_frame, random_metric
+from conftest import (
+    at,
+    free_potential,
+    harmonic_potential,
+    random_frame,
+    random_metric,
+)
 
 X0 = np.array([0.0, 0.0, 0.0, 0.0])
 REST_VELOCITY = np.array([1.0, 0.0, 0.0, 0.0])  # of REFERENCE_FRAME

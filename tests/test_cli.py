@@ -117,6 +117,29 @@ class TestPotentialArithmeticErrors:
         assert len(lines) == 1  # no traceback
         assert f"{error} at step 1" in lines[0]
 
+    @pytest.mark.parametrize("command", [
+        "simulate", "boost-check", "invariants --suite all",
+        "morse-check --family all"])
+    @pytest.mark.parametrize("potential", [
+        # the probe of an affine force overflows where the value's square
+        # does, as the stage loop's first step would
+        {"kind": "harmonic", "k": 1e308, "center": [1e308, 1e308, 1e308]},
+        # a constant that overflows is no affine coefficient
+        {"kind": "custom", "expr": "10^400*q1"},
+    ], ids=["harmonic", "custom"])
+    def test_overflow_exits_3_in_every_command(self, tmp_path, command,
+                                               potential):
+        cfg = write_config(tmp_path, potential=potential, n=5)
+        proc = run(*command.split(), "--config", cfg)
+        assert proc.returncode == 3
+        where = "in morse_checks('fam1')" if command.startswith("morse") \
+            else "at step 1"
+        kind = "domain error" if command.startswith("morse") \
+            else "integration diverged"
+        assert proc.stderr.splitlines() == [
+            f"{kind}: potential raised OverflowError {where}: "
+            "(34, 'Numerical result out of range')"]
+
     @pytest.mark.parametrize("command", ["simulate", "boost-check"])
     def test_force_error_at_the_start_exits_3(self, tmp_path, command):
         # The exact force of 1/r^2 at the origin divides by zero, where
@@ -635,7 +658,7 @@ class TestInternalError:
 
 # Modules that only some commands need.
 _LAZY = ("galimech.harness.checks", "galimech.generating_objects",
-         "galimech.affine_phase", "galimech.harness.expressions")
+         "galimech.affine_phase")
 
 
 def _loaded_after(code: str) -> list[str]:
@@ -673,13 +696,8 @@ class TestImports:
             "    assert exc.code == 0, exc.code\n")
         assert out.read_text().startswith("step,t,")
         assert "galimech.frame_dynamics" in loaded
-        assert not set(_LAZY) & set(loaded)
-
-    def test_harmonic_config_skips_the_expression_compiler(self, tmp_path):
-        cfg = write_config(tmp_path, potential={"kind": "harmonic", "k": 2.0})
-        loaded = _loaded_after(
-            "from galimech.harness.config import load_config\n"
-            f"assert load_config({cfg!r}).potential.kind == 'harmonic'\n")
+        # every potential, the default free one too, is compiled
+        assert "galimech.harness.expressions" in loaded
         assert not set(_LAZY) & set(loaded)
 
     def test_custom_config_loads_the_expression_compiler(self, tmp_path):

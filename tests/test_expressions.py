@@ -26,7 +26,13 @@ def ev(text, t=0.0, q1=0.0, q2=0.0, q3=0.0):
 
 def compile_array_expression(text):
     """The values kernel of compile_potential."""
-    return compile_potential(text)[0]
+    return compile_potential(text).values
+
+
+def kernels(text):
+    """The values, force and time kernels of compile_potential."""
+    phi = compile_potential(text)
+    return phi.values, phi.force, phi.time
 
 
 class TestAtoms:
@@ -286,7 +292,7 @@ class TestArrayEvaluator:
 
 
 def _force(text):
-    return compile_potential(text)[1]
+    return compile_potential(text).force
 
 
 class TestForce:
@@ -329,7 +335,7 @@ class TestForce:
     @pytest.mark.parametrize("text", CASES)
     def test_matches_central_differences(self, points, text):
         # The bound the built-in force kernels are held to.
-        values, force = compile_potential(text)[:2]
+        values, force, _ = kernels(text)
         step = 1e-6 * (1.0 + np.abs(points))
         shifts = np.eye(3)[:, None, :] * step
         numeric = -(values(0.7, points + shifts) -
@@ -373,7 +379,19 @@ class TestForce:
     def test_time_independent_when_t_does_not_occur(self, text,
                                                     time_independent):
         # No time kernel is compiled where t does not occur.
-        assert (compile_potential(text)[2] is None) is time_independent
+        assert (compile_potential(text).time is None) is time_independent
+
+    @pytest.mark.parametrize("text, affine", [
+        # every force component of degree at most 1 in q
+        ("q1", True), ("0.5*q1^2", True), ("q1/2", True),
+        ("exp(0)*q1", True), ("q1*q2 - 3", True), ("3", True),
+        # a higher degree, t, a function or a quotient of q, and a
+        # constant that overflows, so the graph keeps it as a power
+        ("q1^3", False), ("t*q1", False), ("sin(q1)", False),
+        ("2/q1", False), ("10^400*q1", False), ("q1^2.5", False),
+    ])
+    def test_affine_when_the_force_has_degree_at_most_1(self, text, affine):
+        assert compile_potential(text).affine is affine
 
     def test_shared_subexpression_is_evaluated_once(self, monkeypatch):
         # exp(q1 + q2) is the value node and a factor of both derivatives.
@@ -462,7 +480,7 @@ class TestTime:
         phi = sympy.sympify(text.replace("^", "**"),
                             locals={"t": t, "q1": q1, "q2": q2, "q3": q3})
         ref = sympy.lambdify((t, q1, q2, q3), sympy.diff(phi, t), "math")
-        got = compile_potential(text)[2](events[:, 0], events[:, 1:])
+        got = compile_potential(text).time(events[:, 0], events[:, 1:])
         want = np.array([float(ref(*x)) for x in events.tolist()])
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
@@ -470,7 +488,7 @@ class TestTime:
     @pytest.mark.parametrize("text", CASES)
     def test_matches_central_differences(self, events, text):
         # The bound of the central difference in t this derivative replaced.
-        values, _, time = compile_potential(text)
+        values, _, time = kernels(text)
         t, q = events[:, 0], events[:, 1:]
         step = 1e-6 * (1.0 + np.abs(t))
         numeric = (values(t + step, q) - values(t - step, q)) / (2.0 * step)
@@ -479,7 +497,7 @@ class TestTime:
 
     @pytest.mark.parametrize("text", CASES)
     def test_rows_equal_single_events(self, events, text):
-        time = compile_potential(text)[2]
+        time = compile_potential(text).time
         grid = events[:24].reshape(4, 6, 4)
         got = time(grid[..., 0], grid[..., 1:])
         assert got.shape == (4, 6)
@@ -507,7 +525,7 @@ class TestKernelResults:
 
     @pytest.mark.parametrize("text", ["q1", "q3", "t"])
     def test_values_are_not_a_view_of_the_input(self, text):
-        values = compile_potential(text)[0]
+        values = compile_potential(text).values
         t, q = np.array([0.5, 1.5]), np.arange(6.0).reshape(2, 3)
         got = values(t, q)
         assert not np.shares_memory(got, q)
@@ -520,7 +538,7 @@ class TestKernelResults:
     def test_results_survive_the_next_call(self, text):
         # Each kernel keeps its registers between calls, but no result is
         # one of them.
-        values, force, time = compile_potential(text)
+        values, force, time = kernels(text)
         q = np.random.default_rng(20263).normal(size=(2, 8, 3))
         for kernel in (values, force, time):
             got = kernel(0.5, q[0])
@@ -535,7 +553,7 @@ class TestKernelResults:
         ("q1*t", 2, [0.0, 0.0, 0.0]),
     ])
     def test_times_broadcast_against_one_point(self, text, kernel, want):
-        got = compile_potential(text)[kernel](np.arange(3.0), np.zeros(3))
+        got = kernels(text)[kernel](np.arange(3.0), np.zeros(3))
         assert got.shape == np.shape(want)
         assert got.tolist() == want
         assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -618,24 +636,24 @@ class TestReferenceEquality:
 
     @pytest.mark.parametrize("text", CASES)
     def test_kernels_equal_the_interpreter(self, text):
-        kernels = compile_potential(text)
+        compiled = kernels(text)
         rng = np.random.default_rng(20264)
         # (8, 3), (1, 3), (8, 3) replaces the registers twice.
         for shape in [(3,), (8, 3), (1, 3), (8, 3), (500, 3)]:
             q = rng.normal(scale=1.5, size=shape)
             lead = shape[:-1] or (5,)  # one point against five times
             for t in (0.7, rng.uniform(-1.0, 2.0, size=lead)):
-                self._check(text, kernels, t, q)
+                self._check(text, compiled, t, q)
 
     def test_a_finite_call_after_an_arithmetic_error(self):
-        kernels = compile_potential("1/q1")
+        compiled = kernels("1/q1")
         q = np.random.default_rng(20265).normal(size=(8, 3))
         pole = q.copy()
         pole[3, 0] = 0.0
-        for kernel in kernels[:2]:
+        for kernel in compiled[:2]:
             with pytest.raises(ZeroDivisionError):
                 kernel(0.0, pole)
-            self._check("1/q1", kernels, 0.0, q)
+            self._check("1/q1", compiled, 0.0, q)
 
     @pytest.mark.parametrize("text", CASES)
     def test_bound_schedules_equal_the_kernels(self, text):
@@ -644,13 +662,13 @@ class TestReferenceEquality:
         # per-call evaluation there.
         rng = np.random.default_rng(20266)
         t, q = np.empty(()), np.empty((8, 3))
-        kernels = [k for k in compile_potential(text) if k is not None]
+        compiled = [k for k in kernels(text) if k is not None]
         outs = [np.empty((8, 3) if i == 1 else 8)
-                for i in range(len(kernels))]
-        schedules = [k.bind(t, q, out) for k, out in zip(kernels, outs)]
+                for i in range(len(compiled))]
+        schedules = [k.bind(t, q, out) for k, out in zip(compiled, outs)]
         for _ in range(3):
             t[...], q[...] = rng.uniform(-1.0, 2.0), rng.normal(size=(8, 3))
-            for kernel, calls, out in zip(kernels, schedules, outs):
+            for kernel, calls, out in zip(compiled, schedules, outs):
                 for f, args in calls:
                     f(*args)
                 assert _same_bits(out, kernel(float(t), q))

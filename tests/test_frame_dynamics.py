@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,8 +22,6 @@ from galimech.frame_dynamics import (
     NonFiniteState,
     Potential,
     Trajectory,
-    free_potential,
-    harmonic_potential,
     homogeneous_dynamics_violation_array,
     integrate,
     lagrangian_hom,
@@ -30,7 +29,6 @@ from galimech.frame_dynamics import (
     legendre_hom,
     legendre_inhom,
     mass_shell_residual,
-    uniform_potential,
     write_trajectory_csv,
 )
 from galimech.affine_phase import p_change_chart
@@ -38,7 +36,14 @@ from galimech.harness.cli import main
 from galimech.harness.config import PotentialSpec
 from galimech.harness.expressions import compile_potential
 
-from conftest import at, random_frame, random_metric
+from conftest import (
+    at,
+    free_potential,
+    harmonic_potential,
+    random_frame,
+    random_metric,
+    uniform_potential,
+)
 
 E0 = np.array([0.0, 0.0, 0.0])
 ORIGIN = np.array([0.0, 0.0, 0.0, 0.0])
@@ -101,22 +106,26 @@ class TestPotentials:
     @pytest.mark.parametrize("scale", [1.0, 1e3])
     def test_builtin_values_equal_point_values(self, rng, scale):
         # One values call over a stack of events gives, row by row, the
-        # point value at each event alone and the 1-D dot formula, bit for
-        # bit; rows sliced from (..., 4) events are strided.
-        f = np.array([0.3, -1.2, 0.7])
-        c = np.array([0.2, -0.4, 1.0]) * scale
+        # point value at each event alone and the formula of the kind's
+        # expression text, summed left to right, bit for bit; rows sliced
+        # from (..., 4) events are strided.
+        f = [0.3, -1.2, 0.7]
+        c = [0.2 * scale, -0.4 * scale, 1.0 * scale]
         refs = [
             (free_potential(), lambda q: 0.0),
-            (uniform_potential(f), lambda q: -float(f @ q)),
+            (uniform_potential(f),
+             lambda q: -(f[0] * q[0] + f[1] * q[1] + f[2] * q[2])),
             (harmonic_potential(1.7, c),
-             lambda q: 0.5 * 1.7 * float((q - c) @ (q - c))),
+             lambda q: 0.5 * 1.7 * ((q[0] - c[0]) ** 2 + (q[1] - c[1]) ** 2
+                                    + (q[2] - c[2]) ** 2)),
         ]
         x = rng.normal(scale=scale, size=(4, 25, 4))
         for phi, ref in refs:
             got = phi.values(x[..., 0], x[..., 1:])
             assert got.shape == (4, 25)
             for index in np.ndindex(4, 25):
-                assert got[index] == at(phi, x[index]) == ref(x[index][1:])
+                assert got[index] == at(phi, x[index]) == \
+                    ref(x[index][1:].tolist())
 
     def test_analytic_gradients_match_differences(self, rng):
         pots = [uniform_potential([0.3, -1.2, 0.7]),
@@ -288,11 +297,11 @@ class TestPotentials:
         # t broadcasts against q[..., 0], as for a custom kind, and each
         # row is the kernel at that one time.
         phi = GRID_POTENTIALS[kind]()
-        values, force = compile_potential(expr)[:2]
+        other = compile_potential(expr)
         t, q = np.arange(3.0), rng.normal(size=q_shape)
         got_values, got_force = phi.values(t, q), phi.force(t, q)
-        assert got_values.shape == values(t, q).shape == (3,)
-        assert got_force.shape == force(t, q).shape == (3, 3)
+        assert got_values.shape == other.values(t, q).shape == (3,)
+        assert got_force.shape == other.force(t, q).shape == (3, 3)
         rows = np.broadcast_to(q, got_force.shape)
         for i, ti in enumerate(t.tolist()):
             assert got_values[i] == phi.values(ti, rows[i])
@@ -692,9 +701,11 @@ class TestIntegrate:
             phi = Potential(base.values, base.force, affine=affine)
             with pytest.raises(NonFiniteState) as info:
                 integrate(E0, 1.0, ID3, phi, init, 0.01, 500)
-            # The error names the first step whose state is not finite:
-            # every step before it integrates to a finite state.
-            step = int(str(info.value).rsplit(" ", 1)[1])
+            # The error names the first step whose state is not finite,
+            # or, on the stage loop, whose force overflows where the
+            # value's square does too: every step before it integrates
+            # to a finite state.
+            step = int(re.search(r"at step (\d+)", str(info.value))[1])
             assert step > 1
             traj = integrate(E0, 1.0, ID3, phi, init, 0.01, step - 1)
             assert np.isfinite(traj.q).all() and np.isfinite(traj.p).all()
@@ -909,11 +920,17 @@ HOSTILE = [
      "ZeroDivisionError at step 8: float division by zero"),
 ]
 
+# A custom expression whose force is affine in q, with a cross term, so
+# each off-diagonal entry of the step map's K is its own.
+CUSTOM_AFFINE = "0.5*q1^2 + 0.7*(q2-0.3)^2 + 0.4*q1*q3 - q2/4 + exp(0)*q3"
+
 GRID_POTENTIALS = {
     "free": free_potential,
     "uniform": lambda: uniform_potential([0.3, -1.1, 0.6]),
     "harmonic": lambda: harmonic_potential(1.3, (0.1, -0.2, 0.4)),
     "linear": _linear_force,
+    "custom_affine": lambda: PotentialSpec("custom",
+                                           expr=CUSTOM_AFFINE).build(),
     "custom": lambda: PotentialSpec("custom", expr=(
         "0.5*q1^2 + 0.25*q2^4 + sin(t)*q3 + 0.1*q1*q3")).build(),
     "custom_field": lambda: PotentialSpec("custom", expr=CUSTOM_FIELD).build(),
@@ -1068,15 +1085,16 @@ class TestIntegrateBits:
 
 
 class TestStepMap:
-    """The step map of the affine kinds against reference_integrate.  It
-    sums RK4's four stages in another order, so it is held to a bound
+    """The step map of the affine potentials against reference_integrate.
+    It sums RK4's four stages in another order, so it is held to a bound
     fixed from the dtype: |delta| <= 16 n eps (1 + max |y_ref|)."""
 
     @pytest.mark.parametrize("n", [1, _FINITE_BLOCK - 1, _FINITE_BLOCK,
                                    _FINITE_BLOCK + 1, 2 * _FINITE_BLOCK + 22])
     @pytest.mark.parametrize("frames", [1, 8])
     @pytest.mark.parametrize("metric", ["identity", "spd"])
-    @pytest.mark.parametrize("kind", ["free", "uniform", "harmonic", "linear"])
+    @pytest.mark.parametrize("kind", ["free", "uniform", "harmonic", "linear",
+                                      "custom_affine"])
     def test_tracks_the_stage_loop(self, rng, kind, metric, frames, n):
         phi = GRID_POTENTIALS[kind]()
         assert phi.affine
@@ -1088,9 +1106,39 @@ class TestStepMap:
         assert np.max(np.abs(traj.q - ys[:, 0])) <= bound
         assert np.max(np.abs(traj.p - ys[:, 1])) <= bound
 
-    def test_custom_potential_is_not_affine(self):
+    def test_affine_custom_potential_takes_the_step_map(self, monkeypatch):
         phi = PotentialSpec("custom", expr="0.5*q1^2").build()
-        assert not phi.affine
+        assert phi.affine
+        step_map, maps = frame_dynamics._step_map_steps, []
+
+        def counted(*args):
+            maps.append(args)
+            return step_map(*args)
+
+        monkeypatch.setattr(frame_dynamics, "_step_map_steps", counted)
+        integrate(E0, 1.0, ID3, phi, (ORIGIN, [1.0, 0.0, 0.0]), 0.1, 5)
+        assert len(maps) == 1
+
+    @pytest.mark.parametrize("metric", ["identity", "spd"])
+    def test_custom_text_of_a_harmonic_spec_gives_its_bits(self, rng, metric):
+        # Two compiles of one text, the second under the custom kind: the
+        # same step map, so the same trajectory, and within the bound
+        # of the stage loop.
+        spec = PotentialSpec("harmonic", k=1.3, center=(0.1, -0.2, 0.4))
+        harmonic = spec.build()
+        compile_potential.cache_clear()
+        custom = PotentialSpec("custom", expr=spec.text).build()
+        assert custom is not harmonic and custom.affine
+        n = 2 * _FINITE_BLOCK + 22
+        args = _grid_args(rng, harmonic, metric, 8, n)
+        want = integrate(*args)
+        got = integrate(*args[:3], custom, *args[4:])
+        for a, b in ((got.q, want.q), (got.p, want.p)):
+            assert np.array_equal(_bits(a), _bits(b))
+        ts, ys = reference_integrate(*args[:3], custom, *args[4:])
+        bound = 16 * n * np.finfo(float).eps * (1.0 + np.max(np.abs(ys)))
+        assert np.max(np.abs(got.q - ys[:, 0])) <= bound
+        assert np.max(np.abs(got.p - ys[:, 1])) <= bound
 
     def test_affine_potential_has_no_time_kernel(self):
         phi = free_potential()

@@ -10,11 +10,8 @@ from galimech.galilean_core import (
     iota_u_array,
 )
 from galimech.frame_dynamics import (
-    free_potential,
-    harmonic_potential,
     legendre_hom,
     mass_shell_residual,
-    uniform_potential,
 )
 from galimech.affine_phase import family_fam3, family_fam4
 from galimech.generating_objects import (
@@ -39,7 +36,7 @@ from galimech.generating_objects import (
 )
 from galimech.harness.config import PotentialSpec
 
-from conftest import at
+from conftest import at, free_potential, harmonic_potential, uniform_potential
 
 E0 = np.array([0.0, 0.0, 0.0])
 ID3 = SpatialMetric.identity()

@@ -25,7 +25,6 @@ from galimech.affine_phase import (
     w_scale_array,
 )
 from galimech.frame_dynamics import (
-    harmonic_potential,
     homogeneous_dynamics_violation_array,
     lagrangian_hom,
     lagrangian_inhom,
@@ -35,7 +34,7 @@ from galimech.frame_dynamics import (
 )
 from galimech.galilean_core import SpatialMetric, sigma
 
-from conftest import at
+from conftest import at, harmonic_potential
 
 N = 200
 

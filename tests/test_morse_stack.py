@@ -22,10 +22,9 @@ np.linalg.lstsq on one matrix at a time, bit for bit.
 import numpy as np
 import pytest
 
-from conftest import at, random_frame, random_metric
+from conftest import at, harmonic_potential, random_frame, random_metric
 from galimech.affine_phase import REFERENCE_FRAME, family_fam3, family_fam4
 from galimech.frame_dynamics import (
-    harmonic_potential,
     legendre_hom,
     mass_shell_residual,
 )

@@ -120,12 +120,12 @@ def kept_sign(gamma):
     return perturbed
 
 
-def scaled_force(make_potential):
-    """A built-in potential factory whose force kernel's output is scaled
-    by 1 + REL.  The step map of an affine potential reads its force
-    through that kernel, so the scaled force drives the motion."""
-    def perturbed(*args, **kwargs):
-        phi = make_potential(*args, **kwargs)
+def scaled_force(compile_potential):
+    """compile_potential with the output of its force kernel scaled by
+    1 + REL.  The step map of an affine potential reads its force through
+    that kernel, so the scaled force drives the motion."""
+    def perturbed(text):
+        phi = compile_potential(text)
 
         def force(t, q, out=None):
             f = phi.force(t, q, out)
@@ -308,7 +308,7 @@ def test_scaled_force_fails_energy_drift(tmp_path, monkeypatch):
     # Integrating with a force that is not -grad phi breaks the energy of
     # phi; every frame integrates the same wrong force, so the world lines
     # still agree and boost-check passes.
-    patch_everywhere(monkeypatch, "frame_dynamics", "harmonic_potential",
+    patch_everywhere(monkeypatch, "harness.expressions", "compile_potential",
                      scaled_force)
     assert failing_checks(tmp_path, INVARIANTS, HARMONIC) == (1, {"energy.drift"})
     assert failing_checks(tmp_path, BOOST, HARMONIC) == (0, set())
@@ -325,7 +325,7 @@ def test_unperturbed_uniform_runs_pass(tmp_path, argv):
 
 
 def test_scaled_uniform_force_fails_energy_drift(tmp_path, monkeypatch):
-    patch_everywhere(monkeypatch, "frame_dynamics", "uniform_potential",
+    patch_everywhere(monkeypatch, "harness.expressions", "compile_potential",
                      scaled_force)
     assert failing_checks(tmp_path, INVARIANTS, UNIFORM) == (1, {"energy.drift"})
     assert failing_checks(tmp_path, BOOST, UNIFORM) == (0, set())
@@ -338,18 +338,6 @@ CUSTOM = {"potential": {"kind": "custom",
           "initial_event": [0.0, 0.8, 0.5, 0.1], "n": 50}
 
 
-def scaled_compiled_force(compile_potential):
-    """compile_potential with the output of its force scaled by 1 + REL."""
-    def perturbed(text):
-        values, force, time = compile_potential(text)
-
-        def scaled(t, q, out=None):
-            f = force(t, q, out)
-            return np.multiply(f, 1.0 + REL, f)
-        return values, scaled, time
-    return perturbed
-
-
 @pytest.mark.parametrize("argv", [DYNAMICS, BOOST])
 def test_unperturbed_custom_runs_pass(tmp_path, argv):
     assert failing_checks(tmp_path, argv, CUSTOM) == (0, set())
@@ -357,7 +345,7 @@ def test_unperturbed_custom_runs_pass(tmp_path, argv):
 
 def test_scaled_custom_force_fails_energy_drift(tmp_path, monkeypatch):
     patch_everywhere(monkeypatch, "harness.expressions", "compile_potential",
-                     scaled_compiled_force)
+                     scaled_force)
     assert failing_checks(tmp_path, DYNAMICS, CUSTOM) == (1, {"energy.drift"})
     assert failing_checks(tmp_path, BOOST, CUSTOM) == (0, set())
 
@@ -377,11 +365,11 @@ def scaled_compiled_time(compile_potential):
     """compile_potential with the output of its time derivative scaled by
     1 + REL."""
     def perturbed(text):
-        values, force, time = compile_potential(text)
+        phi = compile_potential(text)
 
         def scaled(t, q, out=None):
-            return np.multiply(time(t, q, out), 1.0 + REL)
-        return values, force, scaled
+            return np.multiply(phi.time(t, q, out), 1.0 + REL)
+        return Potential(phi.values, phi.force, scaled, phi.affine)
     return perturbed
 
 
