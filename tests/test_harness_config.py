@@ -135,6 +135,14 @@ class TestRejection:
         data = minimal(potential={"kind": "custom", "expr": "q1 +"})
         assert self.field_of(data) == "potential.expr"
 
+    @pytest.mark.parametrize("expr", [["q1"], {"q1": 1}, None, 3])
+    def test_custom_expression_must_be_a_string(self, expr):
+        # Compiled potentials are cached by their text, and a list from
+        # JSON is no key: it is named as a config error, not raised.
+        with pytest.raises(ConfigError) as info:
+            parse_config(minimal(potential={"kind": "custom", "expr": expr}))
+        assert str(info.value) == f"potential.expr: expected a string, got {expr!r}"
+
     def test_empty_frames(self):
         assert self.field_of(minimal(frames=[])) == "frames"
 
